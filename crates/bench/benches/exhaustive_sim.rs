@@ -6,13 +6,15 @@ use parsweep_aig::Var;
 use parsweep_bench::gen::gen_multiplier;
 use parsweep_core::EcManager;
 use parsweep_par::Executor;
-use parsweep_sim::{check_windows, merge_windows, PairCheck, Patterns, Window};
+use parsweep_sim::{
+    check_windows, merge_windows, PairCheck, Patterns, Window, DEFAULT_MEMORY_WORDS,
+};
 
 fn build_windows() -> (parsweep_aig::Aig, Vec<Window>) {
     let aig = gen_multiplier(8);
     let exec = Executor::with_threads(1);
     let patterns = Patterns::random(aig.num_pis(), 8, 42);
-    let ec = EcManager::from_patterns(&aig, &exec, &patterns);
+    let ec = EcManager::from_patterns(&aig, &exec, &patterns, DEFAULT_MEMORY_WORDS);
     let supports = aig.bounded_supports(12);
     let mut windows = Vec::new();
     for pair in ec.pairs(&aig) {

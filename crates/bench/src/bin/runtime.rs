@@ -17,8 +17,9 @@
 //! and one synthetic multiplier-like hard cone, asserting the two agree
 //! on every verdict; `bench_delta.py` surfaces and gates the wall times.
 //!
-//! A `window_streaming` section runs the same sweep twice — whole-table
-//! residency vs the level-windowed streaming path — on Small-scale
+//! A `window_streaming` section runs the same sweep twice — at the
+//! default `memory_words` and at a budget the partial-simulation tables
+//! cannot fit, so they stream through host staging — on Small-scale
 //! miters and records the peak-live arena reduction; a Tiny-scale
 //! invocation additionally emits a `small_cases` row set so the
 //! committed JSON always carries Small-scale data. Per-case rows
@@ -31,7 +32,7 @@ use std::fmt::Write as _;
 
 use parsweep_aig::{miter, Aig, Lit};
 use parsweep_bench::harness::{suite, Case, Scale};
-use parsweep_core::{fraig, sim_sweep, EngineConfig, EngineStats, Report, SigWindowConfig};
+use parsweep_core::{fraig, sim_sweep, EngineConfig, EngineStats, Report};
 use parsweep_par::{CancelToken, Executor, LaunchStats, SanitizerConfig};
 use parsweep_sat::{portfolio_check, PortfolioConfig, Prover, ProverConfig, ProverMode, Verdict};
 
@@ -267,16 +268,18 @@ fn main() {
         }
     }
 
-    // Residency comparison: the same sweep whole-table vs level-windowed,
-    // on Small-scale miters (the acceptance regime). Disabling the
-    // exhaustive PO phase (`k_po_all = k_po = 0`) and widening the
-    // random pattern set forces the global phase's partial-simulation
-    // signature tables to dominate the device arena — the regime the
-    // streaming path is for; at depth-doubled scale the PO supports are
-    // too wide for exhaustive tables anyway. Verdicts must match; the
-    // committed JSON records the peak-live reduction.
+    // Residency comparison: the same sweep at the default memory budget
+    // vs one an eighth the size of the first signature table (which
+    // therefore streams through a window of levels), on Small-scale
+    // miters (the acceptance regime). Disabling the exhaustive PO phase
+    // (`k_po_all = k_po = 0`) and widening the random pattern set forces
+    // the global phase's partial-simulation signature tables to dominate
+    // the device arena — the regime the budget rule is for; at
+    // depth-doubled scale the PO supports are too wide for exhaustive
+    // tables anyway. Verdicts must match; the committed JSON records the
+    // peak-live reduction.
     let mut window_json = Vec::new();
-    eprintln!("# window streaming (whole-table vs level-windowed residency)");
+    eprintln!("# window streaming (default memory budget vs one the tables cannot fit)");
     let stream_cfg = || {
         let mut cfg = EngineConfig::scaled();
         cfg.k_po_all = 0;
@@ -295,17 +298,18 @@ fn main() {
         let resident = sim_sweep(&case.miter, &resident_exec, &stream_cfg());
         let rs = resident_exec.stats();
         let windowed_exec = Executor::new();
-        let windowed_cfg = stream_cfg().with_sig_window(SigWindowConfig::with_levels(4));
+        let mut windowed_cfg = stream_cfg();
+        windowed_cfg.memory_words = case.miter.num_nodes() * windowed_cfg.sim_words / 8;
         let windowed = sim_sweep(&case.miter, &windowed_exec, &windowed_cfg);
         let ws = windowed_exec.stats();
         assert_eq!(
             Report::new(&resident).verdict_tag(),
             Report::new(&windowed).verdict_tag(),
-            "{base}: windowed streaming changed the verdict"
+            "{base}: the memory budget changed the verdict"
         );
         assert!(
             ws.window_spills > 0,
-            "{base}: windowed run never spilled a level"
+            "{base}: the over-budget run never spilled a level"
         );
         let reduction = rs.arena_peak_live_bytes as f64 / ws.arena_peak_live_bytes.max(1) as f64;
         eprintln!(

@@ -1,7 +1,7 @@
 //! Engine configuration (the paper's §IV parameter set).
 
 use parsweep_cut::{CutParams, Pass};
-use parsweep_sim::{OdcConfig, SigWindowConfig};
+use parsweep_sim::OdcConfig;
 
 /// Window merging strategy for PO and global function checking (§III-B3).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -32,7 +32,10 @@ pub struct EngineConfig {
     pub k_g: usize,
     /// Cut enumeration parameters (`k_l`, `C`).
     pub cut: CutParams,
-    /// Simulation-table memory budget in 64-bit words (the paper's `M`).
+    /// Simulation-table memory budget in 64-bit words (the paper's `M`):
+    /// bounds each exhaustive-simulation batch and the device residency
+    /// of every partial-simulation table (a table that does not fit
+    /// streams through a window of levels into host staging).
     pub memory_words: usize,
     /// Random-pattern words for partial simulation (64 patterns each).
     pub sim_words: usize,
@@ -64,12 +67,6 @@ pub struct EngineConfig {
     /// value justification generates directed patterns that knock
     /// wide-support candidates out of the constant class.
     pub reverse_sim: bool,
-    /// Level-windowed signature streaming: `Some` bounds the device
-    /// residency of every partial-simulation table to a sliding window
-    /// of topological levels, spilling retired columns to a host (or
-    /// disk) tier. `None` (the default) keeps whole tables resident —
-    /// bit-identical to the pre-streaming pipeline.
-    pub sig_window: Option<SigWindowConfig>,
     /// Observability don't-care-aware refinement: `Some` computes
     /// per-node care masks each G round and diverts candidate pairs
     /// whose disagreement is entirely unobservable to an exact bounded
@@ -101,7 +98,6 @@ impl EngineConfig {
             distance1_cex: false,
             adaptive_passes: false,
             reverse_sim: false,
-            sig_window: None,
             odc: None,
         }
     }
@@ -127,7 +123,6 @@ impl EngineConfig {
             distance1_cex: false,
             adaptive_passes: false,
             reverse_sim: false,
-            sig_window: None,
             odc: None,
         }
     }
@@ -155,13 +150,6 @@ impl EngineConfig {
         self.distance1_cex = true;
         self.adaptive_passes = true;
         self.reverse_sim = true;
-        self
-    }
-
-    /// Returns this configuration with level-windowed signature streaming
-    /// enabled (see [`SigWindowConfig`]).
-    pub fn with_sig_window(mut self, window: SigWindowConfig) -> Self {
-        self.sig_window = Some(window);
         self
     }
 
@@ -216,15 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_odc_default_off() {
-        assert!(EngineConfig::paper().sig_window.is_none());
+    fn odc_defaults_off() {
         assert!(EngineConfig::paper().odc.is_none());
-        assert!(EngineConfig::scaled().sig_window.is_none());
         assert!(EngineConfig::scaled().odc.is_none());
-        let c = EngineConfig::scaled()
-            .with_sig_window(SigWindowConfig::with_levels(2))
-            .with_odc();
-        assert_eq!(c.sig_window.unwrap().window_levels, 2);
+        let c = EngineConfig::scaled().with_odc();
         assert_eq!(c.odc.unwrap().check_limit, 8);
     }
 }

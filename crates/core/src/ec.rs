@@ -3,9 +3,8 @@
 use parsweep_aig::{Aig, Lit, Var};
 use parsweep_par::Executor;
 use parsweep_sim::{
-    refine_classes, refine_classes_odc, signature_classes, signature_classes_among,
-    simulate_pruned_counted_with, simulate_with, OdcCandidate, OdcMasks, PairCheck, Patterns,
-    ResimPlan, SigWindowConfig, Signatures,
+    refine_classes, signature_classes, signature_classes_among, simulate_cone, Fanouts,
+    OdcCandidate, OdcMasks, PairCheck, Patterns, ResimPlan, Signatures,
 };
 
 /// The engine's EC manager: wraps partial-simulation signatures and the
@@ -23,33 +22,28 @@ pub struct EcManager {
     /// Nodes the construction actually simulated: `Some(cone size)` for
     /// the pruned constructor, `None` for a full build.
     simulated_nodes: Option<usize>,
-    /// Residency policy every simulation this manager runs goes through:
-    /// `Some` streams tables level-windowed, `None` keeps them resident.
-    window: Option<SigWindowConfig>,
+    /// Table budget in words (the paper's `M`) every simulation this
+    /// manager runs is sized against.
+    memory_words: usize,
 }
 
 impl EcManager {
-    /// Builds classes by simulating `patterns` on the miter.
-    pub fn from_patterns(aig: &Aig, exec: &Executor, patterns: &Patterns) -> Self {
-        Self::from_patterns_with(aig, exec, patterns, None)
-    }
-
-    /// [`EcManager::from_patterns`] under a residency policy: the initial
-    /// table and every later refinement/resimulation round stream through
-    /// the level window when `window` is `Some`.
-    pub fn from_patterns_with(
+    /// Builds classes by simulating `patterns` on the miter, with at most
+    /// `memory_words` table words device-resident (also the budget of
+    /// every later refinement and resimulation round).
+    pub fn from_patterns(
         aig: &Aig,
         exec: &Executor,
         patterns: &Patterns,
-        window: Option<SigWindowConfig>,
+        memory_words: usize,
     ) -> Self {
-        let sigs = simulate_with(aig, exec, patterns, window.as_ref());
+        let (sigs, _) = simulate_cone(aig, exec, patterns, None, memory_words);
         let classes = signature_classes(aig, &sigs);
         EcManager {
             classes,
             sigs,
             simulated_nodes: None,
-            window,
+            memory_words,
         }
     }
 
@@ -65,25 +59,12 @@ impl EcManager {
         patterns: &Patterns,
         candidates: &[Var],
         extra_live: &[Var],
-    ) -> Self {
-        Self::from_patterns_pruned_with(aig, exec, patterns, candidates, extra_live, None)
-    }
-
-    /// [`EcManager::from_patterns_pruned`] under a residency policy (see
-    /// [`EcManager::from_patterns_with`]).
-    pub fn from_patterns_pruned_with(
-        aig: &Aig,
-        exec: &Executor,
-        patterns: &Patterns,
-        candidates: &[Var],
-        extra_live: &[Var],
-        window: Option<SigWindowConfig>,
+        memory_words: usize,
     ) -> Self {
         let mut live: Vec<Var> = candidates.iter().chain(extra_live).copied().collect();
         live.sort_unstable();
         live.dedup();
-        let (sigs, covered) =
-            simulate_pruned_counted_with(aig, exec, patterns, &live, window.as_ref());
+        let (sigs, covered) = simulate_cone(aig, exec, patterns, Some(&live), memory_words);
         let mut among: Vec<Var> = std::iter::once(Var::FALSE)
             .chain(candidates.iter().copied())
             .collect();
@@ -94,7 +75,7 @@ impl EcManager {
             classes,
             sigs,
             simulated_nodes: Some(covered),
-            window,
+            memory_words,
         }
     }
 
@@ -116,51 +97,32 @@ impl EcManager {
     /// Refines the classes in place from one fresh round of patterns,
     /// simulating only the live cone (class members plus `extra_live`).
     ///
-    /// Returns the fresh pruned table (valid for the live set — e.g. for
-    /// a PO counter-example scan when `extra_live` holds the PO vars),
-    /// the number of classes that split or shrank, and the cone size the
-    /// round actually simulated.
+    /// With `odc = Some((fanouts, limit))`, observability care masks are
+    /// computed over the fresh table before refinement, and pairs whose
+    /// split was entirely unobservable come back as [`OdcCandidate`]s (at
+    /// most `limit`) for the engine's exact replaceability check.
+    /// Splitting itself is unchanged.
+    ///
+    /// Returns the fresh live-cone table (valid for the live set — e.g.
+    /// for a PO counter-example scan when `extra_live` holds the PO
+    /// vars), the number of classes that split or shrank, the cone size
+    /// the round actually simulated, and the ODC candidates.
     pub fn refine_with(
         &mut self,
         aig: &Aig,
         exec: &Executor,
         patterns: &Patterns,
         extra_live: &[Var],
-    ) -> (Signatures, usize, usize) {
-        let mut live = self.live_vars();
-        live.extend_from_slice(extra_live);
-        live.sort_unstable();
-        live.dedup();
-        let (fresh, covered) =
-            simulate_pruned_counted_with(aig, exec, patterns, &live, self.window.as_ref());
-        let refined = refine_classes(&mut self.classes, &self.sigs, &fresh);
-        (fresh, refined, covered)
-    }
-
-    /// [`EcManager::refine_with`] with observability don't-cares: care
-    /// masks are computed over the fresh table before refinement, and
-    /// pairs whose split was entirely unobservable come back as
-    /// [`OdcCandidate`]s (at most `odc_limit`) for the engine's exact
-    /// replaceability check. Splitting itself is unchanged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn refine_with_odc(
-        &mut self,
-        aig: &Aig,
-        exec: &Executor,
-        patterns: &Patterns,
-        extra_live: &[Var],
-        fanouts: &parsweep_sim::Fanouts,
-        odc_limit: usize,
+        odc: Option<(&Fanouts, usize)>,
     ) -> (Signatures, usize, usize, Vec<OdcCandidate>) {
         let mut live = self.live_vars();
         live.extend_from_slice(extra_live);
         live.sort_unstable();
         live.dedup();
-        let (fresh, covered) =
-            simulate_pruned_counted_with(aig, exec, patterns, &live, self.window.as_ref());
-        let masks = OdcMasks::compute(aig, exec, &fresh, fanouts);
-        let (refined, candidates) =
-            refine_classes_odc(&mut self.classes, &self.sigs, &fresh, &masks, odc_limit);
+        let (fresh, covered) = simulate_cone(aig, exec, patterns, Some(&live), self.memory_words);
+        let masks = odc.map(|(fanouts, _)| OdcMasks::compute(aig, exec, &fresh, fanouts));
+        let odc = masks.as_ref().zip(odc.map(|(_, limit)| limit));
+        let (refined, candidates) = refine_classes(&mut self.classes, &self.sigs, &fresh, odc);
         (fresh, refined, covered, candidates)
     }
 
@@ -172,25 +134,14 @@ impl EcManager {
     /// onto their representative's image; members dropped or folded to a
     /// constant leave their class).
     ///
+    /// Substitutions of the old variables in `exempt` (ODC merges proven
+    /// PO-preserving by [`parsweep_sim::check_replaceable`]) do not dirty
+    /// their TFO — the memoized words stay, stale only in unobservable
+    /// bits.
+    ///
     /// Returns the resim plan's `(clean, dirty)` node counts.
-    pub fn rebuild(
-        &mut self,
-        old: &Aig,
-        new: &Aig,
-        map: &[Lit],
-        subst: &[Lit],
-        exec: &Executor,
-        patterns: &Patterns,
-    ) -> (usize, usize) {
-        self.rebuild_exempt(old, new, map, subst, &[], exec, patterns)
-    }
-
-    /// [`EcManager::rebuild`] with resim-taint exemptions: substitutions
-    /// of the listed old variables (ODC merges proven PO-preserving by
-    /// [`parsweep_sim::check_replaceable`]) do not dirty their TFO — the
-    /// memoized words stay, stale only in unobservable bits.
     #[allow(clippy::too_many_arguments)]
-    pub fn rebuild_exempt(
+    pub fn rebuild(
         &mut self,
         old: &Aig,
         new: &Aig,
@@ -200,8 +151,8 @@ impl EcManager {
         exec: &Executor,
         patterns: &Patterns,
     ) -> (usize, usize) {
-        let plan = ResimPlan::new_with_exempt(old, new, map, subst, exempt);
-        self.sigs = plan.resimulate_with(new, exec, patterns, &self.sigs, self.window.as_ref());
+        let plan = ResimPlan::new(old, new, map, subst, exempt);
+        self.sigs = plan.resimulate(new, exec, patterns, &self.sigs, self.memory_words);
         let mut classes: Vec<Vec<Var>> = Vec::with_capacity(self.classes.len());
         for class in self.classes.drain(..) {
             let mut members: Vec<Var> = class
@@ -282,6 +233,7 @@ impl EcManager {
 mod tests {
     use super::*;
     use parsweep_aig::Aig;
+    use parsweep_sim::DEFAULT_MEMORY_WORDS;
 
     fn setup() -> (Aig, EcManager) {
         let mut aig = Aig::new();
@@ -293,7 +245,7 @@ mod tests {
         aig.add_po(f);
         let exec = Executor::with_threads(1);
         let patterns = Patterns::random(3, 4, 7);
-        let ec = EcManager::from_patterns(&aig, &exec, &patterns);
+        let ec = EcManager::from_patterns(&aig, &exec, &patterns, DEFAULT_MEMORY_WORDS);
         (aig, ec)
     }
 
@@ -319,7 +271,14 @@ mod tests {
         let exec = Executor::with_threads(1);
         let patterns = Patterns::random(3, 4, 7);
         let candidates = full.live_vars();
-        let pruned = EcManager::from_patterns_pruned(&aig, &exec, &patterns, &candidates, &[]);
+        let pruned = EcManager::from_patterns_pruned(
+            &aig,
+            &exec,
+            &patterns,
+            &candidates,
+            &[],
+            DEFAULT_MEMORY_WORDS,
+        );
         assert_eq!(pruned.classes(), full.classes());
         assert!(pruned.simulated_nodes().unwrap() <= aig.num_nodes());
     }
@@ -339,7 +298,7 @@ mod tests {
         aig.add_po(!f);
         let exec = Executor::with_threads(1);
         let patterns = Patterns::random(3, 4, 7);
-        let mut ec = EcManager::from_patterns(&aig, &exec, &patterns);
+        let mut ec = EcManager::from_patterns(&aig, &exec, &patterns, DEFAULT_MEMORY_WORDS);
         let class: Vec<Var> = ec
             .classes()
             .iter()
@@ -354,7 +313,7 @@ mod tests {
             .collect();
         subst[member.index()] = repr.lit();
         let (reduced, map) = aig.rebuild_with_substitution(&subst);
-        let (clean, dirty) = ec.rebuild(&aig, &reduced, &map, &subst, &exec, &patterns);
+        let (clean, dirty) = ec.rebuild(&aig, &reduced, &map, &subst, &[], &exec, &patterns);
         assert!(clean > 0);
         assert_eq!(clean + dirty + 1, reduced.num_nodes());
         // The surviving class relates the images of the unmerged members,

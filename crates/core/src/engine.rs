@@ -475,7 +475,7 @@ fn global_phase(
 ///
 /// Round 0 simulates every node once and keeps both the patterns and the
 /// signature table. Later rounds are incremental: fresh patterns simulate
-/// only the live cone ([`parsweep_sim::simulate_pruned`]) and refine the
+/// only the live cone ([`parsweep_sim::simulate_cone`]) and refine the
 /// classes in place; when proved pairs rewrite the miter, the base table
 /// is carried over by dirty-cone resimulation instead of a full rerun.
 #[allow(clippy::too_many_arguments)]
@@ -519,7 +519,7 @@ pub(crate) fn global_phase_inner(
         let mut odc_merge: Option<parsweep_sim::OdcCandidate> = None;
         match ec.as_mut() {
             None => {
-                let m = EcManager::from_patterns_with(current, exec, &patterns, cfg.sig_window);
+                let m = EcManager::from_patterns(current, exec, &patterns, cfg.memory_words);
                 if miter_mode {
                     if let Some(cex) = find_po_counterexample(current, m.signatures(), &patterns) {
                         return Err(cex);
@@ -534,32 +534,31 @@ pub(crate) fn global_phase_inner(
                 } else {
                     Vec::new()
                 };
-                let (fresh, refined, covered) = match &cfg.odc {
-                    Some(odc_cfg) => {
-                        let fanouts = parsweep_sim::Fanouts::build(current);
-                        let (fresh, refined, covered, candidates) = m.refine_with_odc(
-                            current,
-                            exec,
-                            &patterns,
-                            &extra,
-                            &fanouts,
-                            odc_cfg.check_limit,
-                        );
-                        odc_merge = candidates.into_iter().find(|c| {
-                            current.node(c.member).is_and()
-                                && parsweep_sim::check_replaceable(
-                                    current,
-                                    c.repr,
-                                    c.member,
-                                    c.complement,
-                                    &fanouts,
-                                    odc_cfg,
-                                )
-                        });
-                        (fresh, refined, covered)
-                    }
-                    None => m.refine_with(current, exec, &patterns, &extra),
-                };
+                let fanouts = cfg
+                    .odc
+                    .as_ref()
+                    .map(|_| parsweep_sim::Fanouts::build(current));
+                let odc = cfg.odc.as_ref().zip(fanouts.as_ref());
+                let (fresh, refined, covered, candidates) = m.refine_with(
+                    current,
+                    exec,
+                    &patterns,
+                    &extra,
+                    odc.map(|(odc_cfg, fanouts)| (fanouts, odc_cfg.check_limit)),
+                );
+                if let Some((odc_cfg, fanouts)) = odc {
+                    odc_merge = candidates.into_iter().find(|c| {
+                        current.node(c.member).is_and()
+                            && parsweep_sim::check_replaceable(
+                                current,
+                                c.repr,
+                                c.member,
+                                c.complement,
+                                fanouts,
+                                odc_cfg,
+                            )
+                    });
+                }
                 stats.pruned_sim_rounds += 1;
                 stats.classes_refined += refined as u64;
                 trace::metrics::SimCounters::add(&counters.pruned_rounds, 1);
@@ -661,6 +660,7 @@ pub(crate) fn global_phase_inner(
                 &reduced,
                 &map,
                 &subst,
+                &[],
                 exec,
                 base_patterns
                     .as_ref()
@@ -705,20 +705,17 @@ pub(crate) fn global_phase_inner(
                 subst2[c.member.index()] = c.repr.lit_with(c.complement);
                 let (reduced, map2) = current.rebuild_with_substitution(&subst2);
                 let exempt: &[Var] = if odc_cfg.resim_skip { &[c.member] } else { &[] };
-                let (clean, dirty) = ec
-                    .as_mut()
-                    .expect("EC state initialized above")
-                    .rebuild_exempt(
-                        current,
-                        &reduced,
-                        &map2,
-                        &subst2,
-                        exempt,
-                        exec,
-                        base_patterns
-                            .as_ref()
-                            .expect("base patterns kept with EC state"),
-                    );
+                let (clean, dirty) = ec.as_mut().expect("EC state initialized above").rebuild(
+                    current,
+                    &reduced,
+                    &map2,
+                    &subst2,
+                    exempt,
+                    exec,
+                    base_patterns
+                        .as_ref()
+                        .expect("base patterns kept with EC state"),
+                );
                 stats.resim_clean_nodes += clean as u64;
                 stats.resim_dirty_nodes += dirty as u64;
                 stats.odc_masked_merges += 1;
@@ -795,13 +792,13 @@ pub(crate) fn local_phase_inner(
             } else {
                 Vec::new()
             };
-            let m = EcManager::from_patterns_pruned_with(
+            let m = EcManager::from_patterns_pruned(
                 current,
                 exec,
                 &patterns,
                 candidates,
                 &extra,
-                cfg.sig_window,
+                cfg.memory_words,
             );
             stats.pruned_sim_rounds += 1;
             trace::metrics::SimCounters::add(&counters.pruned_rounds, 1);
@@ -813,7 +810,7 @@ pub(crate) fn local_phase_inner(
             }
             m
         }
-        None => EcManager::from_patterns_with(current, exec, &patterns, cfg.sig_window),
+        None => EcManager::from_patterns(current, exec, &patterns, cfg.memory_words),
     };
     if miter_mode {
         if let Some(cex) = find_po_counterexample(current, ec.signatures(), &patterns) {
@@ -1054,38 +1051,43 @@ mod tests {
     }
 
     #[test]
-    fn windowed_streaming_preserves_verdicts() {
+    fn over_budget_tables_preserve_verdicts() {
         // The miter exercises G rounds, refinement, rewrites and resim;
-        // every residency policy must land on the same verdict as the
-        // whole-table default, including the degenerate window sizes.
+        // a memory budget its signature tables cannot fit (maximal
+        // retirement, then roughly half a table) must land on the same
+        // verdict and reduction as the default, where everything fits.
         let m = miter(&adder(20, true), &adder(20, false)).unwrap();
-        let base = sim_sweep(&m, &exec(), &EngineConfig::default());
+        let e = exec();
+        let base = sim_sweep(&m, &e, &EngineConfig::default());
         assert_eq!(base.verdict, Verdict::Equivalent);
-        for window in [
-            parsweep_sim::SigWindowConfig::with_levels(1),
-            parsweep_sim::SigWindowConfig::with_levels(4),
-            parsweep_sim::SigWindowConfig::with_levels(usize::MAX),
-            parsweep_sim::SigWindowConfig::with_levels(2).on_disk(),
-        ] {
-            let cfg = EngineConfig::default().with_sig_window(window);
-            let r = sim_sweep(&m, &exec(), &cfg);
-            assert_eq!(r.verdict, base.verdict, "window {window:?}");
+        assert_eq!(e.stats().window_spills, 0, "the default budget fits");
+        for memory_words in [1, 1 << 10] {
+            let cfg = EngineConfig {
+                memory_words,
+                ..EngineConfig::default()
+            };
+            let e = exec();
+            let r = sim_sweep(&m, &e, &cfg);
+            assert!(e.stats().window_spills > 0, "budget {memory_words}");
+            assert_eq!(r.verdict, base.verdict, "budget {memory_words}");
             assert_eq!(
                 r.stats.final_ands, base.stats.final_ands,
-                "window {window:?}"
+                "budget {memory_words}"
             );
         }
     }
 
     #[test]
-    fn windowed_streaming_preserves_disproofs() {
+    fn over_budget_tables_preserve_disproofs() {
         let a = adder(6, true);
         let mut b = adder(6, true);
         let po0 = b.po(0);
         b.set_po(0, !po0);
         let m = miter(&a, &b).unwrap();
-        let cfg =
-            EngineConfig::default().with_sig_window(parsweep_sim::SigWindowConfig::with_levels(1));
+        let cfg = EngineConfig {
+            memory_words: 1,
+            ..EngineConfig::default()
+        };
         let r = sim_sweep(&m, &exec(), &cfg);
         match r.verdict {
             Verdict::NotEquivalent(cex) => assert!(cex.fires(&m)),
@@ -1096,9 +1098,10 @@ mod tests {
     #[test]
     fn odc_layer_preserves_verdicts() {
         let m = miter(&adder(20, true), &adder(20, false)).unwrap();
-        let cfg = EngineConfig::default()
-            .with_odc()
-            .with_sig_window(parsweep_sim::SigWindowConfig::with_levels(4));
+        let cfg = EngineConfig {
+            memory_words: 1 << 10,
+            ..EngineConfig::default().with_odc()
+        };
         let r = sim_sweep(&m, &exec(), &cfg);
         assert_eq!(r.verdict, Verdict::Equivalent, "stats: {:?}", r.stats);
         let a = adder(6, true);

@@ -82,7 +82,6 @@ pub use stats::{EngineStats, PhaseTimes};
 // Re-export the shared verdict type and the dispatch layer's vocabulary
 // for convenience.
 pub use parsweep_sat::{EngineKind, Prover, ProverConfig, ProverMode, Verdict};
-// Re-export the residency/ODC knob types so callers can configure
-// [`EngineConfig::sig_window`]/[`EngineConfig::odc`] without a direct
-// parsweep-sim dependency.
-pub use parsweep_sim::{OdcConfig, SigWindowConfig, SpillTier};
+// Re-export the ODC knob type so callers can configure
+// [`EngineConfig::odc`] without a direct parsweep-sim dependency.
+pub use parsweep_sim::OdcConfig;

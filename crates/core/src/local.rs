@@ -203,7 +203,7 @@ mod tests {
         let (aig, _n1, n2) = wide_support_pair();
         let cfg = EngineConfig::default();
         let patterns = Patterns::random(aig.num_pis(), 8, 3);
-        let ec = EcManager::from_patterns(&aig, &exec(), &patterns);
+        let ec = EcManager::from_patterns(&aig, &exec(), &patterns, cfg.memory_words);
         let repr_map = ec.repr_map(aig.num_nodes());
         assert!(
             repr_map[n2.index()].is_some(),

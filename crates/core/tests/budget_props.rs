@@ -1,12 +1,13 @@
-//! Property-based tests for the engine-level residency and ODC knobs:
-//! turning on level-windowed signature streaming (any window size, any
-//! spill tier) or the ODC refinement layer must never change a verdict,
-//! and every verdict must stay sound against brute-force evaluation.
+//! Property-based tests for the engine-level memory budget and ODC
+//! knob: a `memory_words` too small for the partial-simulation tables to
+//! fit (so they stream through host staging) or the ODC refinement layer
+//! must never change a verdict, and every verdict must stay sound
+//! against brute-force evaluation.
 
 use proptest::prelude::*;
 
 use parsweep_aig::{miter, random::random_aig, Aig};
-use parsweep_core::{sim_sweep, EngineConfig, SigWindowConfig};
+use parsweep_core::{sim_sweep, EngineConfig};
 use parsweep_par::Executor;
 use parsweep_sat::Verdict;
 use parsweep_synth::resyn2;
@@ -33,34 +34,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn windowed_and_odc_runs_agree_with_the_default_engine(
-        pis in 2usize..6,
+    fn over_budget_and_odc_runs_agree_with_the_default_engine(
+        pis in 4usize..8,
         ands in 5usize..40,
         seed in any::<u64>(),
+        corrupt in any::<bool>(),
     ) {
         let a = random_aig(pis, ands, 2, seed);
-        let b = resyn2(&a);
+        let mut b = resyn2(&a);
+        if corrupt {
+            let po0 = b.po(0);
+            b.set_po(0, !po0);
+        }
         let m = miter(&a, &b).expect("same interface");
         let exec = Executor::with_threads(2);
-        let base = sim_sweep(&m, &exec, &EngineConfig::scaled());
+        // Support bounds below the PI count: the P phase cannot settle
+        // the miter, so G rounds and L phases (full, live-cone and
+        // dirty-cone simulation) actually run.
+        let scaled = || EngineConfig::scaled().with_support_bounds(2, 2, 3);
+        let base = sim_sweep(&m, &exec, &scaled());
         assert_sound(&m, &base.verdict);
-        let windows = [
-            SigWindowConfig::with_levels(1),
-            SigWindowConfig::with_levels(3),
-            SigWindowConfig::with_levels(usize::MAX),
-            SigWindowConfig::with_levels(1).on_disk(),
-        ];
-        for w in windows {
-            let cfg = EngineConfig::scaled().with_sig_window(w);
+        // One word retires every level as early as its readers allow;
+        // 256 words holds a few levels of an 8-word table.
+        for memory_words in [1, 1 << 8] {
+            let cfg = EngineConfig { memory_words, ..scaled() };
             let r = sim_sweep(&m, &exec, &cfg);
             prop_assert_eq!(
                 std::mem::discriminant(&r.verdict),
                 std::mem::discriminant(&base.verdict),
-                "window {:?} changed the verdict", w
+                "memory budget {} changed the verdict", memory_words
             );
             assert_sound(&m, &r.verdict);
         }
-        let odc = sim_sweep(&m, &exec, &EngineConfig::scaled().with_odc());
+        let odc = sim_sweep(&m, &exec, &scaled().with_odc());
         prop_assert_eq!(
             std::mem::discriminant(&odc.verdict),
             std::mem::discriminant(&base.verdict),

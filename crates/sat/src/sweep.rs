@@ -161,7 +161,7 @@ pub fn sat_sweep_seeded_cancellable(
             .wrapping_add(1);
         let mut patterns = Patterns::random(current.num_pis(), cfg.sim_words, round_seed);
         if let Some(cex_patterns) = Patterns::from_cexs(&current, &pending_cexs) {
-            patterns = patterns.concat(&cex_patterns);
+            patterns.extend(&cex_patterns);
         }
         pending_cexs.clear();
         let sigs = simulate(&current, exec, &patterns);

@@ -18,9 +18,9 @@ pub fn signature_classes(aig: &Aig, sigs: &Signatures) -> Vec<Vec<Var>> {
 }
 
 /// Clusters only the given nodes by phase-canonicalized signature — the
-/// companion of [`crate::simulate_pruned`], whose table is meaningful
-/// only for live-cone members (dead nodes carry zeroed words that would
-/// otherwise cluster into a bogus constant class).
+/// companion of a live-cone [`crate::simulate_cone`], whose table is
+/// meaningful only for cone members (dead nodes read as zero words that
+/// would otherwise cluster into a bogus constant class).
 ///
 /// Buckets come from the cached canonical-hash column (no rehash); the
 /// exact canonical-word comparison runs only within a bucket. Same class
@@ -60,7 +60,7 @@ pub fn signature_classes_among(sigs: &Signatures, nodes: &[Var]) -> Vec<Vec<Var>
 ///
 /// `base` is the table the classes were built from (it supplies each
 /// member's *persistent* phase); `fresh` is the new round's table (a
-/// pruned table covering the class members suffices). Two members `a`,
+/// live-cone table covering the class members suffices). Two members `a`,
 /// `b` stay together iff the fresh patterns still support the class
 /// relation `a == b ^ (phase_a != phase_b)` — i.e. their fresh words
 /// agree after each is normalized by its own base phase.
@@ -72,93 +72,44 @@ pub fn signature_classes_among(sigs: &Signatures, nodes: &[Var]) -> Vec<Vec<Var>
 /// exhaustive prover later discharges; it can never produce a wrong
 /// merge, since merges come from exhaustive simulation alone.)
 ///
+/// With `odc = Some((masks, limit))` (observability don't-cares computed
+/// over `fresh`'s pattern set), each member of a splitting class is
+/// compared against the class representative one more time under the
+/// member's care mask: if every differing fresh bit is a don't-care bit
+/// of the member (the flip cannot reach an output under any simulated
+/// pattern), the pair is recorded as an [`OdcCandidate`] for the exact
+/// [`crate::check_replaceable`] proof — at most `limit` per call. The
+/// classes themselves still split exactly (the masks are approximate, so
+/// keeping such a pair merged would be unsound); a proven candidate is
+/// merged by the engine as a substitution instead.
+///
 /// Splinter groups keep the invariants of [`signature_classes`]: sorted
 /// members, singletons dropped, classes ordered by representative.
-/// Returns the number of classes that split or shrank.
-pub fn refine_classes(classes: &mut Vec<Vec<Var>>, base: &Signatures, fresh: &Signatures) -> usize {
-    use std::collections::HashMap;
-    let normalized_hash = |m: Var| {
-        let mask = if base.phase(m) { u64::MAX } else { 0 };
-        hash_canonical_words(fresh.sig(m).iter().map(|&w| w ^ mask))
-    };
-    let mut refined = 0usize;
-    let mut out: Vec<Vec<Var>> = Vec::with_capacity(classes.len());
-    for class in classes.drain(..) {
-        let repr_hash = normalized_hash(class[0]);
-        if class[1..].iter().all(|&m| normalized_hash(m) == repr_hash) {
-            out.push(class);
-            continue;
-        }
-        refined += 1;
-        // Some member diverged: regroup this class by exact normalized
-        // fresh words (hash buckets first, exact compare within).
-        let mut buckets: HashMap<u64, Vec<Var>> = HashMap::new();
-        for &m in &class {
-            buckets.entry(normalized_hash(m)).or_default().push(m);
-        }
-        let normalized = |m: Var| {
-            let mask = if base.phase(m) { u64::MAX } else { 0 };
-            fresh.sig(m).iter().map(move |&w| w ^ mask)
-        };
-        for (_, mut members) in buckets {
-            while members.len() >= 2 {
-                let repr = members[0];
-                let repr_sig: Vec<u64> = normalized(repr).collect();
-                let (same, rest): (Vec<Var>, Vec<Var>) = members
-                    .into_iter()
-                    .partition(|&m| normalized(m).eq(repr_sig.iter().copied()));
-                if same.len() >= 2 {
-                    out.push(same);
-                }
-                members = rest;
-            }
-        }
-    }
-    out.sort_by_key(|c| c[0]);
-    *classes = out;
-    refined
-}
-
-/// [`refine_classes`] with observability don't-cares: exact splitting is
-/// unchanged, but pairs whose disagreement is invisible get recorded.
-///
-/// Whenever a class splits, each splintered member is compared against
-/// the class representative one more time under the member's care mask:
-/// if every differing fresh bit is a don't-care bit of the member (the
-/// flip cannot reach an output under any simulated pattern), the pair is
-/// pushed as an [`OdcCandidate`] for the exact
-/// [`crate::check_replaceable`] proof — at most `limit` candidates per
-/// call. The classes themselves still split exactly (the masks are
-/// approximate, so keeping such a pair merged would be unsound); a
-/// proven candidate is merged by the engine as a substitution instead.
-///
-/// `masks` must have been computed over `fresh`'s pattern set (widths
-/// must match). Returns the refined-class count and the candidates.
+/// Returns the number of classes that split or shrank, and the ODC
+/// candidates (empty without `odc`).
 ///
 /// # Panics
 ///
 /// Panics if `masks` and `fresh` disagree on the word width.
-pub fn refine_classes_odc(
+pub fn refine_classes(
     classes: &mut Vec<Vec<Var>>,
     base: &Signatures,
     fresh: &Signatures,
-    masks: &OdcMasks,
-    limit: usize,
+    odc: Option<(&OdcMasks, usize)>,
 ) -> (usize, Vec<OdcCandidate>) {
     use std::collections::HashMap;
-    assert_eq!(
-        masks.num_words(),
-        fresh.num_words(),
-        "care masks must cover the fresh pattern set"
-    );
-    let normalized_hash = |m: Var| {
-        let mask = if base.phase(m) { u64::MAX } else { 0 };
-        hash_canonical_words(fresh.sig(m).iter().map(|&w| w ^ mask))
-    };
+    if let Some((masks, _)) = odc {
+        assert_eq!(
+            masks.num_words(),
+            fresh.num_words(),
+            "care masks must cover the fresh pattern set"
+        );
+    }
     let normalized = |m: Var| {
         let mask = if base.phase(m) { u64::MAX } else { 0 };
         fresh.sig(m).iter().map(move |&w| w ^ mask)
     };
+    let normalized_hash = |m: Var| hash_canonical_words(normalized(m));
     let mut refined = 0usize;
     let mut candidates: Vec<OdcCandidate> = Vec::new();
     let mut out: Vec<Vec<Var>> = Vec::with_capacity(classes.len());
@@ -173,35 +124,37 @@ pub fn refine_classes_odc(
         // Before splitting, sieve the divergent members: a member whose
         // every differing bit is masked by its own don't-cares is an
         // ODC candidate (still split — the merge needs an exact proof).
-        let repr_sig: Vec<u64> = normalized(repr).collect();
-        for &m in &class[1..] {
-            if candidates.len() >= limit {
-                break;
-            }
-            let care = masks.care(m);
-            let mut differs = false;
-            let mut observable = false;
-            for ((a, b), &c) in normalized(m).zip(repr_sig.iter()).zip(care) {
-                let diff = a ^ b;
-                differs |= diff != 0;
-                observable |= diff & c != 0;
-            }
-            if differs && !observable {
-                candidates.push(OdcCandidate {
-                    repr,
-                    member: m,
-                    complement: base.phase(repr) != base.phase(m),
-                });
+        if let Some((masks, limit)) = odc {
+            let repr_sig: Vec<u64> = normalized(repr).collect();
+            for &m in &class[1..] {
+                if candidates.len() >= limit {
+                    break;
+                }
+                let mut differs = false;
+                let mut observable = false;
+                for ((a, b), &c) in normalized(m).zip(repr_sig.iter()).zip(masks.care(m)) {
+                    let diff = a ^ b;
+                    differs |= diff != 0;
+                    observable |= diff & c != 0;
+                }
+                if differs && !observable {
+                    candidates.push(OdcCandidate {
+                        repr,
+                        member: m,
+                        complement: base.phase(repr) != base.phase(m),
+                    });
+                }
             }
         }
+        // Regroup this class by exact normalized fresh words (hash
+        // buckets first, exact compare within).
         let mut buckets: HashMap<u64, Vec<Var>> = HashMap::new();
         for &m in &class {
             buckets.entry(normalized_hash(m)).or_default().push(m);
         }
         for (_, mut members) in buckets {
             while members.len() >= 2 {
-                let head = members[0];
-                let head_sig: Vec<u64> = normalized(head).collect();
+                let head_sig: Vec<u64> = normalized(members[0]).collect();
                 let (same, rest): (Vec<Var>, Vec<Var>) = members
                     .into_iter()
                     .partition(|&m| normalized(m).eq(head_sig.iter().copied()));
@@ -304,11 +257,11 @@ mod tests {
         let before = classes.clone();
         // A fresh all-zero round changes nothing: zero classes refined.
         let dull = simulate(&aig, &exec, &Patterns::from_raw(2, 1, vec![0, 0]));
-        assert_eq!(refine_classes(&mut classes, &base, &dull), 0);
+        assert_eq!(refine_classes(&mut classes, &base, &dull, None).0, 0);
         assert_eq!(classes, before);
         // A (0,1) pattern separates xor/or (true) from and (false).
         let sharp = simulate(&aig, &exec, &Patterns::from_raw(2, 1, vec![0, 1]));
-        let refined = refine_classes(&mut classes, &base, &sharp);
+        let (refined, _) = refine_classes(&mut classes, &base, &sharp, None);
         assert!(refined > 0, "classes: {classes:?}");
         for class in &classes {
             assert!(class.windows(2).all(|w| w[0] < w[1]));

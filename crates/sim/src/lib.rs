@@ -3,8 +3,9 @@
 //! Implements both simulators of the paper's CEC engine:
 //!
 //! * the **partial simulator** ([`partial`]): samples random or
-//!   counter-example patterns on every node of a miter to initialize and
-//!   refine equivalence classes;
+//!   counter-example patterns on every node of a miter (or a live cone,
+//!   or the dirty cone of a rewrite — one level-scheduled driver) to
+//!   initialize and refine equivalence classes;
 //! * the **exhaustive simulator** ([`exhaustive`], paper Algorithm 1): the
 //!   engine's *prover*, which compares the complete truth tables of
 //!   candidate pairs over simulation [`Window`]s, in bounded memory via
@@ -40,14 +41,13 @@ pub mod odc;
 pub mod partial;
 pub mod resim;
 pub mod reverse;
-pub mod sigwin;
+mod sigwin;
 mod tt;
 mod window;
 
 pub use cex::Cex;
 pub use classes::{
-    find_po_counterexample, refine_classes, refine_classes_odc, signature_classes,
-    signature_classes_among,
+    find_po_counterexample, refine_classes, signature_classes, signature_classes_among,
 };
 pub use cone::cone_truth_table;
 pub use exhaustive::{
@@ -57,11 +57,7 @@ pub use npn::{
     apply_npn, lift_index, npn_canonical, npn_equivalent, push_index, NpnTransform, MAX_NPN_VARS,
 };
 pub use odc::{check_replaceable, Fanouts, OdcCandidate, OdcConfig, OdcMasks};
-pub use partial::{
-    simulate, simulate_pruned, simulate_pruned_counted, simulate_pruned_counted_with,
-    simulate_with, Patterns, Signatures,
-};
+pub use partial::{simulate, simulate_cone, Patterns, Signatures};
 pub use resim::ResimPlan;
-pub use sigwin::{SigWindowConfig, SpillTier};
 pub use tt::{projection_word, word_len, TruthTable, PROJECTIONS};
 pub use window::{merge_windows, merge_windows_clustered, PairCheck, Window};

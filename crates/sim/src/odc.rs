@@ -10,7 +10,7 @@
 //! kernel launch per level, descending). Class refinement can then
 //! ignore masked bits: a candidate pair whose fresh signatures differ
 //! only in don't-care bits of the would-be-substituted member is *not*
-//! discarded but recorded (see [`crate::refine_classes_odc`]) and
+//! discarded but recorded (see [`crate::refine_classes`]) and
 //! handed to [`check_replaceable`], an exact bounded proof that
 //! replacing the member with its representative preserves every output
 //! function. The masks are a filter, never a proof: merges only happen
@@ -56,7 +56,7 @@ impl Default for OdcConfig {
 /// A split pair whose disagreement was entirely masked by the member's
 /// don't-care bits: `member`'s fresh words differ from `repr`'s only
 /// where flipping `member` cannot reach an output. Produced by
-/// [`crate::refine_classes_odc`]; merged only after [`check_replaceable`]
+/// [`crate::refine_classes`]; merged only after [`check_replaceable`]
 /// proves the substitution `member := repr ^ complement` exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OdcCandidate {

@@ -5,9 +5,14 @@
 //! equivalence classes. Counter-example patterns from disproved pairs are
 //! later resimulated to refine the classes (§III-A "partial simulator").
 
-use parsweep_aig::{Aig, Node, Var};
-use parsweep_par::{DeviceSlice, Effect, EffectTable, Executor, Pattern, PooledBuf};
+use std::sync::Arc;
 
+use parsweep_aig::{Aig, Lit, Node, Var};
+use parsweep_par::{DeviceSlice, Effect, EffectTable, Executor, Pattern, PooledBuf};
+use parsweep_trace::{self as trace, metrics::SimCounters};
+
+use crate::exhaustive::DEFAULT_MEMORY_WORDS;
+use crate::sigwin::Window;
 use crate::Cex;
 
 /// A packed set of input patterns: `num_words * 64` assignments, stored
@@ -118,20 +123,8 @@ impl Patterns {
         }
     }
 
-    /// Concatenates two pattern sets over the same PIs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PI counts differ.
-    pub fn concat(&self, other: &Patterns) -> Patterns {
-        let mut out = self.clone();
-        out.extend(other);
-        out
-    }
-
     /// Appends another pattern set in place — the refinement loop's
-    /// per-round CEX injection, without [`Patterns::concat`]'s fresh
-    /// allocation and double copy.
+    /// per-round CEX injection.
     ///
     /// The storage is PI-major, so each PI's word run is moved to its new
     /// offset (back to front, sources still intact) and `other`'s words
@@ -173,40 +166,32 @@ impl Patterns {
     }
 }
 
-/// Per-node simulation signatures: `num_words` words per node, node-major,
-/// plus a cached canonical-hash column (one word per node) filled by the
-/// simulation kernels so class bucketing never rehashes signatures on the
-/// host.
+/// Per-node simulation signatures: `num_words` words per covered node in
+/// one column layout (level-major, in schedule order), plus a cached
+/// canonical-hash column (one word per node) filled by the simulation
+/// kernel so class bucketing never rehashes signatures on the host.
 ///
-/// The backing storage is leased from the executor's [`BufferArena`]
-/// (`parsweep_par::BufferArena`): dropping a `Signatures` returns the
-/// words to the pool, so repeated resimulation rounds recycle one
-/// allocation instead of churning the allocator.
-///
-/// A table produced by a *windowed* run (see [`crate::sigwin`]) is
-/// backed by the spill tier instead of a resident device lease; every
-/// accessor works identically, so refinement, cex scans and dirty-cone
-/// donor reads route through the window transparently.
+/// Column 0 of the value buffer is never written: every var the run did
+/// not cover (dead nodes of a live-cone run) maps to it and reads as
+/// zero words. The buffers are leased from the executor's pools
+/// (`parsweep_par::BufferArena`), so dropping a `Signatures` recycles
+/// them: a table that fit its budget keeps the device lease it was
+/// simulated in, one that did not lives in host staging (see
+/// [`simulate_cone`]). Accessors cannot tell the two apart.
 #[derive(Clone, Debug)]
 pub struct Signatures {
     num_words: usize,
-    store: SigStore,
+    /// Column of each var in `data`, shared with the schedule that
+    /// produced the table (0 = uncovered).
+    cols: Arc<Vec<u32>>,
+    data: PooledBuf<u64>,
     hashes: PooledBuf<u64>,
 }
 
-/// Where a signature table's value words live.
-#[derive(Clone, Debug)]
-pub(crate) enum SigStore {
-    /// Whole-table device residency (the pre-streaming layout).
-    Resident(PooledBuf<u64>),
-    /// Level-windowed run: columns live in the spill tier.
-    Spilled(crate::sigwin::SpilledTable),
-}
-
 /// FNV-1a over phase-canonicalized signature words — the shared hash used
-/// by the device kernels (cache fill), [`Signatures::canonical_hash`] and
-/// the class refiner, so every path buckets identically.
-pub(crate) fn hash_canonical_words(words: impl Iterator<Item = u64>) -> u64 {
+/// by the simulation kernel (cache fill), [`Signatures::canonical_hash`]
+/// and the class refiner, so every path buckets identically.
+pub fn hash_canonical_words(words: impl Iterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in words {
         h ^= w;
@@ -215,10 +200,10 @@ pub(crate) fn hash_canonical_words(words: impl Iterator<Item = u64>) -> u64 {
     h
 }
 
-/// The cached hash of a node that was never simulated (all-zero words,
-/// canonical form all-zero): identical to the constant node's hash, so it
-/// must only be exposed for nodes a pruned run actually covered.
-pub(crate) fn hash_zero_signature(num_words: usize) -> u64 {
+/// The cached hash of an all-zero signature (canonical form all-zero):
+/// the constant node's hash, host-seeded so proved-constant candidates
+/// bucket against it even when no task covers var 0.
+fn hash_zero_signature(num_words: usize) -> u64 {
     hash_canonical_words((0..num_words).map(|_| 0u64))
 }
 
@@ -228,15 +213,12 @@ impl Signatures {
         self.num_words
     }
 
-    /// The signature (non-complemented value words) of a variable.
+    /// The signature (non-complemented value words) of a variable; zero
+    /// words for a variable the run did not cover.
     #[inline]
     pub fn sig(&self, var: Var) -> &[u64] {
-        match &self.store {
-            SigStore::Resident(data) => {
-                &data[var.index() * self.num_words..(var.index() + 1) * self.num_words]
-            }
-            SigStore::Spilled(table) => table.sig(var),
-        }
+        let off = self.cols[var.index()] as usize * self.num_words;
+        &self.data[off..off + self.num_words]
     }
 
     /// The phase of a variable: the value of its first simulated bit.
@@ -257,152 +239,158 @@ impl Signatures {
 
     /// A 64-bit hash of the canonical signature, for fast class bucketing.
     ///
-    /// Served from the cached column the simulation kernels filled — no
-    /// per-call rehash. The cache is valid for every node a full
-    /// [`simulate`] covered; after [`simulate_pruned`] it is only valid
-    /// for the constant node and nodes inside the live cone (dead nodes
-    /// carry the zeroed-buffer sentinel).
+    /// Served from the cached column the simulation kernel filled — no
+    /// per-call rehash. The cache is valid for the constant node and
+    /// every node the run covered; uncovered nodes carry the zeroed-buffer
+    /// sentinel.
     #[inline]
     pub fn canonical_hash(&self, var: Var) -> u64 {
         self.hashes[var.index()]
     }
 }
 
-impl Signatures {
-    /// Assembles a signature table from already-filled buffers (the
-    /// dirty-cone resimulator's construction path).
-    pub(crate) fn from_parts(
-        num_words: usize,
-        data: PooledBuf<u64>,
-        hashes: PooledBuf<u64>,
-    ) -> Self {
-        Signatures {
-            num_words,
-            store: SigStore::Resident(data),
-            hashes,
-        }
-    }
+/// One unit of per-level work in the simulation driver.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Task {
+    /// Evaluate the node from its fanins (or pattern words).
+    Eval(Var),
+    /// Copy the donor table's words for `Lit` (complement folded in) into
+    /// the node's column — the dirty-cone resimulator's clean path.
+    Copy(Var, Lit),
+}
 
-    /// Assembles a windowed table from a spill-tier store (the streamed
-    /// driver's construction path).
-    pub(crate) fn from_spilled(
-        num_words: usize,
-        table: crate::sigwin::SpilledTable,
-        hashes: PooledBuf<u64>,
-    ) -> Self {
-        Signatures {
-            num_words,
-            store: SigStore::Spilled(table),
-            hashes,
+impl Task {
+    pub(crate) fn var(self) -> Var {
+        match self {
+            Task::Eval(v) | Task::Copy(v, _) => v,
         }
-    }
-
-    /// True when this table is backed by the spill tier (a windowed run)
-    /// rather than a whole-table device lease.
-    pub fn is_windowed(&self) -> bool {
-        matches!(self.store, SigStore::Spilled(_))
     }
 }
 
-/// Simulates all nodes of `aig` on the given patterns, level-parallel.
+/// A level-ordered task list: the one shape full simulation, live-cone
+/// simulation and dirty-cone resimulation all hand to [`run_schedule`].
+/// Every fanin of an `Eval` task must be scheduled on a lower level.
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    tasks: Vec<Task>,
+    /// `tasks[starts[l]..starts[l + 1]]` is level `l`.
+    starts: Vec<usize>,
+    /// Table column of each var: one past its position in `tasks`
+    /// (0 = not scheduled).
+    cols: Arc<Vec<u32>>,
+}
+
+impl Schedule {
+    /// Counting-sorts `tasks` by the topological level of their target
+    /// (`levels` covers every node of the network).
+    pub(crate) fn by_level(levels: &[u32], tasks: impl Iterator<Item = Task> + Clone) -> Self {
+        let level = |t: Task| levels[t.var().index()] as usize;
+        let mut starts = vec![0usize];
+        for t in tasks.clone() {
+            let l = level(t);
+            if starts.len() < l + 2 {
+                starts.resize(l + 2, 0);
+            }
+            starts[l + 1] += 1;
+        }
+        for l in 1..starts.len() {
+            starts[l] += starts[l - 1];
+        }
+        let mut cursor = starts.clone();
+        let mut sorted = vec![Task::Eval(Var::FALSE); starts[starts.len() - 1]];
+        let mut cols = vec![0u32; levels.len()];
+        for t in tasks {
+            let at = &mut cursor[level(t)];
+            sorted[*at] = t;
+            *at += 1;
+            cols[t.var().index()] = *at as u32;
+        }
+        Schedule {
+            tasks: sorted,
+            starts,
+            cols: Arc::new(cols),
+        }
+    }
+
+    /// Every node of `aig`, evaluated.
+    pub(crate) fn full(aig: &Aig) -> Self {
+        let nodes = (0..aig.num_nodes() as u32).map(|i| Task::Eval(Var::new(i)));
+        Schedule::by_level(&aig.levels(), nodes)
+    }
+
+    pub(crate) fn num_levels(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    pub(crate) fn level(&self, l: usize) -> &[Task] {
+        &self.tasks[self.starts[l]..self.starts[l + 1]]
+    }
+}
+
+/// Simulates all nodes of `aig` on the given patterns, level-parallel,
+/// under the default table budget ([`DEFAULT_MEMORY_WORDS`]).
 ///
 /// The kernel structure mirrors the paper's partial simulator: nodes of
 /// one topological level are one kernel launch. All level launches are
 /// queued on one [`parsweep_par::Stream`] (program order on a stream is
-/// an ordering edge, so each level sees its fanin levels' words) and the
-/// signature table is leased from the executor's buffer arena.
+/// an ordering edge, so each level sees its fanin levels' words).
 pub fn simulate(aig: &Aig, exec: &Executor, patterns: &Patterns) -> Signatures {
-    simulate_groups(aig, exec, patterns, &aig.level_groups())
+    simulate_cone(aig, exec, patterns, None, DEFAULT_MEMORY_WORDS).0
 }
 
-/// [`simulate`] with an optional level-windowed residency policy:
-/// `None` keeps the whole table resident (bit-identical to
-/// [`simulate`]); `Some` streams levels through a bounded window and
-/// returns a spill-tier-backed table with identical contents.
-pub fn simulate_with(
-    aig: &Aig,
-    exec: &Executor,
-    patterns: &Patterns,
-    window: Option<&crate::sigwin::SigWindowConfig>,
-) -> Signatures {
-    match window {
-        None => simulate(aig, exec, patterns),
-        Some(cfg) => {
-            crate::sigwin::simulate_streamed(aig, exec, patterns, &aig.level_groups(), cfg)
-        }
-    }
-}
-
-/// Simulates only the TFI cone of `live` — the support-pruned partial
-/// simulator. After the first refinement round most of a miter is dead
-/// weight: only nodes feeding a still-undecided candidate can influence a
-/// class split, so each level launch is restricted to cone members and
-/// levels whose cone slice is empty launch nothing at all.
+/// The general partial simulator: simulates the TFI cone of `live` (all
+/// of `aig` when `None`) with at most `budget_words` table words
+/// device-resident, and returns the table with the number of nodes it
+/// covered.
 ///
-/// Nodes outside the cone keep the leased buffer's zero words **and** a
-/// zero hash sentinel: the returned table is only meaningful for cone
-/// members and the constant node. Derive classes with
+/// After the first refinement round most of a miter is dead weight: only
+/// nodes feeding a still-undecided candidate can influence a class split,
+/// so each level launch is restricted to cone members and levels whose
+/// cone slice is empty launch nothing at all. Nodes outside the cone read
+/// as zero words **and** a zero hash sentinel: the table is only
+/// meaningful for cone members and the constant node. Derive classes with
 /// [`crate::signature_classes_among`] over (a subset of) `live`, never
 /// with the full [`crate::signature_classes`].
-pub fn simulate_pruned(
+///
+/// `budget_words` is the paper's simulation-memory budget `M`. A table of
+/// `covered × num_words` words that fits is simulated in place; a larger
+/// one streams through a window of levels, each retired to host staging
+/// once its last reader has run and the next level would overshoot the
+/// budget, and ends up in host staging. The budget is a target there: a
+/// level is always resident together with the levels it still reads.
+pub fn simulate_cone(
     aig: &Aig,
     exec: &Executor,
     patterns: &Patterns,
-    live: &[Var],
-) -> Signatures {
-    simulate_pruned_counted(aig, exec, patterns, live).0
-}
-
-/// Like [`simulate_pruned`], additionally returning the number of nodes
-/// actually simulated (the live cone's size), so callers can account how
-/// much of the network the pruning skipped.
-pub fn simulate_pruned_counted(
-    aig: &Aig,
-    exec: &Executor,
-    patterns: &Patterns,
-    live: &[Var],
+    live: Option<&[Var]>,
+    budget_words: usize,
 ) -> (Signatures, usize) {
-    simulate_pruned_counted_with(aig, exec, patterns, live, None)
-}
-
-/// [`simulate_pruned_counted`] with an optional windowed residency
-/// policy (see [`simulate_with`]) — the support-pruned simulator shares
-/// the streamed driver, so pruned refinement rounds obey the same
-/// window.
-pub fn simulate_pruned_counted_with(
-    aig: &Aig,
-    exec: &Executor,
-    patterns: &Patterns,
-    live: &[Var],
-    window: Option<&crate::sigwin::SigWindowConfig>,
-) -> (Signatures, usize) {
-    let cone = aig.tfi_cone(live);
-    let levels = aig.levels();
-    let depth = cone
-        .iter()
-        .map(|&v| levels[v.index()] as usize)
-        .max()
-        .map_or(0, |d| d + 1);
-    let mut groups = vec![Vec::new(); depth];
-    for &v in &cone {
-        groups[levels[v.index()] as usize].push(v);
-    }
-    let covered = cone.len();
-    let sigs = match window {
-        None => simulate_groups(aig, exec, patterns, &groups),
-        Some(cfg) => crate::sigwin::simulate_streamed(aig, exec, patterns, &groups, cfg),
+    let schedule = match live {
+        None => Schedule::full(aig),
+        Some(live) => {
+            let cone = aig.tfi_cone(live);
+            Schedule::by_level(&aig.levels(), cone.iter().map(|&v| Task::Eval(v)))
+        }
     };
-    (sigs, covered)
+    let sigs = run_schedule(aig, exec, patterns, &schedule, None, budget_words);
+    (sigs, schedule.tasks.len())
 }
 
-/// Level-parallel simulation over an explicit level grouping (every fanin
-/// of a grouped node must appear in an earlier group). Shared by the full
-/// and support-pruned simulators.
-fn simulate_groups(
+/// Executes a level schedule — the only partial-simulation driver.
+/// [`Task::Copy`] entries read their donor columns from `donor`, which
+/// must cover them.
+///
+/// If the table fits `budget_words` the slot buffer is the table: columns
+/// sit in schedule order, nothing retires and no spill launch is issued.
+/// Otherwise [`Window::plan`] bounds residency and every level is spilled
+/// to host staging exactly once.
+pub(crate) fn run_schedule(
     aig: &Aig,
     exec: &Executor,
     patterns: &Patterns,
-    groups: &[Vec<Var>],
+    schedule: &Schedule,
+    donor: Option<&Signatures>,
+    budget_words: usize,
 ) -> Signatures {
     assert_eq!(
         patterns.num_pis(),
@@ -410,40 +398,41 @@ fn simulate_groups(
         "pattern/PI count mismatch"
     );
     let w = patterns.num_words();
-    let mut data = exec.arena().take::<u64>(aig.num_nodes() * w);
+    let covered = schedule.tasks.len();
+    let table_words = (covered + 1) * w;
+    let window =
+        (covered * w > budget_words).then(|| Window::plan(aig, schedule, budget_words / w));
+    let slot_words = window.as_ref().map_or(table_words, |p| p.slot_cols * w);
+    let slot_of: &[u32] = window.as_ref().map_or(&schedule.cols, |p| &p.slot_of);
+    let mut slots = exec.arena().take::<u64>(slot_words);
+    let mut staging = window
+        .as_ref()
+        .map(|_| exec.spill_pool().take::<u64>(table_words));
     let mut hashes = exec.arena().take::<u64>(aig.num_nodes());
-    // The constant node's hash must be valid even when no group covers
-    // var 0 (a pruned cone rarely does): proved-constant candidates
-    // bucket against it.
     hashes[0] = hash_zero_signature(w);
     {
-        // Effects per level launch: node t reads its fanins' signature
-        // words (earlier groups, ordered by the stream) and writes its
-        // own words plus hash slot — data-dependent disjoint chunks,
+        // Effects per level launch: task t reads its fanins' columns
+        // (earlier levels, ordered by the stream) and writes its own
+        // column plus hash slot — data-dependent disjoint chunks,
         // declared so the whole level chain is statically verified and
         // skips dynamic sanitization.
         let table = EffectTable::new();
-        let sig_buf = table.buffer("sim.partial.signatures", aig.num_nodes() * w);
+        let slot_buf = table.buffer("sim.partial.slots", slot_words);
         let hash_buf = table.buffer("sim.partial.hashes", aig.num_nodes());
-        let cells = exec.bind_table(&table, sig_buf, &mut data);
-        let cells = &cells;
-        let hcells = exec.bind_table(&table, hash_buf, &mut hashes);
-        let hcells = &hcells;
-        let effects = [
-            Effect::read(
-                sig_buf,
-                Pattern::Indexed {
-                    lo: 0,
-                    hi: aig.num_nodes() * w,
-                },
-            ),
-            Effect::write(
-                sig_buf,
-                Pattern::Indexed {
-                    lo: 0,
-                    hi: aig.num_nodes() * w,
-                },
-            ),
+        let cells = &exec.bind_table(&table, slot_buf, &mut slots);
+        let hcells = &exec.bind_table(&table, hash_buf, &mut hashes);
+        let staged = staging.as_mut().map(|s| {
+            let buf = table.buffer("sim.partial.staging", table_words);
+            (buf, exec.bind_table(&table, buf, s))
+        });
+        let spill = window.as_ref().zip(staged.as_ref());
+        let all_slots = Pattern::Indexed {
+            lo: 0,
+            hi: slot_words,
+        };
+        let eval_effects = [
+            Effect::read(slot_buf, all_slots),
+            Effect::write(slot_buf, all_slots),
             Effect::write(
                 hash_buf,
                 Pattern::Indexed {
@@ -453,90 +442,135 @@ fn simulate_groups(
             ),
         ];
         let mut stream = exec.stream();
-        for group in groups {
+        for g in 0..schedule.num_levels() {
+            let group = schedule.level(g);
             stream.launch_declared(
                 &table,
                 "sim.partial.level",
                 group.len(),
-                &effects,
-                move |t| {
-                    eval_node(aig, group[t], t, w, patterns, cells, hcells);
-                },
+                &eval_effects,
+                move |t| eval_task(aig, group[t], t, w, patterns, donor, slot_of, cells, hcells),
             );
+            // Retire the levels the plan frees here: one spill launch
+            // each, per-thread strided columns declared exactly. The
+            // freed slot interval may be reused by a later level — sound
+            // because launches on one stream are ordered.
+            let Some((plan, (stage_buf, scells))) = spill else {
+                continue;
+            };
+            for &l in &plan.retire_after[g] {
+                let Some(first) = schedule.level(l).first() else {
+                    continue;
+                };
+                let n = schedule.level(l).len();
+                let slot_lo = slot_of[first.var().index()] as usize * w;
+                let stage_lo = schedule.cols[first.var().index()] as usize * w;
+                let column = |base| Pattern::Affine {
+                    base,
+                    stride: w,
+                    span: w,
+                };
+                let spill_effects = [
+                    Effect::read(slot_buf, column(slot_lo)),
+                    Effect::write(*stage_buf, column(stage_lo)),
+                ];
+                stream.launch_declared(&table, "sim.window.spill", n, &spill_effects, move |t| {
+                    for k in 0..w {
+                        // SAFETY: the slot words were written by earlier
+                        // launches on this stream; each tid copies its
+                        // own column into its own staging column.
+                        unsafe {
+                            let word = cells.read(t, slot_lo + t * w + k);
+                            scells.write(t, stage_lo + t * w + k, word);
+                        }
+                    }
+                });
+                exec.note_window_spill((n * w * 8) as u64);
+                let c = trace::metrics::sim_counters();
+                SimCounters::add(&c.window_spills, 1);
+                SimCounters::add(&c.window_spilled_words, (n * w) as u64);
+            }
         }
         stream.sync();
     }
     Signatures {
         num_words: w,
-        store: SigStore::Resident(data),
+        cols: Arc::clone(&schedule.cols),
+        data: staging.unwrap_or(slots),
         hashes,
     }
 }
 
-/// One node's simulation step: computes its `w` signature words from its
-/// fanins (or the pattern words for a PI), writes them as tid `t`'s slots
-/// and fills the node's canonical-hash cache slot. Shared by the level
-/// kernels of [`simulate`]/[`simulate_pruned`] and the dirty-cone
-/// resimulator.
+/// One task of a level launch: computes the node's `w` signature words
+/// from its fanins' columns (or the pattern words for a PI, or the donor
+/// table for a copy), writes them to the node's own column and fills its
+/// canonical-hash cache slot.
 ///
-/// Launch-ordering contract (the caller's obligation): every fanin of `v`
-/// must have been written by an *earlier launch on the same stream*.
+/// Launch-ordering contract (the caller's obligation): every fanin of an
+/// evaluated node was written by an *earlier launch on the same stream*
+/// and is still resident at `slot_of`.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn eval_node(
+fn eval_task(
     aig: &Aig,
-    v: Var,
+    task: Task,
     t: usize,
     w: usize,
     patterns: &Patterns,
+    donor: Option<&Signatures>,
+    slot_of: &[u32],
     cells: &DeviceSlice<'_, u64>,
     hcells: &DeviceSlice<'_, u64>,
 ) {
-    match aig.node(v) {
-        Node::Const => {
-            // Words already zero; the hash slot was host-seeded.
+    let v = task.var();
+    let slot = |v: Var| slot_of[v.index()] as usize * w;
+    let base = slot(v);
+    let mut mask = 0;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    // The FNV step over the phase-canonicalized word, phase taken from
+    // the first word's first bit (must match `hash_canonical_words`).
+    let mut emit = |k: usize, word: u64| {
+        if k == 0 {
+            mask = if word & 1 == 1 { u64::MAX } else { 0 };
         }
-        Node::Input(pi) => {
-            let mask = if patterns.word(pi as usize, 0) & 1 == 1 {
+        h ^= word ^ mask;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        // SAFETY: each task writes only its own column.
+        unsafe { cells.write(t, base + k, word) };
+    };
+    match task {
+        Task::Copy(_, old_lit) => {
+            let old = donor.expect("Copy tasks need a donor table");
+            let flip = if old_lit.is_complemented() {
                 u64::MAX
             } else {
                 0
             };
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for k in 0..w {
-                let word = patterns.word(pi as usize, k);
-                h ^= word ^ mask;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                // SAFETY: each node writes only its own words.
-                unsafe { cells.write(t, v.index() * w + k, word) };
+            // The donor table is a read-only host buffer.
+            for (k, &word) in old.sig(old_lit.var()).iter().enumerate() {
+                emit(k, word ^ flip);
             }
-            // SAFETY: each node writes only its own hash slot.
-            unsafe { hcells.write(t, v.index(), h) };
         }
-        Node::And(a, b) => {
-            let ma = if a.is_complemented() { u64::MAX } else { 0 };
-            let mb = if b.is_complemented() { u64::MAX } else { 0 };
-            let mut mask = 0;
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for k in 0..w {
-                // SAFETY: fanins were written by earlier launches on this
-                // stream (see the ordering contract); each node writes
-                // only its own words.
-                unsafe {
-                    let wa = cells.read(t, a.var().index() * w + k) ^ ma;
-                    let wb = cells.read(t, b.var().index() * w + k) ^ mb;
-                    let word = wa & wb;
-                    if k == 0 {
-                        mask = if word & 1 == 1 { u64::MAX } else { 0 };
-                    }
-                    h ^= word ^ mask;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                    cells.write(t, v.index() * w + k, word);
+        Task::Eval(_) => match aig.node(v) {
+            // Slots are recycled across levels, so zeroing is explicit.
+            Node::Const => (0..w).for_each(|k| emit(k, 0)),
+            Node::Input(pi) => (0..w).for_each(|k| emit(k, patterns.word(pi as usize, k))),
+            Node::And(a, b) => {
+                let ma = if a.is_complemented() { u64::MAX } else { 0 };
+                let mb = if b.is_complemented() { u64::MAX } else { 0 };
+                let (sa, sb) = (slot(a.var()), slot(b.var()));
+                for k in 0..w {
+                    // SAFETY: fanin columns were written by earlier
+                    // launches on this stream and stay resident until
+                    // their last reader (this launch at the latest) ran.
+                    let (wa, wb) = unsafe { (cells.read(t, sa + k), cells.read(t, sb + k)) };
+                    emit(k, (wa ^ ma) & (wb ^ mb));
                 }
             }
-            // SAFETY: each node writes only its own hash slot.
-            unsafe { hcells.write(t, v.index(), h) };
-        }
+        },
     }
+    // SAFETY: each task writes only its own hash slot.
+    unsafe { hcells.write(t, v.index(), h) };
 }
 
 #[cfg(test)]
@@ -621,7 +655,7 @@ mod tests {
     fn extend_appends_words_pi_major() {
         let a = Patterns::from_raw(2, 2, vec![1, 2, 3, 4]);
         let b = Patterns::from_raw(2, 1, vec![9, 8]);
-        let mut ext = a.clone();
+        let mut ext = a;
         ext.extend(&b);
         assert_eq!(ext.num_words(), 3);
         // PI 0: [1, 2] ++ [9]; PI 1: [3, 4] ++ [8].
@@ -633,16 +667,10 @@ mod tests {
             (0..3).map(|w| ext.word(1, w)).collect::<Vec<_>>(),
             vec![3, 4, 8]
         );
-        // concat is the by-value spelling of extend.
-        let c = a.concat(&b);
-        assert_eq!(
-            (0..3).map(|w| c.word(1, w)).collect::<Vec<_>>(),
-            vec![3, 4, 8]
-        );
     }
 
     #[test]
-    fn pruned_simulation_covers_only_the_live_cone() {
+    fn cone_simulation_covers_only_the_live_cone() {
         // Two independent cones; keep only one alive.
         let mut aig = Aig::new();
         let xs = aig.add_inputs(4);
@@ -652,13 +680,63 @@ mod tests {
         aig.add_po(g);
         let patterns = Patterns::random(4, 2, 5);
         let full = simulate(&aig, &exec(), &patterns);
-        let (pruned, covered) = simulate_pruned_counted(&aig, &exec(), &patterns, &[f.var()]);
-        // Cone of f: x0, x1, f.
-        assert_eq!(covered, 3);
-        assert_eq!(pruned.sig(f.var()), full.sig(f.var()));
-        assert_eq!(pruned.canonical_hash(f.var()), full.canonical_hash(f.var()));
-        // The dead cone keeps the zeroed lease — never launched.
-        assert!(pruned.sig(g.var()).iter().all(|&w| w == 0));
+        // Same table whether it fits the budget or streams through it.
+        for budget in [DEFAULT_MEMORY_WORDS, 1] {
+            let (cone, covered) = simulate_cone(&aig, &exec(), &patterns, Some(&[f.var()]), budget);
+            // Cone of f: x0, x1, f.
+            assert_eq!(covered, 3);
+            assert_eq!(cone.sig(f.var()), full.sig(f.var()));
+            assert_eq!(cone.canonical_hash(f.var()), full.canonical_hash(f.var()));
+            // The dead cone was never launched: zero words, zero-hash
+            // sentinel; the constant node's hash is seeded regardless.
+            assert!(cone.sig(g.var()).iter().all(|&w| w == 0));
+            assert_eq!(cone.canonical_hash(g.var()), 0);
+            assert_eq!(
+                cone.canonical_hash(Var::FALSE),
+                full.canonical_hash(Var::FALSE)
+            );
+        }
+    }
+
+    /// `depth` layers of `width` ANDs, each reading only the layer below.
+    fn ladder(width: usize, depth: usize) -> Aig {
+        let mut aig = Aig::new();
+        let mut layer = aig.add_inputs(width);
+        for _ in 0..depth {
+            layer = (0..width)
+                .map(|j| aig.and(layer[j], !layer[(j + 1) % width]))
+                .collect();
+        }
+        for f in layer {
+            aig.add_po(f);
+        }
+        aig
+    }
+
+    #[test]
+    fn a_table_that_fits_never_spills_and_one_that_does_not_spills_every_level_once() {
+        let aig = ladder(8, 30);
+        let patterns = Patterns::random(8, 2, 9);
+        let fits = exec();
+        let a = simulate(&aig, &fits, &patterns);
+        assert_eq!(fits.stats().window_spills, 0);
+        assert_eq!(fits.stats().spill_peak_bytes, 0);
+        let tight = exec();
+        let (b, covered) = simulate_cone(&aig, &tight, &patterns, None, 8 * 2 * 2);
+        assert_eq!(covered, aig.num_nodes());
+        assert_eq!(tight.stats().window_spills, 31, "31 levels, one spill each");
+        assert_eq!(
+            tight.stats().window_spill_bytes,
+            (aig.num_nodes() * 2 * 8) as u64
+        );
+        assert!(
+            tight.stats().arena_peak_live_bytes < fits.stats().arena_peak_live_bytes,
+            "the window must hold less than the whole table"
+        );
+        for v in (0..aig.num_nodes()).map(|i| Var::new(i as u32)) {
+            assert_eq!(a.sig(v), b.sig(v));
+            assert_eq!(a.canonical_hash(v), b.canonical_hash(v));
+        }
     }
 
     #[test]

@@ -4,17 +4,16 @@
 //! When FRAIG merges proved pairs and rebuilds the miter, the previous
 //! round's `Signatures` table is *mostly* still correct: a node whose TFI
 //! contains no replaced node computes exactly the same function in the
-//! rewritten network, so its memoized words (and canonical hash) carry
-//! over verbatim. Only the TFO of the replaced nodes — the *dirty
-//! frontier* — needs re-launching, level by level. [`ResimPlan`] computes
-//! that split once per rewrite; [`ResimPlan::resimulate`] then executes
-//! one wide copy launch for the clean nodes plus per-level launches over
-//! the dirty ones.
+//! rewritten network, so its memoized words carry over verbatim. Only the
+//! TFO of the replaced nodes — the *dirty frontier* — needs re-evaluating.
+//! [`ResimPlan`] computes that split once per rewrite as one level
+//! schedule (clean nodes copy, dirty nodes evaluate);
+//! [`ResimPlan::resimulate`] hands it to the partial-simulation driver.
 
 use parsweep_aig::{Aig, Lit, Node, Var};
-use parsweep_par::{Effect, EffectTable, Executor, Pattern};
+use parsweep_par::Executor;
 
-use crate::partial::{eval_node, hash_zero_signature, Patterns, Signatures};
+use crate::partial::{run_schedule, Patterns, Schedule, Signatures, Task};
 
 /// The clean/dirty split of a rewritten network against its predecessor:
 /// which new nodes inherit memoized signature words from an old node, and
@@ -29,14 +28,10 @@ use crate::partial::{eval_node, hash_zero_signature, Patterns, Signatures};
 /// lets a property test validate the plan under random merges).
 #[derive(Debug)]
 pub struct ResimPlan {
-    /// `(new_var, old_lit)`: the new node's words are the old literal's
-    /// words (complement folded in by the copy kernel). Excludes the
-    /// constant node, whose words are zero by construction.
-    copies: Vec<(Var, Lit)>,
-    /// Dirty new nodes grouped by topological level of the new network.
-    dirty_groups: Vec<Vec<Var>>,
-    /// Node count of the new network (the table size to lease).
-    num_nodes: usize,
+    /// Clean new nodes as [`Task::Copy`], dirty ones (and the constant
+    /// node) as [`Task::Eval`], by topological level of the new network.
+    schedule: Schedule,
+    num_clean: usize,
     num_dirty: usize,
 }
 
@@ -44,29 +39,19 @@ impl ResimPlan {
     /// Plans the resimulation of `new = old.rebuild_with_substitution(subst)`,
     /// where `map` is the old→new literal map that rebuild returned.
     ///
+    /// Substitutions of the old variables listed in `exempt` do **not**
+    /// seed taint: their TFO keeps its memoized words instead of
+    /// re-evaluating. Only sound for substitutions *proven
+    /// PO-function-preserving* (the ODC replaceability check): downstream
+    /// words may then be stale in unobservable bits only, which PO cex
+    /// scans never read and class refinement can at worst split on
+    /// (splitting is always sound). An exempt node still never donates
+    /// its own words.
+    ///
     /// # Panics
     ///
     /// Panics if `map` or `subst` do not cover `old`'s nodes.
-    pub fn new(old: &Aig, new: &Aig, map: &[Lit], subst: &[Lit]) -> Self {
-        Self::new_with_exempt(old, new, map, subst, &[])
-    }
-
-    /// Like [`ResimPlan::new`], but substitutions of the listed old
-    /// variables do **not** seed taint: their TFO keeps its memoized
-    /// words instead of re-launching.
-    ///
-    /// Only sound for substitutions *proven PO-function-preserving*
-    /// (the ODC replaceability check): downstream words may then be
-    /// stale in unobservable bits only, which PO cex scans never read
-    /// and class refinement can at worst split on (splitting is always
-    /// sound). An exempt node still never donates its own words.
-    pub fn new_with_exempt(
-        old: &Aig,
-        new: &Aig,
-        map: &[Lit],
-        subst: &[Lit],
-        exempt: &[Var],
-    ) -> Self {
+    pub fn new(old: &Aig, new: &Aig, map: &[Lit], subst: &[Lit], exempt: &[Var]) -> Self {
         assert_eq!(map.len(), old.num_nodes(), "map size mismatch");
         assert_eq!(subst.len(), old.num_nodes(), "substitution size mismatch");
         let mut exempted = vec![false; old.num_nodes()];
@@ -88,11 +73,9 @@ impl ResimPlan {
             tainted[i] = downstream || (substituted[i] && !exempted[i]);
         }
         // First clean old node mapping onto each new variable donates its
-        // words. The constant node needs no donor (leased buffers are
-        // zeroed); tainted, substituted or dropped old nodes never
-        // donate.
+        // words. The constant node needs no donor (it evaluates to zero
+        // words); tainted, substituted or dropped old nodes never donate.
         let mut source: Vec<Option<Lit>> = vec![None; new.num_nodes()];
-        source[0] = Some(Lit::FALSE);
         for (i, &lit) in map.iter().enumerate() {
             if tainted[i] || substituted[i] || lit.is_const() {
                 continue;
@@ -102,51 +85,37 @@ impl ResimPlan {
                 *slot = Some(Var::new(i as u32).lit_with(lit.is_complemented()));
             }
         }
-        let mut copies = Vec::new();
-        let levels = new.levels();
-        let mut dirty_groups: Vec<Vec<Var>> = Vec::new();
-        let mut num_dirty = 0usize;
-        for (v, slot) in source.iter().enumerate().skip(1) {
+        let task = |(v, donor): (usize, &Option<Lit>)| {
             let var = Var::new(v as u32);
-            match slot {
-                Some(old_lit) => copies.push((var, *old_lit)),
-                None => {
-                    let level = levels[v] as usize;
-                    if dirty_groups.len() <= level {
-                        dirty_groups.resize(level + 1, Vec::new());
-                    }
-                    dirty_groups[level].push(var);
-                    num_dirty += 1;
-                }
-            }
-        }
+            donor.map_or(Task::Eval(var), |old_lit| Task::Copy(var, old_lit))
+        };
+        let num_clean = source.iter().flatten().count();
         ResimPlan {
-            copies,
-            dirty_groups,
-            num_nodes: new.num_nodes(),
-            num_dirty,
+            schedule: Schedule::by_level(&new.levels(), source.iter().enumerate().map(task)),
+            num_clean,
+            num_dirty: new.num_nodes() - 1 - num_clean,
         }
     }
 
-    /// Number of new nodes that inherit memoized words (one copy launch).
+    /// Number of new nodes that inherit memoized words.
     pub fn num_clean(&self) -> usize {
-        self.copies.len()
+        self.num_clean
     }
 
-    /// Number of new nodes on the dirty frontier (re-launched per level).
+    /// Number of new nodes on the dirty frontier (re-evaluated).
     pub fn num_dirty(&self) -> usize {
         self.num_dirty
     }
 
-    /// Executes the plan: one copy launch moves every clean node's words
-    /// (complement folded in; the canonical hash is complement-invariant
-    /// and copies verbatim), then the dirty nodes re-launch level by
-    /// level on the same stream.
+    /// Executes the plan under the table budget `budget_words` (see
+    /// [`crate::simulate_cone`]): each level copies its clean nodes'
+    /// words from `old_sigs` (complement folded in) and re-evaluates its
+    /// dirty ones, on one stream.
     ///
     /// `old_sigs` must be the *full-coverage* table of the old network
     /// under exactly these `patterns` — the table [`crate::simulate`]
     /// produced, or a previous `resimulate` result (both cover every
-    /// node). A support-pruned table is not a valid donor.
+    /// node). A live-cone table is not a valid donor.
     ///
     /// # Panics
     ///
@@ -157,127 +126,20 @@ impl ResimPlan {
         exec: &Executor,
         patterns: &Patterns,
         old_sigs: &Signatures,
+        budget_words: usize,
     ) -> Signatures {
-        self.resimulate_with(new, exec, patterns, old_sigs, None)
-    }
-
-    /// [`ResimPlan::resimulate`] with an optional windowed residency
-    /// policy: `Some` routes copies and dirty re-evals through the
-    /// streamed driver (one [`crate::sigwin`] schedule, bounded device
-    /// residency, donors read from `old_sigs`' tier transparently).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern width differs from `old_sigs`'s.
-    pub fn resimulate_with(
-        &self,
-        new: &Aig,
-        exec: &Executor,
-        patterns: &Patterns,
-        old_sigs: &Signatures,
-        window: Option<&crate::sigwin::SigWindowConfig>,
-    ) -> Signatures {
-        if let Some(cfg) = window {
-            assert_eq!(
-                patterns.num_words(),
-                old_sigs.num_words(),
-                "resimulation patterns must match the memoized table"
-            );
-            return crate::sigwin::resimulate_streamed(
-                new,
-                exec,
-                patterns,
-                &self.copies,
-                &self.dirty_groups,
-                old_sigs,
-                cfg,
-            );
-        }
         assert_eq!(
             patterns.num_words(),
             old_sigs.num_words(),
             "resimulation patterns must match the memoized table"
         );
-        assert_eq!(
-            patterns.num_pis(),
-            new.num_pis(),
-            "pattern/PI count mismatch"
-        );
-        let w = patterns.num_words();
-        let mut data = exec.arena().take::<u64>(self.num_nodes * w);
-        let mut hashes = exec.arena().take::<u64>(self.num_nodes);
-        hashes[0] = hash_zero_signature(w);
-        {
-            // Declared effects: every launch writes data-dependent
-            // disjoint node slots (copy: its clean node; level: its
-            // dirty node) and level launches read earlier-written
-            // fanins, all ordered by the single stream. Statically
-            // verified, so the whole resim chain skips dynamic
-            // sanitization.
-            let table = EffectTable::new();
-            let sig_buf = table.buffer("sim.resim.signatures", self.num_nodes * w);
-            let hash_buf = table.buffer("sim.resim.hashes", self.num_nodes);
-            let sig_all = Pattern::Indexed {
-                lo: 0,
-                hi: self.num_nodes * w,
-            };
-            let hash_all = Pattern::Indexed {
-                lo: 0,
-                hi: self.num_nodes,
-            };
-            let cells = exec.bind_table(&table, sig_buf, &mut data);
-            let cells = &cells;
-            let hcells = exec.bind_table(&table, hash_buf, &mut hashes);
-            let hcells = &hcells;
-            let copies = &self.copies;
-            let mut stream = exec.stream();
-            let copy_effects = [
-                Effect::write(sig_buf, sig_all),
-                Effect::write(hash_buf, hash_all),
-            ];
-            stream.launch_declared(
-                &table,
-                "sim.resim.copy",
-                copies.len(),
-                &copy_effects,
-                move |t| {
-                    let (nv, old_lit) = copies[t];
-                    let mask = if old_lit.is_complemented() {
-                        u64::MAX
-                    } else {
-                        0
-                    };
-                    let src = old_sigs.sig(old_lit.var());
-                    for (k, &word) in src.iter().enumerate().take(w) {
-                        // SAFETY: each tid writes only its own node's words;
-                        // the donor table is a read-only host buffer.
-                        unsafe { cells.write(t, nv.index() * w + k, word ^ mask) };
-                    }
-                    // SAFETY: each tid writes only its own node's hash slot.
-                    unsafe { hcells.write(t, nv.index(), old_sigs.canonical_hash(old_lit.var())) };
-                },
-            );
-            let level_effects = [
-                Effect::read(sig_buf, sig_all),
-                Effect::write(sig_buf, sig_all),
-                Effect::write(hash_buf, hash_all),
-            ];
-            for group in &self.dirty_groups {
-                stream.launch_declared(
-                    &table,
-                    "sim.resim.level",
-                    group.len(),
-                    &level_effects,
-                    move |t| {
-                        // Fanins are either clean (the copy launch above) or
-                        // dirty at a strictly lower level (an earlier launch
-                        // on this stream): the eval contract holds.
-                        eval_node(new, group[t], t, w, patterns, cells, hcells);
-                    },
-                );
-            }
-            stream.sync();
-        }
-        Signatures::from_parts(w, data, hashes)
+        run_schedule(
+            new,
+            exec,
+            patterns,
+            &self.schedule,
+            Some(old_sigs),
+            budget_words,
+        )
     }
 }

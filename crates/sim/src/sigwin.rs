@@ -1,115 +1,29 @@
-//! Level-windowed signature streaming — bounded device residency for
-//! partial simulation.
+//! Residency planning for partial-simulation tables that exceed the
+//! simulation-memory budget (the paper's `M`).
 //!
-//! Whole-table partial simulation leases `num_nodes * num_words` words
-//! from the executor's device arena, which is exactly the memory wall the
-//! paper's GPU sweeping runs into at industrial scale. This module keeps
-//! only a *window* of topological levels resident: a [`SigWindow`]
-//! planner walks the level groups once, computes each level's last
-//! reader, assigns levels to reusable slot intervals in one bounded
-//! device buffer, and schedules a *spill* launch (`sim.window.spill`)
-//! that retires a level's columns to a spill tier as soon as every
-//! fanout reader level has executed (delayed by at least
-//! [`SigWindowConfig::window_levels`] levels of slack). The resulting
-//! [`Signatures`] table transparently serves spilled columns for cex
-//! scans, class refinement and dirty-cone donor reads — callers cannot
-//! tell it apart from a resident table except through the residency
-//! counters ([`parsweep_par::LaunchStats::spill_peak_bytes`],
-//! `parsweep_sim_window_*`).
+//! A table that fits the budget never comes here: its slot buffer *is*
+//! the table. One that does not fit keeps only a window of topological
+//! levels device-resident: [`Window::plan`] walks the level schedule
+//! once, gives every level a reusable slot interval in one bounded device
+//! buffer, and retires a level to host staging once its last reader has
+//! run and the next level would otherwise push residency over the budget.
+//! The driver ([`crate::partial`]) replays the plan: one `sim.window.spill`
+//! launch per retired level, stream-ordered between the level launches.
 //!
-//! Two spill tiers exist: **host staging** (the default — one pooled
-//! buffer from [`Executor::spill_pool`], the analogue of pinned host
-//! memory behind a `cudaMemcpyAsync`) and an optional **disk** tier
-//! ([`SpillTier::Disk`]) that writes columns to an unlinked temporary
-//! file and re-materializes levels lazily on first read
-//! (`sim.window.fill`).
+//! The budget is a *target*, not a hard cap: a level has to be resident
+//! together with every level it still reads, so a level wider than the
+//! budget (or one with long-lived fanins) overshoots it.
 
-use std::fs::File;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::VecDeque;
 
-use parsweep_aig::{Aig, Lit, Node, Var};
-use parsweep_par::{Effect, EffectTable, Executor, Pattern, PooledBuf};
-use parsweep_trace::{self as trace, metrics::SimCounters};
+use parsweep_aig::{Aig, Node};
 
-use crate::partial::{hash_zero_signature, Patterns, Signatures};
+use crate::partial::{Schedule, Task};
 
-/// Where retired signature columns go.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SpillTier {
-    /// Arena-pooled host staging buffer (leased from
-    /// [`Executor::spill_pool`], kept out of the gated device arena).
-    #[default]
-    Host,
-    /// An unlinked temporary file; spilled levels are re-read lazily on
-    /// first access. Slowest tier, smallest host footprint.
-    Disk,
-}
-
-/// Configuration of level-windowed signature streaming.
-///
-/// `None` at the engine level means whole-table residency (the default,
-/// bit-identical to the pre-streaming pipeline).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SigWindowConfig {
-    /// Minimum number of levels a column stays resident *behind the
-    /// execution frontier* before it may retire (it never retires before
-    /// its last fanout reader executes, regardless). `1` retires as
-    /// eagerly as correctness allows; `usize::MAX` keeps everything
-    /// resident until the run ends (spill-at-end, useful to measure the
-    /// spill path without the windowing).
-    pub window_levels: usize,
-    /// Spill tier for retired columns.
-    pub tier: SpillTier,
-}
-
-impl Default for SigWindowConfig {
-    fn default() -> Self {
-        SigWindowConfig {
-            window_levels: 4,
-            tier: SpillTier::Host,
-        }
-    }
-}
-
-impl SigWindowConfig {
-    /// A window of `levels` levels spilling to host staging.
-    pub fn with_levels(levels: usize) -> Self {
-        SigWindowConfig {
-            window_levels: levels.max(1),
-            ..Self::default()
-        }
-    }
-
-    /// Same window, spilling to the disk tier.
-    pub fn on_disk(mut self) -> Self {
-        self.tier = SpillTier::Disk;
-        self
-    }
-}
-
-/// One unit of per-level work in the streamed driver.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Task {
-    /// Evaluate the node from its fanins (or pattern words).
-    Eval(Var),
-    /// Copy the old table's words for `Lit` (complement folded in) into
-    /// the node's column — the dirty-cone resimulator's clean path.
-    Copy(Var, Lit),
-}
-
-impl Task {
-    fn var(self) -> Var {
-        match self {
-            Task::Eval(v) | Task::Copy(v, _) => v,
-        }
-    }
-}
-
-/// First-fit free-interval allocator over a growable word space — assigns
-/// each level a contiguous slot interval at plan time, reusing intervals
-/// freed by retired levels. The high-water mark is the device buffer
-/// size the streamed run leases.
+/// First-fit free-interval allocator over a growable column space —
+/// assigns each level a contiguous slot interval at plan time, reusing
+/// intervals freed by retired levels. The high-water mark is the device
+/// buffer size (in columns) the run leases.
 #[derive(Debug, Default)]
 struct SlotAllocator {
     /// Disjoint, sorted, coalesced free intervals `(off, len)`.
@@ -167,547 +81,148 @@ impl SlotAllocator {
     }
 }
 
-/// The residency schedule of one streamed run: slot intervals per level,
-/// retirement points, and the var→(level, position) maps shared with the
-/// spilled table.
+/// The residency schedule of one over-budget run.
 #[derive(Debug)]
-pub(crate) struct SigWindow {
-    /// Device slot offset (in words) of each level while resident.
-    slot_off: Vec<usize>,
-    /// Levels to spill after executing level `g` (and, at index
-    /// `num_levels`, the levels still resident at the end of the run).
-    retire_after: Vec<Vec<usize>>,
-    /// Device slot buffer size in words (the residency high-water mark).
-    slot_words: usize,
-    /// Spill-tier offset (in words) of each level, level-major packed.
-    spill_off: Vec<usize>,
-    /// Total spill-tier words (covered nodes only).
-    total_words: usize,
-    /// Topological level of each covered var (`u32::MAX` = uncovered).
-    level_of: Vec<u32>,
-    /// Position of each covered var inside its level.
-    pos_of: Vec<u32>,
+pub(crate) struct Window {
+    /// Slot-buffer column of each scheduled var while its level is
+    /// resident (levels are contiguous, in task order).
+    pub(crate) slot_of: Vec<u32>,
+    /// Slot buffer size in columns (the residency high-water mark).
+    pub(crate) slot_cols: usize,
+    /// Levels to spill right after level `g` has executed; every level
+    /// appears exactly once (whatever is still resident retires after
+    /// the last level).
+    pub(crate) retire_after: Vec<Vec<usize>>,
 }
 
-impl SigWindow {
-    /// Plans the streamed execution of `tasks` (one `Vec` per level, in
-    /// topological order) over an `num_nodes`-node network.
-    pub(crate) fn plan(aig: &Aig, tasks: &[Vec<Task>], w: usize, cfg: &SigWindowConfig) -> Self {
-        let num_levels = tasks.len();
-        let mut level_of = vec![u32::MAX; aig.num_nodes()];
-        let mut pos_of = vec![0u32; aig.num_nodes()];
-        for (l, group) in tasks.iter().enumerate() {
-            for (p, task) in group.iter().enumerate() {
+impl Window {
+    /// Plans `schedule` over `aig` for a budget of `budget_cols` resident
+    /// columns. Linear in the schedule: each level enters the retirable
+    /// queue once, when its last reader has executed, and leaves it once.
+    pub(crate) fn plan(aig: &Aig, schedule: &Schedule, budget_cols: usize) -> Self {
+        let num_levels = schedule.num_levels();
+        let mut level_of = vec![0u32; aig.num_nodes()];
+        for l in 0..num_levels {
+            for task in schedule.level(l) {
                 level_of[task.var().index()] = l as u32;
-                pos_of[task.var().index()] = p as u32;
             }
         }
         // A level's last reader: the highest level holding an Eval task
-        // with a fanin in it. A level nothing reads may retire right
-        // after executing (subject to the window slack).
+        // with a fanin in it (schedules are fanin-closed); a level
+        // nothing reads is done as soon as it has executed.
         let mut last_reader: Vec<usize> = (0..num_levels).collect();
-        for (l, group) in tasks.iter().enumerate() {
-            for task in group {
+        for l in 0..num_levels {
+            for task in schedule.level(l) {
                 if let Task::Eval(v) = task {
                     if let Node::And(a, b) = aig.node(*v) {
                         for f in [a.var(), b.var()] {
-                            let fl = level_of[f.index()];
-                            if fl != u32::MAX {
-                                let fl = fl as usize;
-                                last_reader[fl] = last_reader[fl].max(l);
-                            }
+                            let fl = level_of[f.index()] as usize;
+                            last_reader[fl] = last_reader[fl].max(l);
                         }
                     }
                 }
             }
         }
-        // Walk the schedule once: allocate a slot interval per level,
-        // retire levels whose readers are done and whose window slack
-        // elapsed, and record the retirement order for the driver to
-        // replay. `retire_after[num_levels]` catches everything still
-        // resident when the run ends (the whole table for window=∞).
+        let mut done_at: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
+        for (l, &g) in last_reader.iter().enumerate() {
+            done_at[g].push(l);
+        }
+        let width = |l: usize| schedule.level(l).len();
         let mut alloc = SlotAllocator::default();
         let mut slot_off = vec![0usize; num_levels];
-        let mut retire_after: Vec<Vec<usize>> = vec![Vec::new(); num_levels + 1];
-        let mut resident: Vec<usize> = Vec::new();
-        for (g, group) in tasks.iter().enumerate() {
-            slot_off[g] = alloc.alloc(group.len() * w);
-            resident.push(g);
-            let window = cfg.window_levels.max(1);
-            resident.retain(|&l| {
-                let done = last_reader[l] <= g && g + 1 >= window.saturating_add(l);
-                if done {
-                    alloc.release(slot_off[l], tasks[l].len() * w);
-                    retire_after[g].push(l);
-                }
-                !done
-            });
-        }
-        retire_after[num_levels] = std::mem::take(&mut resident);
-        let mut spill_off = vec![0usize; num_levels];
-        let mut total_words = 0usize;
-        for (l, group) in tasks.iter().enumerate() {
-            spill_off[l] = total_words;
-            total_words += group.len() * w;
-        }
-        SigWindow {
-            slot_off,
-            retire_after,
-            slot_words: alloc.end,
-            spill_off,
-            total_words,
-            level_of,
-            pos_of,
-        }
-    }
-}
-
-/// Post-run storage of a windowed run: every covered column lives in the
-/// spill tier, addressed by (level, position-in-level).
-#[derive(Debug)]
-pub(crate) struct SpilledTable {
-    num_words: usize,
-    level_of: Vec<u32>,
-    pos_of: Vec<u32>,
-    spill_off: Vec<usize>,
-    /// Vars per level — the read-back order of a disk-tier fill.
-    level_vars: Vec<Vec<Var>>,
-    store: SpillStore,
-    /// Served for uncovered vars, matching the zeroed lease of a pruned
-    /// resident table.
-    zeros: Vec<u64>,
-}
-
-#[derive(Debug)]
-enum SpillStore {
-    Host(PooledBuf<u64>),
-    Disk {
-        file: Arc<File>,
-        /// Lazily filled per-level segments (position-major words).
-        segments: Vec<OnceLock<Vec<u64>>>,
-    },
-}
-
-impl Clone for SpilledTable {
-    fn clone(&self) -> Self {
-        SpilledTable {
-            num_words: self.num_words,
-            level_of: self.level_of.clone(),
-            pos_of: self.pos_of.clone(),
-            spill_off: self.spill_off.clone(),
-            level_vars: self.level_vars.clone(),
-            store: match &self.store {
-                SpillStore::Host(buf) => SpillStore::Host(buf.clone()),
-                SpillStore::Disk { file, segments } => SpillStore::Disk {
-                    file: Arc::clone(file),
-                    segments: segments.clone(),
-                },
-            },
-            zeros: self.zeros.clone(),
-        }
-    }
-}
-
-impl SpilledTable {
-    /// The signature words of `var` — a direct staging read on the host
-    /// tier, a lazy level fill (`sim.window.fill`) on the disk tier.
-    pub(crate) fn sig(&self, var: Var) -> &[u64] {
-        let w = self.num_words;
-        let l = self.level_of[var.index()];
-        if l == u32::MAX {
-            return &self.zeros;
-        }
-        let (l, pos) = (l as usize, self.pos_of[var.index()] as usize);
-        match &self.store {
-            SpillStore::Host(buf) => {
-                let off = self.spill_off[l] + pos * w;
-                &buf[off..off + w]
+        let mut slot_of = vec![0u32; aig.num_nodes()];
+        let mut retire_after: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
+        let mut retirable: VecDeque<usize> = VecDeque::new();
+        let mut resident = 0usize;
+        for g in 0..num_levels {
+            slot_off[g] = alloc.alloc(width(g));
+            for (p, task) in schedule.level(g).iter().enumerate() {
+                slot_of[task.var().index()] = (slot_off[g] + p) as u32;
             }
-            SpillStore::Disk { file, segments } => {
-                let seg = segments[l].get_or_init(|| {
-                    let _span = trace::span("sim", "sim.window.fill");
-                    let words = self.level_vars[l].len() * w;
-                    let mut bytes = vec![0u8; words * 8];
-                    use std::os::unix::fs::FileExt;
-                    file.read_exact_at(&mut bytes, (self.spill_off[l] * 8) as u64)
-                        .expect("sigwin disk fill");
-                    let c = trace::metrics::sim_counters();
-                    SimCounters::add(&c.window_fills, 1);
-                    SimCounters::add(&c.window_filled_words, words as u64);
-                    bytes
-                        .chunks_exact(8)
-                        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                        .collect()
-                });
-                &seg[pos * w..(pos + 1) * w]
-            }
-        }
-    }
-}
-
-/// A raw shared word pointer the spill kernels write through — the
-/// executor-model stand-in for the device→host `cudaMemcpyAsync` target.
-/// Soundness is the spill launch's tid-disjointness: each tid owns one
-/// node's `w`-word chunk of the staging buffer.
-#[derive(Clone, Copy)]
-struct StagingPtr(*mut u64);
-// SAFETY: the pointer is only dereferenced inside spill kernels whose
-// tids write disjoint chunks, and launches on one stream are ordered, so
-// no two threads ever write the same word concurrently.
-unsafe impl Send for StagingPtr {}
-// SAFETY: as above — all concurrent access is to disjoint words.
-unsafe impl Sync for StagingPtr {}
-
-impl StagingPtr {
-    /// # Safety
-    ///
-    /// `idx` must be in bounds of the staging allocation and no other
-    /// thread may concurrently access the same word.
-    unsafe fn write(self, idx: usize, word: u64) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.0.add(idx).write(word) };
-    }
-}
-
-/// Monotonic name counter for disk-tier spill files (unlinked right
-/// after creation, so the name only needs to be process-unique).
-static SPILL_FILE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn spill_file() -> File {
-    let seq = SPILL_FILE_SEQ.fetch_add(1, Ordering::Relaxed);
-    let path = std::env::temp_dir().join(format!(
-        "parsweep-sigwin-{}-{}.spill",
-        std::process::id(),
-        seq
-    ));
-    let file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create_new(true)
-        .open(&path)
-        .expect("sigwin spill file");
-    // Unlink immediately: the fd keeps the data alive, nothing can
-    // collide with the name, and the file vanishes with the process.
-    let _ = std::fs::remove_file(&path);
-    file
-}
-
-/// Executes a level-task schedule with windowed residency and returns a
-/// [`Signatures`] table backed by the spill tier. Shared by the full,
-/// support-pruned and dirty-cone streamed paths ([`Task::Copy`] entries
-/// read their donor columns from `old`, which must cover them).
-///
-/// Bit-for-bit equivalent to the resident drivers: the eval kernel is
-/// the same and/complement/hash math, only the addressing differs.
-pub(crate) fn run_streamed(
-    aig: &Aig,
-    exec: &Executor,
-    patterns: &Patterns,
-    tasks: &[Vec<Task>],
-    old: Option<&Signatures>,
-    cfg: &SigWindowConfig,
-) -> Signatures {
-    assert_eq!(
-        patterns.num_pis(),
-        aig.num_pis(),
-        "pattern/PI count mismatch"
-    );
-    let w = patterns.num_words();
-    let plan = SigWindow::plan(aig, tasks, w, cfg);
-    let mut slots = exec.arena().take::<u64>(plan.slot_words);
-    let mut hashes = exec.arena().take::<u64>(aig.num_nodes());
-    hashes[0] = hash_zero_signature(w);
-    // The spill target: host staging (pooled, separate from the device
-    // arena) or an unlinked temp file.
-    let mut staging: Option<PooledBuf<u64>> = None;
-    let mut disk: Option<Arc<File>> = None;
-    let staging_ptr = match cfg.tier {
-        SpillTier::Host => {
-            let buf = staging.insert(exec.spill_pool().take::<u64>(plan.total_words));
-            StagingPtr(buf.as_mut_ptr())
-        }
-        SpillTier::Disk => {
-            disk = Some(Arc::new(spill_file()));
-            StagingPtr(std::ptr::null_mut())
-        }
-    };
-    let disk_file: Option<&File> = disk.as_deref();
-    {
-        let table = EffectTable::new();
-        let slot_buf = table.buffer("sim.sigwin.slots", plan.slot_words.max(1));
-        let hash_buf = table.buffer("sim.sigwin.hashes", aig.num_nodes());
-        let cells = exec.bind_table(&table, slot_buf, &mut slots);
-        let cells = &cells;
-        let hcells = exec.bind_table(&table, hash_buf, &mut hashes);
-        let hcells = &hcells;
-        let eval_effects = [
-            Effect::read(
-                slot_buf,
-                Pattern::Indexed {
-                    lo: 0,
-                    hi: plan.slot_words.max(1),
-                },
-            ),
-            Effect::write(
-                slot_buf,
-                Pattern::Indexed {
-                    lo: 0,
-                    hi: plan.slot_words.max(1),
-                },
-            ),
-            Effect::write(
-                hash_buf,
-                Pattern::Indexed {
-                    lo: 0,
-                    hi: aig.num_nodes(),
-                },
-            ),
-        ];
-        let plan_ref = &plan;
-        let tier = cfg.tier;
-        let mut stream = exec.stream();
-        for g in 0..=tasks.len() {
-            if g < tasks.len() {
-                let group = &tasks[g][..];
-                stream.launch_declared(
-                    &table,
-                    "sim.sigwin.level",
-                    group.len(),
-                    &eval_effects,
-                    move |t| {
-                        eval_task(
-                            aig,
-                            group[t],
-                            t,
-                            w,
-                            patterns,
-                            old,
-                            plan_ref,
-                            plan_ref.slot_off[g],
-                            cells,
-                            hcells,
-                        );
-                    },
-                );
-            }
-            // Retire every level whose readers have all executed (and
-            // whose window slack elapsed): one `sim.window.spill`
-            // launch each, per-thread strided reads declared exactly.
-            // The freed slot interval may be reused by a later level —
-            // sound because launches on one stream are ordered.
-            for &l in &plan.retire_after[g] {
-                let n = tasks[l].len();
-                if n == 0 {
-                    continue;
-                }
-                let _span = trace::span("sim", "sim.window.spill");
-                let (slot_lo, spill_lo) = (plan.slot_off[l], plan.spill_off[l]);
-                let spill_effects = [Effect::read(
-                    slot_buf,
-                    Pattern::Affine {
-                        base: slot_lo,
-                        stride: w,
-                        span: w,
-                    },
-                )];
-                stream.launch_declared(&table, "sim.window.spill", n, &spill_effects, move |t| {
-                    match tier {
-                        SpillTier::Host => {
-                            for k in 0..w {
-                                // SAFETY: the slot words were written by
-                                // earlier launches on this stream; each
-                                // tid writes a disjoint staging chunk
-                                // (see StagingPtr).
-                                unsafe {
-                                    let word = cells.read(t, slot_lo + t * w + k);
-                                    staging_ptr.write(spill_lo + t * w + k, word);
-                                }
-                            }
-                        }
-                        SpillTier::Disk => {
-                            let file = disk_file.expect("disk tier spill file");
-                            let mut bytes = vec![0u8; w * 8];
-                            for k in 0..w {
-                                // SAFETY: the slot words were written by
-                                // earlier launches on this stream.
-                                let word = unsafe { cells.read(t, slot_lo + t * w + k) };
-                                bytes[k * 8..(k + 1) * 8].copy_from_slice(&word.to_le_bytes());
-                            }
-                            use std::os::unix::fs::FileExt;
-                            file.write_all_at(&bytes, ((spill_lo + t * w) * 8) as u64)
-                                .expect("sigwin disk spill");
-                        }
-                    }
-                });
-                exec.note_window_spill((n * w * 8) as u64);
-                let c = trace::metrics::sim_counters();
-                SimCounters::add(&c.window_spills, 1);
-                SimCounters::add(&c.window_spilled_words, (n * w) as u64);
-            }
-        }
-        stream.sync();
-    }
-    drop(slots); // the window's device lease ends here
-    let store = match cfg.tier {
-        SpillTier::Host => SpillStore::Host(staging.expect("host staging allocated")),
-        SpillTier::Disk => SpillStore::Disk {
-            file: disk.expect("disk spill file created"),
-            segments: (0..tasks.len()).map(|_| OnceLock::new()).collect(),
-        },
-    };
-    let spilled = SpilledTable {
-        num_words: w,
-        level_of: plan.level_of,
-        pos_of: plan.pos_of,
-        spill_off: plan.spill_off,
-        level_vars: tasks
-            .iter()
-            .map(|g| g.iter().map(|t| t.var()).collect())
-            .collect(),
-        store,
-        zeros: vec![0u64; w],
-    };
-    Signatures::from_spilled(w, spilled, hashes)
-}
-
-/// One streamed task: the same per-node math as
-/// [`crate::partial::eval_node`], addressed through the level's slot
-/// interval instead of a node-major table.
-#[allow(clippy::too_many_arguments)]
-fn eval_task(
-    aig: &Aig,
-    task: Task,
-    t: usize,
-    w: usize,
-    patterns: &Patterns,
-    old: Option<&Signatures>,
-    plan: &SigWindow,
-    my_off: usize,
-    cells: &parsweep_par::DeviceSlice<'_, u64>,
-    hcells: &parsweep_par::DeviceSlice<'_, u64>,
-) {
-    let slot_of = |v: Var| -> usize {
-        let l = plan.level_of[v.index()] as usize;
-        plan.slot_off[l] + plan.pos_of[v.index()] as usize * w
-    };
-    match task {
-        Task::Copy(v, old_lit) => {
-            let old = old.expect("Copy tasks need a donor table");
-            let mask = if old_lit.is_complemented() {
-                u64::MAX
+            resident += width(g);
+            retirable.extend(done_at[g].iter().copied());
+            // Make room for the next level (oldest finished level first);
+            // after the last level everything left retires.
+            let incoming = if g + 1 < num_levels {
+                width(g + 1)
             } else {
-                0
+                usize::MAX
             };
-            let src = old.sig(old_lit.var());
-            let base = my_off + t * w;
-            for (k, &word) in src.iter().enumerate().take(w) {
-                // SAFETY: each tid writes only its own slot chunk; the
-                // donor table is a read-only host buffer.
-                unsafe { cells.write(t, base + k, word ^ mask) };
-            }
-            // SAFETY: each tid writes only its own hash slot (the hash
-            // is complement-invariant and copies verbatim).
-            unsafe { hcells.write(t, v.index(), old.canonical_hash(old_lit.var())) };
-        }
-        Task::Eval(v) => match aig.node(v) {
-            Node::Const => {
-                let base = my_off + t * w;
-                for k in 0..w {
-                    // SAFETY: each tid writes only its own slot chunk
-                    // (slots are recycled, so zeroing is not implicit).
-                    unsafe { cells.write(t, base + k, 0) };
-                }
-                // SAFETY: each tid writes only its own hash slot.
-                unsafe { hcells.write(t, v.index(), hash_zero_signature(w)) };
-            }
-            Node::Input(pi) => {
-                let mask = if patterns.word(pi as usize, 0) & 1 == 1 {
-                    u64::MAX
-                } else {
-                    0
+            while resident.saturating_add(incoming) > budget_cols {
+                let Some(l) = retirable.pop_front() else {
+                    break;
                 };
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                let base = my_off + t * w;
-                for k in 0..w {
-                    let word = patterns.word(pi as usize, k);
-                    h ^= word ^ mask;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                    // SAFETY: each tid writes only its own slot chunk.
-                    unsafe { cells.write(t, base + k, word) };
-                }
-                // SAFETY: each tid writes only its own hash slot.
-                unsafe { hcells.write(t, v.index(), h) };
+                alloc.release(slot_off[l], width(l));
+                resident -= width(l);
+                retire_after[g].push(l);
             }
-            Node::And(a, b) => {
-                let ma = if a.is_complemented() { u64::MAX } else { 0 };
-                let mb = if b.is_complemented() { u64::MAX } else { 0 };
-                let (sa, sb) = (slot_of(a.var()), slot_of(b.var()));
-                let base = my_off + t * w;
-                let mut mask = 0;
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for k in 0..w {
-                    // SAFETY: fanin slots were written by earlier
-                    // launches on this stream and stay resident until
-                    // their last reader (this launch at the latest) has
-                    // run; each tid writes only its own slot chunk.
-                    unsafe {
-                        let wa = cells.read(t, sa + k) ^ ma;
-                        let wb = cells.read(t, sb + k) ^ mb;
-                        let word = wa & wb;
-                        if k == 0 {
-                            mask = if word & 1 == 1 { u64::MAX } else { 0 };
-                        }
-                        h ^= word ^ mask;
-                        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                        cells.write(t, base + k, word);
-                    }
-                }
-                // SAFETY: each tid writes only its own hash slot.
-                unsafe { hcells.write(t, v.index(), h) };
-            }
-        },
-    }
-}
-
-/// Streamed full simulation: every node of `aig`, windowed residency.
-pub(crate) fn simulate_streamed(
-    aig: &Aig,
-    exec: &Executor,
-    patterns: &Patterns,
-    groups: &[Vec<Var>],
-    cfg: &SigWindowConfig,
-) -> Signatures {
-    let tasks: Vec<Vec<Task>> = groups
-        .iter()
-        .map(|g| g.iter().map(|&v| Task::Eval(v)).collect())
-        .collect();
-    run_streamed(aig, exec, patterns, &tasks, None, cfg)
-}
-
-/// Streamed dirty-cone resimulation: clean nodes become [`Task::Copy`]
-/// entries bucketed by their (new) topological level, dirty nodes stay
-/// [`Task::Eval`] — one schedule, one residency policy.
-pub(crate) fn resimulate_streamed(
-    new: &Aig,
-    exec: &Executor,
-    patterns: &Patterns,
-    copies: &[(Var, Lit)],
-    dirty_groups: &[Vec<Var>],
-    old: &Signatures,
-    cfg: &SigWindowConfig,
-) -> Signatures {
-    let levels = new.levels();
-    let depth = new
-        .num_nodes()
-        .min(levels.iter().map(|&l| l as usize + 1).max().unwrap_or(0));
-    let mut tasks: Vec<Vec<Task>> = vec![Vec::new(); depth.max(dirty_groups.len())];
-    for (l, group) in dirty_groups.iter().enumerate() {
-        for &v in group {
-            tasks[l].push(Task::Eval(v));
+        }
+        Window {
+            slot_of,
+            slot_cols: alloc.end,
+            retire_after,
         }
     }
-    for &(v, old_lit) in copies {
-        tasks[levels[v.index()] as usize].push(Task::Copy(v, old_lit));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parsweep_aig::Aig;
+
+    /// A `levels`-deep AND chain over two inputs, one node per level.
+    fn chain(levels: usize) -> Aig {
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs(2);
+        let mut f = aig.and(xs[0], xs[1]);
+        for i in 0..levels - 1 {
+            f = aig.and(f, !xs[i % 2]);
+        }
+        aig.add_po(f);
+        aig
     }
-    run_streamed(new, exec, patterns, &tasks, Some(old), cfg)
+
+    #[test]
+    fn every_level_retires_exactly_once_and_slots_are_recycled() {
+        let aig = chain(5_000);
+        let schedule = Schedule::full(&aig);
+        assert!(schedule.num_levels() >= 5_000);
+        let plan = Window::plan(&aig, &schedule, 0);
+        let mut retired: Vec<usize> = plan.retire_after.iter().flatten().copied().collect();
+        assert_eq!(retired.len(), schedule.num_levels(), "one retirement each");
+        retired.sort_unstable();
+        retired.dedup();
+        assert_eq!(retired.len(), schedule.num_levels());
+        // A chain reads the PI level throughout and the previous level
+        // once: residency stays at a handful of columns however deep.
+        assert!(
+            plan.slot_cols <= 8,
+            "slot buffer grew to {} columns",
+            plan.slot_cols
+        );
+    }
+
+    #[test]
+    fn a_generous_budget_retires_only_at_the_end() {
+        let aig = chain(64);
+        let schedule = Schedule::full(&aig);
+        let plan = Window::plan(&aig, &schedule, usize::MAX / 2);
+        let (last, earlier) = plan.retire_after.split_last().unwrap();
+        assert!(earlier.iter().all(Vec::is_empty));
+        assert_eq!(last.len(), schedule.num_levels());
+        assert_eq!(plan.slot_cols, aig.num_nodes());
+    }
+
+    #[test]
+    fn allocator_reuses_and_coalesces() {
+        let mut a = SlotAllocator::default();
+        let x = a.alloc(4);
+        let y = a.alloc(4);
+        let z = a.alloc(4);
+        assert_eq!((x, y, z), (0, 4, 8));
+        a.release(x, 4);
+        a.release(y, 4);
+        assert_eq!(a.alloc(8), 0, "two freed neighbours coalesce");
+        assert_eq!(a.end, 12);
+    }
 }

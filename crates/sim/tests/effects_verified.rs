@@ -7,7 +7,10 @@
 
 use parsweep_aig::{Lit, Var};
 use parsweep_par::{Executor, SanitizerConfig};
-use parsweep_sim::{check_windows, simulate, PairCheck, Patterns, ResimPlan, Window};
+use parsweep_sim::{
+    check_windows, simulate, simulate_cone, PairCheck, Patterns, ResimPlan, Window,
+    DEFAULT_MEMORY_WORDS,
+};
 
 fn sanitizing() -> Executor {
     Executor::with_sanitizer(2)
@@ -76,8 +79,20 @@ fn partial_simulation_is_verified_on_sanitizing_executor() {
         assert!(exec.stats().static_verified_launches > 0);
     }
 
+    // Over budget, the `sim.window.spill` launches are declared too:
+    // every level and spill launch is statically verified.
+    let exec = sanitizing();
+    let (sigs, _) = simulate_cone(&aig, &exec, &patterns, None, 1);
+    assert_eq!(sigs.sig(Var::new(1)), expected.sig(Var::new(1)));
+    assert!(exec.take_reports().is_empty());
+    let stats = exec.stats();
+    assert!(stats.window_spills > 0);
+    if !exec.cross_checking() {
+        assert_eq!(stats.static_verified_launches, stats.total_launches());
+    }
+
     let exec = cross_checking();
-    let sigs = simulate(&aig, &exec, &patterns);
+    let (sigs, _) = simulate_cone(&aig, &exec, &patterns, None, 1);
     assert_eq!(sigs.sig(Var::new(1)), expected.sig(Var::new(1)));
     assert_eq!(exec.stats().static_verified_launches, 0);
 }
@@ -93,15 +108,15 @@ fn resimulation_is_verified_on_sanitizing_executor() {
     let victim = old.and_vars().last().expect("network has AND nodes");
     subst[victim.index()] = Var::new(victim.index() as u32 / 2).lit();
     let (new, map) = old.rebuild_with_substitution(&subst);
-    let plan = ResimPlan::new(&old, &new, &map, &subst);
+    let plan = ResimPlan::new(&old, &new, &map, &subst, &[]);
 
     let raw = Executor::with_threads(2);
     let old_sigs = simulate(&old, &raw, &patterns);
-    let expected = plan.resimulate(&new, &raw, &patterns, &old_sigs);
+    let expected = plan.resimulate(&new, &raw, &patterns, &old_sigs, DEFAULT_MEMORY_WORDS);
 
     let exec = sanitizing();
     let old_sigs2 = simulate(&old, &exec, &patterns);
-    let sigs = plan.resimulate(&new, &exec, &patterns, &old_sigs2);
+    let sigs = plan.resimulate(&new, &exec, &patterns, &old_sigs2, DEFAULT_MEMORY_WORDS);
     for v in (0..new.num_nodes()).map(|i| Var::new(i as u32)) {
         assert_eq!(sigs.sig(v), expected.sig(v));
     }
@@ -112,7 +127,7 @@ fn resimulation_is_verified_on_sanitizing_executor() {
 
     let exec = cross_checking();
     let old_sigs3 = simulate(&old, &exec, &patterns);
-    let sigs = plan.resimulate(&new, &exec, &patterns, &old_sigs3);
+    let sigs = plan.resimulate(&new, &exec, &patterns, &old_sigs3, 1);
     assert_eq!(sigs.sig(Var::new(1)), expected.sig(Var::new(1)));
     assert_eq!(exec.stats().static_verified_launches, 0);
 }

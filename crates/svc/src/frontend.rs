@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 use parsweep_aig::{miter, read_aiger_file, Aig, Lit};
 use parsweep_sat::Verdict;
@@ -27,13 +27,31 @@ use crate::service::{CecService, JobResult};
 /// tens of microseconds — under duplicate-heavy load that dwarfs the
 /// settle cost of a memoized job. Each front-end threads one of these
 /// through [`parse_submit`] so a repeated path is read and parsed once.
-/// The cache resets wholesale when full; files are assumed immutable
-/// for the front-end's lifetime (the usual bench/CI arrangement) —
-/// restart the front-end to pick up edited files.
+///
+/// A hit is served only while the file's `(len, mtime)` — one
+/// `fs::metadata` call — still matches what was parsed, so a client
+/// that rewrites a file and resubmits gets the new file's verdict. A
+/// full cache evicts its oldest-inserted entry.
 pub struct MiterCache {
-    map: Mutex<HashMap<String, Arc<Aig>>>,
+    inner: Mutex<CacheInner>,
     capacity: usize,
 }
+
+#[derive(Default)]
+struct CacheInner {
+    map: HashMap<String, CachedFile>,
+    /// Insertion counter: the entry with the smallest `seq` is evicted.
+    next_seq: u64,
+}
+
+struct CachedFile {
+    aig: Arc<Aig>,
+    stamp: FileStamp,
+    seq: u64,
+}
+
+/// What a cached parse is valid for: the file's length and mtime.
+type FileStamp = (u64, Option<SystemTime>);
 
 impl Default for MiterCache {
     fn default() -> Self {
@@ -46,26 +64,42 @@ impl MiterCache {
     /// (`0` disables caching).
     pub fn new(capacity: usize) -> Self {
         MiterCache {
-            map: Mutex::new(HashMap::new()),
+            inner: Mutex::default(),
             capacity,
         }
     }
 
-    /// Reads and parses `path`, serving repeats from the cache.
+    /// Reads and parses `path`, serving repeats of an unchanged file from
+    /// the cache.
     pub fn load(&self, path: &str) -> Result<Arc<Aig>, String> {
+        let read = || read_aiger_file(path).map_err(|e| format!("{path}: {e:?}"));
         if self.capacity == 0 {
-            let aig = read_aiger_file(path).map_err(|e| format!("{path}: {e:?}"))?;
-            return Ok(Arc::new(aig));
+            return read().map(Arc::new);
         }
-        if let Some(hit) = self.map.lock().unwrap().get(path) {
-            return Ok(Arc::clone(hit));
+        // Stamp before reading: a write racing the parse leaves a stale
+        // stamp behind, which the next load detects and re-parses.
+        let meta = std::fs::metadata(path).map_err(|e| format!("{path}: {e}"))?;
+        let stamp: FileStamp = (meta.len(), meta.modified().ok());
+        let lock = || self.inner.lock().expect("miter cache poisoned");
+        if let Some(hit) = lock().map.get(path).filter(|e| e.stamp == stamp) {
+            return Ok(Arc::clone(&hit.aig));
         }
-        let aig = Arc::new(read_aiger_file(path).map_err(|e| format!("{path}: {e:?}"))?);
-        let mut map = self.map.lock().unwrap();
-        if map.len() >= self.capacity {
-            map.clear();
+        let aig = Arc::new(read()?);
+        let mut inner = lock();
+        if inner.map.len() >= self.capacity && !inner.map.contains_key(path) {
+            let oldest = inner.map.iter().min_by_key(|(_, e)| e.seq);
+            if let Some(key) = oldest.map(|(k, _)| k.clone()) {
+                inner.map.remove(&key);
+            }
         }
-        map.insert(path.to_owned(), Arc::clone(&aig));
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        let entry = CachedFile {
+            aig: Arc::clone(&aig),
+            stamp,
+            seq,
+        };
+        inner.map.insert(path.to_owned(), entry);
         Ok(aig)
     }
 }
@@ -342,6 +376,73 @@ mod tests {
         assert!(req.miter.num_pos() > 0);
     }
 
+    /// Two-input XOR as ASCII AIGER; `flip` complements the output.
+    fn xor_aag(flip: bool) -> String {
+        let po = if flip { 11 } else { 10 };
+        format!("aag 5 2 0 1 3\n2\n4\n{po}\n6 3 5\n8 2 4\n10 7 9\n")
+    }
+
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("parsweep-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn rewritten_file_is_reparsed_not_served_stale() {
+        let dir = scratch_dir("miter-cache-stale");
+        let (left, right) = (dir.join("left.aag"), dir.join("right.aag"));
+        std::fs::write(&left, xor_aag(false)).unwrap();
+        std::fs::write(&right, xor_aag(false)).unwrap();
+        let svc = CecService::new(SvcConfig::default());
+        let files = MiterCache::default();
+        let submit = format!(
+            r#"{{"op":"submit","left":"{}","right":"{}"}}"#,
+            left.display(),
+            right.display()
+        );
+        let verdict = |files: &MiterCache| {
+            handle_request(&svc, files, &submit).unwrap();
+            let events = handle_request(&svc, files, r#"{"op":"drain"}"#).unwrap();
+            events
+                .iter()
+                .find(|e| e.contains("\"event\":\"result\""))
+                .cloned()
+                .expect("a result event")
+        };
+        assert!(verdict(&files).contains("\"equivalent\""));
+        // Same length, different function: only the mtime tells them
+        // apart, so move it explicitly (two writes can share a tick).
+        std::fs::write(&right, xor_aag(true)).unwrap();
+        let later = SystemTime::now() + Duration::from_secs(5);
+        std::fs::File::options()
+            .write(true)
+            .open(&right)
+            .unwrap()
+            .set_modified(later)
+            .unwrap();
+        let after = verdict(&files);
+        assert!(after.contains("\"not-equivalent\""), "stale parse: {after}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_full_cache_evicts_one_entry_not_all() {
+        let dir = scratch_dir("miter-cache-evict");
+        let path = |i: usize| dir.join(format!("f{i}.aag")).display().to_string();
+        let files = MiterCache::default();
+        for i in 0..257 {
+            std::fs::write(path(i), xor_aag(i % 2 == 0)).unwrap();
+            files.load(&path(i)).unwrap();
+        }
+        let inner = files.inner.lock().unwrap();
+        assert_eq!(inner.map.len(), 256);
+        assert!(!inner.map.contains_key(&path(0)), "oldest entry evicted");
+        assert!((1..257).all(|i| inner.map.contains_key(&path(i))));
+        drop(inner);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn submit_rejects_unknown_lane() {
         let fields = parse_object(r#"{"op":"submit","demo":"adder","lane":"bulk"}"#).unwrap();
@@ -377,14 +478,13 @@ mod tests {
         parsweep_aig::write_aiger_file(&m, &path).unwrap();
         let cache = MiterCache::new(4);
         let a = cache.load(path.to_str().unwrap()).unwrap();
-        // Unlink the file: a second load can only succeed via the cache.
-        std::fs::remove_file(&path).unwrap();
         let b = cache.load(path.to_str().unwrap()).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "repeat load must be the cached parse");
-        assert!(
-            MiterCache::new(0).load(path.to_str().unwrap()).is_err(),
-            "capacity 0 must bypass the cache"
-        );
+        let c = MiterCache::new(0).load(path.to_str().unwrap()).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c), "capacity 0 must bypass the cache");
+        // An unlinked file is a changed file: no stale hit.
+        std::fs::remove_file(&path).unwrap();
+        assert!(cache.load(path.to_str().unwrap()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

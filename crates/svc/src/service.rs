@@ -1239,26 +1239,14 @@ impl CecService {
         render_counter(
             &mut out,
             "parsweep_sim_window_spills_total",
-            "Signature levels retired from the device window to a spill tier.",
+            "Signature levels retired from device residency to host staging.",
             trace::metrics::SimCounters::get(&sim.window_spills),
         );
         render_counter(
             &mut out,
             "parsweep_sim_window_spilled_words_total",
-            "Signature words moved out of the device window by spill launches.",
+            "Signature words moved to host staging by spill launches.",
             trace::metrics::SimCounters::get(&sim.window_spilled_words),
-        );
-        render_counter(
-            &mut out,
-            "parsweep_sim_window_fills_total",
-            "Spilled signature levels re-materialized from the disk tier.",
-            trace::metrics::SimCounters::get(&sim.window_fills),
-        );
-        render_counter(
-            &mut out,
-            "parsweep_sim_window_filled_words_total",
-            "Signature words re-read from the disk tier on demand.",
-            trace::metrics::SimCounters::get(&sim.window_filled_words),
         );
         render_counter(
             &mut out,

@@ -232,6 +232,54 @@ fn deadline_job_returns_promptly_with_partial_verdict() {
 }
 
 #[test]
+fn tiny_memory_budget_reaches_the_windowed_regime_with_identical_verdicts() {
+    // `engine.memory_words` is the only residency control and it flows
+    // from `SvcConfig` to every worker: a budget the partial-simulation
+    // tables cannot fit must stream them through host staging
+    // (`window_spills > 0`) and still answer exactly like the default.
+    // PO support bounds below the operand width keep the P phase from
+    // settling the product bits, so G rounds (full, live-cone and
+    // dirty-cone simulation) do the proving.
+    let width = 6;
+    let eq = miter(&multiplier(width, false), &multiplier(width, true)).unwrap();
+    let mut bad = multiplier(width, true);
+    let po = bad.po(width);
+    bad.set_po(width, !po);
+    let ne = miter(&multiplier(width, false), &bad).unwrap();
+
+    let run = |memory_words: Option<usize>| {
+        let mut cfg = SvcConfig {
+            workers: 1,
+            ..SvcConfig::default()
+        };
+        cfg.engine = cfg.engine.with_support_bounds(8, 8, 12);
+        if let Some(words) = memory_words {
+            cfg.engine.memory_words = words;
+        }
+        let svc = CecService::new(cfg);
+        let (j_eq, j_ne) = (svc.submit(eq.clone()), svc.submit(ne.clone()));
+        let verdicts = (
+            svc.wait(j_eq).unwrap().verdict,
+            svc.wait(j_ne).unwrap().verdict,
+        );
+        (verdicts, svc.launch_stats())
+    };
+    let ((eq_default, ne_default), default_stats) = run(None);
+    let ((eq_tiny, ne_tiny), tiny_stats) = run(Some(1 << 10));
+
+    assert_eq!(default_stats.window_spills, 0, "the default budget fits");
+    assert!(tiny_stats.window_spills > 0, "tiny budget never spilled");
+    assert_eq!(eq_default, Verdict::Equivalent);
+    assert_eq!(eq_tiny, Verdict::Equivalent);
+    for verdict in [ne_default, ne_tiny] {
+        match verdict {
+            Verdict::NotEquivalent(cex) => assert!(cex.fires(&ne), "cex must fire"),
+            other => panic!("corrupted multiplier must be disproved, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn cache_shared_across_jobs_with_common_cones() {
     // Two separately built miters of the same equivalent pair:
     // structurally identical cones settle from the cache across job

@@ -119,16 +119,11 @@ pub struct SimCounters {
     /// Equivalence classes split in place by fresh-pattern refinement,
     /// instead of rebucketing every node from scratch.
     pub classes_refined: AtomicU64,
-    /// Signature-column levels retired from the resident window to the
-    /// spill tier by level-windowed streaming.
+    /// Signature-column levels retired from device residency to host
+    /// staging because the table exceeded its memory budget.
     pub window_spills: AtomicU64,
     /// Signature words those retirements moved out of device residency.
     pub window_spilled_words: AtomicU64,
-    /// Spilled levels re-materialized on demand (disk-tier segment
-    /// fills for cex scans, refinement, or dirty-cone donor reads).
-    pub window_fills: AtomicU64,
-    /// Signature words those fills brought back.
-    pub window_filled_words: AtomicU64,
     /// Candidate merges proven replaceable through observability
     /// don't-care analysis instead of escalating (pairs whose raw
     /// signatures differ only in ODC-masked bits).
@@ -200,8 +195,6 @@ pub fn sim_counters() -> &'static SimCounters {
         classes_refined: AtomicU64::new(0),
         window_spills: AtomicU64::new(0),
         window_spilled_words: AtomicU64::new(0),
-        window_fills: AtomicU64::new(0),
-        window_filled_words: AtomicU64::new(0),
         odc_masked_merges: AtomicU64::new(0),
     };
     &COUNTERS

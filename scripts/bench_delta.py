@@ -106,13 +106,13 @@ def summarize_prover_dispatch(curr_raw):
 def summarize_window_streaming(curr_raw):
     """Report the runtime bench's residency comparison
     (``window_streaming`` entries): peak live arena bytes for the same
-    sweep under whole-table residency vs the level-windowed streaming
-    path, and how many signature levels were retired to the spill
-    tier."""
+    sweep at the default memory budget vs one the signature tables
+    cannot fit, and how many signature levels were retired to host
+    staging."""
     rows = curr_raw.get("window_streaming") if isinstance(curr_raw, dict) else None
     if not rows:
         return
-    print("window streaming (whole-table vs level-windowed residency):")
+    print("window streaming (default memory budget vs over-budget tables):")
     for row in rows:
         try:
             name = row["name"]

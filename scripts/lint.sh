@@ -4,7 +4,9 @@
 #   2. lints                 cargo clippy --workspace --all-targets -- -D warnings
 #                            (workspace lints deny unsafe_op_in_unsafe_fn and
 #                             undocumented unsafe blocks)
-#   3. tier-1 build + tests  cargo build --release && cargo test
+#   3. tier-1 build + tests  cargo build --release && cargo test (root package
+#                            plus the sim and core crates, the workspace's
+#                            default members)
 #   4. kernel sanitizer      parsweep-par suite with the `sanitize` feature,
 #                            then the engine-facing suites with every executor
 #                            forced into sanitizing mode (racecheck analogue)
@@ -50,6 +52,7 @@ PARSWEEP_SANITIZE=1 cargo test --test sanitizer_engine --test edge_cases -q
 echo "==> static effect cross-check (PARSWEEP_SANITIZE=all)"
 cargo test -p parsweep-par --test effects_static --test effects_props -q
 PARSWEEP_SANITIZE=all cargo test -p parsweep-par -p parsweep-sim -p parsweep-cut -q
+PARSWEEP_SANITIZE=all cargo test -p parsweep-core --test budget_props -q
 PARSWEEP_SANITIZE=all cargo test --test sanitizer_engine -q
 
 echo "lint.sh: all green"
