@@ -3,7 +3,7 @@
 //! Uses an embedded SplitMix64 generator so the crate stays
 //! dependency-free; all generation is reproducible from the seed.
 
-use crate::{Aig, Lit};
+use crate::{Aig, Lit, Node};
 
 /// A tiny deterministic PRNG (SplitMix64), sufficient for structural
 /// randomness in tests.
@@ -82,9 +82,50 @@ pub fn random_aig(num_pis: usize, num_ands: usize, num_pos: usize, seed: u64) ->
     aig
 }
 
+/// A copy of `aig` with one fanin of its `pick`-th AND gate (modulo the
+/// gate count) complemented — the single-gate mutant property tests
+/// compare against brute force. Usually inequivalent to `aig`, sometimes
+/// not: the flipped gate may be unobservable.
+pub fn mutate_gate(aig: &Aig, pick: usize) -> Aig {
+    let target = aig.and_vars().nth(pick % aig.num_ands().max(1));
+    let mut out = Aig::with_capacity(aig.num_nodes());
+    let mut map: Vec<Lit> = Vec::with_capacity(aig.num_nodes());
+    for (i, node) in aig.nodes().iter().enumerate() {
+        let lit = match *node {
+            Node::Const => Lit::FALSE,
+            Node::Input(_) => out.add_input(),
+            Node::And(x, y) => {
+                let fx = map[x.var().index()].xor(x.is_complemented());
+                let fy = map[y.var().index()].xor(y.is_complemented());
+                let flip = target.is_some_and(|t| t.index() == i);
+                out.and(fx.xor(flip), fy)
+            }
+        };
+        map.push(lit);
+    }
+    for po in aig.pos() {
+        out.add_po(map[po.var().index()].xor(po.is_complemented()));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mutate_gate_keeps_the_interface_and_changes_the_function() {
+        let a = random_aig(6, 40, 2, 7);
+        let differs = (0..a.num_ands()).any(|pick| {
+            let b = mutate_gate(&a, pick);
+            assert_eq!((b.num_pis(), b.num_pos()), (a.num_pis(), a.num_pos()));
+            (0..64u32).any(|v| {
+                let bits: Vec<bool> = (0..6).map(|i| v >> i & 1 == 1).collect();
+                a.eval(&bits) != b.eval(&bits)
+            })
+        });
+        assert!(differs, "some single-gate mutant must be observable");
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

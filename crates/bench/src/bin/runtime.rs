@@ -34,7 +34,7 @@ use parsweep_aig::{miter, Aig, Lit};
 use parsweep_bench::harness::{suite, Case, Scale};
 use parsweep_core::{fraig, sim_sweep, EngineConfig, EngineStats, Report};
 use parsweep_par::{CancelToken, Executor, LaunchStats, SanitizerConfig};
-use parsweep_sat::{portfolio_check, PortfolioConfig, Prover, ProverConfig, ProverMode, Verdict};
+use parsweep_sat::{sat_sweep, Prover, SweepConfig, Verdict};
 
 /// Modeled device width used for the time estimates (threads) — the
 /// tracing subsystem's canonical width, so bench numbers and span
@@ -400,15 +400,16 @@ fn main() {
         overhead_json.push(j);
     }
 
-    // Prover-dispatch comparison: the fixed engine sequence vs the
-    // adaptive dispatcher on whole deep-FRAIG miters and on a synthetic
-    // multiplier-like hard cone. The hard cone is the row the adaptive
-    // refactor exists for: the exhaustive engine is admitted (support
-    // under the cap) but pays 2^support over a deep cone, so the fixed
-    // sequence commits to it, while the adaptive dispatcher races it
+    // Prover-dispatch comparison: plain SAT sweeping (the one engine a
+    // finisher without a dispatcher would run) vs the dispatcher on whole
+    // deep-FRAIG miters and on a synthetic multiplier-like hard cone. On
+    // the hard cone the exhaustive engine is admitted (support under the
+    // cap) but pays 2^support over a deep cone; the dispatcher races it
     // against SAT sweeping and cancels the loser at its next poll point.
+    // The JSON keys keep their `sequential_*`/`adaptive_*` names for
+    // `scripts/bench_delta.py`.
     let mut prover_json = Vec::new();
-    eprintln!("# prover dispatch (sequential fixed sequence vs adaptive race)");
+    eprintln!("# prover dispatch (plain sat_sweep vs the dispatcher)");
     let mut dispatch_cases: Vec<(String, Aig)> = FRAIG_CASES
         .iter()
         .map(|base| {
@@ -421,29 +422,23 @@ fn main() {
         .collect();
     dispatch_cases.push(("maj_rounds_hard_cone".to_string(), maj_rounds_miter(20, 16)));
     for (name, m) in &dispatch_cases {
-        let cfg = PortfolioConfig::default();
-        let sequential = portfolio_check(m, &exec, &cfg);
-        let prover = Prover::new(ProverConfig {
-            mode: ProverMode::Adaptive,
-            ..ProverConfig::default()
-        });
-        let adaptive = prover.prove(m, &exec, &CancelToken::never());
+        let sequential = sat_sweep(m, &exec, &SweepConfig::default());
+        let adaptive = Prover::default().prove(m, &exec, &CancelToken::never());
         assert_eq!(
             sequential.verdict.is_equivalent(),
             adaptive.verdict.is_equivalent(),
-            "{name}: adaptive dispatch disagreed with the fixed sequence"
+            "{name}: the dispatcher disagreed with plain SAT sweeping"
         );
         let adaptive_engine = adaptive.engine.map_or("none", |e| e.name());
         let speedup = if adaptive.seconds > 0.0 {
-            sequential.seconds / adaptive.seconds
+            sequential.stats.seconds / adaptive.seconds
         } else {
             1.0
         };
         eprintln!(
-            "{:<20} sequential {:.3}s ({}) adaptive {:.3}s ({}{}) speedup {:.2}x",
+            "{:<20} sat_sweep {:.3}s dispatcher {:.3}s ({}{}) speedup {:.2}x",
             name,
-            sequential.seconds,
-            sequential.engine.name(),
+            sequential.stats.seconds,
             adaptive.seconds,
             adaptive_engine,
             if adaptive.raced { ", raced" } else { "" },
@@ -458,9 +453,9 @@ fn main() {
                 "\"adaptive_engine\": \"{}\", \"raced\": {}, \"speedup\": {:.3}}}"
             ),
             name,
-            sequential.seconds,
+            sequential.stats.seconds,
             adaptive.seconds,
-            sequential.engine.name(),
+            "sat_sweep",
             adaptive_engine,
             adaptive.raced,
             speedup,

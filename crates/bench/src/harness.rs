@@ -146,7 +146,6 @@ pub fn combined_config(budget: Duration) -> CombinedConfig {
         engine: EngineConfig::scaled(),
         sat: baseline_sat_config(budget),
         ec_transfer: false,
-        prover: parsweep_core::ProverMode::Sequential,
     }
 }
 

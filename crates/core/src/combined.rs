@@ -1,12 +1,11 @@
-//! The combined flow: simulation-based engine + SAT sweeping fallback
-//! (the paper's "Ours (GPU+ABC)" column).
+//! The combined flow: simulation-based engine, then the proving
+//! dispatcher on whatever it leaves undecided (the paper's "Ours
+//! (GPU+ABC)" column).
 
-use parsweep_aig::Aig;
+use parsweep_aig::{Aig, Lit, Var};
 use parsweep_par::{CancelToken, Executor};
-use parsweep_sat::{
-    sat_sweep_seeded_cancellable, PortfolioConfig, ProveOutcome, Prover, ProverConfig, ProverMode,
-    SweepConfig, SweepResult, SweepStats, Verdict,
-};
+use parsweep_sat::{ProveOutcome, Prover, SweepConfig, Verdict};
+use parsweep_sim::Cex;
 use parsweep_trace as trace;
 use parsweep_trace::WallClock;
 
@@ -19,20 +18,14 @@ use crate::prove::{build_prover, refine_velocity};
 pub struct CombinedConfig {
     /// Simulation-based engine parameters.
     pub engine: EngineConfig,
-    /// SAT sweeping parameters for the fallback checker.
+    /// SAT sweeping parameters for the dispatcher's SAT engine (its
+    /// `wall_budget` bounds each SAT attempt).
     pub sat: SweepConfig,
-    /// Seed the SAT fallback with the engine's disproof counter-examples,
-    /// so pairs already disproved by exhaustive simulation are never
-    /// re-checked by SAT — the paper's proposed *EC transfer* (§V). Off by
-    /// default to match the paper's evaluated configuration.
+    /// Hand the engine's disproof counter-examples to the finishing
+    /// engines, so pairs already disproved by exhaustive simulation are
+    /// never re-checked by SAT — the paper's proposed *EC transfer* (§V).
+    /// Off by default to match the paper's evaluated configuration.
     pub ec_transfer: bool,
-    /// How residual undecided logic is finished.
-    /// [`ProverMode::Sequential`] (the compatibility default) hands the
-    /// whole reduced miter to the SAT sweeper, as before the adaptive
-    /// refactor; [`ProverMode::Adaptive`] extracts each undecided PO cone
-    /// and dispatches it through the adaptive [`Prover`], racing engines
-    /// on hard cones with first-verdict-wins early cancellation.
-    pub prover: ProverMode,
 }
 
 /// The outcome of the combined flow.
@@ -42,15 +35,12 @@ pub struct CombinedResult {
     pub verdict: Verdict,
     /// The simulation-based engine's result (always runs first).
     pub engine: EngineResult,
-    /// The SAT fallback's result, if the engine left the miter undecided.
-    /// In adaptive mode this is synthesized from the dispatch outcomes
-    /// (verdict, total seconds, aggregated SAT statistics).
-    pub sat: Option<SweepResult>,
-    /// Per-cone dispatch outcomes (adaptive mode only; empty otherwise).
+    /// One dispatch outcome per structurally distinct PO cone the engine
+    /// left undecided; empty when the engine decided alone.
     pub dispatch: Vec<ProveOutcome>,
     /// Engine wall-clock seconds (the paper's "GPU (s)").
     pub engine_seconds: f64,
-    /// Fallback wall-clock seconds (the paper's "ABC (s)").
+    /// Finishing wall-clock seconds (the paper's "ABC (s)").
     pub sat_seconds: f64,
 }
 
@@ -62,99 +52,40 @@ impl CombinedResult {
 }
 
 /// Runs the simulation-based engine and, if the miter remains undecided,
-/// hands the reduced miter to the SAT sweeping checker.
+/// hands the reduced miter's undecided cones to the proving dispatcher.
 pub fn combined_check(miter: &Aig, exec: &Executor, cfg: &CombinedConfig) -> CombinedResult {
     combined_check_cancellable(miter, exec, cfg, &CancelToken::never())
 }
 
 /// Like [`combined_check`], polling `token` at the engine's phase
-/// boundaries and at the SAT fallback's budget checks (between conflict
-/// budgets). On cancellation the flow stops where it is — possibly
-/// between the two checkers — with an `Undecided` verdict and whatever
-/// reduction completed; it never reports a wrong proof or disproof.
+/// boundaries and at every finishing engine's checkpoints. On
+/// cancellation the flow stops where it is — possibly between the two
+/// stages — with an `Undecided` verdict and whatever reduction completed;
+/// it never reports a wrong proof or disproof.
 pub fn combined_check_cancellable(
     miter: &Aig,
     exec: &Executor,
     cfg: &CombinedConfig,
     token: &CancelToken,
 ) -> CombinedResult {
-    match cfg.prover {
-        ProverMode::Sequential => combined_check_sequential(miter, exec, cfg, token),
-        ProverMode::Adaptive => {
-            let prover = build_prover(
-                ProverConfig {
-                    mode: ProverMode::Adaptive,
-                    ..ProverConfig::default()
-                },
-                &PortfolioConfig {
-                    sweep: cfg.sat.clone(),
-                    ..PortfolioConfig::default()
-                },
-                &cfg.engine,
-            );
-            combined_check_with_prover(miter, exec, cfg, &prover, token)
-        }
-    }
+    let prover = build_prover(&cfg.sat, &cfg.engine);
+    combined_check_with_prover(miter, exec, cfg, &prover, token)
 }
 
-fn combined_check_sequential(
-    miter: &Aig,
-    exec: &Executor,
-    cfg: &CombinedConfig,
-    token: &CancelToken,
-) -> CombinedResult {
-    let engine = sim_sweep_cancellable(miter, exec, &cfg.engine, token);
-    let engine_seconds = engine.stats.seconds;
-    match engine.verdict {
-        Verdict::Undecided => {
-            let seeds: &[parsweep_sim::Cex] = if cfg.ec_transfer {
-                &engine.disproof_cexs
-            } else {
-                &[]
-            };
-            let sat = {
-                let mut span = trace::span("engine", "engine.sat_fallback");
-                span.arg_u64("seeds", seeds.len() as u64);
-                span.arg_u64("ands", engine.reduced.num_ands() as u64);
-                sat_sweep_seeded_cancellable(&engine.reduced, exec, &cfg.sat, seeds, token)
-            };
-            let verdict = sat.verdict.clone();
-            let sat_seconds = sat.stats.seconds;
-            CombinedResult {
-                verdict,
-                engine,
-                sat: Some(sat),
-                dispatch: Vec::new(),
-                engine_seconds,
-                sat_seconds,
-            }
-        }
-        ref v => {
-            let verdict = v.clone();
-            CombinedResult {
-                verdict,
-                engine,
-                sat: None,
-                dispatch: Vec::new(),
-                engine_seconds,
-                sat_seconds: 0.0,
-            }
-        }
-    }
-}
-
-/// [`combined_check_cancellable`] with a caller-supplied adaptive
-/// [`Prover`] — the service shares one prover (and its difficulty model)
-/// across workers so routing keeps learning across jobs.
+/// [`combined_check_cancellable`] with a caller-supplied [`Prover`] — the
+/// service shares one prover (and its difficulty model) across workers so
+/// routing keeps learning across jobs. `cfg.sat` is then unused: the
+/// prover's SAT engine carries its own configuration.
 ///
 /// The sim engine runs first as always; each PO cone it leaves undecided
 /// is extracted ([`Aig::extract_cone`]) and dispatched as its own class,
 /// with the pass's sim-refinement velocity folded into the difficulty
-/// features. Cones sharing a structure are proved once. Verdicts compose
-/// soundly: all cones proved ⇒ `Equivalent`; any cone disproved ⇒
-/// `NotEquivalent` with the counter-example lifted through the cone's PI
-/// map; otherwise `Undecided` — cancellation anywhere stays partial,
-/// never wrong.
+/// features and, under [`CombinedConfig::ec_transfer`], the engine's
+/// disproof counter-examples projected onto the cone's PIs as seeds.
+/// Cones sharing a structure are proved once. Verdicts compose soundly:
+/// all cones proved ⇒ `Equivalent`; any cone disproved ⇒ `NotEquivalent`
+/// with the counter-example lifted through the cone's PI map; otherwise
+/// `Undecided` — cancellation anywhere stays partial, never wrong.
 pub fn combined_check_with_prover(
     miter: &Aig,
     exec: &Executor,
@@ -164,66 +95,64 @@ pub fn combined_check_with_prover(
 ) -> CombinedResult {
     let engine = sim_sweep_cancellable(miter, exec, &cfg.engine, token);
     let engine_seconds = engine.stats.seconds;
-    match engine.verdict {
-        Verdict::Undecided => {
-            let mut span = trace::span("engine", "engine.adaptive_dispatch");
-            span.arg_u64("ands", engine.reduced.num_ands() as u64);
-            let velocity = refine_velocity(&engine.stats);
-            let (verdict, dispatch, sat_seconds, stats) =
-                dispatch_residual_cones(&engine.reduced, exec, prover, velocity, token);
-            span.arg_u64("cones", dispatch.len() as u64);
-            let sat = SweepResult {
-                verdict: verdict.clone(),
-                reduced: engine.reduced.clone(),
-                stats,
-            };
-            CombinedResult {
-                verdict,
-                engine,
-                sat: Some(sat),
-                dispatch,
-                engine_seconds,
-                sat_seconds,
-            }
-        }
-        ref v => {
-            let verdict = v.clone();
-            CombinedResult {
-                verdict,
-                engine,
-                sat: None,
-                dispatch: Vec::new(),
-                engine_seconds,
-                sat_seconds: 0.0,
-            }
-        }
+    let mut verdict = engine.verdict.clone();
+    let mut dispatch = Vec::new();
+    if matches!(verdict, Verdict::Undecided) {
+        let seeds: &[Cex] = if cfg.ec_transfer {
+            &engine.disproof_cexs
+        } else {
+            &[]
+        };
+        let mut span = trace::span("engine", "engine.sat_fallback");
+        span.arg_u64("ands", engine.reduced.num_ands() as u64);
+        span.arg_u64("seeds", seeds.len() as u64);
+        // The engine's tables are dead; give them back before finishers
+        // of a different shape (and, in a race, two at once) allocate
+        // theirs, so the flow peaks at the larger of the two stages
+        // rather than their sum.
+        exec.arena().trim();
+        let velocity = refine_velocity(&engine.stats);
+        (verdict, dispatch) =
+            dispatch_residual_cones(&engine.reduced, seeds, exec, prover, velocity, token);
+        span.arg_u64("cones", dispatch.len() as u64);
+    }
+    let sat_seconds = dispatch.iter().map(|o| o.seconds).sum();
+    CombinedResult {
+        verdict,
+        engine,
+        dispatch,
+        engine_seconds,
+        sat_seconds,
     }
 }
 
 /// Dispatches every undecided PO cone of the reduced miter through the
-/// prover and composes the verdicts.
+/// prover and composes the verdicts. `seeds` are counter-examples over
+/// the reduced miter's PIs.
 fn dispatch_residual_cones(
     reduced: &Aig,
+    seeds: &[Cex],
     exec: &Executor,
     prover: &Prover,
     velocity: f64,
     token: &CancelToken,
-) -> (Verdict, Vec<ProveOutcome>, f64, SweepStats) {
+) -> (Verdict, Vec<ProveOutcome>) {
     let clock = WallClock::new();
     let mut outcomes: Vec<ProveOutcome> = Vec::new();
-    let mut stats = SweepStats::default();
+    let mut pi_position = vec![usize::MAX; reduced.num_nodes()];
+    for (p, pi) in reduced.pis().iter().enumerate() {
+        pi_position[pi.index()] = p;
+    }
     // Structure-identical cones (hash then full comparison) are proved
     // once; disproof counter-examples are re-lifted per duplicate through
     // its own PI map.
     let mut seen: Vec<(u64, Aig, Verdict)> = Vec::new();
     let mut verdict = Verdict::Equivalent;
-    let mut seconds = 0.0f64;
     for (i, po) in reduced.pos().iter().enumerate() {
         if po.var().is_const() {
-            if *po != parsweep_aig::Lit::FALSE {
+            if *po != Lit::FALSE {
                 // A constant-true PO: any assignment is a counter-example.
-                verdict =
-                    Verdict::NotEquivalent(parsweep_sim::Cex::new(vec![false; reduced.num_pis()]));
+                verdict = Verdict::NotEquivalent(Cex::new(vec![false; reduced.num_pis()]));
                 break;
             }
             continue;
@@ -242,12 +171,15 @@ fn dispatch_residual_cones(
             None => {
                 let mut difficulty = prover.difficulty(&ext.cone);
                 difficulty.refine_velocity = Some(velocity);
-                let out = prover.prove_with_difficulty(&ext.cone, &difficulty, exec, token, &clock);
-                seconds += out.seconds;
-                stats.sat_calls += out.stats.sat_calls;
-                stats.conflicts += out.stats.conflicts;
-                stats.proved_pairs += out.stats.proved_pairs;
-                stats.disproved_pairs += out.stats.disproved_pairs;
+                let cone_seeds: Vec<Cex> = seeds
+                    .iter()
+                    .map(|cex| {
+                        let bit = |v: &Var| cex.inputs().get(pi_position[v.index()]);
+                        Cex::new(ext.pi_map.iter().map(|v| bit(v) == Some(&true)).collect())
+                    })
+                    .collect();
+                let out =
+                    prover.prove_class(&ext.cone, &difficulty, &cone_seeds, exec, token, &clock);
                 let v = out.verdict.clone();
                 seen.push((hash, ext.cone.clone(), v.clone()));
                 outcomes.push(out);
@@ -261,7 +193,7 @@ fn dispatch_residual_cones(
                 // PIs outside the cone's support are don't-cares.
                 let dense = cone_cex.to_dense(&ext.cone);
                 let sparse: Vec<_> = ext.pi_map.iter().copied().zip(dense).collect();
-                verdict = Verdict::NotEquivalent(parsweep_sim::Cex::from_sparse(reduced, &sparse));
+                verdict = Verdict::NotEquivalent(Cex::from_sparse(reduced, &sparse));
                 break;
             }
             Verdict::Undecided => {
@@ -271,8 +203,7 @@ fn dispatch_residual_cones(
             }
         }
     }
-    stats.seconds = seconds;
-    (verdict, outcomes, seconds, stats)
+    (verdict, outcomes)
 }
 
 #[cfg(test)]
@@ -321,7 +252,7 @@ mod tests {
             &wide_multiplier_ish(5, true),
         )
         .unwrap();
-        // Cripple the engine so SAT must finish the job.
+        // Cripple the engine so the dispatcher must finish the job.
         let mut cfg = CombinedConfig::default();
         cfg.engine.k_po_all = 4;
         cfg.engine.k_po = 4;
@@ -330,6 +261,7 @@ mod tests {
         cfg.engine.cut = parsweep_cut::CutParams { k_l: 3, c: 2 };
         let r = combined_check(&m, &exec(), &cfg);
         assert_eq!(r.verdict, Verdict::Equivalent);
+        assert!(!r.dispatch.is_empty(), "residual cones must be dispatched");
         assert!(r.total_seconds() >= r.engine_seconds);
     }
 
@@ -343,66 +275,88 @@ mod tests {
         let r = combined_check(&m, &exec(), &CombinedConfig::default());
         assert_eq!(r.verdict, Verdict::Equivalent);
         if r.engine.verdict.is_equivalent() {
-            assert!(r.sat.is_none());
+            assert!(r.dispatch.is_empty());
             assert_eq!(r.sat_seconds, 0.0);
+        }
+    }
+
+    /// Records how many seeds it is handed, and whether each spans the
+    /// cone's PIs; never decides.
+    struct SeedProbe(std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
+
+    impl parsweep_sat::ProofEngine for SeedProbe {
+        fn kind(&self) -> parsweep_sat::EngineKind {
+            parsweep_sat::EngineKind::Structural
+        }
+        fn prefilter(&self) -> bool {
+            true
+        }
+        fn prior_cost_micros(&self, _difficulty: &parsweep_sat::Difficulty) -> u64 {
+            0
+        }
+        fn prove(
+            &self,
+            cone: &Aig,
+            _exec: &Executor,
+            seeds: &[Cex],
+            _token: &CancelToken,
+        ) -> parsweep_sat::EngineReport {
+            assert!(seeds.iter().all(|s| s.inputs().len() == cone.num_pis()));
+            self.0.lock().unwrap().push(seeds.len());
+            parsweep_sat::EngineReport {
+                verdict: Verdict::Undecided,
+                stats: Default::default(),
+            }
         }
     }
 
     #[test]
     fn ec_transfer_still_sound() {
         let m = miter(
-            &wide_multiplier_ish(5, false),
-            &wide_multiplier_ish(5, true),
+            &wide_multiplier_ish(7, false),
+            &wide_multiplier_ish(7, true),
         )
         .unwrap();
-        let mut cfg = CombinedConfig {
-            ec_transfer: true,
-            ..CombinedConfig::default()
-        };
-        cfg.engine.k_po_all = 4;
-        cfg.engine.k_po = 4;
-        cfg.engine.k_g = 6;
-        cfg.engine.max_local_phases = 1;
-        let r = combined_check(&m, &exec(), &cfg);
-        assert_eq!(r.verdict, Verdict::Equivalent);
-    }
-
-    #[test]
-    fn adaptive_mode_matches_sequential_verdict() {
-        let m = miter(
-            &wide_multiplier_ish(5, false),
-            &wide_multiplier_ish(5, true),
-        )
-        .unwrap();
-        // Cripple the engine so the residual dispatch must finish the job.
+        // One pattern word leaves false candidates for the G phase to
+        // disprove, and the tight bounds leave a residual to finish.
         let mut cfg = CombinedConfig::default();
         cfg.engine.k_po_all = 4;
         cfg.engine.k_po = 4;
-        cfg.engine.k_g = 4;
+        cfg.engine.k_g = 8;
         cfg.engine.max_local_phases = 1;
-        cfg.engine.cut = parsweep_cut::CutParams { k_l: 3, c: 2 };
-        let seq = combined_check(&m, &exec(), &cfg);
-        cfg.prover = ProverMode::Adaptive;
-        let ada = combined_check(&m, &exec(), &cfg);
-        assert_eq!(seq.verdict, Verdict::Equivalent);
-        assert_eq!(ada.verdict, Verdict::Equivalent);
-        assert!(
-            !ada.dispatch.is_empty(),
-            "adaptive mode must have dispatched residual cones"
-        );
+        cfg.engine.sim_words = 1;
+        cfg.engine.reverse_sim = false;
+        for ec_transfer in [false, true] {
+            cfg.ec_transfer = ec_transfer;
+            let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut engines =
+                parsweep_sat::standard_engines(&parsweep_sat::PortfolioConfig::default());
+            engines.insert(0, Box::new(SeedProbe(seen.clone())));
+            let prover = Prover::with_engines(engines);
+            let r = combined_check_with_prover(&m, &exec(), &cfg, &prover, &CancelToken::never());
+            assert_eq!(r.verdict, Verdict::Equivalent);
+            // The engine's disproofs reach every dispatched cone exactly
+            // when the transfer is on.
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen.len(), r.dispatch.len());
+            assert!(!seen.is_empty() && !r.engine.disproof_cexs.is_empty());
+            let expected = if ec_transfer {
+                r.engine.disproof_cexs.len()
+            } else {
+                0
+            };
+            assert!(seen.iter().all(|&n| n == expected), "{seen:?}");
+        }
     }
 
     #[test]
-    fn adaptive_mode_lifts_disproof_cexs() {
+    fn residual_disproofs_are_lifted_to_the_miter() {
         let a = wide_multiplier_ish(5, false);
         let mut b = wide_multiplier_ish(5, true);
         let po = b.po(3);
         b.set_po(3, !po);
         let m = miter(&a, &b).unwrap();
-        let mut cfg = CombinedConfig {
-            prover: ProverMode::Adaptive,
-            ..CombinedConfig::default()
-        };
+        let mut cfg = CombinedConfig::default();
         // Cripple the engine so the corruption survives to the dispatcher.
         cfg.engine.k_po_all = 4;
         cfg.engine.k_po = 4;
@@ -417,16 +371,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_mode_cancellation_stays_partial_never_wrong() {
+    fn cancellation_stays_partial_never_wrong() {
         let m = miter(
             &wide_multiplier_ish(6, false),
             &wide_multiplier_ish(6, true),
         )
         .unwrap();
-        let mut cfg = CombinedConfig {
-            prover: ProverMode::Adaptive,
-            ..CombinedConfig::default()
-        };
+        let mut cfg = CombinedConfig::default();
         cfg.engine.k_po_all = 4;
         cfg.engine.k_po = 4;
         cfg.engine.k_g = 4;
@@ -437,7 +388,7 @@ mod tests {
         assert_eq!(
             r.verdict,
             Verdict::Undecided,
-            "pre-cancelled adaptive run must stay undecided"
+            "pre-cancelled run must stay undecided"
         );
     }
 

@@ -81,7 +81,7 @@ pub use stats::{EngineStats, PhaseTimes};
 
 // Re-export the shared verdict type and the dispatch layer's vocabulary
 // for convenience.
-pub use parsweep_sat::{EngineKind, Prover, ProverConfig, ProverMode, Verdict};
+pub use parsweep_sat::{EngineKind, Prover, Verdict};
 // Re-export the ODC knob type so callers can configure
 // [`EngineConfig::odc`] without a direct parsweep-sim dependency.
 pub use parsweep_sim::OdcConfig;

@@ -1,6 +1,6 @@
 //! The paper's simulation engine as a [`ProofEngine`], plus the standard
-//! prover wiring the combined flow and the service use for adaptive
-//! per-class dispatch.
+//! prover wiring the combined flow and the service use for per-class
+//! dispatch.
 //!
 //! The dispatch layer lives in `parsweep-sat` (below this crate), so the
 //! simulation-based engine — the paper's own prover — registers itself
@@ -11,10 +11,12 @@
 
 use parsweep_aig::Aig;
 use parsweep_par::{CancelToken, Executor};
+use parsweep_sat::prover::MAX_RACE;
 use parsweep_sat::{
-    standard_engines, Budget, Difficulty, EngineKind, EngineReport, PortfolioConfig, ProofEngine,
-    Prover, ProverConfig, SweepStats,
+    standard_engines, Difficulty, EngineKind, EngineReport, PortfolioConfig, ProofEngine, Prover,
+    SweepConfig, SweepStats,
 };
+use parsweep_sim::Cex;
 
 use crate::config::EngineConfig;
 use crate::engine::sim_sweep_cancellable;
@@ -57,7 +59,7 @@ impl ProofEngine for SimSweepEngine {
         &self,
         cone: &Aig,
         exec: &Executor,
-        _budget: &Budget,
+        _seeds: &[Cex],
         token: &CancelToken,
     ) -> EngineReport {
         let result = sim_sweep_cancellable(cone, exec, &self.cfg, token);
@@ -68,18 +70,25 @@ impl ProofEngine for SimSweepEngine {
     }
 }
 
-/// Builds the standard adaptive prover: the four portfolio stages plus
-/// the simulation engine, with difficulty caps mirroring the exhaustive
-/// engine's admission bounds.
-pub fn build_prover(
-    prover_cfg: ProverConfig,
-    portfolio: &PortfolioConfig,
-    engine_cfg: &EngineConfig,
-) -> Prover {
-    let mut engines = standard_engines(portfolio);
-    engines.push(Box::new(SimSweepEngine::new(engine_cfg.clone())));
-    Prover::with_engines(prover_cfg, engines)
-        .with_caps(portfolio.po_support_cap, portfolio.po_cone_cap)
+/// Builds the standard prover: the four portfolio stages (SAT sweeping
+/// under `sat`) plus the simulation engine, with difficulty caps mirroring
+/// the exhaustive engine's admission bounds. Up to [`MAX_RACE`] heavy
+/// engines hold simulation tables at once, so the one residency control —
+/// [`EngineConfig::memory_words`] — is split between them: the finishing
+/// stage as a whole stays within the budget the sim stage ran under.
+pub fn build_prover(sat: &SweepConfig, engine_cfg: &EngineConfig) -> Prover {
+    let memory_words = (engine_cfg.memory_words / MAX_RACE).max(1);
+    let portfolio = PortfolioConfig {
+        sweep: sat.clone(),
+        memory_words,
+        ..PortfolioConfig::default()
+    };
+    let mut engines = standard_engines(&portfolio);
+    engines.push(Box::new(SimSweepEngine::new(EngineConfig {
+        memory_words,
+        ..engine_cfg.clone()
+    })));
+    Prover::with_engines(engines).with_caps(portfolio.po_support_cap, portfolio.po_cone_cap)
 }
 
 /// The sim-refinement velocity feature of [`Difficulty`]: classes refined
@@ -92,7 +101,7 @@ pub fn refine_velocity(stats: &crate::EngineStats) -> f64 {
 mod tests {
     use super::*;
     use parsweep_aig::miter;
-    use parsweep_sat::{ProverMode, Verdict};
+    use parsweep_sat::Verdict;
 
     #[test]
     fn sim_engine_proves_a_cone() {
@@ -104,7 +113,7 @@ mod tests {
             cfg: EngineConfig::default(),
             min_ands: 0,
         };
-        let report = engine.prove(&m, &exec, &Budget::default(), &CancelToken::never());
+        let report = engine.prove(&m, &exec, &[], &CancelToken::never());
         assert_eq!(report.verdict, Verdict::Equivalent);
     }
 
@@ -130,20 +139,13 @@ mod tests {
         let engine = SimSweepEngine::new(EngineConfig::default());
         let token = CancelToken::new();
         token.cancel();
-        let report = engine.prove(&m, &exec, &Budget::default(), &token);
+        let report = engine.prove(&m, &exec, &[], &token);
         assert_eq!(report.verdict, Verdict::Undecided);
     }
 
     #[test]
     fn standard_prover_includes_the_sim_engine() {
-        let p = build_prover(
-            ProverConfig {
-                mode: ProverMode::Adaptive,
-                ..ProverConfig::default()
-            },
-            &PortfolioConfig::default(),
-            &EngineConfig::default(),
-        );
+        let p = build_prover(&SweepConfig::default(), &EngineConfig::default());
         assert!(p.engine_kinds().contains(&EngineKind::SimSweep));
     }
 

@@ -10,9 +10,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use parsweep_aig::{miter, random::random_aig, Aig};
+use parsweep_aig::random::{mutate_gate, random_aig};
+use parsweep_aig::{miter, Aig};
 use parsweep_core::{
-    combined_check_cancellable, sim_sweep_cancellable, CombinedConfig, EngineConfig, ProverMode,
+    combined_check_cancellable, sim_sweep_cancellable, CombinedConfig, EngineConfig,
 };
 use parsweep_par::{CancelToken, Executor};
 use parsweep_sat::Verdict;
@@ -20,11 +21,27 @@ use parsweep_sat::Verdict;
 /// Brute-force miter check: constant-zero on every input assignment.
 fn brute_equivalent(m: &Aig) -> bool {
     let pis = m.num_pis();
-    assert!(pis <= 12, "brute force only for small miters");
+    assert!(pis < 16, "brute force only for small miters");
     (0..1u32 << pis).all(|mask| {
         let inputs: Vec<bool> = (0..pis).map(|i| mask >> i & 1 == 1).collect();
         m.eval(&inputs).iter().all(|&po| !po)
     })
+}
+
+/// A combined-flow configuration whose sim engine proves next to nothing
+/// on its own, so the residual reaches the dispatcher.
+fn crippled() -> CombinedConfig {
+    let mut cfg = CombinedConfig {
+        ec_transfer: true,
+        ..CombinedConfig::default()
+    };
+    cfg.engine.k_po_all = 2;
+    cfg.engine.k_po = 2;
+    cfg.engine.k_g = 2;
+    cfg.engine.max_local_phases = 0;
+    cfg.engine.sim_words = 1;
+    cfg.engine.reverse_sim = false;
+    cfg
 }
 
 /// Soundness of a (possibly partial) verdict, plus miter preservation.
@@ -106,71 +123,63 @@ proptest! {
         assert_sound(&m, &before, &result.verdict);
     }
 
-    /// The adaptive combined flow under a deadline that may trip anywhere
-    /// — during simulation, mid-dispatch, or inside a concurrent engine
-    /// race. Per-cone dispatch with early-cancel must uphold the same
-    /// contract as the plain engine: partial, never wrong.
+    /// The combined flow under a deadline that may trip anywhere — during
+    /// simulation, mid-dispatch, or inside a concurrent engine race.
+    /// Per-cone dispatch with early-cancel must uphold the same contract
+    /// as the plain engine: partial, never wrong.
     #[test]
-    fn adaptive_deadline_run_is_sound(
+    fn combined_deadline_run_is_sound(
         seed in any::<u64>(),
-        pis in 2usize..7,
-        ands in 2usize..40,
+        pis in 2usize..13,
+        ands in 8usize..60,
+        equivalent in any::<bool>(),
         deadline_us in 0u64..2000,
     ) {
         let a = random_aig(pis, ands, 2, seed);
-        let b = random_aig(pis, ands, 2, seed.wrapping_add(1));
+        let b = if equivalent {
+            parsweep_synth::resyn2(&a)
+        } else {
+            random_aig(pis, ands, 2, seed.wrapping_add(1))
+        };
         let m = miter(&a, &b).unwrap();
         let before = m.clone();
         let exec = Executor::new();
-        let cfg = CombinedConfig {
-            prover: ProverMode::Adaptive,
-            ..CombinedConfig::default()
-        };
         let token = CancelToken::with_deadline(Duration::from_micros(deadline_us));
-        let result = combined_check_cancellable(&m, &exec, &cfg, &token);
+        let result = combined_check_cancellable(&m, &exec, &crippled(), &token);
         assert_sound(&m, &before, &result.verdict);
     }
 
-    /// With a never-tripping token, the adaptive combined flow reaches
-    /// the same verdict as the sequential (compatibility) one on every
-    /// random miter — the dispatcher changes routing, not answers.
+    /// With a never-tripping token the combined flow always decides, and
+    /// decides what brute force decides — on resynthesized (equivalent),
+    /// unrelated and single-gate-mutated pairs, with the engine crippled
+    /// so the residual really reaches the dispatcher.
     #[test]
-    fn adaptive_combined_agrees_with_sequential(
+    fn combined_flow_agrees_with_brute_force(
         seed in any::<u64>(),
-        pis in 2usize..7,
-        ands in 2usize..40,
+        pis in 2usize..13,
+        ands in 8usize..60,
+        shape in 0usize..3,
     ) {
         let a = random_aig(pis, ands, 2, seed);
-        let b = random_aig(pis, ands, 2, seed.wrapping_add(1));
+        let b = match shape {
+            0 => parsweep_synth::resyn2(&a),
+            1 => random_aig(pis, ands, 2, seed.wrapping_add(1)),
+            _ => parsweep_synth::resyn2(&mutate_gate(&a, seed as usize)),
+        };
         let m = miter(&a, &b).unwrap();
         let before = m.clone();
         let exec = Executor::new();
-        let sequential = combined_check_cancellable(
-            &m,
-            &exec,
-            &CombinedConfig::default(),
-            &CancelToken::never(),
-        );
-        let adaptive = combined_check_cancellable(
-            &m,
-            &exec,
-            &CombinedConfig {
-                prover: ProverMode::Adaptive,
-                ..CombinedConfig::default()
-            },
-            &CancelToken::never(),
-        );
+        let result = combined_check_cancellable(&m, &exec, &crippled(), &CancelToken::never());
         prop_assert_eq!(
-            sequential.verdict.is_equivalent(),
-            adaptive.verdict.is_equivalent(),
-            "sequential {:?} vs adaptive {:?}",
-            sequential.verdict,
-            adaptive.verdict
+            result.verdict.is_equivalent(),
+            brute_equivalent(&m),
+            "verdict {:?}",
+            result.verdict
         );
         prop_assert!(
-            !matches!(adaptive.verdict, Verdict::Undecided),
-            "adaptive flow left a tiny miter undecided without cancellation"
+            !matches!(result.verdict, Verdict::Undecided),
+            "combined flow left a tiny miter undecided without cancellation"
         );
-        assert_sound(&m, &before, &adaptive.verdict);
+        assert_sound(&m, &before, &result.verdict);
     }
 }

@@ -8,8 +8,7 @@
 //! final stats to stderr, exit.
 //!
 //! Flags: the service knobs of `svc` (`--workers`, `--exec-threads`,
-//! `--deadline-ms`, `--sat`, `--prover`, `--connected`,
-//! `--fuse-threshold`, `--cache-capacity`, `--cache-persist`,
+//! `--deadline-ms`, `--sat`, `--connected`, `--fuse-threshold`, `--cache-capacity`, `--cache-persist`,
 //! `--semantic-vars`, `--trace`) plus the transport
 //! bounds `--addr HOST:PORT`, `--max-in-flight N`, `--queue-capacity N`,
 //! `--per-client-quota N`, `--max-connections N`.
@@ -17,7 +16,6 @@
 use std::time::Duration;
 
 use parsweep_net::{NetConfig, NetServer};
-use parsweep_sat::ProverMode;
 use parsweep_svc::{shutdown, ShardPolicy};
 use parsweep_trace as trace;
 
@@ -44,14 +42,6 @@ fn main() {
                 cfg.svc.default_deadline = Some(Duration::from_millis(num("--deadline-ms") as u64));
             }
             "--sat" => cfg.svc.sat_fallback = true,
-            "--prover" => {
-                let name = next("--prover");
-                cfg.svc.prover = ProverMode::from_name(&name).unwrap_or_else(|| {
-                    die(&format!(
-                        "--prover needs 'sequential' or 'adaptive', got '{name}'"
-                    ))
-                });
-            }
             "--connected" => cfg.svc.shard_policy = ShardPolicy::Connected,
             "--fuse-threshold" => cfg.svc.fuse_threshold = num("--fuse-threshold"),
             "--cache-capacity" => cfg.svc.cache_capacity = num("--cache-capacity"),
@@ -65,9 +55,9 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: net [--addr HOST:PORT] [--workers N] [--exec-threads N] \
-                     [--deadline-ms N] [--sat] [--prover sequential|adaptive] [--connected] \
-                     [--fuse-threshold N] [--cache-capacity N] [--cache-persist PATH] \
-                     [--semantic-vars N] [--max-in-flight N] [--queue-capacity N] \
+                     [--deadline-ms N] [--sat] [--connected] [--fuse-threshold N] \
+                     [--cache-capacity N] [--cache-persist PATH] [--semantic-vars N] \
+                     [--max-in-flight N] [--queue-capacity N] \
                      [--per-client-quota N] [--max-connections N] [--trace PATH]"
                 );
                 println!("serves JSON-lines requests over TCP; see crate docs");

@@ -39,7 +39,8 @@ pub struct ArenaStats {
     /// Number of `take` calls that had to allocate a fresh buffer.
     pub misses: u64,
     /// High-water mark of the arena's footprint in bytes (buffers live
-    /// plus buffers idling in pools — pooled memory is never freed).
+    /// plus buffers idling in pools — pooled memory is only freed by
+    /// [`BufferArena::trim`]).
     pub peak_bytes: u64,
     /// Current footprint in bytes.
     pub footprint_bytes: u64,
@@ -47,16 +48,17 @@ pub struct ArenaStats {
     /// not idle pooled memory). Unlike `footprint_bytes` this shrinks
     /// when buffers are dropped.
     pub live_bytes: u64,
-    /// High-water mark of `live_bytes`. Because pools never free, the
-    /// footprint-based `peak_bytes` of a later workload is floored at
+    /// High-water mark of `live_bytes`. Because pools keep what they
+    /// get, the footprint-based `peak_bytes` of a later workload is floored at
     /// whatever an earlier workload in the same process allocated; this
     /// counter is the honest per-workload demand after a
     /// `reset_counters` rebase.
     pub peak_live_bytes: u64,
 }
 
-/// A pool bucket: freed buffers of one element type and size class.
-type Pool = Vec<Box<dyn Any + Send>>;
+/// A pool bucket: freed buffers of one element type and size class, each
+/// with its allocation size in bytes.
+type Pool = Vec<(u64, Box<dyn Any + Send>)>;
 
 #[derive(Default)]
 struct ArenaInner {
@@ -89,7 +91,7 @@ impl ArenaInner {
             .get_mut(&key)
             .and_then(Vec::pop);
         let mut data: Vec<T> = match recycled {
-            Some(boxed) => {
+            Some((_, boxed)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 *boxed
                     .downcast::<Vec<T>>()
@@ -118,7 +120,7 @@ impl ArenaInner {
             .unwrap_or_else(PoisonError::into_inner)
             .entry((TypeId::of::<T>(), class))
             .or_default()
-            .push(Box::new(data));
+            .push((class_bytes, Box::new(data)));
     }
 }
 
@@ -162,6 +164,23 @@ impl BufferArena {
             live_bytes: self.inner.live.load(Ordering::Relaxed),
             peak_live_bytes: self.inner.peak_live.load(Ordering::Relaxed),
         }
+    }
+
+    /// Frees every idle pooled buffer, shrinking the footprint to what is
+    /// checked out right now. For a caller that knows the workload that
+    /// filled the pools is over and a differently shaped one follows —
+    /// the next `take`s allocate fresh instead of stacking on top of
+    /// buffers nothing will ask for again.
+    pub fn trim(&self) {
+        let pools = std::mem::take(
+            &mut *self
+                .inner
+                .pools
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        let freed: u64 = pools.values().flatten().map(|(bytes, _)| bytes).sum();
+        self.inner.footprint.fetch_sub(freed, Ordering::Relaxed);
     }
 
     /// Zeroes hit/miss counters and rebases the peak to the current
@@ -290,6 +309,21 @@ mod tests {
         let _c = arena.take::<u8>(1000);
         assert_eq!(arena.stats().hits, 1);
         assert_eq!(arena.stats().peak_bytes, 2048, "reuse adds no footprint");
+    }
+
+    #[test]
+    fn trim_frees_idle_buffers_only() {
+        let arena = BufferArena::new();
+        let held = arena.take::<u8>(1024);
+        drop(arena.take::<u8>(4096));
+        assert_eq!(arena.stats().footprint_bytes, 5120);
+        arena.trim();
+        assert_eq!(arena.stats().footprint_bytes, 1024, "the live buffer stays");
+        assert_eq!(arena.stats().peak_bytes, 5120);
+        let _again = arena.take::<u8>(4096);
+        assert_eq!(arena.stats().misses, 3, "the trimmed class allocates fresh");
+        drop(held);
+        assert_eq!(arena.stats().footprint_bytes, 5120);
     }
 
     #[test]

@@ -48,13 +48,10 @@ mod sweep;
 
 pub use cnf::CnfEncoder;
 pub use dimacs::{read_dimacs, write_dimacs, Cnf, ParseDimacsError};
-pub use portfolio::{
-    portfolio_check, portfolio_check_clocked, Engine, PortfolioConfig, PortfolioResult,
-};
+pub use portfolio::{portfolio_check, PortfolioConfig};
 pub use prover::{
-    standard_engines, AttemptStatus, Budget, Difficulty, DifficultyModel, EngineAttempt,
-    EngineKind, EngineReport, ProofEngine, ProveOutcome, Prover, ProverConfig, ProverMode,
-    ProverStats,
+    standard_engines, AttemptStatus, Difficulty, DifficultyModel, EngineAttempt, EngineKind,
+    EngineReport, ProofEngine, ProveOutcome, Prover, ProverStats,
 };
 pub use slit::{LBool, SatLit, SatVar};
 pub use solver::{SolveResult, Solver, SolverStats};

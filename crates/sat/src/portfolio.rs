@@ -2,30 +2,18 @@
 //! tool (Cadence Conformal LEC) in the paper's evaluation.
 //!
 //! The paper notes that commercial checkers are believed to combine
-//! several engines and stop as soon as one finishes. This portfolio runs,
-//! in order: structural check, random-simulation disproof, exhaustive
-//! truth-table PO proving (effective on small-support control logic), and
-//! finally SAT sweeping.
-//!
-//! Since the adaptive-proving refactor the stages live behind the
-//! [`ProofEngine`](crate::prover::ProofEngine) trait and this module is
-//! the *fixed-sequence* driver over them; [`crate::Prover`] is the
-//! adaptive driver over the same engines. The two agree on verdicts — the
-//! dispatcher only changes who decides first and at what cost.
+//! several engines and stop as soon as one finishes. The portfolio is the
+//! [`Prover`] over the four standard engines: structural check and
+//! random-simulation disproof as inline screens, then exhaustive
+//! truth-table PO proving (effective on small-support control logic) and
+//! SAT sweeping, ranked per miter and raced when the miter is hard. This
+//! module only holds the configuration the engines are wired from.
 
 use parsweep_aig::Aig;
 use parsweep_par::{CancelToken, Executor};
-use parsweep_trace::{Clock, WallClock};
 
-use crate::prover::{
-    standard_engines, AttemptStatus, Budget, Difficulty, EngineAttempt, EngineKind,
-};
-use crate::sweep::{SweepConfig, SweepStats, Verdict};
-
-/// Which portfolio engine produced the verdict (an alias of the dispatch
-/// layer's [`EngineKind`] since the stages moved behind the
-/// [`ProofEngine`](crate::prover::ProofEngine) trait).
-pub use crate::prover::EngineKind as Engine;
+use crate::prover::{standard_engines, ProveOutcome, Prover};
+use crate::sweep::SweepConfig;
 
 /// Portfolio configuration.
 #[derive(Clone, Debug)]
@@ -56,94 +44,18 @@ impl Default for PortfolioConfig {
     }
 }
 
-/// Portfolio outcome: verdict, deciding engine, per-engine attempt record
-/// and sweep-style statistics.
-#[derive(Clone, Debug)]
-pub struct PortfolioResult {
-    /// Final verdict.
-    pub verdict: Verdict,
-    /// The engine that produced the verdict.
-    pub engine: Engine,
-    /// Statistics (SAT stats only populated when SAT ran).
-    pub stats: SweepStats,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-    /// One entry per registered engine, in sequence order — losers and
-    /// skipped engines included, each with its elapsed time on the
-    /// injected [`Clock`], so difficulty models and bench rows can charge
-    /// loser costs instead of attributing only the winner.
-    pub attempts: Vec<EngineAttempt>,
-}
-
-/// Runs the engine portfolio on a miter, timed by the wall clock.
-pub fn portfolio_check(miter: &Aig, exec: &Executor, cfg: &PortfolioConfig) -> PortfolioResult {
-    portfolio_check_clocked(miter, exec, cfg, &WallClock::new())
-}
-
-/// Runs the engine portfolio on a miter with an injected [`Clock`] — the
-/// single time source for the reported `seconds` (total and per attempt),
-/// so tests (and the service's deterministic mode) can fix it.
-pub fn portfolio_check_clocked(
-    miter: &Aig,
-    exec: &Executor,
-    cfg: &PortfolioConfig,
-    clock: &dyn Clock,
-) -> PortfolioResult {
-    let start = clock.now();
-    let engines = standard_engines(cfg);
-    let difficulty = Difficulty::analyze(miter, cfg.po_support_cap, cfg.po_cone_cap);
-    let budget = Budget::default();
-    let token = CancelToken::never();
-
-    let mut attempts = Vec::with_capacity(engines.len());
-    let mut decided: Option<(EngineKind, Verdict, SweepStats)> = None;
-    let mut last_run: Option<(EngineKind, Verdict, SweepStats)> = None;
-    for engine in &engines {
-        if decided.is_some() || !engine.admits(&difficulty) {
-            attempts.push(EngineAttempt {
-                engine: engine.kind(),
-                status: AttemptStatus::Skipped,
-                seconds: 0.0,
-            });
-            continue;
-        }
-        let t0 = clock.now();
-        let report = engine.prove(miter, exec, &budget, &token);
-        let seconds = clock.since(t0).as_secs_f64();
-        let won = !matches!(report.verdict, Verdict::Undecided);
-        attempts.push(EngineAttempt {
-            engine: engine.kind(),
-            status: if won {
-                AttemptStatus::Won
-            } else {
-                AttemptStatus::Lost
-            },
-            seconds,
-        });
-        last_run = Some((engine.kind(), report.verdict.clone(), report.stats));
-        if won {
-            decided = Some((engine.kind(), report.verdict, report.stats));
-        }
-    }
-    // The SAT fallback always runs last, so an undecided portfolio is
-    // attributed to it with its statistics — as before the refactor.
-    let (engine, verdict, stats) = decided.or(last_run).unwrap_or((
-        EngineKind::SatSweep,
-        Verdict::Undecided,
-        SweepStats::default(),
-    ));
-    PortfolioResult {
-        verdict,
-        engine,
-        stats,
-        seconds: clock.since(start).as_secs_f64(),
-        attempts,
-    }
+/// Runs the engine portfolio on a whole miter.
+pub fn portfolio_check(miter: &Aig, exec: &Executor, cfg: &PortfolioConfig) -> ProveOutcome {
+    Prover::with_engines(standard_engines(cfg))
+        .with_caps(cfg.po_support_cap, cfg.po_cone_cap)
+        .prove(miter, exec, &CancelToken::never())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prover::{AttemptStatus, EngineKind};
+    use crate::sweep::Verdict;
     use parsweep_aig::{miter, Aig};
 
     fn exec() -> Executor {
@@ -155,23 +67,8 @@ mod tests {
         let a = parsweep_aig::random::random_aig(6, 40, 2, 5);
         let m = miter(&a, &a).unwrap();
         let r = portfolio_check(&m, &exec(), &PortfolioConfig::default());
-        assert_eq!(r.engine, Engine::Structural);
+        assert_eq!(r.engine, Some(EngineKind::Structural));
         assert!(r.verdict.is_equivalent());
-    }
-
-    #[test]
-    fn injected_clock_is_the_only_time_source() {
-        use parsweep_trace::ManualClock;
-        let a = parsweep_aig::random::random_aig(6, 40, 2, 5);
-        let m = miter(&a, &a).unwrap();
-        let clock = ManualClock::new();
-        let r = portfolio_check_clocked(&m, &exec(), &PortfolioConfig::default(), &clock);
-        assert_eq!(r.seconds, 0.0, "unadvanced manual clock must report zero");
-        clock.advance(std::time::Duration::from_millis(1500));
-        let r = portfolio_check_clocked(&m, &exec(), &PortfolioConfig::default(), &clock);
-        // The whole run happens at one frozen instant: still zero.
-        assert_eq!(r.seconds, 0.0);
-        assert!(r.attempts.iter().all(|a| a.seconds == 0.0));
     }
 
     #[test]
@@ -186,7 +83,7 @@ mod tests {
         b.add_po(g);
         let m = miter(&a, &b).unwrap();
         let r = portfolio_check(&m, &exec(), &PortfolioConfig::default());
-        assert_eq!(r.engine, Engine::RandomSim);
+        assert_eq!(r.engine, Some(EngineKind::RandomSim));
         match r.verdict {
             Verdict::NotEquivalent(cex) => {
                 let out = m.eval(&cex.to_dense(&m));
@@ -212,7 +109,7 @@ mod tests {
         b.add_po(g);
         let m = miter(&a, &b).unwrap();
         let r = portfolio_check(&m, &exec(), &PortfolioConfig::default());
-        assert_eq!(r.engine, Engine::ExhaustivePo);
+        assert_eq!(r.engine, Some(EngineKind::ExhaustivePo));
         assert!(r.verdict.is_equivalent());
     }
 
@@ -240,14 +137,18 @@ mod tests {
             ..PortfolioConfig::default()
         };
         let r = portfolio_check(&m, &exec(), &cfg);
-        assert_eq!(r.engine, Engine::SatSweep);
+        assert_eq!(r.engine, Some(EngineKind::SatSweep));
         assert!(r.verdict.is_equivalent());
         // Loser attempts are recorded with their cost; the inadmissible
         // exhaustive engine is marked skipped.
         assert_eq!(r.attempts.len(), 4);
-        assert_eq!(r.attempts[0].status, AttemptStatus::Lost);
-        assert_eq!(r.attempts[1].status, AttemptStatus::Lost);
-        assert_eq!(r.attempts[2].status, AttemptStatus::Skipped);
-        assert_eq!(r.attempts[3].status, AttemptStatus::Won);
+        let status = |kind| {
+            let a = r.attempts.iter().find(|a| a.engine == kind);
+            a.expect("every engine leaves an attempt").status
+        };
+        assert_eq!(status(EngineKind::Structural), AttemptStatus::Lost);
+        assert_eq!(status(EngineKind::RandomSim), AttemptStatus::Lost);
+        assert_eq!(status(EngineKind::ExhaustivePo), AttemptStatus::Skipped);
+        assert_eq!(status(EngineKind::SatSweep), AttemptStatus::Won);
     }
 }

@@ -10,11 +10,12 @@
 //! * [`ProofEngine`] — the common trait each portfolio stage sits behind.
 //!   The candidate unit is an EC class / PO cone (a standalone miter whose
 //!   POs must be proved constant zero), not a whole design.
-//! * [`Prover`] — the dispatcher. In [`ProverMode::Sequential`] it runs
-//!   the registered engines in order (the PR-era portfolio behaviour); in
-//!   [`ProverMode::Adaptive`] it ranks engines by expected decision cost
-//!   from a [`DifficultyModel`] and, on hard classes, races the top
-//!   engines concurrently with first-verdict-wins early cancellation.
+//! * [`Prover`] — the dispatcher, and the only place that knows how a
+//!   class is finished: cheap screening engines run inline in
+//!   registration order, the heavy engines are ranked by expected
+//!   decision cost from a [`DifficultyModel`], and on hard classes the
+//!   top [`MAX_RACE`] race concurrently with first-verdict-wins early
+//!   cancellation; otherwise they run one at a time in ranked order.
 //! * [`Difficulty`] — the feature vector driving routing: support size,
 //!   cone size, and upstream sim-refinement velocity.
 //!
@@ -31,7 +32,9 @@ use std::time::Duration;
 
 use parsweep_aig::{is_proved, Aig, Var};
 use parsweep_par::{CancelToken, Executor};
-use parsweep_sim::{check_windows_cancellable, simulate, PairCheck, PairOutcome, Patterns, Window};
+use parsweep_sim::{
+    check_windows_cancellable, simulate, Cex, PairCheck, PairOutcome, Patterns, Window,
+};
 use parsweep_trace::{metrics, Clock, WallClock};
 
 use crate::sweep::{sat_sweep_seeded_cancellable, SweepConfig, SweepStats, Verdict};
@@ -121,10 +124,9 @@ pub struct Difficulty {
 const DIFFICULTY_BUCKETS: usize = 16;
 
 impl Difficulty {
-    /// Analyzes a cone with the given admission caps. Matches the
-    /// fixed-sequence portfolio's admission test exactly: a PO whose
-    /// support exceeds `support_cap` (or whose TFI cone exceeds
-    /// `cone_cap`) makes the respective feature `None`.
+    /// Analyzes a cone with the given admission caps: a PO whose support
+    /// exceeds `support_cap` (or whose TFI cone exceeds `cone_cap`) makes
+    /// the respective feature `None`.
     pub fn analyze(cone: &Aig, support_cap: usize, cone_cap: usize) -> Self {
         let supports = cone.bounded_supports(support_cap);
         let mut max_support = Some(0usize);
@@ -161,19 +163,6 @@ impl Difficulty {
         }
         b
     }
-}
-
-/// Per-attempt resource budget handed to an engine by the dispatcher.
-/// `None` fields defer to the engine's own configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Budget {
-    /// Wall-clock cap for the attempt (intersected with any engine-level
-    /// budget).
-    pub wall: Option<Duration>,
-    /// Conflict budget per candidate-pair SAT call.
-    pub conflicts_per_pair: Option<u64>,
-    /// Conflict budget per final PO proof call.
-    pub conflicts_per_po: Option<u64>,
 }
 
 /// What one engine attempt produced.
@@ -223,13 +212,17 @@ pub trait ProofEngine: Send + Sync {
     fn prior_cost_micros(&self, difficulty: &Difficulty) -> u64;
 
     /// Attempts the class. `cone` is a standalone miter (prove all POs
-    /// constant zero); `budget` bounds the attempt; `token` must be
-    /// polled at checkpoint boundaries.
+    /// constant zero); `seeds` are counter-examples over the cone's PIs
+    /// that an upstream checker already found for internal candidate
+    /// pairs (the paper's §V *EC transfer*) — an engine that clusters by
+    /// simulation may refine its first classes with them, every other
+    /// engine ignores them; `token` must be polled at checkpoint
+    /// boundaries.
     fn prove(
         &self,
         cone: &Aig,
         exec: &Executor,
-        budget: &Budget,
+        seeds: &[Cex],
         token: &CancelToken,
     ) -> EngineReport;
 }
@@ -255,7 +248,7 @@ impl ProofEngine for StructuralEngine {
         &self,
         cone: &Aig,
         _exec: &Executor,
-        _budget: &Budget,
+        _seeds: &[Cex],
         _token: &CancelToken,
     ) -> EngineReport {
         EngineReport {
@@ -296,7 +289,7 @@ impl ProofEngine for RandomSimEngine {
         &self,
         cone: &Aig,
         exec: &Executor,
-        _budget: &Budget,
+        _seeds: &[Cex],
         token: &CancelToken,
     ) -> EngineReport {
         if token.is_cancelled() {
@@ -351,7 +344,7 @@ impl ProofEngine for ExhaustivePoEngine {
         &self,
         cone: &Aig,
         exec: &Executor,
-        _budget: &Budget,
+        _seeds: &[Cex],
         token: &CancelToken,
     ) -> EngineReport {
         let windows: Vec<Window> = cone
@@ -406,11 +399,10 @@ impl ProofEngine for ExhaustivePoEngine {
     }
 }
 
-/// SAT sweeping with dispatcher-imposed wall/conflict budgets.
+/// SAT sweeping, seeded with the upstream counter-examples.
 #[derive(Debug)]
 pub struct SatSweepEngine {
-    /// Base sweeping configuration; the dispatcher's [`Budget`] overrides
-    /// the conflict budgets and intersects the wall budget per attempt.
+    /// Sweeping configuration (its `wall_budget` bounds each attempt).
     pub cfg: SweepConfig,
 }
 
@@ -427,21 +419,10 @@ impl ProofEngine for SatSweepEngine {
         &self,
         cone: &Aig,
         exec: &Executor,
-        budget: &Budget,
+        seeds: &[Cex],
         token: &CancelToken,
     ) -> EngineReport {
-        let mut cfg = self.cfg.clone();
-        if let Some(c) = budget.conflicts_per_pair {
-            cfg.conflicts_per_pair = c;
-        }
-        if let Some(c) = budget.conflicts_per_po {
-            cfg.conflicts_per_po = c;
-        }
-        cfg.wall_budget = match (cfg.wall_budget, budget.wall) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let result = sat_sweep_seeded_cancellable(cone, exec, &cfg, &[], token);
+        let result = sat_sweep_seeded_cancellable(cone, exec, &self.cfg, seeds, token);
         EngineReport {
             verdict: result.verdict,
             stats: result.stats,
@@ -456,11 +437,11 @@ pub enum AttemptStatus {
     Won,
     /// Ran (to completion or its budget) without deciding first.
     Lost,
-    /// Stopped at a poll point because a rival decided first or the race
-    /// deadline tripped.
+    /// Stopped at a poll point because a rival decided first or the
+    /// caller's token tripped.
     Cancelled,
-    /// Never ran: inadmissible for this difficulty, or a preceding
-    /// engine in a sequential pass had already decided.
+    /// Never ran: inadmissible for this difficulty, ranked out of the
+    /// race field, or the class was already decided (or cancelled).
     Skipped,
 }
 
@@ -492,8 +473,8 @@ struct ModelCell {
 /// weighted cost of one attempt divided by a Laplace-smoothed decision
 /// rate, so an engine that is cheap but rarely decides ranks behind a
 /// pricier engine that always does. Buckets with no observations fall
-/// back to the engine's static prior, so cold routing equals the fixed
-/// sequence's intent and adapts as classes are observed.
+/// back to the engine's static prior, so cold routing follows the priors
+/// and adapts as classes are observed.
 #[derive(Debug)]
 pub struct DifficultyModel {
     cells: Mutex<[[ModelCell; DIFFICULTY_BUCKETS]; metrics::PROVE_ENGINE_SLOTS]>,
@@ -551,65 +532,12 @@ impl DifficultyModel {
     }
 }
 
-/// Whether the dispatcher runs engines in registration order or routes
-/// and races them by expected cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ProverMode {
-    /// Registration order, one engine at a time, first verdict wins —
-    /// the compatibility default (the PR-era fixed sequence).
-    #[default]
-    Sequential,
-    /// Difficulty-model routing with concurrent racing on hard classes.
-    Adaptive,
-}
+/// Expected decision cost of the best-ranked heavy engine at or above
+/// which a class counts as *hard* and the top engines race.
+pub const RACE_THRESHOLD: Duration = Duration::from_millis(2);
 
-impl ProverMode {
-    /// Parses `"sequential"` / `"adaptive"`.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "sequential" => Some(ProverMode::Sequential),
-            "adaptive" => Some(ProverMode::Adaptive),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of the mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProverMode::Sequential => "sequential",
-            ProverMode::Adaptive => "adaptive",
-        }
-    }
-}
-
-/// Dispatcher configuration.
-#[derive(Clone, Debug)]
-pub struct ProverConfig {
-    /// Sequential or adaptive dispatch.
-    pub mode: ProverMode,
-    /// Expected decision cost above which a class counts as *hard* and
-    /// the top engines race concurrently (adaptive mode only).
-    pub race_threshold: Duration,
-    /// Maximum engines racing one class concurrently.
-    pub max_race: usize,
-    /// Per-attempt wall budget imposed on raced engines (`None` =
-    /// unbounded; the job token still caps everything).
-    pub attempt_wall: Option<Duration>,
-    /// Per-attempt conflict budgets passed through to SAT-backed engines.
-    pub budget: Budget,
-}
-
-impl Default for ProverConfig {
-    fn default() -> Self {
-        ProverConfig {
-            mode: ProverMode::Sequential,
-            race_threshold: Duration::from_millis(2),
-            max_race: 2,
-            attempt_wall: None,
-            budget: Budget::default(),
-        }
-    }
-}
+/// Engines racing one hard class concurrently.
+pub const MAX_RACE: usize = 2;
 
 /// Point-in-time dispatcher statistics, indexed by engine slot.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -618,7 +546,7 @@ pub struct ProverStats {
     pub wins: [u64; metrics::PROVE_ENGINE_SLOTS],
     /// Attempts that ran without deciding first.
     pub losses: [u64; metrics::PROVE_ENGINE_SLOTS],
-    /// Attempts cancelled by a faster rival or the race deadline.
+    /// Attempts cancelled by a faster rival or the caller's token.
     pub cancelled: [u64; metrics::PROVE_ENGINE_SLOTS],
     /// Attempts skipped by admissibility or sequencing.
     pub skipped: [u64; metrics::PROVE_ENGINE_SLOTS],
@@ -665,57 +593,66 @@ struct AtomicStats {
     routing_hints: AtomicU64,
 }
 
-/// The adaptive proving dispatcher.
+/// The proving dispatcher.
 ///
 /// Holds the registered engines, the shared [`DifficultyModel`] (which
 /// keeps learning across classes and jobs — a service shares one `Prover`
-/// across its workers), per-engine statistics, and a small pool of
-/// single-thread lane executors for concurrent races (each raced engine
-/// gets its own executor, respecting the sanitizer's one-stream-per-device
-/// model).
+/// across its workers) and per-engine statistics.
 pub struct Prover {
     engines: Vec<Box<dyn ProofEngine>>,
-    cfg: ProverConfig,
+    race_threshold: Duration,
     model: DifficultyModel,
     stats: AtomicStats,
-    /// Admission caps used by [`Prover::difficulty`]; mirrored from the
-    /// exhaustive engine when one is registered.
+    /// Admission caps used by [`Prover::difficulty`]; keep them equal to
+    /// the exhaustive engine's.
     support_cap: usize,
     cone_cap: usize,
-    lane_pool: Mutex<Vec<Executor>>,
 }
 
 impl std::fmt::Debug for Prover {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Prover")
             .field("engines", &self.engine_kinds())
-            .field("cfg", &self.cfg)
+            .field("race_threshold", &self.race_threshold)
             .finish_non_exhaustive()
     }
 }
 
-impl Prover {
+impl Default for Prover {
     /// A dispatcher over the four standard portfolio engines, configured
     /// like [`crate::PortfolioConfig`]'s defaults.
-    pub fn new(cfg: ProverConfig) -> Self {
-        let portfolio = crate::portfolio::PortfolioConfig::default();
-        Self::with_engines(cfg, standard_engines(&portfolio))
+    fn default() -> Self {
+        Self::with_engines(standard_engines(
+            &crate::portfolio::PortfolioConfig::default(),
+        ))
     }
+}
 
-    /// A dispatcher over an explicit engine list. Order matters in
-    /// [`ProverMode::Sequential`]: it is the execution order. The default
-    /// difficulty-analysis caps match [`crate::PortfolioConfig`]'s; use
-    /// [`Prover::with_caps`] when the exhaustive engine's admission bounds
-    /// differ.
-    pub fn with_engines(cfg: ProverConfig, engines: Vec<Box<dyn ProofEngine>>) -> Self {
+/// The winning engine with its verdict and statistics.
+type Winner = (EngineKind, Verdict, SweepStats);
+
+/// What every attempt of one class shares.
+struct Class<'a> {
+    cone: &'a Aig,
+    difficulty: &'a Difficulty,
+    seeds: &'a [Cex],
+    clock: &'a (dyn Clock + Sync),
+}
+
+impl Prover {
+    /// A dispatcher over an explicit engine list. Screening engines
+    /// ([`ProofEngine::prefilter`]) run in registration order; the rest
+    /// are ranked per class. The default difficulty-analysis caps match
+    /// [`crate::PortfolioConfig`]'s; use [`Prover::with_caps`] when the
+    /// exhaustive engine's admission bounds differ.
+    pub fn with_engines(engines: Vec<Box<dyn ProofEngine>>) -> Self {
         Prover {
             engines,
-            cfg,
+            race_threshold: RACE_THRESHOLD,
             model: DifficultyModel::default(),
             stats: AtomicStats::default(),
             support_cap: 20,
             cone_cap: 3000,
-            lane_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -727,9 +664,12 @@ impl Prover {
         self
     }
 
-    /// The dispatcher's configuration.
-    pub fn config(&self) -> &ProverConfig {
-        &self.cfg
+    /// Overrides [`RACE_THRESHOLD`]: `Duration::ZERO` races every class
+    /// with two admissible heavy engines, `Duration::MAX` never races.
+    /// The property suites use it to force each branch deterministically.
+    pub fn with_race_threshold(mut self, race_threshold: Duration) -> Self {
+        self.race_threshold = race_threshold;
+        self
     }
 
     /// Kinds of the registered engines, in registration order.
@@ -742,11 +682,16 @@ impl Prover {
         Difficulty::analyze(cone, self.support_cap, self.cone_cap)
     }
 
-    /// Pre-seeds the difficulty model from a cached `(engine, cost)`
-    /// routing record, so repeat traffic routes like the traffic that
-    /// produced the cache entry.
-    pub fn observe_hint(&self, engine: EngineKind, difficulty: &Difficulty, cost_micros: u64) {
-        self.model.observe(engine, difficulty, cost_micros, true);
+    /// Pre-seeds the difficulty model from a persisted `(engine, cost)`
+    /// routing record of a cone with `ands` gates, so a restarted
+    /// dispatcher routes like the one that wrote the record. Only the
+    /// cone's size is needed: it selects the model bucket.
+    pub fn observe_hint(&self, engine: EngineKind, ands: usize, cost_micros: u64) {
+        let difficulty = Difficulty {
+            ands,
+            ..Difficulty::default()
+        };
+        self.model.observe(engine, &difficulty, cost_micros, true);
         self.stats.routing_hints.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -776,246 +721,104 @@ impl Prover {
         }
     }
 
-    /// Dispatches one class on the wall clock.
+    /// Dispatches one class on the wall clock, with the dispatcher's own
+    /// difficulty analysis and no upstream seeds.
     pub fn prove(&self, cone: &Aig, exec: &Executor, token: &CancelToken) -> ProveOutcome {
-        self.prove_clocked(cone, exec, token, &WallClock::new())
-    }
-
-    /// Dispatches one class, timing attempts on the injected clock.
-    pub fn prove_clocked(
-        &self,
-        cone: &Aig,
-        exec: &Executor,
-        token: &CancelToken,
-        clock: &(dyn Clock + Sync),
-    ) -> ProveOutcome {
         let difficulty = self.difficulty(cone);
-        self.prove_with_difficulty(cone, &difficulty, exec, token, clock)
+        self.prove_class(cone, &difficulty, &[], exec, token, &WallClock::new())
     }
 
     /// Dispatches one class with a caller-supplied difficulty (the caller
-    /// may know upstream features, e.g. sim-refinement velocity).
-    pub fn prove_with_difficulty(
+    /// may know upstream features, e.g. sim-refinement velocity), the
+    /// upstream counter-examples over the cone's PIs (see
+    /// [`ProofEngine::prove`]) and the clock attempts are timed on.
+    ///
+    /// Screening engines run inline first — micro-second cost, and a
+    /// disproof there spares every heavy engine. The heavy engines are
+    /// then ranked by expected decision cost; a hard class races the top
+    /// [`MAX_RACE`] with first-verdict-wins early cancellation, any other
+    /// runs them one at a time. Every registered engine leaves exactly
+    /// one [`EngineAttempt`].
+    pub fn prove_class(
         &self,
         cone: &Aig,
         difficulty: &Difficulty,
-        exec: &Executor,
-        token: &CancelToken,
-        clock: &(dyn Clock + Sync),
-    ) -> ProveOutcome {
-        match self.cfg.mode {
-            ProverMode::Sequential => self.prove_sequential(cone, difficulty, exec, token, clock),
-            ProverMode::Adaptive => self.prove_adaptive(cone, difficulty, exec, token, clock),
-        }
-    }
-
-    /// Sequential pass: registration order, stop at the first decisive
-    /// verdict, record every attempt (skipped ones included).
-    fn prove_sequential(
-        &self,
-        cone: &Aig,
-        difficulty: &Difficulty,
+        seeds: &[Cex],
         exec: &Executor,
         token: &CancelToken,
         clock: &(dyn Clock + Sync),
     ) -> ProveOutcome {
         let start = clock.now();
+        let class = Class {
+            cone,
+            difficulty,
+            seeds,
+            clock,
+        };
         let mut attempts = Vec::with_capacity(self.engines.len());
-        let mut winner: Option<(EngineKind, Verdict, SweepStats)> = None;
-        for engine in &self.engines {
-            if winner.is_some() || !engine.admits(difficulty) {
-                attempts.push(EngineAttempt {
-                    engine: engine.kind(),
-                    status: AttemptStatus::Skipped,
-                    seconds: 0.0,
-                });
-                continue;
-            }
-            let (report, seconds, cancelled) =
-                self.run_attempt(&**engine, cone, exec, token, clock);
-            let decided = !matches!(report.verdict, Verdict::Undecided);
-            let status = if decided {
-                AttemptStatus::Won
-            } else if cancelled {
-                AttemptStatus::Cancelled
-            } else {
-                AttemptStatus::Lost
-            };
-            attempts.push(EngineAttempt {
-                engine: engine.kind(),
-                status,
-                seconds,
-            });
-            self.model
-                .observe(engine.kind(), difficulty, (seconds * 1e6) as u64, decided);
-            if decided {
-                winner = Some((engine.kind(), report.verdict, report.stats));
-            } else if token.is_cancelled() {
-                break;
-            }
-        }
-        self.stats
-            .sequential_classes
-            .fetch_add(1, Ordering::Relaxed);
-        self.finish(winner, attempts, clock.since(start).as_secs_f64(), false)
-    }
-
-    /// Adaptive pass: inline prefilters, then expected-cost routing; hard
-    /// classes race the top engines concurrently with first-verdict-wins
-    /// early cancellation.
-    fn prove_adaptive(
-        &self,
-        cone: &Aig,
-        difficulty: &Difficulty,
-        exec: &Executor,
-        token: &CancelToken,
-        clock: &(dyn Clock + Sync),
-    ) -> ProveOutcome {
-        let start = clock.now();
-        let mut attempts = Vec::with_capacity(self.engines.len());
-        let mut winner: Option<(EngineKind, Verdict, SweepStats)> = None;
-
-        // Cheap screening engines run inline first — micro-second cost,
-        // and a disproof here spares every heavy engine.
-        for engine in &self.engines {
-            if !engine.prefilter() {
-                continue;
-            }
-            if winner.is_some() || !engine.admits(difficulty) {
-                attempts.push(EngineAttempt {
-                    engine: engine.kind(),
-                    status: AttemptStatus::Skipped,
-                    seconds: 0.0,
-                });
-                continue;
-            }
-            let (report, seconds, cancelled) =
-                self.run_attempt(&**engine, cone, exec, token, clock);
-            let decided = !matches!(report.verdict, Verdict::Undecided);
-            attempts.push(EngineAttempt {
-                engine: engine.kind(),
-                status: if decided {
-                    AttemptStatus::Won
-                } else if cancelled {
-                    AttemptStatus::Cancelled
-                } else {
-                    AttemptStatus::Lost
-                },
-                seconds,
-            });
-            self.model
-                .observe(engine.kind(), difficulty, (seconds * 1e6) as u64, decided);
-            if decided {
-                winner = Some((engine.kind(), report.verdict, report.stats));
-            }
-        }
+        let mut winner = None;
+        let (screens, mut heavy): (Vec<usize>, Vec<usize>) =
+            (0..self.engines.len()).partition(|&i| self.engines[i].prefilter());
+        self.run_in_order(&screens, &class, exec, token, &mut attempts, &mut winner);
 
         let mut raced = false;
         if winner.is_none() && !token.is_cancelled() {
-            // Rank the heavy engines by expected decision cost.
-            let mut ranked: Vec<(usize, f64)> = self
-                .engines
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.prefilter())
-                .map(|(i, e)| {
-                    let score = if e.admits(difficulty) {
-                        self.model.expected_decision_micros(
-                            e.kind(),
-                            difficulty,
-                            e.prior_cost_micros(difficulty),
-                        )
-                    } else {
-                        f64::INFINITY
-                    };
-                    (i, score)
-                })
-                .collect();
+            let score = |i: usize| {
+                let e = &self.engines[i];
+                if !e.admits(difficulty) {
+                    return f64::INFINITY;
+                }
+                let prior = e.prior_cost_micros(difficulty);
+                self.model
+                    .expected_decision_micros(e.kind(), difficulty, prior)
+            };
+            let mut ranked: Vec<(usize, f64)> = heavy.iter().map(|&i| (i, score(i))).collect();
             ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let admitted: Vec<usize> = ranked
-                .iter()
-                .filter(|(_, s)| s.is_finite())
-                .map(|(i, _)| *i)
-                .collect();
-            for (i, score) in &ranked {
-                if !score.is_finite() {
-                    attempts.push(EngineAttempt {
-                        engine: self.engines[*i].kind(),
-                        status: AttemptStatus::Skipped,
-                        seconds: 0.0,
-                    });
-                }
-            }
-            let hard = admitted.len() >= 2
-                && self.cfg.max_race >= 2
-                && ranked[0].1 >= self.cfg.race_threshold.as_micros() as f64;
-            if hard {
-                raced = true;
-                let field = &admitted[..admitted.len().min(self.cfg.max_race)];
-                let (race_winner, mut race_attempts) =
-                    self.race(cone, difficulty, field, exec, token, clock);
-                winner = race_winner;
-                attempts.append(&mut race_attempts);
-                // Engines ranked out of the race field are skipped.
-                for &i in &admitted[field.len()..] {
-                    attempts.push(EngineAttempt {
-                        engine: self.engines[i].kind(),
-                        status: AttemptStatus::Skipped,
-                        seconds: 0.0,
-                    });
-                }
-            } else {
-                // Easy class (or nothing to race against): run the ranked
-                // engines one at a time.
-                for (pos, &i) in admitted.iter().enumerate() {
-                    let engine = &self.engines[i];
-                    if winner.is_some() {
-                        attempts.push(EngineAttempt {
-                            engine: engine.kind(),
-                            status: AttemptStatus::Skipped,
-                            seconds: 0.0,
-                        });
-                        continue;
-                    }
-                    let (report, seconds, cancelled) =
-                        self.run_attempt(&**engine, cone, exec, token, clock);
-                    let decided = !matches!(report.verdict, Verdict::Undecided);
-                    attempts.push(EngineAttempt {
-                        engine: engine.kind(),
-                        status: if decided {
-                            AttemptStatus::Won
-                        } else if cancelled {
-                            AttemptStatus::Cancelled
-                        } else {
-                            AttemptStatus::Lost
-                        },
-                        seconds,
-                    });
-                    self.model
-                        .observe(engine.kind(), difficulty, (seconds * 1e6) as u64, decided);
-                    if decided {
-                        winner = Some((engine.kind(), report.verdict, report.stats));
-                    } else if token.is_cancelled() {
-                        for &j in &admitted[pos + 1..] {
-                            attempts.push(EngineAttempt {
-                                engine: self.engines[j].kind(),
-                                status: AttemptStatus::Skipped,
-                                seconds: 0.0,
-                            });
-                        }
-                        break;
-                    }
-                }
-            }
+            raced = ranked.len() >= MAX_RACE
+                && ranked[MAX_RACE - 1].1.is_finite()
+                && ranked[0].1 >= self.race_threshold.as_micros() as f64;
+            heavy = ranked.into_iter().map(|(i, _)| i).collect();
         }
         if raced {
-            self.stats.raced_classes.fetch_add(1, Ordering::Relaxed);
+            let (field, rest) = heavy.split_at(MAX_RACE);
+            winner = self.race(field, &class, exec, token, &mut attempts);
+            attempts.extend(rest.iter().map(|&i| skipped(self.engines[i].kind())));
         } else {
-            self.stats
-                .sequential_classes
-                .fetch_add(1, Ordering::Relaxed);
+            self.run_in_order(&heavy, &class, exec, token, &mut attempts, &mut winner);
         }
+        let counter = if raced {
+            &self.stats.raced_classes
+        } else {
+            &self.stats.sequential_classes
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         self.finish(winner, attempts, clock.since(start).as_secs_f64(), raced)
+    }
+
+    /// Runs the engines at `order` one at a time until one decides; an
+    /// engine that does not admit the class, or whose turn comes after
+    /// the verdict or the cancellation, is recorded as skipped.
+    fn run_in_order(
+        &self,
+        order: &[usize],
+        class: &Class<'_>,
+        exec: &Executor,
+        token: &CancelToken,
+        attempts: &mut Vec<EngineAttempt>,
+        winner: &mut Option<Winner>,
+    ) {
+        for &i in order {
+            let engine = &*self.engines[i];
+            if winner.is_some() || token.is_cancelled() || !engine.admits(class.difficulty) {
+                attempts.push(skipped(engine.kind()));
+                continue;
+            }
+            let (attempt, report) = self.attempt(engine, class, exec, token, "inline");
+            attempts.push(attempt);
+            if attempt.status == AttemptStatus::Won {
+                *winner = Some((engine.kind(), report.verdict, report.stats));
+            }
+        }
     }
 
     /// Runs the engine field concurrently; the first decisive verdict
@@ -1023,130 +826,96 @@ impl Prover {
     /// job token is never tripped by the dispatcher's own early-cancel.
     fn race(
         &self,
-        cone: &Aig,
-        difficulty: &Difficulty,
         field: &[usize],
+        class: &Class<'_>,
         exec: &Executor,
         token: &CancelToken,
-        clock: &(dyn Clock + Sync),
-    ) -> (
-        Option<(EngineKind, Verdict, SweepStats)>,
-        Vec<EngineAttempt>,
-    ) {
-        let race_token = match self.cfg.attempt_wall {
-            Some(wall) => token.child_with_deadline(wall),
-            None => token.child(),
-        };
-        // One executor per lane: lane 0 borrows the caller's, the rest
-        // come from (and return to) the pool.
-        let mut pool = self.lane_pool.lock().unwrap();
-        let mut lane_execs: Vec<Executor> = Vec::new();
-        while lane_execs.len() + 1 < field.len() {
-            match pool.pop() {
-                Some(e) => lane_execs.push(e),
-                None => lane_execs.push(Executor::with_threads(1)),
-            }
-        }
-        drop(pool);
+        attempts: &mut Vec<EngineAttempt>,
+    ) -> Option<Winner> {
+        let race_token = token.child();
+        // One executor per lane (the sanitizer's one-stream-per-device
+        // model): lane 0 borrows the caller's, the rest live for the race.
+        let lane_execs: Vec<Executor> = (1..field.len())
+            .map(|_| Executor::with_threads(1))
+            .collect();
 
-        let winner: Mutex<Option<(EngineKind, Verdict, SweepStats)>> = Mutex::new(None);
-        let lane_results: Mutex<Vec<(EngineKind, bool, f64, bool)>> =
-            Mutex::new(Vec::with_capacity(field.len()));
+        let winner: Mutex<Option<Winner>> = Mutex::new(None);
+        let lanes: Mutex<Vec<EngineAttempt>> = Mutex::new(Vec::with_capacity(field.len()));
         std::thread::scope(|s| {
             for (lane, &i) in field.iter().enumerate() {
-                let engine = &self.engines[i];
-                let lane_exec: &Executor = if lane == 0 {
+                let engine = &*self.engines[i];
+                let lane_exec = if lane == 0 {
                     exec
                 } else {
                     &lane_execs[lane - 1]
                 };
-                let race_token = race_token.clone();
-                let winner = &winner;
-                let lane_results = &lane_results;
+                let (race_token, winner, lanes) = (&race_token, &winner, &lanes);
                 s.spawn(move || {
-                    let mut span = parsweep_trace::span(
-                        "prove",
-                        &format!("prove.engine.{}", engine.kind().name()),
-                    );
-                    span.arg_str("mode", "race");
-                    let t0 = clock.now();
-                    let budget = self.cfg.budget;
-                    let report = engine.prove(cone, lane_exec, &budget, &race_token);
-                    let seconds = clock.since(t0).as_secs_f64();
-                    let decided = !matches!(report.verdict, Verdict::Undecided);
-                    if decided {
-                        let mut w = winner.lock().unwrap();
+                    let (mut attempt, report) =
+                        self.attempt(engine, class, lane_exec, race_token, "race");
+                    if attempt.status == AttemptStatus::Won {
+                        let mut w = winner.lock().expect("race winner lock");
                         if w.is_none() {
                             *w = Some((engine.kind(), report.verdict, report.stats));
                             // First verdict wins: stop the rival lanes at
                             // their next poll point.
                             race_token.cancel();
+                        } else {
+                            attempt.status = AttemptStatus::Lost;
                         }
                     }
-                    let cancelled = !decided && race_token.is_cancelled();
-                    lane_results
-                        .lock()
-                        .unwrap()
-                        .push((engine.kind(), decided, seconds, cancelled));
+                    lanes.lock().expect("race lanes lock").push(attempt);
                 });
             }
         });
-
-        // Return the lane executors to the pool for the next race.
-        self.lane_pool.lock().unwrap().append(&mut lane_execs);
-
-        let won = winner.into_inner().unwrap();
-        let mut attempts = Vec::with_capacity(field.len());
-        for (kind, decided, seconds, cancelled) in lane_results.into_inner().unwrap() {
-            let status = match (&won, decided, cancelled) {
-                (Some((w, _, _)), true, _) if *w == kind => AttemptStatus::Won,
-                (_, true, _) => AttemptStatus::Lost,
-                (_, false, true) => AttemptStatus::Cancelled,
-                (_, false, false) => AttemptStatus::Lost,
-            };
-            // Winners and losers both feed the model: loser costs are what
-            // teach it to stop racing engines that never pay off.
-            self.model
-                .observe(kind, difficulty, (seconds * 1e6) as u64, decided);
-            attempts.push(EngineAttempt {
-                engine: kind,
-                status,
-                seconds,
-            });
-        }
-        (won, attempts)
+        attempts.append(&mut lanes.into_inner().expect("race lanes lock"));
+        winner.into_inner().expect("race winner lock")
     }
 
-    /// Runs one attempt inline under a per-attempt child token, with a
-    /// span labelled by engine.
-    fn run_attempt(
+    /// The one place an engine runs: times the attempt under a span
+    /// labelled by engine, classifies it — `Won` when it decided,
+    /// `Cancelled` when it came back undecided with `token` tripped,
+    /// `Lost` otherwise — and feeds the model. Winners and losers both
+    /// feed it: loser costs are what teach it to stop running engines
+    /// that never pay off.
+    fn attempt(
         &self,
         engine: &dyn ProofEngine,
-        cone: &Aig,
+        class: &Class<'_>,
         exec: &Executor,
         token: &CancelToken,
-        clock: &(dyn Clock + Sync),
-    ) -> (EngineReport, f64, bool) {
-        let attempt_token = match (engine.prefilter(), self.cfg.attempt_wall) {
-            (false, Some(wall)) => token.child_with_deadline(wall),
-            _ => token.clone(),
+        mode: &str,
+    ) -> (EngineAttempt, EngineReport) {
+        let kind = engine.kind();
+        let mut span = parsweep_trace::span("prove", &format!("prove.engine.{}", kind.name()));
+        span.arg_str("mode", mode);
+        span.arg_u64("seeds", class.seeds.len() as u64);
+        let t0 = class.clock.now();
+        let report = engine.prove(class.cone, exec, class.seeds, token);
+        let seconds = class.clock.since(t0).as_secs_f64();
+        let decided = !matches!(report.verdict, Verdict::Undecided);
+        let status = if decided {
+            AttemptStatus::Won
+        } else if token.is_cancelled() {
+            AttemptStatus::Cancelled
+        } else {
+            AttemptStatus::Lost
         };
-        let mut span =
-            parsweep_trace::span("prove", &format!("prove.engine.{}", engine.kind().name()));
-        span.arg_str("mode", "inline");
-        let t0 = clock.now();
-        let report = engine.prove(cone, exec, &self.cfg.budget, &attempt_token);
-        let seconds = clock.since(t0).as_secs_f64();
-        let cancelled =
-            matches!(report.verdict, Verdict::Undecided) && attempt_token.is_cancelled();
-        (report, seconds, cancelled)
+        self.model
+            .observe(kind, class.difficulty, (seconds * 1e6) as u64, decided);
+        let attempt = EngineAttempt {
+            engine: kind,
+            status,
+            seconds,
+        };
+        (attempt, report)
     }
 
     /// Records the class outcome into the local and global counters and
     /// assembles the [`ProveOutcome`].
     fn finish(
         &self,
-        winner: Option<(EngineKind, Verdict, SweepStats)>,
+        winner: Option<Winner>,
         attempts: Vec<EngineAttempt>,
         seconds: f64,
         raced: bool,
@@ -1166,29 +935,33 @@ impl Prover {
             self.stats.elapsed_micros[slot].fetch_add(micros, Ordering::Relaxed);
             global.elapsed_micros[slot].fetch_add(micros, Ordering::Relaxed);
         }
-        match winner {
-            Some((kind, verdict, stats)) => ProveOutcome {
-                verdict,
-                engine: Some(kind),
-                attempts,
-                stats,
-                seconds,
-                raced,
-            },
-            None => ProveOutcome {
-                verdict: Verdict::Undecided,
-                engine: None,
-                attempts,
-                stats: SweepStats::default(),
-                seconds,
-                raced,
-            },
+        let (engine, verdict, stats) = match winner {
+            Some((kind, verdict, stats)) => (Some(kind), verdict, stats),
+            None => (None, Verdict::Undecided, SweepStats::default()),
+        };
+        ProveOutcome {
+            verdict,
+            engine,
+            attempts,
+            stats,
+            seconds,
+            raced,
         }
     }
 }
 
-/// The four standard portfolio engines in the fixed-sequence order, wired
-/// from a [`crate::PortfolioConfig`].
+/// The record of an engine that never ran.
+fn skipped(engine: EngineKind) -> EngineAttempt {
+    EngineAttempt {
+        engine,
+        status: AttemptStatus::Skipped,
+        seconds: 0.0,
+    }
+}
+
+/// The four standard portfolio engines, wired from a
+/// [`crate::PortfolioConfig`]: the two screening engines in the order they
+/// run, then the heavy engines the dispatcher ranks per class.
 pub fn standard_engines(cfg: &crate::portfolio::PortfolioConfig) -> Vec<Box<dyn ProofEngine>> {
     vec![
         Box::new(StructuralEngine),
@@ -1238,11 +1011,21 @@ mod tests {
         aig
     }
 
-    fn prover(mode: ProverMode) -> Prover {
-        Prover::new(ProverConfig {
-            mode,
-            ..ProverConfig::default()
-        })
+    /// The standard dispatcher forced onto its raced branch.
+    fn racing() -> Prover {
+        Prover::default().with_race_threshold(Duration::ZERO)
+    }
+
+    /// The standard dispatcher forced onto its one-at-a-time branch.
+    fn unraced() -> Prover {
+        Prover::default().with_race_threshold(Duration::MAX)
+    }
+
+    fn status_of(out: &ProveOutcome, kind: EngineKind) -> AttemptStatus {
+        let mut of_kind = out.attempts.iter().filter(|a| a.engine == kind);
+        let attempt = of_kind.next().expect("every engine leaves an attempt");
+        assert!(of_kind.next().is_none(), "one attempt per engine");
+        attempt.status
     }
 
     #[test]
@@ -1256,69 +1039,75 @@ mod tests {
     }
 
     #[test]
-    fn sequential_equals_the_fixed_sequence() {
+    fn a_screening_win_skips_every_later_engine() {
         let a = parsweep_aig::random::random_aig(6, 40, 2, 5);
         let m = miter(&a, &a).unwrap();
-        let out = prover(ProverMode::Sequential).prove(&m, &exec(), &CancelToken::never());
-        assert_eq!(out.engine, Some(EngineKind::Structural));
-        assert!(out.verdict.is_equivalent());
-        // Attempts cover every registered engine; later ones are skipped.
-        assert_eq!(out.attempts.len(), 4);
-        assert_eq!(out.attempts[0].status, AttemptStatus::Won);
-        assert!(out.attempts[1..]
-            .iter()
-            .all(|a| a.status == AttemptStatus::Skipped));
+        for p in [racing(), unraced()] {
+            let out = p.prove(&m, &exec(), &CancelToken::never());
+            assert_eq!(out.engine, Some(EngineKind::Structural));
+            assert!(out.verdict.is_equivalent());
+            assert!(!out.raced);
+            assert_eq!(out.attempts.len(), 4);
+            assert_eq!(status_of(&out, EngineKind::Structural), AttemptStatus::Won);
+            for kind in [
+                EngineKind::RandomSim,
+                EngineKind::ExhaustivePo,
+                EngineKind::SatSweep,
+            ] {
+                assert_eq!(status_of(&out, kind), AttemptStatus::Skipped);
+            }
+        }
     }
 
     #[test]
-    fn losing_attempts_record_elapsed_time() {
+    fn losing_attempts_are_recorded_and_timed_on_the_injected_clock() {
         use parsweep_trace::ManualClock;
         // Equivalent but not structurally identical: structural and
         // random-sim lose before the exhaustive engine wins.
         let m = miter(&adder(3, true), &adder(3, false)).unwrap();
-        let p = prover(ProverMode::Sequential);
+        let p = unraced();
         let clock = ManualClock::new();
-        let out = p.prove_clocked(&m, &exec(), &CancelToken::never(), &clock);
+        clock.advance(Duration::from_millis(1500));
+        let out = p.prove_class(
+            &m,
+            &p.difficulty(&m),
+            &[],
+            &exec(),
+            &CancelToken::never(),
+            &clock,
+        );
         assert_eq!(out.engine, Some(EngineKind::ExhaustivePo));
-        let structural = &out.attempts[0];
-        assert_eq!(structural.status, AttemptStatus::Lost);
-        let random = &out.attempts[1];
-        assert_eq!(random.status, AttemptStatus::Lost);
-        // The manual clock never advances, so losers report zero — but the
-        // attempts themselves are present with a measured duration field.
-        assert_eq!(structural.seconds, 0.0);
-        assert_eq!(random.seconds, 0.0);
+        assert_eq!(status_of(&out, EngineKind::Structural), AttemptStatus::Lost);
+        assert_eq!(status_of(&out, EngineKind::RandomSim), AttemptStatus::Lost);
+        assert_eq!(
+            status_of(&out, EngineKind::SatSweep),
+            AttemptStatus::Skipped
+        );
+        // The whole dispatch happens at one frozen instant: the injected
+        // clock is the only time source, so every duration is zero.
+        assert_eq!(out.seconds, 0.0);
+        assert!(out.attempts.iter().all(|a| a.seconds == 0.0));
         let s = p.stats();
         assert_eq!(s.losses[EngineKind::Structural.slot()], 1);
         assert_eq!(s.wins[EngineKind::ExhaustivePo.slot()], 1);
         assert_eq!(s.skipped[EngineKind::SatSweep.slot()], 1);
+        assert_eq!((s.sequential_classes, s.raced_classes), (1, 0));
     }
 
     #[test]
-    fn adaptive_agrees_with_sequential_on_an_adder() {
+    fn both_branches_prove_an_adder() {
         let m = miter(&adder(4, true), &adder(4, false)).unwrap();
-        let seq = prover(ProverMode::Sequential).prove(&m, &exec(), &CancelToken::never());
-        let ada = prover(ProverMode::Adaptive).prove(&m, &exec(), &CancelToken::never());
-        assert_eq!(
-            seq.verdict.is_equivalent(),
-            ada.verdict.is_equivalent(),
-            "seq {:?} vs ada {:?}",
-            seq.verdict,
-            ada.verdict
-        );
-        assert!(ada.verdict.is_equivalent());
+        for (p, raced) in [(racing(), true), (unraced(), false)] {
+            let out = p.prove(&m, &exec(), &CancelToken::never());
+            assert!(out.verdict.is_equivalent(), "raced={raced}: {out:?}");
+            assert_eq!(out.raced, raced);
+        }
     }
 
     #[test]
-    fn adaptive_races_hard_classes() {
-        // Wide supports force SatSweep/ExhaustivePo expected costs above
-        // the race threshold.
+    fn hard_classes_race() {
         let m = miter(&adder(10, true), &adder(10, false)).unwrap();
-        let p = Prover::new(ProverConfig {
-            mode: ProverMode::Adaptive,
-            race_threshold: Duration::from_micros(1),
-            ..ProverConfig::default()
-        });
+        let p = racing();
         let out = p.prove(&m, &exec(), &CancelToken::never());
         assert!(out.raced, "attempts: {:?}", out.attempts);
         assert!(out.verdict.is_equivalent());
@@ -1330,18 +1119,14 @@ mod tests {
             .filter(|a| a.status == AttemptStatus::Won)
             .count();
         assert_eq!(won, 1);
+        assert_eq!(out.attempts.len(), 4);
     }
 
     #[test]
     fn race_cancel_does_not_trip_the_job_token() {
         let m = miter(&adder(8, true), &adder(8, false)).unwrap();
-        let p = Prover::new(ProverConfig {
-            mode: ProverMode::Adaptive,
-            race_threshold: Duration::from_micros(1),
-            ..ProverConfig::default()
-        });
         let job = CancelToken::new();
-        let out = p.prove(&m, &exec(), &job);
+        let out = racing().prove(&m, &exec(), &job);
         assert!(out.verdict.is_equivalent());
         assert!(
             !job.is_cancelled(),
@@ -1354,12 +1139,61 @@ mod tests {
         let m = miter(&adder(6, true), &adder(6, false)).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let out = prover(ProverMode::Adaptive).prove(&m, &exec(), &token);
-        // Structural runs regardless (it cannot be wrong); everything that
-        // polls the token must come back undecided on this non-structural
-        // miter.
-        assert_eq!(out.verdict, Verdict::Undecided);
-        assert!(out.engine.is_none());
+        for p in [racing(), unraced()] {
+            let out = p.prove(&m, &exec(), &token);
+            assert_eq!(out.verdict, Verdict::Undecided);
+            assert!(out.engine.is_none());
+            assert!(out
+                .attempts
+                .iter()
+                .all(|a| a.status == AttemptStatus::Skipped));
+        }
+    }
+
+    /// Records the seeds it is handed and never decides.
+    struct SeedProbe(std::sync::Arc<AtomicU64>);
+
+    impl ProofEngine for SeedProbe {
+        fn kind(&self) -> EngineKind {
+            EngineKind::SimSweep
+        }
+        fn prior_cost_micros(&self, _difficulty: &Difficulty) -> u64 {
+            0
+        }
+        fn prove(
+            &self,
+            _cone: &Aig,
+            _exec: &Executor,
+            seeds: &[Cex],
+            _token: &CancelToken,
+        ) -> EngineReport {
+            self.0.store(seeds.len() as u64, Ordering::Relaxed);
+            EngineReport::undecided()
+        }
+    }
+
+    #[test]
+    fn seeds_reach_the_engines_on_both_branches() {
+        let m = miter(&adder(4, true), &adder(4, false)).unwrap();
+        let seeds = vec![Cex::new(vec![true; 8]), Cex::new(vec![false; 8])];
+        for threshold in [Duration::ZERO, Duration::MAX] {
+            let seen = std::sync::Arc::new(AtomicU64::new(0));
+            let mut engines = standard_engines(&crate::PortfolioConfig::default());
+            engines.push(Box::new(SeedProbe(seen.clone())));
+            let p = Prover::with_engines(engines).with_race_threshold(threshold);
+            let out = p.prove_class(
+                &m,
+                &p.difficulty(&m),
+                &seeds,
+                &exec(),
+                &CancelToken::never(),
+                &WallClock::new(),
+            );
+            // The probe's zero prior ranks it first, so it runs (and
+            // loses) on either branch before or beside the real engines.
+            assert!(out.verdict.is_equivalent());
+            assert_eq!(seen.load(Ordering::Relaxed), 2, "threshold {threshold:?}");
+        }
     }
 
     #[test]
@@ -1388,13 +1222,13 @@ mod tests {
 
     #[test]
     fn routing_hints_pre_seed_the_model() {
-        let p = prover(ProverMode::Adaptive);
+        let p = Prover::default();
         let d = Difficulty {
             ands: 64,
             ..Difficulty::default()
         };
         assert_eq!(p.model().attempts(EngineKind::SatSweep, &d), 0);
-        p.observe_hint(EngineKind::SatSweep, &d, 1234);
+        p.observe_hint(EngineKind::SatSweep, 64, 1234);
         assert_eq!(p.model().attempts(EngineKind::SatSweep, &d), 1);
         assert_eq!(p.stats().routing_hints, 1);
     }

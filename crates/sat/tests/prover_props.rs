@@ -1,41 +1,39 @@
-//! Property-based tests of the adaptive dispatch layer: the dispatcher
-//! may change *who* decides a class and at what cost, but never *what*
-//! the verdict is.
+//! Property-based tests of the dispatch layer: the dispatcher may change
+//! *who* decides a class and at what cost, but never *what* the verdict
+//! is. Brute-force evaluation is the oracle.
 //!
-//! Two properties hold under any schedule:
-//!
-//! * **Agreement** — on miters the fixed-sequence portfolio decides, the
-//!   adaptive prover reaches the same verdict (possibly via a different
-//!   engine or a concurrent race).
-//! * **Soundness under deadlines** — a race cut short by a deadline may
-//!   settle `Undecided`, but a decisive verdict it does return is always
-//!   correct: `Equal` is never fabricated from a cancelled engine's
-//!   partial work, and a counter-example always fires.
+//! * **Agreement with brute force** — on random equivalent, unrelated and
+//!   single-gate-mutated pairs, on the raced and on the one-at-a-time
+//!   branch alike, the verdict is the brute-force one and every
+//!   counter-example fires.
+//! * **Soundness under cancellation** — a tripped token yields
+//!   `Undecided`; a race cut short by a deadline may settle `Undecided`,
+//!   but a decisive verdict it does return is always correct: `Equal` is
+//!   never fabricated from a cancelled engine's partial work.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use parsweep_aig::{miter, random::random_aig, Aig};
+use parsweep_aig::random::{mutate_gate, random_aig};
+use parsweep_aig::{miter, Aig};
 use parsweep_par::{CancelToken, Executor};
-use parsweep_sat::{portfolio_check, PortfolioConfig, Prover, ProverConfig, ProverMode, Verdict};
+use parsweep_sat::{Prover, Verdict};
 
 /// Brute-force miter check: constant-zero on every input assignment.
 fn brute_equivalent(m: &Aig) -> bool {
     let pis = m.num_pis();
-    assert!(pis <= 12, "brute force only for small miters");
+    assert!(pis < 16, "brute force only for small miters");
     (0..1u32 << pis).all(|mask| {
         let inputs: Vec<bool> = (0..pis).map(|i| mask >> i & 1 == 1).collect();
         m.eval(&inputs).iter().all(|&po| !po)
     })
 }
 
-fn adaptive_prover(race_threshold: Duration) -> Prover {
-    Prover::new(ProverConfig {
-        mode: ProverMode::Adaptive,
-        race_threshold,
-        ..ProverConfig::default()
-    })
+/// The two branches of the dispatcher, forced: every class with two
+/// admissible heavy engines races, or none does.
+fn both_branches() -> [Prover; 2] {
+    [Duration::ZERO, Duration::MAX].map(|t| Prover::default().with_race_threshold(t))
 }
 
 /// A balanced AND tree and a right-associated AND chain over `n` inputs:
@@ -64,42 +62,58 @@ fn hard_pair(n: usize, corrupt: bool) -> Aig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random equivalent pairs (an AIG against its cleaned self) and
-    /// random unrelated pairs: the adaptive dispatcher and the fixed
-    /// sequence agree on every verdict, and both are sound.
+    /// Random equivalent pairs (an AIG against its cleaned self), random
+    /// unrelated pairs and single-gate mutants: on either branch the
+    /// dispatcher decides, and decides what brute force decides.
     #[test]
-    fn adaptive_agrees_with_fixed_sequence(
+    fn dispatcher_agrees_with_brute_force(
         seed in any::<u64>(),
-        pis in 2usize..7,
+        pis in 2usize..14,
+        ands in 2usize..40,
+        shape in 0usize..3,
+    ) {
+        let a = random_aig(pis, ands, 2, seed);
+        let b = match shape {
+            0 => a.clean(),
+            1 => random_aig(pis, ands, 2, seed.wrapping_add(1)),
+            _ => mutate_gate(&a, seed as usize),
+        };
+        let m = miter(&a, &b).unwrap();
+        let truth = brute_equivalent(&m);
+        let exec = Executor::new();
+        for prover in both_branches() {
+            let outcome = prover.prove(&m, &exec, &CancelToken::never());
+            match &outcome.verdict {
+                Verdict::Equivalent => prop_assert!(truth, "proved a disprovable miter"),
+                Verdict::NotEquivalent(cex) => {
+                    prop_assert!(!truth, "disproved an equivalent miter");
+                    prop_assert!(cex.fires(&m), "counter-example does not fire");
+                }
+                Verdict::Undecided => {
+                    prop_assert!(false, "undecided without cancellation: {:?}", outcome.attempts)
+                }
+            }
+        }
+    }
+
+    /// A token tripped before dispatch: nothing runs, nothing is claimed.
+    #[test]
+    fn tripped_token_yields_undecided(
+        seed in any::<u64>(),
+        pis in 2usize..8,
         ands in 2usize..40,
         equivalent in any::<bool>(),
     ) {
         let a = random_aig(pis, ands, 2, seed);
-        let b = if equivalent {
-            a.clean()
-        } else {
-            random_aig(pis, ands, 2, seed.wrapping_add(1))
-        };
+        let b = if equivalent { a.clean() } else { mutate_gate(&a, seed as usize) };
         let m = miter(&a, &b).unwrap();
         let exec = Executor::new();
-        let fixed = portfolio_check(&m, &exec, &PortfolioConfig::default());
-        let adaptive =
-            adaptive_prover(Duration::from_millis(2)).prove(&m, &exec, &CancelToken::never());
-        prop_assert_eq!(
-            fixed.verdict.is_equivalent(),
-            adaptive.verdict.is_equivalent(),
-            "fixed {:?} vs adaptive {:?}",
-            fixed.verdict,
-            adaptive.verdict
-        );
-        prop_assert_eq!(
-            matches!(fixed.verdict, Verdict::Undecided),
-            matches!(adaptive.verdict, Verdict::Undecided)
-        );
-        match &adaptive.verdict {
-            Verdict::Equivalent => prop_assert!(brute_equivalent(&m)),
-            Verdict::NotEquivalent(cex) => prop_assert!(cex.fires(&m)),
-            Verdict::Undecided => {}
+        let token = CancelToken::new();
+        token.cancel();
+        for prover in both_branches() {
+            let outcome = prover.prove(&m, &exec, &token);
+            prop_assert_eq!(&outcome.verdict, &Verdict::Undecided);
+            prop_assert!(outcome.engine.is_none());
         }
     }
 
@@ -116,20 +130,19 @@ proptest! {
     ) {
         let m = hard_pair(n, corrupt);
         let exec = Executor::new();
-        // A 1µs race threshold forces every non-prefilter class into the
-        // concurrent path, maximizing cancelled-engine interleavings.
-        let prover = adaptive_prover(Duration::from_micros(1));
         let token = CancelToken::with_deadline(Duration::from_micros(deadline_us));
-        let outcome = prover.prove(&m, &exec, &token);
-        match &outcome.verdict {
-            Verdict::Equivalent => {
-                prop_assert!(!corrupt, "race fabricated Equal on a disprovable miter");
+        for prover in both_branches() {
+            let outcome = prover.prove(&m, &exec, &token);
+            match &outcome.verdict {
+                Verdict::Equivalent => {
+                    prop_assert!(!corrupt, "fabricated Equal on a disprovable miter");
+                }
+                Verdict::NotEquivalent(cex) => {
+                    prop_assert!(corrupt, "disproved an equivalent miter");
+                    prop_assert!(cex.fires(&m), "fabricated a counter-example");
+                }
+                Verdict::Undecided => {}
             }
-            Verdict::NotEquivalent(cex) => {
-                prop_assert!(corrupt, "race disproved an equivalent miter");
-                prop_assert!(cex.fires(&m), "race fabricated a counter-example");
-            }
-            Verdict::Undecided => {}
         }
     }
 
@@ -139,8 +152,8 @@ proptest! {
     fn unbounded_race_decides_correctly(n in 8usize..20, corrupt in any::<bool>()) {
         let m = hard_pair(n, corrupt);
         let exec = Executor::new();
-        let prover = adaptive_prover(Duration::from_micros(1));
-        let outcome = prover.prove(&m, &exec, &CancelToken::never());
+        let [racing, _] = both_branches();
+        let outcome = racing.prove(&m, &exec, &CancelToken::never());
         match &outcome.verdict {
             Verdict::Equivalent => prop_assert!(!corrupt),
             Verdict::NotEquivalent(cex) => {

@@ -23,9 +23,9 @@
 //! ([`parsweep_svc::frontend`]); the multi-client TCP server
 //! (`parsweep-net`) layers admission control and fairness over the same
 //! core. Flags: `--workers N`, `--exec-threads N`, `--deadline-ms N`
-//! (default for submits without one), `--sat` (SAT fallback on undecided
-//! shards), `--prover sequential|adaptive` (how undecided shards are
-//! finished), `--connected` (shard by connected components instead of
+//! (default for submits without one), `--sat` (hand what the sim engine
+//! leaves undecided to the shared prover instead of settling it
+//! undecided), `--connected` (shard by connected components instead of
 //! per output), `--fuse-threshold N` (batch cone shards below N nodes
 //! into fused dispatches; 0 disables), `--cache-capacity N`
 //! (result-cache LRU bound, 0 disables caching), `--cache-persist PATH`
@@ -42,7 +42,6 @@
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
-use parsweep_sat::ProverMode;
 use parsweep_svc::frontend::{handle_request, result_fields, stats_fields, MiterCache};
 use parsweep_svc::jsonl::{emit_object, JsonValue};
 use parsweep_svc::{shutdown, CecService, ShardPolicy, SvcConfig};
@@ -69,14 +68,6 @@ fn main() {
                 cfg.default_deadline = Some(Duration::from_millis(num("--deadline-ms") as u64));
             }
             "--sat" => cfg.sat_fallback = true,
-            "--prover" => {
-                let name = next("--prover");
-                cfg.prover = ProverMode::from_name(&name).unwrap_or_else(|| {
-                    die(&format!(
-                        "--prover needs 'sequential' or 'adaptive', got '{name}'"
-                    ))
-                });
-            }
             "--connected" => cfg.shard_policy = ShardPolicy::Connected,
             "--fuse-threshold" => cfg.fuse_threshold = num("--fuse-threshold"),
             "--cache-capacity" => cfg.cache_capacity = num("--cache-capacity"),
@@ -86,9 +77,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: svc [--workers N] [--exec-threads N] [--deadline-ms N] [--sat] \
-                     [--prover sequential|adaptive] [--connected] [--fuse-threshold N] \
-                     [--cache-capacity N] [--cache-persist PATH] [--semantic-vars N] \
-                     [--trace PATH]"
+                     [--connected] [--fuse-threshold N] [--cache-capacity N] \
+                     [--cache-persist PATH] [--semantic-vars N] [--trace PATH]"
                 );
                 println!("reads JSON-lines requests on stdin; see module docs");
                 return;

@@ -56,17 +56,12 @@ use crate::semantic::{cex_to_index, index_to_cex, SemanticKey, SemanticSig};
 /// (the semantic tier is bounded by the same count, separately).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// Entry format version written by this build. Version 1 entries (the
-/// original cache) carry a verdict only; version 2 adds [`RoutingInfo`]
-/// so a hit can pre-seed the adaptive prover's difficulty model. Old
-/// callers keep using [`ResultCache::insert`]/[`ResultCache::lookup`],
-/// which read and write the version-1 subset unchanged.
-pub const CACHE_ENTRY_VERSION: u32 = 2;
-
-/// How a cached verdict was won: the deciding engine and its cost. A
-/// routed cache hit replays this into the adaptive prover's difficulty
-/// model, so a restarted or cold dispatcher starts from the fleet's
-/// history instead of static priors.
+/// How a semantic verdict was won: the deciding engine and its cost. The
+/// record rides the persistent log; the first hit on an entry *loaded
+/// from the log* replays it into the prover's difficulty model, so a
+/// restarted dispatcher starts from the fleet's history instead of
+/// static priors. Entries this process proved itself are never replayed:
+/// the model saw those attempts when they ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoutingInfo {
     /// Engine that decided the cone.
@@ -196,10 +191,6 @@ struct CacheEntry {
     id: u64,
     cone: Aig,
     verdict: Verdict,
-    /// Format version this entry was written with; routing is only
-    /// present from version 2 on.
-    version: u32,
-    routing: Option<RoutingInfo>,
 }
 
 /// One settled NPN class. The class's satisfiability is summarized by two
@@ -211,7 +202,9 @@ struct CacheEntry {
 struct SemanticEntry {
     ones_witness: Option<u64>,
     zeros_witness: Option<u64>,
-    routing: Option<RoutingInfo>,
+    /// Routing of an entry loaded from the persistent log, until its
+    /// first hit takes it.
+    replay: Option<RoutingInfo>,
 }
 
 impl Default for ResultCache {
@@ -258,7 +251,7 @@ impl ResultCache {
             let entry = SemanticEntry {
                 ones_witness: rec.ones_witness,
                 zeros_witness: rec.zeros_witness,
-                routing: rec.routing,
+                replay: rec.routing,
             };
             if self.insert_semantic_entry(key, entry) {
                 loaded += 1;
@@ -311,11 +304,10 @@ impl ResultCache {
         true
     }
 
-    /// The verified-hit path shared by [`lookup`](Self::lookup) and
-    /// [`lookup_routed`](Self::lookup_routed): candidates snapshot under
-    /// the lock, structural verification outside it, hit/miss accounting
-    /// and recency touch.
-    fn lookup_entry(&self, hash: u64, cone: &Aig) -> Option<Arc<CacheEntry>> {
+    /// Looks up a cone by its structural hash: candidates snapshot under
+    /// the lock, structure verified exactly outside it. Counts a hit or
+    /// a miss; a hit refreshes the entry's recency.
+    pub fn lookup(&self, hash: u64, cone: &Aig) -> Option<Verdict> {
         let candidates: Vec<Arc<CacheEntry>> = {
             let inner = self.lock();
             inner.buckets.get(&hash).cloned().unwrap_or_default()
@@ -324,37 +316,13 @@ impl ResultCache {
             Some(entry) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.touch(&entry);
-                Some(entry)
+                Some(entry.verdict.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
-    }
-
-    /// Looks up a cone by its structural hash, verifying structure
-    /// exactly (outside the bucket lock). Counts a hit or a miss; a hit
-    /// refreshes the entry's recency.
-    pub fn lookup(&self, hash: u64, cone: &Aig) -> Option<Verdict> {
-        self.lookup_entry(hash, cone).map(|e| e.verdict.clone())
-    }
-
-    /// Like [`lookup`](Self::lookup), but also returns the entry's
-    /// [`RoutingInfo`] when one was recorded (version-2 entries written
-    /// by [`insert_routed`](Self::insert_routed)). A hit that carries
-    /// routing counts toward [`routing_hits`](Self::routing_hits).
-    pub fn lookup_routed(&self, hash: u64, cone: &Aig) -> Option<(Verdict, Option<RoutingInfo>)> {
-        let entry = self.lookup_entry(hash, cone)?;
-        let routing = if entry.version >= 2 {
-            entry.routing
-        } else {
-            None
-        };
-        if routing.is_some() {
-            self.routing_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Some((entry.verdict.clone(), routing))
     }
 
     /// Probes the semantic tier with a cone's NPN-canonical signature.
@@ -367,6 +335,11 @@ impl ResultCache {
     /// entry, a table/witness mismatch — degrades to a miss. Does not
     /// count toward structural hit/miss totals; hits count in
     /// [`semantic_hits`](Self::semantic_hits).
+    ///
+    /// The second component is the entry's [`RoutingInfo`] when the entry
+    /// came from the persistent log and this is its first hit (counted in
+    /// [`routing_hits`](Self::routing_hits)); every later hit, and every
+    /// hit on an entry this process inserted, returns `None` there.
     pub fn lookup_semantic(
         &self,
         cone: &Aig,
@@ -407,14 +380,21 @@ impl ResultCache {
             }
         };
         self.semantic_hits.fetch_add(1, Ordering::Relaxed);
-        if entry.routing.is_some() {
+        // Racing first hits: whoever takes the record under the lock
+        // replays it, the others see `None`.
+        let replay = entry.replay.and_then(|_| {
+            let mut inner = self.lock();
+            inner.semantic.get_mut(&sig.key)?.replay.take()
+        });
+        if replay.is_some() {
             self.routing_hits.fetch_add(1, Ordering::Relaxed);
         }
-        Some((verdict, entry.routing))
+        Some((verdict, replay))
     }
 
     /// Records a settled verdict under the cone's semantic key, appending
-    /// it to the persistent log when one is attached. First proof wins;
+    /// it — with `routing`, for a restarted service to replay — to the
+    /// persistent log when one is attached. First proof wins;
     /// returns true only for a fresh insert. `Undecided` is ignored, as
     /// is a verdict that contradicts the signature's own truth table
     /// (which would mean the proving engine and the simulator disagree —
@@ -434,7 +414,7 @@ impl ResultCache {
         let entry = SemanticEntry {
             ones_witness: rec.ones_witness,
             zeros_witness: rec.zeros_witness,
-            routing: rec.routing,
+            replay: None,
         };
         if !self.insert_semantic_entry(SemanticKey::of(&rec.canon), entry) {
             return false;
@@ -471,36 +451,8 @@ impl ResultCache {
     /// Records a settled verdict for a cone, evicting least-recently-used
     /// entries beyond capacity. `Undecided` is ignored, as is a duplicate
     /// of an already-cached structure (first proof wins; the duplicate
-    /// counts as a recency touch). Writes a version-1 entry — the format
-    /// this cache shipped with — so pre-routing callers are bit-for-bit
-    /// unchanged.
+    /// counts as a recency touch).
     pub fn insert(&self, hash: u64, cone: &Aig, verdict: &Verdict) {
-        self.insert_versioned(hash, cone, verdict, 1, None);
-    }
-
-    /// Records a settled verdict together with how it was won. Writes a
-    /// [`CACHE_ENTRY_VERSION`] entry whose routing a later
-    /// [`lookup_routed`](Self::lookup_routed) replays into the prover's
-    /// difficulty model. First proof wins: a duplicate insert never
-    /// rewrites an existing entry's routing.
-    pub fn insert_routed(
-        &self,
-        hash: u64,
-        cone: &Aig,
-        verdict: &Verdict,
-        routing: Option<RoutingInfo>,
-    ) {
-        self.insert_versioned(hash, cone, verdict, CACHE_ENTRY_VERSION, routing);
-    }
-
-    fn insert_versioned(
-        &self,
-        hash: u64,
-        cone: &Aig,
-        verdict: &Verdict,
-        version: u32,
-        routing: Option<RoutingInfo>,
-    ) {
         if matches!(verdict, Verdict::Undecided) || self.capacity == 0 {
             return;
         }
@@ -518,8 +470,6 @@ impl ResultCache {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             cone: cone.clone(),
             verdict: verdict.clone(),
-            version,
-            routing,
         });
         let mut inner = self.lock();
         // Entries that raced in since the snapshot are re-checked under
@@ -564,8 +514,8 @@ impl ResultCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Hits whose entry carried [`RoutingInfo`] — lookups that pre-seeded
-    /// the adaptive prover's engine routing.
+    /// Semantic hits that handed out a persisted entry's [`RoutingInfo`]
+    /// for replay (at most one per loaded entry).
     pub fn routing_hits(&self) -> u64 {
         self.routing_hits.load(Ordering::Relaxed)
     }
@@ -726,63 +676,6 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn routed_entries_round_trip_engine_and_cost() {
-        let cache = ResultCache::new();
-        let cone = and_cone(false);
-        let hash = cone.structural_hash();
-        let routing = RoutingInfo {
-            engine: EngineKind::SatSweep,
-            cost_micros: 1234,
-        };
-        cache.insert_routed(hash, &cone, &Verdict::Equivalent, Some(routing));
-        assert_eq!(
-            cache.lookup_routed(hash, &cone),
-            Some((Verdict::Equivalent, Some(routing)))
-        );
-        assert_eq!(cache.routing_hits(), 1);
-        // The legacy lookup still reads the same entry's verdict.
-        assert_eq!(cache.lookup(hash, &cone), Some(Verdict::Equivalent));
-        assert_eq!(cache.routing_hits(), 1, "legacy lookup never counts");
-    }
-
-    #[test]
-    fn legacy_entries_carry_no_routing() {
-        // A PR 3-era insert is a version-1 entry: lookup_routed finds the
-        // verdict but no routing, and the routing-hit counter stays put.
-        let cache = ResultCache::new();
-        let cone = and_cone(false);
-        let hash = cone.structural_hash();
-        cache.insert(hash, &cone, &Verdict::Equivalent);
-        assert_eq!(
-            cache.lookup_routed(hash, &cone),
-            Some((Verdict::Equivalent, None))
-        );
-        assert_eq!(cache.routing_hits(), 0);
-    }
-
-    #[test]
-    fn first_proof_keeps_its_routing_on_duplicate_routed_insert() {
-        let cache = ResultCache::new();
-        let cone = and_cone(false);
-        let hash = cone.structural_hash();
-        let first = RoutingInfo {
-            engine: EngineKind::ExhaustivePo,
-            cost_micros: 10,
-        };
-        cache.insert_routed(hash, &cone, &Verdict::Equivalent, Some(first));
-        let second = RoutingInfo {
-            engine: EngineKind::SatSweep,
-            cost_micros: 99,
-        };
-        cache.insert_routed(hash, &cone, &Verdict::Equivalent, Some(second));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(
-            cache.lookup_routed(hash, &cone),
-            Some((Verdict::Equivalent, Some(first)))
-        );
     }
 
     #[test]
@@ -962,15 +855,7 @@ mod tests {
                 let (cache, cone) = (&cache, &cone);
                 s.spawn(move || {
                     for _ in 0..200 {
-                        cache.insert_routed(
-                            hash,
-                            cone,
-                            &Verdict::Equivalent,
-                            Some(RoutingInfo {
-                                engine: EngineKind::ExhaustivePo,
-                                cost_micros: 1,
-                            }),
-                        );
+                        cache.insert(hash, cone, &Verdict::Equivalent);
                     }
                 });
             }
@@ -1098,10 +983,18 @@ mod tests {
         let (a, b) = (single_po_cone(3), single_po_cone(21));
         let sig_a = semantic_signature(&a, 6).unwrap();
         let sig_b = semantic_signature(&b, 6).unwrap();
-        assert!(cache.insert_semantic(&sig_a, &ground_truth(&a), None));
+        let routing = RoutingInfo {
+            engine: EngineKind::SatSweep,
+            cost_micros: 1234,
+        };
+        assert!(cache.insert_semantic(&sig_a, &ground_truth(&a), Some(routing)));
         let fresh_b = cache.insert_semantic(&sig_b, &ground_truth(&b), None);
         let appended = cache.persist_appended();
         assert_eq!(appended, 1 + fresh_b as u64);
+        // The process that proved the class never replays its routing:
+        // the model saw that attempt when it ran.
+        let (_, replay) = cache.lookup_semantic(&a, &sig_a).expect("own entry hits");
+        assert_eq!((replay, cache.routing_hits()), (None, 0));
         drop(cache);
 
         // Corrupt the tail, as a crash mid-append would.
@@ -1120,7 +1013,11 @@ mod tests {
         assert_eq!(summary.loaded as u64, appended);
         assert_eq!(summary.skipped, 1);
         assert_eq!(cache2.persist_loaded(), appended);
-        let (verdict, _) = cache2.lookup_semantic(&a, &sig_a).expect("hit from disk");
+        let (verdict, replay) = cache2.lookup_semantic(&a, &sig_a).expect("hit from disk");
+        // The persisted routing is handed out on the first hit only.
+        assert_eq!(replay, Some(routing));
+        let (_, again) = cache2.lookup_semantic(&a, &sig_a).expect("still hits");
+        assert_eq!((again, cache2.routing_hits()), (None, 1));
         match (verdict, ground_truth(&a)) {
             (Verdict::Equivalent, Verdict::Equivalent) => {}
             (Verdict::NotEquivalent(cex), Verdict::NotEquivalent(_)) => {

@@ -52,9 +52,7 @@ mod service;
 mod shard;
 pub mod shutdown;
 
-pub use cache::{
-    PersistSummary, ResultCache, RoutingInfo, CACHE_ENTRY_VERSION, DEFAULT_CACHE_CAPACITY,
-};
+pub use cache::{PersistSummary, ResultCache, RoutingInfo, DEFAULT_CACHE_CAPACITY};
 pub use pool::{Lane, WorkerPool};
 pub use semantic::{semantic_signature, SemanticKey, SemanticSig, DEFAULT_SEMANTIC_MAX_VARS};
 pub use service::{

@@ -12,8 +12,8 @@
 //! [`TruthTable::to_hex`] notation, `<one-index>` is a canonical
 //! assignment on which the function is 1 (`-` when it is constant 0,
 //! i.e. the class is equivalent), `<zero-index>` the dual, and the
-//! optional engine/cost pair replays into the adaptive prover exactly
-//! like an in-memory [`RoutingInfo`](crate::RoutingInfo) hit.
+//! optional engine/cost pair is the [`RoutingInfo`](crate::RoutingInfo)
+//! a restarted service replays into its prover on the entry's first hit.
 //!
 //! Loading is tolerant by design: a truncated tail, an editor's stray
 //! line, or a record whose witnesses contradict its own table are

@@ -21,20 +21,17 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use parsweep_aig::{Aig, Var};
 use parsweep_core::{
-    build_prover, combined_check_cancellable, combined_check_with_prover, sim_sweep_cancellable,
-    CombinedConfig, EngineConfig,
+    build_prover, combined_check_with_prover, sim_sweep_cancellable, CombinedConfig, EngineConfig,
 };
 use parsweep_par::{CancelToken, Executor, LaunchStats};
-use parsweep_sat::{
-    EngineKind, PortfolioConfig, ProveOutcome, Prover, ProverConfig, ProverMode, SweepConfig,
-    Verdict,
-};
+use parsweep_sat::{EngineKind, ProveOutcome, Prover, SweepConfig, Verdict};
 use parsweep_sim::Cex;
 use parsweep_trace as trace;
 use parsweep_trace::metrics::{
@@ -60,20 +57,15 @@ pub struct SvcConfig {
     pub exec_threads: usize,
     /// Engine parameters for every shard.
     pub engine: EngineConfig,
-    /// Run the SAT sweeping fallback on shards the engine leaves
-    /// undecided (the combined flow). Off by default: a service usually
-    /// prefers fast partial verdicts over long SAT tails.
+    /// Finish what the sim engine leaves undecided. Off (the default): a
+    /// shard gets the sim engine alone and may stay undecided — a service
+    /// usually prefers fast partial verdicts over long SAT tails. On: the
+    /// residual goes to the one service-wide [`Prover`] shared across
+    /// workers (the combined flow), whose difficulty model thereby learns
+    /// from the whole fleet.
     pub sat_fallback: bool,
-    /// SAT fallback parameters (used only with `sat_fallback`).
+    /// The prover's SAT engine parameters (used only with `sat_fallback`).
     pub sat: SweepConfig,
-    /// How undecided shards are finished. [`ProverMode::Sequential`] (the
-    /// compatibility default) keeps the pre-adaptive behavior: plain
-    /// sim-sweep, or the fixed-sequence combined flow under
-    /// `sat_fallback`. [`ProverMode::Adaptive`] routes every shard
-    /// through one service-wide adaptive [`Prover`] shared across
-    /// workers, so the difficulty model learns from the whole fleet and
-    /// routed cache hits pre-seed it.
-    pub prover: ProverMode,
     /// How miters split into shards.
     pub shard_policy: ShardPolicy,
     /// Shards with fewer nodes than this are *fused*: consecutive tiny
@@ -124,7 +116,6 @@ impl Default for SvcConfig {
             engine: EngineConfig::default(),
             sat_fallback: false,
             sat: SweepConfig::default(),
-            prover: ProverMode::default(),
             shard_policy: ShardPolicy::PerOutput,
             fuse_threshold: 0,
             default_deadline: None,
@@ -238,8 +229,9 @@ pub struct SvcStats {
     pub cache_len: usize,
     /// Cache entries dropped by the LRU capacity bound.
     pub cache_evictions: u64,
-    /// Cache hits whose entry carried engine-routing info, replayed into
-    /// the adaptive prover's difficulty model.
+    /// Semantic hits on entries loaded from the persistent log whose
+    /// routing record was replayed into the prover's difficulty model
+    /// (at most one per loaded entry).
     pub cache_routing_hits: u64,
     /// Cache hits served by the semantic (NPN-canonical) tier: the cone
     /// was structurally new but functionally equivalent to a settled one.
@@ -254,6 +246,9 @@ pub struct SvcStats {
     /// Jobs settled instantly by the whole-job result memo (duplicate
     /// submissions of an already-settled miter).
     pub job_memo_hits: u64,
+    /// Shards whose proof panicked: caught on the worker, settled
+    /// undecided, never cached.
+    pub worker_panics: u64,
     /// Worker-pool busy fraction over the pool's active window — first
     /// job dequeue to last settle — not whole-process wall clock
     /// (0.0–1.0).
@@ -323,6 +318,7 @@ struct SvcShared {
     job_latency: Histogram,
     job_memo: Mutex<JobMemo>,
     job_memo_hits: AtomicU64,
+    worker_panics: AtomicU64,
 }
 
 impl SvcShared {
@@ -338,6 +334,7 @@ impl SvcShared {
             job_latency: Histogram::latency_default(),
             job_memo: Mutex::new(JobMemo::new(memo_capacity)),
             job_memo_hits: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
         }
     }
 }
@@ -537,6 +534,25 @@ struct ShardTask {
     lift: Vec<usize>,
 }
 
+/// Everything a worker needs to settle one cone, built once at service
+/// start and shared by every dispatch.
+struct ShardProver {
+    /// One executor per worker: kernel launches stay serialized per
+    /// executor (the device model the kernel sanitizer checks) while
+    /// shards still prove in parallel across workers.
+    execs: Vec<Executor>,
+    cache: ResultCache,
+    /// The per-shard flow: engine parameters, and EC transfer on.
+    flow: CombinedConfig,
+    /// See [`SvcConfig::sat_fallback`].
+    sat_fallback: bool,
+    /// One dispatcher for the whole fleet: sharing it across workers is
+    /// what makes the difficulty model learn from every shard, not just a
+    /// worker's own slice of the traffic.
+    prover: Prover,
+    semantic_max_vars: usize,
+}
+
 /// A multi-client combinational-equivalence-checking job service.
 ///
 /// ```
@@ -559,13 +575,7 @@ struct ShardTask {
 pub struct CecService {
     cfg: SvcConfig,
     pool: WorkerPool,
-    execs: Arc<Vec<Executor>>,
-    cache: Arc<ResultCache>,
-    /// One adaptive dispatcher for the whole fleet (used in
-    /// [`ProverMode::Adaptive`]): sharing it across workers is what makes
-    /// the difficulty model learn from every shard, not just a worker's
-    /// own slice of the traffic.
-    prover: Arc<Prover>,
+    prove: Arc<ShardProver>,
     next_id: AtomicU64,
     shared: Arc<SvcShared>,
     shards_total: AtomicU64,
@@ -573,17 +583,21 @@ pub struct CecService {
 }
 
 impl CecService {
-    /// Starts the worker pool, with one executor per worker: kernel
-    /// launches stay serialized per executor (the device model the kernel
-    /// sanitizer checks) while shards still prove in parallel across
-    /// workers.
+    /// Starts the worker pool, with one executor per worker and the
+    /// standard prover ([`build_prover`]) over the configured SAT and
+    /// engine parameters.
     pub fn new(cfg: SvcConfig) -> Self {
+        let prover = build_prover(&cfg.sat, &cfg.engine);
+        Self::with_prover(cfg, prover)
+    }
+
+    /// [`CecService::new`] over a caller-built prover — the seam tests
+    /// inject misbehaving engines through.
+    fn with_prover(cfg: SvcConfig, prover: Prover) -> Self {
         let pool = WorkerPool::new(cfg.workers);
-        let execs = Arc::new(
-            (0..pool.workers())
-                .map(|_| Executor::with_threads(cfg.exec_threads.max(1)))
-                .collect::<Vec<_>>(),
-        );
+        let execs = (0..pool.workers())
+            .map(|_| Executor::with_threads(cfg.exec_threads.max(1)))
+            .collect();
         let mut cache = ResultCache::with_capacity(cfg.cache_capacity);
         if let Some(path) = &cfg.cache_persist {
             // A damaged or unwritable corpus degrades to a cold cache,
@@ -603,25 +617,23 @@ impl CecService {
                 ),
             }
         }
-        let cache = Arc::new(cache);
-        let prover = Arc::new(build_prover(
-            ProverConfig {
-                mode: cfg.prover,
-                ..ProverConfig::default()
+        let prove = Arc::new(ShardProver {
+            execs,
+            cache,
+            flow: CombinedConfig {
+                engine: cfg.engine.clone(),
+                sat: cfg.sat.clone(),
+                ec_transfer: true,
             },
-            &PortfolioConfig {
-                sweep: cfg.sat.clone(),
-                ..PortfolioConfig::default()
-            },
-            &cfg.engine,
-        ));
+            sat_fallback: cfg.sat_fallback,
+            prover,
+            semantic_max_vars: cfg.semantic_max_vars,
+        });
         let shared = Arc::new(SvcShared::new(cfg.job_memo_capacity));
         CecService {
             cfg,
             pool,
-            execs,
-            cache,
-            prover,
+            prove,
             next_id: AtomicU64::new(1),
             shared,
             shards_total: AtomicU64::new(0),
@@ -825,15 +837,8 @@ impl CecService {
         fused: bool,
     ) {
         let shared = Arc::clone(shared);
-        let execs = Arc::clone(&self.execs);
-        let cache = Arc::clone(&self.cache);
+        let prove = Arc::clone(&self.prove);
         let svc_shared = Arc::clone(&self.shared);
-        let engine_cfg = self.cfg.engine.clone();
-        let sat_cfg = self.cfg.sat.clone();
-        let sat_fallback = self.cfg.sat_fallback;
-        let prover = Arc::clone(&self.prover);
-        let mode = self.cfg.prover;
-        let semantic_max_vars = self.cfg.semantic_max_vars;
         self.pool.spawn_in(shared.lane, move |worker| {
             let queue_wait = {
                 let now = shared.clock.now();
@@ -859,19 +864,20 @@ impl CecService {
             }
             let last = tasks.len().saturating_sub(1);
             for (i, task) in tasks.into_iter().enumerate() {
-                let outcome = prove_shard(
-                    &task.cone,
-                    task.hash,
-                    &execs[worker],
-                    &cache,
-                    &engine_cfg,
-                    &sat_cfg,
-                    sat_fallback,
-                    &prover,
-                    mode,
-                    semantic_max_vars,
-                    &shared.token,
-                );
+                // A panicking engine must not take the worker — and every
+                // job queued behind it — down with it: the shard settles
+                // undecided (so nothing is cached or memoized from it) and
+                // the worker moves on.
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    prove.prove_shard(&task.cone, task.hash, worker, &shared.token)
+                }))
+                .unwrap_or_else(|_| {
+                    svc_shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+                    ShardOutcome {
+                        verdict: Verdict::Undecided,
+                        cache_hit: false,
+                    }
+                });
                 let lifted = ShardOutcome {
                     verdict: lift_verdict(outcome.verdict, &task.cone, &task.lift, parent_pis),
                     cache_hit: outcome.cache_hit,
@@ -946,16 +952,17 @@ impl CecService {
             shards_total: self.shards_total.load(Ordering::Relaxed),
             fused_shards: self.shared.fused_shards.load(Ordering::Relaxed),
             fused_dispatches: self.shared.fused_dispatches.load(Ordering::Relaxed),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_len: self.cache.len(),
-            cache_evictions: self.cache.evictions(),
-            cache_routing_hits: self.cache.routing_hits(),
-            cache_semantic_hits: self.cache.semantic_hits(),
-            cache_persist_loaded: self.cache.persist_loaded(),
-            cache_persist_appended: self.cache.persist_appended(),
+            cache_hits: self.prove.cache.hits(),
+            cache_misses: self.prove.cache.misses(),
+            cache_len: self.prove.cache.len(),
+            cache_evictions: self.prove.cache.evictions(),
+            cache_routing_hits: self.prove.cache.routing_hits(),
+            cache_semantic_hits: self.prove.cache.semantic_hits(),
+            cache_persist_loaded: self.prove.cache.persist_loaded(),
+            cache_persist_appended: self.prove.cache.persist_appended(),
             cancellations: self.shared.cancellations.load(Ordering::Relaxed),
             job_memo_hits: self.shared.job_memo_hits.load(Ordering::Relaxed),
+            worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
             worker_utilization: self.pool.utilization(),
         }
     }
@@ -989,17 +996,18 @@ impl CecService {
         self.pool.busy_window()
     }
 
-    /// Snapshot of the shared adaptive dispatcher's per-engine statistics
-    /// (all zeros until a job runs in [`ProverMode::Adaptive`]).
+    /// Snapshot of the shared dispatcher's per-engine statistics (all
+    /// zeros unless [`SvcConfig::sat_fallback`] is on and a shard left a
+    /// residual).
     pub fn prover_stats(&self) -> parsweep_sat::ProverStats {
-        self.prover.stats()
+        self.prove.prover.stats()
     }
 
     /// The launch profile of the whole worker fleet: every per-worker
     /// executor's [`LaunchStats`] merged into one.
     pub fn launch_stats(&self) -> LaunchStats {
         let mut merged = LaunchStats::default();
-        for exec in self.execs.iter() {
+        for exec in &self.prove.execs {
             merged.merge(&exec.stats());
         }
         merged
@@ -1071,6 +1079,12 @@ impl CecService {
         );
         render_counter(
             &mut out,
+            "parsweep_worker_panics_total",
+            "Shards whose proof panicked and settled undecided.",
+            stats.worker_panics,
+        );
+        render_counter(
+            &mut out,
             "parsweep_cache_hits_total",
             "Result-cache lookups settled from a verified entry.",
             stats.cache_hits,
@@ -1090,7 +1104,7 @@ impl CecService {
         render_counter(
             &mut out,
             "parsweep_cache_routing_hits",
-            "Result-cache hits whose entry pre-seeded the adaptive prover's routing.",
+            "Persisted semantic entries whose routing record was replayed into the prover.",
             stats.cache_routing_hits,
         );
         render_counter(
@@ -1328,163 +1342,96 @@ fn plan_dispatches(
     (singles, groups)
 }
 
-/// Settles one cone: structural cache first, then the semantic
-/// (NPN-canonical) tier for qualifying small cones, engine otherwise. In
-/// [`ProverMode::Sequential`] the engine path is the pre-adaptive one
-/// (sim-sweep, plus the fixed-sequence combined flow under
-/// `sat_fallback`) and cache entries stay version-1. In
-/// [`ProverMode::Adaptive`] the shard runs through the shared dispatcher,
-/// the winning `(engine, cost)` is recorded into the cache, and a routed
-/// hit replays its record into the difficulty model before returning.
-/// Every settle of a semantically keyable cone also lands in the
-/// semantic tier, so the *next* functionally identical cone hits even if
-/// its structure differs. The returned verdict is over the *cone's* PIs.
-#[allow(clippy::too_many_arguments)]
-fn prove_shard(
-    cone: &Aig,
-    hash: u64,
-    exec: &Executor,
-    cache: &ResultCache,
-    engine_cfg: &EngineConfig,
-    sat_cfg: &SweepConfig,
-    sat_fallback: bool,
-    prover: &Prover,
-    mode: ProverMode,
-    semantic_max_vars: usize,
-    token: &CancelToken,
-) -> ShardOutcome {
-    if token.is_cancelled() {
-        // Skipped entirely: no cache lookup, no engine run.
-        return ShardOutcome {
-            verdict: Verdict::Undecided,
-            cache_hit: false,
-        };
-    }
-    let cached = {
-        let _span = trace::span("svc", "job.cache_probe");
-        cache.lookup_routed(hash, cone)
-    };
-    if let Some((verdict, routing)) = cached {
-        if let Some(route) = routing {
-            // Replay the cached win into the difficulty model: the next
-            // cold cone of this shape routes like the proved one did.
-            prover.observe_hint(route.engine, &prover.difficulty(cone), route.cost_micros);
-        }
-        trace::instant(
-            "svc",
-            "job.verdict",
-            vec![("source", trace::ArgValue::Str("cache".into()))],
-        );
-        return ShardOutcome {
-            verdict,
-            cache_hit: true,
-        };
-    }
-    // Structural miss: for small single-PO cones, canonicalize and probe
-    // the semantic tier. The signature is computed once and reused for
-    // the post-engine insert below.
-    let sig = if semantic_max_vars > 0 {
-        let _span = trace::span("svc", "job.semantic_key");
-        semantic_signature(cone, semantic_max_vars)
-    } else {
-        None
-    };
-    if let Some(sig) = &sig {
-        if let Some((verdict, routing)) = cache.lookup_semantic(cone, sig) {
-            if let Some(route) = routing {
-                prover.observe_hint(route.engine, &prover.difficulty(cone), route.cost_micros);
-            }
+impl ShardProver {
+    /// Settles one cone on `worker`'s executor: structural cache first,
+    /// then the semantic (NPN-canonical) tier for qualifying small cones,
+    /// the sim engine otherwise — followed, under `sat_fallback`, by the
+    /// shared dispatcher on what the engine leaves undecided. A hit never
+    /// analyzes the cone; the only thing it can feed the prover is the
+    /// routing record of a persisted semantic entry, once. Every settle
+    /// of a semantically keyable cone also lands in the semantic tier, so
+    /// the *next* functionally identical cone hits even if its structure
+    /// differs. The returned verdict is over the *cone's* PIs.
+    fn prove_shard(
+        &self,
+        cone: &Aig,
+        hash: u64,
+        worker: usize,
+        token: &CancelToken,
+    ) -> ShardOutcome {
+        let settled = |verdict, source: &str, cache_hit| {
             trace::instant(
                 "svc",
                 "job.verdict",
-                vec![("source", trace::ArgValue::Str("semantic_cache".into()))],
+                vec![("source", trace::ArgValue::Str(source.into()))],
             );
+            ShardOutcome { verdict, cache_hit }
+        };
+        if token.is_cancelled() {
+            // Skipped entirely: no cache lookup, no engine run.
             return ShardOutcome {
-                verdict,
-                cache_hit: true,
-            };
-        }
-    }
-    match mode {
-        ProverMode::Sequential => {
-            let verdict = if sat_fallback {
-                let cfg = CombinedConfig {
-                    engine: engine_cfg.clone(),
-                    sat: sat_cfg.clone(),
-                    ec_transfer: true,
-                    prover: ProverMode::Sequential,
-                };
-                combined_check_cancellable(cone, exec, &cfg, token).verdict
-            } else {
-                sim_sweep_cancellable(cone, exec, engine_cfg, token).verdict
-            };
-            cache.insert(hash, cone, &verdict);
-            if let Some(sig) = &sig {
-                cache.insert_semantic(sig, &verdict, None);
-            }
-            trace::instant(
-                "svc",
-                "job.verdict",
-                vec![("source", trace::ArgValue::Str("engine".into()))],
-            );
-            ShardOutcome {
-                verdict,
+                verdict: Verdict::Undecided,
                 cache_hit: false,
-            }
-        }
-        ProverMode::Adaptive => {
-            let cfg = CombinedConfig {
-                engine: engine_cfg.clone(),
-                sat: sat_cfg.clone(),
-                ec_transfer: true,
-                prover: ProverMode::Adaptive,
             };
-            let result = combined_check_with_prover(cone, exec, &cfg, prover, token);
-            let routing = shard_routing(result.engine_seconds, &result.verdict, &result.dispatch);
-            cache.insert_routed(hash, cone, &result.verdict, routing);
-            if let Some(sig) = &sig {
-                cache.insert_semantic(sig, &result.verdict, routing);
-            }
-            trace::instant(
-                "svc",
-                "job.verdict",
-                vec![("source", trace::ArgValue::Str("dispatch".into()))],
-            );
-            ShardOutcome {
-                verdict: result.verdict,
-                cache_hit: false,
+        }
+        let cached = {
+            let _span = trace::span("svc", "job.cache_probe");
+            self.cache.lookup(hash, cone)
+        };
+        if let Some(verdict) = cached {
+            return settled(verdict, "cache", true);
+        }
+        // Structural miss: for small single-PO cones, canonicalize and
+        // probe the semantic tier. The signature is computed once and
+        // reused for the post-engine insert below.
+        let sig = if self.semantic_max_vars > 0 {
+            let _span = trace::span("svc", "job.semantic_key");
+            semantic_signature(cone, self.semantic_max_vars)
+        } else {
+            None
+        };
+        if let Some(sig) = &sig {
+            if let Some((verdict, replay)) = self.cache.lookup_semantic(cone, sig) {
+                if let Some(route) = replay {
+                    // A verdict proved before the restart: the next cold
+                    // cone of this size routes like that one did.
+                    self.prover
+                        .observe_hint(route.engine, cone.num_ands(), route.cost_micros);
+                }
+                return settled(verdict, "semantic_cache", true);
             }
         }
+        let exec = &self.execs[worker];
+        let (verdict, routing) = if self.sat_fallback {
+            let r = combined_check_with_prover(cone, exec, &self.flow, &self.prover, token);
+            let routing = shard_routing(r.engine_seconds, &r.dispatch);
+            (r.verdict, routing)
+        } else {
+            let r = sim_sweep_cancellable(cone, exec, &self.flow.engine, token);
+            (r.verdict, shard_routing(r.stats.seconds, &[]))
+        };
+        self.cache.insert(hash, cone, &verdict);
+        if let Some(sig) = &sig {
+            self.cache.insert_semantic(sig, &verdict, Some(routing));
+        }
+        settled(verdict, "engine", false)
     }
 }
 
-/// The routing record a decided adaptive shard leaves in the cache: the
+/// The routing record a decided shard leaves in the persistent log: the
 /// engine that decided the most expensive dispatched cone (the one worth
 /// pre-seeding), or the sim engine itself when no residual cone was
-/// dispatched. `None` for undecided shards — the cache never stores them
-/// anyway.
-fn shard_routing(
-    engine_seconds: f64,
-    verdict: &Verdict,
-    dispatch: &[ProveOutcome],
-) -> Option<RoutingInfo> {
-    if matches!(verdict, Verdict::Undecided) {
-        return None;
-    }
-    let micros = |s: f64| (s * 1e6) as u64;
-    dispatch
+/// dispatched.
+fn shard_routing(engine_seconds: f64, dispatch: &[ProveOutcome]) -> RoutingInfo {
+    let (engine, seconds) = dispatch
         .iter()
-        .filter(|o| !matches!(o.verdict, Verdict::Undecided))
         .filter_map(|o| o.engine.map(|e| (e, o.seconds)))
         .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(engine, seconds)| RoutingInfo {
-            engine,
-            cost_micros: micros(seconds),
-        })
-        .or(Some(RoutingInfo {
-            engine: EngineKind::SimSweep,
-            cost_micros: micros(engine_seconds),
-        }))
+        .unwrap_or((EngineKind::SimSweep, engine_seconds));
+    RoutingInfo {
+        engine,
+        cost_micros: (seconds * 1e6) as u64,
+    }
 }
 
 /// Lifts a cone-local verdict to the submitted miter: counter-example
@@ -1702,6 +1649,7 @@ mod tests {
             cache_persist_appended: 0,
             cancellations: 1,
             job_memo_hits: 5,
+            worker_panics: 0,
             worker_utilization: 0.5,
         };
         let text = s.to_string();
@@ -1775,45 +1723,144 @@ mod tests {
         assert!(text.contains("# TYPE parsweep_job_latency_seconds histogram"));
     }
 
-    #[test]
-    fn adaptive_mode_agrees_and_routes_repeat_traffic() {
-        let svc = CecService::new(SvcConfig {
-            workers: 1,
-            prover: ProverMode::Adaptive,
-            ..SvcConfig::default()
-        });
-        let m = miter(&xor_net(3, false), &xor_net(3, true)).unwrap();
-        let id = svc.submit(m.clone());
-        let r = svc.wait(id).unwrap();
-        assert_eq!(r.verdict, Verdict::Equivalent);
-        // Identical cones within the job: the first proof is cached as a
-        // routed entry, so the sibling hits replay routing hints.
-        assert!(r.stats.cache_hits >= 1, "stats: {:?}", r.stats);
-        let stats = svc.stats();
-        assert!(stats.cache_routing_hits >= 1, "stats: {stats:?}");
-        assert!(svc.prover_stats().routing_hints >= 1);
-        // A resubmitted job settles fully from the routed cache.
-        let id = svc.submit(m);
-        let r = svc.wait(id).unwrap();
-        assert_eq!(r.verdict, Verdict::Equivalent);
-        assert_eq!(r.stats.cache_misses, 0);
+    /// A balanced AND tree against a right-associated AND chain over `n`
+    /// inputs — past the sim engine's PO support bound for `n = 24`, so a
+    /// shard of it stays undecided without the prover. `drop_last` leaves
+    /// the last input out of the chain: the pair then differs on the
+    /// single assignment "all ones but the last", which random patterns
+    /// do not find.
+    fn wide_and_miter(n: usize, drop_last: bool) -> Aig {
+        let mut a = Aig::new();
+        let xs = a.add_inputs(n);
+        let f = a.and_all(xs.iter().copied());
+        a.add_po(f);
+        let mut b = Aig::new();
+        let ys = b.add_inputs(n);
+        let last = if drop_last { n - 2 } else { n - 1 };
+        let mut g = ys[last];
+        for &y in ys[..last].iter().rev() {
+            g = b.and(y, g);
+        }
+        b.add_po(g);
+        miter(&a, &b).unwrap()
     }
 
     #[test]
-    fn adaptive_mode_lifts_a_firing_cex() {
-        let a = xor_net(2, false);
-        let mut b = xor_net(2, true);
-        let po0 = b.po(0);
-        b.set_po(0, !po0);
-        let m = miter(&a, &b).unwrap();
-        let svc = CecService::new(SvcConfig {
-            prover: ProverMode::Adaptive,
+    fn sat_fallback_finishes_what_the_engine_leaves() {
+        let eq = wide_and_miter(24, false);
+        let ne = wide_and_miter(24, true);
+        let off = CecService::new(SvcConfig::default());
+        assert_eq!(
+            off.wait(off.submit(eq.clone())).unwrap().verdict,
+            Verdict::Undecided
+        );
+        assert_eq!(off.prover_stats(), parsweep_sat::ProverStats::default());
+
+        let on = CecService::new(SvcConfig {
+            sat_fallback: true,
             ..SvcConfig::default()
         });
-        let id = svc.submit(m.clone());
-        match svc.wait(id).unwrap().verdict {
-            Verdict::NotEquivalent(cex) => assert!(cex.fires(&m), "lifted cex must fire"),
+        assert_eq!(on.wait(on.submit(eq)).unwrap().verdict, Verdict::Equivalent);
+        match on.wait(on.submit(ne.clone())).unwrap().verdict {
+            Verdict::NotEquivalent(cex) => assert!(cex.fires(&ne), "lifted cex must fire"),
             other => panic!("expected NotEquivalent, got {other:?}"),
+        }
+        assert_eq!(on.prover_stats().wins[EngineKind::SatSweep.slot()], 2);
+    }
+
+    #[test]
+    fn repeat_hits_never_feed_the_prover() {
+        // The memo is off so every repeat walks the cache path.
+        let svc = CecService::new(SvcConfig {
+            workers: 1,
+            sat_fallback: true,
+            job_memo_capacity: 0,
+            ..SvcConfig::default()
+        });
+        let m = wide_and_miter(24, false);
+        assert_eq!(
+            svc.wait(svc.submit(m.clone())).unwrap().verdict,
+            Verdict::Equivalent
+        );
+        let proved = svc.prover_stats();
+        assert_eq!(proved.wins[EngineKind::SatSweep.slot()], 1);
+        for _ in 0..8 {
+            let r = svc.wait(svc.submit(m.clone())).unwrap();
+            assert_eq!(r.verdict, Verdict::Equivalent);
+            assert_eq!((r.stats.cache_hits, r.stats.cache_misses), (1, 0));
+        }
+        // A hit on an entry this process proved itself is not a fresh
+        // win: no attempt, no routing hint, no analysis reaches the
+        // dispatcher.
+        assert_eq!(svc.prover_stats(), proved);
+        assert_eq!(svc.stats().cache_routing_hits, 0);
+    }
+
+    /// Panics on its first call, never decides afterwards.
+    struct PanicOnce {
+        fired: std::sync::atomic::AtomicBool,
+        prefilter: bool,
+    }
+
+    impl parsweep_sat::ProofEngine for PanicOnce {
+        fn kind(&self) -> EngineKind {
+            EngineKind::Structural
+        }
+        fn prefilter(&self) -> bool {
+            self.prefilter
+        }
+        fn prior_cost_micros(&self, _difficulty: &parsweep_sat::Difficulty) -> u64 {
+            0
+        }
+        fn prove(
+            &self,
+            _cone: &Aig,
+            _exec: &Executor,
+            _seeds: &[Cex],
+            _token: &CancelToken,
+        ) -> parsweep_sat::EngineReport {
+            if !self.fired.swap(true, Ordering::SeqCst) {
+                panic!("injected engine failure");
+            }
+            parsweep_sat::EngineReport {
+                verdict: Verdict::Undecided,
+                stats: Default::default(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_engine_settles_undecided_and_the_worker_survives() {
+        // Inline (a screening engine) and inside a race lane (a heavy
+        // engine under a zero race threshold).
+        for prefilter in [true, false] {
+            let mut engines =
+                parsweep_sat::standard_engines(&parsweep_sat::PortfolioConfig::default());
+            engines.push(Box::new(PanicOnce {
+                fired: false.into(),
+                prefilter,
+            }));
+            let prover = Prover::with_engines(engines).with_race_threshold(Duration::ZERO);
+            let cfg = SvcConfig {
+                workers: 1,
+                sat_fallback: true,
+                ..SvcConfig::default()
+            };
+            let svc = CecService::with_prover(cfg, prover);
+            let m = wide_and_miter(24, false);
+            let first = svc.wait(svc.submit(m.clone())).unwrap();
+            assert_eq!(first.verdict, Verdict::Undecided, "prefilter={prefilter}");
+            assert_eq!(svc.stats().worker_panics, 1);
+            assert_eq!(svc.stats().cache_len, 0, "a panicked shard is never cached");
+            // The single worker is still there, and the failed job was
+            // neither memoized nor cached: the rerun proves fresh.
+            let second = svc.wait(svc.submit(m)).unwrap();
+            assert_eq!(second.verdict, Verdict::Equivalent);
+            assert!(!second.stats.memo_hit);
+            assert_eq!(second.stats.cache_misses, 1);
+            assert!(svc
+                .metrics_text()
+                .contains("parsweep_worker_panics_total 1"));
         }
     }
 
@@ -1821,7 +1868,6 @@ mod tests {
     fn metrics_text_renders_prover_and_routing_series() {
         let svc = CecService::new(SvcConfig {
             workers: 1,
-            prover: ProverMode::Adaptive,
             ..SvcConfig::default()
         });
         let m = miter(&xor_net(2, false), &xor_net(2, true)).unwrap();
@@ -1837,6 +1883,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("parsweep_cache_routing_hits"), "{text}");
+        assert!(text.contains("parsweep_worker_panics_total 0"), "{text}");
     }
 
     #[test]

@@ -386,10 +386,14 @@ fn persisted_semantic_corpus_survives_a_service_restart() {
     assert_eq!(s1.cache_persist_loaded, 0);
     drop(svc1);
 
-    // Second lifetime: the structural cache and job memo start empty,
-    // but the loaded semantic corpus settles every resubmitted cone
-    // without touching the engine.
-    let svc2 = CecService::new(cfg());
+    // Second lifetime: the structural cache starts empty (and the job
+    // memo is off, so repeats walk the cache path), but the loaded
+    // semantic corpus settles every resubmitted cone without touching
+    // the engine.
+    let svc2 = CecService::new(SvcConfig {
+        job_memo_capacity: 0,
+        ..cfg()
+    });
     let s2 = svc2.stats();
     assert_eq!(s2.cache_persist_loaded, s1.cache_persist_appended);
     let r_eq2 = svc2.wait(svc2.submit(eq())).unwrap();
@@ -407,6 +411,15 @@ fn persisted_semantic_corpus_survives_a_service_restart() {
         s2.cache_persist_appended, 0,
         "served verdicts must not be re-appended"
     );
+    // Each loaded entry's routing record reached the restarted prover's
+    // model on its first hit — and only then: repeats replay nothing.
+    assert_eq!(s2.cache_routing_hits, 2);
+    assert_eq!(svc2.prover_stats().routing_hints, 2);
+    svc2.wait(svc2.submit(eq())).unwrap();
+    svc2.wait(svc2.submit(ne())).unwrap();
+    assert_eq!(svc2.stats().cache_semantic_hits, 4);
+    assert_eq!(svc2.stats().cache_routing_hits, 2);
+    assert_eq!(svc2.prover_stats().routing_hints, 2);
     drop(svc2);
 
     // Third lifetime against a damaged log: garbage lines and a torn

@@ -2,7 +2,7 @@
 //! a deterministic source.
 //!
 //! The stack reports three kinds of time — raw wall clock (service queue
-//! wait, `PortfolioResult::seconds`), the executor's deterministic
+//! wait, `ProveOutcome::seconds`), the executor's deterministic
 //! *modeled* time, and phase breakdowns mixing both. Routing every wall
 //! reading through [`Clock`] keeps the labels honest (a `Duration` from
 //! here is always wall-since-epoch, never modeled units) and lets tests

@@ -80,14 +80,15 @@ def summarize_sanitizer_overhead(curr_raw):
 
 
 def summarize_prover_dispatch(curr_raw):
-    """Report the fixed-sequence vs adaptive-dispatch wall times the
-    runtime bench records for its hard-cone rows (``prover_dispatch``
-    entries): which engine decided each side and what the concurrent
-    race with early-cancel bought."""
+    """Report the plain-``sat_sweep`` (``sequential_*`` keys) vs
+    dispatcher (``adaptive_*`` keys) wall times the runtime bench records
+    for its hard-cone rows (``prover_dispatch`` entries): which engine
+    decided each side and what the concurrent race with early-cancel
+    bought."""
     rows = curr_raw.get("prover_dispatch") if isinstance(curr_raw, dict) else None
     if not rows:
         return
-    print("prover dispatch (fixed sequence vs adaptive race):")
+    print("prover dispatch (plain sat_sweep vs the dispatcher):")
     for row in rows:
         try:
             name = row["name"]

@@ -223,7 +223,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
                 },
             );
             println!("{}", Report::new(&r.engine));
-            if r.sat.is_some() {
+            if matches!(r.engine.verdict, Verdict::Undecided) {
                 println!("sat fallback: {:.3}s", r.sat_seconds);
             }
             r.verdict
