@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 use parsweep_aig::{miter, Aig, Lit};
 use parsweep_bench::harness::{suite, Case, Scale};
 use parsweep_core::{fraig, sim_sweep, EngineConfig, EngineStats, Report};
-use parsweep_par::{CancelToken, Executor, LaunchStats, SanitizerConfig};
+use parsweep_par::{CancelToken, Executor, LaunchStats};
 use parsweep_sat::{sat_sweep, Prover, SweepConfig, Verdict};
 
 /// Modeled device width used for the time estimates (threads) — the
@@ -344,37 +344,31 @@ fn main() {
     }
 
     // Sanitizer-overhead comparison on the resim-heavy rows: the same
-    // FRAIG run once with the dynamic sanitizer forced onto declared
-    // launches (cross-check mode, every kernel serialized and audited)
-    // and once on a plain sanitizing executor, where the statically
-    // verified launches skip dynamic sanitization entirely.
+    // FRAIG run once on a sanitizing executor (every kernel serialized,
+    // every access audited against its declaration) and once on a raw
+    // one, where launches run in parallel on their static proof alone.
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
     let mut overhead_json = Vec::new();
-    eprintln!("# sanitizer overhead (dynamic cross-check vs verified fast path)");
+    eprintln!("# sanitizer overhead (dynamic audit vs statically verified parallel path)");
     for base in FRAIG_CASES {
         let case = cases
             .iter()
             .find(|c| c.name.starts_with(base))
             .expect("fraig case names come from the suite");
-        let dynamic_exec = Executor::with_sanitizer_config(
-            threads,
-            SanitizerConfig {
-                check_declared: true,
-                ..SanitizerConfig::default()
-            },
-        );
+        let dynamic_exec = Executor::with_sanitizer(threads);
         let dynamic = fraig(&case.miter, &dynamic_exec, &fraig_cfg());
-        let verified_exec = Executor::with_sanitizer(threads);
+        let verified_exec = Executor::with_threads(threads);
         let verified = fraig(&case.miter, &verified_exec, &fraig_cfg());
         assert_eq!(
             dynamic.stats.final_ands, verified.stats.final_ands,
-            "verified replay changed the {base} FRAIG result"
+            "the audit changed the {base} FRAIG result"
         );
-        assert!(
-            verified_exec.stats().static_verified_launches > 0,
-            "{base} FRAIG launched nothing on the verified fast path"
+        assert_eq!(
+            dynamic_exec.stats().static_verified_launches,
+            0,
+            "{base} FRAIG skipped the audit on a sanitizing executor"
         );
         let overhead_pct = if verified.stats.seconds > 0.0 {
             (dynamic.stats.seconds - verified.stats.seconds) / verified.stats.seconds * 100.0

@@ -187,10 +187,9 @@ mod tests {
         assert!(exec.stats().total_launches() > 0);
     }
 
-    #[test]
-    fn kernel_is_statically_verified_on_sanitizing_executor() {
+    /// Enumerates one network's cuts level by level on `exec`.
+    fn enumerate_on(exec: &Executor) -> Vec<Vec<Cut>> {
         let aig = parsweep_aig::random::random_aig(4, 30, 3, 5);
-        let exec = Executor::with_sanitizer(2);
         let fanouts = aig.fanout_counts();
         let levels = aig.levels();
         let params = CutParams::default();
@@ -207,16 +206,28 @@ mod tests {
             groups[levels[v.index()] as usize].push(v);
         }
         for group in groups.iter().skip(1) {
-            kernel.compute_level(&exec, group, &mut sets);
+            kernel.compute_level(exec, group, &mut sets);
         }
-        assert!(exec.take_reports().is_empty());
-        // Ambient PARSWEEP_SANITIZE=all forces cross-check mode, where
-        // declared launches deliberately run sanitized instead.
-        if !exec.cross_checking() {
-            assert!(
-                exec.stats().static_verified_launches > 0,
-                "declared cut launches must take the verified fast path"
-            );
+        sets
+    }
+
+    #[test]
+    fn kernel_is_statically_verified_on_sanitizing_executor() {
+        // Audited (fail-fast): every access of every cut launch is inside
+        // its declaration, and nothing counts as run in parallel.
+        let san = Executor::with_sanitizer(2);
+        let audited = enumerate_on(&san);
+        assert!(san.take_reports().is_empty());
+        assert!(san.stats().total_launches() > 0);
+        assert_eq!(san.stats().static_verified_launches, 0);
+
+        // Raw: same cuts, every launch on the parallel path (ambient
+        // PARSWEEP_SANITIZE makes this executor a sanitizing one too).
+        let raw = Executor::with_threads(2);
+        assert_eq!(enumerate_on(&raw), audited);
+        if !raw.sanitizing() {
+            let stats = raw.stats();
+            assert_eq!(stats.static_verified_launches, stats.total_launches());
         }
     }
 }

@@ -6,9 +6,9 @@
 //! properties the dynamic sanitizer would re-validate on every launch:
 //! write-write and read-write disjointness between threads and between
 //! unordered launches, in-bounds access, and no use after a buffer's
-//! release point. Launch sequences that check statically skip dynamic
-//! sanitization on replay — verify once at record time, replay
-//! unsanitized.
+//! release point. A launch runs only with that proof — verify once at
+//! record time, replay in parallel; a sanitizing executor re-checks it
+//! dynamically instead.
 //!
 //! The declaration grammar is deliberately tiny. Every footprint is one
 //! of:
@@ -28,10 +28,9 @@
 //!   `group[t]`"). The static checker trusts the intra-launch
 //!   disjointness (it cannot see the index data) but still uses the
 //!   `lo..hi` envelope against *other* launches and for bounds checks.
-//!   The cross-check mode (dynamic sanitizer with
-//!   [`check_declared`](crate::SanitizerConfig::check_declared) set)
-//!   exists precisely so this trust is audited: every access a kernel
-//!   actually performs must fall inside a declared pattern.
+//!   A sanitizing executor exists precisely so this trust is audited:
+//!   every access a kernel actually performs must fall inside a declared
+//!   pattern.
 //!
 //! Buffers live in an [`EffectTable`]: a per-epoch registry mapping a
 //! stable label and length to a [`BufId`]. Bind real storage to a
@@ -131,8 +130,8 @@ pub enum Pattern {
     All,
     /// Data-dependent disjoint chunks inside `lo..hi`: threads touch
     /// runtime-chosen, pairwise-disjoint sub-ranges. Intra-launch
-    /// disjointness is a *trusted contract* (audited by cross-check
-    /// mode); the envelope is still used for bounds and cross-launch
+    /// disjointness is a *trusted contract* (audited by a sanitizing
+    /// executor); the envelope is still used for bounds and cross-launch
     /// conflict checks.
     Indexed {
         /// Inclusive lower bound of the envelope.
@@ -338,9 +337,19 @@ impl fmt::Display for StaticHazard {
     }
 }
 
+/// Renders the static checker's findings for a panic message, one per
+/// line.
+pub(crate) fn hazard_report(hazards: &[StaticHazard]) -> String {
+    hazards
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 /// Declarations carried by one pending launch: a snapshot of the table
-/// plus the launch's effects. Used by the dynamic sanitizer's
-/// cross-check mode to audit coverage.
+/// plus the launch's effects. Used by the cross-stream check at epoch
+/// drain and by the dynamic sanitizer to audit coverage.
 #[derive(Clone)]
 pub(crate) struct DeclaredLaunch {
     pub(crate) buffers: Arc<Vec<BufferDecl>>,

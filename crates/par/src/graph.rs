@@ -17,27 +17,39 @@
 //! pool and the cost model charges the wave at the width of its heaviest
 //! branch only.
 //!
+//! Every node declares its [`Effect`]s over the builder's
+//! [`EffectTable`] and the widest it will ever run;
+//! [`KernelGraphBuilder::build`] proves each node race-free and in bounds
+//! at that width and every same-wave pair disjoint, once, so replays
+//! re-check nothing.
+//!
 //! ```
-//! use parsweep_par::{Executor, KernelGraphBuilder};
-//! use std::sync::atomic::{AtomicU64, Ordering};
+//! use parsweep_par::{DeviceSlice, Effect, EffectTable, Executor, KernelGraphBuilder, Pattern};
 //!
 //! struct Round<'a> {
 //!     scale: u64,
-//!     acc: &'a AtomicU64,
+//!     cells: &'a DeviceSlice<'a, u64>,
 //! }
 //! let exec = Executor::with_threads(2);
-//! let acc = AtomicU64::new(0);
-//! let mut g = KernelGraphBuilder::<Round>::new();
-//! let a = g.kernel("a", &[], |_| 8, |tid, r: &Round| {
-//!     r.acc.fetch_add(r.scale * tid as u64, Ordering::Relaxed);
-//! });
-//! let _b = g.kernel("b", &[a], |_| 4, |_, r: &Round| {
-//!     r.acc.fetch_add(1, Ordering::Relaxed);
-//! });
-//! let graph = g.build();
-//! graph.replay(&exec, &Round { scale: 2, acc: &acc });
-//! graph.replay(&exec, &Round { scale: 0, acc: &acc });
-//! assert_eq!(acc.load(Ordering::Relaxed), 2 * 28 + 4 + 4);
+//! let table = EffectTable::new();
+//! let buf = table.buffer("acc", 8);
+//! let own = Pattern::Affine { base: 0, stride: 1, span: 1 };
+//! let mut acc = vec![0u64; 8];
+//! {
+//!     let cells = exec.bind_table(&table, buf, &mut acc);
+//!     let mut g = KernelGraphBuilder::<Round>::new(&table);
+//!     let a = g.kernel_declared("a", &[], |_| 8, 8, vec![Effect::write(buf, own)],
+//!         // SAFETY: each tid writes its own slot, as declared.
+//!         |tid, r: &Round| unsafe { r.cells.write(tid, tid, r.scale * tid as u64) });
+//!     let rw = vec![Effect::read(buf, own), Effect::write(buf, own)];
+//!     let _b = g.kernel_declared("b", &[a], |_| 4, 4, rw,
+//!         // SAFETY: each tid reads and writes only its own slot.
+//!         |tid, r: &Round| unsafe { r.cells.write(tid, tid, r.cells.read(tid, tid) + 1) });
+//!     let graph = g.build();
+//!     graph.replay(&exec, &Round { scale: 0, cells: &cells });
+//!     graph.replay(&exec, &Round { scale: 2, cells: &cells });
+//! }
+//! assert_eq!(acc, [1, 3, 5, 7, 8, 10, 12, 14]);
 //! assert_eq!(exec.stats().total_launches(), 4);
 //! ```
 
@@ -60,10 +72,21 @@ struct Node<'env, B> {
     width: Box<dyn Fn(&B) -> usize + Send + Sync + 'env>,
     kernel: NodeKernel<'env, B>,
     depth: usize,
-    /// Declared static effects plus the maximum width the node was
-    /// verified at, for nodes recorded with
-    /// [`KernelGraphBuilder::kernel_declared`].
-    declared: Option<(Arc<Vec<Effect>>, usize)>,
+    /// Declared static effects.
+    effects: Arc<Vec<Effect>>,
+    /// The widest the node may replay: the width it is verified at.
+    max_width: usize,
+}
+
+impl<B> Node<'_, B> {
+    fn peer<'a>(&'a self, buffers: &'a [BufferDecl]) -> DeclaredPeer<'a> {
+        DeclaredPeer {
+            label: &self.label,
+            width: self.max_width,
+            buffers,
+            effects: &self.effects,
+        }
+    }
 }
 
 /// Builder recording the nodes and edges of a [`KernelGraph`].
@@ -72,77 +95,38 @@ struct Node<'env, B> {
 /// structure is a DAG by construction.
 pub struct KernelGraphBuilder<'env, B> {
     nodes: Vec<Node<'env, B>>,
-    table: Option<EffectTable>,
+    table: EffectTable,
     /// `(buffer, depth)`: the buffer's storage is released (arena lease
     /// returned, slice dropped) once every node of depth `< depth` has
     /// run; any declared use at depth `>= depth` is a use-after-release.
     releases: Vec<(BufId, usize)>,
 }
 
-impl<B> Default for KernelGraphBuilder<'_, B> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<'env, B> KernelGraphBuilder<'env, B> {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
+    /// Creates an empty builder whose nodes declare their effects over
+    /// `table`.
+    pub fn new(table: &EffectTable) -> Self {
         KernelGraphBuilder {
             nodes: Vec::new(),
-            table: None,
+            table: table.clone(),
             releases: Vec::new(),
         }
     }
 
-    /// Attaches the [`EffectTable`] that declared nodes' effects refer
-    /// to. Required before [`KernelGraphBuilder::kernel_declared`].
-    pub fn with_table(mut self, table: &EffectTable) -> Self {
-        self.table = Some(table.clone());
-        self
-    }
-
-    /// Records a kernel node that runs after every node in `deps`.
+    /// Records a kernel node that runs after every node in `deps`, with
+    /// its declared static [`Effect`]s.
     ///
     /// `width` maps the replay bindings to the launch width (0 skips the
     /// node for that replay); `kernel(tid, bindings)` is the kernel body.
+    /// `max_width` is the largest width `width` may return for any
+    /// binding; the static checker verifies the effects at this width,
+    /// and [`KernelGraph::replay`] asserts every runtime width stays
+    /// within it.
     ///
     /// **Replay invariant**: all nodes of equal depth run as *one
-    /// unordered join epoch* (one stream each), for every replay. An
-    /// undeclared node must therefore touch data disjoint from every
-    /// same-depth node under *every* possible binding — the builder
-    /// cannot check this. Nodes recorded with
-    /// [`KernelGraphBuilder::kernel_declared`] are instead proven
-    /// disjoint at their declared maximum widths, which covers every
+    /// unordered join epoch* (one stream each), for every replay. They
+    /// are proven disjoint at their maximum widths, which covers every
     /// narrower replay (footprints only shrink as widths shrink).
-    pub fn kernel<W, K>(&mut self, label: &str, deps: &[NodeId], width: W, kernel: K) -> NodeId
-    where
-        W: Fn(&B) -> usize + Send + Sync + 'env,
-        K: Fn(usize, &B) + Send + Sync + 'env,
-    {
-        let depth = self.depth_after(deps);
-        self.nodes.push(Node {
-            label: label.to_string(),
-            width: Box::new(width),
-            kernel: Box::new(kernel),
-            depth,
-            declared: None,
-        });
-        NodeId(self.nodes.len() - 1)
-    }
-
-    /// Records a kernel node with declared static [`Effect`]s.
-    ///
-    /// `max_width` is the largest width the node's `width` function may
-    /// return for any binding; the static checker verifies the effects
-    /// at this width, and [`KernelGraph::replay`] asserts every runtime
-    /// width stays within it. A graph whose nodes are all declared and
-    /// hazard-free replays without dynamic sanitization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no [`EffectTable`] was attached with
-    /// [`KernelGraphBuilder::with_table`].
     #[allow(clippy::too_many_arguments)]
     pub fn kernel_declared<W, K>(
         &mut self,
@@ -157,17 +141,14 @@ impl<'env, B> KernelGraphBuilder<'env, B> {
         W: Fn(&B) -> usize + Send + Sync + 'env,
         K: Fn(usize, &B) + Send + Sync + 'env,
     {
-        assert!(
-            self.table.is_some(),
-            "kernel_declared requires with_table() before declaring effects"
-        );
         let depth = self.depth_after(deps);
         self.nodes.push(Node {
             label: label.to_string(),
             width: Box::new(width),
             kernel: Box::new(kernel),
             depth,
-            declared: Some((Arc::new(effects), max_width)),
+            effects: Arc::new(effects),
+            max_width,
         });
         NodeId(self.nodes.len() - 1)
     }
@@ -194,152 +175,112 @@ impl<'env, B> KernelGraphBuilder<'env, B> {
         self.try_build().unwrap_or_else(|hazards| {
             panic!(
                 "static effect check failed at graph build:\n{}",
-                hazards
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n")
+                effects::hazard_report(&hazards)
             )
         })
     }
 
     /// Finalizes the recording into a replayable graph, running the
-    /// static effect checker over all declared nodes:
+    /// static effect checker over all nodes:
     ///
-    /// * every declared node is checked in isolation at its declared
-    ///   maximum width (bounds, thread disjointness);
-    /// * every *same-depth* pair of declared nodes — which replay as
-    ///   one unordered epoch — is checked for footprint disjointness at
+    /// * every node is checked in isolation at its declared maximum
+    ///   width (bounds, thread disjointness);
+    /// * every *same-depth* pair of nodes — which replay as one
+    ///   unordered epoch — is checked for footprint disjointness at
     ///   their maximum widths;
     /// * declared uses of a buffer at or past its
     ///   [`release`](KernelGraphBuilder::release) depth are flagged.
-    ///
-    /// The resulting graph is [`verified`](KernelGraph::verified) when
-    /// a table was attached, every node is declared, and no hazard was
-    /// found — verified graphs replay without dynamic sanitization.
     pub fn try_build(self) -> Result<KernelGraph<'env, B>, Vec<StaticHazard>> {
-        let buffers = self.table.as_ref().map(|t| t.snapshot());
+        let buffers = self.table.snapshot();
         let mut hazards = Vec::new();
-        if let Some(buffers) = &buffers {
-            for node in &self.nodes {
-                let Some((effects_list, max_width)) = &node.declared else {
-                    continue;
-                };
-                hazards.extend(effects::check_launch(
-                    &node.label,
-                    *max_width,
-                    effects_list,
-                    buffers,
-                ));
-                for &(buf, depth) in &self.releases {
-                    if node.depth >= depth && effects_list.iter().any(|e| e.buf == buf) {
-                        hazards.push(StaticHazard::UseAfterRelease {
-                            kernel: node.label.clone(),
-                            buffer: buffers[buf.0 as usize].label.clone(),
-                        });
-                    }
-                }
-            }
-            // Same-depth nodes replay as one unordered epoch, so every
-            // pair must have disjoint footprints. Wide graphs (one node
-            // per window, thousands of windows per wave) make the naive
-            // all-pairs check quadratic, so candidate pairs are found
-            // with an interval sweep first: only nodes whose coarse
-            // per-buffer envelopes overlap (write-vs-anything) get the
-            // full `check_unordered` treatment. Envelope-disjoint pairs
-            // cannot conflict — the precise overlap test refines the
-            // envelope, never widens it.
-            let mut depth_groups: Vec<Vec<usize>> = Vec::new();
-            for (i, node) in self.nodes.iter().enumerate() {
-                if depth_groups.len() <= node.depth {
-                    depth_groups.resize(node.depth + 1, Vec::new());
-                }
-                depth_groups[node.depth].push(i);
-            }
-            for group in &depth_groups {
-                // (lo, hi, node, is_write) envelopes, bucketed by buffer
-                // label — `check_unordered` matches buffers by label.
-                let mut by_label: std::collections::HashMap<
-                    &str,
-                    Vec<(usize, usize, usize, bool)>,
-                > = std::collections::HashMap::new();
-                for &i in group {
-                    let Some((effects_list, w)) = &self.nodes[i].declared else {
-                        continue;
-                    };
-                    for e in effects_list.iter() {
-                        let decl = &buffers[e.buf.0 as usize];
-                        if let Some((lo, hi)) = e.pattern.footprint(*w, decl.len) {
-                            by_label.entry(decl.label.as_str()).or_default().push((
-                                lo,
-                                hi,
-                                i,
-                                e.is_write(),
-                            ));
-                        }
-                    }
-                }
-                let mut candidates = std::collections::BTreeSet::new();
-                for entries in by_label.values_mut() {
-                    entries.sort_unstable();
-                    for (k, &(_, hi_a, na, wr_a)) in entries.iter().enumerate() {
-                        for &(lo_b, _, nb, wr_b) in &entries[k + 1..] {
-                            if lo_b >= hi_a {
-                                break;
-                            }
-                            if na != nb && (wr_a || wr_b) {
-                                candidates.insert((na.min(nb), na.max(nb)));
-                            }
-                        }
-                    }
-                }
-                for (i, j) in candidates {
-                    let (a, b) = (&self.nodes[i], &self.nodes[j]);
-                    let (ea, wa) = a.declared.as_ref().expect("candidate nodes are declared");
-                    let (eb, wb) = b.declared.as_ref().expect("candidate nodes are declared");
-                    hazards.extend(effects::check_unordered(
-                        &DeclaredPeer {
-                            label: &a.label,
-                            width: *wa,
-                            buffers,
-                            effects: ea,
-                        },
-                        &DeclaredPeer {
-                            label: &b.label,
-                            width: *wb,
-                            buffers,
-                            effects: eb,
-                        },
-                    ));
+        for node in &self.nodes {
+            hazards.extend(effects::check_launch(
+                &node.label,
+                node.max_width,
+                &node.effects,
+                &buffers,
+            ));
+            for &(buf, depth) in &self.releases {
+                if node.depth >= depth && node.effects.iter().any(|e| e.buf == buf) {
+                    hazards.push(StaticHazard::UseAfterRelease {
+                        kernel: node.label.clone(),
+                        buffer: buffers[buf.0 as usize].label.clone(),
+                    });
                 }
             }
         }
-        if !hazards.is_empty() {
-            return Err(hazards);
-        }
-        let verified = buffers.is_some() && self.nodes.iter().all(|n| n.declared.is_some());
+        // Same-depth nodes replay as one unordered epoch, so every pair
+        // must have disjoint footprints. Wide graphs (one node per
+        // window, thousands of windows per wave) make the naive
+        // all-pairs check quadratic, so candidate pairs are found with
+        // an interval sweep first: only nodes whose coarse per-buffer
+        // envelopes overlap (write-vs-anything) get the full
+        // `check_unordered` treatment. Envelope-disjoint pairs cannot
+        // conflict — the precise overlap test refines the envelope,
+        // never widens it.
         let max_depth = self.nodes.iter().map(|n| n.depth).max();
         let mut waves = vec![Vec::new(); max_depth.map_or(0, |d| d + 1)];
         for (i, node) in self.nodes.iter().enumerate() {
             waves[node.depth].push(i);
         }
+        for wave in &waves {
+            // (lo, hi, node, is_write) envelopes, bucketed by buffer
+            // label — `check_unordered` matches buffers by label.
+            let mut by_label: std::collections::HashMap<&str, Vec<(usize, usize, usize, bool)>> =
+                std::collections::HashMap::new();
+            for &i in wave {
+                let node = &self.nodes[i];
+                for e in node.effects.iter() {
+                    let decl = &buffers[e.buf.0 as usize];
+                    if let Some((lo, hi)) = e.pattern.footprint(node.max_width, decl.len) {
+                        by_label.entry(decl.label.as_str()).or_default().push((
+                            lo,
+                            hi,
+                            i,
+                            e.is_write(),
+                        ));
+                    }
+                }
+            }
+            let mut candidates = std::collections::BTreeSet::new();
+            for entries in by_label.values_mut() {
+                entries.sort_unstable();
+                for (k, &(_, hi_a, na, wr_a)) in entries.iter().enumerate() {
+                    for &(lo_b, _, nb, wr_b) in &entries[k + 1..] {
+                        if lo_b >= hi_a {
+                            break;
+                        }
+                        if na != nb && (wr_a || wr_b) {
+                            candidates.insert((na.min(nb), na.max(nb)));
+                        }
+                    }
+                }
+            }
+            for (i, j) in candidates {
+                hazards.extend(effects::check_unordered(
+                    &self.nodes[i].peer(&buffers),
+                    &self.nodes[j].peer(&buffers),
+                ));
+            }
+        }
+        if !hazards.is_empty() {
+            return Err(hazards);
+        }
         Ok(KernelGraph {
             nodes: self.nodes,
             waves,
-            buffers: buffers.unwrap_or_default(),
-            verified,
+            buffers,
         })
     }
 }
 
-/// A recorded launch DAG, replayable against fresh bindings — the
-/// executor-model analogue of an instantiated CUDA graph.
+/// A recorded, statically verified launch DAG, replayable against fresh
+/// bindings — the executor-model analogue of an instantiated CUDA graph.
 pub struct KernelGraph<'env, B> {
     nodes: Vec<Node<'env, B>>,
     waves: Vec<Vec<usize>>,
-    /// Snapshot of the builder's effect table (empty without one).
+    /// Snapshot of the builder's effect table.
     buffers: Arc<Vec<BufferDecl>>,
-    verified: bool,
 }
 
 impl<B: Sync> KernelGraph<'_, B> {
@@ -353,27 +294,23 @@ impl<B: Sync> KernelGraph<'_, B> {
         self.waves.len()
     }
 
-    /// True when every node carries statically-checked effect
-    /// declarations: replays of this graph skip dynamic sanitization
-    /// (counted in
-    /// [`LaunchStats::static_verified_replays`](crate::LaunchStats::static_verified_replays)),
-    /// unless the executor is in cross-check mode.
-    pub fn verified(&self) -> bool {
-        self.verified
-    }
-
     /// Executes the graph for one bindings value.
     ///
     /// Each wave of dependency-free nodes becomes one [`Executor::join`]
     /// epoch — one stream per node — so independent nodes interleave and
     /// only the heaviest node of each wave lands on the modeled critical
     /// path. Nodes whose width evaluates to 0 are skipped entirely (no
-    /// launch is recorded).
+    /// launch is recorded). A replay on a raw executor is counted in
+    /// [`LaunchStats::static_verified_replays`](crate::LaunchStats::static_verified_replays).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a node's width exceeds the maximum it was verified
+    /// at.
     pub fn replay(&self, exec: &Executor, bindings: &B) {
         let mut span = trace::span("graph", "graph.replay");
         span.arg_u64("nodes", self.num_nodes() as u64);
         span.arg_u64("waves", self.num_waves() as u64);
-        span.arg_u64("verified", self.verified as u64);
         for wave in &self.waves {
             let mut streams: Vec<Stream<'_, '_>> = Vec::with_capacity(wave.len());
             for &id in wave {
@@ -382,34 +319,30 @@ impl<B: Sync> KernelGraph<'_, B> {
                 if width == 0 {
                     continue;
                 }
+                assert!(
+                    width <= node.max_width,
+                    "graph node `{}` replayed at width {width}, beyond its \
+                     statically verified maximum {}",
+                    node.label,
+                    node.max_width
+                );
                 let kernel = &node.kernel;
                 let mut stream = exec.stream();
-                if let Some((effects_list, max_width)) = &node.declared {
-                    assert!(
-                        width <= *max_width,
-                        "graph node `{}` replayed at width {width}, beyond its \
-                         statically verified maximum {max_width}",
-                        node.label
-                    );
-                    // Already checked at build time at max_width, which
-                    // dominates this width — queue without re-checking.
-                    stream.queue.push(Pending {
-                        label: node.label.clone(),
-                        n: width,
-                        coverage: None,
-                        declared: Some(DeclaredLaunch {
-                            buffers: Arc::clone(&self.buffers),
-                            effects: Arc::clone(effects_list),
-                        }),
-                        // Same-depth disjointness was proven at build
-                        // time at max widths; the epoch drain must not
-                        // re-check O(wave²) pairs on every replay.
-                        preverified: true,
-                        kernel: Box::new(move |tid| kernel(tid, bindings)),
-                    });
-                } else {
-                    stream.launch_labeled(&node.label, width, move |tid| kernel(tid, bindings));
-                }
+                // Already checked at build time at max_width, which
+                // dominates this width — queue without re-checking.
+                stream.queue.push(Pending {
+                    label: node.label.clone(),
+                    n: width,
+                    declared: DeclaredLaunch {
+                        buffers: Arc::clone(&self.buffers),
+                        effects: Arc::clone(&node.effects),
+                    },
+                    // Same-depth disjointness was proven at build time
+                    // at max widths; the epoch drain must not re-check
+                    // O(wave²) pairs on every replay.
+                    preverified: true,
+                    kernel: Box::new(move |tid| kernel(tid, bindings)),
+                });
                 streams.push(stream);
             }
             if !streams.is_empty() {
@@ -417,7 +350,7 @@ impl<B: Sync> KernelGraph<'_, B> {
                 exec.join(&mut refs);
             }
         }
-        if self.verified && !exec.cross_checking() {
+        if !exec.sanitizing() {
             exec.note_verified_replay();
         }
     }
@@ -428,13 +361,24 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A node that touches no device buffer (empty declaration).
+    fn node<'env, B>(
+        g: &mut KernelGraphBuilder<'env, B>,
+        label: &str,
+        deps: &[NodeId],
+        width: impl Fn(&B) -> usize + Send + Sync + 'env,
+        kernel: impl Fn(usize, &B) + Send + Sync + 'env,
+    ) -> NodeId {
+        g.kernel_declared(label, deps, width, usize::MAX, Vec::new(), kernel)
+    }
+
     #[test]
     fn waves_follow_dependency_depth() {
-        let mut g = KernelGraphBuilder::<()>::new();
-        let a = g.kernel("a", &[], |_| 1, |_, _| {});
-        let b = g.kernel("b", &[], |_| 1, |_, _| {});
-        let c = g.kernel("c", &[a, b], |_| 1, |_, _| {});
-        let _d = g.kernel("d", &[c], |_| 1, |_, _| {});
+        let mut g = KernelGraphBuilder::<()>::new(&EffectTable::new());
+        let a = node(&mut g, "a", &[], |_| 1, |_, _| {});
+        let b = node(&mut g, "b", &[], |_| 1, |_, _| {});
+        let c = node(&mut g, "c", &[a, b], |_| 1, |_, _| {});
+        let _d = node(&mut g, "d", &[c], |_| 1, |_, _| {});
         let graph = g.build();
         assert_eq!(graph.num_nodes(), 4);
         assert_eq!(graph.num_waves(), 3);
@@ -443,14 +387,16 @@ mod tests {
     #[test]
     fn replay_respects_ordering_edges() {
         // b depends on a: every replay must observe a's writes.
-        let mut g = KernelGraphBuilder::<Vec<AtomicUsize>>::new();
-        let a = g.kernel(
+        let mut g = KernelGraphBuilder::<Vec<AtomicUsize>>::new(&EffectTable::new());
+        let a = node(
+            &mut g,
             "a",
             &[],
             |cells: &Vec<AtomicUsize>| cells.len(),
             |tid, cells| cells[tid].store(tid + 1, Ordering::SeqCst),
         );
-        g.kernel(
+        node(
+            &mut g,
             "b",
             &[a],
             |cells: &Vec<AtomicUsize>| cells.len(),
@@ -463,7 +409,7 @@ mod tests {
         let graph = g.build();
         let exec = Executor::with_threads(4);
         for _ in 0..3 {
-            let cells: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
+            let cells: Vec<AtomicUsize> = (0..512).map(|_| AtomicUsize::new(0)).collect();
             graph.replay(&exec, &cells);
             assert!(cells
                 .iter()
@@ -474,8 +420,8 @@ mod tests {
 
     #[test]
     fn zero_width_nodes_are_skipped() {
-        let mut g = KernelGraphBuilder::<usize>::new();
-        g.kernel("gated", &[], |&active| active, |_, _| {});
+        let mut g = KernelGraphBuilder::<usize>::new(&EffectTable::new());
+        node(&mut g, "gated", &[], |&active| active, |_, _| {});
         let graph = g.build();
         let exec = Executor::with_threads(2);
         graph.replay(&exec, &0);

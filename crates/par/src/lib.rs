@@ -8,15 +8,34 @@
 //! prescribes (word-parallel truth-table computation, level-wise node
 //! batches, window batches).
 //!
+//! There is one way to run a kernel: declare what it touches, then launch
+//! it. Buffers are named in an [`EffectTable`], storage is bound to a
+//! declaration with [`Executor::bind_table`], and every launch — eager
+//! ([`Executor::launch_declared`]), queued ([`Stream::launch_declared`])
+//! or recorded ([`KernelGraphBuilder::kernel_declared`]) — carries its
+//! read/write footprints as [`Effect`]s. The static checker proves the
+//! footprints in bounds and race-free before anything runs and panics
+//! otherwise; a launch runs in parallel only with that proof.
+//!
 //! Every launch is recorded, so the *parallel work profile* of a run — how
 //! many kernels were launched, how wide they were, and the critical-path
 //! depth — can be inspected and used to model speedups on wider machines
 //! than the host (see [`LaunchStats::modeled_time`]).
 //!
 //! ```
-//! use parsweep_par::Executor;
+//! use parsweep_par::{Effect, EffectTable, Executor, Pattern};
 //! let exec = Executor::with_threads(2);
-//! let squares = exec.map(8, |i| i * i);
+//! let table = EffectTable::new();
+//! let out = table.buffer("squares", 8);
+//! let mut squares = vec![0u64; 8];
+//! {
+//!     let cells = exec.bind_table(&table, out, &mut squares);
+//!     let own = Pattern::Affine { base: 0, stride: 1, span: 1 };
+//!     exec.launch_declared(&table, "square", 8, &[Effect::write(out, own)], |tid| {
+//!         // SAFETY: each tid writes its own slot, as declared.
+//!         unsafe { cells.write(tid, tid, (tid * tid) as u64) }
+//!     });
+//! }
 //! assert_eq!(squares[3], 9);
 //! let stats = exec.stats();
 //! // Width 8 is below the inline threshold: the launch ran on the
@@ -34,40 +53,47 @@
 //! spawn/join — hundreds of microseconds of fixed overhead, which for
 //! the narrow per-level launches of a sweeping round dwarfs the work
 //! itself (the launch-bound cases of `BENCH_runtime.json`). Launches
-//! below [`Executor::inline_threshold`] (default
-//! [`DEFAULT_INLINE_THRESHOLD`], override with the `PARSWEEP_INLINE`
-//! environment variable or [`Executor::with_inline_threshold`]) therefore
-//! run *inline* on the issuing thread. They are counted separately in
+//! narrower than [`DEFAULT_INLINE_THRESHOLD`] therefore run *inline* on
+//! the issuing thread. They are counted separately in
 //! [`LaunchStats::inline_launches`] — `launches` counts pool dispatches —
-//! but remain full launches everywhere else: the sanitizer instruments
-//! them, and they are charged to the width histograms and the modeled
-//! critical path exactly like dispatched launches (inlining changes where
-//! a kernel runs on the *host*, not the modeled device cost).
+//! but remain full launches everywhere else: the sanitizer audits them,
+//! and they are charged to the width histograms and the modeled critical
+//! path exactly like dispatched launches (inlining changes where a kernel
+//! runs on the *host*, not the modeled device cost).
 //!
 //! ## Kernel sanitizer
 //!
 //! Kernels access shared buffers through [`DeviceSlice`] under an
 //! unchecked "each tid owns its slot" discipline — the executor-model
 //! analogue of the raw device pointers CUDA kernels receive, and the same
-//! class of bug `compute-sanitizer --tool racecheck` exists for. A
-//! sanitizing executor ([`Executor::with_sanitizer`], the
-//! `PARSWEEP_SANITIZE=1` environment variable, or the `sanitize` cargo
-//! feature) logs every access and reports write–write and read–write
-//! hazards between distinct tids, out-of-bounds accesses, and unwritten
-//! output slots — with the kernel label, launch ordinal, and conflicting
-//! tids:
+//! class of bug `compute-sanitizer --tool racecheck` exists for. The
+//! static proof covers the *declaration*; whether the kernel keeps to it
+//! is what a sanitizing executor ([`Executor::with_sanitizer`], or any
+//! executor when the `PARSWEEP_SANITIZE` environment variable is set)
+//! audits. It runs every launch serialized, logs every access, and
+//! reports accesses outside the declared footprints, write–write and
+//! read–write hazards between distinct tids, out-of-bounds accesses and
+//! races between unordered streams — with the kernel label, launch
+//! ordinal and conflicting tids. The same analysis is the reference the
+//! static checker is tested against: a kernel declared as loosely as the
+//! grammar allows (`Effect::atomic(buf, Pattern::All)` is statically
+//! clean and covers every access) is judged by the access log alone:
 //!
 //! ```
-//! use parsweep_par::{ConflictKind, Executor, SanitizerConfig};
+//! use parsweep_par::{
+//!     ConflictKind, Effect, EffectTable, Executor, Pattern, SanitizerConfig,
+//! };
 //! let exec = Executor::with_sanitizer_config(
 //!     2,
 //!     SanitizerConfig { fail_fast: false, ..SanitizerConfig::default() },
 //! );
+//! let table = EffectTable::new();
+//! let id = table.buffer("buf", 4);
 //! let mut buf = vec![0u32; 4];
 //! {
-//!     let cells = exec.bind("buf", &mut buf);
+//!     let cells = exec.bind_table(&table, id, &mut buf);
 //!     // Every tid writes slot 0: a write-write race on a real GPU.
-//!     exec.launch_labeled("racy", 4, |tid| {
+//!     exec.launch_declared(&table, "racy", 4, &[Effect::atomic(id, Pattern::All)], |tid| {
 //!         // SAFETY: intentionally violates the disjoint-slot discipline
 //!         // to demonstrate detection; the sanitizer serializes execution
 //!         // so the race is logged, not physically exercised.
@@ -99,7 +125,6 @@ pub use stream::Stream;
 use effects::DeclaredLaunch;
 use parsweep_trace as trace;
 use sanitizer::Sanitizer;
-use std::mem::{ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -122,7 +147,7 @@ pub const WIDTH_BUCKETS: usize = 64;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LaunchStats {
     /// Kernel launches dispatched to the worker pool (widths at or above
-    /// the executor's inline threshold).
+    /// [`DEFAULT_INLINE_THRESHOLD`]).
     pub launches: u64,
     /// Kernel launches below the inline threshold, run on the issuing
     /// thread instead of the pool. Same modeled cost, no dispatch
@@ -146,12 +171,12 @@ pub struct LaunchStats {
     pub critical_counts: [u64; WIDTH_BUCKETS],
     /// Sum of critical-path launch widths per bucket.
     pub critical_sums: [u64; WIDTH_BUCKETS],
-    /// Launches with declared effects that the static checker verified
-    /// and that therefore ran on the parallel fast path without dynamic
-    /// sanitization ("verify once at record time, replay unsanitized").
+    /// Launches that ran on the parallel path on the strength of their
+    /// static effect proof: every launch of a raw executor, none of a
+    /// sanitizing one (which serializes and audits them instead).
     pub static_verified_launches: u64,
-    /// Replays of statically-verified [`KernelGraph`]s that skipped
-    /// dynamic sanitization entirely.
+    /// [`KernelGraph`] replays that ran on the parallel path (same
+    /// split: all on a raw executor, none on a sanitizing one).
     pub static_verified_replays: u64,
     /// [`BufferArena`] takes served from a pool (no allocation).
     pub arena_hits: u64,
@@ -339,20 +364,27 @@ impl LaunchStats {
 
 /// A data-parallel executor with the GPU kernel-launch programming model.
 ///
-/// `launch(n, kernel)` runs `kernel(tid)` for every `tid in 0..n`, in
-/// parallel over a pool of OS threads, and returns when all work items
-/// finished (a launch is a synchronization barrier, like a CUDA kernel on
-/// one stream).
+/// [`Executor::launch_declared`] runs `kernel(tid)` for every
+/// `tid in 0..n`, in parallel over a pool of OS threads, and returns when
+/// all work items finished (a launch is a synchronization barrier, like a
+/// CUDA kernel on one stream).
 ///
-/// A *sanitizing* executor (see [`Executor::with_sanitizer`]) additionally
-/// race-checks every launch: execution is serialized in tid order while
-/// all [`DeviceSlice`] accesses are logged and analyzed for hazards, the
+/// An executor is either *raw* — launches run in parallel on the strength
+/// of their static effect proof — or *sanitizing* (see
+/// [`Executor::with_sanitizer`]): every launch is serialized in tid order
+/// while all [`DeviceSlice`] accesses are logged, audited against the
+/// launch's declared footprints and analyzed for hazards, the
 /// executor-model equivalent of running under
 /// `compute-sanitizer --tool racecheck`.
+///
+/// `Executor` is `Send + Sync`: any number of threads may drive launches
+/// on one shared executor. Raw launches synchronize only through the
+/// stats mutex and the arena pools; audited epochs take turns. (The audit
+/// matches declared effects to bindings by buffer label, so threads
+/// sharing a sanitizing executor must bind under distinct labels.)
 #[derive(Debug)]
 pub struct Executor {
     num_threads: usize,
-    inline_threshold: usize,
     stats: Mutex<LaunchStats>,
     sanitizer: Option<Sanitizer>,
     arena: BufferArena,
@@ -366,37 +398,17 @@ impl Default for Executor {
     }
 }
 
-/// True when the environment forces sanitizing on every executor: either
-/// the `sanitize` cargo feature or `PARSWEEP_SANITIZE` set to anything
-/// but `0`.
+/// True when the environment makes every executor sanitize:
+/// `PARSWEEP_SANITIZE` set to anything but the empty string or `0`.
 fn ambient_sanitize() -> bool {
-    cfg!(feature = "sanitize")
-        || std::env::var_os("PARSWEEP_SANITIZE").is_some_and(|v| v != "0" && !v.is_empty())
+    std::env::var_os("PARSWEEP_SANITIZE").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
-/// True when the environment forces *cross-check* mode: statically
-/// verified launches do not skip dynamic sanitization, and every access
-/// they perform is audited against their declared footprints. Set
-/// `PARSWEEP_SANITIZE=all` (or `force` / `2`) to enable.
-fn ambient_cross_check() -> bool {
-    std::env::var_os("PARSWEEP_SANITIZE").is_some_and(|v| v == "all" || v == "force" || v == "2")
-}
-
-/// Default width below which a launch runs inline on the issuing thread
-/// instead of being dispatched to the worker pool. At typical pool sizes
-/// a dispatch costs a `thread::scope` spawn/join; below a couple hundred
+/// Width below which a launch runs inline on the issuing thread instead
+/// of being dispatched to the worker pool. At typical pool sizes a
+/// dispatch costs a `thread::scope` spawn/join; below a couple hundred
 /// work items the per-item work never amortizes it.
 pub const DEFAULT_INLINE_THRESHOLD: usize = 256;
-
-/// Reads the `PARSWEEP_INLINE` environment override for the inline
-/// threshold. Unset or unparsable values fall back to the default; `0`
-/// disables the fast path (every launch dispatches to the pool).
-fn ambient_inline_threshold() -> usize {
-    std::env::var("PARSWEEP_INLINE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_INLINE_THRESHOLD)
-}
 
 impl Executor {
     /// Creates an executor sized to the machine's available parallelism.
@@ -409,30 +421,19 @@ impl Executor {
 
     /// Creates an executor with an explicit number of worker threads.
     ///
-    /// The executor sanitizes when the `sanitize` cargo feature is enabled
-    /// or the `PARSWEEP_SANITIZE` environment variable is set (to anything
-    /// but `0`), so an unmodified test suite can be run fully
-    /// instrumented.
+    /// The executor is raw unless the `PARSWEEP_SANITIZE` environment
+    /// variable is set (to anything but `0`), in which case it sanitizes
+    /// with the default [`SanitizerConfig`] — so an unmodified test suite
+    /// can be run fully audited.
     ///
     /// # Panics
     ///
     /// Panics if `num_threads == 0`.
     pub fn with_threads(num_threads: usize) -> Self {
-        assert!(num_threads > 0, "executor needs at least one thread");
-        Executor {
+        Self::build(
             num_threads,
-            inline_threshold: ambient_inline_threshold(),
-            stats: Mutex::new(LaunchStats::default()),
-            sanitizer: ambient_sanitize().then(|| {
-                Sanitizer::new(SanitizerConfig {
-                    check_declared: ambient_cross_check(),
-                    ..SanitizerConfig::default()
-                })
-            }),
-            arena: BufferArena::new(),
-            spill: BufferArena::new(),
-            next_stream: AtomicU64::new(1),
-        }
+            ambient_sanitize().then(SanitizerConfig::default),
+        )
     }
 
     /// Creates a sanitizing executor with the default
@@ -451,81 +452,34 @@ impl Executor {
     /// # Panics
     ///
     /// Panics if `num_threads == 0`.
-    pub fn with_sanitizer_config(num_threads: usize, mut config: SanitizerConfig) -> Self {
+    pub fn with_sanitizer_config(num_threads: usize, config: SanitizerConfig) -> Self {
+        Self::build(num_threads, Some(config))
+    }
+
+    fn build(num_threads: usize, sanitizer: Option<SanitizerConfig>) -> Self {
         assert!(num_threads > 0, "executor needs at least one thread");
-        // The ambient cross-check override applies to explicit sanitizer
-        // configs too, so `PARSWEEP_SANITIZE=all` forces dynamic checking
-        // back on process-wide.
-        config.check_declared |= ambient_cross_check();
         Executor {
             num_threads,
-            inline_threshold: ambient_inline_threshold(),
             stats: Mutex::new(LaunchStats::default()),
-            sanitizer: Some(Sanitizer::new(config)),
+            sanitizer: sanitizer.map(Sanitizer::new),
             arena: BufferArena::new(),
             spill: BufferArena::new(),
             next_stream: AtomicU64::new(1),
         }
     }
 
-    /// Overrides the small-launch inline threshold: launches of width
-    /// strictly below `threshold` run on the issuing thread instead of
-    /// dispatching to the worker pool (and are counted in
-    /// [`LaunchStats::inline_launches`]). `0` disables the fast path.
-    ///
-    /// The ambient default is [`DEFAULT_INLINE_THRESHOLD`], overridable
-    /// process-wide with the `PARSWEEP_INLINE` environment variable.
-    pub fn with_inline_threshold(mut self, threshold: usize) -> Self {
-        self.inline_threshold = threshold;
-        self
-    }
-
-    /// Width below which launches run inline on the issuing thread.
-    pub fn inline_threshold(&self) -> usize {
-        self.inline_threshold
-    }
-
-    /// Wraps this executor for sharing across concurrently-running
-    /// workers (e.g. a job service's worker pool).
-    ///
-    /// `Executor` is `Send + Sync`: launches synchronize only through the
-    /// internal stats mutex, the arena pool, and the (mutex-guarded)
-    /// sanitizer, so any number of threads may drive launches on one
-    /// shared executor concurrently. Sharing one executor — rather than
-    /// giving each worker its own — pools the buffer arena (cross-worker
-    /// recycling) and aggregates one launch profile for the whole fleet.
-    pub fn into_shared(self) -> std::sync::Arc<Executor> {
-        // Compile-time proof that sharing is sound; the bound is what
-        // makes `Arc<Executor>` usable from many worker threads at once.
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Executor>();
-        std::sync::Arc::new(self)
-    }
-
-    /// Returns the number of worker threads.
-    pub fn num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// True when this executor race-checks its launches.
+    /// True when this executor audits its launches under the dynamic
+    /// sanitizer instead of running them in parallel.
     pub fn sanitizing(&self) -> bool {
         self.sanitizer.is_some()
     }
 
-    /// True when this executor audits statically-verified launches with
-    /// the dynamic sanitizer instead of letting them skip it
-    /// (cross-check mode: [`SanitizerConfig::check_declared`] or
-    /// `PARSWEEP_SANITIZE=all`).
-    pub fn cross_checking(&self) -> bool {
-        self.sanitizer.as_ref().is_some_and(Sanitizer::cross_check)
-    }
-
-    /// Counts launches that ran on the verified fast path.
+    /// Counts launches that ran on the parallel path.
     pub(crate) fn note_verified_launches(&self, count: u64) {
         self.lock_stats().static_verified_launches += count;
     }
 
-    /// Counts one replay of a statically-verified [`KernelGraph`].
+    /// Counts one parallel replay of a [`KernelGraph`].
     pub(crate) fn note_verified_replay(&self) {
         self.lock_stats().static_verified_replays += 1;
     }
@@ -536,13 +490,6 @@ impl Executor {
         self.sanitizer
             .as_ref()
             .map_or_else(Vec::new, Sanitizer::take_reports)
-    }
-
-    /// Clones all accumulated sanitizer reports without draining them.
-    pub fn reports(&self) -> Vec<RaceReport> {
-        self.sanitizer
-            .as_ref()
-            .map_or_else(Vec::new, Sanitizer::reports)
     }
 
     /// Returns the accumulated launch statistics, including the buffer
@@ -608,7 +555,7 @@ impl Executor {
     /// dispatch-agnostic.
     fn record(&self, n: usize, critical: bool) -> u64 {
         let mut s = self.lock_stats();
-        if n < self.inline_threshold {
+        if n < DEFAULT_INLINE_THRESHOLD {
             s.inline_launches += 1;
         } else {
             s.launches += 1;
@@ -640,38 +587,16 @@ impl Executor {
         }
     }
 
-    /// Binds a mutable slice as a labeled device buffer for use inside
-    /// kernels of this executor.
-    ///
-    /// On a raw executor the returned [`DeviceSlice`] is a zero-cost
-    /// wrapper over the slice's pointer; on a sanitizing executor every
-    /// access through it is logged and race-checked.
-    pub fn bind<'a, T>(&'a self, label: &str, slice: &'a mut [T]) -> DeviceSlice<'a, T> {
-        let id = self
-            .sanitizer
-            .as_ref()
-            .map_or(0, |s| s.register_buffer(label, slice.len()));
-        DeviceSlice {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            san: self.sanitizer.as_ref(),
-            id,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
     /// Binds a mutable slice as the storage of a buffer declared in an
-    /// [`EffectTable`], for use by launches with declared effects.
+    /// [`EffectTable`] — the only way to obtain a [`DeviceSlice`].
     ///
-    /// On a cross-checking executor the returned slice is instrumented
-    /// like [`Executor::bind`] so declared footprints can be audited
-    /// against every observed access; otherwise it is a raw (zero-cost)
-    /// view — statically-verified launches need no per-access logging.
-    /// Kernels launched with declared effects must touch *only* buffers
-    /// bound through this method from the same table (one table per
-    /// epoch, labels unique within it), or the static verdict does not
-    /// cover all their accesses; cross-check mode exists to audit
-    /// exactly this.
+    /// On a raw executor the returned slice is a zero-cost wrapper over
+    /// the slice's pointer; on a sanitizing executor it is registered
+    /// under its declared label and every access through it is logged.
+    /// Kernels must touch *only* buffers bound through this method from
+    /// the table they are launched with (labels unique within it), or
+    /// the static verdict does not cover all their accesses — which is
+    /// exactly what a sanitizing executor audits.
     ///
     /// # Panics
     ///
@@ -689,33 +614,29 @@ impl Executor {
             "bind_table: slice length {} != declared length {declared}",
             slice.len()
         );
-        if self.cross_checking() {
-            // Re-register under the declared label so the sanitizer can
-            // resolve effects back to this binding.
-            let label = table.label_of(buf);
-            return self.bind(&label, slice);
-        }
+        let san = self.sanitizer.as_ref();
         DeviceSlice {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
-            san: None,
-            id: 0,
+            san,
+            id: san.map_or(0, |s| s.register_buffer(&table.label_of(buf), declared)),
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Launches a kernel whose buffer accesses are declared as static
+    /// Launches a kernel over thread ids `0..n` and waits for
+    /// completion. Its buffer accesses are declared as static
     /// [`Effect`]s over `table`.
     ///
     /// The static checker verifies the declarations at the exact width
     /// `n` *before* the launch runs — bounds against declared buffer
     /// lengths, write-write and read-write disjointness between threads
     /// — and panics on any hazard (on every executor: static analysis
-    /// is always on, it costs nothing per element). A launch that
-    /// checks then runs on the parallel fast path even on a sanitizing
-    /// executor, counted in [`LaunchStats::static_verified_launches`];
-    /// in cross-check mode it runs under the dynamic sanitizer instead
-    /// and every observed access is audited against the declarations.
+    /// is always on, it costs nothing per element). On a raw executor
+    /// the launch then runs in parallel, counted in
+    /// [`LaunchStats::static_verified_launches`]; on a sanitizing one it
+    /// runs serialized and every observed access is audited against the
+    /// declarations.
     ///
     /// # Panics
     ///
@@ -739,90 +660,22 @@ impl Executor {
         assert!(
             hazards.is_empty(),
             "static effect check failed for `{label}`:\n{}",
-            hazards
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
+            effects::hazard_report(&hazards)
         );
         let ordinal = self.record(n, true);
         let _span = trace::kernel_span(label, n);
-        if self.cross_checking() {
-            let san = self
-                .sanitizer
-                .as_ref()
-                .expect("cross_checking implies sanitizer");
+        if let Some(san) = &self.sanitizer {
+            // An eager launch is its own ordering epoch: it is fully
+            // ordered against everything before and after it.
             let declared = DeclaredLaunch {
                 buffers,
                 effects: std::sync::Arc::new(effects.to_vec()),
             };
-            san.begin_epoch();
-            san.begin_launch(label, ordinal, None, 0, Some(&declared));
-            for tid in 0..n {
-                kernel(tid);
-            }
-            san.end_launch();
+            san.begin_epoch()
+                .run(label, ordinal, 0, &declared, n, &kernel);
             return;
         }
         self.note_verified_launches(1);
-        self.run_chunked(n, &kernel);
-    }
-
-    /// Launches a kernel over thread ids `0..n` and waits for completion.
-    ///
-    /// The kernel must be safe to run concurrently for distinct ids;
-    /// synchronize shared mutable state yourself (as on a real GPU).
-    pub fn launch<F>(&self, n: usize, kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.launch_labeled("kernel", n, kernel);
-    }
-
-    /// Like [`Executor::launch`], with a kernel label used in sanitizer
-    /// reports and panics.
-    pub fn launch_labeled<F>(&self, label: &str, n: usize, kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.launch_inner(label, n, None, kernel);
-    }
-
-    /// Launches a kernel that promises to write every slot of `buffer`
-    /// (whose length must be `n`) exactly once — the contract of
-    /// [`Executor::map`] and [`Executor::fill`] output buffers. A
-    /// sanitizing executor verifies the promise and reports every slot
-    /// left unwritten, as well as any double write.
-    pub fn launch_filling<T, F>(&self, label: &str, buffer: &DeviceSlice<'_, T>, kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.launch_inner(label, buffer.len(), Some(buffer.id), kernel);
-    }
-
-    fn launch_inner<F>(&self, label: &str, n: usize, coverage_buffer: Option<u32>, kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        let ordinal = self.record(n, true);
-        let _span = trace::kernel_span(label, n);
-        if let Some(san) = &self.sanitizer {
-            // Sanitized launches run serialized in tid order: hazards are
-            // detected from the virtual-tid access log, never physically
-            // raced (the trade compute-sanitizer makes too). An eager
-            // launch is its own ordering epoch: it is fully ordered
-            // against everything before and after it.
-            san.begin_epoch();
-            san.begin_launch(label, ordinal, coverage_buffer.map(|b| (b, n)), 0, None);
-            for tid in 0..n {
-                kernel(tid);
-            }
-            san.end_launch();
-            return;
-        }
         self.run_chunked(n, &kernel);
     }
 
@@ -833,7 +686,7 @@ impl Executor {
     where
         F: Fn(usize) + Sync + ?Sized,
     {
-        let workers = if n < self.inline_threshold {
+        let workers = if n < DEFAULT_INLINE_THRESHOLD {
             1
         } else {
             self.num_threads.min(n)
@@ -857,121 +710,31 @@ impl Executor {
             }
         });
     }
-
-    /// Launches a kernel producing one value per thread id and collects
-    /// the results in id order.
-    ///
-    /// The output is assembled in uninitialized storage that the launch
-    /// fills slot-by-slot, so `T` needs no placeholder `Default` value; a
-    /// sanitizing executor verifies that every slot is written exactly
-    /// once before the storage is assumed initialized.
-    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let mut out: Vec<MaybeUninit<T>> = std::iter::repeat_with(MaybeUninit::uninit)
-            .take(n)
-            .collect();
-        {
-            let slots = self.bind("par.map.out", &mut out);
-            self.launch_filling("par.map", &slots, |tid| {
-                // SAFETY: tid < n == slots.len(), and each tid writes only
-                // its own slot (verified by the sanitizer when enabled).
-                unsafe { slots.write(tid, tid, MaybeUninit::new(f(tid))) };
-            });
-        }
-        let mut out = ManuallyDrop::new(out);
-        // SAFETY: the filling launch wrote every slot of `out` exactly
-        // once (each tid its own), so all n elements are initialized;
-        // Vec<MaybeUninit<T>> and Vec<T> share layout, and the original
-        // Vec is leaked via ManuallyDrop before ownership is re-assembled.
-        unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<T>(), out.len(), out.capacity()) }
-    }
-
-    /// Fills `out[tid] = f(tid)` for `tid in 0..out.len()` in parallel.
-    pub fn fill<T, F>(&self, out: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let slots = self.bind("par.fill.out", out);
-        self.launch_filling("par.fill", &slots, |tid| {
-            // SAFETY: tid < out.len(), and each tid writes only its own
-            // slot (verified by the sanitizer when enabled).
-            unsafe { slots.write(tid, tid, f(tid)) };
-        });
-    }
-
-    /// Parallel reduction: maps every id through `f` and folds the results
-    /// with the associative operation `op` (identity `init`).
-    ///
-    /// Worker partials are folded in worker (= thread-id block) order, so
-    /// the result is deterministic for any associative `op`, including
-    /// non-commutative ones.
-    pub fn reduce<T, F, O>(&self, n: usize, init: T, f: F, op: O) -> T
-    where
-        T: Send + Clone,
-        F: Fn(usize) -> T + Sync,
-        O: Fn(T, T) -> T + Sync,
-    {
-        if n == 0 {
-            return init;
-        }
-        let ordinal = self.record(n, true);
-        let _span = trace::kernel_span("par.reduce", n);
-        if let Some(san) = &self.sanitizer {
-            san.begin_epoch();
-            san.begin_launch("par.reduce", ordinal, None, 0, None);
-            let result = (0..n).fold(init, |acc, tid| op(acc, f(tid)));
-            san.end_launch();
-            return result;
-        }
-        let workers = self.num_threads.min(n);
-        if workers == 1 {
-            return (0..n).fold(init, |acc, tid| op(acc, f(tid)));
-        }
-        let chunk = n.div_ceil(workers);
-        let partials: Vec<T> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let f = &f;
-                    let op = &op;
-                    let init = init.clone();
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(n);
-                    scope.spawn(move || (lo..hi).fold(init, |acc, tid| op(acc, f(tid))))
-                })
-                .collect();
-            // Joining in spawn order keeps the fold deterministic no
-            // matter which worker finishes first.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("executor worker panicked"))
-                .collect()
-        });
-        partials.into_iter().fold(init, op)
-    }
 }
 
-/// A labeled, optionally sanitizer-instrumented view of a mutable slice
-/// allowing disjoint per-index access from parallel kernels — the moral
-/// equivalent of a device buffer handed to a GPU kernel.
+/// A labeled view of a mutable slice allowing disjoint per-index access
+/// from parallel kernels — the moral equivalent of a device buffer handed
+/// to a GPU kernel.
 ///
-/// Created with [`Executor::bind`]. On a raw executor every access
-/// compiles down to a pointer offset (today's zero-cost path); on a
-/// sanitizing executor every access is logged as
-/// `(buffer, index, virtual tid, kind)` and race-checked after the
+/// Created with [`Executor::bind_table`]. On a raw executor every access
+/// compiles down to a pointer offset; on a sanitizing executor every
+/// access is logged as `(buffer, index, virtual tid, kind)`, audited
+/// against the launch's declared effects and race-checked after the
 /// launch.
 ///
 /// ```
-/// use parsweep_par::Executor;
+/// use parsweep_par::{Effect, EffectTable, Executor, Pattern};
 /// let exec = Executor::with_threads(2);
+/// let table = EffectTable::new();
+/// let id = table.buffer("buf", 16);
 /// let mut buf = vec![0u64; 16];
 /// {
-///     let cells = exec.bind("buf", &mut buf);
+///     let cells = exec.bind_table(&table, id, &mut buf);
+///     let own = Pattern::Affine { base: 0, stride: 1, span: 1 };
 ///     // SAFETY: each tid writes its own slot.
-///     exec.launch(16, |tid| unsafe { cells.write(tid, tid, tid as u64 * 3) });
+///     exec.launch_declared(&table, "triple", 16, &[Effect::write(id, own)], |tid| unsafe {
+///         cells.write(tid, tid, tid as u64 * 3)
+///     });
 /// }
 /// assert_eq!(buf[5], 15);
 /// ```
@@ -995,11 +758,6 @@ impl<T> DeviceSlice<'_, T> {
     /// Length of the underlying slice.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Sanitizer buffer id (0 on a raw executor).
-    pub(crate) fn buffer_id(&self) -> u32 {
-        self.id
     }
 
     /// True if the underlying slice is empty.
@@ -1073,109 +831,27 @@ impl<T> DeviceSlice<'_, T> {
     }
 }
 
-/// A shared view of a mutable slice allowing disjoint per-index access from
-/// parallel kernels.
-///
-/// This is the raw, label-free primitive predating [`DeviceSlice`]; prefer
-/// [`Executor::bind`], which participates in kernel sanitizing. Retained
-/// for uninstrumented uses and backwards compatibility.
-///
-/// ```
-/// use parsweep_par::{Executor, SharedSlice};
-/// let exec = Executor::with_threads(2);
-/// let mut buf = vec![0u64; 16];
-/// {
-///     let cells = SharedSlice::new(&mut buf);
-///     // SAFETY: each tid writes its own slot.
-///     exec.launch(16, |tid| unsafe { cells.write(tid, tid as u64 * 3) });
-/// }
-/// assert_eq!(buf[5], 15);
-/// ```
-pub struct SharedSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: access discipline is enforced by callers (each thread id touches
-// a distinct index when writing), matching how GPU kernels use buffers.
-unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
-// SAFETY: as above.
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
-
-impl<'a, T> SharedSlice<'a, T> {
-    /// Wraps a mutable slice for shared use inside kernels.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        SharedSlice {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Writes `value` at `index`, dropping the old value.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be in bounds, no other access to `index` may happen
-    /// concurrently.
-    pub unsafe fn write(&self, index: usize, value: T) {
-        debug_assert!(index < self.len);
-        // SAFETY: index in bounds and slot unaliased per caller contract.
-        unsafe { *self.ptr.add(index) = value };
-    }
-
-    /// Reads the value at `index`.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be in bounds and no concurrent write to `index` may
-    /// happen. Reading a value written earlier in the *same* launch is only
-    /// safe if the writer ordered before this read (e.g. same thread), as
-    /// on a GPU.
-    pub unsafe fn read(&self, index: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(index < self.len);
-        // SAFETY: index in bounds and slot unaliased per caller contract.
-        unsafe { *self.ptr.add(index) }
-    }
-
-    /// Returns a raw pointer to the element at `index`, for non-`Copy`
-    /// element access. Dereferencing is subject to the same discipline as
-    /// [`SharedSlice::read`]/[`SharedSlice::write`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn as_ptr_at(&self, index: usize) -> *mut T {
-        assert!(index < self.len, "index out of bounds");
-        // SAFETY: index is in bounds of the borrowed slice.
-        unsafe { self.ptr.add(index) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    const OWN: Pattern = Pattern::Affine {
+        base: 0,
+        stride: 1,
+        span: 1,
+    };
+
+    /// A launch that touches no device buffer (empty declaration).
+    fn launch(exec: &Executor, n: usize, kernel: impl Fn(usize) + Sync) {
+        exec.launch_declared(&EffectTable::new(), "kernel", n, &[], kernel);
+    }
+
     #[test]
     fn launch_covers_all_ids_once() {
         let exec = Executor::with_threads(4);
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        exec.launch(100, |tid| {
+        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        launch(&exec, 1000, |tid| {
             hits[tid].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -1184,92 +860,15 @@ mod tests {
     #[test]
     fn launch_zero_is_noop() {
         let exec = Executor::with_threads(2);
-        exec.launch(0, |_| panic!("must not run"));
-        assert_eq!(exec.stats().launches, 0);
-    }
-
-    #[test]
-    fn map_preserves_order() {
-        let exec = Executor::with_threads(3);
-        let v = exec.map(17, |i| i * 2);
-        assert_eq!(v, (0..17).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_works_without_default() {
-        // A result type with no Default impl: map must not need one.
-        struct NoDefault(usize);
-        let exec = Executor::with_threads(3);
-        let v = exec.map(9, NoDefault);
-        assert!(v.iter().enumerate().all(|(i, x)| x.0 == i));
-    }
-
-    #[test]
-    fn map_drops_results_exactly_once() {
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Counted;
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let exec = Executor::with_threads(2);
-        let v = exec.map(25, |_| Counted);
-        assert_eq!(v.len(), 25);
-        drop(v);
-        assert_eq!(DROPS.load(Ordering::Relaxed), 25);
-    }
-
-    #[test]
-    fn fill_writes_every_slot() {
-        let exec = Executor::with_threads(2);
-        let mut buf = vec![0usize; 31];
-        exec.fill(&mut buf, |i| i + 1);
-        assert!(buf.iter().enumerate().all(|(i, &v)| v == i + 1));
-    }
-
-    #[test]
-    fn reduce_sums() {
-        let exec = Executor::with_threads(4);
-        let total = exec.reduce(1000, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(total, 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn reduce_empty_is_identity() {
-        let exec = Executor::with_threads(4);
-        assert_eq!(exec.reduce(0, 7u64, |_| 1, |a, b| a + b), 7);
-    }
-
-    #[test]
-    fn reduce_is_deterministic_for_non_commutative_op() {
-        // String concatenation is associative but not commutative: if
-        // worker partials were folded in completion order the result
-        // would depend on thread scheduling. Stagger the first chunk so a
-        // completion-order fold would almost surely misorder.
-        let expect: String = (0..64).map(|i| format!("{i},")).collect();
-        for _ in 0..8 {
-            let exec = Executor::with_threads(4);
-            let got = exec.reduce(
-                64,
-                String::new(),
-                |i| {
-                    if i < 16 {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                    format!("{i},")
-                },
-                |a, b| a + &b,
-            );
-            assert_eq!(got, expect);
-        }
+        launch(&exec, 0, |_| panic!("must not run"));
+        assert_eq!(exec.stats().total_launches(), 0);
     }
 
     #[test]
     fn stats_accumulate() {
         let exec = Executor::with_threads(2);
-        exec.launch(10, |_| {});
-        exec.launch(5, |_| {});
+        launch(&exec, 10, |_| {});
+        launch(&exec, 5, |_| {});
         let s = exec.stats();
         // Both launches are below the inline threshold: counted in
         // inline_launches, zero pool dispatches.
@@ -1284,26 +883,26 @@ mod tests {
 
     #[test]
     fn inline_threshold_splits_the_launch_counters() {
-        let exec = Executor::with_threads(2).with_inline_threshold(100);
-        exec.launch(99, |_| {});
-        exec.launch(100, |_| {});
-        exec.launch(5000, |_| {});
+        let exec = Executor::with_threads(2);
+        launch(&exec, DEFAULT_INLINE_THRESHOLD - 1, |_| {});
+        launch(&exec, DEFAULT_INLINE_THRESHOLD, |_| {});
+        launch(&exec, 5000, |_| {});
         let s = exec.stats();
         assert_eq!(s.inline_launches, 1);
         assert_eq!(s.launches, 2);
         assert_eq!(s.total_launches(), 3);
         // The cost model is dispatch-agnostic: the histograms carry all
         // three launches.
-        assert_eq!(s.serialized_time(1), 99 + 100 + 5000);
+        assert_eq!(s.serialized_time(1), 255 + 256 + 5000);
         assert_eq!(s.modeled_time(10_000), 3);
     }
 
     #[test]
     fn inline_launches_run_on_the_calling_thread() {
-        let exec = Executor::with_threads(4).with_inline_threshold(64);
+        let exec = Executor::with_threads(4);
         let caller = std::thread::current().id();
-        let hits = std::sync::atomic::AtomicU64::new(0);
-        exec.launch(63, |_| {
+        let hits = AtomicUsize::new(0);
+        launch(&exec, DEFAULT_INLINE_THRESHOLD - 1, |_| {
             assert_eq!(
                 std::thread::current().id(),
                 caller,
@@ -1311,17 +910,8 @@ mod tests {
             );
             hits.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 63);
+        assert_eq!(hits.load(Ordering::Relaxed), DEFAULT_INLINE_THRESHOLD - 1);
         assert_eq!(exec.stats().inline_launches, 1);
-    }
-
-    #[test]
-    fn zero_threshold_disables_the_fast_path() {
-        let exec = Executor::with_threads(2).with_inline_threshold(0);
-        exec.launch(1, |_| {});
-        let s = exec.stats();
-        assert_eq!(s.launches, 1);
-        assert_eq!(s.inline_launches, 0);
     }
 
     #[test]
@@ -1341,197 +931,85 @@ mod tests {
     #[test]
     fn modeled_time_exact_for_non_uniform_launches() {
         let exec = Executor::with_threads(2);
-        exec.launch(1000, |_| {});
-        exec.launch(8, |_| {});
+        launch(&exec, 1000, |_| {});
+        launch(&exec, 8, |_| {});
         let s = exec.stats();
         // True cost on 64 lanes: ceil(1000/64) + ceil(8/64) = 16 + 1;
         // the pre-histogram bound would have said ceil(1008/64) = 16.
         assert_eq!(s.modeled_time(64), 17);
         assert_eq!(s.modeled_time(1), 1008);
+        // Eager launches never overlap: modeled equals serialized.
+        assert_eq!(s.modeled_time(64), s.serialized_time(64));
         // Same-width launches sharing a bucket stay exact.
         exec.reset_stats();
-        exec.launch(65, |_| {});
-        exec.launch(65, |_| {});
+        launch(&exec, 65, |_| {});
+        launch(&exec, 65, |_| {});
         assert_eq!(exec.stats().modeled_time(64), 4);
     }
 
     #[test]
-    fn single_thread_executor_is_sequential_and_correct() {
-        let exec = Executor::with_threads(1);
-        let v = exec.map(8, |i| i);
-        assert_eq!(v, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sanitizer_flags_write_write_race() {
-        let exec = Executor::with_sanitizer_config(
-            4,
-            SanitizerConfig {
-                fail_fast: false,
-                ..SanitizerConfig::default()
-            },
-        );
-        let mut buf = vec![0u32; 8];
-        {
-            let cells = exec.bind("racy.buf", &mut buf);
-            exec.launch_labeled("racy.kernel", 6, |tid| {
-                // SAFETY: intentionally racy (all tids write slot 3) to
-                // exercise detection; sanitized launches are serialized.
-                unsafe { cells.write(tid, 3, tid as u32) };
-            });
-        }
-        let reports = exec.take_reports();
-        assert_eq!(reports.len(), 1, "{reports:?}");
-        let r = &reports[0];
-        assert_eq!(r.kernel, "racy.kernel");
-        assert_eq!(r.buffer, "racy.buf");
-        assert_eq!(r.index, 3);
-        assert_eq!(r.launch, 1);
-        let (a, b) = r.conflicting_tids().expect("write-write carries tids");
-        assert_ne!(a, b);
-        assert!(matches!(r.kind, ConflictKind::WriteWrite { .. }));
-    }
-
-    #[test]
-    fn sanitizer_flags_read_write_hazard() {
-        let exec = Executor::with_sanitizer_config(
-            2,
-            SanitizerConfig {
-                fail_fast: false,
-                ..SanitizerConfig::default()
-            },
-        );
-        let mut buf = vec![0u32; 8];
-        {
-            let cells = exec.bind("buf", &mut buf);
-            exec.launch_labeled("rw.kernel", 4, |tid| {
-                // SAFETY: intentionally hazardous (tid 0 writes slot 0,
-                // others read it in the same launch); serialized.
-                unsafe {
-                    if tid == 0 {
-                        cells.write(tid, 0, 7);
-                    } else {
-                        let _ = cells.read(tid, 0);
-                    }
-                }
-            });
-        }
-        let reports = exec.take_reports();
-        assert_eq!(reports.len(), 1, "{reports:?}");
-        assert!(matches!(reports[0].kind, ConflictKind::ReadWrite { .. }));
-    }
-
-    #[test]
-    fn sanitizer_clean_on_disjoint_writes() {
-        let exec = Executor::with_sanitizer(4);
-        let mut buf = vec![0u64; 64];
-        {
-            let cells = exec.bind("buf", &mut buf);
-            exec.launch_labeled("disjoint", 64, |tid| {
-                // SAFETY: each tid writes its own slot.
-                unsafe { cells.write(tid, tid, tid as u64) };
-            });
-        }
-        assert!(exec.take_reports().is_empty());
-        assert!(buf.iter().enumerate().all(|(i, &v)| v == i as u64));
-    }
-
-    #[test]
-    fn sanitizer_flags_out_of_bounds_write() {
-        let exec = Executor::with_sanitizer_config(
-            2,
-            SanitizerConfig {
-                fail_fast: false,
-                ..SanitizerConfig::default()
-            },
-        );
-        let mut buf = vec![0u8; 4];
-        {
-            let cells = exec.bind("small", &mut buf);
-            exec.launch_labeled("oob", 1, |tid| {
-                // SAFETY: deliberately out of bounds; the sanitizer
-                // reports and suppresses the physical write.
-                unsafe { cells.write(tid, 9, 1) };
-            });
-        }
-        let reports = exec.take_reports();
-        assert_eq!(reports.len(), 1);
-        assert!(matches!(
-            reports[0].kind,
-            ConflictKind::OutOfBounds { tid: 0 }
-        ));
-        assert_eq!(buf, vec![0u8; 4], "OOB write must not be performed");
-    }
-
-    #[test]
-    #[should_panic(expected = "write-write hazard")]
-    fn sanitizer_fail_fast_panics_on_race() {
+    #[should_panic(expected = "nested kernel launch")]
+    fn sanitizer_rejects_a_launch_from_inside_a_kernel() {
         let exec = Executor::with_sanitizer(2);
-        let mut buf = vec![0u32; 2];
-        let cells = exec.bind("buf", &mut buf);
-        exec.launch_labeled("racy", 2, |tid| {
-            // SAFETY: intentionally racy; serialized under the sanitizer.
-            unsafe { cells.write(tid, 0, 1) };
-        });
+        launch(&exec, 1, |_| launch(&exec, 1, |_| {}));
     }
 
-    #[test]
-    fn sanitizer_unwritten_slot_in_filling_launch() {
-        let exec = Executor::with_sanitizer_config(
-            2,
-            SanitizerConfig {
-                fail_fast: false,
-                ..SanitizerConfig::default()
-            },
-        );
-        let mut buf = vec![0u32; 4];
-        {
-            let cells = exec.bind("out", &mut buf);
-            exec.launch_filling("half-fill", &cells, |tid| {
-                if tid != 2 {
-                    // SAFETY: each tid writes its own slot.
-                    unsafe { cells.write(tid, tid, 1) };
-                }
-            });
-        }
-        let reports = exec.take_reports();
-        assert_eq!(reports.len(), 1, "{reports:?}");
-        assert_eq!(reports[0].index, 2);
-        assert_eq!(reports[0].kind, ConflictKind::UnwrittenSlot);
+    /// Fills `out[tid] = f(tid)` with one declared launch.
+    fn fill(exec: &Executor, label: &str, out: &mut [u64], f: impl Fn(usize) -> u64 + Sync) {
+        let table = EffectTable::new();
+        let id = table.buffer(label, out.len());
+        let n = out.len();
+        let cells = exec.bind_table(&table, id, out);
+        exec.launch_declared(&table, "fill", n, &[Effect::write(id, OWN)], |tid| {
+            // SAFETY: each tid writes its own slot, as declared.
+            unsafe { cells.write(tid, tid, f(tid)) };
+        });
     }
 
     #[test]
     fn shared_executor_serves_concurrent_workers() {
         // Two "service workers" drive launches on one shared executor at
-        // the same time; stats must aggregate and the arena is common.
-        let exec = Executor::with_threads(2).into_shared();
-        std::thread::scope(|scope| {
-            for w in 0..2 {
-                let exec = std::sync::Arc::clone(&exec);
-                scope.spawn(move || {
-                    for _ in 0..8 {
-                        let v = exec.map(64, |i| i + w);
-                        assert_eq!(v[0], w);
-                    }
-                });
-            }
-        });
-        let s = exec.stats();
-        assert_eq!(s.total_launches(), 16);
-        assert_eq!(s.inline_launches, 16); // width 64 < inline threshold
-        assert_eq!(s.total_threads, 16 * 64);
+        // the same time; stats must aggregate. Audited epochs take turns
+        // instead of tripping over each other's open launch.
+        for exec in [Executor::with_threads(2), Executor::with_sanitizer(2)] {
+            std::thread::scope(|scope| {
+                for w in 0..2u64 {
+                    let exec = &exec;
+                    scope.spawn(move || {
+                        for _ in 0..64 {
+                            let mut v = vec![0u64; 64];
+                            fill(exec, &format!("out{w}"), &mut v, |i| i as u64 + w);
+                            assert_eq!((v[0], v[63]), (w, 63 + w));
+                        }
+                    });
+                }
+            });
+            let s = exec.stats();
+            assert_eq!(s.total_launches(), 128);
+            assert_eq!(s.inline_launches, 128); // width 64 < inline threshold
+            assert_eq!(s.total_threads, 128 * 64);
+            assert!(exec.take_reports().is_empty());
+        }
     }
 
     #[test]
     fn sanitized_results_match_raw_results() {
-        let raw = Executor::with_threads(4);
-        let san = Executor::with_sanitizer(4);
         let f = |i: usize| (i as u64).wrapping_mul(0x9e3779b97f4a7c15).rotate_left(9);
-        assert_eq!(raw.map(321, f), san.map(321, f));
-        assert_eq!(
-            raw.reduce(321, 0u64, f, u64::wrapping_add),
-            san.reduce(321, 0u64, f, u64::wrapping_add),
-        );
+        let run = |exec: &Executor| {
+            let mut out = vec![0u64; 321];
+            fill(exec, "out", &mut out, f);
+            out
+        };
+        // One thread, many threads and the audited run agree.
+        let expect: Vec<u64> = (0..321).map(f).collect();
+        let san = Executor::with_sanitizer(4);
+        assert_eq!(run(&Executor::with_threads(1)), expect);
+        assert_eq!(run(&Executor::with_threads(4)), expect);
+        assert_eq!(run(&san), expect);
         assert!(san.take_reports().is_empty());
+        // The two modes: an audited launch never counts as having run on
+        // the parallel path.
+        assert_eq!(san.stats().static_verified_launches, 0);
+        assert_eq!(san.stats().total_launches(), 1);
     }
 }

@@ -4,25 +4,28 @@
 //! Real CUDA development leans on `compute-sanitizer` to find kernel data
 //! races; our substitution preserves the same failure mode — kernels
 //! writing [`DeviceSlice`](crate::DeviceSlice) buffers under an *unchecked*
-//! "each tid owns its slot" discipline — so it needs the same tooling. When
-//! a sanitizing [`Executor`](crate::Executor) runs a launch, every buffer
-//! access is logged as `(buffer, index, virtual tid, kind)` and a
-//! post-launch analysis detects, per launch:
+//! "each tid owns its slot" discipline — so it needs the same tooling.
+//! Every launch carries a static effect proof, but the proof is about the
+//! *declaration*; a sanitizing [`Executor`](crate::Executor) audits the
+//! kernel against it. Every buffer access is logged as
+//! `(buffer, index, virtual tid, kind)`; an access no declared footprint
+//! covers is reported as it happens (**undeclared access**), and a
+//! post-launch analysis of the log — which never looks at the
+//! declaration, and is therefore the reference the static checker is
+//! tested against — detects, per launch:
 //!
 //! * **write–write hazards** — two distinct tids wrote one slot;
 //! * **read–write hazards** — one tid read a slot another tid wrote in the
 //!   same launch (inter-launch reads are ordered by the launch barrier and
 //!   are fine, exactly as on a GPU stream);
-//! * **out-of-bounds accesses** — index past the bound buffer's length;
-//! * **unwritten slots** — a `map`/`fill` launch that failed to write some
-//!   output slot it promised to initialize.
+//! * **out-of-bounds accesses** — index past the bound buffer's length.
 //!
-//! With the stream runtime the sanitizer also understands *ordering
-//! edges*: launches queued on one [`Stream`](crate::Stream) are ordered
-//! by program order, and synchronization points (`sync`, `join`, eager
-//! launches) are barriers ordering everything before against everything
-//! after. Launches of *different* streams inside one join epoch have no
-//! ordering edge, so the analysis additionally reports
+//! The sanitizer also understands *ordering edges*: launches queued on
+//! one [`Stream`](crate::Stream) are ordered by program order, and
+//! synchronization points (`sync`, `join`, eager launches) are barriers
+//! ordering everything before against everything after. Launches of
+//! *different* streams inside one join epoch have no ordering edge, so
+//! the analysis additionally reports
 //!
 //! * **stream races** — two unordered launches touched one slot and at
 //!   least one wrote it.
@@ -30,11 +33,13 @@
 //! Sanitized launches execute *serialized* in tid order: hazards are
 //! detected from the virtual-tid access log rather than by racing real
 //! threads, so a detected race is never physically exercised as UB —
-//! the same trade (speed for determinism) racecheck makes.
+//! the same trade (speed for determinism) racecheck makes. Epochs of
+//! different host threads sharing one executor take turns.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 
 use crate::effects::{DeclaredLaunch, EffectKind, Pattern};
 
@@ -66,10 +71,6 @@ pub enum ConflictKind {
         /// The offending virtual thread id.
         tid: usize,
     },
-    /// A slot of an exclusive-fill launch (`map`/`fill`) was never
-    /// written, so reading it afterwards would observe uninitialized or
-    /// stale memory.
-    UnwrittenSlot,
     /// Two launches on *different streams* with no ordering edge between
     /// them (same join epoch) accessed one slot, at least one writing —
     /// a race even if each launch is internally disciplined. The earlier
@@ -82,10 +83,10 @@ pub enum ConflictKind {
         /// Virtual thread ids of the (earlier, later) access.
         tids: (usize, usize),
     },
-    /// Cross-check mode only: a launch with declared static effects
-    /// performed an access its declared footprints do not cover — the
-    /// declaration under-approximates the kernel's real behavior, so
-    /// the static checker's verdict for this launch is unsound.
+    /// A launch performed an access its declared footprints do not
+    /// cover — the declaration under-approximates the kernel's real
+    /// behavior, so the static checker's verdict for this launch is
+    /// unsound.
     UndeclaredAccess {
         /// The offending virtual thread id.
         tid: usize,
@@ -120,9 +121,7 @@ impl RaceReport {
             ConflictKind::WriteWrite { tids }
             | ConflictKind::ReadWrite { tids }
             | ConflictKind::StreamRace { tids, .. } => Some(tids),
-            ConflictKind::OutOfBounds { .. }
-            | ConflictKind::UnwrittenSlot
-            | ConflictKind::UndeclaredAccess { .. } => None,
+            ConflictKind::OutOfBounds { .. } | ConflictKind::UndeclaredAccess { .. } => None,
         }
     }
 }
@@ -152,11 +151,6 @@ impl fmt::Display for RaceReport {
                 f,
                 "racecheck: out-of-bounds access to `{buffer}`[{index}] in kernel \
                  `{kernel}` (launch #{launch}) by tid {tid}"
-            ),
-            ConflictKind::UnwrittenSlot => write!(
-                f,
-                "racecheck: slot `{buffer}`[{index}] left unwritten by exclusive-fill \
-                 kernel `{kernel}` (launch #{launch})"
             ),
             ConflictKind::StreamRace {
                 kinds: (a, b),
@@ -204,13 +198,6 @@ pub struct SanitizerConfig {
     pub fail_fast: bool,
     /// Hard cap on retained reports, to bound memory on very racy kernels.
     pub max_reports: usize,
-    /// Cross-check mode: audit launches that carry static effect
-    /// declarations instead of letting them skip dynamic sanitization.
-    /// Every access such a launch performs must fall inside a declared
-    /// footprint; an uncovered access is reported as
-    /// [`ConflictKind::UndeclaredAccess`]. Forced on by
-    /// `PARSWEEP_SANITIZE=all`.
-    pub check_declared: bool,
 }
 
 impl Default for SanitizerConfig {
@@ -218,7 +205,6 @@ impl Default for SanitizerConfig {
         SanitizerConfig {
             fail_fast: true,
             max_reports: 64,
-            check_declared: false,
         }
     }
 }
@@ -237,15 +223,12 @@ struct AccessRecord {
 struct LaunchCtx {
     label: String,
     ordinal: u64,
-    /// `(buffer, n)`: the launch promises to write every slot `0..n` of
-    /// `buffer` exactly once (`map`/`fill` coverage checking).
-    coverage: Option<(u32, usize)>,
     /// Stream the launch was queued on (0 for eager launches).
     stream: u64,
-    /// Cross-check mode: the launch's declared effects, resolved to the
-    /// executor's dynamic buffer ids. Every logged access must be
-    /// covered by some effect here.
-    declared: Option<HashMap<u32, Vec<(EffectKind, Pattern)>>>,
+    /// The launch's declared effects, resolved to the executor's dynamic
+    /// buffer ids. Every logged access must be covered by some effect
+    /// here.
+    declared: HashMap<u32, Vec<(EffectKind, Pattern)>>,
 }
 
 /// First accesses of one slot accumulated across the launches of one
@@ -263,6 +246,8 @@ struct EpochSlot {
 #[derive(Debug, Default)]
 struct SanState {
     buffers: Vec<(String, usize)>,
+    /// Host thread whose epoch is open (it holds the gate).
+    epoch_owner: Option<ThreadId>,
     current: Option<LaunchCtx>,
     log: Vec<AccessRecord>,
     reports: Vec<RaceReport>,
@@ -272,13 +257,54 @@ struct SanState {
     epoch_slots: HashMap<(u32, usize), EpochSlot>,
 }
 
-/// Shared sanitizer state of one executor. All mutation goes through one
-/// mutex; sanitized launches are serialized, so the lock is uncontended
-/// and exists only to keep the executor `Sync`.
+/// Shared sanitizer state of one executor. All mutation goes through the
+/// `state` mutex. An executor may be driven from several host threads at
+/// once, but there is one access log and one open launch: the `gate` is
+/// held from [`Sanitizer::begin_epoch`] to the end of the epoch's last
+/// launch, so concurrent epochs run one after the other.
 #[derive(Debug)]
 pub(crate) struct Sanitizer {
     cfg: SanitizerConfig,
     state: Mutex<SanState>,
+    gate: Mutex<()>,
+}
+
+/// One open ordering epoch of a [`Sanitizer`]; holds its gate.
+pub(crate) struct Epoch<'a> {
+    san: &'a Sanitizer,
+    _gate: MutexGuard<'a, ()>,
+}
+
+impl Epoch<'_> {
+    /// Runs one launch of the epoch serialized in tid order, logging its
+    /// accesses, then analyzes the log. `stream` is the id of the stream
+    /// the launch was queued on (0 for eager launches); launches of one
+    /// epoch are mutually ordered only when they share a stream.
+    pub(crate) fn run(
+        &self,
+        label: &str,
+        ordinal: u64,
+        stream: u64,
+        declared: &DeclaredLaunch,
+        n: usize,
+        kernel: &(impl Fn(usize) + ?Sized),
+    ) {
+        self.san.begin_launch(label, ordinal, stream, declared);
+        for tid in 0..n {
+            kernel(tid);
+        }
+        self.san.end_launch();
+    }
+}
+
+impl Drop for Epoch<'_> {
+    fn drop(&mut self) {
+        // Also on unwinding: a launch a panicking kernel left open is
+        // discarded with its epoch. Runs before the gate is released.
+        let mut s = self.san.lock();
+        s.epoch_owner = None;
+        s.current = None;
+    }
 }
 
 impl Sanitizer {
@@ -286,13 +312,12 @@ impl Sanitizer {
         Sanitizer {
             cfg,
             state: Mutex::new(SanState::default()),
+            gate: Mutex::new(()),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SanState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, SanState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers a buffer binding and returns its id.
@@ -305,67 +330,55 @@ impl Sanitizer {
     /// Opens a new ordering epoch: everything before is ordered against
     /// everything after (a synchronization barrier), so cross-launch
     /// state from the previous epoch is discarded. Called at every eager
-    /// launch and at the start of every stream `sync`/`join`.
-    pub(crate) fn begin_epoch(&self) {
+    /// launch and at the start of every stream `sync`/`join`; blocks
+    /// while another host thread's epoch is open.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the calling thread already has an epoch open — a
+    /// kernel launching a kernel.
+    pub(crate) fn begin_epoch(&self) -> Epoch<'_> {
+        let me = std::thread::current().id();
+        let nested = self.lock().epoch_owner == Some(me);
+        assert!(!nested, "sanitizer: nested kernel launch");
+        let gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
         let mut s = self.lock();
+        s.epoch_owner = Some(me);
         s.epoch_launches.clear();
         s.epoch_slots.clear();
+        Epoch {
+            san: self,
+            _gate: gate,
+        }
     }
 
-    /// Whether declared launches must still run under the dynamic
-    /// sanitizer so their declarations can be audited (cross-check
-    /// mode).
-    pub(crate) fn cross_check(&self) -> bool {
-        self.cfg.check_declared
-    }
-
-    /// Opens the per-launch access log. `stream` is the id of the stream
-    /// the launch was queued on (0 for eager launches); launches of the
-    /// same epoch are mutually ordered only when they share a stream.
-    /// In cross-check mode, `declared` carries the launch's static
+    /// Opens the per-launch access log and resolves the launch's static
     /// effect declarations for coverage auditing.
-    pub(crate) fn begin_launch(
-        &self,
-        label: &str,
-        ordinal: u64,
-        coverage: Option<(u32, usize)>,
-        stream: u64,
-        declared: Option<&DeclaredLaunch>,
-    ) {
+    fn begin_launch(&self, label: &str, ordinal: u64, stream: u64, declared: &DeclaredLaunch) {
         let mut s = self.lock();
-        assert!(
-            s.current.is_none(),
-            "sanitizer: nested kernel launch (`{label}` inside `{}`)",
-            s.current.as_ref().map_or("?", |c| c.label.as_str())
-        );
-        let resolved = declared.filter(|_| self.cfg.check_declared).map(|d| {
-            // Map each effect's declared buffer label to the *latest*
-            // dynamic buffer registered under that label (re-binding a
-            // label shadows earlier epochs, so the newest id is the
-            // live one).
-            let mut per_buffer: HashMap<u32, Vec<(EffectKind, Pattern)>> = HashMap::new();
-            for e in d.effects.iter() {
-                let want = &d.buffers[e.buf.0 as usize].label;
-                let dynamic = s
-                    .buffers
-                    .iter()
-                    .rposition(|(label, _)| label == want)
-                    .unwrap_or_else(|| {
-                        panic!("sanitizer cross-check: declared buffer '{want}' was never bound")
-                    }) as u32;
-                per_buffer
-                    .entry(dynamic)
-                    .or_default()
-                    .push((e.kind, e.pattern));
-            }
+        // Map each effect's declared buffer label to the *latest*
+        // dynamic buffer registered under that label (re-binding a
+        // label shadows earlier epochs, so the newest id is the live
+        // one).
+        let mut per_buffer: HashMap<u32, Vec<(EffectKind, Pattern)>> = HashMap::new();
+        for e in declared.effects.iter() {
+            let want = &declared.buffers[e.buf.0 as usize].label;
+            let dynamic = s
+                .buffers
+                .iter()
+                .rposition(|(label, _)| label == want)
+                .unwrap_or_else(|| panic!("sanitizer: declared buffer '{want}' was never bound"))
+                as u32;
             per_buffer
-        });
+                .entry(dynamic)
+                .or_default()
+                .push((e.kind, e.pattern));
+        }
         s.current = Some(LaunchCtx {
             label: label.to_string(),
             ordinal,
-            coverage,
             stream,
-            declared: resolved,
+            declared: per_buffer,
         });
         s.log.clear();
     }
@@ -427,35 +440,33 @@ impl Sanitizer {
         // Accesses outside any launch (host-side pokes between epochs)
         // are ordered by the launch barriers and need no logging.
         let ctx = s.current.as_ref()?;
-        // Cross-check: a declared launch must cover every access it
-        // performs. An uncovered access is reported (and panics under
-        // fail_fast) but is still *performed* — unlike OOB there is
-        // nothing unsafe about it, only the declaration is wrong.
-        if let Some(declared) = ctx.declared.as_ref() {
-            let covered = declared.get(&buffer).is_some_and(|effects| {
-                effects.iter().any(|(k, pattern)| {
-                    let kind_ok = match kind {
-                        AccessKind::Read => matches!(k, EffectKind::Read | EffectKind::Atomic),
-                        AccessKind::Write => matches!(k, EffectKind::Write | EffectKind::Atomic),
-                    };
-                    kind_ok && pattern.covers(tid, index)
-                })
-            });
-            if !covered {
-                let report = RaceReport {
-                    kernel: ctx.label.clone(),
-                    launch: ctx.ordinal,
-                    buffer: s.buffers[buffer as usize].0.clone(),
-                    index,
-                    kind: ConflictKind::UndeclaredAccess { tid, access: kind },
-                    other_kernel: None,
+        // The launch's declaration must cover every access it performs.
+        // An uncovered access is reported (and panics under fail_fast)
+        // but is still *performed* — unlike OOB there is nothing unsafe
+        // about it, only the declaration is wrong.
+        let covered = ctx.declared.get(&buffer).is_some_and(|effects| {
+            effects.iter().any(|(k, pattern)| {
+                let kind_ok = match kind {
+                    AccessKind::Read => matches!(k, EffectKind::Read | EffectKind::Atomic),
+                    AccessKind::Write => matches!(k, EffectKind::Write | EffectKind::Atomic),
                 };
-                if s.reports.len() < self.cfg.max_reports {
-                    s.reports.push(report.clone());
-                }
-                if self.cfg.fail_fast {
-                    panic!("{report}");
-                }
+                kind_ok && pattern.covers(tid, index)
+            })
+        });
+        if !covered {
+            let report = RaceReport {
+                kernel: ctx.label.clone(),
+                launch: ctx.ordinal,
+                buffer: s.buffers[buffer as usize].0.clone(),
+                index,
+                kind: ConflictKind::UndeclaredAccess { tid, access: kind },
+                other_kernel: None,
+            };
+            if s.reports.len() < self.cfg.max_reports {
+                s.reports.push(report.clone());
+            }
+            if self.cfg.fail_fast {
+                panic!("{report}");
             }
         }
         s.log.push(AccessRecord {
@@ -471,7 +482,7 @@ impl Sanitizer {
     /// access log and the cross-launch (stream-ordering) analysis against
     /// the epoch state, and (in `fail_fast` mode) panics on the first
     /// hazard found.
-    pub(crate) fn end_launch(&self) {
+    fn end_launch(&self) {
         let mut s = self.lock();
         let ctx = s.current.take().expect("end_launch without begin_launch");
         let log = std::mem::take(&mut s.log);
@@ -491,11 +502,6 @@ impl Sanitizer {
     /// Drains all accumulated reports.
     pub(crate) fn take_reports(&self) -> Vec<RaceReport> {
         std::mem::take(&mut self.lock().reports)
-    }
-
-    /// Clones all accumulated reports.
-    pub(crate) fn reports(&self) -> Vec<RaceReport> {
-        self.lock().reports.clone()
     }
 }
 
@@ -564,16 +570,6 @@ fn analyze(ctx: &LaunchCtx, log: &[AccessRecord], buffers: &[(String, usize)]) -
                 if slot.reader.is_none() {
                     slot.reader = Some(rec.tid);
                 }
-            }
-        }
-    }
-    if let Some((buffer, n)) = ctx.coverage {
-        for index in 0..n {
-            let written = slots
-                .get(&(buffer, index))
-                .is_some_and(|s| s.writer.is_some());
-            if !written {
-                report(buffer, index, ConflictKind::UnwrittenSlot);
             }
         }
     }

@@ -2,13 +2,14 @@
 //! the executor-model analogue of CUDA streams.
 //!
 //! A [`Stream`] queues launches instead of running them eagerly; nothing
-//! executes until [`Stream::sync`]/[`Stream::read_back`] or an
-//! [`Executor::join`] barrier. Launches queued on *one* stream are ordered
-//! (each sees the writes of its predecessors, like kernels on one CUDA
-//! stream); launches on *different* streams joined together are unordered
-//! and may interleave on the worker pool — so they must touch disjoint
-//! data, a discipline the kernel sanitizer verifies (unordered conflicting
-//! accesses are reported as stream races).
+//! executes until [`Stream::sync`] or an [`Executor::join`] barrier.
+//! Launches queued on *one* stream are ordered (each sees the writes of
+//! its predecessors, like kernels on one CUDA stream); launches on
+//! *different* streams joined together are unordered and may interleave
+//! on the worker pool — so their declared footprints must be disjoint,
+//! which the static checker proves when the epoch drains (and a
+//! sanitizing executor audits: unordered conflicting accesses are
+//! reported as stream races).
 //!
 //! Joining streams is also what teaches the cost model about overlap:
 //! within one join epoch only the heaviest stream's launches are charged
@@ -18,55 +19,79 @@
 //! keeps charging every launch.
 //!
 //! ```
-//! use parsweep_par::Executor;
+//! use parsweep_par::{Effect, EffectTable, Executor, Pattern};
 //! let exec = Executor::with_threads(2);
+//! let table = EffectTable::new();
+//! let (ia, ib) = (table.buffer("a", 64), table.buffer("b", 64));
 //! let mut a = vec![0u32; 64];
 //! let mut b = vec![0u32; 64];
 //! {
-//!     let ca = exec.bind("a", &mut a);
-//!     let cb = exec.bind("b", &mut b);
+//!     let ca = exec.bind_table(&table, ia, &mut a);
+//!     let cb = exec.bind_table(&table, ib, &mut b);
+//!     let own = Pattern::Affine { base: 0, stride: 1, span: 1 };
 //!     let mut s1 = exec.stream();
 //!     let mut s2 = exec.stream();
 //!     // SAFETY: each tid writes its own slot; the two streams touch
 //!     // disjoint buffers, so their launches may interleave freely.
-//!     s1.launch(64, |tid| unsafe { ca.write(tid, tid, 1) });
-//!     s2.launch(64, |tid| unsafe { cb.write(tid, tid, 2) });
+//!     s1.launch_declared(&table, "fill-a", 64, &[Effect::write(ia, own)], |tid| unsafe {
+//!         ca.write(tid, tid, 1)
+//!     });
+//!     // SAFETY: as above, on the other buffer.
+//!     s2.launch_declared(&table, "fill-b", 64, &[Effect::write(ib, own)], |tid| unsafe {
+//!         cb.write(tid, tid, 2)
+//!     });
 //!     exec.join(&mut [&mut s1, &mut s2]);
 //! }
 //! assert_eq!((a[7], b[7]), (1, 2));
 //! ```
 
 use crate::effects::{self, DeclaredLaunch, DeclaredPeer, Effect, EffectTable};
-use crate::{DeviceSlice, Executor};
+use crate::{Executor, DEFAULT_INLINE_THRESHOLD};
 use parsweep_trace as trace;
 
 /// One queued (not yet executed) kernel launch.
 pub(crate) struct Pending<'env> {
     pub(crate) label: String,
     pub(crate) n: usize,
-    /// Buffer id the launch promises to fill (coverage checking).
-    pub(crate) coverage: Option<u32>,
-    /// Static effect declarations, when the launch was queued with
-    /// [`Stream::launch_declared`] or replayed from a declared graph
-    /// node. Declared launches skip dynamic sanitization unless the
-    /// executor is in cross-check mode.
-    pub(crate) declared: Option<DeclaredLaunch>,
+    /// The launch's static effect declarations, already checked in
+    /// isolation (at queue time, or at graph build time for replays).
+    pub(crate) declared: DeclaredLaunch,
     /// Set when cross-launch disjointness was already proven at graph
     /// build time (at the node's maximum width, which dominates every
     /// replay width): the drain-time epoch check skips pairs where both
-    /// sides carry this flag, so verified replays cost O(launches), not
+    /// sides carry this flag, so replays cost O(launches), not
     /// O(launches²).
     pub(crate) preverified: bool,
     pub(crate) kernel: Box<dyn Fn(usize) + Send + Sync + 'env>,
+}
+
+impl Pending<'_> {
+    fn peer(&self) -> DeclaredPeer<'_> {
+        DeclaredPeer {
+            label: &self.label,
+            width: self.n,
+            buffers: &self.declared.buffers,
+            effects: &self.declared.effects,
+        }
+    }
+
+    /// Runs the launch on the calling thread.
+    fn run_inline(&self) {
+        let _span = trace::kernel_span(&self.label, self.n);
+        for tid in 0..self.n {
+            (self.kernel)(tid);
+        }
+    }
 }
 
 /// An ordered queue of kernel launches, executed lazily at explicit
 /// synchronization points — the analogue of a CUDA stream.
 ///
 /// Created with [`Executor::stream`]. Launches queue until [`Stream::sync`]
-/// (or [`Stream::read_back`], or an [`Executor::join`] with other
-/// streams) drains them; a stream dropped with work still queued syncs
-/// itself, mirroring how destroying a CUDA stream completes its work.
+/// (or an [`Executor::join`] with other streams) drains them; a stream
+/// dropped with work still queued syncs itself, mirroring how destroying a
+/// CUDA stream completes its work — unless it is dropped by a panic
+/// unwinding through its owner, which abandons the queue.
 pub struct Stream<'exec, 'env> {
     pub(crate) exec: &'exec Executor,
     pub(crate) id: u64,
@@ -82,59 +107,16 @@ impl<'exec, 'env> Stream<'exec, 'env> {
         }
     }
 
-    /// This stream's executor-unique id (used in sanitizer stream-race
-    /// reports).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Number of launches queued and not yet executed.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Queues a kernel over thread ids `0..n`. Nothing runs until the next
+    /// Queues a kernel over thread ids `0..n` whose buffer accesses are
+    /// declared as static [`Effect`]s over `table` (see
+    /// [`Executor::launch_declared`]). Nothing runs until the next
     /// synchronization point.
-    ///
-    /// The kernel must be safe to run concurrently for distinct ids, and —
-    /// unlike an eager [`Executor::launch`] — must only touch data that no
-    /// launch on a *different* stream of the same join epoch touches
-    /// (launches on this stream are ordered and may see each other's
-    /// writes).
-    pub fn launch<F>(&mut self, n: usize, kernel: F)
-    where
-        F: Fn(usize) + Send + Sync + 'env,
-    {
-        self.launch_labeled("kernel", n, kernel);
-    }
-
-    /// Like [`Stream::launch`], with a kernel label used in sanitizer
-    /// reports and launch accounting.
-    pub fn launch_labeled<F>(&mut self, label: &str, n: usize, kernel: F)
-    where
-        F: Fn(usize) + Send + Sync + 'env,
-    {
-        if n == 0 {
-            return; // zero-width launches are not recorded, as with eager launches
-        }
-        self.queue.push(Pending {
-            label: label.to_string(),
-            n,
-            coverage: None,
-            declared: None,
-            preverified: false,
-            kernel: Box::new(kernel),
-        });
-    }
-
-    /// Queues a kernel whose buffer accesses are declared as static
-    /// [`Effect`]s over `table` (see [`Executor::launch_declared`]).
     ///
     /// The intra-launch checks (bounds, thread disjointness) run *now*,
     /// at the exact width `n`; cross-stream disjointness against the
     /// other streams of the join epoch is checked when the epoch drains.
-    /// An epoch whose launches are all declared and hazard-free runs on
-    /// the parallel fast path even on a sanitizing executor.
+    /// Launches on this stream are ordered and may see each other's
+    /// writes.
     ///
     /// # Panics
     ///
@@ -152,46 +134,22 @@ impl<'exec, 'env> Stream<'exec, 'env> {
         F: Fn(usize) + Send + Sync + 'env,
     {
         if n == 0 {
-            return;
+            return; // zero-width launches are not recorded, as with eager launches
         }
         let buffers = table.snapshot();
         let hazards = effects::check_launch(label, n, effects_list, &buffers);
         assert!(
             hazards.is_empty(),
             "static effect check failed for `{label}`:\n{}",
-            hazards
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
+            effects::hazard_report(&hazards)
         );
         self.queue.push(Pending {
             label: label.to_string(),
             n,
-            coverage: None,
-            declared: Some(DeclaredLaunch {
+            declared: DeclaredLaunch {
                 buffers,
                 effects: std::sync::Arc::new(effects_list.to_vec()),
-            }),
-            preverified: false,
-            kernel: Box::new(kernel),
-        });
-    }
-
-    /// Queues a kernel that promises to write every slot of `buffer`
-    /// exactly once (see [`Executor::launch_filling`]).
-    pub fn launch_filling<T, F>(&mut self, label: &str, buffer: &DeviceSlice<'_, T>, kernel: F)
-    where
-        F: Fn(usize) + Send + Sync + 'env,
-    {
-        if buffer.is_empty() {
-            return;
-        }
-        self.queue.push(Pending {
-            label: label.to_string(),
-            n: buffer.len(),
-            coverage: Some(buffer.buffer_id()),
-            declared: None,
+            },
             preverified: false,
             kernel: Box::new(kernel),
         });
@@ -206,18 +164,14 @@ impl<'exec, 'env> Stream<'exec, 'env> {
         let queue = std::mem::take(&mut self.queue);
         self.exec.drain_streams(vec![(self.id, queue)]);
     }
-
-    /// Consumes the stream, executing all queued launches — the point
-    /// where results become visible to the host, like a stream-ordered
-    /// device-to-host copy.
-    pub fn read_back(mut self) {
-        self.sync();
-    }
 }
 
 impl Drop for Stream<'_, '_> {
     fn drop(&mut self) {
-        if !self.queue.is_empty() {
+        // Launching kernels while a panic unwinds would run them on state
+        // the panic may have left half-built, and a kernel that panics
+        // there aborts the process.
+        if !self.queue.is_empty() && !std::thread::panicking() {
             self.sync();
         }
     }
@@ -229,9 +183,9 @@ impl Executor {
     ///
     /// Within the epoch each stream's launches run in queue order, but
     /// launches of different streams are unordered and may interleave on
-    /// the worker pool, so they must touch disjoint data (the sanitizer
-    /// reports violations as stream races). The barrier at the end orders
-    /// the whole epoch before everything that follows.
+    /// the worker pool, so their declared footprints must be disjoint.
+    /// The barrier at the end orders the whole epoch before everything
+    /// that follows.
     ///
     /// Cost-model effect: every launch is charged to the serialized
     /// profile, but only the heaviest joined stream is charged to the
@@ -239,7 +193,9 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if a stream belongs to a different executor.
+    /// Panics if a stream belongs to a different executor, or with the
+    /// [`StaticHazard`](crate::StaticHazard) report when launches of two
+    /// different streams have conflicting footprints.
     pub fn join(&self, streams: &mut [&mut Stream<'_, '_>]) {
         let batches: Vec<(u64, Vec<Pending<'_>>)> = streams
             .iter_mut()
@@ -261,12 +217,10 @@ impl Executor {
         if batches.is_empty() {
             return;
         }
+        let launches: u64 = batches.iter().map(|(_, q)| q.len() as u64).sum();
         let mut epoch = trace::span("stream", "stream.epoch");
         epoch.arg_u64("streams", batches.len() as u64);
-        epoch.arg_u64(
-            "launches",
-            batches.iter().map(|(_, q)| q.len() as u64).sum(),
-        );
+        epoch.arg_u64("launches", launches);
         // Accounting is deterministic and up front — widths are known
         // before anything runs. Every launch lands in the serialized
         // profile; only the heaviest stream of this epoch lands on the
@@ -286,12 +240,12 @@ impl Executor {
             .unwrap_or(0);
         self.record_critical_widths(batches[heaviest].1.iter().map(|p| p.n));
 
-        // Static cross-stream check: any two declared launches on
-        // different streams of this epoch are unordered, so their
-        // footprints must be disjoint (write-vs-anything). This runs at
-        // the *exact* runtime widths on every executor — raw included,
-        // where a hazard cannot be demoted to a report because the
-        // launches are about to race on real threads.
+        // Static cross-stream check: any two launches on different
+        // streams of this epoch are unordered, so their footprints must
+        // be disjoint (write-vs-anything). This runs at the *exact*
+        // runtime widths on every executor — raw included, where a
+        // hazard cannot be demoted to a report because the launches are
+        // about to race on real threads.
         // A replayed wave is entirely preverified (build time proved all
         // its pairs disjoint at max widths) — don't even iterate the
         // pairs: a wide graph wave joins thousands of one-launch streams.
@@ -299,87 +253,46 @@ impl Executor {
         if batches.len() > 1 && !all_preverified {
             for (i, (_, qa)) in batches.iter().enumerate() {
                 for (_, qb) in batches.iter().skip(i + 1) {
-                    for pa in qa.iter().filter(|p| p.declared.is_some()) {
-                        let da = pa.declared.as_ref().unwrap();
-                        for pb in qb.iter().filter(|p| p.declared.is_some()) {
-                            // Graph replays proved same-wave disjointness
-                            // at build time at max widths — re-proving it
-                            // per replay would make every replay epoch
-                            // quadratic in its wave width.
-                            if pa.preverified && pb.preverified {
-                                continue;
-                            }
-                            let db = pb.declared.as_ref().unwrap();
-                            let hazards = effects::check_unordered(
-                                &DeclaredPeer {
-                                    label: &pa.label,
-                                    width: pa.n,
-                                    buffers: &da.buffers,
-                                    effects: &da.effects,
-                                },
-                                &DeclaredPeer {
-                                    label: &pb.label,
-                                    width: pb.n,
-                                    buffers: &db.buffers,
-                                    effects: &db.effects,
-                                },
-                            );
+                    for pa in qa {
+                        // Graph replays proved same-wave disjointness at
+                        // build time at max widths — re-proving it per
+                        // replay would make every replay epoch quadratic
+                        // in its wave width.
+                        for pb in qb.iter().filter(|pb| !(pa.preverified && pb.preverified)) {
+                            let hazards = effects::check_unordered(&pa.peer(), &pb.peer());
                             assert!(
                                 hazards.is_empty(),
                                 "static effect check failed for join epoch:\n{}",
-                                hazards
-                                    .iter()
-                                    .map(ToString::to_string)
-                                    .collect::<Vec<_>>()
-                                    .join("\n")
+                                effects::hazard_report(&hazards)
                             );
                         }
                     }
                 }
             }
         }
-        // An epoch whose launches are all statically verified skips
-        // dynamic sanitization (unless cross-check mode audits it).
-        let declared_count: u64 = batches
-            .iter()
-            .flat_map(|(_, q)| q.iter())
-            .filter(|p| p.declared.is_some())
-            .count() as u64;
-        let all_declared = batches
-            .iter()
-            .all(|(_, q)| q.iter().all(|p| p.declared.is_some()));
 
         if let Some(san) = &self.sanitizer {
-            if all_declared && !san.cross_check() {
-                // Fall through to the parallel fast paths below.
-            } else {
-                // Sanitized epochs run serialized, stream by stream in join
-                // order, logging the stream id of every launch so the
-                // cross-launch analysis can tell ordered (same-stream) from
-                // unordered (cross-stream) access pairs.
-                san.begin_epoch();
-                for ((stream, queue), ords) in batches.iter().zip(&ordinals) {
-                    for (pending, &ordinal) in queue.iter().zip(ords) {
-                        let _span = trace::kernel_span(&pending.label, pending.n);
-                        san.begin_launch(
-                            &pending.label,
-                            ordinal,
-                            pending.coverage.map(|b| (b, pending.n)),
-                            *stream,
-                            pending.declared.as_ref(),
-                        );
-                        for tid in 0..pending.n {
-                            (pending.kernel)(tid);
-                        }
-                        san.end_launch();
-                    }
+            // Audited epochs run serialized, stream by stream in join
+            // order, logging the stream id of every launch so the
+            // cross-launch analysis can tell ordered (same-stream) from
+            // unordered (cross-stream) access pairs.
+            let audit = san.begin_epoch();
+            for ((stream, queue), ords) in batches.iter().zip(&ordinals) {
+                for (pending, &ordinal) in queue.iter().zip(ords) {
+                    let _span = trace::kernel_span(&pending.label, pending.n);
+                    audit.run(
+                        &pending.label,
+                        ordinal,
+                        *stream,
+                        &pending.declared,
+                        pending.n,
+                        pending.kernel.as_ref(),
+                    );
                 }
-                return;
             }
+            return;
         }
-        if declared_count > 0 {
-            self.note_verified_launches(declared_count);
-        }
+        self.note_verified_launches(launches);
         if batches.len() == 1 {
             // A lone stream is an ordered chain: run each launch over the
             // full worker pool, exactly like eager launches.
@@ -389,40 +302,25 @@ impl Executor {
             }
             return;
         }
-        // Multiple streams where every launch is below the inline
-        // threshold: the whole epoch runs on the calling thread, stream
-        // by stream. Any serial order that respects per-stream queue
-        // order is a valid epoch schedule (cross-stream launches are
-        // unordered), and spawning driver threads for sub-threshold
-        // launches is pure overhead — this is the epoch-level face of the
-        // small-launch fast path.
-        let threshold = self.inline_threshold();
-        if batches
-            .iter()
-            .all(|(_, queue)| queue.iter().all(|p| p.n < threshold))
-        {
-            for (_, queue) in &batches {
-                for pending in queue {
-                    let _span = trace::kernel_span(&pending.label, pending.n);
-                    for tid in 0..pending.n {
-                        (pending.kernel)(tid);
-                    }
-                }
-            }
-            return;
-        }
         // Multiple streams: one driver per stream (capped at the pool
         // width), each draining its streams' launches in order. Streams
         // genuinely interleave; launches within a stream stay ordered.
-        let drivers = self.num_threads().min(batches.len());
+        // When every launch is below the inline threshold the whole
+        // epoch runs on the calling thread instead: any serial order that
+        // respects per-stream queue order is a valid epoch schedule, and
+        // spawning driver threads for sub-threshold launches is pure
+        // overhead — the epoch-level face of the small-launch fast path.
+        let all_inline = batches
+            .iter()
+            .all(|(_, queue)| queue.iter().all(|p| p.n < DEFAULT_INLINE_THRESHOLD));
+        let drivers = if all_inline {
+            1
+        } else {
+            self.num_threads.min(batches.len())
+        };
         if drivers == 1 {
             for (_, queue) in &batches {
-                for pending in queue {
-                    let _span = trace::kernel_span(&pending.label, pending.n);
-                    for tid in 0..pending.n {
-                        (pending.kernel)(tid);
-                    }
-                }
+                queue.iter().for_each(Pending::run_inline);
             }
             return;
         }
@@ -436,12 +334,7 @@ impl Executor {
                     // genuinely parallel tracks in the viewer.
                     trace::set_thread_label(&format!("stream-driver-{d}"));
                     for (_, queue) in mine {
-                        for pending in queue {
-                            let _span = trace::kernel_span(&pending.label, pending.n);
-                            for tid in 0..pending.n {
-                                (pending.kernel)(tid);
-                            }
-                        }
+                        queue.iter().for_each(Pending::run_inline);
                     }
                 });
             }

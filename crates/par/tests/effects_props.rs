@@ -2,19 +2,25 @@
 //! sanitizer.
 //!
 //! For randomly generated affine launch declarations, a mirror kernel
-//! performs exactly the declared accesses on a sanitizing executor. The
-//! static hazard classes must then be a superset of the dynamic ones
-//! (the static checker never clips footprints to the buffer, so it sees
-//! at least everything the run exhibits), with exact class-set equality
-//! whenever the declaration has no static out-of-bounds (then every
-//! declared access really executes). Statically clean declarations must
-//! additionally survive cross-check mode with zero reports: the
-//! declared footprints cover every access the kernel performs.
+//! performs exactly the declared accesses on a sanitizing executor —
+//! launched under the loosest legal declaration (`common::loose`), so the
+//! dynamic verdict comes from the access log alone. The static hazard
+//! classes must then be a superset of the dynamic ones (the static
+//! checker never clips footprints to the buffer, so it sees at least
+//! everything the run exhibits), with exact class-set equality whenever
+//! the declaration has no static out-of-bounds (then every declared
+//! access really executes). Statically clean declarations must
+//! additionally survive the audit under their *own* declaration with
+//! zero reports: the declared footprints cover every access the kernel
+//! performs.
 
+mod common;
+
+use common::{inspecting_executor, loose};
 use proptest::prelude::*;
 
 use parsweep_par::{
-    ConflictKind, Effect, EffectTable, Executor, Pattern, SanitizerConfig, StaticHazard,
+    BufId, ConflictKind, Effect, EffectTable, Executor, KernelGraphBuilder, Pattern, StaticHazard,
 };
 
 /// One randomly generated effect: kind + affine per-tid footprint.
@@ -65,11 +71,9 @@ enum Class {
     Oob,
 }
 
-fn static_classes(spec: &GenLaunch) -> (Vec<StaticHazard>, Vec<Class>) {
-    let table = EffectTable::new();
-    let buf = table.buffer("prop.buf", spec.len);
-    let effects: Vec<Effect> = spec
-        .effects
+/// The generated declaration as effects over `buf`.
+fn declared_effects(spec: &GenLaunch, buf: BufId) -> Vec<Effect> {
+    spec.effects
         .iter()
         .map(|e| {
             let p = Pattern::Affine {
@@ -83,8 +87,14 @@ fn static_classes(spec: &GenLaunch) -> (Vec<StaticHazard>, Vec<Class>) {
                 Effect::read(buf, p)
             }
         })
-        .collect();
-    let mut g = parsweep_par::KernelGraphBuilder::<()>::new().with_table(&table);
+        .collect()
+}
+
+fn static_classes(spec: &GenLaunch) -> (Vec<StaticHazard>, Vec<Class>) {
+    let table = EffectTable::new();
+    let buf = table.buffer("prop.buf", spec.len);
+    let effects = declared_effects(spec, buf);
+    let mut g = KernelGraphBuilder::<()>::new(&table);
     let width = spec.width;
     g.kernel_declared("prop", &[], move |_| width, width, effects, |_, _| {});
     let hazards = match g.try_build() {
@@ -105,26 +115,20 @@ fn static_classes(spec: &GenLaunch) -> (Vec<StaticHazard>, Vec<Class>) {
     (hazards, classes)
 }
 
-/// Runs the undeclared mirror kernel — it performs exactly the declared
-/// accesses — under the dynamic sanitizer and collects hazard classes.
-/// Reads are clamped to the buffer (`record_read` panics on OOB); writes
-/// run unclamped because the sanitizer reports and suppresses them.
+/// Runs the mirror kernel — it performs exactly the generated accesses —
+/// under the dynamic sanitizer and collects hazard classes. Reads are
+/// clamped to the buffer (`record_read` panics on OOB); writes run
+/// unclamped because the sanitizer reports and suppresses them.
 fn dynamic_classes(spec: &GenLaunch) -> Vec<Class> {
-    let exec = Executor::with_sanitizer_config(
-        2,
-        SanitizerConfig {
-            fail_fast: false,
-            max_reports: 4096,
-            ..SanitizerConfig::default()
-        },
-    );
+    let exec = inspecting_executor();
+    let (table, buf, loosest) = loose("prop.buf", spec.len);
     let mut data = vec![0u64; spec.len];
     {
-        let cells = exec.bind("prop.buf", &mut data);
+        let cells = exec.bind_table(&table, buf, &mut data);
         let cells = &cells;
         let effects = &spec.effects;
         let len = spec.len;
-        exec.launch_labeled("prop", spec.width, move |tid| {
+        exec.launch_declared(&table, "prop", spec.width, &loosest, move |tid| {
             for e in effects {
                 for k in 0..e.span {
                     let index = e.base + tid * e.stride + k;
@@ -157,35 +161,14 @@ fn dynamic_classes(spec: &GenLaunch) -> Vec<Class> {
     classes
 }
 
-/// Replays the declaration through the verified path on a cross-check
-/// executor: every access must be covered, so zero reports.
-fn cross_check_reports(spec: &GenLaunch) -> usize {
-    let exec = Executor::with_sanitizer_config(
-        2,
-        SanitizerConfig {
-            fail_fast: false,
-            max_reports: 4096,
-            check_declared: true,
-        },
-    );
+/// Replays the mirror kernel under its own (statically clean)
+/// declaration on a sanitizing executor: every access must be covered,
+/// so zero reports.
+fn audit_reports(spec: &GenLaunch) -> usize {
+    let exec = inspecting_executor();
     let table = EffectTable::new();
     let buf = table.buffer("prop.buf", spec.len);
-    let effects: Vec<Effect> = spec
-        .effects
-        .iter()
-        .map(|e| {
-            let p = Pattern::Affine {
-                base: e.base,
-                stride: e.stride,
-                span: e.span,
-            };
-            if e.write {
-                Effect::write(buf, p)
-            } else {
-                Effect::read(buf, p)
-            }
-        })
-        .collect();
+    let effects = declared_effects(spec, buf);
     let mut data = vec![0u64; spec.len];
     {
         let cells = exec.bind_table(&table, buf, &mut data);
@@ -234,9 +217,9 @@ proptest! {
             );
         }
         // Statically clean ⇒ the declared footprints cover every access
-        // the mirror performs: cross-check mode stays silent.
+        // the mirror performs: the audit stays silent.
         if hazards.is_empty() {
-            prop_assert_eq!(cross_check_reports(&spec), 0);
+            prop_assert_eq!(audit_reports(&spec), 0);
         }
     }
 
@@ -260,16 +243,13 @@ proptest! {
             // Reading your own slots is clean (diagonal excluded).
             effects.push(Effect::read(buf, p));
         }
-        let exec = Executor::with_sanitizer_config(
-            2,
-            SanitizerConfig { fail_fast: true, check_declared: true, ..SanitizerConfig::default() },
-        );
+        let exec = Executor::with_sanitizer(2);
         let mut data = vec![0u64; len];
         {
             let cells = exec.bind_table(&table, buf, &mut data);
             let cells = &cells;
-            // Panics on any static hazard (false positive) and, via
-            // fail_fast cross-check, on any uncovered dynamic access.
+            // Panics on any static hazard (false positive) and, the
+            // sanitizer being fail-fast, on any dynamic report.
             exec.launch_declared(&table, "clean", width, &effects, move |tid| {
                 for k in 0..span {
                     // SAFETY: stride ≥ span makes per-tid slots disjoint.

@@ -1,37 +1,26 @@
 //! Adversarial suite for the static effect checker: every hazard class
 //! the dynamic sanitizer detects must be flagged statically from
-//! declarations alone, clean declared graphs must verify with zero
-//! false positives and replay unsanitized, and cross-check mode must
-//! catch declarations that under-approximate the kernel's real accesses.
+//! declarations alone, clean graphs must verify with zero false
+//! positives and replay in parallel on a raw executor, and a sanitizing
+//! executor must catch declarations that under-approximate the kernel's
+//! real accesses.
 
+mod common;
+
+use common::{inspecting_executor, loose, OWN};
 use parsweep_par::{
-    ConflictKind, Effect, EffectTable, Executor, KernelGraphBuilder, Pattern, SanitizerConfig,
-    StaticHazard,
+    ConflictKind, Effect, EffectTable, Executor, KernelGraphBuilder, Pattern, StaticHazard,
 };
-
-fn lenient() -> SanitizerConfig {
-    SanitizerConfig {
-        fail_fast: false,
-        ..SanitizerConfig::default()
-    }
-}
-
-fn cross_check() -> SanitizerConfig {
-    SanitizerConfig {
-        fail_fast: false,
-        check_declared: true,
-        ..SanitizerConfig::default()
-    }
-}
 
 /// Write-write: stride 2, span 4 — neighbors collide. The static
 /// checker flags it from the declaration; the dynamic sanitizer flags
-/// the same class when the undeclared twin actually runs.
+/// the same class when a twin with the same accesses actually runs
+/// (under the loosest legal declaration, so only the access log judges).
 #[test]
 fn write_write_flagged_statically_and_dynamically() {
     let table = EffectTable::new();
     let buf = table.buffer("ww.buf", 64);
-    let mut g = KernelGraphBuilder::<()>::new().with_table(&table);
+    let mut g = KernelGraphBuilder::<()>::new(&table);
     g.kernel_declared(
         "ww",
         &[],
@@ -55,12 +44,13 @@ fn write_write_flagged_statically_and_dynamically() {
         "{hazards:?}"
     );
 
-    // Dynamic twin: same access pattern, no declarations.
-    let exec = Executor::with_sanitizer_config(2, lenient());
+    // Dynamic twin: same access pattern, judged by the access log.
+    let exec = inspecting_executor();
+    let (table, buf, effects) = loose("ww.buf", 64);
     let mut data = vec![0u32; 64];
     {
-        let cells = exec.bind("ww.buf", &mut data);
-        exec.launch_labeled("ww", 8, |tid| {
+        let cells = exec.bind_table(&table, buf, &mut data);
+        exec.launch_declared(&table, "ww", 8, &effects, |tid| {
             for k in 0..4 {
                 // SAFETY: intentionally racy (stride < span); sanitized
                 // launches are serialized, so the race is only logged.
@@ -81,7 +71,7 @@ fn write_write_flagged_statically_and_dynamically() {
 fn read_write_flagged_statically_and_dynamically() {
     let table = EffectTable::new();
     let buf = table.buffer("rw.buf", 64);
-    let mut g = KernelGraphBuilder::<()>::new().with_table(&table);
+    let mut g = KernelGraphBuilder::<()>::new(&table);
     g.kernel_declared(
         "rw",
         &[],
@@ -115,11 +105,12 @@ fn read_write_flagged_statically_and_dynamically() {
         "{hazards:?}"
     );
 
-    let exec = Executor::with_sanitizer_config(2, lenient());
+    let exec = inspecting_executor();
+    let (table, buf, effects) = loose("rw.buf", 64);
     let mut data = vec![0u32; 64];
     {
-        let cells = exec.bind("rw.buf", &mut data);
-        exec.launch_labeled("rw", 8, |tid| {
+        let cells = exec.bind_table(&table, buf, &mut data);
+        exec.launch_declared(&table, "rw", 8, &effects, |tid| {
             // SAFETY: intentionally hazardous (read of a slot another
             // tid writes in the same launch); serialized when sanitized.
             unsafe {
@@ -141,7 +132,7 @@ fn read_write_flagged_statically_and_dynamically() {
 fn out_of_bounds_flagged_statically_and_dynamically() {
     let table = EffectTable::new();
     let buf = table.buffer("oob.buf", 10);
-    let mut g = KernelGraphBuilder::<()>::new().with_table(&table);
+    let mut g = KernelGraphBuilder::<()>::new(&table);
     g.kernel_declared(
         "oob",
         &[],
@@ -171,11 +162,12 @@ fn out_of_bounds_flagged_statically_and_dynamically() {
         "{hazards:?}"
     );
 
-    let exec = Executor::with_sanitizer_config(2, lenient());
+    let exec = inspecting_executor();
+    let (table, buf, effects) = loose("oob.buf", 10);
     let mut data = vec![0u32; 10];
     {
-        let cells = exec.bind("oob.buf", &mut data);
-        exec.launch_labeled("oob", 4, |tid| {
+        let cells = exec.bind_table(&table, buf, &mut data);
+        exec.launch_declared(&table, "oob", 4, &effects, |tid| {
             for k in 0..3 {
                 // SAFETY: deliberately runs past the buffer for tid 3;
                 // the sanitizer reports and suppresses the OOB writes.
@@ -193,23 +185,18 @@ fn out_of_bounds_flagged_statically_and_dynamically() {
 
 /// Stream race: two same-depth graph nodes (one unordered epoch) with
 /// overlapping write footprints. Statically an UnorderedConflict; the
-/// dynamic analogue on undeclared streams is a StreamRace.
+/// dynamic analogue on two joined streams is a StreamRace.
 #[test]
 fn unordered_conflict_flagged_statically_and_dynamically() {
     let table = EffectTable::new();
     let buf = table.buffer("race.buf", 64);
-    let mut g = KernelGraphBuilder::<()>::new().with_table(&table);
-    let own = Pattern::Affine {
-        base: 0,
-        stride: 1,
-        span: 1,
-    };
+    let mut g = KernelGraphBuilder::<()>::new(&table);
     g.kernel_declared(
         "left",
         &[],
         |_| 8,
         8,
-        vec![Effect::write(buf, own)],
+        vec![Effect::write(buf, OWN)],
         |_, _| {},
     );
     g.kernel_declared(
@@ -217,7 +204,7 @@ fn unordered_conflict_flagged_statically_and_dynamically() {
         &[],
         |_| 8,
         8,
-        vec![Effect::write(buf, own)],
+        vec![Effect::write(buf, OWN)],
         |_, _| {},
     );
     let hazards = g.try_build().map(|_| ()).unwrap_err();
@@ -228,18 +215,19 @@ fn unordered_conflict_flagged_statically_and_dynamically() {
         "{hazards:?}"
     );
 
-    let exec = Executor::with_sanitizer_config(2, lenient());
+    let exec = inspecting_executor();
+    let (table, buf, effects) = loose("race.buf", 64);
     let mut data = vec![0u32; 64];
     {
-        let cells = exec.bind("race.buf", &mut data);
+        let cells = exec.bind_table(&table, buf, &mut data);
         let mut s1 = exec.stream();
         let mut s2 = exec.stream();
-        s1.launch_labeled("left", 8, |tid| {
+        s1.launch_declared(&table, "left", 8, &effects, |tid| {
             // SAFETY: the two unordered streams write the same slots on
             // purpose; sanitized epochs serialize, so the race is logged.
             unsafe { cells.write(tid, tid, 1) };
         });
-        s2.launch_labeled("right", 8, |tid| {
+        s2.launch_declared(&table, "right", 8, &effects, |tid| {
             // SAFETY: intentionally racing `left` (same slots, no edge).
             unsafe { cells.write(tid, tid, 2) };
         });
@@ -260,18 +248,13 @@ fn unordered_conflict_flagged_statically_and_dynamically() {
 fn use_after_release_flagged_at_build() {
     let table = EffectTable::new();
     let buf = table.buffer("leased.buf", 16);
-    let own = Pattern::Affine {
-        base: 0,
-        stride: 1,
-        span: 1,
-    };
-    let mut g = KernelGraphBuilder::<()>::new().with_table(&table);
+    let mut g = KernelGraphBuilder::<()>::new(&table);
     let producer = g.kernel_declared(
         "produce",
         &[],
         |_| 16,
         16,
-        vec![Effect::write(buf, own)],
+        vec![Effect::write(buf, OWN)],
         |_, _| {},
     );
     g.release(buf, &[producer]);
@@ -280,7 +263,7 @@ fn use_after_release_flagged_at_build() {
         &[producer],
         |_| 16,
         16,
-        vec![Effect::read(buf, own)],
+        vec![Effect::read(buf, OWN)],
         |_, _| {},
     );
     let hazards = g.try_build().map(|_| ()).unwrap_err();
@@ -294,13 +277,13 @@ fn use_after_release_flagged_at_build() {
     // Releasing after the reader instead is clean.
     let table = EffectTable::new();
     let buf = table.buffer("leased.buf", 16);
-    let mut g = KernelGraphBuilder::<()>::new().with_table(&table);
+    let mut g = KernelGraphBuilder::<()>::new(&table);
     let producer = g.kernel_declared(
         "produce",
         &[],
         |_| 16,
         16,
-        vec![Effect::write(buf, own)],
+        vec![Effect::write(buf, OWN)],
         |_, _| {},
     );
     let reader = g.kernel_declared(
@@ -308,18 +291,19 @@ fn use_after_release_flagged_at_build() {
         &[producer],
         |_| 16,
         16,
-        vec![Effect::read(buf, own)],
+        vec![Effect::read(buf, OWN)],
         |_, _| {},
     );
     g.release(buf, &[reader]);
     assert!(g.try_build().is_ok());
 }
 
-/// A clean declared graph verifies, produces correct results on a
-/// sanitizing executor *without* any dynamic reports, and counts its
-/// replays and launches as statically verified.
+/// A clean graph verifies and produces correct results in both modes:
+/// a raw executor counts its replays and launches as having run on the
+/// parallel path, a sanitizing one audits every access against the
+/// declarations, stays silent, and counts none.
 #[test]
-fn verified_graph_replays_unsanitized_with_correct_results() {
+fn clean_graph_replays_correctly_raw_and_audited() {
     const N: usize = 512;
     struct Round<'a> {
         cells: &'a parsweep_par::DeviceSlice<'a, u64>,
@@ -329,21 +313,16 @@ fn verified_graph_replays_unsanitized_with_correct_results() {
     fn run(exec: &Executor, replays: usize) -> Vec<u64> {
         let table = EffectTable::new();
         let buf = table.buffer("pipeline.buf", N);
-        let own = Pattern::Affine {
-            base: 0,
-            stride: 1,
-            span: 1,
-        };
         let mut data = vec![0u64; N];
         {
             let cells = exec.bind_table(&table, buf, &mut data);
-            let mut g = KernelGraphBuilder::<Round>::new().with_table(&table);
+            let mut g = KernelGraphBuilder::<Round>::new(&table);
             let fill = g.kernel_declared(
                 "fill",
                 &[],
                 |_: &Round| N,
                 N,
-                vec![Effect::write(buf, own)],
+                vec![Effect::write(buf, OWN)],
                 |tid, r: &Round| {
                     // SAFETY: each tid writes its own slot (statically proven).
                     unsafe { r.cells.write(tid, tid, tid as u64) };
@@ -354,7 +333,7 @@ fn verified_graph_replays_unsanitized_with_correct_results() {
                 &[fill],
                 |_: &Round| N,
                 N,
-                vec![Effect::read(buf, own), Effect::write(buf, own)],
+                vec![Effect::read(buf, OWN), Effect::write(buf, OWN)],
                 |tid, r: &Round| {
                     // SAFETY: each tid reads and writes only its own slot.
                     unsafe {
@@ -364,7 +343,6 @@ fn verified_graph_replays_unsanitized_with_correct_results() {
                 },
             );
             let graph = g.build();
-            assert!(graph.verified());
             for _ in 0..replays {
                 graph.replay(exec, &Round { cells: &cells });
             }
@@ -372,32 +350,29 @@ fn verified_graph_replays_unsanitized_with_correct_results() {
         data
     }
 
-    let exec = Executor::with_sanitizer(2);
+    let exec = Executor::with_threads(2);
     let data = run(&exec, 2);
     assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64 * 2));
-    assert!(
-        exec.take_reports().is_empty(),
-        "verified replay must not sanitize"
-    );
-    // Ambient PARSWEEP_SANITIZE=all forces cross-check mode, where
-    // declared launches deliberately run sanitized instead.
-    if !exec.cross_checking() {
+    // Ambient PARSWEEP_SANITIZE makes this executor a sanitizing one.
+    if !exec.sanitizing() {
         let stats = exec.stats();
         assert_eq!(stats.static_verified_replays, 2);
         assert_eq!(stats.static_verified_launches, 4);
     }
 
-    // Cross-check mode: same graph runs under the dynamic sanitizer,
-    // declarations cover every access, so it stays clean — and the
-    // replays no longer count as verified fast-path replays.
-    let exec = Executor::with_sanitizer_config(2, cross_check());
+    // Same graph under the dynamic sanitizer (fail-fast): declarations
+    // cover every access, so it stays clean — and nothing counts as
+    // having run on the parallel path.
+    let exec = Executor::with_sanitizer(2);
     let data = run(&exec, 1);
     assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64 * 2));
     assert!(
         exec.take_reports().is_empty(),
         "declarations must cover all accesses"
     );
+    assert_eq!(exec.stats().total_launches(), 2);
     assert_eq!(exec.stats().static_verified_replays, 0);
+    assert_eq!(exec.stats().static_verified_launches, 0);
 }
 
 /// Replaying a declared node wider than its verified maximum is a
@@ -407,7 +382,7 @@ fn verified_graph_replays_unsanitized_with_correct_results() {
 fn replay_wider_than_max_width_panics() {
     let table = EffectTable::new();
     let buf = table.buffer("narrow.buf", 64);
-    let mut g = KernelGraphBuilder::<usize>::new().with_table(&table);
+    let mut g = KernelGraphBuilder::<usize>::new(&table);
     g.kernel_declared(
         "grower",
         &[],
@@ -428,16 +403,16 @@ fn replay_wider_than_max_width_panics() {
     graph.replay(&exec, &16); // width 16 > verified max 8
 }
 
-/// Cross-check catches a declaration that under-approximates: the
-/// kernel touches an in-bounds slot its effects never declared. A
-/// plain sanitizing executor would have skipped the launch entirely
-/// (fast path) — exactly the hole cross-check mode exists to audit.
+/// The audit catches a declaration that under-approximates: the kernel
+/// touches an in-bounds slot its effects never declared. The static
+/// checker cannot see this (it proves the declaration, not the kernel),
+/// and a raw executor runs it unobserved — exactly the hole a sanitizing
+/// executor exists to close.
 #[test]
-fn cross_check_flags_undeclared_access() {
+fn audit_flags_undeclared_access() {
     let table = EffectTable::new();
     let buf = table.buffer("sneaky.buf", 64);
-    let run = |config: SanitizerConfig| {
-        let exec = Executor::with_sanitizer_config(2, config);
+    let run = |exec: Executor| {
         let mut data = vec![0u64; 64];
         {
             let cells = exec.bind_table(&table, buf, &mut data);
@@ -464,23 +439,18 @@ fn cross_check_flags_undeclared_access() {
                 },
             );
         }
-        (exec.take_reports(), exec.cross_checking())
+        exec.take_reports()
     };
-    let (audited, _) = run(cross_check());
-    assert!(
-        audited
-            .iter()
-            .any(|r| matches!(r.kind, ConflictKind::UndeclaredAccess { .. })),
-        "{audited:?}"
-    );
-    // Without cross-check the verified fast path runs raw: no reports —
-    // demonstrating why the audit mode exists. Ambient
-    // PARSWEEP_SANITIZE=all forces cross-check even here, so only
-    // assert silence when the executor really took the fast path.
-    let (silent, crossed) = run(lenient());
-    if !crossed {
-        assert!(silent.is_empty(), "{silent:?}");
-    }
+    let audited = run(inspecting_executor());
+    assert_eq!(audited.len(), 4, "one per tid: {audited:?}");
+    assert!(audited.iter().all(|r| matches!(
+        r.kind,
+        ConflictKind::UndeclaredAccess {
+            access: parsweep_par::AccessKind::Write,
+            ..
+        }
+    ) && r.kernel == "sneaky"
+        && r.buffer == "sneaky.buf"));
 }
 
 /// Stream-level static checking: queue-time intra-launch hazards panic
@@ -513,78 +483,69 @@ fn stream_launch_declared_panics_on_intra_launch_hazard() {
 fn join_panics_on_cross_stream_declared_conflict() {
     let table = EffectTable::new();
     let buf = table.buffer("j.buf", 32);
-    let own = Pattern::Affine {
-        base: 0,
-        stride: 1,
-        span: 1,
-    };
     let exec = Executor::with_threads(2);
     let mut data = vec![0u64; 32];
     let cells = exec.bind_table(&table, buf, &mut data);
     let cells = &cells;
     let mut s1 = exec.stream();
     let mut s2 = exec.stream();
-    s1.launch_declared(&table, "a", 8, &[Effect::write(buf, own)], move |tid| {
+    s1.launch_declared(&table, "a", 8, &[Effect::write(buf, OWN)], move |tid| {
         // SAFETY: never runs — the drain-time static check fires first.
         unsafe { cells.write(tid, tid, 1) };
     });
-    s2.launch_declared(&table, "b", 8, &[Effect::write(buf, own)], move |tid| {
+    s2.launch_declared(&table, "b", 8, &[Effect::write(buf, OWN)], move |tid| {
         // SAFETY: never runs — the drain-time static check fires first.
         unsafe { cells.write(tid, tid, 2) };
     });
     exec.join(&mut [&mut s1, &mut s2]);
 }
 
-/// A clean multi-stream declared epoch runs the fast path on a
-/// sanitizing executor and counts its launches.
+/// A clean multi-stream epoch is silent under the sanitizer and counted
+/// as parallel on a raw executor.
 #[test]
-fn clean_declared_epoch_skips_sanitizer_and_counts() {
+fn clean_declared_epoch_is_silent_audited_and_counted_raw() {
     let table = EffectTable::new();
     let a = table.buffer("epoch.a", 128);
     let b = table.buffer("epoch.b", 128);
-    let own = Pattern::Affine {
-        base: 0,
-        stride: 1,
-        span: 1,
+    let run = |exec: &Executor| {
+        let mut da = vec![0u64; 128];
+        let mut db = vec![0u64; 128];
+        {
+            let ca = exec.bind_table(&table, a, &mut da);
+            let ca = &ca;
+            let cb = exec.bind_table(&table, b, &mut db);
+            let cb = &cb;
+            let mut s1 = exec.stream();
+            let mut s2 = exec.stream();
+            // SAFETY: each tid writes its own slot of its own buffer.
+            s1.launch_declared(
+                &table,
+                "fill-a",
+                128,
+                &[Effect::write(a, OWN)],
+                move |tid| unsafe { ca.write(tid, tid, 1) },
+            );
+            // SAFETY: as above, on the other buffer.
+            s2.launch_declared(
+                &table,
+                "fill-b",
+                128,
+                &[Effect::write(b, OWN)],
+                move |tid| unsafe { cb.write(tid, tid, 2) },
+            );
+            exec.join(&mut [&mut s1, &mut s2]);
+        }
+        assert!(da.iter().all(|&v| v == 1) && db.iter().all(|&v| v == 2));
     };
-    let exec = Executor::with_sanitizer(2);
-    let mut da = vec![0u64; 128];
-    let mut db = vec![0u64; 128];
-    {
-        let ca = exec.bind_table(&table, a, &mut da);
-        let ca = &ca;
-        let cb = exec.bind_table(&table, b, &mut db);
-        let cb = &cb;
-        let mut s1 = exec.stream();
-        let mut s2 = exec.stream();
-        s1.launch_declared(
-            &table,
-            "fill-a",
-            128,
-            &[Effect::write(a, own)],
-            move |tid| {
-                // SAFETY: each tid writes its own slot of its own buffer.
-                unsafe { ca.write(tid, tid, 1) };
-            },
-        );
-        s2.launch_declared(
-            &table,
-            "fill-b",
-            128,
-            &[Effect::write(b, own)],
-            move |tid| {
-                // SAFETY: each tid writes its own slot of its own buffer.
-                unsafe { cb.write(tid, tid, 2) };
-            },
-        );
-        exec.join(&mut [&mut s1, &mut s2]);
-    }
-    assert!(da.iter().all(|&v| v == 1) && db.iter().all(|&v| v == 2));
-    assert!(exec.take_reports().is_empty());
-    // Ambient PARSWEEP_SANITIZE=all forces cross-check mode, where
-    // declared launches deliberately run sanitized instead.
-    if !exec.cross_checking() {
-        assert_eq!(exec.stats().static_verified_launches, 2);
+    let san = Executor::with_sanitizer(2);
+    run(&san);
+    assert!(san.take_reports().is_empty());
+    assert_eq!(san.stats().static_verified_launches, 0);
+    let raw = Executor::with_threads(2);
+    run(&raw);
+    // Ambient PARSWEEP_SANITIZE makes this executor a sanitizing one.
+    if !raw.sanitizing() {
+        assert_eq!(raw.stats().static_verified_launches, 2);
     }
 }
 
@@ -598,7 +559,7 @@ fn atomic_reductions_are_clean_but_conflict_with_plain_writes() {
         stride: 0,
         span: 1,
     };
-    let mut g = KernelGraphBuilder::<()>::new().with_table(&table);
+    let mut g = KernelGraphBuilder::<()>::new(&table);
     g.kernel_declared(
         "acc1",
         &[],
@@ -617,7 +578,7 @@ fn atomic_reductions_are_clean_but_conflict_with_plain_writes() {
     );
     assert!(g.try_build().is_ok(), "atomic-atomic must commute");
 
-    let mut g = KernelGraphBuilder::<()>::new().with_table(&table);
+    let mut g = KernelGraphBuilder::<()>::new(&table);
     g.kernel_declared(
         "acc",
         &[],

@@ -1,17 +1,94 @@
-//! Property tests for the kernel sanitizer: deliberately racy kernels are
-//! always flagged, disciplined kernels never are.
+//! Tests for the kernel sanitizer's access-log analysis: deliberately
+//! racy kernels are always flagged, disciplined kernels never are.
 
-use parsweep_par::{ConflictKind, Executor, SanitizerConfig};
+mod common;
+
+use common::{inspecting_executor, loose};
+use parsweep_par::{ConflictKind, DeviceSlice, Executor};
 use proptest::prelude::*;
 
-fn inspecting_executor() -> Executor {
-    Executor::with_sanitizer_config(
-        2,
-        SanitizerConfig {
-            fail_fast: false,
-            ..SanitizerConfig::default()
-        },
-    )
+/// Runs `kernel` at width `n` over a zeroed `len`-slot buffer `buf`
+/// under the loosest legal declaration and returns the buffer.
+fn run_loose(
+    exec: &Executor,
+    label: &str,
+    n: usize,
+    len: usize,
+    kernel: impl Fn(usize, &DeviceSlice<'_, u32>) + Sync,
+) -> Vec<u32> {
+    let (table, id, effects) = loose("buf", len);
+    let mut buf = vec![0u32; len];
+    {
+        let cells = exec.bind_table(&table, id, &mut buf);
+        exec.launch_declared(&table, label, n, &effects, |tid| kernel(tid, &cells));
+    }
+    buf
+}
+
+#[test]
+fn write_write_race_report_names_kernel_buffer_slot_and_tids() {
+    let exec = inspecting_executor();
+    run_loose(&exec, "racy.kernel", 6, 8, |tid, cells| {
+        // SAFETY: intentionally racy (all tids write slot 3) to exercise
+        // detection; sanitized launches are serialized.
+        unsafe { cells.write(tid, 3, tid as u32) };
+    });
+    let reports = exec.take_reports();
+    assert_eq!(reports.len(), 1, "{reports:?}");
+    let r = &reports[0];
+    assert_eq!(r.kernel, "racy.kernel");
+    assert_eq!(r.buffer, "buf");
+    assert_eq!(r.index, 3);
+    assert_eq!(r.launch, 1);
+    let (a, b) = r.conflicting_tids().expect("write-write carries tids");
+    assert_ne!(a, b);
+    assert!(matches!(r.kind, ConflictKind::WriteWrite { .. }));
+}
+
+#[test]
+fn read_of_a_slot_another_tid_writes_is_flagged() {
+    let exec = inspecting_executor();
+    run_loose(&exec, "rw.kernel", 4, 8, |tid, cells| {
+        // SAFETY: intentionally hazardous (tid 0 writes slot 0, others
+        // read it in the same launch); serialized.
+        unsafe {
+            if tid == 0 {
+                cells.write(tid, 0, 7);
+            } else {
+                let _ = cells.read(tid, 0);
+            }
+        }
+    });
+    let reports = exec.take_reports();
+    assert_eq!(reports.len(), 1, "{reports:?}");
+    assert!(matches!(reports[0].kind, ConflictKind::ReadWrite { .. }));
+}
+
+#[test]
+fn out_of_bounds_write_is_reported_and_not_performed() {
+    let exec = inspecting_executor();
+    let buf = run_loose(&exec, "oob", 1, 4, |tid, cells| {
+        // SAFETY: deliberately out of bounds; the sanitizer reports and
+        // suppresses the physical write.
+        unsafe { cells.write(tid, 9, 1) };
+    });
+    let reports = exec.take_reports();
+    assert_eq!(reports.len(), 1);
+    assert!(matches!(
+        reports[0].kind,
+        ConflictKind::OutOfBounds { tid: 0 }
+    ));
+    assert_eq!(buf, vec![0u32; 4], "OOB write must not be performed");
+}
+
+#[test]
+#[should_panic(expected = "write-write hazard")]
+fn fail_fast_panics_on_race() {
+    let exec = Executor::with_sanitizer(2);
+    run_loose(&exec, "racy", 2, 2, |tid, cells| {
+        // SAFETY: intentionally racy; serialized under the sanitizer.
+        unsafe { cells.write(tid, 0, 1) };
+    });
 }
 
 proptest! {
@@ -21,10 +98,11 @@ proptest! {
     #[test]
     fn racy_kernel_is_flagged(n in 2usize..40, slot in 0usize..8) {
         let exec = inspecting_executor();
+        let (table, id, effects) = loose("shared", 8);
         let mut buf = vec![0usize; 8];
         {
-            let cells = exec.bind("shared", &mut buf);
-            exec.launch_labeled("all-write-one-slot", n, |tid| {
+            let cells = exec.bind_table(&table, id, &mut buf);
+            exec.launch_declared(&table, "all-write-one-slot", n, &effects, |tid| {
                 // SAFETY: intentionally racy (every tid writes `slot`);
                 // sanitized launches are serialized, so the hazard is
                 // logged rather than physically exercised.
@@ -48,10 +126,11 @@ proptest! {
     #[test]
     fn disjoint_kernel_is_clean(n in 1usize..64, offset in 0usize..64) {
         let exec = inspecting_executor();
+        let (table, id, effects) = loose("shared", n);
         let mut buf = vec![0usize; n];
         {
-            let cells = exec.bind("shared", &mut buf);
-            exec.launch_labeled("rotate-write", n, |tid| {
+            let cells = exec.bind_table(&table, id, &mut buf);
+            exec.launch_declared(&table, "rotate-write", n, &effects, |tid| {
                 // SAFETY: (tid + offset) % n is a bijection on 0..n, so
                 // every tid writes its own distinct slot.
                 unsafe { cells.write(tid, (tid + offset) % n, tid) };
@@ -68,15 +147,16 @@ proptest! {
     #[test]
     fn same_launch_read_write_is_flagged(n in 2usize..32) {
         let exec = inspecting_executor();
+        let (table, id, effects) = loose("shared", n);
         let mut buf = vec![0usize; n];
         {
-            let cells = exec.bind("shared", &mut buf);
-            exec.launch_labeled("produce", n, |tid| {
+            let cells = exec.bind_table(&table, id, &mut buf);
+            exec.launch_declared(&table, "produce", n, &effects, |tid| {
                 // SAFETY: disjoint per-tid writes.
                 unsafe { cells.write(tid, tid, tid * 2) };
             });
             // Cross-launch reads are ordered by the launch barrier: clean.
-            exec.launch_labeled("consume-prior", n, |tid| {
+            exec.launch_declared(&table, "consume-prior", n, &effects, |tid| {
                 // SAFETY: slot written in a previous launch, read-only now.
                 let v = unsafe { cells.read(tid, (tid + 1) % n) };
                 assert_eq!(v, ((tid + 1) % n) * 2);
@@ -85,10 +165,11 @@ proptest! {
         assert!(exec.take_reports().is_empty());
 
         // Same-launch cross-tid read of a written slot: flagged.
+        let (table, id, effects) = loose("shared2", n);
         let mut buf2 = vec![0usize; n];
         {
-            let cells = exec.bind("shared2", &mut buf2);
-            exec.launch_labeled("read-your-neighbour", n, |tid| {
+            let cells = exec.bind_table(&table, id, &mut buf2);
+            exec.launch_declared(&table, "read-your-neighbour", n, &effects, |tid| {
                 // SAFETY: intentionally hazardous; serialized under the
                 // sanitizer.
                 unsafe {

@@ -192,7 +192,7 @@ pub fn check_windows_cancellable(
         // carry no edges between them, so at replay each wave runs their
         // launches on separate streams (windows touch disjoint table
         // ranges) and only the deepest chain paces the critical path.
-        let mut builder = KernelGraphBuilder::<Round>::new().with_table(&table);
+        let mut builder = KernelGraphBuilder::<Round>::new(&table);
         for (i, p) in plans.iter().enumerate() {
             let active_words =
                 move |r: usize| -> usize { (p.tt_words - r * entry_words).min(entry_words) };

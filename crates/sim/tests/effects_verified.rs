@@ -1,12 +1,12 @@
-//! The simulation engines declare their kernel effects, so on a
-//! sanitizing executor they must take the statically-verified fast path:
-//! identical results, zero dynamic reports, and the verified-launch
-//! counters ticking. Under cross-check mode (`check_declared`, what
-//! `PARSWEEP_SANITIZE=all` forces) the same engines run fully sanitized
-//! against their declarations without a single uncovered access.
+//! The simulation engines declare their kernel effects. On a raw executor
+//! every one of their launches therefore runs in parallel on the strength
+//! of its static proof; on a sanitizing executor the same engines run
+//! serialized with every access audited against those declarations —
+//! identical results, not a single uncovered access or hazard (the
+//! sanitizer is fail-fast), and no launch counted as parallel.
 
 use parsweep_aig::{Lit, Var};
-use parsweep_par::{Executor, SanitizerConfig};
+use parsweep_par::Executor;
 use parsweep_sim::{
     check_windows, simulate, simulate_cone, PairCheck, Patterns, ResimPlan, Window,
     DEFAULT_MEMORY_WORDS,
@@ -16,15 +16,26 @@ fn sanitizing() -> Executor {
     Executor::with_sanitizer(2)
 }
 
-fn cross_checking() -> Executor {
-    Executor::with_sanitizer_config(
-        2,
-        SanitizerConfig {
-            fail_fast: true,
-            check_declared: true,
-            ..SanitizerConfig::default()
-        },
-    )
+/// The assertion that separates the two executor modes: an audited run
+/// is clean and ran nothing on the parallel path.
+fn assert_audited(exec: &Executor) {
+    assert!(exec.take_reports().is_empty());
+    let stats = exec.stats();
+    assert!(stats.total_launches() > 0);
+    assert_eq!(stats.static_verified_launches, 0);
+}
+
+/// A raw run ran everything on the parallel path. Ambient
+/// `PARSWEEP_SANITIZE` turns `Executor::with_threads` into a sanitizing
+/// executor, where [`assert_audited`] applies instead.
+fn assert_raw(exec: &Executor) {
+    if exec.sanitizing() {
+        assert_audited(exec);
+    } else {
+        let stats = exec.stats();
+        assert!(stats.total_launches() > 0);
+        assert_eq!(stats.static_verified_launches, stats.total_launches());
+    }
 }
 
 #[test]
@@ -39,25 +50,13 @@ fn exhaustive_checker_is_verified_on_sanitizing_executor() {
 
     let raw = Executor::with_threads(2);
     let (expected, _) = check_windows(&aig, &raw, &windows, 1 << 14);
+    assert_raw(&raw);
 
     let exec = sanitizing();
     let (out, _) = check_windows(&aig, &exec, &windows, 1 << 14);
-    assert_eq!(out, expected, "verified fast path must not change verdicts");
-    assert!(exec.take_reports().is_empty());
-    // Ambient PARSWEEP_SANITIZE=all forces cross-check mode, where
-    // declared launches deliberately run sanitized instead.
-    if !exec.cross_checking() {
-        assert!(
-            exec.stats().static_verified_launches > 0,
-            "declared launches must skip dynamic sanitization"
-        );
-    }
-
-    // Cross-check: fail_fast panics on any access outside a declaration.
-    let exec = cross_checking();
-    let (out, _) = check_windows(&aig, &exec, &windows, 1 << 14);
-    assert_eq!(out, expected);
-    assert_eq!(exec.stats().static_verified_launches, 0);
+    assert_eq!(out, expected, "the audit must not change verdicts");
+    assert_audited(&exec);
+    assert_eq!(exec.stats().static_verified_replays, 0);
 }
 
 #[test]
@@ -67,6 +66,7 @@ fn partial_simulation_is_verified_on_sanitizing_executor() {
 
     let raw = Executor::with_threads(2);
     let expected = simulate(&aig, &raw, &patterns);
+    assert_raw(&raw);
 
     let exec = sanitizing();
     let sigs = simulate(&aig, &exec, &patterns);
@@ -74,27 +74,21 @@ fn partial_simulation_is_verified_on_sanitizing_executor() {
         assert_eq!(sigs.sig(v), expected.sig(v));
         assert_eq!(sigs.canonical_hash(v), expected.canonical_hash(v));
     }
-    assert!(exec.take_reports().is_empty());
-    if !exec.cross_checking() {
-        assert!(exec.stats().static_verified_launches > 0);
-    }
+    assert_audited(&exec);
 
     // Over budget, the `sim.window.spill` launches are declared too:
-    // every level and spill launch is statically verified.
+    // every level and spill launch is covered by its declaration.
     let exec = sanitizing();
     let (sigs, _) = simulate_cone(&aig, &exec, &patterns, None, 1);
     assert_eq!(sigs.sig(Var::new(1)), expected.sig(Var::new(1)));
-    assert!(exec.take_reports().is_empty());
-    let stats = exec.stats();
-    assert!(stats.window_spills > 0);
-    if !exec.cross_checking() {
-        assert_eq!(stats.static_verified_launches, stats.total_launches());
-    }
+    assert!(exec.stats().window_spills > 0);
+    assert_audited(&exec);
 
-    let exec = cross_checking();
-    let (sigs, _) = simulate_cone(&aig, &exec, &patterns, None, 1);
+    let raw = Executor::with_threads(2);
+    let (sigs, _) = simulate_cone(&aig, &raw, &patterns, None, 1);
     assert_eq!(sigs.sig(Var::new(1)), expected.sig(Var::new(1)));
-    assert_eq!(exec.stats().static_verified_launches, 0);
+    assert!(raw.stats().window_spills > 0);
+    assert_raw(&raw);
 }
 
 #[test]
@@ -113,6 +107,7 @@ fn resimulation_is_verified_on_sanitizing_executor() {
     let raw = Executor::with_threads(2);
     let old_sigs = simulate(&old, &raw, &patterns);
     let expected = plan.resimulate(&new, &raw, &patterns, &old_sigs, DEFAULT_MEMORY_WORDS);
+    assert_raw(&raw);
 
     let exec = sanitizing();
     let old_sigs2 = simulate(&old, &exec, &patterns);
@@ -120,14 +115,12 @@ fn resimulation_is_verified_on_sanitizing_executor() {
     for v in (0..new.num_nodes()).map(|i| Var::new(i as u32)) {
         assert_eq!(sigs.sig(v), expected.sig(v));
     }
-    assert!(exec.take_reports().is_empty());
-    if !exec.cross_checking() {
-        assert!(exec.stats().static_verified_launches > 0);
-    }
+    assert_audited(&exec);
 
-    let exec = cross_checking();
+    // Over budget as well.
+    let exec = sanitizing();
     let old_sigs3 = simulate(&old, &exec, &patterns);
     let sigs = plan.resimulate(&new, &exec, &patterns, &old_sigs3, 1);
     assert_eq!(sigs.sig(Var::new(1)), expected.sig(Var::new(1)));
-    assert_eq!(exec.stats().static_verified_launches, 0);
+    assert_audited(&exec);
 }

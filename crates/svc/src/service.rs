@@ -1182,13 +1182,13 @@ impl CecService {
         render_counter(
             &mut out,
             "parsweep_par_static_verified_launches_total",
-            "Kernel launches whose declared effects were statically verified, skipping dynamic sanitization.",
+            "Kernel launches that ran in parallel on their static effect proof (0 when PARSWEEP_SANITIZE audits them instead).",
             launch.static_verified_launches,
         );
         render_counter(
             &mut out,
             "parsweep_par_static_verified_replays",
-            "Replays of kernel graphs that were fully verified at build time.",
+            "Kernel-graph replays that ran in parallel on their build-time proof (0 when PARSWEEP_SANITIZE audits them instead).",
             launch.static_verified_replays,
         );
         let prove = trace::metrics::prove_counters();

@@ -191,7 +191,7 @@ fn deadline_job_returns_promptly_with_partial_verdict() {
     // magnitude slower), so it gets a smaller instance — engine stages
     // between cancellation polls must stay short relative to the
     // deadline — and the deadline matching headroom.
-    let sanitizing = cfg!(feature = "sanitize") || std::env::var_os("PARSWEEP_SANITIZE").is_some();
+    let sanitizing = Executor::with_threads(1).sanitizing();
     let width = if sanitizing { 12 } else { 16 };
     let eq = miter(&multiplier(width, false), &multiplier(width, true)).unwrap();
 

@@ -1,74 +1,63 @@
-//! Kernel sanitizer demo: the executor-model analogue of running a CUDA
-//! kernel under `compute-sanitizer --tool racecheck`.
+//! Kernel-checking demo: the static effect proof every launch needs, and
+//! the sanitizer that audits a kernel against it — the executor-model
+//! analogue of running under `compute-sanitizer --tool racecheck`.
 //!
-//! Shows a disciplined kernel passing clean, then three seeded bugs —
-//! a write-write race, a same-launch read-write hazard, and an
-//! out-of-bounds write — each detected and reported with the kernel
-//! label, launch ordinal, buffer, index, and conflicting virtual tids.
+//! Shows a declaration the static checker rejects before anything runs,
+//! then two seeded bugs it cannot see because the *declaration* is clean
+//! and the *kernel* is not: one that strays outside its declared
+//! footprint, one that races inside it.
 //!
 //! Run with: `cargo run --example sanitizer_demo`
 
-use parsweep::par::{Executor, SanitizerConfig};
+use parsweep::par::{Effect, EffectTable, Executor, KernelGraphBuilder, Pattern, SanitizerConfig};
+
+/// Thread `t` touches the one slot `t * stride`.
+fn slot(stride: usize) -> Pattern {
+    let (base, span) = (0, 1);
+    Pattern::Affine { base, stride, span }
+}
 
 fn main() {
-    // Accumulate reports instead of panicking on the first hazard.
-    let exec = Executor::with_sanitizer_config(
-        4,
-        SanitizerConfig {
-            fail_fast: false,
-            ..SanitizerConfig::default()
-        },
-    );
+    let table = EffectTable::new();
+    let acc = table.buffer("accumulator", 8);
 
-    // A disciplined kernel: every tid writes its own slot. Clean.
-    let mut squares = vec![0u64; 8];
-    {
-        let out = exec.bind("squares", &mut squares);
-        exec.launch_labeled("square", 8, |tid| {
-            // SAFETY: each tid writes only its own slot.
-            unsafe { out.write(tid, tid, (tid * tid) as u64) };
-        });
+    // Bug 1, caught statically: every tid declares a write of slot 0.
+    let every_tid_slot0 = vec![Effect::write(acc, slot(0))];
+    let mut g = KernelGraphBuilder::<()>::new(&table);
+    g.kernel_declared("racy-sum", &[], |_| 8, 8, every_tid_slot0, |_, _| {});
+    println!("static checker, at try_build():");
+    for hazard in g.try_build().err().unwrap_or_default() {
+        println!("  {hazard}");
     }
-    println!("square kernel: {squares:?}");
-    println!(
-        "reports after clean kernel: {}\n",
-        exec.take_reports().len()
-    );
 
-    // Bug 1: every tid writes slot 0 — a write-write race on a real GPU.
+    // A sanitizing executor; accumulate reports instead of panicking on
+    // the first one.
+    let config = SanitizerConfig {
+        fail_fast: false,
+        ..SanitizerConfig::default()
+    };
+    let exec = Executor::with_sanitizer_config(4, config);
     let mut buf = vec![0u64; 8];
-    {
-        let cells = exec.bind("accumulator", &mut buf);
-        exec.launch_labeled("racy-sum", 8, |tid| {
-            // SAFETY: intentionally racy for the demo; sanitized launches
-            // are serialized, so the race is logged, never exercised.
-            unsafe { cells.write(tid, 0, tid as u64) };
-        });
-    }
+    let cells = exec.bind_table(&table, acc, &mut buf);
 
-    // Bug 2: tids read a neighbour's slot written in the same launch.
-    {
-        let cells = exec.bind("pipeline", &mut buf);
-        exec.launch_labeled("read-neighbour", 4, |tid| {
-            // SAFETY: intentionally hazardous for the demo; serialized.
-            unsafe {
-                cells.write(tid, tid, tid as u64);
-                let _ = cells.read(tid, (tid + 1) % 4);
-            }
-        });
-    }
+    // Bug 2: declared as "each tid its own slot", but tid 0 pokes slot 7.
+    let own_slot = [Effect::write(acc, slot(1))];
+    exec.launch_declared(&table, "stray", 4, &own_slot, |tid| {
+        // SAFETY: in bounds, and no other tid of this launch touches 7.
+        unsafe { cells.write(tid, if tid == 0 { 7 } else { tid }, 1) };
+    });
 
-    // Bug 3: a tid writes past the end of the buffer.
-    {
-        let cells = exec.bind("small", &mut buf[..4]);
-        exec.launch_labeled("off-by-len", 1, |tid| {
-            // SAFETY: deliberately out of bounds; the sanitizer reports
-            // and suppresses the physical write.
-            unsafe { cells.write(tid, 17, 1) };
-        });
-    }
+    // Bug 3: declared as an atomic reduction over the whole buffer —
+    // statically clean, atomics commute — but the kernel uses plain
+    // writes: a write-write race on a real GPU.
+    let reduction = [Effect::atomic(acc, Pattern::All)];
+    exec.launch_declared(&table, "racy-sum", 8, &reduction, |tid| {
+        // SAFETY: intentionally racy for the demo; sanitized launches
+        // are serialized, so the race is logged, never exercised.
+        unsafe { cells.write(tid, 0, tid as u64) };
+    });
 
-    println!("seeded-bug reports:");
+    println!("\nsanitizer, seeded-bug reports:");
     for r in exec.take_reports() {
         println!("  {r}");
     }

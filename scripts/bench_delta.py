@@ -69,7 +69,7 @@ def summarize_sanitizer_overhead(curr_raw):
     rows = curr_raw.get("sanitizer_overhead") if isinstance(curr_raw, dict) else None
     if not rows:
         return
-    print("sanitizer overhead (dynamic cross-check vs verified replay):")
+    print("sanitizer overhead (dynamic audit vs statically verified parallel run):")
     for row in rows:
         try:
             name = row["name"]

@@ -1,4 +1,5 @@
-//! The full sweeping engine runs clean under the kernel sanitizer, and a
+//! The full sweeping engine runs clean under the kernel sanitizer — every
+//! access of every launch audited against its declared effects — and a
 //! sanitized run produces exactly the results of an uninstrumented run.
 
 use parsweep::aig::miter;
@@ -20,9 +21,21 @@ fn engine_is_race_free_and_deterministic_under_sanitizer() {
     let san_exec = Executor::with_sanitizer(2);
     let san = sim_sweep(&miter, &san_exec, &cfg);
 
-    // Fail-fast is on: any hazard inside the engine kernels would have
-    // panicked the sanitized run. Double-check no reports accumulated.
+    // Fail-fast is on: any hazard inside the engine kernels, or any
+    // access outside a kernel's declared effects, would have panicked
+    // the sanitized run. Double-check no reports accumulated.
     assert!(san_exec.take_reports().is_empty());
+    // "Ran under the sanitizer" means every launch was audited: none ran
+    // on the parallel path, while the raw run sent all of them there
+    // (ambient PARSWEEP_SANITIZE makes `with_threads` sanitize too).
+    assert!(san_exec.stats().total_launches() > 0);
+    assert_eq!(san_exec.stats().static_verified_launches, 0);
+    if !raw_exec.sanitizing() {
+        assert_eq!(
+            raw_exec.stats().static_verified_launches,
+            raw_exec.stats().total_launches()
+        );
+    }
 
     assert_eq!(raw.verdict, Verdict::Equivalent);
     assert_eq!(raw.verdict, san.verdict);
