@@ -23,9 +23,9 @@
 //! Shard fusing (batching tiny cones into one pooled dispatch) lives in
 //! the service layer ([`parsweep_svc::SvcConfig::fuse_threshold`]) and
 //! is switched on by the server's binary, where small-job traffic
-//! actually concentrates. The saturation bench (`net_bench` in
-//! `parsweep-bench`) drives N concurrent clients against this server
-//! until throughput flattens and commits the curve as `BENCH_net.json`.
+//! actually concentrates. The `net_cold` and `net_warm` workloads of the
+//! repository benchmark (`benchmark/`) drive concurrent clients against
+//! this server's binary.
 
 #![warn(missing_docs)]
 

@@ -28,7 +28,8 @@
 //! undecided), `--connected` (shard by connected components instead of
 //! per output), `--fuse-threshold N` (batch cone shards below N nodes
 //! into fused dispatches; 0 disables), `--cache-capacity N`
-//! (result-cache LRU bound, 0 disables caching), `--cache-persist PATH`
+//! (LRU bound of each of the structural cache tier, the semantic cache
+//! tier and the whole-job memo; 0 disables all three), `--cache-persist PATH`
 //! (append settled semantic verdicts to PATH and load them back on
 //! start, so a restarted service keeps its semantic cache corpus —
 //! missing files start fresh, corrupt lines are skipped),

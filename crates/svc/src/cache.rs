@@ -1,15 +1,39 @@
-//! Two-tier result cache: structural identity first, semantic identity
-//! second — proved cones are proved forever, but not *kept* forever.
+//! Bounded, verify-before-serve caching: one store, [`VerifiedCache`],
+//! and the two-tier cone result cache built on it. Proved cones are
+//! proved forever, but not *kept* forever.
+//!
+//! Every cache in the service follows the rule a sweep follows for its
+//! merges: a stored entry is re-checked against the probe before it is
+//! used. [`VerifiedCache`] holds that rule in one place, and four users
+//! share it: the structural and semantic tiers of [`ResultCache`], the
+//! service's whole-job memo, and the front-ends' parsed-file cache
+//! ([`MiterCache`](crate::frontend::MiterCache)). Each brings only its
+//! key and its verifier.
+//!
+//! * **Bounded residency.** At most `capacity` entries, evicted
+//!   least-recently-used. Touch, insert and evict are O(log n) under the
+//!   lock and never scan the cache. Capacity 0 disables the store.
+//! * **Verification outside the lock.** Verifiers can be O(cone) (an
+//!   exact structure comparison), so `get` and `insert` snapshot the
+//!   entry's `Arc` under the lock, release it, verify, and re-lock only
+//!   for the O(log n) bookkeeping.
+//! * **One insert rule.** A resident entry that still verifies is kept
+//!   and the insert counts as a touch (first proof wins, so racing
+//!   duplicates collapse to one entry); anything else is replaced (a
+//!   stale file stamp is re-parsed, a colliding key can never
+//!   cross-serve).
 //!
 //! Service traffic repeats itself — regression reruns, `double`d
 //! benchmarks, shared IP blocks — and an extracted cone's verdict depends
-//! only on its function. The cache exploits that at two levels:
+//! only on its function. [`ResultCache`] exploits that at two levels:
 //!
 //! * **Structural tier.** Keys on
 //!   [`Aig::structural_hash`](parsweep_aig::Aig::structural_hash) and
-//!   verifies every candidate with
+//!   verifies the resident entry with
 //!   [`Aig::same_structure`](parsweep_aig::Aig::same_structure), so a
 //!   64-bit hash collision can cost a probe but never a wrong verdict.
+//!   Two colliding structures do not share a key: the later insert
+//!   replaces the earlier.
 //! * **Semantic tier.** Small cones are additionally keyed by the
 //!   NPN-canonical form of their truth table
 //!   ([`SemanticSig`](crate::semantic::SemanticSig)), which collapses
@@ -23,24 +47,10 @@
 //!   cost a miss, never a wrong verdict. Settled semantic entries can be
 //!   appended to a disk log ([`attach_persist`](ResultCache::attach_persist))
 //!   and reloaded on restart.
-//!
-//! Two more properties matter for a long-lived service:
-//!
-//! * **Bounded residency, O(1) maintenance.** Entries beyond
-//!   [`ResultCache::capacity`] are evicted least-recently-used via an
-//!   intrusive doubly-linked LRU list: touch, insert and evict are all
-//!   O(1) under the lock. (An earlier design kept a lazy recency queue
-//!   whose compaction rebuilt an id map over the *whole cache* while
-//!   holding the bucket lock — a periodic latency spike on hit-heavy
-//!   traffic that the linked list removes entirely.)
-//! * **Verification outside the lock.** `same_structure` is O(cone);
-//!   `lookup`/`insert` clone the candidate `Arc`s under the lock, release
-//!   it, verify, and re-lock only for the O(1) bookkeeping (`insert`
-//!   re-checks entries that raced in since the snapshot, so two workers
-//!   missing on the same cone still collapse to one entry — first proof
-//!   wins).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,9 +62,173 @@ use parsweep_sat::{EngineKind, Verdict};
 use crate::persist::{load_records, PersistLog, PersistRecord};
 use crate::semantic::{cex_to_index, index_to_cex, SemanticKey, SemanticSig};
 
-/// Default [`ResultCache::capacity`]: distinct cone structures retained
-/// (the semantic tier is bounded by the same count, separately).
+/// Default [`ResultCache`] capacity, and through
+/// [`SvcConfig::cache_capacity`](crate::SvcConfig::cache_capacity) the
+/// bound of each of the service's three stores: structural tier, semantic
+/// tier and whole-job memo.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+
+/// A concurrent, capacity-bounded LRU map that serves an entry only after
+/// the caller's verifier accepts it (see the [module docs](self)).
+///
+/// Keys are cheap identities (a hash, a canonical table, a path); the
+/// verifier compares the stored value with whatever the key stands for
+/// (a cone's exact structure, a fingerprint, a file stamp), so a key
+/// collision or a stale entry degrades to a miss.
+#[derive(Debug)]
+pub(crate) struct VerifiedCache<K, V> {
+    inner: Mutex<Lru<K, V>>,
+    capacity: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+}
+
+/// Entries plus their recency: each entry carries the stamp of its last
+/// touch, and `order` maps stamps back to keys, least recent first.
+#[derive(Debug)]
+struct Lru<K, V> {
+    map: HashMap<K, (u64, Arc<V>)>,
+    order: BTreeMap<u64, K>,
+    clock: u64,
+}
+
+impl<K: Hash + Eq, V> Lru<K, V> {
+    fn resident<Q>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.map.get(key).map(|(_, v)| Arc::clone(v))
+    }
+
+    /// Makes `key` most-recently-used if it still holds `value` (another
+    /// thread may have replaced it since the caller's snapshot).
+    fn touch<Q>(&mut self, key: &Q, value: &Arc<V>)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.clock += 1;
+        let Lru { map, order, clock } = self;
+        if let Some((stamp, v)) = map.get_mut(key) {
+            if Arc::ptr_eq(v, value) {
+                let k = order.remove(stamp).expect("every entry has a stamp");
+                order.insert(*clock, k);
+                *stamp = *clock;
+            }
+        }
+    }
+}
+
+impl<K: Hash + Eq + Clone, V> VerifiedCache<K, V> {
+    /// An empty store retaining at most `capacity` entries (0 disables
+    /// it: every `get` misses and every `insert` is dropped).
+    pub fn new(capacity: usize) -> Self {
+        VerifiedCache {
+            inner: Mutex::new(Lru {
+                map: HashMap::new(),
+                order: BTreeMap::new(),
+                clock: 0,
+            }),
+            capacity,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Lru<K, V>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Serves the entry under `key` if `serve` accepts it: `serve` runs
+    /// with the lock released and returns what the caller takes from a
+    /// verified entry, or `None` to reject it. Counts a hit (and touches
+    /// the entry) or a miss.
+    pub fn get<Q, T>(&self, key: &Q, serve: impl FnOnce(&V) -> Option<T>) -> Option<T>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let entry = self.lock().resident(key);
+        let served = entry.as_ref().and_then(|v| serve(v).map(|t| (v, t)));
+        match served {
+            Some((v, t)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.lock().touch(key, v);
+                Some(t)
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Stores `value` under `key`, evicting least-recently-used entries
+    /// beyond capacity. A resident entry that `verify` still accepts is
+    /// kept instead, and the insert counts as its touch; any other
+    /// resident entry is replaced. `verify` runs with the lock released.
+    /// Returns true when `value` was stored.
+    pub fn insert(&self, key: K, value: V, verify: impl Fn(&V) -> bool) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
+        loop {
+            let seen = self.lock().resident(&key);
+            if let Some(old) = &seen {
+                if verify(old) {
+                    self.lock().touch(&key, old);
+                    return false;
+                }
+            }
+            let mut inner = self.lock();
+            let unchanged = match (inner.map.get(&key), &seen) {
+                (None, None) => true,
+                (Some((_, now)), Some(old)) => Arc::ptr_eq(now, old),
+                _ => false,
+            };
+            if !unchanged {
+                // Another insert raced in since the snapshot: verify the
+                // newcomer too, again with the lock released.
+                continue;
+            }
+            inner.clock += 1;
+            let stamp = inner.clock;
+            if let Some((old, _)) = inner.map.insert(key.clone(), (stamp, Arc::new(value))) {
+                inner.order.remove(&old);
+            }
+            inner.order.insert(stamp, key);
+            while inner.map.len() > self.capacity {
+                let (_, victim) = inner.order.pop_first().expect("every entry has a stamp");
+                inner.map.remove(&victim);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            return true;
+        }
+    }
+
+    /// Entries currently held.
+    pub fn len(&self) -> usize {
+        self.lock().map.len()
+    }
+
+    /// `get`s that served a verified entry.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// `get`s that found nothing, or an entry that failed verification.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Entries dropped by the capacity bound.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
+}
 
 /// How a semantic verdict was won: the deciding engine and its cost. The
 /// record rides the persistent log; the first hit on an entry *loaded
@@ -80,7 +254,8 @@ pub struct PersistSummary {
 }
 
 /// A concurrent, capacity-bounded map from cone identity (structural or
-/// semantic) to settled verdict.
+/// semantic) to settled verdict: two verified LRU tiers, each bounded by
+/// the same capacity.
 ///
 /// Only *decided* verdicts are stored: `Equivalent`, or `NotEquivalent`
 /// with a counter-example over the *cone's own* PIs (the caller lifts it
@@ -89,106 +264,16 @@ pub struct PersistSummary {
 /// cannot poison later, better-budgeted attempts.
 #[derive(Debug)]
 pub struct ResultCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-    next_id: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    structural: VerifiedCache<u64, CacheEntry>,
+    semantic: VerifiedCache<SemanticKey, SemanticEntry>,
     routing_hits: AtomicU64,
-    semantic_hits: AtomicU64,
     persist_loaded: AtomicU64,
     persist_appended: AtomicU64,
     persist: Option<PersistLog>,
-    /// Set when a structural verification began while the bucket lock was
-    /// held — the timing-insensitive regression probe for the
-    /// verify-outside-the-lock contract (meaningful in single-threaded
-    /// tests only; under concurrency another thread's bookkeeping can
-    /// hold the lock legitimately).
-    #[cfg(test)]
-    verified_under_lock: std::sync::atomic::AtomicBool,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    buckets: HashMap<u64, Vec<Arc<CacheEntry>>>,
-    /// Total entries across buckets (kept incrementally; `buckets` values
-    /// are never empty).
-    len: usize,
-    /// Intrusive LRU order over entry ids, least-recent first.
-    lru: LruList,
-    /// Semantic tier: NPN-canonical key to settled class verdict.
-    semantic: HashMap<SemanticKey, SemanticEntry>,
-    /// Insertion order of semantic keys (FIFO residency bound; semantic
-    /// entries are a few dozen bytes, so recency tracking isn't worth the
-    /// bookkeeping).
-    semantic_order: VecDeque<SemanticKey>,
-}
-
-/// Doubly-linked LRU order over entry ids. `unlink`, `push_back` (MRU)
-/// and `pop_front` (LRU victim) are all O(1) hash-map operations; every
-/// live cache entry has exactly one node, so eviction never scans.
-#[derive(Debug, Default)]
-struct LruList {
-    nodes: HashMap<u64, LruNode>,
-    head: Option<u64>,
-    tail: Option<u64>,
-}
-
-#[derive(Debug)]
-struct LruNode {
-    hash: u64,
-    prev: Option<u64>,
-    next: Option<u64>,
-}
-
-impl LruList {
-    fn push_back(&mut self, id: u64, hash: u64) {
-        let prev = self.tail;
-        self.nodes.insert(
-            id,
-            LruNode {
-                hash,
-                prev,
-                next: None,
-            },
-        );
-        match prev {
-            Some(p) => self.nodes.get_mut(&p).expect("tail node exists").next = Some(id),
-            None => self.head = Some(id),
-        }
-        self.tail = Some(id);
-    }
-
-    fn unlink(&mut self, id: u64) -> Option<u64> {
-        let node = self.nodes.remove(&id)?;
-        match node.prev {
-            Some(p) => self.nodes.get_mut(&p).expect("prev node exists").next = node.next,
-            None => self.head = node.next,
-        }
-        match node.next {
-            Some(n) => self.nodes.get_mut(&n).expect("next node exists").prev = node.prev,
-            None => self.tail = node.prev,
-        }
-        Some(node.hash)
-    }
-
-    fn touch(&mut self, id: u64) {
-        if let Some(hash) = self.unlink(id) {
-            self.push_back(id, hash);
-        }
-    }
-
-    fn pop_front(&mut self) -> Option<(u64, u64)> {
-        let id = self.head?;
-        let hash = self.unlink(id).expect("head is linked");
-        Some((id, hash))
-    }
 }
 
 #[derive(Debug)]
 struct CacheEntry {
-    id: u64,
     cone: Aig,
     verdict: Verdict,
 }
@@ -198,13 +283,64 @@ struct CacheEntry {
 /// is 1 (absent iff it is constant 0) and one where it is 0 (absent iff
 /// constant 1). Probes of either output polarity read the slot they need
 /// and lift it through their own transform.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct SemanticEntry {
     ones_witness: Option<u64>,
     zeros_witness: Option<u64>,
     /// Routing of an entry loaded from the persistent log, until its
-    /// first hit takes it.
-    replay: Option<RoutingInfo>,
+    /// first verified hit takes it.
+    replay: Mutex<Option<RoutingInfo>>,
+}
+
+impl SemanticEntry {
+    fn of(rec: &PersistRecord, replay: Option<RoutingInfo>) -> Self {
+        SemanticEntry {
+            ones_witness: rec.ones_witness,
+            zeros_witness: rec.zeros_witness,
+            replay: Mutex::new(replay),
+        }
+    }
+
+    /// The verdict this entry serves to `cone`, whose signature is `sig`;
+    /// `None` if the entry does not hold up against the cone.
+    fn serve(&self, cone: &Aig, sig: &SemanticSig) -> Option<Verdict> {
+        let out_neg = sig.transform.output_neg;
+        // The cone's function is identically 0 iff its canonical table is
+        // constant `out_neg`; otherwise the witness of the opposite value
+        // lifts to an input pattern that fires the cone.
+        let needed = if out_neg {
+            self.zeros_witness
+        } else {
+            self.ones_witness
+        };
+        match needed {
+            None => {
+                let constant = if out_neg {
+                    sig.canon.is_ones()
+                } else {
+                    sig.canon.is_zero()
+                };
+                // An entry that contradicts the candidate's table misses.
+                constant.then_some(Verdict::Equivalent)
+            }
+            Some(w) => {
+                let w = w as usize;
+                if w >= sig.canon.num_bits() || sig.canon.value(w) == out_neg {
+                    return None; // witness doesn't witness
+                }
+                let cex = index_to_cex(sig, w);
+                // Defense in depth: the cex must fire on the cone.
+                cex.fires(cone).then_some(Verdict::NotEquivalent(cex))
+            }
+        }
+    }
+
+    fn take_replay(&self) -> Option<RoutingInfo> {
+        self.replay
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    }
 }
 
 impl Default for ResultCache {
@@ -219,23 +355,17 @@ impl ResultCache {
         Self::with_capacity(DEFAULT_CACHE_CAPACITY)
     }
 
-    /// An empty cache retaining at most `capacity` cone structures
-    /// (capacity 0 disables caching: inserts are dropped).
+    /// An empty cache retaining at most `capacity` cone structures and,
+    /// separately, at most `capacity` NPN classes (capacity 0 disables
+    /// caching: inserts are dropped).
     pub fn with_capacity(capacity: usize) -> Self {
         ResultCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity,
-            next_id: AtomicU64::new(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            structural: VerifiedCache::new(capacity),
+            semantic: VerifiedCache::new(capacity),
             routing_hits: AtomicU64::new(0),
-            semantic_hits: AtomicU64::new(0),
             persist_loaded: AtomicU64::new(0),
             persist_appended: AtomicU64::new(0),
             persist: None,
-            #[cfg(test)]
-            verified_under_lock: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -245,84 +375,22 @@ impl ResultCache {
     /// cache is shared. A missing file starts a fresh corpus.
     pub fn attach_persist(&mut self, path: &Path) -> io::Result<PersistSummary> {
         let (records, skipped) = load_records(path)?;
-        let mut loaded = 0usize;
-        for rec in records {
-            let key = SemanticKey::of(&rec.canon);
-            let entry = SemanticEntry {
-                ones_witness: rec.ones_witness,
-                zeros_witness: rec.zeros_witness,
-                replay: rec.routing,
-            };
-            if self.insert_semantic_entry(key, entry) {
-                loaded += 1;
-            }
-        }
+        let loaded = records
+            .iter()
+            .filter(|rec| self.insert_semantic_record(rec, rec.routing))
+            .count();
         self.persist_loaded.store(loaded as u64, Ordering::Relaxed);
         self.persist = Some(PersistLog::open_append(path)?);
         Ok(PersistSummary { loaded, skipped })
     }
 
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Structural verification of bucket candidates, run with the bucket
-    /// lock *released* — this is the O(cone) part of every probe, and the
-    /// reason hot buckets no longer serialize workers.
-    fn verify(&self, candidates: &[Arc<CacheEntry>], cone: &Aig) -> Option<Arc<CacheEntry>> {
-        #[cfg(test)]
-        if !candidates.is_empty() && self.inner.try_lock().is_err() {
-            self.verified_under_lock
-                .store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-        candidates
-            .iter()
-            .find(|e| e.cone.same_structure(cone))
-            .cloned()
-    }
-
-    /// Bumps an entry to most-recently-used (O(1) under the lock).
-    fn touch(&self, entry: &CacheEntry) {
-        self.lock().lru.touch(entry.id);
-    }
-
-    /// Evicts the least-recently-used entry; false when nothing is left.
-    fn evict_one(inner: &mut CacheInner) -> bool {
-        let Some((id, hash)) = inner.lru.pop_front() else {
-            return false;
-        };
-        let bucket = inner.buckets.get_mut(&hash).expect("LRU node has a bucket");
-        let pos = bucket
-            .iter()
-            .position(|e| e.id == id)
-            .expect("LRU node has an entry");
-        bucket.swap_remove(pos);
-        if bucket.is_empty() {
-            inner.buckets.remove(&hash);
-        }
-        inner.len -= 1;
-        true
-    }
-
-    /// Looks up a cone by its structural hash: candidates snapshot under
-    /// the lock, structure verified exactly outside it. Counts a hit or
-    /// a miss; a hit refreshes the entry's recency.
+    /// Looks up a cone by its structural hash; the resident entry is
+    /// served only if its structure matches `cone` exactly. Counts a hit
+    /// or a miss; a hit refreshes the entry's recency.
     pub fn lookup(&self, hash: u64, cone: &Aig) -> Option<Verdict> {
-        let candidates: Vec<Arc<CacheEntry>> = {
-            let inner = self.lock();
-            inner.buckets.get(&hash).cloned().unwrap_or_default()
-        };
-        match self.verify(&candidates, cone) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.touch(&entry);
-                Some(entry.verdict.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.structural.get(&hash, |e| {
+            e.cone.same_structure(cone).then(|| e.verdict.clone())
+        })
     }
 
     /// Probes the semantic tier with a cone's NPN-canonical signature.
@@ -345,47 +413,11 @@ impl ResultCache {
         cone: &Aig,
         sig: &SemanticSig,
     ) -> Option<(Verdict, Option<RoutingInfo>)> {
-        let entry = self.lock().semantic.get(&sig.key).cloned()?;
-        let out_neg = sig.transform.output_neg;
-        // The cone's function is identically 0 iff its canonical table is
-        // constant `out_neg`; otherwise the witness of the opposite value
-        // lifts to an input pattern that fires the cone.
-        let needed = if out_neg {
-            entry.zeros_witness
-        } else {
-            entry.ones_witness
-        };
-        let verdict = match needed {
-            None => {
-                let constant = if out_neg {
-                    sig.canon.is_ones()
-                } else {
-                    sig.canon.is_zero()
-                };
-                if !constant {
-                    return None; // entry contradicts the candidate's table
-                }
-                Verdict::Equivalent
-            }
-            Some(w) => {
-                let w = w as usize;
-                if w >= sig.canon.num_bits() || sig.canon.value(w) == out_neg {
-                    return None; // witness doesn't witness
-                }
-                let cex = index_to_cex(sig, w);
-                if !cex.fires(cone) {
-                    return None; // defense in depth: must fire on the cone
-                }
-                Verdict::NotEquivalent(cex)
-            }
-        };
-        self.semantic_hits.fetch_add(1, Ordering::Relaxed);
-        // Racing first hits: whoever takes the record under the lock
-        // replays it, the others see `None`.
-        let replay = entry.replay.and_then(|_| {
-            let mut inner = self.lock();
-            inner.semantic.get_mut(&sig.key)?.replay.take()
-        });
+        let (verdict, replay) = self.semantic.get(&sig.key, |e| {
+            // Racing first hits: whoever takes the record replays it, the
+            // others see `None`.
+            e.serve(cone, sig).map(|v| (v, e.take_replay()))
+        })?;
         if replay.is_some() {
             self.routing_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -405,18 +437,10 @@ impl ResultCache {
         verdict: &Verdict,
         routing: Option<RoutingInfo>,
     ) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
         let Some(rec) = semantic_record(sig, verdict, routing) else {
             return false;
         };
-        let entry = SemanticEntry {
-            ones_witness: rec.ones_witness,
-            zeros_witness: rec.zeros_witness,
-            replay: None,
-        };
-        if !self.insert_semantic_entry(SemanticKey::of(&rec.canon), entry) {
+        if !self.insert_semantic_record(&rec, None) {
             return false;
         }
         if let Some(log) = &self.persist {
@@ -427,91 +451,45 @@ impl ResultCache {
         true
     }
 
-    fn insert_semantic_entry(&self, key: SemanticKey, entry: SemanticEntry) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let mut inner = self.lock();
-        if inner.semantic.contains_key(&key) {
-            return false;
-        }
-        inner.semantic.insert(key.clone(), entry);
-        inner.semantic_order.push_back(key);
-        while inner.semantic.len() > self.capacity {
-            match inner.semantic_order.pop_front() {
-                Some(old) => {
-                    inner.semantic.remove(&old);
-                }
-                None => break,
-            }
-        }
-        true
+    fn insert_semantic_record(&self, rec: &PersistRecord, replay: Option<RoutingInfo>) -> bool {
+        // The key is the whole canonical table, and every record reaching
+        // here was checked against that table (`semantic_record`, or the
+        // persist loader), so a resident entry always still holds: first
+        // proof wins.
+        let key = SemanticKey::of(&rec.canon);
+        self.semantic
+            .insert(key, SemanticEntry::of(rec, replay), |_| true)
     }
 
     /// Records a settled verdict for a cone, evicting least-recently-used
     /// entries beyond capacity. `Undecided` is ignored, as is a duplicate
-    /// of an already-cached structure (first proof wins; the duplicate
-    /// counts as a recency touch).
+    /// of the resident structure (first proof wins; the duplicate counts
+    /// as a recency touch).
     pub fn insert(&self, hash: u64, cone: &Aig, verdict: &Verdict) {
-        if matches!(verdict, Verdict::Undecided) || self.capacity == 0 {
+        if matches!(verdict, Verdict::Undecided) {
             return;
         }
-        let candidates: Vec<Arc<CacheEntry>> = {
-            let inner = self.lock();
-            inner.buckets.get(&hash).cloned().unwrap_or_default()
-        };
-        // O(cone) duplicate detection runs unlocked, like lookup.
-        if let Some(existing) = self.verify(&candidates, cone) {
-            self.touch(&existing);
-            return;
-        }
-        let seen: HashSet<u64> = candidates.iter().map(|e| e.id).collect();
-        let entry = Arc::new(CacheEntry {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+        let entry = CacheEntry {
             cone: cone.clone(),
             verdict: verdict.clone(),
-        });
-        let mut inner = self.lock();
-        // Entries that raced in since the snapshot are re-checked under
-        // the lock; racing duplicates are rare, so this set is tiny.
-        if let Some(bucket) = inner.buckets.get(&hash) {
-            if bucket
-                .iter()
-                .any(|e| !seen.contains(&e.id) && e.cone.same_structure(cone))
-            {
-                return;
-            }
-        }
-        inner.lru.push_back(entry.id, hash);
-        inner.buckets.entry(hash).or_default().push(entry);
-        inner.len += 1;
-        while inner.len > self.capacity {
-            if Self::evict_one(&mut inner) {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            } else {
-                break; // unreachable: every live entry has an LRU node
-            }
-        }
+        };
+        self.structural
+            .insert(hash, entry, |e| e.cone.same_structure(cone));
     }
 
-    /// The retention bound this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lookups that found a verified entry.
+    /// Structural lookups that found a verified entry.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.structural.hits()
     }
 
-    /// Lookups that found nothing.
+    /// Structural lookups that found nothing.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.structural.misses()
     }
 
-    /// Entries dropped by the LRU bound.
+    /// Structural entries dropped by the LRU bound.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.structural.evictions()
     }
 
     /// Semantic hits that handed out a persisted entry's [`RoutingInfo`]
@@ -523,7 +501,7 @@ impl ResultCache {
     /// Verified semantic-tier hits (NPN-canonical key matches that passed
     /// candidate-side verification).
     pub fn semantic_hits(&self) -> u64 {
-        self.semantic_hits.load(Ordering::Relaxed)
+        self.semantic.hits()
     }
 
     /// Semantic records loaded from the persistent log at attach time.
@@ -537,37 +515,8 @@ impl ResultCache {
     }
 
     /// Cached structures currently held (structural tier).
-    pub fn len(&self) -> usize {
-        self.lock().len
-    }
-
-    /// Settled NPN classes currently held (semantic tier).
-    pub fn semantic_len(&self) -> usize {
-        self.lock().semantic.len()
-    }
-
-    /// True if nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Structural hits over total structural lookups; `0.0` before any
-    /// lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits() as f64, self.misses() as f64);
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// True when a structural verification observed the bucket lock held
-    /// (see the field docs; single-threaded tests only).
-    #[cfg(test)]
-    fn saw_verification_under_lock(&self) -> bool {
-        self.verified_under_lock
-            .load(std::sync::atomic::Ordering::Relaxed)
+    pub(crate) fn len(&self) -> usize {
+        self.structural.len()
     }
 }
 
@@ -665,6 +614,16 @@ mod tests {
         aig
     }
 
+    /// A store of `key -> key` whose verifier checks the value, the
+    /// shape every generic-store test below uses.
+    fn put(store: &VerifiedCache<u64, u64>, key: u64) -> bool {
+        store.insert(key, key, |v| *v == key)
+    }
+
+    fn has(store: &VerifiedCache<u64, u64>, key: u64) -> bool {
+        store.get(&key, |v| (*v == key).then_some(())).is_some()
+    }
+
     #[test]
     fn insert_then_hit() {
         let cache = ResultCache::new();
@@ -675,7 +634,6 @@ mod tests {
         assert_eq!(cache.lookup(hash, &cone), Some(Verdict::Equivalent));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -684,23 +642,26 @@ mod tests {
         let cone = and_cone(false);
         let hash = cone.structural_hash();
         cache.insert(hash, &cone, &Verdict::Undecided);
-        assert!(cache.is_empty());
+        assert!(cache.structural.len() == 0);
         assert_eq!(cache.lookup(hash, &cone), None);
     }
 
     #[test]
     fn colliding_hash_is_verified_by_structure() {
-        // Force two different structures into one bucket: a lookup for
-        // the second must not return the first's verdict.
+        // Force two different structures under one key: a lookup for the
+        // second must not return the first's verdict, and once the second
+        // is inserted it replaces the first rather than sitting beside it.
         let cache = ResultCache::new();
         let a = and_cone(false);
         let b = and_cone(true);
         let fake_hash = 42;
         cache.insert(fake_hash, &a, &Verdict::Equivalent);
         assert_eq!(cache.lookup(fake_hash, &b), None);
-        cache.insert(fake_hash, &b, &Verdict::Equivalent);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lookup(fake_hash, &b), Some(Verdict::Equivalent));
+        let cex = Verdict::NotEquivalent(Cex::new(vec![true, true]));
+        cache.insert(fake_hash, &b, &cex);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup(fake_hash, &b), Some(cex));
+        assert_eq!(cache.lookup(fake_hash, &a), None);
     }
 
     #[test]
@@ -720,61 +681,53 @@ mod tests {
 
     #[test]
     fn capacity_bound_holds_under_churn() {
-        // 10k distinct cones through a 64-entry cache: the bound must
-        // hold at every step and evictions must account for the rest.
+        // 10k distinct keys through a 64-entry store: the bound must hold
+        // at every step and evictions must account for the rest.
         let capacity = 64;
         let total = 10_000u64;
-        let cache = ResultCache::with_capacity(capacity);
+        let store = VerifiedCache::new(capacity);
         for i in 0..total {
-            let cone = coded_cone(i);
-            cache.insert(cone.structural_hash(), &cone, &Verdict::Equivalent);
+            assert!(put(&store, i));
             if i % 512 == 0 {
-                assert!(cache.len() <= capacity, "len {} at i={i}", cache.len());
+                assert!(store.len() <= capacity, "len {} at i={i}", store.len());
             }
         }
-        assert_eq!(cache.len(), capacity);
-        assert_eq!(cache.evictions(), total - capacity as u64);
-        // Pure insert churn is FIFO = LRU: the last `capacity` cones are
+        assert_eq!(store.len(), capacity);
+        assert_eq!(store.evictions(), total - capacity as u64);
+        // Pure insert churn is FIFO = LRU: the last `capacity` keys are
         // resident, the one before them is not.
-        let evicted = coded_cone(total - capacity as u64 - 1);
-        assert_eq!(cache.lookup(evicted.structural_hash(), &evicted), None);
+        assert!(!has(&store, total - capacity as u64 - 1));
         for i in (total - capacity as u64)..total {
-            let cone = coded_cone(i);
-            assert!(
-                cache.lookup(cone.structural_hash(), &cone).is_some(),
-                "recent cone {i} must be resident"
-            );
+            assert!(has(&store, i), "recent key {i} must be resident");
         }
     }
 
     #[test]
     fn lru_prefers_recently_touched() {
-        let cache = ResultCache::with_capacity(2);
-        let (a, b, c) = (coded_cone(1), coded_cone(2), coded_cone(3));
-        cache.insert(a.structural_hash(), &a, &Verdict::Equivalent);
-        cache.insert(b.structural_hash(), &b, &Verdict::Equivalent);
-        // Touch a: b becomes the LRU victim.
-        assert!(cache.lookup(a.structural_hash(), &a).is_some());
-        cache.insert(c.structural_hash(), &c, &Verdict::Equivalent);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.lookup(a.structural_hash(), &a).is_some());
-        assert_eq!(cache.lookup(b.structural_hash(), &b), None);
-        assert!(cache.lookup(c.structural_hash(), &c).is_some());
+        let store = VerifiedCache::new(2);
+        put(&store, 1);
+        put(&store, 2);
+        // Touch 1: 2 becomes the LRU victim.
+        assert!(has(&store, 1));
+        put(&store, 3);
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.evictions(), 1);
+        assert!(has(&store, 1));
+        assert!(!has(&store, 2));
+        assert!(has(&store, 3));
     }
 
     #[test]
     fn duplicate_insert_counts_as_a_touch() {
-        // Re-inserting a resident structure must refresh its recency —
-        // the LRU-list equivalent of the old lazy-stamp touch.
-        let cache = ResultCache::with_capacity(2);
-        let (a, b, c) = (coded_cone(1), coded_cone(2), coded_cone(3));
-        cache.insert(a.structural_hash(), &a, &Verdict::Equivalent);
-        cache.insert(b.structural_hash(), &b, &Verdict::Equivalent);
-        cache.insert(a.structural_hash(), &a, &Verdict::Equivalent); // touch
-        cache.insert(c.structural_hash(), &c, &Verdict::Equivalent);
-        assert!(cache.lookup(a.structural_hash(), &a).is_some());
-        assert_eq!(cache.lookup(b.structural_hash(), &b), None, "b was LRU");
+        // Re-inserting a resident entry that still verifies keeps it and
+        // refreshes its recency.
+        let store = VerifiedCache::new(2);
+        put(&store, 1);
+        put(&store, 2);
+        assert!(!put(&store, 1), "a verified resident entry is kept");
+        put(&store, 3);
+        assert!(has(&store, 1));
+        assert!(!has(&store, 2), "2 was LRU");
     }
 
     #[test]
@@ -782,7 +735,7 @@ mod tests {
         let cache = ResultCache::with_capacity(0);
         let cone = and_cone(false);
         cache.insert(cone.structural_hash(), &cone, &Verdict::Equivalent);
-        assert!(cache.is_empty());
+        assert!(cache.structural.len() == 0);
         assert_eq!(cache.lookup(cone.structural_hash(), &cone), None);
         assert_eq!(cache.evictions(), 0);
         // The semantic tier is disabled too.
@@ -792,30 +745,35 @@ mod tests {
             &Verdict::NotEquivalent(Cex::new(vec![true, true])),
             None
         ));
-        assert_eq!(cache.semantic_len(), 0);
+        assert!(cache.semantic.len() == 0);
     }
 
     #[test]
     fn hot_bucket_probe_verifies_outside_lock() {
         // The lock-contention regression check, timing-insensitive: every
-        // structural verification asserts (via try_lock) that the bucket
-        // mutex is free when verification begins. Deterministic in a
-        // single-threaded test — if lookup or insert ever moves
-        // `same_structure` back under the lock, the probe trips.
-        let cache = ResultCache::new();
-        let fake_hash = 7; // one hot bucket with several entries
-        for i in 0..8 {
-            cache.insert(fake_hash, &coded_cone(i), &Verdict::Equivalent);
+        // verifier asserts (via try_lock) that the store's mutex is free
+        // when it runs. Deterministic in a single-threaded test — if get
+        // or insert ever moves verification back under the lock, the
+        // probe trips.
+        let store: VerifiedCache<u64, u64> = VerifiedCache::new(16);
+        let unlocked = |v: &u64| {
+            assert!(
+                store.inner.try_lock().is_ok(),
+                "verifier ran under the lock"
+            );
+            *v
+        };
+        for k in 0..8 {
+            store.insert(k, k, |v| unlocked(v) == k);
         }
-        for i in 0..8 {
-            assert!(cache.lookup(fake_hash, &coded_cone(i)).is_some());
+        for k in 0..8 {
+            assert!(store
+                .get(&k, |v| (unlocked(v) == k).then_some(()))
+                .is_some());
         }
-        // Duplicate inserts verify too.
-        cache.insert(fake_hash, &coded_cone(3), &Verdict::Equivalent);
-        assert!(
-            !cache.saw_verification_under_lock(),
-            "same_structure ran while the bucket lock was held"
-        );
+        // Duplicate inserts verify too, and so does a replacing insert.
+        assert!(!store.insert(3, 3, |v| unlocked(v) == 3));
+        assert!(store.insert(4, 40, |v| unlocked(v) == 40));
     }
 
     #[test]
@@ -844,24 +802,25 @@ mod tests {
 
     #[test]
     fn concurrent_double_insert_collapses_to_one_entry() {
-        // Many workers miss on the same cone and all insert their proof:
-        // exactly one entry must survive (first proof wins), and its
-        // verdict must be the one subsequent lookups see.
-        let cache = ResultCache::new();
-        let cone = and_cone(false);
-        let hash = cone.structural_hash();
+        // Many threads insert the same verified entry: exactly one insert
+        // stores it (first proof wins), every other one is a touch.
+        let store = VerifiedCache::new(8);
+        let stored = AtomicU64::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let (cache, cone) = (&cache, &cone);
+                let (store, stored) = (&store, &stored);
                 s.spawn(move || {
                     for _ in 0..200 {
-                        cache.insert(hash, cone, &Verdict::Equivalent);
+                        if put(store, 7) {
+                            stored.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 });
             }
         });
-        assert_eq!(cache.len(), 1, "racing duplicates must dedupe");
-        assert_eq!(cache.lookup(hash, &cone), Some(Verdict::Equivalent));
+        assert_eq!(store.len(), 1, "racing duplicates must dedupe");
+        assert_eq!(stored.load(Ordering::Relaxed), 1);
+        assert!(has(&store, 7));
     }
 
     fn single_po_cone(seed: u64) -> Aig {
@@ -925,22 +884,40 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Forced-collision soundness: two different structures inserted
-        /// under the SAME structural key never cross-serve.
+        /// under the SAME structural key never cross-serve (the later one
+        /// replaces the earlier), and neither do two miter fingerprints
+        /// under one memo key.
         #[test]
         fn forced_structural_collision_never_cross_serves(sa in 0..16384u64, sb in 0..16384u64) {
             let (a, b) = (coded_cone(sa), coded_cone(sb));
+            let same = a.same_structure(&b);
             let cache = ResultCache::new();
-            let forced = 0xDEAD; // same bucket for both
+            let forced = 0xDEAD; // same key for both
             cache.insert(forced, &a, &Verdict::Equivalent);
             let cex = Verdict::NotEquivalent(Cex::new(vec![true, true]));
             cache.insert(forced, &b, &cex);
             let va = cache.lookup(forced, &a);
             let vb = cache.lookup(forced, &b);
-            prop_assert_eq!(va, Some(Verdict::Equivalent));
-            if a.same_structure(&b) {
+            if same {
+                prop_assert_eq!(va, Some(Verdict::Equivalent));
                 prop_assert_eq!(vb, Some(Verdict::Equivalent), "dup keeps first proof");
             } else {
+                prop_assert_eq!(va, None, "replaced entry must not serve");
                 prop_assert_eq!(vb, Some(cex));
+            }
+
+            // Memo tier: a fingerprint-verified store under one forced key.
+            let memo: VerifiedCache<u64, (u64, Verdict)> = VerifiedCache::new(8);
+            let (fa, fb) = (a.structural_fingerprint(), b.structural_fingerprint());
+            let probe = |fp: u64| memo.get(&forced, |(f, v)| (*f == fp).then(|| v.clone()));
+            memo.insert(forced, (fa, Verdict::Equivalent), |(f, _)| *f == fa);
+            prop_assert_eq!(probe(fa), Some(Verdict::Equivalent));
+            if fa != fb {
+                prop_assert_eq!(probe(fb), None, "a colliding fingerprint was served");
+                let ne = Verdict::NotEquivalent(Cex::new(vec![true, true]));
+                memo.insert(forced, (fb, ne.clone()), |(f, _)| *f == fb);
+                prop_assert_eq!(probe(fb), Some(ne));
+                prop_assert_eq!(probe(fa), None, "the replaced fingerprint was served");
             }
         }
 
@@ -1068,9 +1045,9 @@ mod tests {
             if cache.insert_semantic(&sig, &ground_truth(&cone), None) {
                 inserted += 1;
             }
-            assert!(cache.semantic_len() <= 4);
+            assert!(cache.semantic.len() <= 4);
         }
         assert!(inserted > 4, "need churn to exercise the bound");
-        assert_eq!(cache.semantic_len(), 4);
+        assert_eq!(cache.semantic.len(), 4);
     }
 }

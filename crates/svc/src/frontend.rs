@@ -9,13 +9,13 @@
 //! strings so a multiplexing front-end can append its per-request `id`
 //! before serializing.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use parsweep_aig::{miter, read_aiger_file, Aig, Lit};
 use parsweep_sat::Verdict;
 
+use crate::cache::VerifiedCache;
 use crate::jsonl::{emit_object, get, parse_object, JsonValue};
 use crate::pool::Lane;
 use crate::service::{CecService, JobResult};
@@ -28,26 +28,12 @@ use crate::service::{CecService, JobResult};
 /// settle cost of a memoized job. Each front-end threads one of these
 /// through [`parse_submit`] so a repeated path is read and parsed once.
 ///
-/// A hit is served only while the file's `(len, mtime)` — one
-/// `fs::metadata` call — still matches what was parsed, so a client
-/// that rewrites a file and resubmits gets the new file's verdict. A
-/// full cache evicts its oldest-inserted entry.
+/// A verified LRU store keyed by path: a hit is served only while the
+/// file's `(len, mtime)` — one `fs::metadata` call — still matches what
+/// was parsed, so a client that rewrites a file and resubmits gets the
+/// new file's verdict. A full cache evicts its least-recently-used entry.
 pub struct MiterCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-}
-
-#[derive(Default)]
-struct CacheInner {
-    map: HashMap<String, CachedFile>,
-    /// Insertion counter: the entry with the smallest `seq` is evicted.
-    next_seq: u64,
-}
-
-struct CachedFile {
-    aig: Arc<Aig>,
-    stamp: FileStamp,
-    seq: u64,
+    files: VerifiedCache<String, (FileStamp, Arc<Aig>)>,
 }
 
 /// What a cached parse is valid for: the file's length and mtime.
@@ -64,42 +50,24 @@ impl MiterCache {
     /// (`0` disables caching).
     pub fn new(capacity: usize) -> Self {
         MiterCache {
-            inner: Mutex::default(),
-            capacity,
+            files: VerifiedCache::new(capacity),
         }
     }
 
     /// Reads and parses `path`, serving repeats of an unchanged file from
     /// the cache.
     pub fn load(&self, path: &str) -> Result<Arc<Aig>, String> {
-        let read = || read_aiger_file(path).map_err(|e| format!("{path}: {e:?}"));
-        if self.capacity == 0 {
-            return read().map(Arc::new);
-        }
         // Stamp before reading: a write racing the parse leaves a stale
         // stamp behind, which the next load detects and re-parses.
         let meta = std::fs::metadata(path).map_err(|e| format!("{path}: {e}"))?;
         let stamp: FileStamp = (meta.len(), meta.modified().ok());
-        let lock = || self.inner.lock().expect("miter cache poisoned");
-        if let Some(hit) = lock().map.get(path).filter(|e| e.stamp == stamp) {
-            return Ok(Arc::clone(&hit.aig));
+        let fresh = |(s, _): &(FileStamp, Arc<Aig>)| *s == stamp;
+        if let Some(aig) = self.files.get(path, |e| fresh(e).then(|| Arc::clone(&e.1))) {
+            return Ok(aig);
         }
-        let aig = Arc::new(read()?);
-        let mut inner = lock();
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(path) {
-            let oldest = inner.map.iter().min_by_key(|(_, e)| e.seq);
-            if let Some(key) = oldest.map(|(k, _)| k.clone()) {
-                inner.map.remove(&key);
-            }
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let entry = CachedFile {
-            aig: Arc::clone(&aig),
-            stamp,
-            seq,
-        };
-        inner.map.insert(path.to_owned(), entry);
+        let aig = Arc::new(read_aiger_file(path).map_err(|e| format!("{path}: {e:?}"))?);
+        self.files
+            .insert(path.to_owned(), (stamp, Arc::clone(&aig)), fresh);
         Ok(aig)
     }
 }
@@ -435,11 +403,10 @@ mod tests {
             std::fs::write(path(i), xor_aag(i % 2 == 0)).unwrap();
             files.load(&path(i)).unwrap();
         }
-        let inner = files.inner.lock().unwrap();
-        assert_eq!(inner.map.len(), 256);
-        assert!(!inner.map.contains_key(&path(0)), "oldest entry evicted");
-        assert!((1..257).all(|i| inner.map.contains_key(&path(i))));
-        drop(inner);
+        let cached = |i: usize| files.files.get(path(i).as_str(), |_| Some(())).is_some();
+        assert_eq!(files.files.len(), 256);
+        assert!(!cached(0), "least-recently-used entry evicted");
+        assert!((1..257).all(cached));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -17,6 +17,8 @@
 //! * **Result cache** ([`ResultCache`]): cones are keyed by canonical
 //!   structural hash (verified exactly), so repeated traffic — reruns,
 //!   `double`d benchmarks, shared blocks — settles without re-proving.
+//!   It, the whole-job memo and the front-ends' file cache are all one
+//!   bounded, verify-before-serve store.
 //! * **Front-end**: the `svc` binary speaks flat JSON lines on
 //!   stdin/stdout ([`jsonl`]); [`SvcStats`] reports queue wait, shard
 //!   counts, cache hit rate and worker utilization.

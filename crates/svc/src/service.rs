@@ -39,14 +39,10 @@ use parsweep_trace::metrics::{
 };
 use parsweep_trace::Clock;
 
-use crate::cache::{ResultCache, RoutingInfo, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{ResultCache, RoutingInfo, VerifiedCache, DEFAULT_CACHE_CAPACITY};
 use crate::pool::{Lane, WorkerPool};
 use crate::semantic::{semantic_signature, DEFAULT_SEMANTIC_MAX_VARS};
 use crate::shard::{shard_miter, Shard, ShardPolicy};
-
-/// Default capacity of the whole-job result memo
-/// ([`SvcConfig::job_memo_capacity`]).
-pub const DEFAULT_JOB_MEMO_CAPACITY: usize = 4096;
 
 /// Service configuration.
 #[derive(Clone, Debug)]
@@ -76,19 +72,20 @@ pub struct SvcConfig {
     pub fuse_threshold: usize,
     /// Deadline applied to jobs submitted without an explicit one.
     pub default_deadline: Option<Duration>,
-    /// Cone structures the result cache retains before evicting
-    /// least-recently-used entries (0 disables caching).
+    /// Entries each of the service's three bounded stores retains before
+    /// evicting least-recently-used ones: cone structures (structural
+    /// tier), NPN classes (semantic tier) and settled whole jobs (the job
+    /// memo). `0` disables all three.
+    ///
+    /// The job memo keys on the submitted miter's structural hash: a
+    /// duplicate submission of an already-settled miter settles instantly
+    /// with the prior verdict — no re-shard, no dispatch — which is what
+    /// keeps a fleet of clients sweeping the *same* suite from re-paying
+    /// the per-job decomposition cost per client. Only decided verdicts
+    /// are memoized (an undecided one may be a deadline artifact);
+    /// concurrent in-flight duplicates each prove fresh (the memo only
+    /// serves *settled* results).
     pub cache_capacity: usize,
-    /// Settled whole-job results the job memo retains, keyed on the
-    /// submitted miter's structural hash. A duplicate submission of an
-    /// already-settled miter settles instantly with the prior verdict —
-    /// no re-shard, no re-hash, no dispatch — which is what keeps a
-    /// fleet of clients sweeping the *same* suite from re-paying the
-    /// per-job decomposition cost per client. Jobs that settle with a
-    /// tripped cancel token are never memoized (their verdict is
-    /// partial); concurrent in-flight duplicates each prove fresh (the
-    /// memo only serves *settled* results). `0` disables the memo.
-    pub job_memo_capacity: usize,
     /// Largest cone input count the semantic cache tier keys: qualifying
     /// single-PO cones are NPN-canonicalized so *functionally* equivalent
     /// cones — resynthesized, input-permuted, negated — share one cached
@@ -120,7 +117,6 @@ impl Default for SvcConfig {
             fuse_threshold: 0,
             default_deadline: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            job_memo_capacity: DEFAULT_JOB_MEMO_CAPACITY,
             semantic_max_vars: DEFAULT_SEMANTIC_MAX_VARS,
             cache_persist: None,
             clock: Arc::new(trace::WallClock::new()),
@@ -316,8 +312,9 @@ struct SvcShared {
     clients: Mutex<HashMap<u64, ClientStats>>,
     queue_wait: Histogram,
     job_latency: Histogram,
-    job_memo: Mutex<JobMemo>,
-    job_memo_hits: AtomicU64,
+    /// Settled whole-job verdicts keyed on the miter's structural hash,
+    /// verified by [`MiterFingerprint`] (see [`SvcConfig::cache_capacity`]).
+    memo: VerifiedCache<u64, MemoEntry>,
     worker_panics: AtomicU64,
 }
 
@@ -332,10 +329,27 @@ impl SvcShared {
             clients: Mutex::new(HashMap::new()),
             queue_wait: Histogram::latency_default(),
             job_latency: Histogram::latency_default(),
-            job_memo: Mutex::new(JobMemo::new(memo_capacity)),
-            job_memo_hits: AtomicU64::new(0),
+            memo: VerifiedCache::new(memo_capacity),
             worker_panics: AtomicU64::new(0),
         }
+    }
+
+    /// The memoized verdict and shard count of a settled miter; a
+    /// `structural_hash` collision between different miters fails the
+    /// fingerprint check and degrades to a miss, not a wrong verdict.
+    fn memo_lookup(&self, key: &MemoKey) -> Option<(Verdict, usize)> {
+        self.memo.get(&key.0, |e| {
+            (e.fingerprint == key.1).then(|| (e.verdict.clone(), e.shards))
+        })
+    }
+
+    fn memo_insert(&self, key: &MemoKey, verdict: Verdict, shards: usize) {
+        let entry = MemoEntry {
+            fingerprint: key.1,
+            verdict,
+            shards,
+        };
+        self.memo.insert(key.0, entry, |e| e.fingerprint == key.1);
     }
 }
 
@@ -368,48 +382,15 @@ impl MiterFingerprint {
     }
 }
 
-/// FIFO-bounded memo of settled whole-job results, keyed on the
-/// submitted miter's [`Aig::structural_hash`] and verified against a
-/// [`MiterFingerprint`] before serving. FIFO (not LRU) keeps the insert
-/// path a push + occasional pop; duplicate-heavy traffic re-hits entries
-/// soon after insertion, where the two policies behave the same.
-struct JobMemo {
-    map: HashMap<u64, (MiterFingerprint, JobResult)>,
-    order: std::collections::VecDeque<u64>,
-    capacity: usize,
-}
+/// A whole-miter memo key: the submitted miter's [`Aig::structural_hash`]
+/// plus the fingerprint that verifies a hit.
+type MemoKey = (u64, MiterFingerprint);
 
-impl JobMemo {
-    fn new(capacity: usize) -> Self {
-        JobMemo {
-            map: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Serves the memoized result only if the probing miter's fingerprint
-    /// matches the one stored at settle; a `structural_hash` collision
-    /// between different miters degrades to a miss, not a wrong verdict.
-    fn lookup(&self, key: u64, probe: &MiterFingerprint) -> Option<JobResult> {
-        let (stored, result) = self.map.get(&key)?;
-        (stored == probe).then(|| result.clone())
-    }
-
-    /// First settle of a structure wins; racing duplicates that proved
-    /// concurrently are equal anyway, so re-inserts are dropped.
-    fn insert(&mut self, key: u64, fingerprint: MiterFingerprint, result: JobResult) {
-        if self.capacity == 0 || self.map.contains_key(&key) {
-            return;
-        }
-        if self.order.len() >= self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
-            }
-        }
-        self.map.insert(key, (fingerprint, result));
-        self.order.push_back(key);
-    }
+/// What the job memo keeps of a settled miter.
+struct MemoEntry {
+    fingerprint: MiterFingerprint,
+    verdict: Verdict,
+    shards: usize,
 }
 
 struct JobShared {
@@ -422,48 +403,42 @@ struct JobShared {
     fused_shards: usize,
     lane: Lane,
     client: u64,
-    /// Whole-miter structural hash plus the verification fingerprint
-    /// computed at submission; settle inserts the composed result into
-    /// the service's job memo under this pair. `None` when the memo is
-    /// disabled or the job itself settled from the memo.
-    memo_key: Option<(u64, MiterFingerprint)>,
+    /// Computed at submission; [`JobShared::finish`] memoizes a decided
+    /// verdict under it.
+    memo_key: MemoKey,
     agg: Mutex<JobAgg>,
     done: Condvar,
 }
 
 impl JobShared {
     /// Records one settled shard under the aggregation lock; the last
-    /// shard composes the job verdict, feeds the service counters and
-    /// histograms, and wakes waiters.
+    /// shard composes the job verdict and finishes the job.
     fn settle_shard(&self, local: ShardOutcome, svc: &SvcShared) {
-        let mut agg = self.agg.lock().unwrap();
-        match local.verdict {
-            Verdict::Equivalent => {}
-            Verdict::NotEquivalent(cex) => {
-                if agg.cex.is_none() {
-                    agg.cex = Some(cex);
+        let result = {
+            let mut agg = self.agg.lock().unwrap();
+            match local.verdict {
+                Verdict::Equivalent => {}
+                Verdict::NotEquivalent(cex) => {
+                    if agg.cex.is_none() {
+                        agg.cex = Some(cex);
+                    }
+                    // One disproof settles the whole job: stop sibling shards.
+                    self.token.cancel();
                 }
-                // One disproof settles the whole job: stop sibling shards.
-                self.token.cancel();
+                Verdict::Undecided => agg.undecided += 1,
             }
-            Verdict::Undecided => agg.undecided += 1,
-        }
-        agg.cache_hits += u64::from(local.cache_hit);
-        agg.cache_misses += u64::from(!local.cache_hit);
-        agg.remaining -= 1;
-        if agg.remaining == 0 {
+            agg.cache_hits += u64::from(local.cache_hit);
+            agg.cache_misses += u64::from(!local.cache_hit);
+            agg.remaining -= 1;
+            if agg.remaining > 0 {
+                return;
+            }
             let verdict = match agg.cex.take() {
                 Some(cex) => Verdict::NotEquivalent(cex),
                 None if agg.undecided > 0 => Verdict::Undecided,
                 None => Verdict::Equivalent,
             };
-            let queue_wait = agg
-                .first_start
-                .map(|t| t.saturating_sub(self.submitted))
-                .unwrap_or_default();
-            let total = self.clock.since(self.submitted);
-            let cancelled = self.token.is_cancelled();
-            let result = JobResult {
+            JobResult {
                 id: self.id,
                 verdict,
                 stats: JobStats {
@@ -471,52 +446,77 @@ impl JobShared {
                     fused_shards: self.fused_shards,
                     cache_hits: agg.cache_hits,
                     cache_misses: agg.cache_misses,
-                    queue_wait,
-                    total,
-                    cancelled,
+                    queue_wait: agg
+                        .first_start
+                        .map(|t| t.saturating_sub(self.submitted))
+                        .unwrap_or_default(),
+                    total: self.clock.since(self.submitted),
+                    cancelled: self.token.is_cancelled(),
                     memo_hit: false,
                 },
-            };
-            if let Some((key, fingerprint)) = self.memo_key {
-                // Decided verdicts are final either way: Equivalent means
-                // every shard proved, NotEquivalent carries a concrete
-                // cex (the token trips on disproof only to stop sibling
-                // shards). Undecided may be a deadline artifact or an
-                // engine give-up a rerun could improve on — never
-                // memoize it.
-                if !matches!(result.verdict, Verdict::Undecided) {
-                    svc.job_memo
-                        .lock()
-                        .unwrap()
-                        .insert(key, fingerprint, result.clone());
-                }
             }
-            agg.result = Some(result);
-            svc.completed_jobs.fetch_add(1, Ordering::Relaxed);
-            if cancelled {
-                svc.cancellations.fetch_add(1, Ordering::Relaxed);
-            }
-            {
-                let mut clients = svc.clients.lock().unwrap();
-                let entry = clients.entry(self.client).or_default();
-                entry.completed += 1;
-                entry.cancelled += u64::from(cancelled);
-                entry.cache_hits += agg.cache_hits;
-                entry.cache_misses += agg.cache_misses;
-            }
-            svc.queue_wait.observe(queue_wait.as_secs_f64());
-            svc.job_latency.observe(total.as_secs_f64());
-            trace::instant(
-                "svc",
-                "job.settled",
-                vec![
-                    ("job", trace::ArgValue::U64(self.id.0)),
-                    ("client", trace::ArgValue::U64(self.client)),
-                    ("cancelled", trace::ArgValue::U64(u64::from(cancelled))),
-                ],
-            );
-            self.done.notify_all();
+        };
+        self.finish(result, svc);
+    }
+
+    /// Settles a job that dispatches nothing — a memo hit, or a miter
+    /// whose every PO is already constant false — with `verdict`.
+    fn finish_undispatched(&self, verdict: Verdict, memo_hit: bool, svc: &SvcShared) {
+        let stats = JobStats {
+            shards: self.shards,
+            total: self.clock.since(self.submitted),
+            memo_hit,
+            ..JobStats::default()
+        };
+        let result = JobResult {
+            id: self.id,
+            verdict,
+            stats,
+        };
+        self.finish(result, svc);
+    }
+
+    /// The one way a job settles: memoizes a decided verdict, feeds the
+    /// service counters, per-client table and both histograms, and wakes
+    /// waiters.
+    fn finish(&self, result: JobResult, svc: &SvcShared) {
+        let stats = result.stats;
+        // Decided verdicts are final either way: Equivalent means every
+        // shard proved, NotEquivalent carries a concrete cex (the token
+        // trips on disproof only to stop sibling shards). Undecided may
+        // be a deadline artifact or an engine give-up a rerun could
+        // improve on — never memoize it.
+        if !stats.memo_hit && !matches!(result.verdict, Verdict::Undecided) {
+            svc.memo_insert(&self.memo_key, result.verdict.clone(), stats.shards);
         }
+        svc.completed_jobs.fetch_add(1, Ordering::Relaxed);
+        if stats.cancelled {
+            svc.cancellations.fetch_add(1, Ordering::Relaxed);
+        }
+        {
+            let mut clients = svc.clients.lock().unwrap();
+            let entry = clients.entry(self.client).or_default();
+            entry.completed += 1;
+            entry.cancelled += u64::from(stats.cancelled);
+            entry.cache_hits += stats.cache_hits;
+            entry.cache_misses += stats.cache_misses;
+        }
+        svc.queue_wait.observe(stats.queue_wait.as_secs_f64());
+        svc.job_latency.observe(stats.total.as_secs_f64());
+        trace::instant(
+            "svc",
+            "job.settled",
+            vec![
+                ("job", trace::ArgValue::U64(self.id.0)),
+                ("client", trace::ArgValue::U64(self.client)),
+                (
+                    "cancelled",
+                    trace::ArgValue::U64(u64::from(stats.cancelled)),
+                ),
+            ],
+        );
+        self.agg.lock().unwrap().result = Some(result);
+        self.done.notify_all();
     }
 }
 
@@ -629,7 +629,7 @@ impl CecService {
             prover,
             semantic_max_vars: cfg.semantic_max_vars,
         });
-        let shared = Arc::new(SvcShared::new(cfg.job_memo_capacity));
+        let shared = Arc::new(SvcShared::new(cfg.cache_capacity));
         CecService {
             cfg,
             pool,
@@ -646,18 +646,6 @@ impl CecService {
         self.submit_with_opts(miter, SubmitOpts::default())
     }
 
-    /// Submits a miter; `deadline` (if any) bounds the job's wall time,
-    /// after which it settles with a partial verdict.
-    pub fn submit_with_deadline(&self, miter: Aig, deadline: Option<Duration>) -> JobId {
-        self.submit_with_opts(
-            miter,
-            SubmitOpts {
-                deadline,
-                ..SubmitOpts::default()
-            },
-        )
-    }
-
     /// Submits a miter with explicit lane, client and deadline options.
     pub fn submit_with_opts(&self, miter: Aig, opts: SubmitOpts) -> JobId {
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
@@ -668,20 +656,21 @@ impl CecService {
             entry.submitted += 1;
             entry.jobs_by_lane[opts.lane.index()] += 1;
         }
+        let memo_key = (miter.structural_hash(), MiterFingerprint::of(&miter));
         // Duplicate of an already-settled miter: settle instantly from
         // the job memo, skipping shard extraction and dispatch entirely.
-        let memo_key = (self.cfg.job_memo_capacity > 0)
-            .then(|| (miter.structural_hash(), MiterFingerprint::of(&miter)));
-        if let Some((key, fingerprint)) = &memo_key {
-            let prior = self
-                .shared
-                .job_memo
-                .lock()
-                .unwrap()
-                .lookup(*key, fingerprint);
-            if let Some(prior) = prior {
-                return self.settle_from_memo(id, prior, &opts);
-            }
+        if let Some((verdict, shards)) = self.shared.memo_lookup(&memo_key) {
+            trace::instant(
+                "svc",
+                "job.memo_hit",
+                vec![
+                    ("job", trace::ArgValue::U64(id.0)),
+                    ("client", trace::ArgValue::U64(opts.client)),
+                ],
+            );
+            let job = self.register(id, &opts, CancelToken::new(), memo_key, shards, 0);
+            job.finish_undispatched(verdict, true, &self.shared);
+            return id;
         }
         let token = match opts.deadline.or(self.cfg.default_deadline) {
             Some(d) => CancelToken::with_deadline(d),
@@ -710,19 +699,51 @@ impl CecService {
         let (singles, groups) = plan_dispatches(shards, &pi_position, self.cfg.fuse_threshold);
         let fused_shards: usize = groups.iter().map(Vec::len).sum();
         let total_shards = singles.len() + fused_shards;
+        let job = self.register(id, &opts, token, memo_key, total_shards, fused_shards);
+        if total_shards == 0 {
+            // Every PO was already constant false: proved as submitted.
+            job.finish_undispatched(Verdict::Equivalent, false, &self.shared);
+            return id;
+        }
 
-        let shared = Arc::new(JobShared {
+        for task in singles {
+            self.dispatch(vec![task], &job, parent_pis, false);
+        }
+        self.shared
+            .fused_shards
+            .fetch_add(fused_shards as u64, Ordering::Relaxed);
+        self.shared
+            .fused_dispatches
+            .fetch_add(groups.len() as u64, Ordering::Relaxed);
+        for group in groups {
+            self.dispatch(group, &job, parent_pis, true);
+        }
+        id
+    }
+
+    /// Enters a job with `shards` shards to settle into the job table;
+    /// its clock starts now.
+    fn register(
+        &self,
+        id: JobId,
+        opts: &SubmitOpts,
+        token: CancelToken,
+        memo_key: MemoKey,
+        shards: usize,
+        fused_shards: usize,
+    ) -> Arc<JobShared> {
+        let job = Arc::new(JobShared {
             id,
-            token: token.clone(),
+            token,
             clock: Arc::clone(&self.cfg.clock),
             submitted: self.cfg.clock.now(),
-            shards: total_shards,
+            shards,
             fused_shards,
             lane: opts.lane,
             client: opts.client,
             memo_key,
             agg: Mutex::new(JobAgg {
-                remaining: total_shards,
+                remaining: shards,
                 undecided: 0,
                 cex: None,
                 cache_hits: 0,
@@ -732,99 +753,8 @@ impl CecService {
             }),
             done: Condvar::new(),
         });
-        self.jobs.lock().unwrap().insert(id.0, Arc::clone(&shared));
-
-        if total_shards == 0 {
-            // Every PO was already constant false: proved as submitted.
-            let mut agg = shared.agg.lock().unwrap();
-            agg.result = Some(JobResult {
-                id,
-                verdict: Verdict::Equivalent,
-                stats: JobStats {
-                    total: self.cfg.clock.since(shared.submitted),
-                    ..JobStats::default()
-                },
-            });
-            self.shared.completed_jobs.fetch_add(1, Ordering::Relaxed);
-            {
-                let mut clients = self.shared.clients.lock().unwrap();
-                clients.entry(opts.client).or_default().completed += 1;
-            }
-            shared.done.notify_all();
-            return id;
-        }
-
-        for task in singles {
-            self.dispatch(vec![task], &shared, parent_pis, false);
-        }
-        self.shared
-            .fused_shards
-            .fetch_add(fused_shards as u64, Ordering::Relaxed);
-        self.shared
-            .fused_dispatches
-            .fetch_add(groups.len() as u64, Ordering::Relaxed);
-        for group in groups {
-            self.dispatch(group, &shared, parent_pis, true);
-        }
-        id
-    }
-
-    /// Settles a duplicate submission instantly from the job memo: the
-    /// prior run's verdict under a fresh job id, with zero dispatched
-    /// shards and `memo_hit` marked in the stats.
-    fn settle_from_memo(&self, id: JobId, prior: JobResult, opts: &SubmitOpts) -> JobId {
-        let submitted = self.cfg.clock.now();
-        let result = JobResult {
-            id,
-            verdict: prior.verdict,
-            stats: JobStats {
-                shards: prior.stats.shards,
-                queue_wait: Duration::ZERO,
-                total: self.cfg.clock.since(submitted),
-                memo_hit: true,
-                ..JobStats::default()
-            },
-        };
-        let total = result.stats.total;
-        let shared = Arc::new(JobShared {
-            id,
-            token: CancelToken::new(),
-            clock: Arc::clone(&self.cfg.clock),
-            submitted,
-            shards: result.stats.shards,
-            fused_shards: 0,
-            lane: opts.lane,
-            client: opts.client,
-            memo_key: None,
-            agg: Mutex::new(JobAgg {
-                remaining: 0,
-                undecided: 0,
-                cex: None,
-                cache_hits: 0,
-                cache_misses: 0,
-                first_start: None,
-                result: Some(result),
-            }),
-            done: Condvar::new(),
-        });
-        self.shared.job_memo_hits.fetch_add(1, Ordering::Relaxed);
-        self.shared.completed_jobs.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut clients = self.shared.clients.lock().unwrap();
-            clients.entry(opts.client).or_default().completed += 1;
-        }
-        self.shared.queue_wait.observe(0.0);
-        self.shared.job_latency.observe(total.as_secs_f64());
-        trace::instant(
-            "svc",
-            "job.memo_hit",
-            vec![
-                ("job", trace::ArgValue::U64(id.0)),
-                ("client", trace::ArgValue::U64(opts.client)),
-            ],
-        );
-        self.jobs.lock().unwrap().insert(id.0, shared);
-        id
+        self.jobs.lock().unwrap().insert(id.0, Arc::clone(&job));
+        job
     }
 
     /// Queues one pool dispatch carrying one (`singles`) or several
@@ -961,7 +891,7 @@ impl CecService {
             cache_persist_loaded: self.prove.cache.persist_loaded(),
             cache_persist_appended: self.prove.cache.persist_appended(),
             cancellations: self.shared.cancellations.load(Ordering::Relaxed),
-            job_memo_hits: self.shared.job_memo_hits.load(Ordering::Relaxed),
+            job_memo_hits: self.shared.memo.hits(),
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
             worker_utilization: self.pool.utilization(),
         }
@@ -1534,6 +1464,30 @@ mod tests {
     }
 
     #[test]
+    fn every_settle_path_feeds_both_histograms() {
+        // A fresh job, a memo hit and a zero-shard job each settle once
+        // and each land in both latency histograms.
+        let svc = CecService::new(SvcConfig::default());
+        let m = miter(&xor_net(2, false), &xor_net(2, true)).unwrap();
+        let fresh = svc.wait(svc.submit(m.clone())).unwrap();
+        let memo = svc.wait(svc.submit(m)).unwrap();
+        let mut none = Aig::new();
+        none.add_inputs(2);
+        none.add_po(parsweep_aig::Lit::FALSE);
+        let empty = svc.wait(svc.submit(none)).unwrap();
+        assert!(!fresh.stats.memo_hit && memo.stats.memo_hit);
+        assert_eq!(empty.stats.shards, 0);
+        let text = svc.metrics_text();
+        for line in [
+            "parsweep_jobs_completed_total 3",
+            "parsweep_job_latency_seconds_count 3",
+            "parsweep_queue_wait_seconds_count 3",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in {text}");
+        }
+    }
+
+    #[test]
     fn unknown_job_wait_and_cancel() {
         let svc = CecService::new(SvcConfig::default());
         assert!(svc.wait(JobId(999)).is_none());
@@ -1590,9 +1544,10 @@ mod tests {
     }
 
     #[test]
-    fn job_memo_capacity_zero_disables_memoization() {
+    fn cache_capacity_zero_disables_memoization() {
+        // One capacity bounds every store: 0 turns the memo off too.
         let svc = CecService::new(SvcConfig {
-            job_memo_capacity: 0,
+            cache_capacity: 0,
             ..SvcConfig::default()
         });
         let m = miter(&xor_net(2, false), &xor_net(2, true)).unwrap();
@@ -1612,8 +1567,12 @@ mod tests {
             ..SvcConfig::default()
         });
         let m = miter(&xor_net(3, false), &xor_net(3, true)).unwrap();
+        let zero_deadline = SubmitOpts {
+            deadline: Some(Duration::ZERO),
+            ..SubmitOpts::default()
+        };
         let first = svc
-            .wait_take(svc.submit_with_deadline(m.clone(), Some(Duration::ZERO)))
+            .wait_take(svc.submit_with_opts(m.clone(), zero_deadline))
             .unwrap();
         assert!(first.stats.cancelled);
         let second = svc.wait_take(svc.submit(m)).unwrap();
@@ -1770,11 +1729,9 @@ mod tests {
 
     #[test]
     fn repeat_hits_never_feed_the_prover() {
-        // The memo is off so every repeat walks the cache path.
         let svc = CecService::new(SvcConfig {
             workers: 1,
             sat_fallback: true,
-            job_memo_capacity: 0,
             ..SvcConfig::default()
         });
         let m = wide_and_miter(24, false);
@@ -1784,9 +1741,17 @@ mod tests {
         );
         let proved = svc.prover_stats();
         assert_eq!(proved.wins[EngineKind::SatSweep.slot()], 1);
-        for _ in 0..8 {
-            let r = svc.wait(svc.submit(m.clone())).unwrap();
+        for i in 0..8 {
+            // Extra constant-false POs give every repeat a new whole-miter
+            // hash over the same single cone: it walks the cache path, not
+            // the memo.
+            let mut repeat = m.clone();
+            for _ in 0..=i {
+                repeat.add_po(parsweep_aig::Lit::FALSE);
+            }
+            let r = svc.wait(svc.submit(repeat)).unwrap();
             assert_eq!(r.verdict, Verdict::Equivalent);
+            assert!(!r.stats.memo_hit);
             assert_eq!((r.stats.cache_hits, r.stats.cache_misses), (1, 0));
         }
         // A hit on an entry this process proved itself is not a fresh
@@ -2005,19 +1970,14 @@ mod tests {
         let b = miter(&xor_net(1, false), &bad).unwrap();
         assert!(!a.same_structure(&b));
         let (fa, fb) = (MiterFingerprint::of(&a), MiterFingerprint::of(&b));
-        let mut memo = JobMemo::new(8);
-        let settled = JobResult {
-            id: JobId(1),
-            verdict: Verdict::Equivalent,
-            stats: JobStats::default(),
-        };
-        memo.insert(0x42, fa, settled);
+        let svc = SvcShared::new(8);
+        svc.memo_insert(&(0x42, fa), Verdict::Equivalent, 1);
         assert!(
-            memo.lookup(0x42, &fa).is_some(),
+            svc.memo_lookup(&(0x42, fa)).is_some(),
             "the genuine duplicate still hits"
         );
         assert!(
-            memo.lookup(0x42, &fb).is_none(),
+            svc.memo_lookup(&(0x42, fb)).is_none(),
             "a colliding different miter must miss, not inherit Equivalent"
         );
     }
@@ -2033,14 +1993,9 @@ mod tests {
             let a = miter(&xor_net(wa, false), &xor_net(wa, true)).unwrap();
             let b = miter(&xor_net(wb, false), &xor_net(wb, true)).unwrap();
             let (fa, fb) = (MiterFingerprint::of(&a), MiterFingerprint::of(&b));
-            let mut memo = JobMemo::new(8);
-            let settled = JobResult {
-                id: JobId(1),
-                verdict: Verdict::Equivalent,
-                stats: JobStats::default(),
-            };
-            memo.insert(0x42, fa, settled);
-            let served = memo.lookup(0x42, &fb);
+            let svc = SvcShared::new(8);
+            svc.memo_insert(&(0x42, fa), Verdict::Equivalent, 1);
+            let served = svc.memo_lookup(&(0x42, fb));
             if a.same_structure(&b) {
                 prop_assert!(served.is_some(), "true duplicates keep hitting");
             } else {

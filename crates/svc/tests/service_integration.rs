@@ -3,8 +3,8 @@
 //! Covers the two service-level guarantees:
 //!
 //! * a batch containing a duplicated miter settles the duplicate from the
-//!   structural result cache while returning verdicts identical to solo
-//!   engine runs;
+//!   cone result cache while returning verdicts identical to solo engine
+//!   runs;
 //! * a deadline-bounded job on a miter too big to finish in time returns
 //!   within twice its deadline with a *partial* — never incorrect —
 //!   verdict.
@@ -15,7 +15,29 @@ use parsweep_aig::{miter, Aig, Lit};
 use parsweep_core::sim_sweep;
 use parsweep_par::Executor;
 use parsweep_sat::Verdict;
-use parsweep_svc::{CecService, SvcConfig};
+use parsweep_svc::{CecService, SubmitOpts, SvcConfig};
+
+/// `m` with its POs in reverse order: the same output cones under a
+/// different whole-miter hash, so a resubmission walks the cone cache
+/// instead of settling from the job memo.
+fn reversed_pos(m: &Aig) -> Aig {
+    let mut r = m.clone();
+    let n = r.num_pos();
+    for i in 0..n {
+        r.set_po(i, m.po(n - 1 - i));
+    }
+    r
+}
+
+/// `m` plus `k` constant-false POs: no new shard, a new whole-miter hash
+/// (the single-PO counterpart of [`reversed_pos`]).
+fn with_false_pos(m: &Aig, k: usize) -> Aig {
+    let mut r = m.clone();
+    for _ in 0..k {
+        r.add_po(Lit::FALSE);
+    }
+    r
+}
 
 /// Ripple-carry adder: `w`-bit operands plus carry-in, `w + 1` outputs.
 fn ripple_adder(w: usize) -> Aig {
@@ -130,26 +152,25 @@ fn multiplier(w: usize, descending: bool) -> Aig {
 fn duplicated_batch_hits_cache_and_matches_solo_runs() {
     let cfg = SvcConfig {
         workers: 2,
-        // This test exercises the *cone-level* result cache; the
-        // whole-job memo would settle the duplicate before any shard
-        // probes it.
-        job_memo_capacity: 0,
         ..SvcConfig::default()
     };
     let engine_cfg = cfg.engine.clone();
     let svc = CecService::new(cfg);
 
     // One equivalent pair, one inequivalent pair, and the equivalent pair
-    // again: the duplicate must settle entirely from the cache.
+    // again: the duplicate must settle entirely from the cache. It is
+    // submitted only once the first copy has settled (in-flight
+    // duplicates prove fresh by design), and with its POs reversed so the
+    // whole-job memo does not settle it before any shard probes the cone
+    // cache.
     let eq = miter(&ripple_adder(8), &cla_adder(8)).unwrap();
     let ne = miter(&ripple_adder(8), &corrupt_cla_adder(8)).unwrap();
     assert!(eq.num_pos() > 0 && eq.pos().iter().any(|&po| po != Lit::FALSE));
-    let jobs = [
-        svc.submit(eq.clone()),
-        svc.submit(ne.clone()),
-        svc.submit(eq.clone()),
-    ];
-    let results: Vec<_> = jobs.iter().map(|&j| svc.wait(j).unwrap()).collect();
+    let first = svc.submit(eq.clone());
+    let jobs = [first, svc.submit(ne.clone())];
+    let mut results: Vec<_> = jobs.iter().map(|&j| svc.wait(j).unwrap()).collect();
+    let dup = reversed_pos(&eq);
+    results.push(svc.wait(svc.submit(dup.clone())).unwrap());
 
     // Verdicts are identical to solo engine runs on the same miters.
     let exec = Executor::new();
@@ -174,7 +195,9 @@ fn duplicated_batch_hits_cache_and_matches_solo_runs() {
     }
 
     // The duplicated submission hit the cache on every shard.
+    assert!(!dup.same_structure(&eq));
     let dup = &results[2];
+    assert!(!dup.stats.memo_hit);
     assert!(dup.stats.shards > 0);
     assert_eq!(dup.stats.cache_hits, dup.stats.shards as u64);
     assert_eq!(dup.stats.cache_misses, 0);
@@ -211,7 +234,13 @@ fn deadline_job_returns_promptly_with_partial_verdict() {
     let svc = CecService::new(cfg);
     let deadline = Duration::from_millis(if sanitizing { 1500 } else { 300 });
     let start = Instant::now();
-    let job = svc.submit_with_deadline(eq.clone(), Some(deadline));
+    let job = svc.submit_with_opts(
+        eq.clone(),
+        SubmitOpts {
+            deadline: Some(deadline),
+            ..SubmitOpts::default()
+        },
+    );
     let result = svc.wait(job).unwrap();
     let elapsed = start.elapsed();
 
@@ -284,15 +313,12 @@ fn cache_shared_across_jobs_with_common_cones() {
     // Two separately built miters of the same equivalent pair:
     // structurally identical cones settle from the cache across job
     // boundaries. Jobs run back to back so every shard of the second job
-    // finds the first job's inserts. The whole-job memo is disabled: the
-    // two miters hash identically, and a memo hit would bypass the cone
-    // cache this test is about.
-    let svc = CecService::new(SvcConfig {
-        job_memo_capacity: 0,
-        ..SvcConfig::default()
-    });
+    // finds the first job's inserts. The second miter's POs are reversed:
+    // the two would otherwise hash identically, and a whole-job memo hit
+    // would bypass the cone cache this test is about.
+    let svc = CecService::new(SvcConfig::default());
     let m1 = miter(&ripple_adder(6), &cla_adder(6)).unwrap();
-    let m2 = miter(&ripple_adder(6), &cla_adder(6)).unwrap();
+    let m2 = reversed_pos(&miter(&ripple_adder(6), &cla_adder(6)).unwrap());
     let j1 = svc.submit(m1);
     let r1 = svc.wait(j1).unwrap();
     let j2 = svc.submit(m2);
@@ -300,6 +326,7 @@ fn cache_shared_across_jobs_with_common_cones() {
     assert_eq!(r1.verdict, Verdict::Equivalent);
     assert_eq!(r2.verdict, Verdict::Equivalent);
     assert!(r1.stats.shards > 0);
+    assert!(!r2.stats.memo_hit);
     assert_eq!(r2.stats.cache_hits, r2.stats.shards as u64);
     assert_eq!(r2.stats.cache_misses, 0);
 }
@@ -386,14 +413,10 @@ fn persisted_semantic_corpus_survives_a_service_restart() {
     assert_eq!(s1.cache_persist_loaded, 0);
     drop(svc1);
 
-    // Second lifetime: the structural cache starts empty (and the job
-    // memo is off, so repeats walk the cache path), but the loaded
-    // semantic corpus settles every resubmitted cone without touching
-    // the engine.
-    let svc2 = CecService::new(SvcConfig {
-        job_memo_capacity: 0,
-        ..cfg()
-    });
+    // Second lifetime: the structural cache and the job memo start
+    // empty, but the loaded semantic corpus settles every resubmitted
+    // cone without touching the engine.
+    let svc2 = CecService::new(cfg());
     let s2 = svc2.stats();
     assert_eq!(s2.cache_persist_loaded, s1.cache_persist_appended);
     let r_eq2 = svc2.wait(svc2.submit(eq())).unwrap();
@@ -415,8 +438,11 @@ fn persisted_semantic_corpus_survives_a_service_restart() {
     // model on its first hit — and only then: repeats replay nothing.
     assert_eq!(s2.cache_routing_hits, 2);
     assert_eq!(svc2.prover_stats().routing_hints, 2);
-    svc2.wait(svc2.submit(eq())).unwrap();
-    svc2.wait(svc2.submit(ne())).unwrap();
+    // The repeats carry an extra constant-false PO, so they walk the
+    // cache path instead of settling from the job memo.
+    svc2.wait(svc2.submit(with_false_pos(&eq(), 1))).unwrap();
+    svc2.wait(svc2.submit(with_false_pos(&ne(), 1))).unwrap();
+    assert_eq!(svc2.stats().job_memo_hits, 0);
     assert_eq!(svc2.stats().cache_semantic_hits, 4);
     assert_eq!(svc2.stats().cache_routing_hits, 2);
     assert_eq!(svc2.prover_stats().routing_hints, 2);

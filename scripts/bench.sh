@@ -3,14 +3,10 @@
 # generator suite — nine sweep cases plus the resim-heavy deep-FRAIG
 # rows (multiplier_fraig, log2_fraig) — and emits BENCH_runtime.json
 # (wall time, modeled / serialized cost-model times, launch split,
-# incremental-resim counters, arena recycling counters). Also runs the
-# job-service throughput bench, emitting BENCH_svc.json (jobs/sec, cache
-# hit rate), and the network saturation bench, emitting BENCH_net.json
-# (clients-vs-throughput curve, speedup over the single-client stdin
-# baseline, worker utilization); both steps are non-blocking — a service
-# or network bench failure must not fail the engine smoke run.
+# incremental-resim counters, arena recycling counters). The service and
+# network are measured by the benchmark in benchmark/ instead.
 #
-# Usage: scripts/bench.sh [tiny|small|medium|large] [output.json] [svc-output.json] [net-output.json]
+# Usage: scripts/bench.sh [tiny|small|medium|large] [output.json]
 #
 # The scale can also come from the PARSWEEP_SCALE environment variable
 # (positional argument wins), so CI matrix jobs can select a rung of the
@@ -20,51 +16,18 @@ cd "$(dirname "$0")/.."
 
 SCALE="${1:-${PARSWEEP_SCALE:-tiny}}"
 OUT="${2:-BENCH_runtime.json}"
-SVC_OUT="${3:-BENCH_svc.json}"
-NET_OUT="${4:-BENCH_net.json}"
 
 # Keep the previous run around so the delta report below has a baseline.
-for f in "$OUT" "$SVC_OUT" "$NET_OUT"; do
-    [ -f "$f" ] && cp "$f" "$f.prev"
-done
+[ -f "$OUT" ] && cp "$OUT" "$OUT.prev"
 
 cargo run --release -p parsweep-bench --bin runtime -- "$SCALE" "$OUT"
 echo "--- $OUT ---"
 cat "$OUT"
 
-if cargo run --release -p parsweep-bench --bin svc_bench -- "$SCALE" "$SVC_OUT"; then
-    echo "--- $SVC_OUT ---"
-    cat "$SVC_OUT"
-else
-    echo "svc bench failed (non-blocking)" >&2
-fi
-
-# The net bench's baseline drives the shipped stdin binary as a
-# subprocess; build it first so the bench doesn't silently fall back to
-# the in-process baseline.
-if cargo build --release -p parsweep-svc --bin svc \
-    && cargo run --release -p parsweep-bench --bin net_bench -- "$SCALE" "$NET_OUT"; then
-    echo "--- $NET_OUT ---"
-    cat "$NET_OUT"
-else
-    echo "net bench failed (non-blocking)" >&2
-fi
-
 # The runtime delta gates pool-dispatched launch counts: a regression
-# beyond MAX_REGRESS percent (default 50) fails the run. The svc delta
-# stays report-only.
+# beyond MAX_REGRESS percent (default 50) fails the run.
 if [ -f "$OUT.prev" ]; then
     echo "--- delta vs previous $OUT ---"
     python3 scripts/bench_delta.py --max-regress "${MAX_REGRESS:-50}" "$OUT.prev" "$OUT"
     rm -f "$OUT.prev"
-fi
-if [ -f "$SVC_OUT.prev" ]; then
-    echo "--- delta vs previous $SVC_OUT ---"
-    python3 scripts/bench_delta.py "$SVC_OUT.prev" "$SVC_OUT" || true
-    rm -f "$SVC_OUT.prev"
-fi
-if [ -f "$NET_OUT.prev" ]; then
-    echo "--- delta vs previous $NET_OUT ---"
-    python3 scripts/bench_delta.py "$NET_OUT.prev" "$NET_OUT" || true
-    rm -f "$NET_OUT.prev"
 fi

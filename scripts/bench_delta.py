@@ -129,60 +129,6 @@ def summarize_window_streaming(curr_raw):
         )
 
 
-def summarize_repeat_traffic(curr_raw):
-    """Report the service bench's repeat-traffic phase (``repeat_traffic``
-    entry): how structurally perturbed duplicate cones settled — from the
-    structural cache (identical structure), the semantic NPN-canonical
-    tier (same function, new structure), or a fresh engine run."""
-    row = curr_raw.get("repeat_traffic") if isinstance(curr_raw, dict) else None
-    if not isinstance(row, dict):
-        return
-    try:
-        shards = row["perturbed_shards"]
-        structural, semantic = row["structural_hits"], row["semantic_hits"]
-        rate = row["settled_cached_rate"]
-    except (KeyError, TypeError):
-        return
-    reproved = max(0, shards - structural - semantic)
-    print("repeat traffic (structurally perturbed duplicate cones):")
-    print(
-        f"  {shards} perturbed shards: {structural} structural hits, "
-        f"{semantic} semantic hits, {reproved} re-proved "
-        f"({rate * 100.0:.1f}% settled from cache)"
-    )
-
-
-def summarize_net_saturation(curr_raw):
-    """Report the network bench's clients-vs-throughput curve (``phases``
-    entries plus ``baseline``/``peak``): how throughput scales with
-    concurrent clients relative to the single-client stdin baseline."""
-    if not isinstance(curr_raw, dict):
-        return
-    phases = curr_raw.get("phases")
-    baseline = curr_raw.get("baseline")
-    if not phases or not isinstance(baseline, dict) or "jobs_per_sec" not in baseline:
-        return
-    print(f"net saturation (baseline {baseline['jobs_per_sec']:.1f} jobs/s "
-          f"over {baseline.get('transport', '?')}):")
-    for row in phases:
-        try:
-            clients, jps = row["clients"], row["jobs_per_sec"]
-            speedup, util = row["speedup_vs_baseline"], row["worker_utilization"]
-        except (KeyError, TypeError):
-            continue
-        bar = "#" * max(1, round(speedup * 4))
-        print(f"  {clients:>3} clients: {jps:>9.1f} jobs/s  {speedup:>5.2f}x  "
-              f"util {util:.3f}  {bar}")
-    peak = curr_raw.get("peak")
-    if isinstance(peak, dict):
-        try:
-            print(f"  peak: {peak['jobs_per_sec']:.1f} jobs/s at {peak['clients']} "
-                  f"clients = {peak['speedup_vs_baseline']:.2f}x baseline, "
-                  f"util {peak['worker_utilization']:.3f}")
-        except KeyError:
-            pass
-
-
 # Wall-clock leaves are gated with an absolute floor on top of the
 # percentage: a millisecond-sized row can double from scheduler jitter
 # alone, and that is not a regression worth failing CI over.
@@ -218,8 +164,6 @@ def main():
     summarize_window_streaming(curr_raw)
     summarize_sanitizer_overhead(curr_raw)
     summarize_prover_dispatch(curr_raw)
-    summarize_repeat_traffic(curr_raw)
-    summarize_net_saturation(curr_raw)
     if max_regress is None:
         return 0
     regressions = []
