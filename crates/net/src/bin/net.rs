@@ -8,8 +8,8 @@
 //! final stats to stderr, exit.
 //!
 //! Flags: the service knobs of `svc` (`--workers`, `--exec-threads`,
-//! `--deadline-ms`, `--sat`, `--connected`, `--fuse-threshold`, `--cache-capacity`, `--cache-persist`,
-//! `--semantic-vars`, `--trace`) plus the transport
+//! `--deadline-ms`, `--sat`, `--connected`, `--fuse-threshold`, `--cache-capacity`,
+//! `--trace`) plus the transport
 //! bounds `--addr HOST:PORT`, `--max-in-flight N`, `--queue-capacity N`,
 //! `--per-client-quota N`, `--max-connections N`.
 
@@ -45,8 +45,6 @@ fn main() {
             "--connected" => cfg.svc.shard_policy = ShardPolicy::Connected,
             "--fuse-threshold" => cfg.svc.fuse_threshold = num("--fuse-threshold"),
             "--cache-capacity" => cfg.svc.cache_capacity = num("--cache-capacity"),
-            "--cache-persist" => cfg.svc.cache_persist = Some(next("--cache-persist").into()),
-            "--semantic-vars" => cfg.svc.semantic_max_vars = num("--semantic-vars"),
             "--max-in-flight" => cfg.admission.max_in_flight = num("--max-in-flight").max(1),
             "--queue-capacity" => cfg.admission.queue_capacity = num("--queue-capacity"),
             "--per-client-quota" => cfg.admission.per_client_max = num("--per-client-quota").max(1),
@@ -56,8 +54,7 @@ fn main() {
                 println!(
                     "usage: net [--addr HOST:PORT] [--workers N] [--exec-threads N] \
                      [--deadline-ms N] [--sat] [--connected] [--fuse-threshold N] \
-                     [--cache-capacity N] [--cache-persist PATH] [--semantic-vars N] \
-                     [--max-in-flight N] [--queue-capacity N] \
+                     [--cache-capacity N] [--max-in-flight N] [--queue-capacity N] \
                      [--per-client-quota N] [--max-connections N] [--trace PATH]"
                 );
                 println!("serves JSON-lines requests over TCP; see crate docs");

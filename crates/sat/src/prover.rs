@@ -556,8 +556,6 @@ pub struct ProverStats {
     pub raced_classes: u64,
     /// Classes decided by a sequential pass.
     pub sequential_classes: u64,
-    /// Routing hints replayed from the result cache.
-    pub routing_hints: u64,
 }
 
 /// The outcome of dispatching one class.
@@ -590,7 +588,6 @@ struct AtomicStats {
     elapsed_micros: [AtomicU64; metrics::PROVE_ENGINE_SLOTS],
     raced_classes: AtomicU64,
     sequential_classes: AtomicU64,
-    routing_hints: AtomicU64,
 }
 
 /// The proving dispatcher.
@@ -682,19 +679,6 @@ impl Prover {
         Difficulty::analyze(cone, self.support_cap, self.cone_cap)
     }
 
-    /// Pre-seeds the difficulty model from a persisted `(engine, cost)`
-    /// routing record of a cone with `ands` gates, so a restarted
-    /// dispatcher routes like the one that wrote the record. Only the
-    /// cone's size is needed: it selects the model bucket.
-    pub fn observe_hint(&self, engine: EngineKind, ands: usize, cost_micros: u64) {
-        let difficulty = Difficulty {
-            ands,
-            ..Difficulty::default()
-        };
-        self.model.observe(engine, &difficulty, cost_micros, true);
-        self.stats.routing_hints.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// The shared difficulty model.
     pub fn model(&self) -> &DifficultyModel {
         &self.model
@@ -717,7 +701,6 @@ impl Prover {
             elapsed_micros: load(&self.stats.elapsed_micros),
             raced_classes: self.stats.raced_classes.load(Ordering::Relaxed),
             sequential_classes: self.stats.sequential_classes.load(Ordering::Relaxed),
-            routing_hints: self.stats.routing_hints.load(Ordering::Relaxed),
         }
     }
 
@@ -1218,19 +1201,6 @@ mod tests {
             model.observe(EngineKind::ExhaustivePo, &d, 100, false);
         }
         assert!(model.expected_decision_micros(EngineKind::ExhaustivePo, &d, 50) > 1000.0);
-    }
-
-    #[test]
-    fn routing_hints_pre_seed_the_model() {
-        let p = Prover::default();
-        let d = Difficulty {
-            ands: 64,
-            ..Difficulty::default()
-        };
-        assert_eq!(p.model().attempts(EngineKind::SatSweep, &d), 0);
-        p.observe_hint(EngineKind::SatSweep, 64, 1234);
-        assert_eq!(p.model().attempts(EngineKind::SatSweep, &d), 1);
-        assert_eq!(p.stats().routing_hints, 1);
     }
 
     #[test]

@@ -49,12 +49,9 @@ pub use cex::Cex;
 pub use classes::{
     find_po_counterexample, refine_classes, signature_classes, signature_classes_among,
 };
-pub use cone::cone_truth_table;
+pub use cone::{cone_truth_table, MAX_CONE_VARS};
 pub use exhaustive::{
     check_windows, check_windows_cancellable, PairOutcome, SimEffort, DEFAULT_MEMORY_WORDS,
-};
-pub use npn::{
-    apply_npn, lift_index, npn_canonical, npn_equivalent, push_index, NpnTransform, MAX_NPN_VARS,
 };
 pub use odc::{check_replaceable, Fanouts, OdcCandidate, OdcConfig, OdcMasks};
 pub use partial::{simulate, simulate_cone, Patterns, Signatures};

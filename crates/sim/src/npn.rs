@@ -5,6 +5,10 @@
 //! Canonical forms let rewriting engines and function caches treat all
 //! 2^2^k functions as a few hundred classes (e.g. 222 for k = 4); this is
 //! the standard machinery behind ABC-style rewriting libraries.
+//!
+//! Nothing on the proving path canonicalizes: at `k = 5` one canonical
+//! form costs `k!·2^k·2` = 7680 transforms, far more than deciding a
+//! miter cone from its table ([`cone_truth_table`](crate::cone_truth_table)).
 
 use crate::tt::TruthTable;
 
@@ -266,8 +270,8 @@ mod tests {
     #[test]
     fn canonical_cex_lifts_back_to_the_source() {
         // For every canonical-space assignment i, the lifted source index
-        // evaluates to canon(i) xor output_neg — the invariant the
-        // semantic cache relies on to replay counterexamples.
+        // evaluates to canon(i) xor output_neg — the invariant a cache
+        // keyed by canonical form needs to replay counterexamples.
         let mut rng = parsweep_aig::random::SplitMix64::new(7);
         for _ in 0..20 {
             let f = TruthTable::from_fn(4, |_| rng.bool());

@@ -28,14 +28,8 @@
 //! undecided), `--connected` (shard by connected components instead of
 //! per output), `--fuse-threshold N` (batch cone shards below N nodes
 //! into fused dispatches; 0 disables), `--cache-capacity N`
-//! (LRU bound of each of the structural cache tier, the semantic cache
-//! tier and the whole-job memo; 0 disables all three), `--cache-persist PATH`
-//! (append settled semantic verdicts to PATH and load them back on
-//! start, so a restarted service keeps its semantic cache corpus —
-//! missing files start fresh, corrupt lines are skipped),
-//! `--semantic-vars N` (largest cone input count the semantic
-//! NPN-canonical cache tier keys, at most 6; 0 disables the tier),
-//! `--trace PATH` (write a
+//! (LRU bound of each of the cone result cache and the whole-job memo;
+//! 0 disables both), `--trace PATH` (write a
 //! Chrome-trace JSON of the whole run at exit; also honoured from the
 //! `PARSWEEP_TRACE` environment variable; needs a build with the `trace`
 //! feature to record anything).
@@ -72,14 +66,11 @@ fn main() {
             "--connected" => cfg.shard_policy = ShardPolicy::Connected,
             "--fuse-threshold" => cfg.fuse_threshold = num("--fuse-threshold"),
             "--cache-capacity" => cfg.cache_capacity = num("--cache-capacity"),
-            "--cache-persist" => cfg.cache_persist = Some(next("--cache-persist").into()),
-            "--semantic-vars" => cfg.semantic_max_vars = num("--semantic-vars"),
             "--trace" => trace_path = Some(next("--trace")),
             "--help" | "-h" => {
                 println!(
                     "usage: svc [--workers N] [--exec-threads N] [--deadline-ms N] [--sat] \
-                     [--connected] [--fuse-threshold N] [--cache-capacity N] \
-                     [--cache-persist PATH] [--semantic-vars N] [--trace PATH]"
+                     [--connected] [--fuse-threshold N] [--cache-capacity N] [--trace PATH]"
                 );
                 println!("reads JSON-lines requests on stdin; see module docs");
                 return;

@@ -211,6 +211,10 @@ pub fn result_fields(result: &JobResult) -> Vec<(&'static str, JsonValue)> {
             JsonValue::Num(result.stats.cache_misses as f64),
         ),
         (
+            "table_decided",
+            JsonValue::Num(result.stats.table_decided as f64),
+        ),
+        (
             "queue_wait_ms",
             JsonValue::Num(result.stats.queue_wait.as_secs_f64() * 1000.0),
         ),
@@ -240,6 +244,10 @@ pub fn stats_fields(svc: &CecService) -> Vec<(&'static str, JsonValue)> {
         ("jobs_submitted", JsonValue::Num(s.jobs_submitted as f64)),
         ("jobs_completed", JsonValue::Num(s.jobs_completed as f64)),
         ("shards", JsonValue::Num(s.shards_total as f64)),
+        (
+            "shards_table_decided",
+            JsonValue::Num(s.shards_table_decided as f64),
+        ),
         ("fused_shards", JsonValue::Num(s.fused_shards as f64)),
         (
             "fused_dispatches",
@@ -249,18 +257,10 @@ pub fn stats_fields(svc: &CecService) -> Vec<(&'static str, JsonValue)> {
         ("cache_misses", JsonValue::Num(s.cache_misses as f64)),
         ("cache_hit_rate", JsonValue::Num(s.cache_hit_rate())),
         ("cache_evictions", JsonValue::Num(s.cache_evictions as f64)),
-        (
-            "cache_semantic_hits",
-            JsonValue::Num(s.cache_semantic_hits as f64),
-        ),
-        (
-            "cache_persist_loaded",
-            JsonValue::Num(s.cache_persist_loaded as f64),
-        ),
-        (
-            "cache_persist_appended",
-            JsonValue::Num(s.cache_persist_appended as f64),
-        ),
+        // The semantic cache tier is gone; the key stays, always 0, only
+        // because the benchmark's per-layer pass still reads it. A
+        // benchmark change drops it.
+        ("cache_semantic_hits", JsonValue::Num(0.0)),
         ("job_memo_hits", JsonValue::Num(s.job_memo_hits as f64)),
         ("cancellations", JsonValue::Num(s.cancellations as f64)),
         ("worker_utilization", JsonValue::Num(s.worker_utilization)),

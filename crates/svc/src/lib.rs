@@ -14,11 +14,14 @@
 //!   phase boundaries and the SAT fallback's budget checks, so a
 //!   deadline produces a prompt *partial* verdict — `Undecided`, never a
 //!   wrong answer.
-//! * **Result cache** ([`ResultCache`]): cones are keyed by canonical
-//!   structural hash (verified exactly), so repeated traffic — reruns,
-//!   `double`d benchmarks, shared blocks — settles without re-proving.
-//!   It, the whole-job memo and the front-ends' file cache are all one
-//!   bounded, verify-before-serve store.
+//! * **Small cones are decided, not cached**: a single-output shard over
+//!   at most [`MAX_CONE_VARS`](parsweep_sim::MAX_CONE_VARS) inputs settles
+//!   from its one-word truth table — the table *is* the proof.
+//! * **Result cache** ([`ResultCache`]): larger cones are keyed by
+//!   canonical structural hash (verified exactly), so repeated traffic —
+//!   reruns, `double`d benchmarks, shared blocks — settles without
+//!   re-proving. It, the whole-job memo and the front-ends' file cache are
+//!   all one bounded, verify-before-serve store.
 //! * **Front-end**: the `svc` binary speaks flat JSON lines on
 //!   stdin/stdout ([`jsonl`]); [`SvcStats`] reports queue wait, shard
 //!   counts, cache hit rate and worker utilization.
@@ -47,16 +50,14 @@
 mod cache;
 pub mod frontend;
 pub mod jsonl;
-pub mod persist;
 mod pool;
-pub mod semantic;
+mod semantic;
 mod service;
 mod shard;
 pub mod shutdown;
 
-pub use cache::{PersistSummary, ResultCache, RoutingInfo, DEFAULT_CACHE_CAPACITY};
+pub use cache::{ResultCache, DEFAULT_CACHE_CAPACITY};
 pub use pool::{Lane, WorkerPool};
-pub use semantic::{semantic_signature, SemanticKey, SemanticSig, DEFAULT_SEMANTIC_MAX_VARS};
 pub use service::{
     CecService, ClientStats, JobId, JobResult, JobStats, SubmitOpts, SvcConfig, SvcStats,
 };

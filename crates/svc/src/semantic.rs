@@ -1,158 +1,113 @@
-//! NPN-canonical cone signatures — the keys of the semantic cache tier.
+//! The semantic tier of the settle path: small cones decided by what
+//! they compute, not looked up by how they are built.
 //!
-//! A structural key only collapses *identical* cones. Repeat-heavy
-//! service traffic is full of cones that are functionally the same logic
-//! dressed in different structure (resynthesized blocks, permuted or
-//! negated inputs, inverted outputs). For small cones we can afford an
-//! exact semantic identity: compute the cone's truth table
-//! ([`cone_truth_table`]), canonicalize it under NPN equivalence
-//! ([`npn_canonical`]), and key the verdict by the canonical word vector.
-//! The stored [`NpnTransform`] of each probe lifts canonical-space
-//! counterexamples back onto the probing cone's own inputs.
-//!
-//! Soundness does not rest on trusting the cached entry: the canonical
-//! table is recomputed from the candidate cone at probe time, key
-//! equality is full word-vector equality (not a 64-bit digest), and a
-//! served counterexample is re-evaluated on the candidate cone before it
-//! leaves the cache. A corrupt entry can cost a miss, never a verdict.
+//! A structural key only recognizes cones it has seen before. A
+//! single-output cone over at most
+//! [`MAX_CONE_VARS`](parsweep_sim::MAX_CONE_VARS) inputs needs no key
+//! at all: its whole function is one 64-bit word ([`cone_truth_table`]),
+//! and a miter cone is equivalent exactly when that function is constant
+//! false. Computing the table is therefore the proof — no cache probe,
+//! no engine — so a structurally new cone settles as fast as a repeat,
+//! and its counter-example is read off its own table.
 
 use parsweep_aig::Aig;
-use parsweep_sim::{cone_truth_table, lift_index, npn_canonical, Cex, NpnTransform, TruthTable};
+use parsweep_sat::Verdict;
+use parsweep_sim::{cone_truth_table, Cex, TruthTable};
 
-/// Default bound on cone inputs for semantic keying. Canonicalization is
-/// exhaustive over `k! * 2^k * 2` transforms, so each extra variable
-/// multiplies the one-off keying cost; 5 inputs (7680 transforms) keeps
-/// it well under the cost of proving anything non-trivial, while 6
-/// (92160) is usually worth it only for repeat-dominated traffic.
-pub const DEFAULT_SEMANTIC_MAX_VARS: usize = 5;
-
-/// The semantic identity of a cone: its NPN-canonical truth table as an
-/// exact word vector. Two cones share a `SemanticKey` iff their functions
-/// are NPN-equivalent — full-width equality, no digest collisions.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct SemanticKey {
-    num_vars: u8,
-    words: Vec<u64>,
+/// Decides a miter cone from its truth table, or `None` when the cone
+/// does not qualify (more than one PO, or more than
+/// [`MAX_CONE_VARS`](parsweep_sim::MAX_CONE_VARS) PIs). The verdict is
+/// over the cone's own PIs.
+pub(crate) fn table_decision(cone: &Aig) -> Option<Verdict> {
+    cone_truth_table(cone).map(|table| table_verdict(&table))
 }
 
-impl SemanticKey {
-    /// The key of a canonical (masked) truth table.
-    pub fn of(canon: &TruthTable) -> Self {
-        let canon = canon.masked();
-        SemanticKey {
-            num_vars: canon.num_vars() as u8,
-            words: canon.words().to_vec(),
-        }
+/// The verdict of a miter cone with the one-word truth table `table`:
+/// all zero proves the cone, and otherwise the lowest firing assignment
+/// is the counter-example (the empty one for a constant-true cone
+/// without inputs). Only the `2^k` valid bits are read: the word's upper
+/// bits are don't-cares for `k < 6`.
+pub(crate) fn table_verdict(table: &TruthTable) -> Verdict {
+    let word = table.masked().words()[0];
+    if word == 0 {
+        return Verdict::Equivalent;
     }
-
-    /// Number of variables of the keyed function.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars as usize
-    }
+    let fires = word.trailing_zeros() as usize;
+    Verdict::NotEquivalent(index_to_cex(table.num_vars(), fires))
 }
 
-/// A cone's semantic signature: the canonical key plus everything needed
-/// to translate between the cone's own input space and canonical space.
-#[derive(Clone, Debug)]
-pub struct SemanticSig {
-    /// Canonical identity (the cache key).
-    pub key: SemanticKey,
-    /// The canonical truth table itself, recomputed from the cone.
-    pub canon: TruthTable,
-    /// The transform mapping the cone's table onto `canon`.
-    pub transform: NpnTransform,
-}
-
-/// Computes a cone's semantic signature, or `None` when the cone does
-/// not qualify (more than one PO, or more than `max_vars` PIs).
-pub fn semantic_signature(cone: &Aig, max_vars: usize) -> Option<SemanticSig> {
-    let tt = cone_truth_table(cone, max_vars)?;
-    let (canon, transform) = npn_canonical(&tt);
-    Some(SemanticSig {
-        key: SemanticKey::of(&canon),
-        canon,
-        transform,
-    })
-}
-
-/// Packs a cone counterexample into its assignment index (bit `i` of the
-/// index is PI `i`'s value).
-pub fn cex_to_index(cex: &Cex) -> usize {
-    cex.inputs()
-        .iter()
-        .enumerate()
-        .fold(0, |acc, (i, &b)| acc | ((b as usize) << i))
-}
-
-/// Pushes a cone-space assignment index into canonical space through the
-/// signature's transform (the inverse of [`index_to_cex`]'s lifting).
-pub fn push_index_of(sig: &SemanticSig, src_index: usize) -> usize {
-    parsweep_sim::push_index(&sig.transform, sig.canon.num_vars(), src_index)
-}
-
-/// Lifts a canonical-space assignment index back through a signature's
-/// transform into a counterexample over the cone's own PIs.
-pub fn index_to_cex(sig: &SemanticSig, canon_index: usize) -> Cex {
-    let k = sig.canon.num_vars();
-    let src = lift_index(&sig.transform, k, canon_index);
-    Cex::new((0..k).map(|i| src >> i & 1 == 1).collect())
+/// Decodes an assignment index over `k` PIs (bit `i` is PI `i`'s value)
+/// into a counter-example.
+fn index_to_cex(k: usize, index: usize) -> Cex {
+    Cex::new((0..k).map(|i| index >> i & 1 == 1).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parsweep_sim::MAX_CONE_VARS;
 
-    fn cone(build: impl FnOnce(&mut Aig, &[parsweep_aig::Lit]) -> parsweep_aig::Lit) -> Aig {
+    fn and_cone(k: usize) -> Aig {
         let mut aig = Aig::new();
-        let xs = aig.add_inputs(3);
-        let f = build(&mut aig, &xs);
+        let xs = aig.add_inputs(k);
+        let f = aig.and_all(xs.iter().copied());
         aig.add_po(f);
         aig
     }
 
     #[test]
-    fn npn_variants_share_a_key() {
-        // f = (a & b) | c  vs  g = !(!x2 | !x1) | x0 with permuted inputs:
-        // same function family up to NPN, very different structure.
-        let f = cone(|a, xs| {
-            let t = a.and(xs[0], xs[1]);
-            a.or(t, xs[2])
-        });
-        let g = cone(|a, xs| {
-            let t = a.or(!xs[2], !xs[1]);
-            a.or(!t, xs[0])
-        });
-        let sf = semantic_signature(&f, 6).unwrap();
-        let sg = semantic_signature(&g, 6).unwrap();
-        assert_eq!(sf.key, sg.key);
-        assert!(!f.same_structure(&g));
-    }
-
-    #[test]
     fn lifted_index_round_trips_to_a_firing_cex() {
-        let f = cone(|a, xs| {
-            let t = a.xor(xs[0], xs[1]);
-            a.and(t, !xs[2])
-        });
-        let sig = semantic_signature(&f, 6).unwrap();
-        for i in 0..sig.canon.num_bits() {
-            let cex = index_to_cex(&sig, i);
-            // canon(i) != output_neg  <=>  the cone fires on the lifted cex.
-            assert_eq!(
-                cex.fires(&f),
-                sig.canon.value(i) != sig.transform.output_neg,
-                "canonical index {i}"
-            );
+        let mut f = Aig::new();
+        let xs = f.add_inputs(3);
+        let t = f.xor(xs[0], xs[1]);
+        let g = f.and(t, !xs[2]);
+        f.add_po(g);
+        let table = cone_truth_table(&f).unwrap();
+        for i in 0..table.num_bits() {
+            let cex = index_to_cex(3, i);
+            let back = cex
+                .inputs()
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (j, &b)| acc | (b as usize) << j);
+            assert_eq!(back, i, "index {i} round trips");
+            assert_eq!(cex.fires(&f), table.value(i), "index {i}");
         }
+        // The decision serves the lowest firing index: 0b001.
+        assert_eq!(
+            table_decision(&f),
+            Some(Verdict::NotEquivalent(index_to_cex(3, 1)))
+        );
     }
 
     #[test]
     fn oversized_cones_do_not_qualify() {
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs(6);
-        let f = aig.and_all(xs.iter().copied());
-        aig.add_po(f);
-        assert!(semantic_signature(&aig, 5).is_none());
-        assert!(semantic_signature(&aig, 6).is_some());
+        assert!(table_decision(&and_cone(MAX_CONE_VARS + 1)).is_none());
+        let all_ones = Cex::new(vec![true; MAX_CONE_VARS]);
+        assert_eq!(
+            table_decision(&and_cone(MAX_CONE_VARS)),
+            Some(Verdict::NotEquivalent(all_ones))
+        );
+        let mut two = Aig::new();
+        let ys = two.add_inputs(2);
+        two.add_po(ys[0]);
+        two.add_po(ys[1]);
+        assert!(table_decision(&two).is_none(), "2 POs");
+    }
+
+    #[test]
+    fn dirty_upper_bits_never_yield_a_table_cex() {
+        // Raw simulation words of a cone over k < 6 inputs carry
+        // don't-care bits above 2^k: whatever they hold, only the valid
+        // bits decide.
+        for k in 0..MAX_CONE_VARS {
+            let valid = (1u64 << (1 << k)) - 1;
+            let dirty = TruthTable::from_sim_words(k, vec![!valid]);
+            assert_eq!(table_verdict(&dirty), Verdict::Equivalent, "k={k}");
+            let top = 1 << (valid.count_ones() - 1);
+            let last = TruthTable::from_sim_words(k, vec![!valid | top]);
+            let want = Cex::new(vec![true; k]);
+            assert_eq!(table_verdict(&last), Verdict::NotEquivalent(want), "k={k}");
+        }
     }
 }

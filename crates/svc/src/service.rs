@@ -3,11 +3,13 @@
 //! Each submitted miter is sharded into output-cone sub-jobs
 //! ([`crate::shard`]), which a work-stealing pool ([`crate::pool`])
 //! drives through the `parsweep-core` engine on per-worker executors.
-//! Every shard first consults the structural result cache
-//! ([`crate::cache`]); per-job [`CancelToken`]s carry deadlines and
-//! client cancellations into the engine's phase boundaries, so a job
-//! that runs out of time settles promptly on a *partial* — never wrong —
-//! verdict.
+//! A single-PO shard over at most
+//! [`MAX_CONE_VARS`](parsweep_sim::MAX_CONE_VARS) inputs is decided from
+//! its one-word truth table ([`crate::semantic`]); every other shard
+//! first consults the structural result cache ([`crate::cache`]).
+//! Per-job [`CancelToken`]s carry deadlines and client cancellations
+//! into the engine's phase boundaries, so a job that runs out of time
+//! settles promptly on a *partial* — never wrong — verdict.
 //!
 //! The service is the shared core of both front-ends: the single-client
 //! stdin loop (`svc` binary) and the multi-client TCP server
@@ -31,7 +33,7 @@ use parsweep_core::{
     build_prover, combined_check_with_prover, sim_sweep_cancellable, CombinedConfig, EngineConfig,
 };
 use parsweep_par::{CancelToken, Executor, LaunchStats};
-use parsweep_sat::{EngineKind, ProveOutcome, Prover, SweepConfig, Verdict};
+use parsweep_sat::{EngineKind, Prover, SweepConfig, Verdict};
 use parsweep_sim::Cex;
 use parsweep_trace as trace;
 use parsweep_trace::metrics::{
@@ -39,9 +41,9 @@ use parsweep_trace::metrics::{
 };
 use parsweep_trace::Clock;
 
-use crate::cache::{ResultCache, RoutingInfo, VerifiedCache, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{ResultCache, VerifiedCache, DEFAULT_CACHE_CAPACITY};
 use crate::pool::{Lane, WorkerPool};
-use crate::semantic::{semantic_signature, DEFAULT_SEMANTIC_MAX_VARS};
+use crate::semantic::table_decision;
 use crate::shard::{shard_miter, Shard, ShardPolicy};
 
 /// Service configuration.
@@ -72,10 +74,9 @@ pub struct SvcConfig {
     pub fuse_threshold: usize,
     /// Deadline applied to jobs submitted without an explicit one.
     pub default_deadline: Option<Duration>,
-    /// Entries each of the service's three bounded stores retains before
-    /// evicting least-recently-used ones: cone structures (structural
-    /// tier), NPN classes (semantic tier) and settled whole jobs (the job
-    /// memo). `0` disables all three.
+    /// Entries each of the service's two bounded stores retains before
+    /// evicting least-recently-used ones: cone structures (the result
+    /// cache) and settled whole jobs (the job memo). `0` disables both.
     ///
     /// The job memo keys on the submitted miter's structural hash: a
     /// duplicate submission of an already-settled miter settles instantly
@@ -86,19 +87,6 @@ pub struct SvcConfig {
     /// concurrent in-flight duplicates each prove fresh (the memo only
     /// serves *settled* results).
     pub cache_capacity: usize,
-    /// Largest cone input count the semantic cache tier keys: qualifying
-    /// single-PO cones are NPN-canonicalized so *functionally* equivalent
-    /// cones — resynthesized, input-permuted, negated — share one cached
-    /// verdict. Canonicalization enumerates `k! * 2^k * 2` transforms, so
-    /// the bound trades one-off keying cost against reach; `0` disables
-    /// the semantic tier.
-    pub semantic_max_vars: usize,
-    /// Path of the persistent semantic-verdict log. Settled canonical
-    /// verdicts are appended as they prove and loaded back on service
-    /// start, so a restarted service keeps its semantic corpus. A missing
-    /// file is a fresh start; corrupt lines are skipped, never fatal.
-    /// `None` (the default) keeps the cache purely in-memory.
-    pub cache_persist: Option<std::path::PathBuf>,
     /// Time source for every duration the service reports (queue waits,
     /// job totals). Inject a [`parsweep_trace::ManualClock`] for
     /// deterministic timing in tests; defaults to the wall clock.
@@ -117,8 +105,6 @@ impl Default for SvcConfig {
             fuse_threshold: 0,
             default_deadline: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            semantic_max_vars: DEFAULT_SEMANTIC_MAX_VARS,
-            cache_persist: None,
             clock: Arc::new(trace::WallClock::new()),
         }
     }
@@ -161,6 +147,9 @@ pub struct JobStats {
     pub cache_hits: u64,
     /// Shards that had to be proved fresh.
     pub cache_misses: u64,
+    /// Shards decided by their own truth table, without touching the
+    /// cache. With the two cache counters this accounts for every shard.
+    pub table_decided: u64,
     /// Time from submission until a worker first picked up a shard.
     pub queue_wait: Duration,
     /// Time from submission until the last shard settled.
@@ -213,6 +202,10 @@ pub struct SvcStats {
     pub jobs_completed: u64,
     /// Shards produced across all jobs.
     pub shards_total: u64,
+    /// Shards decided by their own truth table (single PO, at most
+    /// [`MAX_CONE_VARS`](parsweep_sim::MAX_CONE_VARS)
+    /// inputs), never probing or filling the cache.
+    pub shards_table_decided: u64,
     /// Shards that rode a fused (batched) dispatch.
     pub fused_shards: u64,
     /// Fused dispatches issued (each carrying ≥ 2 shards).
@@ -225,17 +218,6 @@ pub struct SvcStats {
     pub cache_len: usize,
     /// Cache entries dropped by the LRU capacity bound.
     pub cache_evictions: u64,
-    /// Semantic hits on entries loaded from the persistent log whose
-    /// routing record was replayed into the prover's difficulty model
-    /// (at most one per loaded entry).
-    pub cache_routing_hits: u64,
-    /// Cache hits served by the semantic (NPN-canonical) tier: the cone
-    /// was structurally new but functionally equivalent to a settled one.
-    pub cache_semantic_hits: u64,
-    /// Semantic verdicts loaded from the persistent log at start.
-    pub cache_persist_loaded: u64,
-    /// Semantic verdicts appended to the persistent log this run.
-    pub cache_persist_appended: u64,
     /// Jobs that settled with their cancel token tripped (deadline or
     /// explicit cancellation).
     pub cancellations: u64,
@@ -267,17 +249,17 @@ impl fmt::Display for SvcStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "jobs {}/{} | shards {} ({} fused in {} dispatches) | \
-             cache {:.0}% of {} lookups ({} semantic; {} cones, {} evicted) | \
+            "jobs {}/{} | shards {} ({} by table, {} fused in {} dispatches) | \
+             cache {:.0}% of {} lookups ({} cones, {} evicted) | \
              {} memoized | {} cancelled | workers {:.0}% busy",
             self.jobs_completed,
             self.jobs_submitted,
             self.shards_total,
+            self.shards_table_decided,
             self.fused_shards,
             self.fused_dispatches,
             100.0 * self.cache_hit_rate(),
             self.cache_hits + self.cache_misses,
-            self.cache_semantic_hits,
             self.cache_len,
             self.cache_evictions,
             self.job_memo_hits,
@@ -295,6 +277,7 @@ struct JobAgg {
     cex: Option<Cex>,
     cache_hits: u64,
     cache_misses: u64,
+    table_decided: u64,
     /// Clock reading when a worker first picked up a shard.
     first_start: Option<Duration>,
     result: Option<JobResult>,
@@ -427,8 +410,11 @@ impl JobShared {
                 }
                 Verdict::Undecided => agg.undecided += 1,
             }
-            agg.cache_hits += u64::from(local.cache_hit);
-            agg.cache_misses += u64::from(!local.cache_hit);
+            match local.source {
+                Source::Cache => agg.cache_hits += 1,
+                Source::Table => agg.table_decided += 1,
+                Source::Engine => agg.cache_misses += 1,
+            }
             agg.remaining -= 1;
             if agg.remaining > 0 {
                 return;
@@ -446,6 +432,7 @@ impl JobShared {
                     fused_shards: self.fused_shards,
                     cache_hits: agg.cache_hits,
                     cache_misses: agg.cache_misses,
+                    table_decided: agg.table_decided,
                     queue_wait: agg
                         .first_start
                         .map(|t| t.saturating_sub(self.submitted))
@@ -522,7 +509,30 @@ impl JobShared {
 
 struct ShardOutcome {
     verdict: Verdict,
-    cache_hit: bool,
+    source: Source,
+}
+
+/// Where a shard's verdict came from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// A verified result-cache hit.
+    Cache,
+    /// The cone's own truth table; the cache was never consulted.
+    Table,
+    /// Anything else counts as a cache miss: a fresh engine run, a
+    /// shard skipped by its tripped token, or one whose proof panicked.
+    Engine,
+}
+
+impl Source {
+    /// The `source` argument of the shard's `job.verdict` trace instant.
+    fn name(self) -> &'static str {
+        match self {
+            Source::Cache => "cache",
+            Source::Table => "table",
+            Source::Engine => "engine",
+        }
+    }
 }
 
 /// One shard's dispatchable payload: the extracted cone, its cache key,
@@ -550,7 +560,8 @@ struct ShardProver {
     /// what makes the difficulty model learn from every shard, not just a
     /// worker's own slice of the traffic.
     prover: Prover,
-    semantic_max_vars: usize,
+    /// Shards settled by their truth table ([`crate::semantic`]).
+    table_decided: AtomicU64,
 }
 
 /// A multi-client combinational-equivalence-checking job service.
@@ -598,28 +609,9 @@ impl CecService {
         let execs = (0..pool.workers())
             .map(|_| Executor::with_threads(cfg.exec_threads.max(1)))
             .collect();
-        let mut cache = ResultCache::with_capacity(cfg.cache_capacity);
-        if let Some(path) = &cfg.cache_persist {
-            // A damaged or unwritable corpus degrades to a cold cache,
-            // never a dead service: log and carry on.
-            match cache.attach_persist(path) {
-                Ok(summary) => trace::instant(
-                    "svc",
-                    "cache.persist_loaded",
-                    vec![
-                        ("loaded", trace::ArgValue::U64(summary.loaded as u64)),
-                        ("skipped", trace::ArgValue::U64(summary.skipped as u64)),
-                    ],
-                ),
-                Err(e) => eprintln!(
-                    "parsweep-svc: cache persistence at {} unavailable: {e}",
-                    path.display()
-                ),
-            }
-        }
         let prove = Arc::new(ShardProver {
             execs,
-            cache,
+            cache: ResultCache::with_capacity(cfg.cache_capacity),
             flow: CombinedConfig {
                 engine: cfg.engine.clone(),
                 sat: cfg.sat.clone(),
@@ -627,7 +619,7 @@ impl CecService {
             },
             sat_fallback: cfg.sat_fallback,
             prover,
-            semantic_max_vars: cfg.semantic_max_vars,
+            table_decided: AtomicU64::new(0),
         });
         let shared = Arc::new(SvcShared::new(cfg.cache_capacity));
         CecService {
@@ -748,6 +740,7 @@ impl CecService {
                 cex: None,
                 cache_hits: 0,
                 cache_misses: 0,
+                table_decided: 0,
                 first_start: None,
                 result: None,
             }),
@@ -805,12 +798,12 @@ impl CecService {
                     svc_shared.worker_panics.fetch_add(1, Ordering::Relaxed);
                     ShardOutcome {
                         verdict: Verdict::Undecided,
-                        cache_hit: false,
+                        source: Source::Engine,
                     }
                 });
                 let lifted = ShardOutcome {
                     verdict: lift_verdict(outcome.verdict, &task.cone, &task.lift, parent_pis),
-                    cache_hit: outcome.cache_hit,
+                    source: outcome.source,
                 };
                 // The final settle can wake a drainer that immediately
                 // exports the trace, so the span must close first: an
@@ -880,16 +873,13 @@ impl CecService {
             jobs_submitted: self.next_id.load(Ordering::Relaxed) - 1,
             jobs_completed: self.shared.completed_jobs.load(Ordering::Relaxed),
             shards_total: self.shards_total.load(Ordering::Relaxed),
+            shards_table_decided: self.prove.table_decided.load(Ordering::Relaxed),
             fused_shards: self.shared.fused_shards.load(Ordering::Relaxed),
             fused_dispatches: self.shared.fused_dispatches.load(Ordering::Relaxed),
             cache_hits: self.prove.cache.hits(),
             cache_misses: self.prove.cache.misses(),
             cache_len: self.prove.cache.len(),
             cache_evictions: self.prove.cache.evictions(),
-            cache_routing_hits: self.prove.cache.routing_hits(),
-            cache_semantic_hits: self.prove.cache.semantic_hits(),
-            cache_persist_loaded: self.prove.cache.persist_loaded(),
-            cache_persist_appended: self.prove.cache.persist_appended(),
             cancellations: self.shared.cancellations.load(Ordering::Relaxed),
             job_memo_hits: self.shared.memo.hits(),
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
@@ -985,6 +975,12 @@ impl CecService {
         );
         render_counter(
             &mut out,
+            "parsweep_shards_table_decided_total",
+            "Shards decided by their own truth table, without the result cache.",
+            stats.shards_table_decided,
+        );
+        render_counter(
+            &mut out,
             "parsweep_fused_shards_total",
             "Shards batched into fused dispatches instead of their own.",
             stats.fused_shards,
@@ -1030,30 +1026,6 @@ impl CecService {
             "parsweep_cache_evictions_total",
             "Result-cache entries dropped by the LRU capacity bound.",
             stats.cache_evictions,
-        );
-        render_counter(
-            &mut out,
-            "parsweep_cache_routing_hits",
-            "Persisted semantic entries whose routing record was replayed into the prover.",
-            stats.cache_routing_hits,
-        );
-        render_counter(
-            &mut out,
-            "parsweep_cache_semantic_hits_total",
-            "Cache hits served by the semantic (NPN-canonical) tier for structurally new cones.",
-            stats.cache_semantic_hits,
-        );
-        render_counter(
-            &mut out,
-            "parsweep_cache_persist_loaded_total",
-            "Semantic verdicts loaded from the persistent log at service start.",
-            stats.cache_persist_loaded,
-        );
-        render_counter(
-            &mut out,
-            "parsweep_cache_persist_appended_total",
-            "Semantic verdicts appended to the persistent log this run.",
-            stats.cache_persist_appended,
         );
         render_gauge(
             &mut out,
@@ -1273,15 +1245,16 @@ fn plan_dispatches(
 }
 
 impl ShardProver {
-    /// Settles one cone on `worker`'s executor: structural cache first,
-    /// then the semantic (NPN-canonical) tier for qualifying small cones,
-    /// the sim engine otherwise — followed, under `sat_fallback`, by the
-    /// shared dispatcher on what the engine leaves undecided. A hit never
-    /// analyzes the cone; the only thing it can feed the prover is the
-    /// routing record of a persisted semantic entry, once. Every settle
-    /// of a semantically keyable cone also lands in the semantic tier, so
-    /// the *next* functionally identical cone hits even if its structure
-    /// differs. The returned verdict is over the *cone's* PIs.
+    /// Settles one cone on `worker`'s executor. A single-PO cone over at
+    /// most [`MAX_CONE_VARS`](parsweep_sim::MAX_CONE_VARS) inputs is
+    /// decided by its truth table ([`crate::semantic`]) and never touches the
+    /// cache or an engine: the table is one pass over the cone, no dearer
+    /// than verifying a cache hit, so caching its verdict would only crowd
+    /// out cones an engine had to prove. Any other cone probes the
+    /// structural cache, then runs the sim engine — followed, under
+    /// `sat_fallback`, by the shared dispatcher on what the engine leaves
+    /// undecided — and caches the verdict. A hit never touches the prover.
+    /// The returned verdict is over the *cone's* PIs.
     fn prove_shard(
         &self,
         cone: &Aig,
@@ -1289,78 +1262,40 @@ impl ShardProver {
         worker: usize,
         token: &CancelToken,
     ) -> ShardOutcome {
-        let settled = |verdict, source: &str, cache_hit| {
+        let settled = |verdict, source: Source| {
             trace::instant(
                 "svc",
                 "job.verdict",
-                vec![("source", trace::ArgValue::Str(source.into()))],
+                vec![("source", trace::ArgValue::Str(source.name().into()))],
             );
-            ShardOutcome { verdict, cache_hit }
+            ShardOutcome { verdict, source }
         };
         if token.is_cancelled() {
             // Skipped entirely: no cache lookup, no engine run.
             return ShardOutcome {
                 verdict: Verdict::Undecided,
-                cache_hit: false,
+                source: Source::Engine,
             };
+        }
+        if let Some(verdict) = table_decision(cone) {
+            self.table_decided.fetch_add(1, Ordering::Relaxed);
+            return settled(verdict, Source::Table);
         }
         let cached = {
             let _span = trace::span("svc", "job.cache_probe");
             self.cache.lookup(hash, cone)
         };
         if let Some(verdict) = cached {
-            return settled(verdict, "cache", true);
-        }
-        // Structural miss: for small single-PO cones, canonicalize and
-        // probe the semantic tier. The signature is computed once and
-        // reused for the post-engine insert below.
-        let sig = if self.semantic_max_vars > 0 {
-            let _span = trace::span("svc", "job.semantic_key");
-            semantic_signature(cone, self.semantic_max_vars)
-        } else {
-            None
-        };
-        if let Some(sig) = &sig {
-            if let Some((verdict, replay)) = self.cache.lookup_semantic(cone, sig) {
-                if let Some(route) = replay {
-                    // A verdict proved before the restart: the next cold
-                    // cone of this size routes like that one did.
-                    self.prover
-                        .observe_hint(route.engine, cone.num_ands(), route.cost_micros);
-                }
-                return settled(verdict, "semantic_cache", true);
-            }
+            return settled(verdict, Source::Cache);
         }
         let exec = &self.execs[worker];
-        let (verdict, routing) = if self.sat_fallback {
-            let r = combined_check_with_prover(cone, exec, &self.flow, &self.prover, token);
-            let routing = shard_routing(r.engine_seconds, &r.dispatch);
-            (r.verdict, routing)
+        let verdict = if self.sat_fallback {
+            combined_check_with_prover(cone, exec, &self.flow, &self.prover, token).verdict
         } else {
-            let r = sim_sweep_cancellable(cone, exec, &self.flow.engine, token);
-            (r.verdict, shard_routing(r.stats.seconds, &[]))
+            sim_sweep_cancellable(cone, exec, &self.flow.engine, token).verdict
         };
         self.cache.insert(hash, cone, &verdict);
-        if let Some(sig) = &sig {
-            self.cache.insert_semantic(sig, &verdict, Some(routing));
-        }
-        settled(verdict, "engine", false)
-    }
-}
-
-/// The routing record a decided shard leaves in the persistent log: the
-/// engine that decided the most expensive dispatched cone (the one worth
-/// pre-seeding), or the sim engine itself when no residual cone was
-/// dispatched.
-fn shard_routing(engine_seconds: f64, dispatch: &[ProveOutcome]) -> RoutingInfo {
-    let (engine, seconds) = dispatch
-        .iter()
-        .filter_map(|o| o.engine.map(|e| (e, o.seconds)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .unwrap_or((EngineKind::SimSweep, engine_seconds));
-    RoutingInfo {
-        engine,
-        cost_micros: (seconds * 1e6) as u64,
+        settled(verdict, Source::Engine)
     }
 }
 
@@ -1387,26 +1322,40 @@ fn lift_verdict(verdict: Verdict, cone: &Aig, lift: &[usize], parent_pis: usize)
 mod tests {
     use super::*;
     use parsweep_aig::miter;
+    use parsweep_sim::MAX_CONE_VARS;
     use proptest::prelude::*;
 
-    /// `width` independent XOR bits over disjoint PI pairs; the two
-    /// variants build XOR differently so a miter of them does not strash
-    /// to constants.
-    fn xor_net(width: usize, variant: bool) -> Aig {
+    /// `width` independent parity bits, each over its own `arity` PIs;
+    /// the two variants build XOR differently so a miter of them does not
+    /// strash to constants.
+    fn parity_net(width: usize, arity: usize, variant: bool) -> Aig {
         let mut aig = Aig::new();
-        let xs = aig.add_inputs(width * 2);
-        for i in 0..width {
-            let (a, b) = (xs[2 * i], xs[2 * i + 1]);
-            let f = if variant {
-                let o = aig.or(a, b);
-                let n = aig.and(a, b);
-                aig.and(o, !n)
-            } else {
-                aig.xor(a, b)
-            };
+        let xs = aig.add_inputs(width * arity);
+        for group in xs.chunks(arity) {
+            let f = group[1..].iter().fold(group[0], |a, &b| {
+                if variant {
+                    let o = aig.or(a, b);
+                    let n = aig.and(a, b);
+                    aig.and(o, !n)
+                } else {
+                    aig.xor(a, b)
+                }
+            });
             aig.add_po(f);
         }
         aig
+    }
+
+    /// `width` independent XOR bits over disjoint PI pairs: miter cones
+    /// narrow enough to settle from their truth tables.
+    fn xor_net(width: usize, variant: bool) -> Aig {
+        parity_net(width, 2, variant)
+    }
+
+    /// Like [`xor_net`], but every cone is one input past the table bound,
+    /// so its shards go through the result cache and the engine.
+    fn wide_net(width: usize, variant: bool) -> Aig {
+        parity_net(width, MAX_CONE_VARS + 1, variant)
     }
 
     #[test]
@@ -1437,9 +1386,9 @@ mod tests {
 
     #[test]
     fn identical_shards_within_one_job_hit_the_cache() {
-        // Three identical XOR cones on disjoint PIs: the first one proved
-        // settles the other two from the cache.
-        let m = miter(&xor_net(3, false), &xor_net(3, true)).unwrap();
+        // Three identical parity cones on disjoint PIs: the first one
+        // proved settles the other two from the cache.
+        let m = miter(&wide_net(3, false), &wide_net(3, true)).unwrap();
         let svc = CecService::new(SvcConfig {
             workers: 1, // serialize so later shards see the first's proof
             ..SvcConfig::default()
@@ -1497,7 +1446,7 @@ mod tests {
     #[test]
     fn drain_returns_submission_order_and_clears() {
         let svc = CecService::new(SvcConfig::default());
-        let m = miter(&xor_net(2, false), &xor_net(2, true)).unwrap();
+        let m = miter(&wide_net(2, false), &wide_net(2, true)).unwrap();
         let a = svc.submit(m.clone());
         let b = svc.submit(m);
         let results = svc.drain();
@@ -1595,17 +1544,14 @@ mod tests {
         let s = SvcStats {
             jobs_submitted: 4,
             jobs_completed: 3,
-            shards_total: 12,
+            shards_total: 15,
+            shards_table_decided: 3,
             fused_shards: 4,
             fused_dispatches: 2,
             cache_hits: 6,
             cache_misses: 6,
             cache_len: 6,
             cache_evictions: 2,
-            cache_routing_hits: 0,
-            cache_semantic_hits: 3,
-            cache_persist_loaded: 0,
-            cache_persist_appended: 0,
             cancellations: 1,
             job_memo_hits: 5,
             worker_panics: 0,
@@ -1613,9 +1559,9 @@ mod tests {
         };
         let text = s.to_string();
         assert!(text.contains("jobs 3/4"), "{text}");
+        assert!(text.contains("3 by table"), "{text}");
         assert!(text.contains("4 fused in 2 dispatches"), "{text}");
         assert!(text.contains("cache 50%"), "{text}");
-        assert!(text.contains("3 semantic"), "{text}");
         assert!(text.contains("2 evicted"), "{text}");
         assert!(text.contains("5 memoized"), "{text}");
         assert!(text.contains("1 cancelled"), "{text}");
@@ -1651,26 +1597,12 @@ mod tests {
         let svc = CecService::new(SvcConfig {
             workers: 1,
             cache_capacity: 1,
-            // Both cones here compute constant 0, so the semantic tier
-            // would settle the second without a structural insert; turn
-            // it off to exercise the LRU eviction path itself.
-            semantic_max_vars: 0,
             ..SvcConfig::default()
         });
         // Two distinct cone structures through a single-entry cache: the
         // second insert evicts the first.
-        let m1 = miter(&xor_net(1, false), &xor_net(1, true)).unwrap();
-        let mut and_a = Aig::new();
-        let xs = and_a.add_inputs(2);
-        let f = and_a.and(xs[0], xs[1]);
-        and_a.add_po(f);
-        let mut and_b = Aig::new();
-        let ys = and_b.add_inputs(2);
-        let both = and_b.and(ys[0], ys[1]);
-        let either = and_b.or(ys[0], ys[1]);
-        let g = and_b.and(both, either);
-        and_b.add_po(g);
-        let m2 = miter(&and_a, &and_b).unwrap();
+        let m1 = miter(&wide_net(1, false), &wide_net(1, true)).unwrap();
+        let m2 = wide_and_miter(MAX_CONE_VARS + 1, false);
         svc.submit(m1);
         svc.submit(m2);
         svc.drain();
@@ -1754,11 +1686,9 @@ mod tests {
             assert!(!r.stats.memo_hit);
             assert_eq!((r.stats.cache_hits, r.stats.cache_misses), (1, 0));
         }
-        // A hit on an entry this process proved itself is not a fresh
-        // win: no attempt, no routing hint, no analysis reaches the
-        // dispatcher.
+        // A cache hit is not a fresh win: no attempt and no analysis
+        // reaches the dispatcher.
         assert_eq!(svc.prover_stats(), proved);
-        assert_eq!(svc.stats().cache_routing_hits, 0);
     }
 
     /// Panics on its first call, never decides afterwards.
@@ -1847,14 +1777,13 @@ mod tests {
             text.contains("parsweep_prove_engine_cancelled_total{engine=\"sat_sweep\"}"),
             "{text}"
         );
-        assert!(text.contains("parsweep_cache_routing_hits"), "{text}");
         assert!(text.contains("parsweep_worker_panics_total 0"), "{text}");
     }
 
     #[test]
     fn metrics_text_renders_fleet_counters() {
         let svc = CecService::new(SvcConfig::default());
-        let m = miter(&xor_net(2, false), &xor_net(2, true)).unwrap();
+        let m = miter(&wide_net(2, false), &wide_net(2, true)).unwrap();
         svc.submit(m);
         svc.drain();
         let text = svc.metrics_text();
@@ -1877,7 +1806,7 @@ mod tests {
     fn fused_dispatches_preserve_verdicts_and_count() {
         // Six tiny XOR cones: under a generous fuse threshold they batch
         // into fused dispatches, with identical verdicts and per-shard
-        // cache accounting.
+        // accounting.
         let m = miter(&xor_net(6, false), &xor_net(6, true)).unwrap();
         let svc = CecService::new(SvcConfig {
             workers: 1,
@@ -1889,7 +1818,10 @@ mod tests {
         assert_eq!(r.verdict, Verdict::Equivalent);
         assert_eq!(r.stats.shards, 6);
         assert_eq!(r.stats.fused_shards, 6, "stats: {:?}", r.stats);
-        assert_eq!(r.stats.cache_hits + r.stats.cache_misses, 6);
+        assert_eq!(
+            r.stats.cache_hits + r.stats.cache_misses + r.stats.table_decided,
+            6
+        );
         let stats = svc.stats();
         assert_eq!(stats.fused_shards, 6);
         assert!(stats.fused_dispatches >= 1);
@@ -2005,11 +1937,63 @@ mod tests {
     }
 
     #[test]
+    fn small_cones_settle_from_their_tables_and_leave_the_cache_untouched() {
+        // One worker, and every disproof on a job's last shard: no shard
+        // is skipped by a sibling's cancellation.
+        let svc = CecService::new(SvcConfig {
+            workers: 1,
+            ..SvcConfig::default()
+        });
+        // Two 6-input parity cones, proved; the same with the second cone
+        // disproved; and a constant-true PO, a cone without inputs whose
+        // cex is the empty assignment.
+        let eq = miter(
+            &parity_net(2, MAX_CONE_VARS, false),
+            &parity_net(2, MAX_CONE_VARS, true),
+        )
+        .unwrap();
+        let mut bad = parity_net(2, MAX_CONE_VARS, true);
+        let po = bad.po(1);
+        bad.set_po(1, !po);
+        let ne = miter(&parity_net(2, MAX_CONE_VARS, false), &bad).unwrap();
+        let mut always = Aig::new();
+        always.add_inputs(3);
+        always.add_po(parsweep_aig::Lit::TRUE);
+
+        let r_eq = svc.wait(svc.submit(eq)).unwrap();
+        assert_eq!(r_eq.verdict, Verdict::Equivalent);
+        let mut results = vec![r_eq];
+        for m in [ne, always] {
+            let r = svc.wait(svc.submit(m.clone())).unwrap();
+            match &r.verdict {
+                Verdict::NotEquivalent(cex) => assert!(cex.fires(&m), "lifted cex must fire"),
+                other => panic!("expected NotEquivalent, got {other:?}"),
+            }
+            results.push(r);
+        }
+        for r in &results {
+            let stats = &r.stats;
+            assert_eq!(stats.table_decided, stats.shards as u64, "stats: {stats:?}");
+            assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
+        }
+
+        let cache = &svc.prove.cache;
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (0, 0, 0));
+        assert_eq!(svc.stats().shards_table_decided, 5);
+        assert_eq!(svc.launch_stats().total_launches(), 0, "no engine ran");
+        let text = svc.metrics_text();
+        assert!(
+            text.contains("parsweep_shards_table_decided_total 5"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn semantic_tier_settles_structurally_new_cones() {
         // Two equivalent pairs whose miter cones compute the same
         // function (constant 0 over 2 PIs) through different structure:
-        // the second job's cone misses the structural cache but settles
-        // from the semantic tier seeded by the first.
+        // the second job's cone was never seen, yet settles from its
+        // truth table like the first — no cache, no engine.
         let m1 = miter(&xor_net(1, false), &xor_net(1, true)).unwrap();
         let mut a = Aig::new();
         let xs = a.add_inputs(2);
@@ -2033,32 +2017,57 @@ mod tests {
         assert_eq!(r1.verdict, Verdict::Equivalent);
         let r2 = svc.wait(svc.submit(m2)).unwrap();
         assert_eq!(r2.verdict, Verdict::Equivalent);
-        assert_eq!(r2.stats.cache_hits, 1, "the second cone settled cached");
-        let stats = svc.stats();
-        assert_eq!(stats.cache_semantic_hits, 1, "…from the semantic tier");
+        assert_eq!(r2.stats.table_decided, 1, "the new cone settled by table");
+        assert_eq!((r2.stats.cache_hits, r2.stats.cache_misses), (0, 0));
+        assert_eq!(svc.stats().shards_table_decided, 2);
+        assert_eq!(svc.launch_stats().total_launches(), 0, "no engine ran");
     }
 
-    #[test]
-    fn semantic_tier_respects_the_disable_switch() {
-        let svc = CecService::new(SvcConfig {
-            semantic_max_vars: 0,
-            ..SvcConfig::default()
-        });
-        let m1 = miter(&xor_net(1, false), &xor_net(1, true)).unwrap();
-        let mut a = Aig::new();
-        let xs = a.add_inputs(2);
-        let t = a.and(xs[0], xs[1]);
-        a.add_po(t);
-        let mut b = Aig::new();
-        let ys = b.add_inputs(2);
-        let u = b.and(ys[0], ys[1]);
-        let v = b.and(ys[0], u); // redundant: y0 & (y0 & y1) == y0 & y1
-        b.add_po(v);
-        let m2 = miter(&a, &b).unwrap();
-        let r1 = svc.wait(svc.submit(m1)).unwrap();
-        let r2 = svc.wait(svc.submit(m2)).unwrap();
-        assert_eq!(r1.verdict, Verdict::Equivalent);
-        assert_eq!(r2.verdict, Verdict::Equivalent);
-        assert_eq!(svc.stats().cache_semantic_hits, 0);
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every shard over at most `MAX_CONE_VARS` inputs — including a
+        /// constant-true PO's input-free cone — gets exactly the verdict
+        /// brute force gives (the lowest firing assignment as its cex),
+        /// and the cex fires on the cone and, lifted, on the miter.
+        #[test]
+        fn table_verdicts_match_brute_force(
+            num_pis in 1usize..9,
+            num_ands in 1usize..40,
+            num_pos in 1usize..5,
+            seed in 0u64..1_000_000,
+            constant_true in 0usize..2,
+        ) {
+            let mut m = parsweep_aig::random::random_aig(num_pis, num_ands, num_pos, seed);
+            if constant_true == 1 {
+                m.add_po(parsweep_aig::Lit::TRUE);
+            }
+            let mut pi_position = vec![usize::MAX; m.num_nodes()];
+            for (p, pi) in m.pis().iter().enumerate() {
+                pi_position[pi.index()] = p;
+            }
+            let (tasks, _) = plan_dispatches(shard_miter(&m, ShardPolicy::PerOutput), &pi_position, 0);
+            for task in tasks {
+                let k = task.cone.num_pis();
+                let Some(verdict) = table_decision(&task.cone) else {
+                    prop_assert!(k > MAX_CONE_VARS, "a {k}-input cone must have a table");
+                    continue;
+                };
+                let brute = (0..1usize << k)
+                    .map(|i| (0..k).map(|j| i >> j & 1 == 1).collect::<Vec<_>>())
+                    .find(|bits| task.cone.eval(bits)[0])
+                    .map_or(Verdict::Equivalent, |bits| Verdict::NotEquivalent(Cex::new(bits)));
+                prop_assert_eq!(&verdict, &brute);
+                if let Verdict::NotEquivalent(cex) = &verdict {
+                    prop_assert!(cex.fires(&task.cone), "cex must fire on the cone");
+                    match lift_verdict(verdict.clone(), &task.cone, &task.lift, m.num_pis()) {
+                        Verdict::NotEquivalent(lifted) => {
+                            prop_assert!(lifted.fires(&m), "lifted cex must fire on the miter");
+                        }
+                        other => prop_assert!(false, "lifting changed the verdict to {other:?}"),
+                    }
+                }
+            }
+        }
     }
 }

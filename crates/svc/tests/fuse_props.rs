@@ -83,9 +83,9 @@ proptest! {
         prop_assert_eq!(fused.stats.fused_shards, width,
             "every tiny cone must ride the fused dispatch");
         prop_assert_eq!(
-            fused.stats.cache_hits + fused.stats.cache_misses,
+            fused.stats.cache_hits + fused.stats.cache_misses + fused.stats.table_decided,
             width as u64,
-            "per-shard cache accounting must survive fusing"
+            "per-shard accounting must survive fusing"
         );
     }
 }

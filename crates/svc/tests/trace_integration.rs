@@ -9,21 +9,26 @@
 
 use parsweep_aig::{miter, Aig};
 use parsweep_sat::Verdict;
+use parsweep_sim::MAX_CONE_VARS;
 use parsweep_svc::{CecService, SvcConfig};
 use parsweep_trace as trace;
 
-fn xor_net(width: usize, variant: bool) -> Aig {
+/// `width` independent parity bits, each over one input more than a
+/// truth table settles, so every shard goes through the cache and the
+/// engine. The variants build XOR differently.
+fn parity_net(width: usize, variant: bool) -> Aig {
     let mut aig = Aig::new();
-    let xs = aig.add_inputs(width * 2);
-    for i in 0..width {
-        let (a, b) = (xs[2 * i], xs[2 * i + 1]);
-        let f = if variant {
-            let o = aig.or(a, b);
-            let n = aig.and(a, b);
-            aig.and(o, !n)
-        } else {
-            aig.xor(a, b)
-        };
+    let xs = aig.add_inputs(width * (MAX_CONE_VARS + 1));
+    for group in xs.chunks(MAX_CONE_VARS + 1) {
+        let f = group[1..].iter().fold(group[0], |a, &b| {
+            if variant {
+                let o = aig.or(a, b);
+                let n = aig.and(a, b);
+                aig.and(o, !n)
+            } else {
+                aig.xor(a, b)
+            }
+        });
         aig.add_po(f);
     }
     aig
@@ -35,7 +40,7 @@ fn traced_service_run_spans_all_tiers() {
     trace::enable();
 
     let svc = CecService::new(SvcConfig::default());
-    let m = miter(&xor_net(3, false), &xor_net(3, true)).unwrap();
+    let m = miter(&parity_net(3, false), &parity_net(3, true)).unwrap();
     let id = svc.submit(m.clone());
     assert_eq!(svc.wait(id).unwrap().verdict, Verdict::Equivalent);
     // Duplicate submission: exercises the cache-probe hit path too.

@@ -5,8 +5,9 @@
 #                            (workspace lints deny unsafe_op_in_unsafe_fn and
 #                             undocumented unsafe blocks)
 #   3. tier-1 build + tests  cargo build --release && cargo test (root package
-#                            plus the par, sim, cut, sat, core and svc crates,
-#                            the workspace's default members)
+#                            plus the aig, trace, par, sim, cut, sat, core,
+#                            svc and net crates, the workspace's default
+#                            members)
 #   4. static effect checks  the adversarial and static-vs-dynamic suites on
 #                            raw executors
 #   5. kernel sanitizer      PARSWEEP_SANITIZE=1 makes every executor audit:
@@ -29,10 +30,8 @@ echo "==> tier-1 build + test"
 cargo build --release
 cargo test -q
 
-echo "==> semantic cache + persistence acceptance (explicit)"
-cargo test -p parsweep-svc --test service_integration -q semantic
-cargo test -p parsweep-svc --test service_integration -q persisted
-cargo test -p parsweep-svc --lib -q semantic
+echo "==> table decision + job memo acceptance (explicit)"
+cargo test -p parsweep-svc --lib -q table
 cargo test -p parsweep-svc --lib -q memo
 
 echo "==> trace-enabled tests (feature)"
