@@ -16,7 +16,7 @@
 //!
 //! The library half provides the circuit generators ([`gen`]), arithmetic
 //! building blocks ([`arith`]) and suite assembly ([`harness`]) shared by
-//! the binaries and the Criterion benches.
+//! the binaries.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,6 @@
 //! Engine configuration (the paper's §IV parameter set).
 
 use parsweep_cut::{CutParams, Pass};
-use parsweep_sim::OdcConfig;
 
 /// Window merging strategy for PO and global function checking (§III-B3).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -67,12 +66,6 @@ pub struct EngineConfig {
     /// value justification generates directed patterns that knock
     /// wide-support candidates out of the constant class.
     pub reverse_sim: bool,
-    /// Observability don't-care-aware refinement: `Some` computes
-    /// per-node care masks each G round and diverts candidate pairs
-    /// whose disagreement is entirely unobservable to an exact bounded
-    /// replaceability check instead of discarding them. `None` (the
-    /// default) disables the layer.
-    pub odc: Option<OdcConfig>,
 }
 
 impl EngineConfig {
@@ -98,7 +91,6 @@ impl EngineConfig {
             distance1_cex: false,
             adaptive_passes: false,
             reverse_sim: false,
-            odc: None,
         }
     }
 
@@ -123,7 +115,6 @@ impl EngineConfig {
             distance1_cex: false,
             adaptive_passes: false,
             reverse_sim: false,
-            odc: None,
         }
     }
 }
@@ -150,13 +141,6 @@ impl EngineConfig {
         self.distance1_cex = true;
         self.adaptive_passes = true;
         self.reverse_sim = true;
-        self
-    }
-
-    /// Returns this configuration with ODC-aware refinement enabled under
-    /// the default [`OdcConfig`] bounds.
-    pub fn with_odc(mut self) -> Self {
-        self.odc = Some(OdcConfig::default());
         self
     }
 }
@@ -201,13 +185,5 @@ mod tests {
         assert!(d.k_po_all <= 20, "default must be laptop-safe");
         assert_eq!(d.window_merging, MergeStrategy::Lexicographic);
         assert!(d.similarity_selection);
-    }
-
-    #[test]
-    fn odc_defaults_off() {
-        assert!(EngineConfig::paper().odc.is_none());
-        assert!(EngineConfig::scaled().odc.is_none());
-        let c = EngineConfig::scaled().with_odc();
-        assert_eq!(c.odc.unwrap().check_limit, 8);
     }
 }

@@ -3,8 +3,8 @@
 use parsweep_aig::{Aig, Lit, Var};
 use parsweep_par::Executor;
 use parsweep_sim::{
-    refine_classes, signature_classes, signature_classes_among, simulate_cone, Fanouts,
-    OdcCandidate, OdcMasks, PairCheck, Patterns, ResimPlan, Signatures,
+    refine_classes, signature_classes, signature_classes_among, simulate_cone, PairCheck, Patterns,
+    ResimPlan, Signatures,
 };
 
 /// The engine's EC manager: wraps partial-simulation signatures and the
@@ -97,33 +97,24 @@ impl EcManager {
     /// Refines the classes in place from one fresh round of patterns,
     /// simulating only the live cone (class members plus `extra_live`).
     ///
-    /// With `odc = Some((fanouts, limit))`, observability care masks are
-    /// computed over the fresh table before refinement, and pairs whose
-    /// split was entirely unobservable come back as [`OdcCandidate`]s (at
-    /// most `limit`) for the engine's exact replaceability check.
-    /// Splitting itself is unchanged.
-    ///
     /// Returns the fresh live-cone table (valid for the live set — e.g.
     /// for a PO counter-example scan when `extra_live` holds the PO
-    /// vars), the number of classes that split or shrank, the cone size
-    /// the round actually simulated, and the ODC candidates.
+    /// vars), the number of classes that split or shrank, and the cone
+    /// size the round actually simulated.
     pub fn refine_with(
         &mut self,
         aig: &Aig,
         exec: &Executor,
         patterns: &Patterns,
         extra_live: &[Var],
-        odc: Option<(&Fanouts, usize)>,
-    ) -> (Signatures, usize, usize, Vec<OdcCandidate>) {
+    ) -> (Signatures, usize, usize) {
         let mut live = self.live_vars();
         live.extend_from_slice(extra_live);
         live.sort_unstable();
         live.dedup();
         let (fresh, covered) = simulate_cone(aig, exec, patterns, Some(&live), self.memory_words);
-        let masks = odc.map(|(fanouts, _)| OdcMasks::compute(aig, exec, &fresh, fanouts));
-        let odc = masks.as_ref().zip(odc.map(|(_, limit)| limit));
-        let (refined, candidates) = refine_classes(&mut self.classes, &self.sigs, &fresh, odc);
-        (fresh, refined, covered, candidates)
+        let refined = refine_classes(&mut self.classes, &self.sigs, &fresh);
+        (fresh, refined, covered)
     }
 
     /// Carries the EC state across a miter rewrite
@@ -134,24 +125,17 @@ impl EcManager {
     /// onto their representative's image; members dropped or folded to a
     /// constant leave their class).
     ///
-    /// Substitutions of the old variables in `exempt` (ODC merges proven
-    /// PO-preserving by [`parsweep_sim::check_replaceable`]) do not dirty
-    /// their TFO — the memoized words stay, stale only in unobservable
-    /// bits.
-    ///
     /// Returns the resim plan's `(clean, dirty)` node counts.
-    #[allow(clippy::too_many_arguments)]
     pub fn rebuild(
         &mut self,
         old: &Aig,
         new: &Aig,
         map: &[Lit],
         subst: &[Lit],
-        exempt: &[Var],
         exec: &Executor,
         patterns: &Patterns,
     ) -> (usize, usize) {
-        let plan = ResimPlan::new(old, new, map, subst, exempt);
+        let plan = ResimPlan::new(old, new, map, subst);
         self.sigs = plan.resimulate(new, exec, patterns, &self.sigs, self.memory_words);
         let mut classes: Vec<Vec<Var>> = Vec::with_capacity(self.classes.len());
         for class in self.classes.drain(..) {
@@ -313,7 +297,7 @@ mod tests {
             .collect();
         subst[member.index()] = repr.lit();
         let (reduced, map) = aig.rebuild_with_substitution(&subst);
-        let (clean, dirty) = ec.rebuild(&aig, &reduced, &map, &subst, &[], &exec, &patterns);
+        let (clean, dirty) = ec.rebuild(&aig, &reduced, &map, &subst, &exec, &patterns);
         assert!(clean > 0);
         assert_eq!(clean + dirty + 1, reduced.num_nodes());
         // The surviving class relates the images of the unmerged members,

@@ -513,10 +513,6 @@ pub(crate) fn global_phase_inner(
             patterns.extend(&cex_patterns);
         }
         cex_pool.clear();
-        // An ODC candidate this round's refinement split on unobservable
-        // bits only, proven replaceable by the exact bounded check; it is
-        // merged after the round's exact merges, through a second rewrite.
-        let mut odc_merge: Option<parsweep_sim::OdcCandidate> = None;
         match ec.as_mut() {
             None => {
                 let m = EcManager::from_patterns(current, exec, &patterns, cfg.memory_words);
@@ -534,31 +530,7 @@ pub(crate) fn global_phase_inner(
                 } else {
                     Vec::new()
                 };
-                let fanouts = cfg
-                    .odc
-                    .as_ref()
-                    .map(|_| parsweep_sim::Fanouts::build(current));
-                let odc = cfg.odc.as_ref().zip(fanouts.as_ref());
-                let (fresh, refined, covered, candidates) = m.refine_with(
-                    current,
-                    exec,
-                    &patterns,
-                    &extra,
-                    odc.map(|(odc_cfg, fanouts)| (fanouts, odc_cfg.check_limit)),
-                );
-                if let Some((odc_cfg, fanouts)) = odc {
-                    odc_merge = candidates.into_iter().find(|c| {
-                        current.node(c.member).is_and()
-                            && parsweep_sim::check_replaceable(
-                                current,
-                                c.repr,
-                                c.member,
-                                c.complement,
-                                fanouts,
-                                odc_cfg,
-                            )
-                    });
-                }
+                let (fresh, refined, covered) = m.refine_with(current, exec, &patterns, &extra);
                 stats.pruned_sim_rounds += 1;
                 stats.classes_refined += refined as u64;
                 trace::metrics::SimCounters::add(&counters.pruned_rounds, 1);
@@ -660,7 +632,6 @@ pub(crate) fn global_phase_inner(
                 &reduced,
                 &map,
                 &subst,
-                &[],
                 exec,
                 base_patterns
                     .as_ref()
@@ -671,62 +642,8 @@ pub(crate) fn global_phase_inner(
             trace::metrics::SimCounters::add(&counters.resim_clean_nodes, clean as u64);
             trace::metrics::SimCounters::add(&counters.resim_dirty_nodes, dirty as u64);
             *current = Cow::Owned(reduced);
-            // Rename the pending ODC merge into the rewritten
-            // coordinates (drop it if the exact prover already merged
-            // the member, or the rewrite collapsed the pair).
-            odc_merge = odc_merge.and_then(|c| {
-                if subst[c.member.index()] != c.member.lit() {
-                    return None;
-                }
-                let rl = map[c.repr.index()];
-                let ml = map[c.member.index()];
-                if rl.is_const() || ml.is_const() || rl.var() == ml.var() {
-                    return None;
-                }
-                Some(parsweep_sim::OdcCandidate {
-                    repr: rl.var(),
-                    member: ml.var(),
-                    complement: c.complement ^ rl.is_complemented() ^ ml.is_complemented(),
-                })
-            });
         }
-        // Apply at most one ODC merge per round, through its own rewrite
-        // (the proof is PO-function-preserving, which the exact rewrite
-        // above does not disturb). With `resim_skip`, the substituted
-        // node is exempt from resim taint: its TFO keeps memoized words,
-        // stale in unobservable bits only.
-        let mut odc_merged = false;
-        if let Some(c) = odc_merge {
-            if c.repr < c.member && current.node(c.member).is_and() {
-                let odc_cfg = cfg.odc.as_ref().expect("ODC merges require cfg.odc");
-                let mut subst2: Vec<Lit> = (0..current.num_nodes())
-                    .map(|i| Var::new(i as u32).lit())
-                    .collect();
-                subst2[c.member.index()] = c.repr.lit_with(c.complement);
-                let (reduced, map2) = current.rebuild_with_substitution(&subst2);
-                let exempt: &[Var] = if odc_cfg.resim_skip { &[c.member] } else { &[] };
-                let (clean, dirty) = ec.as_mut().expect("EC state initialized above").rebuild(
-                    current,
-                    &reduced,
-                    &map2,
-                    &subst2,
-                    exempt,
-                    exec,
-                    base_patterns
-                        .as_ref()
-                        .expect("base patterns kept with EC state"),
-                );
-                stats.resim_clean_nodes += clean as u64;
-                stats.resim_dirty_nodes += dirty as u64;
-                stats.odc_masked_merges += 1;
-                trace::metrics::SimCounters::add(&counters.resim_clean_nodes, clean as u64);
-                trace::metrics::SimCounters::add(&counters.resim_dirty_nodes, dirty as u64);
-                trace::metrics::SimCounters::add(&counters.odc_masked_merges, 1);
-                *current = Cow::Owned(reduced);
-                odc_merged = true;
-            }
-        }
-        if !proved_any && !odc_merged && cex_pool.is_empty() {
+        if !proved_any && cex_pool.is_empty() {
             break;
         }
     }
@@ -1091,27 +1008,6 @@ mod tests {
         let r = sim_sweep(&m, &exec(), &cfg);
         match r.verdict {
             Verdict::NotEquivalent(cex) => assert!(cex.fires(&m)),
-            other => panic!("expected NotEquivalent, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn odc_layer_preserves_verdicts() {
-        let m = miter(&adder(20, true), &adder(20, false)).unwrap();
-        let cfg = EngineConfig {
-            memory_words: 1 << 10,
-            ..EngineConfig::default().with_odc()
-        };
-        let r = sim_sweep(&m, &exec(), &cfg);
-        assert_eq!(r.verdict, Verdict::Equivalent, "stats: {:?}", r.stats);
-        let a = adder(6, true);
-        let mut b = adder(6, true);
-        let po0 = b.po(0);
-        b.set_po(0, !po0);
-        let ne = miter(&a, &b).unwrap();
-        let r = sim_sweep(&ne, &exec(), &EngineConfig::default().with_odc());
-        match r.verdict {
-            Verdict::NotEquivalent(cex) => assert!(cex.fires(&ne)),
             other => panic!("expected NotEquivalent, got {other:?}"),
         }
     }

@@ -98,12 +98,6 @@ pub struct EngineStats {
     /// Nodes re-launched by the dirty-cone resimulator (the TFO of merged
     /// nodes).
     pub resim_dirty_nodes: u64,
-    /// Candidate pairs merged through the observability don't-care layer:
-    /// their signatures disagreed only in unobservable bits and the exact
-    /// bounded replaceability check proved the substitution
-    /// PO-preserving. Zero unless [`EngineConfig::odc`](crate::EngineConfig)
-    /// is set.
-    pub odc_masked_merges: u64,
     /// Common cuts generated for local checking.
     pub common_cuts: u64,
     /// Per-phase wall-clock breakdown.

@@ -8,10 +8,10 @@
 //! final stats to stderr, exit.
 //!
 //! Flags: the service knobs of `svc` (`--workers`, `--exec-threads`,
-//! `--deadline-ms`, `--sat`, `--connected`, `--fuse-threshold`, `--cache-capacity`,
-//! `--trace`) plus the transport
-//! bounds `--addr HOST:PORT`, `--max-in-flight N`, `--queue-capacity N`,
-//! `--per-client-quota N`, `--max-connections N`.
+//! `--deadline-ms`, `--sat`, `--connected`, `--cache-capacity`,
+//! `--trace`) plus the transport bounds `--addr HOST:PORT`,
+//! `--max-in-flight N`, `--queue-capacity N`, `--per-client-quota N`,
+//! `--max-connections N`.
 
 use std::time::Duration;
 
@@ -43,7 +43,6 @@ fn main() {
             }
             "--sat" => cfg.svc.sat_fallback = true,
             "--connected" => cfg.svc.shard_policy = ShardPolicy::Connected,
-            "--fuse-threshold" => cfg.svc.fuse_threshold = num("--fuse-threshold"),
             "--cache-capacity" => cfg.svc.cache_capacity = num("--cache-capacity"),
             "--max-in-flight" => cfg.admission.max_in_flight = num("--max-in-flight").max(1),
             "--queue-capacity" => cfg.admission.queue_capacity = num("--queue-capacity"),
@@ -53,8 +52,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: net [--addr HOST:PORT] [--workers N] [--exec-threads N] \
-                     [--deadline-ms N] [--sat] [--connected] [--fuse-threshold N] \
-                     [--cache-capacity N] [--max-in-flight N] [--queue-capacity N] \
+                     [--deadline-ms N] [--sat] [--connected] [--cache-capacity N] \
+                     [--max-in-flight N] [--queue-capacity N] \
                      [--per-client-quota N] [--max-connections N] [--trace PATH]"
                 );
                 println!("serves JSON-lines requests over TCP; see crate docs");

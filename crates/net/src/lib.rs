@@ -20,12 +20,8 @@
 //!   server echoes on every response, so one connection can pipeline
 //!   many jobs and match results as they settle.
 //!
-//! Shard fusing (batching tiny cones into one pooled dispatch) lives in
-//! the service layer ([`parsweep_svc::SvcConfig::fuse_threshold`]) and
-//! is switched on by the server's binary, where small-job traffic
-//! actually concentrates. The `net_cold` and `net_warm` workloads of the
-//! repository benchmark (`benchmark/`) drive concurrent clients against
-//! this server's binary.
+//! The `net_cold` and `net_warm` workloads of the repository benchmark
+//! (`benchmark/`) drive concurrent clients against this server's binary.
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,6 @@
 
 use parsweep_aig::{Aig, Var};
 
-use crate::odc::{OdcCandidate, OdcMasks};
 use crate::partial::{hash_canonical_words, Signatures};
 
 /// Clusters all nodes by phase-canonicalized signature.
@@ -72,46 +71,17 @@ pub fn signature_classes_among(sigs: &Signatures, nodes: &[Var]) -> Vec<Vec<Var>
 /// exhaustive prover later discharges; it can never produce a wrong
 /// merge, since merges come from exhaustive simulation alone.)
 ///
-/// With `odc = Some((masks, limit))` (observability don't-cares computed
-/// over `fresh`'s pattern set), each member of a splitting class is
-/// compared against the class representative one more time under the
-/// member's care mask: if every differing fresh bit is a don't-care bit
-/// of the member (the flip cannot reach an output under any simulated
-/// pattern), the pair is recorded as an [`OdcCandidate`] for the exact
-/// [`crate::check_replaceable`] proof — at most `limit` per call. The
-/// classes themselves still split exactly (the masks are approximate, so
-/// keeping such a pair merged would be unsound); a proven candidate is
-/// merged by the engine as a substitution instead.
-///
 /// Splinter groups keep the invariants of [`signature_classes`]: sorted
 /// members, singletons dropped, classes ordered by representative.
-/// Returns the number of classes that split or shrank, and the ODC
-/// candidates (empty without `odc`).
-///
-/// # Panics
-///
-/// Panics if `masks` and `fresh` disagree on the word width.
-pub fn refine_classes(
-    classes: &mut Vec<Vec<Var>>,
-    base: &Signatures,
-    fresh: &Signatures,
-    odc: Option<(&OdcMasks, usize)>,
-) -> (usize, Vec<OdcCandidate>) {
+/// Returns the number of classes that split or shrank.
+pub fn refine_classes(classes: &mut Vec<Vec<Var>>, base: &Signatures, fresh: &Signatures) -> usize {
     use std::collections::HashMap;
-    if let Some((masks, _)) = odc {
-        assert_eq!(
-            masks.num_words(),
-            fresh.num_words(),
-            "care masks must cover the fresh pattern set"
-        );
-    }
     let normalized = |m: Var| {
         let mask = if base.phase(m) { u64::MAX } else { 0 };
         fresh.sig(m).iter().map(move |&w| w ^ mask)
     };
     let normalized_hash = |m: Var| hash_canonical_words(normalized(m));
     let mut refined = 0usize;
-    let mut candidates: Vec<OdcCandidate> = Vec::new();
     let mut out: Vec<Vec<Var>> = Vec::with_capacity(classes.len());
     for class in classes.drain(..) {
         let repr = class[0];
@@ -121,31 +91,6 @@ pub fn refine_classes(
             continue;
         }
         refined += 1;
-        // Before splitting, sieve the divergent members: a member whose
-        // every differing bit is masked by its own don't-cares is an
-        // ODC candidate (still split — the merge needs an exact proof).
-        if let Some((masks, limit)) = odc {
-            let repr_sig: Vec<u64> = normalized(repr).collect();
-            for &m in &class[1..] {
-                if candidates.len() >= limit {
-                    break;
-                }
-                let mut differs = false;
-                let mut observable = false;
-                for ((a, b), &c) in normalized(m).zip(repr_sig.iter()).zip(masks.care(m)) {
-                    let diff = a ^ b;
-                    differs |= diff != 0;
-                    observable |= diff & c != 0;
-                }
-                if differs && !observable {
-                    candidates.push(OdcCandidate {
-                        repr,
-                        member: m,
-                        complement: base.phase(repr) != base.phase(m),
-                    });
-                }
-            }
-        }
         // Regroup this class by exact normalized fresh words (hash
         // buckets first, exact compare within).
         let mut buckets: HashMap<u64, Vec<Var>> = HashMap::new();
@@ -167,7 +112,7 @@ pub fn refine_classes(
     }
     out.sort_by_key(|c| c[0]);
     *classes = out;
-    (refined, candidates)
+    refined
 }
 
 /// Scans the PO signatures for a fired miter output and extracts the
@@ -257,11 +202,11 @@ mod tests {
         let before = classes.clone();
         // A fresh all-zero round changes nothing: zero classes refined.
         let dull = simulate(&aig, &exec, &Patterns::from_raw(2, 1, vec![0, 0]));
-        assert_eq!(refine_classes(&mut classes, &base, &dull, None).0, 0);
+        assert_eq!(refine_classes(&mut classes, &base, &dull), 0);
         assert_eq!(classes, before);
         // A (0,1) pattern separates xor/or (true) from and (false).
         let sharp = simulate(&aig, &exec, &Patterns::from_raw(2, 1, vec![0, 1]));
-        let (refined, _) = refine_classes(&mut classes, &base, &sharp, None);
+        let refined = refine_classes(&mut classes, &base, &sharp);
         assert!(refined > 0, "classes: {classes:?}");
         for class in &classes {
             assert!(class.windows(2).all(|w| w[0] < w[1]));

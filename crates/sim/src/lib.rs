@@ -37,7 +37,6 @@ mod classes;
 pub mod cone;
 pub mod exhaustive;
 pub mod npn;
-pub mod odc;
 pub mod partial;
 pub mod resim;
 pub mod reverse;
@@ -53,7 +52,6 @@ pub use cone::{cone_truth_table, MAX_CONE_VARS};
 pub use exhaustive::{
     check_windows, check_windows_cancellable, PairOutcome, SimEffort, DEFAULT_MEMORY_WORDS,
 };
-pub use odc::{check_replaceable, Fanouts, OdcCandidate, OdcConfig, OdcMasks};
 pub use partial::{simulate, simulate_cone, Patterns, Signatures};
 pub use resim::ResimPlan;
 pub use tt::{projection_word, word_len, TruthTable, PROJECTIONS};

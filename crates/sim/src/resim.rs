@@ -39,29 +39,14 @@ impl ResimPlan {
     /// Plans the resimulation of `new = old.rebuild_with_substitution(subst)`,
     /// where `map` is the old→new literal map that rebuild returned.
     ///
-    /// Substitutions of the old variables listed in `exempt` do **not**
-    /// seed taint: their TFO keeps its memoized words instead of
-    /// re-evaluating. Only sound for substitutions *proven
-    /// PO-function-preserving* (the ODC replaceability check): downstream
-    /// words may then be stale in unobservable bits only, which PO cex
-    /// scans never read and class refinement can at worst split on
-    /// (splitting is always sound). An exempt node still never donates
-    /// its own words.
-    ///
     /// # Panics
     ///
     /// Panics if `map` or `subst` do not cover `old`'s nodes.
-    pub fn new(old: &Aig, new: &Aig, map: &[Lit], subst: &[Lit], exempt: &[Var]) -> Self {
+    pub fn new(old: &Aig, new: &Aig, map: &[Lit], subst: &[Lit]) -> Self {
         assert_eq!(map.len(), old.num_nodes(), "map size mismatch");
         assert_eq!(subst.len(), old.num_nodes(), "substitution size mismatch");
-        let mut exempted = vec![false; old.num_nodes()];
-        for &v in exempt {
-            exempted[v.index()] = true;
-        }
         // Taint the substituted old nodes and everything downstream of
         // them (ascending ids: fanins are visited before fanouts).
-        // Exempt substitutions (proven observability-preserving) are
-        // not taint sources, but stay non-donors below.
         let mut substituted = vec![false; old.num_nodes()];
         let mut tainted = vec![false; old.num_nodes()];
         for (i, node) in old.nodes().iter().enumerate() {
@@ -70,7 +55,7 @@ impl ResimPlan {
                 _ => false,
             };
             substituted[i] = subst[i] != Var::new(i as u32).lit();
-            tainted[i] = downstream || (substituted[i] && !exempted[i]);
+            tainted[i] = downstream || substituted[i];
         }
         // First clean old node mapping onto each new variable donates its
         // words. The constant node needs no donor (it evaluates to zero

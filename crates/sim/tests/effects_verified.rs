@@ -102,7 +102,7 @@ fn resimulation_is_verified_on_sanitizing_executor() {
     let victim = old.and_vars().last().expect("network has AND nodes");
     subst[victim.index()] = Var::new(victim.index() as u32 / 2).lit();
     let (new, map) = old.rebuild_with_substitution(&subst);
-    let plan = ResimPlan::new(&old, &new, &map, &subst, &[]);
+    let plan = ResimPlan::new(&old, &new, &map, &subst);
 
     let raw = Executor::with_threads(2);
     let old_sigs = simulate(&old, &raw, &patterns);

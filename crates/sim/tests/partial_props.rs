@@ -4,8 +4,7 @@
 //! hashes, then classes — at every table budget: one word (every level
 //! retires to host staging as early as its readers allow), half the
 //! table, and a budget the table fits (no spill at all). In-place class
-//! refinement must equal reclustering from scratch, and ODC-aware
-//! refinement must split classes exactly like plain refinement.
+//! refinement must equal reclustering from scratch.
 //!
 //! The whole suite is also run under `PARSWEEP_SANITIZE=1` and
 //! `PARSWEEP_SANITIZE=all` in CI (see `scripts/lint.sh`): every level and
@@ -18,8 +17,8 @@ use parsweep_aig::{Aig, Lit, Var};
 use parsweep_par::Executor;
 use parsweep_sim::partial::hash_canonical_words;
 use parsweep_sim::{
-    refine_classes, signature_classes, signature_classes_among, simulate, simulate_cone, Fanouts,
-    OdcMasks, Patterns, ResimPlan, Signatures,
+    refine_classes, signature_classes, signature_classes_among, simulate, simulate_cone, Patterns,
+    ResimPlan, Signatures,
 };
 
 fn exec() -> Executor {
@@ -199,7 +198,7 @@ proptest! {
         // exact, because clean nodes are untainted by construction.
         let subst = random_merges(&aig, seed ^ 0x1234);
         let (new, map) = aig.rebuild_with_substitution(&subst);
-        let plan = ResimPlan::new(&aig, &new, &map, &subst, &[]);
+        let plan = ResimPlan::new(&aig, &new, &map, &subst);
         prop_assert_eq!(plan.num_clean() + plan.num_dirty() + 1, new.num_nodes());
         let reference = reference_words(&new, &patterns);
         let nodes = all_vars(&new);
@@ -232,62 +231,8 @@ proptest! {
             // Refine in place against a fresh live-cone table.
             let live: Vec<Var> = classes.iter().flatten().copied().collect();
             let (fresh, _) = simulate_cone(&aig, &exec(), &fresh_patterns, Some(&live), budget);
-            let (_, candidates) = refine_classes(&mut classes, &base, &fresh, None);
-            prop_assert!(candidates.is_empty());
+            refine_classes(&mut classes, &base, &fresh);
             prop_assert_eq!(&classes, &truth);
-        }
-    }
-
-    #[test]
-    fn odc_refinement_splits_exactly_like_plain_refinement(
-        pis in 2usize..7,
-        ands in 5usize..60,
-        seed in any::<u64>(),
-    ) {
-        let aig = parsweep_aig::random::random_aig(pis, ands, 2, seed);
-        let base_patterns = Patterns::random(pis, 2, seed ^ 0xaaaa);
-        let fresh_patterns = Patterns::random(pis, 2, seed ^ 0xbbbb);
-        let e = exec();
-        let base = simulate(&aig, &e, &base_patterns);
-        let fresh = simulate(&aig, &e, &fresh_patterns);
-        let fanouts = Fanouts::build(&aig);
-        let masks = OdcMasks::compute(&aig, &e, &fresh, &fanouts);
-        let mut plain = signature_classes(&aig, &base);
-        let mut odc = plain.clone();
-        let (n_plain, _) = refine_classes(&mut plain, &base, &fresh, None);
-        let (n_odc, candidates) = refine_classes(&mut odc, &base, &fresh, Some((&masks, 8)));
-        // The masks are a filter, never a proof: the ODC variant must
-        // split identically — a distinguishable pair is never left
-        // merged, it is at most *reported* for the exact check.
-        prop_assert_eq!(n_plain, n_odc);
-        prop_assert_eq!(plain.clone(), odc);
-        // Every candidate really is distinguishable (it was split) yet
-        // unobservably so: its normalized divergence lies entirely in
-        // masked-out bits of the member's care set.
-        for c in &candidates {
-            let phase_fix = if base.phase(c.repr) != base.phase(c.member) {
-                u64::MAX
-            } else {
-                0
-            };
-            let mut differs = false;
-            let mut observable = false;
-            for ((&a, &b), &m) in fresh
-                .sig(c.repr)
-                .iter()
-                .zip(fresh.sig(c.member))
-                .zip(masks.care(c.member))
-            {
-                let diff = a ^ b ^ phase_fix;
-                differs |= diff != 0;
-                observable |= diff & m != 0;
-            }
-            prop_assert!(differs, "candidate {:?} is not distinguishable", c);
-            prop_assert!(!observable, "candidate {:?} has observable divergence", c);
-            prop_assert!(
-                !plain.iter().any(|cl| cl.contains(&c.repr) && cl.contains(&c.member)),
-                "candidate {:?} was left merged", c
-            );
         }
     }
 }

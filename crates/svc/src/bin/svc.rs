@@ -26,11 +26,9 @@
 //! (default for submits without one), `--sat` (hand what the sim engine
 //! leaves undecided to the shared prover instead of settling it
 //! undecided), `--connected` (shard by connected components instead of
-//! per output), `--fuse-threshold N` (batch cone shards below N nodes
-//! into fused dispatches; 0 disables), `--cache-capacity N`
-//! (LRU bound of each of the cone result cache and the whole-job memo;
-//! 0 disables both), `--trace PATH` (write a
-//! Chrome-trace JSON of the whole run at exit; also honoured from the
+//! per output), `--cache-capacity N` (LRU bound of each of the cone
+//! result cache and the whole-job memo; 0 disables both), `--trace PATH`
+//! (write a Chrome-trace JSON of the whole run at exit; also honoured from the
 //! `PARSWEEP_TRACE` environment variable; needs a build with the `trace`
 //! feature to record anything).
 
@@ -64,13 +62,12 @@ fn main() {
             }
             "--sat" => cfg.sat_fallback = true,
             "--connected" => cfg.shard_policy = ShardPolicy::Connected,
-            "--fuse-threshold" => cfg.fuse_threshold = num("--fuse-threshold"),
             "--cache-capacity" => cfg.cache_capacity = num("--cache-capacity"),
             "--trace" => trace_path = Some(next("--trace")),
             "--help" | "-h" => {
                 println!(
                     "usage: svc [--workers N] [--exec-threads N] [--deadline-ms N] [--sat] \
-                     [--connected] [--fuse-threshold N] [--cache-capacity N] [--trace PATH]"
+                     [--connected] [--cache-capacity N] [--trace PATH]"
                 );
                 println!("reads JSON-lines requests on stdin; see module docs");
                 return;

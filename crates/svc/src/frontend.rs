@@ -201,10 +201,6 @@ pub fn result_fields(result: &JobResult) -> Vec<(&'static str, JsonValue)> {
         ("job", JsonValue::Num(result.id.0 as f64)),
         ("verdict", JsonValue::Str(verdict.into())),
         ("shards", JsonValue::Num(result.stats.shards as f64)),
-        (
-            "fused_shards",
-            JsonValue::Num(result.stats.fused_shards as f64),
-        ),
         ("cache_hits", JsonValue::Num(result.stats.cache_hits as f64)),
         (
             "cache_misses",
@@ -247,11 +243,6 @@ pub fn stats_fields(svc: &CecService) -> Vec<(&'static str, JsonValue)> {
         (
             "shards_table_decided",
             JsonValue::Num(s.shards_table_decided as f64),
-        ),
-        ("fused_shards", JsonValue::Num(s.fused_shards as f64)),
-        (
-            "fused_dispatches",
-            JsonValue::Num(s.fused_dispatches as f64),
         ),
         ("cache_hits", JsonValue::Num(s.cache_hits as f64)),
         ("cache_misses", JsonValue::Num(s.cache_misses as f64)),

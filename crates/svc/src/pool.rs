@@ -199,12 +199,12 @@ impl WorkerPool {
     /// it (which, with stealing, need not be the deque it was enqueued
     /// on).
     pub fn spawn_in<F: FnOnce(usize) + Send + 'static>(&self, lane: Lane, job: F) {
+        // Count the job before any worker can see it: a worker that takes
+        // it decrements `pending`, which must never go below zero.
+        self.shared.gate.lock().unwrap().pending += 1;
         let deques = &self.shared.lanes[lane.index()];
         let slot = self.next.fetch_add(1, Ordering::Relaxed) % deques.len();
         deques[slot].lock().unwrap().push_back(Box::new(job));
-        let mut gate = self.shared.gate.lock().unwrap();
-        gate.pending += 1;
-        drop(gate);
         self.shared.wake.notify_one();
     }
 
@@ -479,5 +479,37 @@ mod tests {
             pos < order.len() - 1,
             "batch job must not be last behind the whole interactive flood: {order:?}"
         );
+    }
+
+    #[test]
+    fn a_job_taken_as_soon_as_it_is_queued_keeps_the_worker_alive() {
+        // Two threads flood one worker with trivial jobs, so it takes
+        // many of them the instant they are queued. Every job must run:
+        // a worker that miscounted pending jobs would panic and strand
+        // everything queued behind it. The race is timing-dependent, so
+        // the flood repeats on fresh pools.
+        for _ in 0..8 {
+            let pool = Arc::new(WorkerPool::new(1));
+            let (tx, rx) = std::sync::mpsc::channel::<()>();
+            let spawners: Vec<_> = (0..2)
+                .map(|_| {
+                    let pool = Arc::clone(&pool);
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for _ in 0..20_000 {
+                            let tx = tx.clone();
+                            pool.spawn(move |_w| tx.send(()).unwrap());
+                        }
+                    })
+                })
+                .collect();
+            for spawner in spawners {
+                spawner.join().unwrap();
+            }
+            for n in 0..40_000 {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("only {n} of 40000 jobs ran"));
+            }
+        }
     }
 }

@@ -15,11 +15,8 @@
 //! stdin loop (`svc` binary) and the multi-client TCP server
 //! (`parsweep-net`). Jobs carry [`SubmitOpts`] — a priority [`Lane`]
 //! and a client id — so the pool can drain lanes fairly and the service
-//! can report per-client effort ([`ClientStats`]). Cone shards below
-//! [`SvcConfig::fuse_threshold`] nodes are *fused*: batched into one
-//! pooled dispatch so tiny jobs stop paying per-shard scheduling
-//! overhead (verdicts are unchanged — each cone still proves
-//! separately, on one worker, inside the fused dispatch).
+//! can report per-client effort ([`ClientStats`]). Every shard is one
+//! pooled dispatch.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -66,12 +63,6 @@ pub struct SvcConfig {
     pub sat: SweepConfig,
     /// How miters split into shards.
     pub shard_policy: ShardPolicy,
-    /// Shards with fewer nodes than this are *fused*: consecutive tiny
-    /// shards of one job are batched into a single pooled dispatch
-    /// (closing a batch once its cumulative node count reaches the
-    /// threshold), so small jobs pay one scheduling round-trip instead
-    /// of one per cone. `0` (the default) disables fusing.
-    pub fuse_threshold: usize,
     /// Deadline applied to jobs submitted without an explicit one.
     pub default_deadline: Option<Duration>,
     /// Entries each of the service's two bounded stores retains before
@@ -102,7 +93,6 @@ impl Default for SvcConfig {
             sat_fallback: false,
             sat: SweepConfig::default(),
             shard_policy: ShardPolicy::PerOutput,
-            fuse_threshold: 0,
             default_deadline: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             clock: Arc::new(trace::WallClock::new()),
@@ -141,8 +131,6 @@ impl fmt::Display for JobId {
 pub struct JobStats {
     /// Output-cone shards the job split into.
     pub shards: usize,
-    /// Shards that rode a fused (batched) dispatch instead of their own.
-    pub fused_shards: usize,
     /// Shards settled from the result cache.
     pub cache_hits: u64,
     /// Shards that had to be proved fresh.
@@ -206,10 +194,6 @@ pub struct SvcStats {
     /// [`MAX_CONE_VARS`](parsweep_sim::MAX_CONE_VARS)
     /// inputs), never probing or filling the cache.
     pub shards_table_decided: u64,
-    /// Shards that rode a fused (batched) dispatch.
-    pub fused_shards: u64,
-    /// Fused dispatches issued (each carrying ≥ 2 shards).
-    pub fused_dispatches: u64,
     /// Result-cache hits across all jobs.
     pub cache_hits: u64,
     /// Result-cache misses across all jobs.
@@ -249,15 +233,13 @@ impl fmt::Display for SvcStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "jobs {}/{} | shards {} ({} by table, {} fused in {} dispatches) | \
+            "jobs {}/{} | shards {} ({} by table) | \
              cache {:.0}% of {} lookups ({} cones, {} evicted) | \
              {} memoized | {} cancelled | workers {:.0}% busy",
             self.jobs_completed,
             self.jobs_submitted,
             self.shards_total,
             self.shards_table_decided,
-            self.fused_shards,
-            self.fused_dispatches,
             100.0 * self.cache_hit_rate(),
             self.cache_hits + self.cache_misses,
             self.cache_len,
@@ -289,8 +271,6 @@ struct JobAgg {
 struct SvcShared {
     completed_jobs: AtomicU64,
     cancellations: AtomicU64,
-    fused_shards: AtomicU64,
-    fused_dispatches: AtomicU64,
     jobs_by_lane: [AtomicU64; 2],
     clients: Mutex<HashMap<u64, ClientStats>>,
     queue_wait: Histogram,
@@ -306,8 +286,6 @@ impl SvcShared {
         SvcShared {
             completed_jobs: AtomicU64::new(0),
             cancellations: AtomicU64::new(0),
-            fused_shards: AtomicU64::new(0),
-            fused_dispatches: AtomicU64::new(0),
             jobs_by_lane: [AtomicU64::new(0), AtomicU64::new(0)],
             clients: Mutex::new(HashMap::new()),
             queue_wait: Histogram::latency_default(),
@@ -383,7 +361,6 @@ struct JobShared {
     /// Clock reading at submission.
     submitted: Duration,
     shards: usize,
-    fused_shards: usize,
     lane: Lane,
     client: u64,
     /// Computed at submission; [`JobShared::finish`] memoizes a decided
@@ -429,7 +406,6 @@ impl JobShared {
                 verdict,
                 stats: JobStats {
                     shards: self.shards,
-                    fused_shards: self.fused_shards,
                     cache_hits: agg.cache_hits,
                     cache_misses: agg.cache_misses,
                     table_decided: agg.table_decided,
@@ -660,7 +636,7 @@ impl CecService {
                     ("client", trace::ArgValue::U64(opts.client)),
                 ],
             );
-            let job = self.register(id, &opts, CancelToken::new(), memo_key, shards, 0);
+            let job = self.register(id, &opts, CancelToken::new(), memo_key, shards);
             job.finish_undispatched(verdict, true, &self.shared);
             return id;
         }
@@ -688,27 +664,16 @@ impl CecService {
             pi_position[pi.index()] = p;
         }
         let parent_pis = miter.num_pis();
-        let (singles, groups) = plan_dispatches(shards, &pi_position, self.cfg.fuse_threshold);
-        let fused_shards: usize = groups.iter().map(Vec::len).sum();
-        let total_shards = singles.len() + fused_shards;
-        let job = self.register(id, &opts, token, memo_key, total_shards, fused_shards);
-        if total_shards == 0 {
+        let tasks = shard_tasks(shards, &pi_position);
+        let job = self.register(id, &opts, token, memo_key, tasks.len());
+        if tasks.is_empty() {
             // Every PO was already constant false: proved as submitted.
             job.finish_undispatched(Verdict::Equivalent, false, &self.shared);
             return id;
         }
 
-        for task in singles {
-            self.dispatch(vec![task], &job, parent_pis, false);
-        }
-        self.shared
-            .fused_shards
-            .fetch_add(fused_shards as u64, Ordering::Relaxed);
-        self.shared
-            .fused_dispatches
-            .fetch_add(groups.len() as u64, Ordering::Relaxed);
-        for group in groups {
-            self.dispatch(group, &job, parent_pis, true);
+        for task in tasks {
+            self.dispatch(task, &job, parent_pis);
         }
         id
     }
@@ -722,7 +687,6 @@ impl CecService {
         token: CancelToken,
         memo_key: MemoKey,
         shards: usize,
-        fused_shards: usize,
     ) -> Arc<JobShared> {
         let job = Arc::new(JobShared {
             id,
@@ -730,7 +694,6 @@ impl CecService {
             clock: Arc::clone(&self.cfg.clock),
             submitted: self.cfg.clock.now(),
             shards,
-            fused_shards,
             lane: opts.lane,
             client: opts.client,
             memo_key,
@@ -750,15 +713,8 @@ impl CecService {
         job
     }
 
-    /// Queues one pool dispatch carrying one (`singles`) or several
-    /// (`fused`) shard tasks; every task settles individually.
-    fn dispatch(
-        &self,
-        tasks: Vec<ShardTask>,
-        shared: &Arc<JobShared>,
-        parent_pis: usize,
-        fused: bool,
-    ) {
+    /// Queues one pool dispatch that settles one shard task.
+    fn dispatch(&self, task: ShardTask, shared: &Arc<JobShared>, parent_pis: usize) {
         let shared = Arc::clone(shared);
         let prove = Arc::clone(&self.prove);
         let svc_shared = Arc::clone(&self.shared);
@@ -772,21 +728,13 @@ impl CecService {
                 now.saturating_sub(shared.submitted)
             };
             trace::set_thread_label(&format!("svc-worker-{worker}"));
-            let mut span = Some(trace::span(
-                "svc",
-                if fused {
-                    "job.fused_dispatch"
-                } else {
-                    "job.shard"
-                },
-            ));
-            if let Some(span) = span.as_mut() {
+            // The settle can wake a drainer that immediately exports the
+            // trace, so the span must close first: an end event recorded
+            // after the export would leave the stream unbalanced.
+            let lifted = {
+                let mut span = trace::span("svc", "job.shard");
                 span.arg_u64("job", shared.id.0);
-                span.arg_u64("tasks", tasks.len() as u64);
                 span.arg_f64("queue_wait", queue_wait.as_secs_f64());
-            }
-            let last = tasks.len().saturating_sub(1);
-            for (i, task) in tasks.into_iter().enumerate() {
                 // A panicking engine must not take the worker — and every
                 // job queued behind it — down with it: the shard settles
                 // undecided (so nothing is cached or memoized from it) and
@@ -801,19 +749,12 @@ impl CecService {
                         source: Source::Engine,
                     }
                 });
-                let lifted = ShardOutcome {
+                ShardOutcome {
                     verdict: lift_verdict(outcome.verdict, &task.cone, &task.lift, parent_pis),
                     source: outcome.source,
-                };
-                // The final settle can wake a drainer that immediately
-                // exports the trace, so the span must close first: an
-                // end event recorded after the export would leave the
-                // stream unbalanced.
-                if i == last {
-                    span.take();
                 }
-                shared.settle_shard(lifted, &svc_shared);
-            }
+            };
+            shared.settle_shard(lifted, &svc_shared);
         });
     }
 
@@ -874,8 +815,6 @@ impl CecService {
             jobs_completed: self.shared.completed_jobs.load(Ordering::Relaxed),
             shards_total: self.shards_total.load(Ordering::Relaxed),
             shards_table_decided: self.prove.table_decided.load(Ordering::Relaxed),
-            fused_shards: self.shared.fused_shards.load(Ordering::Relaxed),
-            fused_dispatches: self.shared.fused_dispatches.load(Ordering::Relaxed),
             cache_hits: self.prove.cache.hits(),
             cache_misses: self.prove.cache.misses(),
             cache_len: self.prove.cache.len(),
@@ -978,18 +917,6 @@ impl CecService {
             "parsweep_shards_table_decided_total",
             "Shards decided by their own truth table, without the result cache.",
             stats.shards_table_decided,
-        );
-        render_counter(
-            &mut out,
-            "parsweep_fused_shards_total",
-            "Shards batched into fused dispatches instead of their own.",
-            stats.fused_shards,
-        );
-        render_counter(
-            &mut out,
-            "parsweep_fused_dispatches_total",
-            "Fused pool dispatches issued (each carrying several tiny shards).",
-            stats.fused_dispatches,
         );
         render_counter(
             &mut out,
@@ -1164,12 +1091,6 @@ impl CecService {
             "Signature words moved to host staging by spill launches.",
             trace::metrics::SimCounters::get(&sim.window_spilled_words),
         );
-        render_counter(
-            &mut out,
-            "parsweep_sim_odc_masked_merges_total",
-            "Pairs merged via the observability don't-care layer's exact check.",
-            trace::metrics::SimCounters::get(&sim.odc_masked_merges),
-        );
         render_histogram(
             &mut out,
             "parsweep_queue_wait_seconds",
@@ -1186,62 +1107,22 @@ impl CecService {
     }
 }
 
-/// Splits a job's shards into per-shard dispatches (`singles`) and fused
-/// batches (`groups`): shards smaller than `fuse_threshold` nodes are
-/// packed, in shard order, into batches that close once their cumulative
-/// node count reaches the threshold. A batch that would hold a single
-/// shard degenerates into a per-shard dispatch. `lift` maps are computed
-/// here so the dispatch path no longer needs the parent miter.
-fn plan_dispatches(
-    shards: Vec<Shard>,
-    pi_position: &[usize],
-    fuse_threshold: usize,
-) -> (Vec<ShardTask>, Vec<Vec<ShardTask>>) {
-    let mut singles = Vec::new();
-    let mut groups: Vec<Vec<ShardTask>> = Vec::new();
-    let mut open: Vec<ShardTask> = Vec::new();
-    let mut open_nodes = 0usize;
-    for shard in shards {
-        let lift: Vec<usize> = shard
-            .extraction
-            .pi_map
-            .iter()
-            .map(|v: &Var| pi_position[v.index()])
-            .collect();
-        let cone = shard.extraction.cone;
-        let nodes = cone.num_nodes();
-        let task = ShardTask {
-            cone,
+/// One dispatchable task per shard, in shard order. `lift` maps are
+/// computed here so the dispatch path does not need the parent miter.
+fn shard_tasks(shards: Vec<Shard>, pi_position: &[usize]) -> Vec<ShardTask> {
+    shards
+        .into_iter()
+        .map(|shard| ShardTask {
+            lift: shard
+                .extraction
+                .pi_map
+                .iter()
+                .map(|v: &Var| pi_position[v.index()])
+                .collect(),
+            cone: shard.extraction.cone,
             hash: shard.hash,
-            lift,
-        };
-        if fuse_threshold > 0 && nodes < fuse_threshold {
-            open_nodes += nodes;
-            open.push(task);
-            if open_nodes >= fuse_threshold {
-                groups.push(std::mem::take(&mut open));
-                open_nodes = 0;
-            }
-        } else {
-            singles.push(task);
-        }
-    }
-    match open.len() {
-        0 => {}
-        1 => singles.push(open.pop().expect("len checked")),
-        _ => groups.push(open),
-    }
-    // A "fused" batch of one shard is just a single dispatch.
-    let mut i = 0;
-    while i < groups.len() {
-        if groups[i].len() == 1 {
-            let mut g = groups.swap_remove(i);
-            singles.push(g.pop().expect("len checked"));
-        } else {
-            i += 1;
-        }
-    }
-    (singles, groups)
+        })
+        .collect()
 }
 
 impl ShardProver {
@@ -1546,8 +1427,6 @@ mod tests {
             jobs_completed: 3,
             shards_total: 15,
             shards_table_decided: 3,
-            fused_shards: 4,
-            fused_dispatches: 2,
             cache_hits: 6,
             cache_misses: 6,
             cache_len: 6,
@@ -1560,7 +1439,6 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("jobs 3/4"), "{text}");
         assert!(text.contains("3 by table"), "{text}");
-        assert!(text.contains("4 fused in 2 dispatches"), "{text}");
         assert!(text.contains("cache 50%"), "{text}");
         assert!(text.contains("2 evicted"), "{text}");
         assert!(text.contains("5 memoized"), "{text}");
@@ -1803,58 +1681,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_dispatches_preserve_verdicts_and_count() {
-        // Six tiny XOR cones: under a generous fuse threshold they batch
-        // into fused dispatches, with identical verdicts and per-shard
-        // accounting.
-        let m = miter(&xor_net(6, false), &xor_net(6, true)).unwrap();
-        let svc = CecService::new(SvcConfig {
-            workers: 1,
-            fuse_threshold: 1 << 20,
-            ..SvcConfig::default()
-        });
-        let id = svc.submit(m.clone());
-        let r = svc.wait(id).unwrap();
-        assert_eq!(r.verdict, Verdict::Equivalent);
-        assert_eq!(r.stats.shards, 6);
-        assert_eq!(r.stats.fused_shards, 6, "stats: {:?}", r.stats);
-        assert_eq!(
-            r.stats.cache_hits + r.stats.cache_misses + r.stats.table_decided,
-            6
-        );
-        let stats = svc.stats();
-        assert_eq!(stats.fused_shards, 6);
-        assert!(stats.fused_dispatches >= 1);
-
-        // Unfused control on a fresh service: same verdict.
-        let control = CecService::new(SvcConfig {
-            workers: 1,
-            ..SvcConfig::default()
-        });
-        let id = control.submit(m);
-        assert_eq!(control.wait(id).unwrap().verdict, Verdict::Equivalent);
-        assert_eq!(control.stats().fused_shards, 0);
-    }
-
-    #[test]
-    fn fused_disproof_still_lifts_a_firing_cex() {
-        let a = xor_net(4, false);
-        let mut b = xor_net(4, true);
-        let po2 = b.po(2);
-        b.set_po(2, !po2);
-        let m = miter(&a, &b).unwrap();
-        let svc = CecService::new(SvcConfig {
-            fuse_threshold: 1 << 20,
-            ..SvcConfig::default()
-        });
-        let id = svc.submit(m.clone());
-        match svc.wait(id).unwrap().verdict {
-            Verdict::NotEquivalent(cex) => assert!(cex.fires(&m), "lifted cex must fire"),
-            other => panic!("expected NotEquivalent, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn per_client_stats_track_lanes_and_completion() {
         let svc = CecService::new(SvcConfig::default());
         let m = miter(&xor_net(2, false), &xor_net(2, true)).unwrap();
@@ -2046,7 +1872,7 @@ mod tests {
             for (p, pi) in m.pis().iter().enumerate() {
                 pi_position[pi.index()] = p;
             }
-            let (tasks, _) = plan_dispatches(shard_miter(&m, ShardPolicy::PerOutput), &pi_position, 0);
+            let tasks = shard_tasks(shard_miter(&m, ShardPolicy::PerOutput), &pi_position);
             for task in tasks {
                 let k = task.cone.num_pis();
                 let Some(verdict) = table_decision(&task.cone) else {

@@ -124,10 +124,6 @@ pub struct SimCounters {
     pub window_spills: AtomicU64,
     /// Signature words those retirements moved out of device residency.
     pub window_spilled_words: AtomicU64,
-    /// Candidate merges proven replaceable through observability
-    /// don't-care analysis instead of escalating (pairs whose raw
-    /// signatures differ only in ODC-masked bits).
-    pub odc_masked_merges: AtomicU64,
 }
 
 impl SimCounters {
@@ -195,7 +191,6 @@ pub fn sim_counters() -> &'static SimCounters {
         classes_refined: AtomicU64::new(0),
         window_spills: AtomicU64::new(0),
         window_spilled_words: AtomicU64::new(0),
-        odc_masked_merges: AtomicU64::new(0),
     };
     &COUNTERS
 }
