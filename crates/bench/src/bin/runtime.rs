@@ -106,7 +106,7 @@ fn case_json(
             "\"resim_clean\": {}, \"resim_dirty\": {}, ",
             "\"arena_hits\": {}, \"arena_misses\": {}, \"arena_peak_bytes\": {}, ",
             "\"arena_peak_live_bytes\": {}, \"arena_peak_bytes_per_node\": {:.1}, ",
-            "\"static_verified_launches\": {}, \"static_verified_replays\": {}}}"
+            "\"static_verified_launches\": {}}}"
         ),
         name,
         verdict,
@@ -124,7 +124,6 @@ fn case_json(
         s.arena_peak_live_bytes,
         s.arena_peak_live_bytes as f64 / nodes.max(1) as f64,
         s.static_verified_launches,
-        s.static_verified_replays,
     );
     j
 }

@@ -8,10 +8,11 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use parsweep_net::client::{event_id, event_name};
 use parsweep_net::{AdmissionConfig, NetClient, NetConfig, NetServer};
 use parsweep_sat::Verdict;
 use parsweep_svc::frontend::demo_miter;
-use parsweep_svc::jsonl::{get, JsonValue};
+use parsweep_svc::jsonl::{emit_object, get, JsonValue};
 use parsweep_svc::{CecService, Lane, SvcConfig};
 
 /// Solo ground truth: the same demo job through a bare service.
@@ -27,6 +28,10 @@ fn solo_verdict(width: usize, corrupt: bool) -> &'static str {
         Verdict::Undecided => "undecided",
     }
 }
+
+/// Widths of the flooder's first two jobs: adders wide enough that
+/// neither settles while the server reads the rest of the flood.
+const HOLD_WIDTHS: [usize; 2] = [12, 13];
 
 #[test]
 fn concurrent_mixed_lane_clients_match_solo_verdicts() {
@@ -60,20 +65,55 @@ fn concurrent_mixed_lane_clients_match_solo_verdicts() {
                     2 => (Lane::Batch, 6),
                     _ => (Lane::Batch, 40), // the flooder
                 };
+                let job = |i: usize| match (c, i) {
+                    (3, 0 | 1) => (HOLD_WIDTHS[i], false),
+                    _ => (2 + ((c as usize + i) % 3), i % 2 == 1),
+                };
                 let mut submitted = Vec::new();
-                for i in 0..jobs {
-                    let width = 2 + ((c as usize + i) % 3);
-                    let corrupt = i % 2 == 1;
-                    // Pipeline: submit everything first, collect results
-                    // after. Queued admissions still deliver results.
-                    let reply = client
-                        .submit_demo(width, lane, corrupt, None)
-                        .expect("submit");
-                    assert!(
-                        !reply.rejected,
-                        "queue_capacity 128 fits this whole test's traffic"
-                    );
-                    submitted.push((reply.request_id, width, corrupt));
+                if c == 3 {
+                    // The flooder writes all its submit lines before it
+                    // reads a single reply, led by two wide jobs, so the
+                    // server reads the rest of the flood while its
+                    // per-client budget of 2 is taken.
+                    for i in 0..jobs {
+                        let (width, corrupt) = job(i);
+                        let line = emit_object(&[
+                            ("op", JsonValue::Str("submit".into())),
+                            ("demo", JsonValue::Str("adder".into())),
+                            ("width", JsonValue::Num(width as f64)),
+                            ("lane", JsonValue::Str(lane.name().into())),
+                            ("corrupt", JsonValue::Bool(corrupt)),
+                            ("id", JsonValue::Num(i as f64 + 1.0)),
+                        ]);
+                        client.send_line(&line).expect("submit");
+                        submitted.push((i as u64 + 1, width, corrupt));
+                    }
+                    for &(request_id, _, _) in &submitted {
+                        let reply = client
+                            .read_until(|e| {
+                                event_id(e) == Some(request_id) && event_name(e) != Some("result")
+                            })
+                            .expect("submit reply");
+                        assert_eq!(
+                            event_name(&reply),
+                            Some("submitted"),
+                            "queue_capacity 128 fits this whole test's traffic: {reply:?}"
+                        );
+                    }
+                } else {
+                    for i in 0..jobs {
+                        let (width, corrupt) = job(i);
+                        // Submit everything first, collect results after.
+                        // Queued admissions still deliver results.
+                        let reply = client
+                            .submit_demo(width, lane, corrupt, None)
+                            .expect("submit");
+                        assert!(
+                            !reply.rejected,
+                            "queue_capacity 128 fits this whole test's traffic"
+                        );
+                        submitted.push((reply.request_id, width, corrupt));
+                    }
                 }
                 let mut verdicts = Vec::new();
                 for (request_id, width, corrupt) in submitted {
@@ -94,6 +134,9 @@ fn concurrent_mixed_lane_clients_match_solo_verdicts() {
         for corrupt in [false, true] {
             expected.insert((width, corrupt), solo_verdict(width, corrupt).to_owned());
         }
+    }
+    for width in HOLD_WIDTHS {
+        expected.insert((width, false), solo_verdict(width, false).to_owned());
     }
     for handle in handles {
         for (width, corrupt, verdict) in handle.join().unwrap() {

@@ -1,14 +1,13 @@
-//! Static effect analysis for kernel launches and recorded graphs.
+//! Static effect analysis for kernel launches.
 //!
 //! Kernels declare their read/write footprints over labeled device
 //! buffers as small symbolic summaries (per-tid affine patterns, index
-//! ranges, whole-buffer). A static checker then proves, once, the same
-//! properties the dynamic sanitizer would re-validate on every launch:
-//! write-write and read-write disjointness between threads and between
-//! unordered launches, in-bounds access, and no use after a buffer's
-//! release point. A launch runs only with that proof — verify once at
-//! record time, replay in parallel; a sanitizing executor re-checks it
-//! dynamically instead.
+//! ranges, whole-buffer). A static checker then proves, before a launch
+//! runs, the same properties the dynamic sanitizer would re-validate
+//! access by access: write-write and read-write disjointness between
+//! threads and between unordered launches, and in-bounds access. A
+//! launch runs in parallel only with that proof; a sanitizing executor
+//! re-checks it dynamically instead.
 //!
 //! The declaration grammar is deliberately tiny. Every footprint is one
 //! of:
@@ -36,9 +35,9 @@
 //! stable label and length to a [`BufId`]. Bind real storage to a
 //! declaration with [`Executor::bind_table`](crate::Executor::bind_table)
 //! and launch with declared effects via
-//! [`Executor::launch_declared`](crate::Executor::launch_declared),
-//! [`Stream::launch_declared`](crate::Stream::launch_declared), or
-//! [`KernelGraphBuilder::kernel_declared`](crate::KernelGraphBuilder::kernel_declared).
+//! [`Executor::launch_declared`](crate::Executor::launch_declared) or
+//! [`Stream::launch_declared`](crate::Stream::launch_declared);
+//! [`EffectTable::check`] runs the per-launch checks without launching.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -54,7 +53,7 @@ pub(crate) struct BufferDecl {
     pub(crate) len: usize,
 }
 
-/// Registry of declared buffers for one epoch / one recorded graph.
+/// Registry of declared buffers for one epoch.
 ///
 /// Cheap to clone (shared interior). Labels should be unique within a
 /// table; cross-launch conflict checks identify buffers by label so two
@@ -90,6 +89,16 @@ impl EffectTable {
     /// The declared label of `buf`.
     pub fn label_of(&self, buf: BufId) -> String {
         self.buffers.lock().unwrap()[buf.0 as usize].label.clone()
+    }
+
+    /// The static checker's findings for one launch of `label` at
+    /// `width` with `effects` over this table's buffers: out-of-bounds
+    /// footprints and write-write / read-write overlap between threads.
+    /// Empty when the declaration is clean — exactly when
+    /// [`Executor::launch_declared`](crate::Executor::launch_declared)
+    /// would run it instead of panicking.
+    pub fn check(&self, label: &str, width: usize, effects: &[Effect]) -> Vec<StaticHazard> {
+        check_launch(label, width, effects, &self.snapshot())
     }
 
     /// A point-in-time copy of all declarations.
@@ -176,7 +185,7 @@ impl Pattern {
     /// The inclusive-exclusive index interval `[lo, hi)` this pattern
     /// may touch with `width` threads over a buffer of `len` elements,
     /// or `None` if it touches nothing.
-    pub(crate) fn footprint(&self, width: usize, len: usize) -> Option<(usize, usize)> {
+    fn footprint(&self, width: usize, len: usize) -> Option<(usize, usize)> {
         match *self {
             Pattern::Affine { base, stride, span } => {
                 if span == 0 || width == 0 {
@@ -284,20 +293,12 @@ pub enum StaticHazard {
         /// The buffer's declared length.
         len: usize,
     },
-    /// Two launches not ordered by DAG edges or stream program order
-    /// have conflicting footprints — the static analogue of
-    /// [`ConflictKind::StreamRace`](crate::ConflictKind::StreamRace).
+    /// Two launches on different streams of one join epoch (not ordered
+    /// by stream program order) have conflicting footprints — the static
+    /// analogue of [`ConflictKind::StreamRace`](crate::ConflictKind::StreamRace).
     UnorderedConflict {
         /// Labels of the two unordered kernels.
         kernels: (String, String),
-        /// Label of the buffer.
-        buffer: String,
-    },
-    /// A node accesses a buffer at or after the graph depth where its
-    /// release was recorded.
-    UseAfterRelease {
-        /// Label of the offending kernel.
-        kernel: String,
         /// Label of the buffer.
         buffer: String,
     },
@@ -328,10 +329,6 @@ impl fmt::Display for StaticHazard {
                 f,
                 "static-check: unordered kernels '{}' and '{}' have conflicting footprints on buffer '{}'",
                 kernels.0, kernels.1, buffer
-            ),
-            StaticHazard::UseAfterRelease { kernel, buffer } => write!(
-                f,
-                "static-check: kernel '{kernel}' uses buffer '{buffer}' at or after its declared release"
             ),
         }
     }

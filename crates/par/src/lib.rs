@@ -11,11 +11,11 @@
 //! There is one way to run a kernel: declare what it touches, then launch
 //! it. Buffers are named in an [`EffectTable`], storage is bound to a
 //! declaration with [`Executor::bind_table`], and every launch — eager
-//! ([`Executor::launch_declared`]), queued ([`Stream::launch_declared`])
-//! or recorded ([`KernelGraphBuilder::kernel_declared`]) — carries its
-//! read/write footprints as [`Effect`]s. The static checker proves the
-//! footprints in bounds and race-free before anything runs and panics
-//! otherwise; a launch runs in parallel only with that proof.
+//! ([`Executor::launch_declared`]) or queued ([`Stream::launch_declared`])
+//! — carries its read/write footprints as [`Effect`]s. The static
+//! checker proves the footprints in bounds and race-free before anything
+//! runs and panics otherwise; a launch runs in parallel only with that
+//! proof.
 //!
 //! Every launch is recorded, so the *parallel work profile* of a run — how
 //! many kernels were launched, how wide they were, and the critical-path
@@ -111,14 +111,12 @@
 mod arena;
 mod cancel;
 mod effects;
-mod graph;
 mod sanitizer;
 mod stream;
 
 pub use arena::{ArenaStats, BufferArena, PooledBuf};
 pub use cancel::CancelToken;
 pub use effects::{BufId, Effect, EffectKind, EffectTable, Pattern, StaticHazard};
-pub use graph::{KernelGraph, KernelGraphBuilder, NodeId};
 pub use sanitizer::{AccessKind, ConflictKind, RaceReport, SanitizerConfig};
 pub use stream::Stream;
 
@@ -175,9 +173,6 @@ pub struct LaunchStats {
     /// static effect proof: every launch of a raw executor, none of a
     /// sanitizing one (which serializes and audits them instead).
     pub static_verified_launches: u64,
-    /// [`KernelGraph`] replays that ran on the parallel path (same
-    /// split: all on a raw executor, none on a sanitizing one).
-    pub static_verified_replays: u64,
     /// [`BufferArena`] takes served from a pool (no allocation).
     pub arena_hits: u64,
     /// [`BufferArena`] takes that allocated a fresh buffer.
@@ -216,7 +211,6 @@ impl Default for LaunchStats {
             critical_counts: [0; WIDTH_BUCKETS],
             critical_sums: [0; WIDTH_BUCKETS],
             static_verified_launches: 0,
-            static_verified_replays: 0,
             arena_hits: 0,
             arena_misses: 0,
             arena_peak_bytes: 0,
@@ -351,7 +345,6 @@ impl LaunchStats {
             self.critical_sums[b] += other.critical_sums[b];
         }
         self.static_verified_launches += other.static_verified_launches;
-        self.static_verified_replays += other.static_verified_replays;
         self.arena_hits += other.arena_hits;
         self.arena_misses += other.arena_misses;
         self.arena_peak_bytes = self.arena_peak_bytes.max(other.arena_peak_bytes);
@@ -477,11 +470,6 @@ impl Executor {
     /// Counts launches that ran on the parallel path.
     pub(crate) fn note_verified_launches(&self, count: u64) {
         self.lock_stats().static_verified_launches += count;
-    }
-
-    /// Counts one parallel replay of a [`KernelGraph`].
-    pub(crate) fn note_verified_replay(&self) {
-        self.lock_stats().static_verified_replays += 1;
     }
 
     /// Drains all accumulated sanitizer reports (empty when not

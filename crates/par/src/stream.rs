@@ -50,19 +50,14 @@ use crate::{Executor, DEFAULT_INLINE_THRESHOLD};
 use parsweep_trace as trace;
 
 /// One queued (not yet executed) kernel launch.
-pub(crate) struct Pending<'env> {
-    pub(crate) label: String,
-    pub(crate) n: usize,
+struct Pending<'env> {
+    label: String,
+    n: usize,
     /// The launch's static effect declarations, already checked in
-    /// isolation (at queue time, or at graph build time for replays).
-    pub(crate) declared: DeclaredLaunch,
-    /// Set when cross-launch disjointness was already proven at graph
-    /// build time (at the node's maximum width, which dominates every
-    /// replay width): the drain-time epoch check skips pairs where both
-    /// sides carry this flag, so replays cost O(launches), not
-    /// O(launches²).
-    pub(crate) preverified: bool,
-    pub(crate) kernel: Box<dyn Fn(usize) + Send + Sync + 'env>,
+    /// isolation at queue time; cross-stream disjointness is checked
+    /// when the join epoch drains.
+    declared: DeclaredLaunch,
+    kernel: Box<dyn Fn(usize) + Send + Sync + 'env>,
 }
 
 impl Pending<'_> {
@@ -93,9 +88,9 @@ impl Pending<'_> {
 /// CUDA stream completes its work — unless it is dropped by a panic
 /// unwinding through its owner, which abandons the queue.
 pub struct Stream<'exec, 'env> {
-    pub(crate) exec: &'exec Executor,
-    pub(crate) id: u64,
-    pub(crate) queue: Vec<Pending<'env>>,
+    exec: &'exec Executor,
+    id: u64,
+    queue: Vec<Pending<'env>>,
 }
 
 impl<'exec, 'env> Stream<'exec, 'env> {
@@ -150,7 +145,6 @@ impl<'exec, 'env> Stream<'exec, 'env> {
                 buffers,
                 effects: std::sync::Arc::new(effects_list.to_vec()),
             },
-            preverified: false,
             kernel: Box::new(kernel),
         });
     }
@@ -212,7 +206,7 @@ impl Executor {
 
     /// Runs stream batches: the execution engine behind [`Stream::sync`]
     /// and [`Executor::join`].
-    pub(crate) fn drain_streams(&self, mut batches: Vec<(u64, Vec<Pending<'_>>)>) {
+    fn drain_streams(&self, mut batches: Vec<(u64, Vec<Pending<'_>>)>) {
         batches.retain(|(_, queue)| !queue.is_empty());
         if batches.is_empty() {
             return;
@@ -246,26 +240,16 @@ impl Executor {
         // runtime widths on every executor — raw included, where a
         // hazard cannot be demoted to a report because the launches are
         // about to race on real threads.
-        // A replayed wave is entirely preverified (build time proved all
-        // its pairs disjoint at max widths) — don't even iterate the
-        // pairs: a wide graph wave joins thousands of one-launch streams.
-        let all_preverified = batches.iter().all(|(_, q)| q.iter().all(|p| p.preverified));
-        if batches.len() > 1 && !all_preverified {
-            for (i, (_, qa)) in batches.iter().enumerate() {
-                for (_, qb) in batches.iter().skip(i + 1) {
-                    for pa in qa {
-                        // Graph replays proved same-wave disjointness at
-                        // build time at max widths — re-proving it per
-                        // replay would make every replay epoch quadratic
-                        // in its wave width.
-                        for pb in qb.iter().filter(|pb| !(pa.preverified && pb.preverified)) {
-                            let hazards = effects::check_unordered(&pa.peer(), &pb.peer());
-                            assert!(
-                                hazards.is_empty(),
-                                "static effect check failed for join epoch:\n{}",
-                                effects::hazard_report(&hazards)
-                            );
-                        }
+        for (i, (_, qa)) in batches.iter().enumerate() {
+            for (_, qb) in batches.iter().skip(i + 1) {
+                for pa in qa {
+                    for pb in qb {
+                        let hazards = effects::check_unordered(&pa.peer(), &pb.peer());
+                        assert!(
+                            hazards.is_empty(),
+                            "static effect check failed for join epoch:\n{}",
+                            effects::hazard_report(&hazards)
+                        );
                     }
                 }
             }

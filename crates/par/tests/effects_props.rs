@@ -19,9 +19,7 @@ mod common;
 use common::{inspecting_executor, loose};
 use proptest::prelude::*;
 
-use parsweep_par::{
-    BufId, ConflictKind, Effect, EffectTable, Executor, KernelGraphBuilder, Pattern, StaticHazard,
-};
+use parsweep_par::{BufId, ConflictKind, Effect, EffectTable, Executor, Pattern, StaticHazard};
 
 /// One randomly generated effect: kind + affine per-tid footprint.
 #[derive(Clone, Copy, Debug)]
@@ -94,13 +92,7 @@ fn static_classes(spec: &GenLaunch) -> (Vec<StaticHazard>, Vec<Class>) {
     let table = EffectTable::new();
     let buf = table.buffer("prop.buf", spec.len);
     let effects = declared_effects(spec, buf);
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    let width = spec.width;
-    g.kernel_declared("prop", &[], move |_| width, width, effects, |_, _| {});
-    let hazards = match g.try_build() {
-        Ok(_) => Vec::new(),
-        Err(h) => h,
-    };
+    let hazards = table.check("prop", spec.width, &effects);
     let mut classes: Vec<Class> = hazards
         .iter()
         .filter_map(|h| match h {

@@ -1,16 +1,42 @@
 //! Adversarial suite for the static effect checker: every hazard class
 //! the dynamic sanitizer detects must be flagged statically from
-//! declarations alone, clean graphs must verify with zero false
-//! positives and replay in parallel on a raw executor, and a sanitizing
+//! declarations alone, clean declarations must verify with zero false
+//! positives and run in parallel on a raw executor, and a sanitizing
 //! executor must catch declarations that under-approximate the kernel's
 //! real accesses.
 
 mod common;
 
 use common::{inspecting_executor, loose, OWN};
-use parsweep_par::{
-    ConflictKind, Effect, EffectTable, Executor, KernelGraphBuilder, Pattern, StaticHazard,
-};
+use parsweep_par::{BufId, ConflictKind, Effect, EffectTable, Executor, Pattern, StaticHazard};
+
+/// Joins two one-launch streams declared over `buf` with empty kernels
+/// and returns the join's panic message, if any. The cross-stream check
+/// runs before anything launches, on every executor.
+fn join_panic(
+    table: &EffectTable,
+    buf: BufId,
+    left: &[Effect],
+    right: &[Effect],
+) -> Option<String> {
+    let exec = Executor::with_threads(2);
+    let mut data = vec![0u64; table.len_of(buf)];
+    let _cells = exec.bind_table(table, buf, &mut data);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut s1 = exec.stream();
+        let mut s2 = exec.stream();
+        s1.launch_declared(table, "left", 8, left, |_| {});
+        s2.launch_declared(table, "right", 8, right, |_| {});
+        exec.join(&mut [&mut s1, &mut s2]);
+    }))
+    .err()
+    .map(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    })
+}
 
 /// Write-write: stride 2, span 4 — neighbors collide. The static
 /// checker flags it from the declaration; the dynamic sanitizer flags
@@ -20,13 +46,10 @@ use parsweep_par::{
 fn write_write_flagged_statically_and_dynamically() {
     let table = EffectTable::new();
     let buf = table.buffer("ww.buf", 64);
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    g.kernel_declared(
+    let hazards = table.check(
         "ww",
-        &[],
-        |_| 8,
         8,
-        vec![Effect::write(
+        &[Effect::write(
             buf,
             Pattern::Affine {
                 base: 0,
@@ -34,9 +57,7 @@ fn write_write_flagged_statically_and_dynamically() {
                 span: 4,
             },
         )],
-        |_, _| {},
     );
-    let hazards = g.try_build().map(|_| ()).unwrap_err();
     assert!(
         hazards
             .iter()
@@ -71,13 +92,10 @@ fn write_write_flagged_statically_and_dynamically() {
 fn read_write_flagged_statically_and_dynamically() {
     let table = EffectTable::new();
     let buf = table.buffer("rw.buf", 64);
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    g.kernel_declared(
+    let hazards = table.check(
         "rw",
-        &[],
-        |_| 8,
         8,
-        vec![
+        &[
             Effect::read(
                 buf,
                 Pattern::Affine {
@@ -95,9 +113,7 @@ fn read_write_flagged_statically_and_dynamically() {
                 },
             ),
         ],
-        |_, _| {},
     );
-    let hazards = g.try_build().map(|_| ()).unwrap_err();
     assert!(
         hazards
             .iter()
@@ -132,14 +148,11 @@ fn read_write_flagged_statically_and_dynamically() {
 fn out_of_bounds_flagged_statically_and_dynamically() {
     let table = EffectTable::new();
     let buf = table.buffer("oob.buf", 10);
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    g.kernel_declared(
+    let hazards = table.check(
         "oob",
-        &[],
-        |_| 4,
         4,
         // Thread 3 needs slots 9..12: past len 10.
-        vec![Effect::write(
+        &[Effect::write(
             buf,
             Pattern::Affine {
                 base: 0,
@@ -147,9 +160,7 @@ fn out_of_bounds_flagged_statically_and_dynamically() {
                 span: 3,
             },
         )],
-        |_, _| {},
     );
-    let hazards = g.try_build().map(|_| ()).unwrap_err();
     assert!(
         hazards.iter().any(|h| matches!(
             h,
@@ -183,37 +194,21 @@ fn out_of_bounds_flagged_statically_and_dynamically() {
     );
 }
 
-/// Stream race: two same-depth graph nodes (one unordered epoch) with
-/// overlapping write footprints. Statically an UnorderedConflict; the
-/// dynamic analogue on two joined streams is a StreamRace.
+/// Stream race: launches on two joined streams (one unordered epoch)
+/// with overlapping write footprints. Statically an UnorderedConflict,
+/// which panics the join before anything runs; the dynamic analogue is
+/// a StreamRace.
 #[test]
 fn unordered_conflict_flagged_statically_and_dynamically() {
     let table = EffectTable::new();
     let buf = table.buffer("race.buf", 64);
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    g.kernel_declared(
-        "left",
-        &[],
-        |_| 8,
-        8,
-        vec![Effect::write(buf, OWN)],
-        |_, _| {},
-    );
-    g.kernel_declared(
-        "right",
-        &[],
-        |_| 8,
-        8,
-        vec![Effect::write(buf, OWN)],
-        |_, _| {},
-    );
-    let hazards = g.try_build().map(|_| ()).unwrap_err();
-    assert!(
-        hazards
-            .iter()
-            .any(|h| matches!(h, StaticHazard::UnorderedConflict { .. })),
-        "{hazards:?}"
-    );
+    let own = [Effect::write(buf, OWN)];
+    let message = join_panic(&table, buf, &own, &own).expect("the join must refuse the epoch");
+    let hazard = StaticHazard::UnorderedConflict {
+        kernels: ("left".to_string(), "right".to_string()),
+        buffer: "race.buf".to_string(),
+    };
+    assert!(message.contains(&hazard.to_string()), "{message}");
 
     let exec = inspecting_executor();
     let (table, buf, effects) = loose("race.buf", 64);
@@ -239,168 +234,6 @@ fn unordered_conflict_flagged_statically_and_dynamically() {
             .any(|r| matches!(r.kind, ConflictKind::StreamRace { .. })),
         "dynamic sanitizer must agree with the static verdict"
     );
-}
-
-/// Use-after-release is static-only: the dynamic sanitizer has no lease
-/// model, but the builder flags a declared use at or past the buffer's
-/// declared release depth.
-#[test]
-fn use_after_release_flagged_at_build() {
-    let table = EffectTable::new();
-    let buf = table.buffer("leased.buf", 16);
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    let producer = g.kernel_declared(
-        "produce",
-        &[],
-        |_| 16,
-        16,
-        vec![Effect::write(buf, OWN)],
-        |_, _| {},
-    );
-    g.release(buf, &[producer]);
-    g.kernel_declared(
-        "late-read",
-        &[producer],
-        |_| 16,
-        16,
-        vec![Effect::read(buf, OWN)],
-        |_, _| {},
-    );
-    let hazards = g.try_build().map(|_| ()).unwrap_err();
-    assert!(
-        hazards.iter().any(
-            |h| matches!(h, StaticHazard::UseAfterRelease { kernel, .. } if kernel == "late-read")
-        ),
-        "{hazards:?}"
-    );
-
-    // Releasing after the reader instead is clean.
-    let table = EffectTable::new();
-    let buf = table.buffer("leased.buf", 16);
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    let producer = g.kernel_declared(
-        "produce",
-        &[],
-        |_| 16,
-        16,
-        vec![Effect::write(buf, OWN)],
-        |_, _| {},
-    );
-    let reader = g.kernel_declared(
-        "read",
-        &[producer],
-        |_| 16,
-        16,
-        vec![Effect::read(buf, OWN)],
-        |_, _| {},
-    );
-    g.release(buf, &[reader]);
-    assert!(g.try_build().is_ok());
-}
-
-/// A clean graph verifies and produces correct results in both modes:
-/// a raw executor counts its replays and launches as having run on the
-/// parallel path, a sanitizing one audits every access against the
-/// declarations, stays silent, and counts none.
-#[test]
-fn clean_graph_replays_correctly_raw_and_audited() {
-    const N: usize = 512;
-    struct Round<'a> {
-        cells: &'a parsweep_par::DeviceSlice<'a, u64>,
-    }
-    // The graph's context type borrows the bound cells, so the graph is
-    // built (and dropped) inside the binding scope, once per executor.
-    fn run(exec: &Executor, replays: usize) -> Vec<u64> {
-        let table = EffectTable::new();
-        let buf = table.buffer("pipeline.buf", N);
-        let mut data = vec![0u64; N];
-        {
-            let cells = exec.bind_table(&table, buf, &mut data);
-            let mut g = KernelGraphBuilder::<Round>::new(&table);
-            let fill = g.kernel_declared(
-                "fill",
-                &[],
-                |_: &Round| N,
-                N,
-                vec![Effect::write(buf, OWN)],
-                |tid, r: &Round| {
-                    // SAFETY: each tid writes its own slot (statically proven).
-                    unsafe { r.cells.write(tid, tid, tid as u64) };
-                },
-            );
-            g.kernel_declared(
-                "double",
-                &[fill],
-                |_: &Round| N,
-                N,
-                vec![Effect::read(buf, OWN), Effect::write(buf, OWN)],
-                |tid, r: &Round| {
-                    // SAFETY: each tid reads and writes only its own slot.
-                    unsafe {
-                        let v = r.cells.read(tid, tid);
-                        r.cells.write(tid, tid, v * 2);
-                    }
-                },
-            );
-            let graph = g.build();
-            for _ in 0..replays {
-                graph.replay(exec, &Round { cells: &cells });
-            }
-        }
-        data
-    }
-
-    let exec = Executor::with_threads(2);
-    let data = run(&exec, 2);
-    assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64 * 2));
-    // Ambient PARSWEEP_SANITIZE makes this executor a sanitizing one.
-    if !exec.sanitizing() {
-        let stats = exec.stats();
-        assert_eq!(stats.static_verified_replays, 2);
-        assert_eq!(stats.static_verified_launches, 4);
-    }
-
-    // Same graph under the dynamic sanitizer (fail-fast): declarations
-    // cover every access, so it stays clean — and nothing counts as
-    // having run on the parallel path.
-    let exec = Executor::with_sanitizer(2);
-    let data = run(&exec, 1);
-    assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64 * 2));
-    assert!(
-        exec.take_reports().is_empty(),
-        "declarations must cover all accesses"
-    );
-    assert_eq!(exec.stats().total_launches(), 2);
-    assert_eq!(exec.stats().static_verified_replays, 0);
-    assert_eq!(exec.stats().static_verified_launches, 0);
-}
-
-/// Replaying a declared node wider than its verified maximum is a
-/// contract violation and must fail loudly, not race silently.
-#[test]
-#[should_panic(expected = "beyond its statically verified maximum")]
-fn replay_wider_than_max_width_panics() {
-    let table = EffectTable::new();
-    let buf = table.buffer("narrow.buf", 64);
-    let mut g = KernelGraphBuilder::<usize>::new(&table);
-    g.kernel_declared(
-        "grower",
-        &[],
-        |&n: &usize| n,
-        8,
-        vec![Effect::write(
-            buf,
-            Pattern::Affine {
-                base: 0,
-                stride: 1,
-                span: 1,
-            },
-        )],
-        |_, _| {},
-    );
-    let graph = g.build();
-    let exec = Executor::with_threads(2);
-    graph.replay(&exec, &16); // width 16 > verified max 8
 }
 
 /// The audit catches a declaration that under-approximates: the kernel
@@ -559,44 +392,15 @@ fn atomic_reductions_are_clean_but_conflict_with_plain_writes() {
         stride: 0,
         span: 1,
     };
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    g.kernel_declared(
-        "acc1",
-        &[],
-        |_| 8,
-        8,
-        vec![Effect::atomic(buf, all_one)],
-        |_, _| {},
+    let atomic = [Effect::atomic(buf, all_one)];
+    assert_eq!(
+        join_panic(&table, buf, &atomic, &atomic),
+        None,
+        "atomic-atomic must commute"
     );
-    g.kernel_declared(
-        "acc2",
-        &[],
-        |_| 8,
-        8,
-        vec![Effect::atomic(buf, all_one)],
-        |_, _| {},
-    );
-    assert!(g.try_build().is_ok(), "atomic-atomic must commute");
-
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    g.kernel_declared(
-        "acc",
-        &[],
-        |_| 8,
-        8,
-        vec![Effect::atomic(buf, all_one)],
-        |_, _| {},
-    );
-    g.kernel_declared(
-        "plain",
-        &[],
-        |_| 8,
-        8,
-        vec![Effect::write(buf, all_one)],
-        |_, _| {},
-    );
+    let plain = [Effect::write(buf, all_one)];
     assert!(
-        g.try_build().is_err(),
+        join_panic(&table, buf, &atomic, &plain).is_some(),
         "atomic vs plain write must conflict"
     );
 }

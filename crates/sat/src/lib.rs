@@ -56,6 +56,6 @@ pub use prover::{
 pub use slit::{LBool, SatLit, SatVar};
 pub use solver::{SolveResult, Solver, SolverStats};
 pub use sweep::{
-    check_equivalence, sat_sweep, sat_sweep_seeded, sat_sweep_seeded_cancellable, SweepConfig,
-    SweepResult, SweepStats, Verdict,
+    sat_sweep, sat_sweep_seeded, sat_sweep_seeded_cancellable, SweepConfig, SweepResult,
+    SweepStats, Verdict,
 };

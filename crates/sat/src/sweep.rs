@@ -286,21 +286,6 @@ pub fn sat_sweep_seeded_cancellable(
     }
 }
 
-/// Convenience wrapper: miters two circuits and sweeps.
-///
-/// # Errors
-///
-/// Returns the miter-construction error if the interfaces differ.
-pub fn check_equivalence(
-    left: &Aig,
-    right: &Aig,
-    exec: &Executor,
-    cfg: &SweepConfig,
-) -> Result<SweepResult, parsweep_aig::BuildMiterError> {
-    let m = parsweep_aig::miter(left, right)?;
-    Ok(sat_sweep(&m, exec, cfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,13 +373,6 @@ mod tests {
         };
         let r = sat_sweep(&m, &exec(), &cfg);
         assert_eq!(r.verdict, Verdict::Undecided);
-    }
-
-    #[test]
-    fn check_equivalence_interface_mismatch_errors() {
-        let a = adder(2, true);
-        let b = adder(3, true);
-        assert!(check_equivalence(&a, &b, &exec(), &SweepConfig::default()).is_err());
     }
 
     #[test]

@@ -6,18 +6,24 @@
 //! proceeds in rounds over segments, with three dimensions of parallelism:
 //! words within a node, nodes within a level, and windows within a batch.
 //!
-//! The multi-round loop is recorded as a [`KernelGraphBuilder`] launch DAG
-//! once per batch — one `inputs → levels → compare` chain per window — and
-//! replayed with fresh round bindings, CUDA-graph style. Chains of
-//! different windows are independent, so their launches overlap at replay;
-//! the simulation table and outcome slots come from the executor's
+//! A batch is compiled once into flat arrays: a table layout with every
+//! window's input entries first and each window's gate entries after,
+//! and one flat gate list per window-local depth. Each round is then
+//! `depth + 2` eager launches —
+//! one `sim.exhaustive.inputs` launch over every input entry, one
+//! `sim.exhaustive.level` launch per depth covering that depth's gates of
+//! *every* window (level-major, so windows are the launch's third
+//! dimension of parallelism rather than separate launch chains), and one
+//! `sim.exhaustive.compare` launch over every pair. Threads of windows
+//! that finished early return at once. The simulation table and outcome
+//! slots come from the executor's
 //! [`BufferArena`](parsweep_par::BufferArena) and are recycled across
 //! rounds and batches.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use parsweep_aig::{Aig, Node, Var};
-use parsweep_par::{CancelToken, Effect, EffectTable, Executor, KernelGraphBuilder, Pattern};
+use parsweep_par::{CancelToken, Effect, EffectTable, Executor, Pattern};
 
 use crate::tt::projection_word;
 use crate::window::Window;
@@ -57,16 +63,125 @@ pub struct SimEffort {
     pub entry_words: usize,
 }
 
-struct WindowPlan<'w> {
-    window: &'w Window,
-    /// First entry slot of this window in the simulation table.
-    base: usize,
-    /// Window-node -> local entry slot.
-    index: std::collections::HashMap<Var, u32>,
-    /// Interior nodes grouped by window-local level.
-    levels: Vec<Vec<Var>>,
-    /// Truth-table length in words.
-    tt_words: usize,
+/// One AND gate of a compiled batch.
+#[derive(Clone, Copy)]
+struct Gate {
+    window: u32,
+    /// The gate's own entry.
+    out: u32,
+    /// Fanin entries (of lower depths) and their complement masks.
+    fanins: [u32; 2],
+    masks: [u64; 2],
+}
+
+/// One candidate pair of a compiled batch.
+struct Compare {
+    window: u32,
+    /// Root entries; `None` for a constant root.
+    roots: [Option<u32>; 2],
+    /// All-ones when the pair is expected complemented.
+    cmask: u64,
+    num_inputs: usize,
+}
+
+/// A batch compiled into flat arrays over one entry table: every
+/// window's input entries first, then each window's gates.
+struct Batch {
+    /// Window owning input entry `t`.
+    input_window: Vec<u32>,
+    /// Entry of each window's first input.
+    input_base: Vec<usize>,
+    /// Gates of every window, depth-major: window-local depth `d + 1`
+    /// spans `gates[depth_start[d]..depth_start[d + 1]]`.
+    gates: Vec<Gate>,
+    depth_start: Vec<usize>,
+    /// Pairs, window-major: pair `t` owns outcome slot `t`.
+    compares: Vec<Compare>,
+    /// Per window: its gate count and its deepest depth.
+    window_gates: Vec<u64>,
+    window_depth: Vec<usize>,
+}
+
+impl Batch {
+    fn compile(aig: &Aig, windows: &[Window]) -> Batch {
+        let top = windows
+            .iter()
+            .flat_map(|w| w.inputs.iter().chain(&w.nodes))
+            .map(|v| v.index() + 1)
+            .max()
+            .unwrap_or(0);
+        // `at[v]` = (window-local depth + 1, entry) of a node of the
+        // current window; depth + 1 == 0 marks nodes outside it.
+        let mut at = vec![(0u32, 0u32); top];
+        let mut next = windows.iter().map(|w| w.inputs.len()).sum::<usize>() as u32;
+        let mut levels: Vec<Vec<Gate>> = Vec::new();
+        let mut batch = Batch {
+            input_window: Vec::with_capacity(next as usize),
+            input_base: Vec::with_capacity(windows.len()),
+            gates: Vec::new(),
+            depth_start: vec![0],
+            compares: Vec::new(),
+            window_gates: Vec::with_capacity(windows.len()),
+            window_depth: Vec::with_capacity(windows.len()),
+        };
+        let mask = |complemented: bool| if complemented { u64::MAX } else { 0 };
+        for (i, w) in windows.iter().enumerate() {
+            batch.input_base.push(batch.input_window.len());
+            for v in &w.inputs {
+                at[v.index()] = (1, batch.input_window.len() as u32);
+                batch.input_window.push(i as u32);
+            }
+            let (mut gates, mut deepest) = (0u64, 0usize);
+            for &v in &w.nodes {
+                if at[v.index()].0 != 0 {
+                    continue; // a root that is also an input
+                }
+                let Node::And(a, b) = aig.node(v) else {
+                    unreachable!("interior window nodes are AND gates");
+                };
+                let (fa, fb) = (at[a.var().index()], at[b.var().index()]);
+                assert!(fa.0 != 0 && fb.0 != 0, "window is topologically closed");
+                let d = fa.0.max(fb.0) as usize;
+                if levels.len() < d {
+                    levels.resize_with(d, Vec::new);
+                }
+                levels[d - 1].push(Gate {
+                    window: i as u32,
+                    out: next,
+                    fanins: [fa.1, fb.1],
+                    masks: [mask(a.is_complemented()), mask(b.is_complemented())],
+                });
+                at[v.index()] = (d as u32 + 1, next);
+                next += 1;
+                gates += 1;
+                deepest = deepest.max(d);
+            }
+            let entry = |v: Var| {
+                (!v.is_const()).then(|| {
+                    assert!(at[v.index()].0 != 0, "pair roots lie in their window");
+                    at[v.index()].1
+                })
+            };
+            for pair in &w.pairs {
+                batch.compares.push(Compare {
+                    window: i as u32,
+                    roots: [entry(pair.a), entry(pair.b)],
+                    cmask: mask(pair.complement),
+                    num_inputs: w.inputs.len(),
+                });
+            }
+            for v in w.inputs.iter().chain(&w.nodes) {
+                at[v.index()].0 = 0;
+            }
+            batch.window_gates.push(gates);
+            batch.window_depth.push(deepest);
+        }
+        for level in levels {
+            batch.gates.extend(level);
+            batch.depth_start.push(batch.gates.len());
+        }
+        batch
+    }
 }
 
 /// Runs Algorithm 1 on a batch of windows.
@@ -112,282 +227,161 @@ pub fn check_windows_cancellable(
     if windows.is_empty() {
         return (Vec::new(), SimEffort::default());
     }
-
-    // Plan entry layout: entries of all windows are consecutive.
-    let mut plans: Vec<WindowPlan> = Vec::with_capacity(windows.len());
-    let mut total_entries = 0usize;
-    for w in windows {
-        plans.push(WindowPlan {
-            window: w,
-            base: total_entries,
-            index: w.entry_index(),
-            levels: w.level_groups(aig),
-            tt_words: w.tt_words(),
-        });
-        total_entries += w.num_entries();
-    }
+    let batch = Batch::compile(aig, windows);
+    let total_entries: usize = windows.iter().map(Window::num_entries).sum();
+    let tt_words: Vec<usize> = windows.iter().map(Window::tt_words).collect();
 
     // Entry size E: the largest power of two with E * N <= M (at least 1),
     // capped at the longest truth table in the batch.
-    let max_tt = plans.iter().map(|p| p.tt_words).max().unwrap_or(1);
+    let max_tt = tt_words.iter().copied().max().unwrap_or(1);
     let mut entry_words = 1usize;
     while entry_words < max_tt && entry_words * 2 * total_entries <= memory_words {
         entry_words *= 2;
     }
     let rounds = max_tt.div_ceil(entry_words);
 
+    let total_pairs = batch.compares.len();
     let mut simt = exec.arena().take::<u64>(entry_words * total_entries);
-    let resolved: Vec<Vec<AtomicBool>> = windows
-        .iter()
-        .map(|w| (0..w.pairs.len()).map(|_| AtomicBool::new(false)).collect())
-        .collect();
+    let mut outcomes = exec.arena().take::<Option<PairOutcome>>(total_pairs);
+    let resolved: Vec<AtomicBool> = (0..total_pairs).map(|_| AtomicBool::new(false)).collect();
     let unresolved: Vec<AtomicUsize> = windows
         .iter()
         .map(|w| AtomicUsize::new(w.pairs.len()))
         .collect();
-    // Flat outcome slots: one per (window, pair), disjointly written.
-    let pair_base: Vec<usize> = {
-        let mut acc = 0usize;
-        windows
-            .iter()
-            .map(|w| {
-                let b = acc;
-                acc += w.pairs.len();
-                b
-            })
-            .collect()
-    };
-    let total_pairs: usize = windows.iter().map(|w| w.pairs.len()).sum();
-    let mut outcomes = exec.arena().take::<Option<PairOutcome>>(total_pairs);
     let mut words_simulated = 0u64;
     let mut rounds_run = 0u32;
     let mut completed_rounds = 0usize;
 
-    /// Bindings one graph replay runs against: the round index and the
-    /// per-window activity mask (a window goes inactive when its truth
-    /// table is exhausted or all its pairs resolved).
-    struct Round {
-        r: usize,
-        active: Vec<bool>,
-    }
-
     {
-        // Declare the device buffers and every kernel's footprint over
-        // them, so the whole round graph is *statically verified* at
-        // build time and replays skip dynamic sanitization (the
-        // verified-replay fast path).
+        // Every launch declares its footprint over the two device
+        // buffers; the static checker proves each one before it runs.
         let table = EffectTable::new();
         let tbl_buf = table.buffer("sim.exhaustive.table", entry_words * total_entries);
         let out_buf = table.buffer("sim.exhaustive.outcomes", total_pairs);
         let cells = exec.bind_table(&table, tbl_buf, &mut simt);
         let out_cells = exec.bind_table(&table, out_buf, &mut outcomes);
-        let cells = &cells;
-        let out_cells = &out_cells;
-        let resolved = &resolved;
-        let unresolved = &unresolved;
-        let pair_base = &pair_base;
-
-        // Record the launch DAG once: per window a chain
-        // `inputs → level 0 → … → compare`. Chains of different windows
-        // carry no edges between them, so at replay each wave runs their
-        // launches on separate streams (windows touch disjoint table
-        // ranges) and only the deepest chain paces the critical path.
-        let mut builder = KernelGraphBuilder::<Round>::new(&table);
-        for (i, p) in plans.iter().enumerate() {
-            let active_words =
-                move |r: usize| -> usize { (p.tt_words - r * entry_words).min(entry_words) };
-            // This window's slice of the simulation table, in words.
-            let win_lo = p.base * entry_words;
-            let win_hi = (p.base + p.window.num_entries()) * entry_words;
-            let inputs = builder.kernel_declared(
-                "sim.exhaustive.inputs",
-                &[],
-                move |b: &Round| {
-                    if b.active[i] {
-                        p.window.inputs.len()
-                    } else {
-                        0
-                    }
-                },
-                p.window.inputs.len(),
-                // Input j owns entry (base + j): stride == span, so the
-                // checker proves thread disjointness in closed form.
-                vec![Effect::write(
-                    tbl_buf,
-                    Pattern::Affine {
-                        base: win_lo,
-                        stride: entry_words,
-                        span: entry_words,
-                    },
-                )],
-                move |j, b: &Round| {
-                    let aw = active_words(b.r);
-                    let entry = (p.base + j) * entry_words;
-                    for w in 0..aw {
-                        // SAFETY: each (window, input) kernel owns a
-                        // distinct entry.
-                        unsafe {
-                            cells.write(j, entry + w, projection_word(j, b.r * entry_words + w))
-                        };
-                    }
-                },
-            );
-            let mut prev = inputs;
-            for nodes in &p.levels {
-                prev = builder.kernel_declared(
-                    "sim.exhaustive.level",
-                    &[prev],
-                    move |b: &Round| if b.active[i] { nodes.len() } else { 0 },
-                    nodes.len(),
-                    // Node k reads its fanins' entries (strictly lower
-                    // levels) and writes its own — data-dependent
-                    // disjoint chunks inside this window's table slice.
-                    vec![
-                        Effect::read(
-                            tbl_buf,
-                            Pattern::Indexed {
-                                lo: win_lo,
-                                hi: win_hi,
-                            },
-                        ),
-                        Effect::write(
-                            tbl_buf,
-                            Pattern::Indexed {
-                                lo: win_lo,
-                                hi: win_hi,
-                            },
-                        ),
-                    ],
-                    move |k, b: &Round| {
-                        let aw = active_words(b.r);
-                        let v = nodes[k];
-                        let Node::And(fa, fb) = aig.node(v) else {
-                            unreachable!("interior window nodes are AND gates");
-                        };
-                        let ea = p.index[&fa.var()] as usize;
-                        let eb = p.index[&fb.var()] as usize;
-                        let ev = p.index[&v] as usize;
-                        let ma = if fa.is_complemented() { u64::MAX } else { 0 };
-                        let mb = if fb.is_complemented() { u64::MAX } else { 0 };
-                        let (ba, bb, bv) = (
-                            (p.base + ea) * entry_words,
-                            (p.base + eb) * entry_words,
-                            (p.base + ev) * entry_words,
-                        );
-                        for w in 0..aw {
-                            // SAFETY: fanin entries were written by earlier
-                            // levels (graph-ordered launches); each node
-                            // writes only its own entry.
-                            unsafe {
-                                let wa = cells.read(k, ba + w) ^ ma;
-                                let wb = cells.read(k, bb + w) ^ mb;
-                                cells.write(k, bv + w, wa & wb);
-                            }
-                        }
-                    },
-                );
-            }
-            builder.kernel_declared(
-                "sim.exhaustive.compare",
-                &[prev],
-                move |b: &Round| if b.active[i] { p.window.pairs.len() } else { 0 },
-                p.window.pairs.len(),
-                // Pair k reads its roots' entries and writes its own
-                // outcome slot (one slot per pair, stride 1).
-                vec![
-                    Effect::read(
-                        tbl_buf,
-                        Pattern::Indexed {
-                            lo: win_lo,
-                            hi: win_hi,
-                        },
-                    ),
-                    Effect::write(
-                        out_buf,
-                        Pattern::Affine {
-                            base: pair_base[i],
-                            stride: 1,
-                            span: 1,
-                        },
-                    ),
-                ],
-                move |k, b: &Round| {
-                    if resolved[i][k].load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let aw = active_words(b.r);
-                    let pair = p.window.pairs[k];
-                    let cmask = if pair.complement { u64::MAX } else { 0 };
-                    let entry_of = |v: Var| -> Option<usize> {
-                        if v.is_const() {
-                            None
-                        } else {
-                            Some((p.base + p.index[&v] as usize) * entry_words)
-                        }
-                    };
-                    let (ea, eb) = (entry_of(pair.a), entry_of(pair.b));
-                    let k_in = p.window.inputs.len();
-                    let valid = if k_in < 6 {
-                        (1u64 << (1usize << k_in)) - 1
-                    } else {
-                        u64::MAX
-                    };
-                    for w in 0..aw {
-                        // SAFETY: root entries were written by the level
-                        // launches this chain depends on.
-                        let wa = ea.map_or(0, |e| unsafe { cells.read(k, e + w) });
-                        // SAFETY: as above.
-                        let wb = eb.map_or(0, |e| unsafe { cells.read(k, e + w) });
-                        let diff = (wa ^ wb ^ cmask) & valid;
-                        if diff != 0 {
-                            let bit = diff.trailing_zeros() as u64;
-                            let pattern_index = ((b.r * entry_words + w) as u64) << 6 | bit;
-                            let assignment =
-                                (0..k_in).map(|j| pattern_index >> j & 1 == 1).collect();
-                            resolved[i][k].store(true, Ordering::Relaxed);
-                            unresolved[i].fetch_sub(1, Ordering::Relaxed);
-                            // SAFETY: exactly one kernel thread exists per
-                            // (window, pair), so the flat slot is written
-                            // by at most one thread.
-                            unsafe {
-                                out_cells.write(
-                                    k,
-                                    pair_base[i] + k,
-                                    Some(PairOutcome::Mismatch {
-                                        pattern_index,
-                                        assignment,
-                                    }),
-                                );
-                            }
-                            return;
-                        }
-                    }
-                },
-            );
-        }
-        let graph = builder.build();
+        let gate_base = batch.input_window.len();
+        let (lo, hi) = (gate_base * entry_words, total_entries * entry_words);
+        // Thread t owns input entry t: stride == span, so the checker
+        // proves thread disjointness in closed form.
+        let (stride, span) = (entry_words, entry_words);
+        let inputs = [Effect::write(
+            tbl_buf,
+            Pattern::Affine {
+                base: 0,
+                stride,
+                span,
+            },
+        )];
+        // Gate t reads its fanins' entries (written by earlier launches)
+        // and writes its own: data-dependent disjoint entries.
+        let reads = Effect::read(tbl_buf, Pattern::Indexed { lo: 0, hi });
+        let level = [reads, Effect::write(tbl_buf, Pattern::Indexed { lo, hi })];
+        // Pair t reads its roots' entries and writes outcome slot t.
+        let (base, stride, span) = (0, 1, 1);
+        let compare = [
+            reads,
+            Effect::write(out_buf, Pattern::Affine { base, stride, span }),
+        ];
+        let (batch, cells, out_cells) = (&batch, &cells, &out_cells);
 
         for r in 0..rounds {
             if token.is_cancelled() {
                 break;
             }
             // Windows still needing simulation this round.
-            let active: Vec<bool> = (0..plans.len())
-                .map(|i| {
-                    plans[i].tt_words > r * entry_words && unresolved[i].load(Ordering::Relaxed) > 0
-                })
+            let active: Vec<bool> = (0..windows.len())
+                .map(|i| tt_words[i] > r * entry_words && unresolved[i].load(Ordering::Relaxed) > 0)
                 .collect();
             if !active.iter().any(|&a| a) {
                 break;
             }
             rounds_run += 1;
-            for (i, p) in plans.iter().enumerate() {
-                if active[i] {
-                    let aw = (p.tt_words - r * entry_words).min(entry_words) as u64;
-                    words_simulated += aw * p.levels.iter().map(|l| l.len() as u64).sum::<u64>();
-                }
+            // Words of active window `i`'s table simulated this round.
+            let active_words = |i: usize| (tt_words[i] - r * entry_words).min(entry_words);
+            let mut depths = 0;
+            for i in (0..windows.len()).filter(|&i| active[i]) {
+                words_simulated += active_words(i) as u64 * batch.window_gates[i];
+                depths = depths.max(batch.window_depth[i]);
             }
-            graph.replay(exec, &Round { r, active });
+            let active = &active;
+
+            exec.launch_declared(&table, "sim.exhaustive.inputs", gate_base, &inputs, |t| {
+                let i = batch.input_window[t] as usize;
+                if !active[i] {
+                    return;
+                }
+                let j = t - batch.input_base[i];
+                for w in 0..active_words(i) {
+                    let word = projection_word(j, r * entry_words + w);
+                    // SAFETY: input entry t belongs to thread t alone.
+                    unsafe { cells.write(t, t * entry_words + w, word) };
+                }
+            });
+            for d in 0..depths {
+                let gates = &batch.gates[batch.depth_start[d]..batch.depth_start[d + 1]];
+                exec.launch_declared(&table, "sim.exhaustive.level", gates.len(), &level, |t| {
+                    let g = &gates[t];
+                    let i = g.window as usize;
+                    if !active[i] {
+                        return;
+                    }
+                    let [ba, bb] = g.fanins.map(|e| e as usize * entry_words);
+                    let bv = g.out as usize * entry_words;
+                    for w in 0..active_words(i) {
+                        // SAFETY: fanin entries were written by earlier
+                        // launches; gate t writes only its own entry.
+                        unsafe {
+                            let wa = cells.read(t, ba + w) ^ g.masks[0];
+                            let wb = cells.read(t, bb + w) ^ g.masks[1];
+                            cells.write(t, bv + w, wa & wb);
+                        }
+                    }
+                });
+            }
+            exec.launch_declared(
+                &table,
+                "sim.exhaustive.compare",
+                total_pairs,
+                &compare,
+                |t| {
+                    let c = &batch.compares[t];
+                    let i = c.window as usize;
+                    if resolved[t].load(Ordering::Relaxed) || !active[i] {
+                        return;
+                    }
+                    let valid = if c.num_inputs < 6 {
+                        (1u64 << (1usize << c.num_inputs)) - 1
+                    } else {
+                        u64::MAX
+                    };
+                    let [ea, eb] = c.roots.map(|e| e.map(|e| e as usize * entry_words));
+                    for w in 0..active_words(i) {
+                        // SAFETY: root entries were written by earlier
+                        // launches of this round.
+                        let wa = ea.map_or(0, |e| unsafe { cells.read(t, e + w) });
+                        // SAFETY: as above.
+                        let wb = eb.map_or(0, |e| unsafe { cells.read(t, e + w) });
+                        let diff = (wa ^ wb ^ c.cmask) & valid;
+                        if diff != 0 {
+                            let bit = diff.trailing_zeros() as u64;
+                            let pattern_index = ((r * entry_words + w) as u64) << 6 | bit;
+                            let assignment = (0..c.num_inputs)
+                                .map(|j| pattern_index >> j & 1 == 1)
+                                .collect();
+                            resolved[t].store(true, Ordering::Relaxed);
+                            unresolved[i].fetch_sub(1, Ordering::Relaxed);
+                            let mismatch = PairOutcome::Mismatch {
+                                pattern_index,
+                                assignment,
+                            };
+                            // SAFETY: outcome slot t belongs to thread t alone.
+                            unsafe { out_cells.write(t, t, Some(mismatch)) };
+                            return;
+                        }
+                    }
+                },
+            );
             completed_rounds = r + 1;
         }
     }
@@ -400,7 +394,7 @@ pub fn check_windows_cancellable(
             // A window's absent outcomes default to `Equal` only once its
             // entire truth table was simulated (or every pair already
             // resolved); a cancellation-truncated window reports nothing.
-            let complete = plans[i].tt_words <= completed_rounds * entry_words
+            let complete = tt_words[i] <= completed_rounds * entry_words
                 || unresolved[i].load(Ordering::Relaxed) == 0;
             let collected: Vec<PairOutcome> = (0..w.pairs.len())
                 .map(|_| {

@@ -305,40 +305,6 @@ impl TruthTable {
     }
 }
 
-impl TruthTable {
-    /// Renders the table as a hex string, most-significant word first
-    /// (ABC's truth-table notation), e.g. `8` for AND2, `6` for XOR2.
-    pub fn to_hex(&self) -> String {
-        let nibbles = (self.num_bits().max(4)) / 4;
-        let mut out = String::with_capacity(nibbles);
-        for i in (0..nibbles).rev() {
-            let word = self.words[i / 16];
-            let nib = (word >> ((i % 16) * 4)) & 0xF;
-            out.push(char::from_digit(nib as u32, 16).expect("nibble"));
-        }
-        out
-    }
-
-    /// Parses a hex string written by [`TruthTable::to_hex`].
-    ///
-    /// Returns `None` if the string has the wrong length or bad digits.
-    pub fn from_hex(num_vars: usize, hex: &str) -> Option<Self> {
-        let nibbles = (1usize << num_vars).max(4) / 4;
-        if hex.len() != nibbles {
-            return None;
-        }
-        let mut tt = TruthTable::zeros(num_vars);
-        let mut words = vec![0u64; tt.words.len()];
-        for (k, c) in hex.chars().rev().enumerate() {
-            let nib = c.to_digit(16)? as u64;
-            words[k / 16] |= nib << ((k % 16) * 4);
-        }
-        tt.words = words;
-        tt.mask_off();
-        Some(tt)
-    }
-}
-
 impl fmt::Debug for TruthTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "TruthTable({}v: ", self.num_vars)?;
@@ -457,9 +423,9 @@ mod tests {
     fn hex_notation_matches_abc_conventions() {
         let a = TruthTable::projection(2, 0);
         let b = TruthTable::projection(2, 1);
-        assert_eq!(a.and(&b).to_hex(), "8");
-        assert_eq!(a.or(&b).to_hex(), "e");
-        assert_eq!(a.xor(&b).to_hex(), "6");
+        assert_eq!(a.and(&b).words(), [0x8]);
+        assert_eq!(a.or(&b).words(), [0xe]);
+        assert_eq!(a.xor(&b).words(), [0x6]);
         let m3 = {
             let x = TruthTable::projection(3, 0);
             let y = TruthTable::projection(3, 1);
@@ -469,18 +435,7 @@ mod tests {
             let yz = y.and(&z);
             xy.or(&xz).or(&yz)
         };
-        assert_eq!(m3.to_hex(), "e8"); // MAJ3 in ABC notation
-    }
-
-    #[test]
-    fn hex_roundtrip() {
-        for k in [2usize, 4, 6, 8] {
-            let f = TruthTable::from_fn(k, |i| (i * 11 + 5) % 7 < 3);
-            let hex = f.to_hex();
-            assert_eq!(TruthTable::from_hex(k, &hex), Some(f));
-        }
-        assert_eq!(TruthTable::from_hex(3, "zz"), None);
-        assert_eq!(TruthTable::from_hex(3, "123"), None);
+        assert_eq!(m3.words(), [0xe8]); // MAJ3 in ABC notation
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! function checking uses the union of the pair's structural supports as
 //! inputs; local function checking uses a common cut.
 
-use std::collections::HashMap;
-
-use parsweep_aig::{Aig, Node, Var};
+use parsweep_aig::{Aig, Var};
 
 use crate::tt::word_len;
 
@@ -107,46 +105,6 @@ impl Window {
     /// (inputs + interior nodes), the paper's `|w| + |inputs(w)|`.
     pub fn num_entries(&self) -> usize {
         self.inputs.len() + self.nodes.len()
-    }
-
-    /// Maps each window node (inputs first, then interior) to its entry
-    /// slot inside this window.
-    pub fn entry_index(&self) -> HashMap<Var, u32> {
-        let mut map = HashMap::with_capacity(self.num_entries());
-        for (i, &v) in self.inputs.iter().chain(&self.nodes).enumerate() {
-            map.insert(v, i as u32);
-        }
-        map
-    }
-
-    /// Groups interior nodes by window-local topological level (inputs are
-    /// level 0; every interior node is `1 + max(fanin levels)`).
-    pub fn level_groups(&self, aig: &Aig) -> Vec<Vec<Var>> {
-        let mut level: HashMap<Var, u32> = HashMap::with_capacity(self.num_entries());
-        for &v in &self.inputs {
-            level.insert(v, 0);
-        }
-        let mut groups: Vec<Vec<Var>> = Vec::new();
-        for &v in &self.nodes {
-            if level.contains_key(&v) {
-                continue; // a root that is also an input
-            }
-            let l = match aig.node(v) {
-                Node::And(a, b) => {
-                    let la = *level.get(&a.var()).expect("window is topologically closed");
-                    let lb = *level.get(&b.var()).expect("window is topologically closed");
-                    1 + la.max(lb)
-                }
-                _ => unreachable!("interior window nodes are AND gates"),
-            };
-            level.insert(v, l);
-            let idx = l as usize - 1;
-            if groups.len() <= idx {
-                groups.resize(idx + 1, Vec::new());
-            }
-            groups[idx].push(v);
-        }
-        groups
     }
 }
 
@@ -307,20 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn level_groups_respect_dependencies() {
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs(4);
-        let a = aig.and(xs[0], xs[1]);
-        let b = aig.and(xs[2], xs[3]);
-        let c = aig.and(a, b);
-        let w = Window::global(&aig, pair(a.var(), c.var()));
-        let groups = w.level_groups(&aig);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].len(), 2); // a and b
-        assert_eq!(groups[1], vec![c.var()]);
-    }
-
-    #[test]
     fn merge_respects_threshold() {
         // Paper example: inputs {a,b}, {a,b,c}, {a,c}... with k_s = 3 the
         // lexicographically consecutive ones merge while small enough.
@@ -412,19 +356,5 @@ mod tests {
             .find(|w| w.inputs.contains(&xs[0].var()))
             .unwrap();
         assert!(with_0.inputs.contains(&xs[2].var()));
-    }
-
-    #[test]
-    fn entry_index_is_dense_and_unique() {
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs(3);
-        let f = aig.xor(xs[0], xs[1]);
-        let g = aig.and(f, xs[2]);
-        let w = Window::global(&aig, pair(f.var(), g.var()));
-        let idx = w.entry_index();
-        assert_eq!(idx.len(), w.num_entries());
-        let mut slots: Vec<u32> = idx.values().copied().collect();
-        slots.sort_unstable();
-        assert_eq!(slots, (0..w.num_entries() as u32).collect::<Vec<_>>());
     }
 }

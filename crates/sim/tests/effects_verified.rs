@@ -56,7 +56,6 @@ fn exhaustive_checker_is_verified_on_sanitizing_executor() {
     let (out, _) = check_windows(&aig, &exec, &windows, 1 << 14);
     assert_eq!(out, expected, "the audit must not change verdicts");
     assert_audited(&exec);
-    assert_eq!(exec.stats().static_verified_replays, 0);
 }
 
 #[test]

@@ -3,8 +3,10 @@
 use proptest::prelude::*;
 
 use parsweep_aig::{Aig, Var};
-use parsweep_par::Executor;
-use parsweep_sim::{check_windows, PairCheck, PairOutcome, TruthTable, Window};
+use parsweep_par::{CancelToken, Executor};
+use parsweep_sim::{
+    check_windows, check_windows_cancellable, PairCheck, PairOutcome, TruthTable, Window,
+};
 
 fn arb_tt(num_vars: usize) -> impl Strategy<Value = TruthTable> {
     proptest::collection::vec(any::<u64>(), parsweep_sim::word_len(num_vars))
@@ -115,6 +117,90 @@ proptest! {
             prop_assert_ne!(values[a.index()], values[b.index()]);
         }
         let _ = Var::FALSE;
+    }
+
+    #[test]
+    fn batched_windows_match_brute_force_across_rounds(
+        seed in any::<u64>(),
+        pis in 2usize..11,
+        ands in 8usize..80,
+        picks in proptest::collection::vec(any::<u64>(), 0..4),
+        scale in 0u32..3,
+    ) {
+        let mut aig = parsweep_aig::random::random_aig(pis, ands, 1, seed);
+        let gates: Vec<Var> = aig.and_vars().collect();
+        if gates.len() < 2 {
+            return Ok(());
+        }
+        // A full-support AND, and an equivalent pair by construction over
+        // it: XOR with the newest gate, built two ways.
+        let all = aig.and_all(aig.pis().to_vec().into_iter().map(Var::lit));
+        let p = gates[gates.len() - 1].lit();
+        let f = aig.xor(p, all);
+        let g = {
+            let t0 = aig.and(p, !all);
+            let t1 = aig.and(!p, all);
+            aig.or(t0, t1)
+        };
+        let global = |a: Var, b: Var, complement: bool| {
+            Window::global(&aig, PairCheck { a: a.min(b), b: a.max(b), complement })
+        };
+        let equal = f.is_complemented() != g.is_complemented();
+        let mut windows = vec![
+            // A constant root (differing only at the last assignment when
+            // not complemented), a one-word table over the first two
+            // gates, and an equal pair that stays active to the end.
+            global(Var::FALSE, all.var(), all.is_complemented() == (seed & 1 == 1)),
+            global(gates[0], gates[1], seed & 2 == 2),
+            global(f.var(), g.var(), equal),
+        ];
+        for pick in &picks {
+            let a = gates[(*pick as usize) % gates.len()];
+            let b = gates[(*pick >> 20) as usize % gates.len()];
+            let complement = pick >> 40 & 1 == 1;
+            windows.push(if a == b {
+                global(f.var(), g.var(), !equal)
+            } else {
+                global(a, b, complement)
+            });
+        }
+        // A budget of 1-4 words per entry forces several rounds on every
+        // table of more than four words.
+        let entries: usize = windows.iter().map(Window::num_entries).sum();
+        let memory_words = entries << scale;
+        let exec = Executor::with_threads(2);
+        let (out, effort) = check_windows(&aig, &exec, &windows, memory_words);
+        prop_assert!(effort.entry_words <= 1 << scale);
+        let pi_pos: std::collections::HashMap<Var, usize> =
+            aig.pis().iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        for (w, outcomes) in windows.iter().zip(&out) {
+            prop_assert_eq!(outcomes.len(), w.pairs.len());
+            let k = w.inputs.len();
+            for (pair, outcome) in w.pairs.iter().zip(outcomes) {
+                // Brute force: the lowest window-input assignment where the
+                // roots disagree (window inputs are PIs here).
+                let expected = (0..1u64 << k)
+                    .find(|&i| {
+                        let mut dense = vec![false; aig.num_pis()];
+                        for (j, v) in w.inputs.iter().enumerate() {
+                            dense[pi_pos[v]] = i >> j & 1 == 1;
+                        }
+                        let values = aig.eval_nodes(&dense);
+                        let va = !pair.a.is_const() && values[pair.a.index()];
+                        va != (values[pair.b.index()] != pair.complement)
+                    })
+                    .map_or(PairOutcome::Equal, |i| PairOutcome::Mismatch {
+                        pattern_index: i,
+                        assignment: (0..k).map(|j| i >> j & 1 == 1).collect(),
+                    });
+                prop_assert_eq!(outcome, &expected);
+            }
+        }
+        // Cancelled before the first round: no window reports anything.
+        let token = CancelToken::new();
+        token.cancel();
+        let (out, _) = check_windows_cancellable(&aig, &exec, &windows, memory_words, &token);
+        prop_assert!(out.iter().all(Vec::is_empty));
     }
 }
 

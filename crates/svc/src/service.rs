@@ -1014,12 +1014,6 @@ impl CecService {
             "Kernel launches that ran in parallel on their static effect proof (0 when PARSWEEP_SANITIZE audits them instead).",
             launch.static_verified_launches,
         );
-        render_counter(
-            &mut out,
-            "parsweep_par_static_verified_replays",
-            "Kernel-graph replays that ran in parallel on their build-time proof (0 when PARSWEEP_SANITIZE audits them instead).",
-            launch.static_verified_replays,
-        );
         let prove = trace::metrics::prove_counters();
         let engine_series = |slots: &[AtomicU64; trace::metrics::PROVE_ENGINE_SLOTS]| {
             EngineKind::ALL

@@ -4,7 +4,7 @@
 //! P/G/L phases and to simulation effort. This crate is the observability
 //! layer that makes that attribution reproducible from one run: *spans*
 //! instrument the engine (phases, FRAIG rounds, SAT fallback), the device
-//! runtime (kernel launches, stream epochs, graph replays) and the job
+//! runtime (kernel launches, stream epochs) and the job
 //! service (submit → shard → worker → cache probe → verdict), and two
 //! exporters surface them:
 //!

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example sanitizer_demo`
 
-use parsweep::par::{Effect, EffectTable, Executor, KernelGraphBuilder, Pattern, SanitizerConfig};
+use parsweep::par::{Effect, EffectTable, Executor, Pattern, SanitizerConfig};
 
 /// Thread `t` touches the one slot `t * stride`.
 fn slot(stride: usize) -> Pattern {
@@ -22,11 +22,11 @@ fn main() {
     let acc = table.buffer("accumulator", 8);
 
     // Bug 1, caught statically: every tid declares a write of slot 0.
-    let every_tid_slot0 = vec![Effect::write(acc, slot(0))];
-    let mut g = KernelGraphBuilder::<()>::new(&table);
-    g.kernel_declared("racy-sum", &[], |_| 8, 8, every_tid_slot0, |_, _| {});
-    println!("static checker, at try_build():");
-    for hazard in g.try_build().err().unwrap_or_default() {
+    // `launch_declared` would panic with this report before running
+    // anything; `EffectTable::check` returns it instead.
+    let every_tid_slot0 = [Effect::write(acc, slot(0))];
+    println!("static checker, before launch:");
+    for hazard in table.check("racy-sum", 8, &every_tid_slot0) {
         println!("  {hazard}");
     }
 

@@ -14,6 +14,8 @@
 #                            launches run serialized, every access is checked
 #                            against the launch's declared effects and the
 #                            access log is race-checked (racecheck analogue)
+#   6. benchmark             the benchmark package builds against the tree
+#                            and passes its smoke run
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,5 +47,9 @@ cargo test -p parsweep-par --test effects_static --test effects_props -q
 echo "==> audited tests (PARSWEEP_SANITIZE=1)"
 PARSWEEP_SANITIZE=1 cargo test -p parsweep-par -p parsweep-sim -p parsweep-cut -p parsweep-sat -p parsweep-core -p parsweep-svc -p parsweep-net -q
 PARSWEEP_SANITIZE=1 cargo test --test sanitizer_engine --test edge_cases -q
+
+echo "==> benchmark build + smoke run"
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
 
 echo "lint.sh: all green"
