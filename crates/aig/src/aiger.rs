@@ -88,16 +88,22 @@ fn parse_header(line: &str) -> Result<Header, ParseAigerError> {
     if nums[2] != 0 {
         return Err(ParseAigerError::HasLatches(nums[2] as usize));
     }
-    Ok(Header {
-        m: nums[0],
-        i: nums[1],
-        o: nums[3],
-        a: nums[4],
-        binary,
-    })
+    let [m, i, _, o, a] = nums;
+    // Every input and AND defines its own variable, all of them at most
+    // M; the binary format numbers them 1..=I+A with nothing left over.
+    // Literal 2M+1 must fit the 32-bit literal codes.
+    let defined = u64::from(i) + u64::from(a);
+    if defined > u64::from(m) || (binary && defined != u64::from(m)) || m > u32::MAX >> 1 {
+        return Err(ParseAigerError::BadHeader(line.into()));
+    }
+    Ok(Header { m, i, o, a, binary })
 }
 
 /// Reads an AIGER network (ASCII or binary, auto-detected from the header).
+///
+/// Malformed input of any kind is an error, never a panic, and memory is
+/// sized from the body actually read, not from the header's counts (a
+/// binary file's inputs, which have no body, excepted).
 ///
 /// # Errors
 ///
@@ -115,18 +121,46 @@ pub fn read_aiger<R: Read>(reader: R) -> Result<Aig, ParseAigerError> {
     }
 }
 
-fn parse_lit_token(tok: &str, line: usize) -> Result<u32, ParseAigerError> {
-    tok.parse().map_err(|_| ParseAigerError::BadLine {
-        line,
-        message: format!("bad literal {tok:?}"),
-    })
+/// Parses a literal of file line `line`, bounded by the header's `M`.
+fn parse_lit_token(tok: &str, line: usize, m: u32) -> Result<u32, ParseAigerError> {
+    match tok.parse::<u32>() {
+        Ok(code) if code >> 1 <= m => Ok(code),
+        Ok(code) => Err(ParseAigerError::BadLine {
+            line,
+            message: format!("literal {code} exceeds the maximum variable {m}"),
+        }),
+        Err(_) => Err(ParseAigerError::BadLine {
+            line,
+            message: format!("bad literal {tok:?}"),
+        }),
+    }
 }
 
-#[allow(clippy::needless_range_loop)] // body-line indices double as error line numbers
+/// Parses a literal that defines a variable (an input or an AND lhs):
+/// positive and not constant.
+fn parse_def_token(tok: &str, line: usize, m: u32, what: &str) -> Result<u32, ParseAigerError> {
+    let code = parse_lit_token(tok, line, m)?;
+    if code < 2 || code & 1 == 1 {
+        return Err(ParseAigerError::BadLine {
+            line,
+            message: format!("invalid {what} literal {code}"),
+        });
+    }
+    Ok(code >> 1)
+}
+
 fn read_ascii<R: BufRead>(reader: R, h: &Header) -> Result<Aig, ParseAigerError> {
-    let lines: Vec<String> = reader.lines().collect::<Result<_, _>>()?;
-    let need = (h.i + h.o + h.a) as usize;
-    if lines.len() < need {
+    let (i, o) = (h.i as usize, h.o as usize);
+    let need = [h.o, h.a]
+        .into_iter()
+        .try_fold(i, |sum, n| sum.checked_add(n as usize));
+    // Read no more lines than the header asks for: a symbol table or
+    // comment section may follow.
+    let lines: Vec<String> = reader
+        .lines()
+        .take(need.unwrap_or(usize::MAX))
+        .collect::<Result<_, _>>()?;
+    if need != Some(lines.len()) {
         return Err(ParseAigerError::BadLine {
             line: lines.len() + 2,
             message: "unexpected end of file".into(),
@@ -134,83 +168,44 @@ fn read_ascii<R: BufRead>(reader: R, h: &Header) -> Result<Aig, ParseAigerError>
     }
     // `line_of(k)` is the 1-based file line of body line k (header is 1).
     let line_of = |k: usize| k + 2;
-
-    // Map from AIGER variable index to our literal.
-    let mut var_map: Vec<Option<Lit>> = vec![None; h.m as usize + 1];
-    var_map[0] = Some(Lit::FALSE);
-    let mut aig = Aig::with_capacity(h.m as usize + 1);
-
-    let mut input_vars = Vec::with_capacity(h.i as usize);
-    for k in 0..h.i as usize {
-        let code = parse_lit_token(lines[k].trim(), line_of(k))?;
-        if code < 2 || code & 1 == 1 {
-            return Err(ParseAigerError::BadLine {
-                line: line_of(k),
-                message: format!("invalid input literal {code}"),
-            });
-        }
-        input_vars.push(code >> 1);
+    let mut inputs = Vec::with_capacity(i);
+    for (k, line) in lines[..i].iter().enumerate() {
+        inputs.push(parse_def_token(line.trim(), line_of(k), h.m, "input")?);
     }
-    for &v in &input_vars {
-        let lit = aig.add_input();
-        var_map[v as usize] = Some(lit);
+    let mut pos = Vec::with_capacity(o);
+    for (k, line) in lines.iter().enumerate().take(i + o).skip(i) {
+        pos.push(parse_lit_token(line.trim(), line_of(k), h.m)?);
     }
-
-    let mut po_codes = Vec::with_capacity(h.o as usize);
-    for k in h.i as usize..(h.i + h.o) as usize {
-        po_codes.push(parse_lit_token(lines[k].trim(), line_of(k))?);
-    }
-
-    let mut and_defs = Vec::with_capacity(h.a as usize);
-    for k in (h.i + h.o) as usize..need {
-        let mut it = lines[k].split_whitespace();
-        let mut get = || -> Result<u32, ParseAigerError> {
-            let tok = it.next().ok_or(ParseAigerError::BadLine {
+    let mut ands = Vec::with_capacity(lines.len() - i - o);
+    for (k, line) in lines.iter().enumerate().skip(i + o) {
+        let mut it = line.split_whitespace();
+        let mut next = || {
+            it.next().ok_or(ParseAigerError::BadLine {
                 line: line_of(k),
                 message: "expected three literals".into(),
-            })?;
-            parse_lit_token(tok, line_of(k))
+            })
         };
-        let lhs = get()?;
-        let rhs0 = get()?;
-        let rhs1 = get()?;
-        if lhs < 2 || lhs & 1 == 1 {
-            return Err(ParseAigerError::BadLine {
-                line: line_of(k),
-                message: format!("invalid AND lhs {lhs}"),
-            });
-        }
-        and_defs.push((lhs >> 1, rhs0, rhs1));
+        let lhs = parse_def_token(next()?, line_of(k), h.m, "AND lhs")?;
+        let rhs0 = parse_lit_token(next()?, line_of(k), h.m)?;
+        let rhs1 = parse_lit_token(next()?, line_of(k), h.m)?;
+        ands.push((lhs, rhs0, rhs1));
     }
-
-    build_ands(&mut aig, &mut var_map, &and_defs)?;
-    finish_pos(&mut aig, &var_map, &po_codes)?;
-    Ok(aig)
+    build(inputs, ands, pos)
 }
 
 fn read_binary<R: BufRead>(mut reader: R, h: &Header) -> Result<Aig, ParseAigerError> {
-    let mut aig = Aig::with_capacity(h.m as usize + 1);
-    let mut var_map: Vec<Option<Lit>> = vec![None; h.m as usize + 1];
-    var_map[0] = Some(Lit::FALSE);
-    // Binary format: inputs are implicitly variables 1..=I.
-    for v in 1..=h.i {
-        var_map[v as usize] = Some(aig.add_input());
-    }
     // Output literals, one per line.
-    let mut po_codes = Vec::with_capacity(h.o as usize);
+    let mut pos = Vec::new();
     let mut line = String::new();
-    for i in 0..h.o {
+    for k in 0..h.o as usize {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
             return Err(ParseAigerError::BadLine {
-                line: 1 + i as usize,
+                line: k + 2,
                 message: "unexpected end of file in output section".into(),
             });
         }
-        po_codes.push(line.trim().parse().map_err(|_| ParseAigerError::BadLine {
-            line: 1 + i as usize,
-            message: format!("bad output literal {:?}", line.trim()),
-        })?);
+        pos.push(parse_lit_token(line.trim(), k + 2, h.m)?);
     }
     // Delta-encoded AND section.
     let read_delta = |reader: &mut R| -> Result<u32, ParseAigerError> {
@@ -232,9 +227,10 @@ fn read_binary<R: BufRead>(mut reader: R, h: &Header) -> Result<Aig, ParseAigerE
         }
         u32::try_from(result).map_err(|_| ParseAigerError::BadBinary("delta overflow".into()))
     };
-    let mut and_defs = Vec::with_capacity(h.a as usize);
-    for k in 0..h.a {
-        let lhs = 2 * (h.i + 1 + k);
+    let mut ands = Vec::new();
+    // Binary format: inputs are implicitly variables 1..=I and AND k
+    // defines variable I+1+k (at most M, which the header bounds).
+    for lhs in (h.i + 1..=h.m).map(|v| v << 1) {
         let delta0 = read_delta(&mut reader)?;
         let delta1 = read_delta(&mut reader)?;
         let rhs0 = lhs
@@ -243,21 +239,76 @@ fn read_binary<R: BufRead>(mut reader: R, h: &Header) -> Result<Aig, ParseAigerE
         let rhs1 = rhs0
             .checked_sub(delta1)
             .ok_or_else(|| ParseAigerError::BadBinary("delta1 exceeds rhs0".into()))?;
-        and_defs.push((lhs >> 1, rhs0, rhs1));
+        ands.push((lhs >> 1, rhs0, rhs1));
     }
-    build_ands(&mut aig, &mut var_map, &and_defs)?;
-    finish_pos(&mut aig, &var_map, &po_codes)?;
+    build((1..=h.i).collect(), ands, pos)
+}
+
+/// Builds the network from a parsed body: the variables `inputs` defines,
+/// the `(lhs variable, rhs0, rhs1)` AND definitions and the output
+/// literals, every variable already bounded by the header's `M`. A
+/// variable defined twice is an error. The variable map is sized from
+/// the body: a file numbering its variables sparsely (legal in ASCII) is
+/// renumbered densely first.
+fn build(
+    inputs: Vec<u32>,
+    mut ands: Vec<(u32, u32, u32)>,
+    mut pos: Vec<u32>,
+) -> Result<Aig, ParseAigerError> {
+    let n = inputs.len() + ands.len();
+    let defs = || inputs.iter().copied().chain(ands.iter().map(|d| d.0));
+    let max_var = defs().max().unwrap_or(0) as usize;
+    let inputs = if max_var > n {
+        // Dense rank of each defined variable; an undefined one maps
+        // past the table and stays undefined.
+        let mut sorted: Vec<u32> = defs().collect();
+        sorted.sort_unstable();
+        let rank = |v: u32| match v {
+            0 => 0,
+            _ => sorted
+                .binary_search(&v)
+                .map_or(n as u32 + 1, |r| r as u32 + 1),
+        };
+        let lit = |code: u32| rank(code >> 1) << 1 | (code & 1);
+        let inputs = inputs.iter().map(|&v| rank(v)).collect();
+        for d in &mut ands {
+            *d = (rank(d.0), lit(d.1), lit(d.2));
+        }
+        for code in &mut pos {
+            *code = lit(*code);
+        }
+        inputs
+    } else {
+        inputs
+    };
+    // Map from (dense) AIGER variable index to our literal.
+    let mut var_map: Vec<Option<Lit>> = vec![None; max_var.min(n) + 1];
+    var_map[0] = Some(Lit::FALSE);
+    let mut defined = vec![false; var_map.len()];
+    for v in inputs.iter().copied().chain(ands.iter().map(|d| d.0)) {
+        if std::mem::replace(&mut defined[v as usize], true) {
+            return Err(ParseAigerError::BadLine {
+                line: 0,
+                message: "a variable is defined twice".into(),
+            });
+        }
+    }
+    let mut aig = Aig::with_capacity(n + 1);
+    for &v in &inputs {
+        var_map[v as usize] = Some(aig.add_input());
+    }
+    build_ands(&mut aig, &mut var_map, ands)?;
+    finish_pos(&mut aig, &var_map, &pos)?;
     Ok(aig)
 }
 
 fn build_ands(
     aig: &mut Aig,
     var_map: &mut [Option<Lit>],
-    and_defs: &[(u32, u32, u32)],
+    mut remaining: Vec<(u32, u32, u32)>,
 ) -> Result<(), ParseAigerError> {
     // ASCII AIGER does not require topological order in the file; process
     // definitions in dependency order with a simple worklist over passes.
-    let mut remaining: Vec<(u32, u32, u32)> = and_defs.to_vec();
     while !remaining.is_empty() {
         let before = remaining.len();
         remaining.retain(|&(lhs, rhs0, rhs1)| {
@@ -508,6 +559,72 @@ mod tests {
         let aig = read_aiger(text.as_bytes()).unwrap();
         assert_eq!(aig.eval(&[true, true]), vec![false]);
         assert_eq!(aig.eval(&[false, false]), vec![true]);
+    }
+
+    fn rejects(input: &[u8]) {
+        let parsed = std::panic::catch_unwind(|| read_aiger(input));
+        assert!(
+            matches!(parsed, Ok(Err(_))),
+            "{:?} must be an error",
+            String::from_utf8_lossy(input)
+        );
+    }
+
+    #[test]
+    fn rejects_input_variable_above_m() {
+        rejects(b"aag 1 1 0 0 0\n4\n");
+    }
+
+    #[test]
+    fn rejects_m_below_input_count() {
+        rejects(b"aag 0 1 0 0 0\n2\n");
+    }
+
+    #[test]
+    fn rejects_and_lhs_above_m() {
+        rejects(b"aag 1 1 0 1 1\n2\n4\n4 2 2\n");
+    }
+
+    #[test]
+    fn rejects_binary_and_lhs_above_m() {
+        // One AND defining variable 2 of a file whose M is 1.
+        rejects(b"aig 1 1 0 1 1\n4\n\x02\x00");
+    }
+
+    #[test]
+    fn rejects_header_counts_that_overflow() {
+        rejects(b"aag 1 4294967295 0 1 0\n");
+    }
+
+    #[test]
+    fn rejects_and_redefining_an_input() {
+        rejects(b"aag 2 1 0 1 1\n2\n2\n2 2 2\n");
+    }
+
+    #[test]
+    fn rejects_input_declared_twice() {
+        rejects(b"aag 1 2 0 1 0\n2\n2\n2\n");
+        // Room in M for both: still one variable defined twice.
+        rejects(b"aag 2 2 0 1 0\n2\n2\n2\n");
+    }
+
+    #[test]
+    fn rejects_output_literal_above_m() {
+        rejects(b"aag 3 2 0 1 1\n2\n4\n8\n6 2 4\n");
+    }
+
+    #[test]
+    fn sparse_numbering_parses_without_an_m_sized_table() {
+        // Variables 2, 4 and 6 of M = 10: legal in ASCII.
+        let aig = read_aiger(&b"aag 10 2 0 1 1\n4\n8\n13\n12 4 8\n"[..]).unwrap();
+        assert_eq!((aig.num_pis(), aig.num_ands()), (2, 1));
+        assert_eq!(aig.eval(&[true, true]), vec![false]);
+        assert_eq!(aig.eval(&[true, false]), vec![true]);
+        // One input numbered near the top of the literal range: nothing
+        // is sized from M.
+        let aig = read_aiger(&b"aag 2147483647 1 0 1 0\n4294967294\n4294967295\n"[..]).unwrap();
+        assert_eq!(aig.num_pis(), 1);
+        assert_eq!(aig.eval(&[false]), vec![true]);
     }
 
     #[test]

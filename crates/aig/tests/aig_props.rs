@@ -1,5 +1,5 @@
 //! Property-based tests of the AIG substrate: structural hashing laws,
-//! AIGER round-trips, rebuild equivalence.
+//! AIGER round-trips and damaged files, rebuild equivalence.
 
 use proptest::prelude::*;
 
@@ -81,6 +81,29 @@ proptest! {
         prop_assert_eq!(back.num_pis(), aig.num_pis());
         prop_assert_eq!(back.num_ands(), aig.num_ands());
         prop_assert_eq!(eval_all(&aig, 32, seed ^ 4), eval_all(&back, 32, seed ^ 4));
+    }
+
+    #[test]
+    fn damaged_aiger_is_an_error_never_a_panic(
+        pis in 1usize..6, ands in 0usize..40, pos in 1usize..4, seed in any::<u64>()
+    ) {
+        let aig = random_aig(pis, ands, pos, seed);
+        let mut rng = parsweep_aig::random::SplitMix64::new(seed ^ 5);
+        let mut files = [Vec::new(), Vec::new()];
+        parsweep_aig::aiger::write_ascii(&aig, &mut files[0]).unwrap();
+        parsweep_aig::aiger::write_binary(&aig, &mut files[1]).unwrap();
+        for file in &files {
+            let parses = |bytes: &[u8]| std::panic::catch_unwind(|| read_aiger(bytes)).is_ok();
+            for len in 0..file.len() {
+                prop_assert!(parses(&file[..len]), "panicked on a {len}-byte prefix");
+            }
+            for _ in 0..32 {
+                let mut damaged = file.clone();
+                let at = rng.below(damaged.len());
+                damaged[at] = rng.next_u64() as u8;
+                prop_assert!(parses(&damaged), "panicked on byte {at} set to {}", damaged[at]);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Device-runtime smoke benchmark: runs the engine over the generator
 //! suite and emits `BENCH_runtime.json` with wall time, the cost model's
-//! critical-path (`modeled_time`) and serialized estimates, the launch
+//! `modeled_time` and `serialized_time` (equal: every launch is a
+//! barrier), the launch
 //! split (pool-dispatched vs inline), the incremental-simulation counters
 //! (pruned rounds, dirty-cone resim node counts), and the buffer-arena
 //! recycling counters.

@@ -78,10 +78,10 @@ pub fn sim_sweep_traced(
     run(miter, exec, cfg, true, &CancelToken::never())
 }
 
-/// The modeled serialized time of everything the executor has run so far,
-/// sampled only while tracing is live — phase spans report the *delta*
-/// across the phase as their deterministic `modeled_time` argument (the
-/// serialized profile is additive; the critical-path model is not).
+/// The modeled time of everything the executor has run so far, sampled
+/// only while tracing is live — phase spans report the *delta* across the
+/// phase as their deterministic `modeled_time` argument (every launch is
+/// a barrier, so the modeled time is additive).
 pub(crate) fn modeled_mark(exec: &Executor) -> u64 {
     if trace::active() {
         exec.stats().serialized_time(trace::MODEL_CORES)

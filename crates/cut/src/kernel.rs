@@ -3,9 +3,9 @@
 //! The paper computes `P(n)` for all nodes of one enumeration level as a
 //! single GPU kernel (Algorithm 2 line 7). [`CutKernel`] packages the
 //! read-only kernel state (network, representative map, scorer, selection
-//! parameters) once per pass; [`CutKernel::compute_level`] then queues one
-//! launch per enumeration level on a [`parsweep_par::Stream`], writing the
-//! selected priority cuts into the caller's cut-set table.
+//! parameters) once per pass; [`CutKernel::compute_level`] then runs one
+//! launch per enumeration level, writing the selected priority cuts into
+//! the caller's cut-set table.
 
 use parsweep_aig::{Aig, Node, Var};
 use parsweep_par::{Effect, EffectTable, Executor, Pattern};
@@ -71,46 +71,38 @@ impl<'a> CutKernel<'a> {
         let effects = [Effect::read(sets_buf, all), Effect::write(sets_buf, all)];
         let cells = exec.bind_table(&table, sets_buf, cut_sets);
         let cells = &cells;
-        let mut stream = exec.stream();
-        stream.launch_declared(
-            &table,
-            "cut.kernel.level",
-            group.len(),
-            &effects,
-            move |t| {
-                let v = group[t];
-                let Node::And(a, b) = self.aig.node(v) else {
-                    unreachable!("groups contain AND nodes only");
-                };
-                // SAFETY: fanins and representatives have strictly smaller
-                // enumeration levels, so their slots were written by earlier
-                // launches; this task writes only slot v.
-                let p0: &Vec<Cut> = unsafe { cells.get_ref(t, a.var().index()) };
-                // SAFETY: as above.
-                let p1: &Vec<Cut> = unsafe { cells.get_ref(t, b.var().index()) };
-                let candidates = enumerate_cuts(a, b, p0, p1, self.params);
-                let repr_cuts: Option<&Vec<Cut>> = self.repr_map[v.index()].and_then(|r| {
-                    if self.similarity && !r.is_const() {
-                        // SAFETY: representatives sit at strictly smaller
-                        // enumeration levels, written by earlier launches.
-                        Some(unsafe { cells.get_ref(t, r.index()) })
-                    } else {
-                        None
-                    }
-                });
-                let selected = select_priority_cuts(
-                    candidates,
-                    &self.scorer,
-                    self.pass,
-                    self.params,
-                    repr_cuts.map(|c| c.as_slice()),
-                );
-                // SAFETY: this task writes only slot v; no other task in this
-                // launch touches v.
-                unsafe { cells.write(t, v.index(), selected) };
-            },
-        );
-        stream.sync();
+        exec.launch_declared(&table, "cut.kernel.level", group.len(), &effects, |t| {
+            let v = group[t];
+            let Node::And(a, b) = self.aig.node(v) else {
+                unreachable!("groups contain AND nodes only");
+            };
+            // SAFETY: fanins and representatives have strictly smaller
+            // enumeration levels, so their slots were written by earlier
+            // launches; this task writes only slot v.
+            let p0: &Vec<Cut> = unsafe { cells.get_ref(t, a.var().index()) };
+            // SAFETY: as above.
+            let p1: &Vec<Cut> = unsafe { cells.get_ref(t, b.var().index()) };
+            let candidates = enumerate_cuts(a, b, p0, p1, self.params);
+            let repr_cuts: Option<&Vec<Cut>> = self.repr_map[v.index()].and_then(|r| {
+                if self.similarity && !r.is_const() {
+                    // SAFETY: representatives sit at strictly smaller
+                    // enumeration levels, written by earlier launches.
+                    Some(unsafe { cells.get_ref(t, r.index()) })
+                } else {
+                    None
+                }
+            });
+            let selected = select_priority_cuts(
+                candidates,
+                &self.scorer,
+                self.pass,
+                self.params,
+                repr_cuts.map(|c| c.as_slice()),
+            );
+            // SAFETY: this task writes only slot v; no other task in this
+            // launch touches v.
+            unsafe { cells.write(t, v.index(), selected) };
+        });
     }
 }
 

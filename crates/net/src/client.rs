@@ -95,7 +95,7 @@ impl NetClient {
     }
 
     /// Reads events until one satisfies `matches`; others are buffered
-    /// for later [`read_event`]/matcher calls.
+    /// for later [`NetClient::read_event`]/matcher calls.
     pub fn read_until(&mut self, matches: impl Fn(&Event) -> bool) -> std::io::Result<Event> {
         if let Some(i) = self.pending.iter().position(&matches) {
             return Ok(self.pending.remove(i).expect("position just found"));

@@ -34,8 +34,9 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -445,7 +446,55 @@ fn accept_loop(
     }
 }
 
+/// A connection's claim on the server: its `active_conns` count, its
+/// `conns` entry and its admission state. Dropping it gives all three
+/// back on every exit of the connection thread, a panic unwinding
+/// included — except a server stop, which leaves the connection
+/// registered so results of still-draining jobs can be delivered
+/// (`stop()` joins the thread after the drain and the whole map drops
+/// with the server).
+struct ConnSlot {
+    id: u64,
+    inner: Arc<ServerInner>,
+    stopping: bool,
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        if self.stopping {
+            return;
+        }
+        // Client hung up: queued jobs are dropped, in-flight ones settle
+        // into a closed socket (harmless). Bound the per-client tables.
+        // A panic here while the thread unwinds would abort the server, so
+        // a table some panicking thread poisoned is skipped instead; the
+        // connection slot itself is always given back.
+        let (id, inner) = (self.id, &self.inner);
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let (_dropped, grants) = inner.admission.purge_client(id);
+            process_grants(inner, grants);
+            inner.svc.forget_client(id);
+        }));
+        inner
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&id);
+        inner.active_conns.fetch_sub(1, Ordering::SeqCst);
+        trace::instant(
+            "net",
+            "conn.closed",
+            vec![("client", trace::ArgValue::U64(id))],
+        );
+    }
+}
+
 fn connection_loop(stream: TcpStream, conn_id: u64, inner: Arc<ServerInner>) {
+    let mut slot = ConnSlot {
+        id: conn_id,
+        inner: Arc::clone(&inner),
+        stopping: false,
+    };
     trace::set_thread_label(&format!("net-conn-{conn_id}"));
     let mut span = trace::span("net", "conn");
     span.arg_u64("client", conn_id);
@@ -467,26 +516,7 @@ fn connection_loop(stream: TcpStream, conn_id: u64, inner: Arc<ServerInner>) {
         .unwrap()
         .insert(conn_id, Arc::clone(&state));
 
-    let shutdown = read_requests(stream, &state, &inner);
-
-    if shutdown {
-        // Server-initiated stop: leave the connection registered so
-        // results of still-draining jobs can be delivered; stop() joins
-        // us after the drain and the whole map drops with the server.
-        return;
-    }
-    // Client hung up: queued jobs are dropped, in-flight ones settle
-    // into a closed socket (harmless). Bound the per-client tables.
-    let (_dropped, grants) = inner.admission.purge_client(conn_id);
-    process_grants(&inner, grants);
-    inner.conns.lock().unwrap().remove(&conn_id);
-    inner.svc.forget_client(conn_id);
-    inner.active_conns.fetch_sub(1, Ordering::SeqCst);
-    trace::instant(
-        "net",
-        "conn.closed",
-        vec![("client", trace::ArgValue::U64(conn_id))],
-    );
+    slot.stopping = read_requests(stream, &state, &inner);
 }
 
 /// Reads and handles request lines until EOF/error (returns false) or a

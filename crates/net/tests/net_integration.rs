@@ -6,13 +6,15 @@
 //! every verdict under load identical to a solo run of the same job.
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use parsweep_net::client::{event_id, event_name};
 use parsweep_net::{AdmissionConfig, NetClient, NetConfig, NetServer};
 use parsweep_sat::Verdict;
 use parsweep_svc::frontend::demo_miter;
-use parsweep_svc::jsonl::{emit_object, get, JsonValue};
+use parsweep_svc::jsonl::{emit_object, get, parse_object, JsonValue};
 use parsweep_svc::{CecService, Lane, SvcConfig};
 
 /// Solo ground truth: the same demo job through a bare service.
@@ -403,5 +405,75 @@ fn duplicate_jobs_under_load_match_solo() {
         "duplicate traffic must reuse shared results — via the cone \
          cache or the whole-job memo: {stats:?}"
     );
+    server.stop();
+}
+
+/// Sends `line` on a fresh connection and returns the first event back,
+/// retrying while the server is full (a closed connection frees its slot
+/// within one poll interval). Every read is bounded, so a server that
+/// never answers fails the test instead of hanging it.
+fn ask_fresh_client(addr: SocketAddr, line: &str) -> Vec<(String, JsonValue)> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut reply)
+            .expect("an answer within the read timeout");
+        let event = parse_object(reply.trim()).expect("one event line");
+        let message = get(&event, "message").and_then(JsonValue::as_str);
+        if message != Some("server full: connection limit reached") {
+            return event;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "connection slots never came back"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// A malformed AIGER file answers an error event carrying the parser's
+/// message and never costs the server a connection slot: more clients
+/// than `max_connections` submit it one after another, and a demo job
+/// submitted afterwards still settles.
+#[test]
+fn malformed_miter_answers_an_error_and_keeps_the_server_up() {
+    let bad = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("net_malformed.aag");
+    // Input literal 4 names variable 2 of a file whose M is 1.
+    std::fs::write(&bad, "aag 1 1 0 0 0\n4\n").unwrap();
+    let max_connections = 2;
+    let mut server = NetServer::bind(
+        "127.0.0.1:0",
+        NetConfig {
+            max_connections,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let submit = emit_object(&[
+        ("op", JsonValue::Str("submit".into())),
+        ("miter", JsonValue::Str(bad.display().to_string())),
+    ]);
+    for _ in 0..=max_connections {
+        let event = ask_fresh_client(addr, &submit);
+        assert_eq!(event_name(&event), Some("error"), "{event:?}");
+        let message = get(&event, "message").and_then(JsonValue::as_str).unwrap();
+        assert!(
+            message.ends_with("line 2: literal 4 exceeds the maximum variable 1"),
+            "{message}"
+        );
+    }
+    let mut client = NetClient::connect(addr).unwrap();
+    let verdict = client
+        .check_demo(4, Lane::Interactive, false)
+        .unwrap()
+        .expect("admitted");
+    assert_eq!(verdict, "equivalent");
     server.stop();
 }

@@ -4,10 +4,11 @@
 //! buffers as small symbolic summaries (per-tid affine patterns, index
 //! ranges, whole-buffer). A static checker then proves, before a launch
 //! runs, the same properties the dynamic sanitizer would re-validate
-//! access by access: write-write and read-write disjointness between
-//! threads and between unordered launches, and in-bounds access. A
-//! launch runs in parallel only with that proof; a sanitizing executor
-//! re-checks it dynamically instead.
+//! access by access: write-write and read-write disjointness between the
+//! threads of one launch, and in-bounds access. Two launches never need
+//! a check against each other: every launch is a barrier. A launch runs
+//! in parallel only with that proof; a sanitizing executor re-checks it
+//! dynamically instead.
 //!
 //! The declaration grammar is deliberately tiny. Every footprint is one
 //! of:
@@ -26,18 +27,17 @@
 //!   runtime data (e.g. "thread `t` writes the slot of node
 //!   `group[t]`"). The static checker trusts the intra-launch
 //!   disjointness (it cannot see the index data) but still uses the
-//!   `lo..hi` envelope against *other* launches and for bounds checks.
+//!   `lo..hi` envelope for bounds checks.
 //!   A sanitizing executor exists precisely so this trust is audited:
 //!   every access a kernel actually performs must fall inside a declared
 //!   pattern.
 //!
-//! Buffers live in an [`EffectTable`]: a per-epoch registry mapping a
-//! stable label and length to a [`BufId`]. Bind real storage to a
-//! declaration with [`Executor::bind_table`](crate::Executor::bind_table)
-//! and launch with declared effects via
-//! [`Executor::launch_declared`](crate::Executor::launch_declared) or
-//! [`Stream::launch_declared`](crate::Stream::launch_declared);
-//! [`EffectTable::check`] runs the per-launch checks without launching.
+//! Buffers live in an [`EffectTable`]: a registry mapping a stable label
+//! and length to a [`BufId`]. Bind real storage to a declaration with
+//! [`Executor::bind_table`](crate::Executor::bind_table) and launch with
+//! declared effects via
+//! [`Executor::launch_declared`](crate::Executor::launch_declared);
+//! [`EffectTable::check`] runs the same checks without launching.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -53,11 +53,11 @@ pub(crate) struct BufferDecl {
     pub(crate) len: usize,
 }
 
-/// Registry of declared buffers for one epoch.
+/// Registry of declared buffers.
 ///
 /// Cheap to clone (shared interior). Labels should be unique within a
-/// table; cross-launch conflict checks identify buffers by label so two
-/// tables naming the same storage agree.
+/// table: a sanitizing executor matches declared effects to bound
+/// storage by label.
 #[derive(Clone, Default)]
 pub struct EffectTable {
     buffers: Arc<Mutex<Vec<BufferDecl>>>,
@@ -102,8 +102,8 @@ impl EffectTable {
     }
 
     /// A point-in-time copy of all declarations.
-    pub(crate) fn snapshot(&self) -> Arc<Vec<BufferDecl>> {
-        Arc::new(self.buffers.lock().unwrap().clone())
+    pub(crate) fn snapshot(&self) -> Vec<BufferDecl> {
+        self.buffers.lock().unwrap().clone()
     }
 }
 
@@ -140,8 +140,7 @@ pub enum Pattern {
     /// Data-dependent disjoint chunks inside `lo..hi`: threads touch
     /// runtime-chosen, pairwise-disjoint sub-ranges. Intra-launch
     /// disjointness is a *trusted contract* (audited by a sanitizing
-    /// executor); the envelope is still used for bounds and cross-launch
-    /// conflict checks.
+    /// executor); the envelope is still used for bounds checks.
     Indexed {
         /// Inclusive lower bound of the envelope.
         lo: usize,
@@ -293,15 +292,6 @@ pub enum StaticHazard {
         /// The buffer's declared length.
         len: usize,
     },
-    /// Two launches on different streams of one join epoch (not ordered
-    /// by stream program order) have conflicting footprints — the static
-    /// analogue of [`ConflictKind::StreamRace`](crate::ConflictKind::StreamRace).
-    UnorderedConflict {
-        /// Labels of the two unordered kernels.
-        kernels: (String, String),
-        /// Label of the buffer.
-        buffer: String,
-    },
 }
 
 impl fmt::Display for StaticHazard {
@@ -325,11 +315,6 @@ impl fmt::Display for StaticHazard {
                 "static-check: kernel '{kernel}' may access index {} of buffer '{buffer}' (len {len})",
                 needed - 1
             ),
-            StaticHazard::UnorderedConflict { kernels, buffer } => write!(
-                f,
-                "static-check: unordered kernels '{}' and '{}' have conflicting footprints on buffer '{}'",
-                kernels.0, kernels.1, buffer
-            ),
         }
     }
 }
@@ -342,23 +327,6 @@ pub(crate) fn hazard_report(hazards: &[StaticHazard]) -> String {
         .map(ToString::to_string)
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-/// Declarations carried by one pending launch: a snapshot of the table
-/// plus the launch's effects. Used by the cross-stream check at epoch
-/// drain and by the dynamic sanitizer to audit coverage.
-#[derive(Clone)]
-pub(crate) struct DeclaredLaunch {
-    pub(crate) buffers: Arc<Vec<BufferDecl>>,
-    pub(crate) effects: Arc<Vec<Effect>>,
-}
-
-/// One side of a cross-launch conflict check.
-pub(crate) struct DeclaredPeer<'a> {
-    pub(crate) label: &'a str,
-    pub(crate) width: usize,
-    pub(crate) buffers: &'a [BufferDecl],
-    pub(crate) effects: &'a [Effect],
 }
 
 /// Checks one launch's declared effects in isolation: static bounds
@@ -404,12 +372,10 @@ pub(crate) fn check_launch(
                 continue;
             }
             let decl = &buffers[a.buf.0 as usize];
-            // Self-pair (a vs a) and distinct writes both use the
-            // diagonal-excluded check: thread t racing with itself is
-            // not a race.
+            // Self-pair (a vs a) and distinct writes alike: only distinct
+            // threads can race, thread t never races itself.
             let same = std::ptr::eq(a, b);
-            let overlap = pair_overlaps(&a.pattern, &b.pattern, width, width, true, decl.len);
-            if !overlap {
+            if !pair_overlaps(&a.pattern, &b.pattern, width, decl.len) {
                 continue;
             }
             if a.is_write() && b.is_write() {
@@ -428,55 +394,10 @@ pub(crate) fn check_launch(
     hazards
 }
 
-/// Checks two *unordered* launches against each other: any overlap
-/// between a write of one and any access of the other is a hazard.
-/// Buffers are matched by label so the two peers may use different
-/// tables. At most one hazard is reported per pair.
-pub(crate) fn check_unordered(a: &DeclaredPeer<'_>, b: &DeclaredPeer<'_>) -> Vec<StaticHazard> {
-    if a.width == 0 || b.width == 0 {
-        return Vec::new();
-    }
-    for ea in a.effects {
-        let da = &a.buffers[ea.buf.0 as usize];
-        for eb in b.effects {
-            let db = &b.buffers[eb.buf.0 as usize];
-            if da.label != db.label {
-                continue;
-            }
-            if !ea.is_write() && !eb.is_write() {
-                continue;
-            }
-            if ea.kind == EffectKind::Atomic && eb.kind == EffectKind::Atomic {
-                continue;
-            }
-            // Cross-launch checks never exclude the diagonal (thread t
-            // of launch A vs thread t of launch B are distinct
-            // threads), and Indexed contracts only promise
-            // disjointness *within* a launch, so only the envelope is
-            // usable here — which `pair_overlaps` already does via
-            // `footprint` for non-affine patterns.
-            if pair_overlaps(&ea.pattern, &eb.pattern, a.width, b.width, false, da.len) {
-                return vec![StaticHazard::UnorderedConflict {
-                    kernels: (a.label.to_string(), b.label.to_string()),
-                    buffer: da.label.clone(),
-                }];
-            }
-        }
-    }
-    Vec::new()
-}
-
-/// Whether two patterns over the same buffer may touch a common index.
-/// `exclude_diag` restricts to *distinct* thread pairs (intra-launch
-/// checks, where thread t cannot race itself).
-fn pair_overlaps(
-    pa: &Pattern,
-    pb: &Pattern,
-    wa: usize,
-    wb: usize,
-    exclude_diag: bool,
-    buf_len: usize,
-) -> bool {
+/// Whether two patterns over the same buffer, in one launch of `width`
+/// threads, may touch a common index from two *distinct* threads (thread
+/// t cannot race itself).
+fn pair_overlaps(pa: &Pattern, pb: &Pattern, width: usize, buf_len: usize) -> bool {
     if let (
         &Pattern::Affine {
             base: ba,
@@ -494,62 +415,46 @@ fn pair_overlaps(
             ba as i128,
             sa as i128,
             spa as i128,
-            wa as i128,
             bb as i128,
             sb as i128,
             spb as i128,
-            wb as i128,
-            exclude_diag,
+            width as i128,
         );
     }
-    let fa = match pa.footprint(wa, buf_len) {
+    let fa = match pa.footprint(width, buf_len) {
         Some(f) => f,
         None => return false,
     };
-    let fb = match pb.footprint(wb, buf_len) {
+    let fb = match pb.footprint(width, buf_len) {
         Some(f) => f,
         None => return false,
     };
-    let intersects = fa.0 < fb.1 && fb.0 < fa.1;
     // With interval-level precision we can't tell same-thread overlap
     // from cross-thread overlap; a single-thread launch touching a
     // shared range only via the diagonal is the one case we can clear.
-    intersects && (!exclude_diag || wa > 1 || wb > 1)
+    fa.0 < fb.1 && fb.0 < fa.1 && width > 1
 }
 
 /// Exact (or conservatively bounded) overlap test between two affine
-/// footprints: does there exist `t in 0..wa`, `u in 0..wb` (with `t !=
-/// u` when `exclude_diag`) such that `[ba+t*sa, +spa)` and `[bb+u*sb,
-/// +spb)` intersect?
+/// footprints: does there exist `t != u` in `0..w` such that
+/// `[ba+t*sa, +spa)` and `[bb+u*sb, +spb)` intersect?
 ///
 /// Intersection condition: `-spb < (ba - bb) + t*sa - u*sb < spa`.
-#[allow(clippy::too_many_arguments)]
-fn affine_overlap(
-    ba: i128,
-    sa: i128,
-    spa: i128,
-    wa: i128,
-    bb: i128,
-    sb: i128,
-    spb: i128,
-    wb: i128,
-    exclude_diag: bool,
-) -> bool {
-    if spa == 0 || spb == 0 || wa == 0 || wb == 0 {
+fn affine_overlap(ba: i128, sa: i128, spa: i128, bb: i128, sb: i128, spb: i128, w: i128) -> bool {
+    if spa == 0 || spb == 0 || w == 0 {
         return false;
     }
     let d = ba - bb;
     if sa == sb {
-        // Equal strides s: let k = t - u, k in [-(wb-1), wa-1].
+        // Equal strides s: let k = t - u, k in [-(w-1), w-1].
         // Overlap of [ba+s*t, +spa) and [bb+s*u, +spb) needs
         // start_a < end_b and start_b < end_a: -spa < d + k*s < spb.
         let s = sa;
-        let (klo, khi) = (-(wb - 1), wa - 1);
+        let (klo, khi) = (-(w - 1), w - 1);
         if s == 0 {
-            let hit = -spa < d && d < spb;
             // Every (t, u) pair gives the same condition; an
-            // off-diagonal pair exists iff some launch has width > 1.
-            return hit && (!exclude_diag || wa > 1 || wb > 1);
+            // off-diagonal pair exists iff the launch has width > 1.
+            return -spa < d && d < spb && w > 1;
         }
         // k in ((-spa - d)/s, (spb - d)/s) intersected with [klo, khi];
         // a negative s flips the interval: (d - spb, d + spa) over |s|.
@@ -572,27 +477,21 @@ fn affine_overlap(
         if lo > hi {
             return false;
         }
-        // exclude_diag removes only k == 0.
-        !(exclude_diag && lo == 0 && hi == 0)
+        // Excluding the diagonal removes only k == 0.
+        !(lo == 0 && hi == 0)
     } else {
-        // Unequal strides: bounded scan of the narrower launch.
+        // Unequal strides: bounded scan over the threads of pattern a.
         const CAP: i128 = 1 << 16;
-        let (ba, sa, spa, wa, bb, sb, spb, wb) = if wa <= wb {
-            (ba, sa, spa, wa, bb, sb, spb, wb)
-        } else {
-            (bb, sb, spb, wb, ba, sa, spa, wa)
-        };
-        if wa > CAP {
+        if w > CAP {
             return true; // conservative: too wide to scan
         }
-        let d = ba - bb;
-        for t in 0..wa {
-            // Need u with u*sb in (c - spb, c + spa), u in [0, wb-1]
+        for t in 0..w {
+            // Need u with u*sb in (c - spb, c + spa), u in [0, w-1]
             // (start_a < end_b and start_b < end_a for the two slabs).
             let c = d + t * sa;
             let (ulo, uhi) = if sb == 0 {
                 if -spa < c && c < spb {
-                    (0, wb - 1)
+                    (0, w - 1)
                 } else {
                     continue;
                 }
@@ -609,12 +508,12 @@ fn affine_overlap(
                 } else {
                     hi_num.div_euclid(sb_abs)
                 };
-                (ulo.max(0), uhi.min(wb - 1))
+                (ulo.max(0), uhi.min(w - 1))
             };
             if ulo > uhi {
                 continue;
             }
-            if exclude_diag && ulo == t && uhi == t {
+            if ulo == t && uhi == t {
                 continue; // only the diagonal pair overlaps
             }
             return true;
@@ -631,21 +530,22 @@ mod tests {
         Pattern::Affine { base, stride, span }
     }
 
-    fn overlaps(pa: Pattern, pb: Pattern, wa: usize, wb: usize, exclude_diag: bool) -> bool {
-        pair_overlaps(&pa, &pb, wa, wb, exclude_diag, usize::MAX)
+    fn overlaps(pa: Pattern, pb: Pattern, w: usize) -> bool {
+        pair_overlaps(&pa, &pb, w, usize::MAX)
     }
 
-    /// Brute-force oracle for the affine math.
-    fn brute(pa: Pattern, pb: Pattern, wa: usize, wb: usize, exclude_diag: bool) -> bool {
+    /// Brute-force oracle for the affine math: some pair of distinct
+    /// threads of a `w`-thread launch touches a common index.
+    fn brute(pa: Pattern, pb: Pattern, w: usize) -> bool {
         let idx = |p: &Pattern, t: usize| -> (usize, usize) {
             match *p {
                 Pattern::Affine { base, stride, span } => (base + t * stride, span),
                 _ => unreachable!(),
             }
         };
-        for t in 0..wa {
-            for u in 0..wb {
-                if exclude_diag && t == u {
+        for t in 0..w {
+            for u in 0..w {
+                if t == u {
                     continue;
                 }
                 let (la, spa) = idx(&pa, t);
@@ -661,58 +561,65 @@ mod tests {
     #[test]
     fn affine_self_disjoint_when_stride_covers_span() {
         // stride == span: each thread owns its own cell.
-        assert!(!overlaps(aff(0, 4, 4), aff(0, 4, 4), 16, 16, true));
+        assert!(!overlaps(aff(0, 4, 4), aff(0, 4, 4), 16));
         // stride > span: gaps between cells.
-        assert!(!overlaps(aff(0, 8, 4), aff(0, 8, 4), 16, 16, true));
+        assert!(!overlaps(aff(0, 8, 4), aff(0, 8, 4), 16));
         // stride < span: neighbors collide.
-        assert!(overlaps(aff(0, 2, 4), aff(0, 2, 4), 16, 16, true));
+        assert!(overlaps(aff(0, 2, 4), aff(0, 2, 4), 16));
     }
 
     #[test]
     fn affine_offset_copies_collide_cross_thread() {
         // read at t, write at t+1 (same stride, shifted base).
-        assert!(overlaps(aff(0, 1, 1), aff(1, 1, 1), 8, 8, true));
+        assert!(overlaps(aff(0, 1, 1), aff(1, 1, 1), 8));
         // but a shift of a full window stays disjoint.
-        assert!(!overlaps(aff(0, 1, 1), aff(100, 1, 1), 8, 8, true));
+        assert!(!overlaps(aff(0, 1, 1), aff(100, 1, 1), 8));
     }
 
     #[test]
     fn diagonal_exclusion_clears_same_slot_read_write() {
         // Each thread reads and writes its own cell: overlap only on
         // the diagonal, which is not a race.
-        assert!(!overlaps(aff(0, 4, 4), aff(0, 4, 4), 16, 16, true));
-        assert!(overlaps(aff(0, 4, 4), aff(0, 4, 4), 16, 16, false));
+        assert!(!overlaps(aff(0, 4, 4), aff(0, 4, 4), 16));
+        assert!(brute(aff(0, 4, 4), aff(4, 4, 4), 16));
+        assert!(overlaps(aff(0, 4, 4), aff(4, 4, 4), 16));
     }
 
     #[test]
     fn zero_span_and_zero_width_never_overlap() {
-        assert!(!overlaps(aff(0, 1, 0), aff(0, 1, 1), 8, 8, false));
-        assert!(!overlaps(aff(0, 1, 1), aff(0, 1, 1), 0, 8, false));
+        assert!(!overlaps(aff(0, 1, 0), aff(0, 1, 1), 8));
+        assert!(!overlaps(aff(0, 0, 1), aff(0, 0, 1), 0));
     }
 
     #[test]
     fn zero_stride_broadcast() {
         // All threads hit the same cell: WW hazard if width > 1.
-        assert!(overlaps(aff(5, 0, 1), aff(5, 0, 1), 4, 4, true));
-        assert!(!overlaps(aff(5, 0, 1), aff(5, 0, 1), 1, 1, true));
-        assert!(!overlaps(aff(5, 0, 1), aff(6, 0, 1), 4, 4, false));
+        assert!(overlaps(aff(5, 0, 1), aff(5, 0, 1), 4));
+        assert!(!overlaps(aff(5, 0, 1), aff(5, 0, 1), 1));
+        assert!(!overlaps(aff(5, 0, 1), aff(6, 0, 1), 4));
     }
 
     #[test]
     fn unequal_strides_scan_matches_brute_force() {
         let cases = [
-            (aff(0, 3, 1), aff(0, 5, 1), 10, 10),
-            (aff(1, 3, 2), aff(0, 7, 1), 12, 6),
-            (aff(0, 2, 2), aff(1, 3, 1), 9, 9),
-            (aff(4, 6, 2), aff(0, 4, 3), 7, 11),
-            (aff(0, 10, 1), aff(5, 7, 1), 8, 8),
+            (aff(0, 3, 1), aff(0, 5, 1)),
+            (aff(1, 3, 2), aff(0, 7, 1)),
+            (aff(0, 2, 2), aff(1, 3, 1)),
+            (aff(4, 6, 2), aff(0, 4, 3)),
+            (aff(0, 10, 1), aff(5, 7, 1)),
+            (aff(0, 0, 1), aff(3, 2, 1)),
         ];
-        for (pa, pb, wa, wb) in cases {
-            for ed in [false, true] {
+        for (pa, pb) in cases {
+            for w in [1, 2, 6, 7, 9, 12] {
                 assert_eq!(
-                    overlaps(pa, pb, wa, wb, ed),
-                    brute(pa, pb, wa, wb, ed),
-                    "{pa:?} vs {pb:?} w=({wa},{wb}) ed={ed}"
+                    overlaps(pa, pb, w),
+                    brute(pa, pb, w),
+                    "{pa:?} vs {pb:?} w={w}"
+                );
+                assert_eq!(
+                    overlaps(pb, pa, w),
+                    brute(pb, pa, w),
+                    "{pb:?} vs {pa:?} w={w}"
                 );
             }
         }
@@ -721,18 +628,24 @@ mod tests {
     #[test]
     fn equal_strides_closed_form_matches_brute_force() {
         let cases = [
-            (aff(0, 4, 4), aff(2, 4, 4), 8, 8),
-            (aff(0, 4, 2), aff(2, 4, 2), 8, 8),
-            (aff(3, 5, 5), aff(0, 5, 3), 6, 10),
-            (aff(0, 1, 1), aff(3, 1, 1), 4, 4),
-            (aff(0, 1, 1), aff(3, 1, 1), 8, 4),
+            (aff(0, 4, 4), aff(2, 4, 4)),
+            (aff(0, 4, 2), aff(2, 4, 2)),
+            (aff(3, 5, 5), aff(0, 5, 3)),
+            (aff(0, 1, 1), aff(3, 1, 1)),
+            (aff(0, 4, 4), aff(0, 4, 4)),
+            (aff(5, 0, 2), aff(6, 0, 1)),
         ];
-        for (pa, pb, wa, wb) in cases {
-            for ed in [false, true] {
+        for (pa, pb) in cases {
+            for w in [1, 2, 4, 6, 8, 10] {
                 assert_eq!(
-                    overlaps(pa, pb, wa, wb, ed),
-                    brute(pa, pb, wa, wb, ed),
-                    "{pa:?} vs {pb:?} w=({wa},{wb}) ed={ed}"
+                    overlaps(pa, pb, w),
+                    brute(pa, pb, w),
+                    "{pa:?} vs {pb:?} w={w}"
+                );
+                assert_eq!(
+                    overlaps(pb, pa, w),
+                    brute(pb, pa, w),
+                    "{pb:?} vs {pa:?} w={w}"
                 );
             }
         }
@@ -741,11 +654,13 @@ mod tests {
     #[test]
     fn range_and_all_use_interval_footprints() {
         let r = Pattern::Range { lo: 10, hi: 20 };
-        assert!(overlaps(r, aff(15, 1, 1), 4, 4, false));
-        assert!(!overlaps(r, aff(20, 1, 1), 4, 4, false));
-        assert!(pair_overlaps(&Pattern::All, &r, 2, 2, false, 100));
+        assert!(overlaps(r, aff(15, 1, 1), 4));
+        assert!(!overlaps(r, aff(20, 1, 1), 4));
+        assert!(pair_overlaps(&Pattern::All, &r, 2, 100));
         // Empty buffer: All touches nothing.
-        assert!(!pair_overlaps(&Pattern::All, &r, 2, 2, false, 0));
+        assert!(!pair_overlaps(&Pattern::All, &r, 2, 0));
+        // One thread cannot race itself, even on a shared range.
+        assert!(!overlaps(r, r, 1));
     }
 
     #[test]
@@ -813,68 +728,6 @@ mod tests {
         // Width 0 launches nothing.
         let h = check_launch("k", 0, &[Effect::write(buf, aff(0, 0, 1))], &bufs);
         assert!(h.is_empty(), "{h:?}");
-    }
-
-    #[test]
-    fn check_unordered_matches_by_label_and_reports_once() {
-        let ta = EffectTable::new();
-        let a = ta.buffer("shared", 64);
-        let tb = EffectTable::new();
-        let b = tb.buffer("shared", 64);
-        let other = tb.buffer("other", 64);
-        let sa = ta.snapshot();
-        let sb = tb.snapshot();
-        let pa = DeclaredPeer {
-            label: "a",
-            width: 8,
-            buffers: &sa,
-            effects: &[Effect::write(a, aff(0, 1, 1))],
-        };
-        let pb = DeclaredPeer {
-            label: "b",
-            width: 8,
-            buffers: &sb,
-            effects: &[
-                Effect::read(b, aff(0, 1, 1)),
-                Effect::write(b, aff(0, 1, 1)),
-                Effect::write(other, aff(0, 1, 1)),
-            ],
-        };
-        let h = check_unordered(&pa, &pb);
-        assert_eq!(h.len(), 1, "{h:?}");
-        assert!(
-            matches!(&h[0], StaticHazard::UnorderedConflict { buffer, .. } if buffer == "shared")
-        );
-        // Disjoint halves of one buffer: clean.
-        let pc = DeclaredPeer {
-            label: "c",
-            width: 8,
-            buffers: &sb,
-            effects: &[Effect::write(b, aff(32, 1, 1))],
-        };
-        assert!(check_unordered(&pa, &pc).is_empty());
-        // Read-read never conflicts.
-        let pr1 = DeclaredPeer {
-            label: "r1",
-            width: 8,
-            buffers: &sa,
-            effects: &[Effect::read(a, Pattern::All)],
-        };
-        let pr2 = DeclaredPeer {
-            label: "r2",
-            width: 8,
-            buffers: &sb,
-            effects: &[Effect::read(b, Pattern::All)],
-        };
-        assert!(check_unordered(&pr1, &pr2).is_empty());
-        // Indexed envelopes do conflict across launches.
-        let pi = DeclaredPeer {
-            label: "i",
-            width: 8,
-            buffers: &sb,
-            effects: &[Effect::write(b, Pattern::Indexed { lo: 0, hi: 64 })],
-        };
-        assert_eq!(check_unordered(&pa, &pi).len(), 1);
     }
 
     #[test]

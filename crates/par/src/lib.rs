@@ -10,17 +10,18 @@
 //!
 //! There is one way to run a kernel: declare what it touches, then launch
 //! it. Buffers are named in an [`EffectTable`], storage is bound to a
-//! declaration with [`Executor::bind_table`], and every launch — eager
-//! ([`Executor::launch_declared`]) or queued ([`Stream::launch_declared`])
-//! — carries its read/write footprints as [`Effect`]s. The static
-//! checker proves the footprints in bounds and race-free before anything
-//! runs and panics otherwise; a launch runs in parallel only with that
-//! proof.
+//! declaration with [`Executor::bind_table`], and every launch
+//! ([`Executor::launch_declared`]) carries its read/write footprints as
+//! [`Effect`]s. The static checker proves the footprints in bounds and
+//! race-free before anything runs and panics otherwise; a launch runs in
+//! parallel only with that proof. Every launch is eager and a barrier:
+//! it returns when all its threads finished, so each launch sees the
+//! writes of every earlier one.
 //!
 //! Every launch is recorded, so the *parallel work profile* of a run — how
-//! many kernels were launched, how wide they were, and the critical-path
-//! depth — can be inspected and used to model speedups on wider machines
-//! than the host (see [`LaunchStats::modeled_time`]).
+//! many kernels were launched and how wide they were — can be inspected
+//! and used to model speedups on wider machines than the host (see
+//! [`LaunchStats::modeled_time`]).
 //!
 //! ```
 //! use parsweep_par::{Effect, EffectTable, Executor, Pattern};
@@ -72,9 +73,8 @@
 //! executor when the `PARSWEEP_SANITIZE` environment variable is set)
 //! audits. It runs every launch serialized, logs every access, and
 //! reports accesses outside the declared footprints, write–write and
-//! read–write hazards between distinct tids, out-of-bounds accesses and
-//! races between unordered streams — with the kernel label, launch
-//! ordinal and conflicting tids. The same analysis is the reference the
+//! read–write hazards between distinct tids and out-of-bounds accesses —
+//! with the kernel label, launch ordinal and conflicting tids. The same analysis is the reference the
 //! static checker is tested against: a kernel declared as loosely as the
 //! grammar allows (`Effect::atomic(buf, Pattern::All)` is statically
 //! clean and covers every access) is judged by the access log alone:
@@ -112,18 +112,14 @@ mod arena;
 mod cancel;
 mod effects;
 mod sanitizer;
-mod stream;
 
 pub use arena::{ArenaStats, BufferArena, PooledBuf};
 pub use cancel::CancelToken;
 pub use effects::{BufId, Effect, EffectKind, EffectTable, Pattern, StaticHazard};
 pub use sanitizer::{AccessKind, ConflictKind, RaceReport, SanitizerConfig};
-pub use stream::Stream;
 
-use effects::DeclaredLaunch;
 use parsweep_trace as trace;
 use sanitizer::Sanitizer;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of log2-width buckets retained in [`LaunchStats`]'s launch-width
@@ -136,7 +132,7 @@ pub const WIDTH_BUCKETS: usize = 64;
 /// `launches` counts launches dispatched to the worker pool and
 /// `inline_launches` those run inline on the issuing thread (the
 /// small-launch fast path); their sum [`LaunchStats::total_launches`] is
-/// the sequential dependency chain length. `total_threads` is the total
+/// the sequential dependency chain length (every launch is a barrier). `total_threads` is the total
 /// data-parallel work; `widest` is the largest single launch. The
 /// per-launch widths are additionally retained in a bounded log2
 /// histogram so [`LaunchStats::modeled_time`] can cost non-uniform launch
@@ -159,16 +155,6 @@ pub struct LaunchStats {
     pub width_counts: [u64; WIDTH_BUCKETS],
     /// Sum of launch widths per bucket.
     pub width_sums: [u64; WIDTH_BUCKETS],
-    /// Launches on the modeled critical path: every eager launch, plus —
-    /// per [`Executor::join`] epoch — the launches of the heaviest joined
-    /// stream only (the other streams overlap it).
-    pub critical_launches: u64,
-    /// Sum of the widths of critical-path launches.
-    pub critical_threads: u64,
-    /// Critical-path launch counts bucketed by `floor(log2(width))`.
-    pub critical_counts: [u64; WIDTH_BUCKETS],
-    /// Sum of critical-path launch widths per bucket.
-    pub critical_sums: [u64; WIDTH_BUCKETS],
     /// Launches that ran on the parallel path on the strength of their
     /// static effect proof: every launch of a raw executor, none of a
     /// sanitizing one (which serializes and audits them instead).
@@ -206,10 +192,6 @@ impl Default for LaunchStats {
             widest: 0,
             width_counts: [0; WIDTH_BUCKETS],
             width_sums: [0; WIDTH_BUCKETS],
-            critical_launches: 0,
-            critical_threads: 0,
-            critical_counts: [0; WIDTH_BUCKETS],
-            critical_sums: [0; WIDTH_BUCKETS],
             static_verified_launches: 0,
             arena_hits: 0,
             arena_misses: 0,
@@ -222,52 +204,14 @@ impl Default for LaunchStats {
     }
 }
 
-/// Costs one launch-width histogram on `cores` lanes: each launch of
-/// width `w` costs `ceil(w / cores)` units. Exact when launches sharing a
-/// bucket share a width; a lower bound otherwise. Histograms less
-/// populated than `launches` (hand-assembled stats) fall back to the
-/// uniform lower bound `max(ceil(total/cores), launches)`.
-fn histogram_cost(
-    counts: &[u64; WIDTH_BUCKETS],
-    sums: &[u64; WIDTH_BUCKETS],
-    launches: u64,
-    total_threads: u64,
-    cores: u64,
-) -> u64 {
-    assert!(cores > 0, "modeled machine needs at least one core");
-    let histogrammed: u64 = counts.iter().sum();
-    if histogrammed < launches {
-        // Histogram not populated: the pre-histogram lower bound.
-        return (total_threads.div_ceil(cores)).max(launches);
-    }
-    counts
-        .iter()
-        .zip(sums)
-        .map(|(&count, &sum)| {
-            if count == 0 {
-                0
-            } else if sum % count == 0 {
-                // Uniform bucket: every launch has width sum/count.
-                count * (sum / count).div_ceil(cores)
-            } else {
-                (sum.div_ceil(cores)).max(count)
-            }
-        })
-        .sum()
-}
-
 impl LaunchStats {
     /// Models the execution time, in abstract work units, of this launch
     /// profile on a machine with `cores` parallel lanes: each launch of
     /// width `w` costs `ceil(w / cores)` units, mirroring how a GPU
-    /// schedules thread blocks over SMs.
-    ///
-    /// Only *critical-path* launches are charged: launches of streams
-    /// that overlapped a heavier stream inside an [`Executor::join`]
-    /// epoch cost nothing (they hide behind the epoch's heaviest stream),
-    /// so a two-stream workload models strictly cheaper than the same
-    /// launches serialized — compare [`LaunchStats::serialized_time`].
-    /// For profiles without stream overlap the two are identical.
+    /// schedules thread blocks over SMs. Every launch is a barrier, so
+    /// the launches add up: this is the critical path and the serialized
+    /// cost at once, and [`LaunchStats::serialized_time`] is the same
+    /// figure.
     ///
     /// Per-launch widths are costed from the log2 width histogram, so the
     /// result is exact whenever the launches that share a bucket share a
@@ -280,35 +224,36 @@ impl LaunchStats {
     ///
     /// Panics if `cores == 0`.
     pub fn modeled_time(&self, cores: u64) -> u64 {
-        if self.critical_launches == 0 {
-            // No critical-path accounting (hand-assembled stats): every
-            // launch is assumed serialized.
-            return self.serialized_time(cores);
+        assert!(cores > 0, "modeled machine needs at least one core");
+        let histogrammed: u64 = self.width_counts.iter().sum();
+        if histogrammed < self.total_launches() {
+            // Histogram not populated: the pre-histogram lower bound.
+            return (self.total_threads.div_ceil(cores)).max(self.total_launches());
         }
-        histogram_cost(
-            &self.critical_counts,
-            &self.critical_sums,
-            self.critical_launches,
-            self.critical_threads,
-            cores,
-        )
+        self.width_counts
+            .iter()
+            .zip(&self.width_sums)
+            .map(|(&count, &sum)| {
+                if count == 0 {
+                    0
+                } else if sum % count == 0 {
+                    // Uniform bucket: every launch has width sum/count.
+                    count * (sum / count).div_ceil(cores)
+                } else {
+                    (sum.div_ceil(cores)).max(count)
+                }
+            })
+            .sum()
     }
 
-    /// Models the execution time of this profile with every launch
-    /// serialized (no stream overlap) — the cost `modeled_time` would
-    /// report if each launch were a global barrier.
+    /// The cost of this profile with every launch serialized — equal to
+    /// [`LaunchStats::modeled_time`], since every launch is a barrier.
     ///
     /// # Panics
     ///
     /// Panics if `cores == 0`.
     pub fn serialized_time(&self, cores: u64) -> u64 {
-        histogram_cost(
-            &self.width_counts,
-            &self.width_sums,
-            self.total_launches(),
-            self.total_threads,
-            cores,
-        )
+        self.modeled_time(cores)
     }
 
     /// Total launches regardless of dispatch path: pool-dispatched
@@ -336,13 +281,9 @@ impl LaunchStats {
         self.inline_launches += other.inline_launches;
         self.total_threads += other.total_threads;
         self.widest = self.widest.max(other.widest);
-        self.critical_launches += other.critical_launches;
-        self.critical_threads += other.critical_threads;
         for b in 0..WIDTH_BUCKETS {
             self.width_counts[b] += other.width_counts[b];
             self.width_sums[b] += other.width_sums[b];
-            self.critical_counts[b] += other.critical_counts[b];
-            self.critical_sums[b] += other.critical_sums[b];
         }
         self.static_verified_launches += other.static_verified_launches;
         self.arena_hits += other.arena_hits;
@@ -359,8 +300,8 @@ impl LaunchStats {
 ///
 /// [`Executor::launch_declared`] runs `kernel(tid)` for every
 /// `tid in 0..n`, in parallel over a pool of OS threads, and returns when
-/// all work items finished (a launch is a synchronization barrier, like a
-/// CUDA kernel on one stream).
+/// all work items finished: a launch is a synchronization barrier, so it
+/// sees every write of the launches before it.
 ///
 /// An executor is either *raw* — launches run in parallel on the strength
 /// of their static effect proof — or *sanitizing* (see
@@ -372,7 +313,7 @@ impl LaunchStats {
 ///
 /// `Executor` is `Send + Sync`: any number of threads may drive launches
 /// on one shared executor. Raw launches synchronize only through the
-/// stats mutex and the arena pools; audited epochs take turns. (The audit
+/// stats mutex and the arena pools; audited launches take turns. (The audit
 /// matches declared effects to bindings by buffer label, so threads
 /// sharing a sanitizing executor must bind under distinct labels.)
 #[derive(Debug)]
@@ -382,7 +323,6 @@ pub struct Executor {
     sanitizer: Option<Sanitizer>,
     arena: BufferArena,
     spill: BufferArena,
-    next_stream: AtomicU64,
 }
 
 impl Default for Executor {
@@ -457,7 +397,6 @@ impl Executor {
             sanitizer: sanitizer.map(Sanitizer::new),
             arena: BufferArena::new(),
             spill: BufferArena::new(),
-            next_stream: AtomicU64::new(1),
         }
     }
 
@@ -465,11 +404,6 @@ impl Executor {
     /// sanitizer instead of running them in parallel.
     pub fn sanitizing(&self) -> bool {
         self.sanitizer.is_some()
-    }
-
-    /// Counts launches that ran on the parallel path.
-    pub(crate) fn note_verified_launches(&self, count: u64) {
-        self.lock_stats().static_verified_launches += count;
     }
 
     /// Drains all accumulated sanitizer reports (empty when not
@@ -523,25 +457,16 @@ impl Executor {
         s.window_spill_bytes += bytes;
     }
 
-    /// Opens a new [`Stream`] on this executor. Launches queued on it run
-    /// at its next synchronization point; join several streams with
-    /// [`Executor::join`] to let their launches overlap.
-    pub fn stream<'env>(&self) -> Stream<'_, 'env> {
-        Stream::new(self, self.next_stream.fetch_add(1, Ordering::Relaxed))
-    }
-
     fn lock_stats(&self) -> MutexGuard<'_, LaunchStats> {
         self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records a launch of width `n` and returns its 1-based ordinal.
-    /// `critical` charges it to the modeled critical path as well (true
-    /// for every eager launch; stream launches are charged per join
-    /// epoch via [`Executor::record_critical_widths`]). Widths below the
-    /// inline threshold count toward `inline_launches` instead of
-    /// `launches`; everything else (histograms, critical path, widest) is
-    /// dispatch-agnostic.
-    fn record(&self, n: usize, critical: bool) -> u64 {
+    /// Widths below the inline threshold count toward `inline_launches`
+    /// instead of `launches`; everything else (histograms, widest) is
+    /// dispatch-agnostic. On a raw executor the launch runs on the
+    /// strength of its static proof and counts as statically verified.
+    fn record(&self, n: usize) -> u64 {
         let mut s = self.lock_stats();
         if n < DEFAULT_INLINE_THRESHOLD {
             s.inline_launches += 1;
@@ -553,26 +478,10 @@ impl Executor {
         let bucket = (n as u64).ilog2() as usize;
         s.width_counts[bucket] += 1;
         s.width_sums[bucket] += n as u64;
-        if critical {
-            s.critical_launches += 1;
-            s.critical_threads += n as u64;
-            s.critical_counts[bucket] += 1;
-            s.critical_sums[bucket] += n as u64;
+        if self.sanitizer.is_none() {
+            s.static_verified_launches += 1;
         }
         s.total_launches()
-    }
-
-    /// Charges a set of launch widths to the modeled critical path (the
-    /// heaviest stream of a join epoch).
-    pub(crate) fn record_critical_widths(&self, widths: impl Iterator<Item = usize>) {
-        let mut s = self.lock_stats();
-        for n in widths {
-            let bucket = (n as u64).ilog2() as usize;
-            s.critical_launches += 1;
-            s.critical_threads += n as u64;
-            s.critical_counts[bucket] += 1;
-            s.critical_sums[bucket] += n as u64;
-        }
     }
 
     /// Binds a mutable slice as the storage of a buffer declared in an
@@ -650,29 +559,21 @@ impl Executor {
             "static effect check failed for `{label}`:\n{}",
             effects::hazard_report(&hazards)
         );
-        let ordinal = self.record(n, true);
+        let ordinal = self.record(n);
         let _span = trace::kernel_span(label, n);
         if let Some(san) = &self.sanitizer {
-            // An eager launch is its own ordering epoch: it is fully
-            // ordered against everything before and after it.
-            let declared = DeclaredLaunch {
-                buffers,
-                effects: std::sync::Arc::new(effects.to_vec()),
-            };
-            san.begin_epoch()
-                .run(label, ordinal, 0, &declared, n, &kernel);
+            san.run(label, ordinal, &buffers, effects, n, &kernel);
             return;
         }
-        self.note_verified_launches(1);
         self.run_chunked(n, &kernel);
     }
 
     /// Runs `kernel` for tids `0..n` chunked over the worker pool.
     /// Widths below the inline threshold run on the calling thread — the
     /// fixed cost of a `thread::scope` dispatch dwarfs that little work.
-    pub(crate) fn run_chunked<F>(&self, n: usize, kernel: &F)
+    fn run_chunked<F>(&self, n: usize, kernel: &F)
     where
-        F: Fn(usize) + Sync + ?Sized,
+        F: Fn(usize) + Sync,
     {
         let workers = if n < DEFAULT_INLINE_THRESHOLD {
             1
@@ -957,7 +858,7 @@ mod tests {
     #[test]
     fn shared_executor_serves_concurrent_workers() {
         // Two "service workers" drive launches on one shared executor at
-        // the same time; stats must aggregate. Audited epochs take turns
+        // the same time; stats must aggregate. Audited launches take turns
         // instead of tripping over each other's open launch.
         for exec in [Executor::with_threads(2), Executor::with_sanitizer(2)] {
             std::thread::scope(|scope| {

@@ -95,11 +95,10 @@ fn static_classes(spec: &GenLaunch) -> (Vec<StaticHazard>, Vec<Class>) {
     let hazards = table.check("prop", spec.width, &effects);
     let mut classes: Vec<Class> = hazards
         .iter()
-        .filter_map(|h| match h {
-            StaticHazard::WriteWrite { .. } => Some(Class::Ww),
-            StaticHazard::ReadWrite { .. } => Some(Class::Rw),
-            StaticHazard::OutOfBounds { .. } => Some(Class::Oob),
-            _ => None,
+        .map(|h| match h {
+            StaticHazard::WriteWrite { .. } => Class::Ww,
+            StaticHazard::ReadWrite { .. } => Class::Rw,
+            StaticHazard::OutOfBounds { .. } => Class::Oob,
         })
         .collect();
     classes.sort();

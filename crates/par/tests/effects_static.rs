@@ -8,35 +8,7 @@
 mod common;
 
 use common::{inspecting_executor, loose, OWN};
-use parsweep_par::{BufId, ConflictKind, Effect, EffectTable, Executor, Pattern, StaticHazard};
-
-/// Joins two one-launch streams declared over `buf` with empty kernels
-/// and returns the join's panic message, if any. The cross-stream check
-/// runs before anything launches, on every executor.
-fn join_panic(
-    table: &EffectTable,
-    buf: BufId,
-    left: &[Effect],
-    right: &[Effect],
-) -> Option<String> {
-    let exec = Executor::with_threads(2);
-    let mut data = vec![0u64; table.len_of(buf)];
-    let _cells = exec.bind_table(table, buf, &mut data);
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut s1 = exec.stream();
-        let mut s2 = exec.stream();
-        s1.launch_declared(table, "left", 8, left, |_| {});
-        s2.launch_declared(table, "right", 8, right, |_| {});
-        exec.join(&mut [&mut s1, &mut s2]);
-    }))
-    .err()
-    .map(|payload| {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default()
-    })
-}
+use parsweep_par::{ConflictKind, Effect, EffectTable, Executor, Pattern, StaticHazard};
 
 /// Write-write: stride 2, span 4 — neighbors collide. The static
 /// checker flags it from the declaration; the dynamic sanitizer flags
@@ -194,48 +166,6 @@ fn out_of_bounds_flagged_statically_and_dynamically() {
     );
 }
 
-/// Stream race: launches on two joined streams (one unordered epoch)
-/// with overlapping write footprints. Statically an UnorderedConflict,
-/// which panics the join before anything runs; the dynamic analogue is
-/// a StreamRace.
-#[test]
-fn unordered_conflict_flagged_statically_and_dynamically() {
-    let table = EffectTable::new();
-    let buf = table.buffer("race.buf", 64);
-    let own = [Effect::write(buf, OWN)];
-    let message = join_panic(&table, buf, &own, &own).expect("the join must refuse the epoch");
-    let hazard = StaticHazard::UnorderedConflict {
-        kernels: ("left".to_string(), "right".to_string()),
-        buffer: "race.buf".to_string(),
-    };
-    assert!(message.contains(&hazard.to_string()), "{message}");
-
-    let exec = inspecting_executor();
-    let (table, buf, effects) = loose("race.buf", 64);
-    let mut data = vec![0u32; 64];
-    {
-        let cells = exec.bind_table(&table, buf, &mut data);
-        let mut s1 = exec.stream();
-        let mut s2 = exec.stream();
-        s1.launch_declared(&table, "left", 8, &effects, |tid| {
-            // SAFETY: the two unordered streams write the same slots on
-            // purpose; sanitized epochs serialize, so the race is logged.
-            unsafe { cells.write(tid, tid, 1) };
-        });
-        s2.launch_declared(&table, "right", 8, &effects, |tid| {
-            // SAFETY: intentionally racing `left` (same slots, no edge).
-            unsafe { cells.write(tid, tid, 2) };
-        });
-        exec.join(&mut [&mut s1, &mut s2]);
-    }
-    assert!(
-        exec.take_reports()
-            .iter()
-            .any(|r| matches!(r.kind, ConflictKind::StreamRace { .. })),
-        "dynamic sanitizer must agree with the static verdict"
-    );
-}
-
 /// The audit catches a declaration that under-approximates: the kernel
 /// touches an in-bounds slot its effects never declared. The static
 /// checker cannot see this (it proves the declaration, not the kernel),
@@ -286,16 +216,15 @@ fn audit_flags_undeclared_access() {
         && r.buffer == "sneaky.buf"));
 }
 
-/// Stream-level static checking: queue-time intra-launch hazards panic
-/// immediately; drain-time cross-stream conflicts panic at the join.
+/// A launch whose declaration fails the static check panics before
+/// anything runs, on every executor.
 #[test]
 #[should_panic(expected = "static effect check failed")]
 fn stream_launch_declared_panics_on_intra_launch_hazard() {
     let table = EffectTable::new();
     let buf = table.buffer("s.buf", 8);
     let exec = Executor::with_threads(2);
-    let mut s = exec.stream();
-    s.launch_declared(
+    exec.launch_declared(
         &table,
         "bad",
         4,
@@ -311,29 +240,7 @@ fn stream_launch_declared_panics_on_intra_launch_hazard() {
     );
 }
 
-#[test]
-#[should_panic(expected = "static effect check failed for join epoch")]
-fn join_panics_on_cross_stream_declared_conflict() {
-    let table = EffectTable::new();
-    let buf = table.buffer("j.buf", 32);
-    let exec = Executor::with_threads(2);
-    let mut data = vec![0u64; 32];
-    let cells = exec.bind_table(&table, buf, &mut data);
-    let cells = &cells;
-    let mut s1 = exec.stream();
-    let mut s2 = exec.stream();
-    s1.launch_declared(&table, "a", 8, &[Effect::write(buf, OWN)], move |tid| {
-        // SAFETY: never runs — the drain-time static check fires first.
-        unsafe { cells.write(tid, tid, 1) };
-    });
-    s2.launch_declared(&table, "b", 8, &[Effect::write(buf, OWN)], move |tid| {
-        // SAFETY: never runs — the drain-time static check fires first.
-        unsafe { cells.write(tid, tid, 2) };
-    });
-    exec.join(&mut [&mut s1, &mut s2]);
-}
-
-/// A clean multi-stream epoch is silent under the sanitizer and counted
+/// A clean chain of launches is silent under the sanitizer and counted
 /// as parallel on a raw executor.
 #[test]
 fn clean_declared_epoch_is_silent_audited_and_counted_raw() {
@@ -345,28 +252,23 @@ fn clean_declared_epoch_is_silent_audited_and_counted_raw() {
         let mut db = vec![0u64; 128];
         {
             let ca = exec.bind_table(&table, a, &mut da);
-            let ca = &ca;
             let cb = exec.bind_table(&table, b, &mut db);
-            let cb = &cb;
-            let mut s1 = exec.stream();
-            let mut s2 = exec.stream();
             // SAFETY: each tid writes its own slot of its own buffer.
-            s1.launch_declared(
+            exec.launch_declared(
                 &table,
                 "fill-a",
                 128,
                 &[Effect::write(a, OWN)],
-                move |tid| unsafe { ca.write(tid, tid, 1) },
+                |tid| unsafe { ca.write(tid, tid, 1) },
             );
             // SAFETY: as above, on the other buffer.
-            s2.launch_declared(
+            exec.launch_declared(
                 &table,
                 "fill-b",
                 128,
                 &[Effect::write(b, OWN)],
-                move |tid| unsafe { cb.write(tid, tid, 2) },
+                |tid| unsafe { cb.write(tid, tid, 2) },
             );
-            exec.join(&mut [&mut s1, &mut s2]);
         }
         assert!(da.iter().all(|&v| v == 1) && db.iter().all(|&v| v == 2));
     };
@@ -392,15 +294,18 @@ fn atomic_reductions_are_clean_but_conflict_with_plain_writes() {
         stride: 0,
         span: 1,
     };
-    let atomic = [Effect::atomic(buf, all_one)];
+    let atomic = Effect::atomic(buf, all_one);
     assert_eq!(
-        join_panic(&table, buf, &atomic, &atomic),
-        None,
+        table.check("acc", 8, &[atomic, atomic]),
+        Vec::new(),
         "atomic-atomic must commute"
     );
-    let plain = [Effect::write(buf, all_one)];
+    let plain = Effect::write(buf, all_one);
     assert!(
-        join_panic(&table, buf, &atomic, &plain).is_some(),
+        table
+            .check("acc", 8, &[atomic, plain])
+            .iter()
+            .any(|h| matches!(h, StaticHazard::WriteWrite { .. })),
         "atomic vs plain write must conflict"
     );
 }

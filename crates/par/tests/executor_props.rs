@@ -41,6 +41,11 @@ proptest! {
         prop_assert_eq!(s.total_launches(), nonzero.len() as u64);
         prop_assert_eq!(s.total_threads, nonzero.iter().sum::<usize>() as u64);
         prop_assert_eq!(s.widest, nonzero.iter().max().copied().unwrap_or(0) as u64);
+        // Every launch is a barrier: the modeled critical path is the
+        // serialized cost on any machine width.
+        for cores in [1, 7, 64, 4096] {
+            prop_assert_eq!(s.modeled_time(cores), s.serialized_time(cores));
+        }
         // Every launch of a raw executor ran on the parallel path; an
         // audited one (ambient PARSWEEP_SANITIZE) ran none there.
         let verified = if exec.sanitizing() { 0 } else { s.total_launches() };

@@ -816,8 +816,9 @@ impl Prover {
         attempts: &mut Vec<EngineAttempt>,
     ) -> Option<Winner> {
         let race_token = token.child();
-        // One executor per lane (the sanitizer's one-stream-per-device
-        // model): lane 0 borrows the caller's, the rest live for the race.
+        // One executor per lane (a sanitizing executor audits one launch
+        // at a time): lane 0 borrows the caller's, the rest live for the
+        // race.
         let lane_execs: Vec<Executor> = (1..field.len())
             .map(|_| Executor::with_threads(1))
             .collect();

@@ -331,9 +331,8 @@ impl Schedule {
 /// under the default table budget ([`DEFAULT_MEMORY_WORDS`]).
 ///
 /// The kernel structure mirrors the paper's partial simulator: nodes of
-/// one topological level are one kernel launch. All level launches are
-/// queued on one [`parsweep_par::Stream`] (program order on a stream is
-/// an ordering edge, so each level sees its fanin levels' words).
+/// one topological level are one kernel launch. Every launch is a
+/// barrier, so each level sees its fanin levels' words.
 pub fn simulate(aig: &Aig, exec: &Executor, patterns: &Patterns) -> Signatures {
     simulate_cone(aig, exec, patterns, None, DEFAULT_MEMORY_WORDS).0
 }
@@ -412,7 +411,7 @@ pub(crate) fn run_schedule(
     hashes[0] = hash_zero_signature(w);
     {
         // Effects per level launch: task t reads its fanins' columns
-        // (earlier levels, ordered by the stream) and writes its own
+        // (earlier levels, written by earlier launches) and writes its own
         // column plus hash slot — data-dependent disjoint chunks,
         // declared so the whole level chain is statically verified and
         // skips dynamic sanitization.
@@ -441,20 +440,19 @@ pub(crate) fn run_schedule(
                 },
             ),
         ];
-        let mut stream = exec.stream();
         for g in 0..schedule.num_levels() {
             let group = schedule.level(g);
-            stream.launch_declared(
+            exec.launch_declared(
                 &table,
                 "sim.partial.level",
                 group.len(),
                 &eval_effects,
-                move |t| eval_task(aig, group[t], t, w, patterns, donor, slot_of, cells, hcells),
+                |t| eval_task(aig, group[t], t, w, patterns, donor, slot_of, cells, hcells),
             );
             // Retire the levels the plan frees here: one spill launch
             // each, per-thread strided columns declared exactly. The
             // freed slot interval may be reused by a later level — sound
-            // because launches on one stream are ordered.
+            // because every launch is a barrier.
             let Some((plan, (stage_buf, scells))) = spill else {
                 continue;
             };
@@ -474,11 +472,11 @@ pub(crate) fn run_schedule(
                     Effect::read(slot_buf, column(slot_lo)),
                     Effect::write(*stage_buf, column(stage_lo)),
                 ];
-                stream.launch_declared(&table, "sim.window.spill", n, &spill_effects, move |t| {
+                exec.launch_declared(&table, "sim.window.spill", n, &spill_effects, |t| {
                     for k in 0..w {
                         // SAFETY: the slot words were written by earlier
-                        // launches on this stream; each tid copies its
-                        // own column into its own staging column.
+                        // launches; each tid copies its own column into
+                        // its own staging column.
                         unsafe {
                             let word = cells.read(t, slot_lo + t * w + k);
                             scells.write(t, stage_lo + t * w + k, word);
@@ -491,7 +489,6 @@ pub(crate) fn run_schedule(
                 SimCounters::add(&c.window_spilled_words, (n * w) as u64);
             }
         }
-        stream.sync();
     }
     Signatures {
         num_words: w,
@@ -507,8 +504,8 @@ pub(crate) fn run_schedule(
 /// canonical-hash cache slot.
 ///
 /// Launch-ordering contract (the caller's obligation): every fanin of an
-/// evaluated node was written by an *earlier launch on the same stream*
-/// and is still resident at `slot_of`.
+/// evaluated node was written by an *earlier launch* and is still
+/// resident at `slot_of`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn eval_task(
@@ -561,8 +558,8 @@ fn eval_task(
                 let (sa, sb) = (slot(a.var()), slot(b.var()));
                 for k in 0..w {
                     // SAFETY: fanin columns were written by earlier
-                    // launches on this stream and stay resident until
-                    // their last reader (this launch at the latest) ran.
+                    // launches and stay resident until their last reader
+                    // (this launch at the latest) ran.
                     let (wa, wb) = unsafe { (cells.read(t, sa + k), cells.read(t, sb + k)) };
                     emit(k, (wa ^ ma) & (wb ^ mb));
                 }

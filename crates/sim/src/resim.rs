@@ -95,7 +95,7 @@ impl ResimPlan {
     /// Executes the plan under the table budget `budget_words` (see
     /// [`crate::simulate_cone`]): each level copies its clean nodes'
     /// words from `old_sigs` (complement folded in) and re-evaluates its
-    /// dirty ones, on one stream.
+    /// dirty ones, one launch per level.
     ///
     /// `old_sigs` must be the *full-coverage* table of the old network
     /// under exactly these `patterns` — the table [`crate::simulate`]

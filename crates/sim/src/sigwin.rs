@@ -8,7 +8,8 @@
 //! buffer, and retires a level to host staging once its last reader has
 //! run and the next level would otherwise push residency over the budget.
 //! The driver ([`crate::partial`]) replays the plan: one `sim.window.spill`
-//! launch per retired level, stream-ordered between the level launches.
+//! launch per retired level, ordered between the level launches (every
+//! launch is a barrier).
 //!
 //! The budget is a *target*, not a hard cap: a level has to be resident
 //! together with every level it still reads, so a level wider than the

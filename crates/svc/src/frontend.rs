@@ -65,7 +65,7 @@ impl MiterCache {
         if let Some(aig) = self.files.get(path, |e| fresh(e).then(|| Arc::clone(&e.1))) {
             return Ok(aig);
         }
-        let aig = Arc::new(read_aiger_file(path).map_err(|e| format!("{path}: {e:?}"))?);
+        let aig = Arc::new(read_aiger_file(path).map_err(|e| format!("{path}: {e}"))?);
         self.files
             .insert(path.to_owned(), (stamp, Arc::clone(&aig)), fresh);
         Ok(aig)

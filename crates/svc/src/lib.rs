@@ -7,8 +7,8 @@
 //! * **Sharding** ([`shard_miter`]): each submitted miter splits along
 //!   its output cones into independently provable sub-jobs (a miter is
 //!   equivalent iff every PO cone is constant zero), scheduled on a
-//!   work-stealing [`pool`](crate::pool) that drives the
-//!   `parsweep-core` engine, one executor per worker.
+//!   work-stealing [`WorkerPool`] that drives the `parsweep-core`
+//!   engine, one executor per worker.
 //! * **Cancellation & deadlines**: every job carries a
 //!   [`CancelToken`](parsweep_par::CancelToken) polled at the engine's
 //!   phase boundaries and the SAT fallback's budget checks, so a

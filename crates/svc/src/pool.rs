@@ -36,7 +36,7 @@ type Job = Box<dyn FnOnce(usize) + Send + 'static>;
 
 /// Priority lane of a submitted job.
 ///
-/// Interactive work is drained preferentially (see [`BATCH_SHARE`]);
+/// Interactive work is drained preferentially (see `BATCH_SHARE`);
 /// batch work fills whatever capacity remains, with an anti-starvation
 /// share so heavy interactive traffic cannot park batch jobs forever.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

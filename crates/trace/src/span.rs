@@ -112,8 +112,8 @@ mod imp {
         ACTIVE.store(false, Ordering::Relaxed);
     }
 
-    /// Labels the current thread in the exported trace (worker names,
-    /// stream drivers). Repeat calls with the same label are free.
+    /// Labels the current thread in the exported trace (worker and
+    /// connection names). Repeat calls with the same label are free.
     pub fn set_thread_label(label: &str) {
         if !active() {
             return;

@@ -79,11 +79,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.max_speedup() as u64
     );
     println!(
-        "  stream overlap on 4096 lanes: critical path {} vs serialized {} units",
-        stats.modeled_time(4096),
-        stats.serialized_time(4096)
-    );
-    println!(
         "  buffer arena: {} hits / {} misses, peak pooled footprint {} bytes",
         stats.arena_hits, stats.arena_misses, stats.arena_peak_bytes
     );

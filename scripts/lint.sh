@@ -3,7 +3,8 @@
 #   1. formatting            cargo fmt --all -- --check
 #   2. lints                 cargo clippy --workspace --all-targets -- -D warnings
 #                            (workspace lints deny unsafe_op_in_unsafe_fn and
-#                             undocumented unsafe blocks)
+#                             undocumented unsafe blocks), and rustdoc with
+#                            -D warnings (no dangling intra-doc link)
 #   3. tier-1 build + tests  cargo build --release && cargo test (root package
 #                            plus the aig, trace, par, sim, cut, sat, core,
 #                            svc and net crates, the workspace's default
@@ -27,6 +28,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy -D warnings (trace feature)"
 cargo clippy --workspace --all-targets --features trace -- -D warnings
+
+echo "==> rustdoc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tier-1 build + test"
 cargo build --release
