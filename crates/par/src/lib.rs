@@ -74,10 +74,11 @@
 //! audits. It runs every launch serialized, logs every access, and
 //! reports accesses outside the declared footprints, write–write and
 //! read–write hazards between distinct tids and out-of-bounds accesses —
-//! with the kernel label, launch ordinal and conflicting tids. The same analysis is the reference the
-//! static checker is tested against: a kernel declared as loosely as the
-//! grammar allows (`Effect::atomic(buf, Pattern::All)` is statically
-//! clean and covers every access) is judged by the access log alone:
+//! with the kernel label, launch ordinal and conflicting tids. The same
+//! analysis is the reference the static checker is tested against: a
+//! kernel declared as loosely as the grammar allows
+//! (`Effect::atomic(buf, Pattern::All)` is statically clean and covers
+//! every access) is judged by the access log alone:
 //!
 //! ```
 //! use parsweep_par::{
@@ -132,10 +133,10 @@ pub const WIDTH_BUCKETS: usize = 64;
 /// `launches` counts launches dispatched to the worker pool and
 /// `inline_launches` those run inline on the issuing thread (the
 /// small-launch fast path); their sum [`LaunchStats::total_launches`] is
-/// the sequential dependency chain length (every launch is a barrier). `total_threads` is the total
-/// data-parallel work; `widest` is the largest single launch. The
-/// per-launch widths are additionally retained in a bounded log2
-/// histogram so [`LaunchStats::modeled_time`] can cost non-uniform launch
+/// the sequential dependency chain length (every launch is a barrier).
+/// `total_threads` is the total data-parallel work; `widest` is the
+/// largest single launch. The per-launch widths are additionally retained
+/// in a bounded log2 histogram so [`LaunchStats::modeled_time`] can cost non-uniform launch
 /// profiles accurately; inline launches land in the same histograms (the
 /// fast path changes host dispatch, not modeled device cost).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
