@@ -27,6 +27,8 @@ pub enum ParseAigerError {
     },
     /// The binary delta encoding is invalid or truncated.
     BadBinary(String),
+    /// A variable is defined more than once (as an input or AND lhs).
+    DefinedTwice(u32),
 }
 
 impl fmt::Display for ParseAigerError {
@@ -41,6 +43,7 @@ impl fmt::Display for ParseAigerError {
                 write!(f, "line {line}: {message}")
             }
             ParseAigerError::BadBinary(m) => write!(f, "bad binary AND section: {m}"),
+            ParseAigerError::DefinedTwice(v) => write!(f, "variable {v} is defined twice"),
         }
     }
 }
@@ -247,55 +250,48 @@ fn read_binary<R: BufRead>(mut reader: R, h: &Header) -> Result<Aig, ParseAigerE
 /// Builds the network from a parsed body: the variables `inputs` defines,
 /// the `(lhs variable, rhs0, rhs1)` AND definitions and the output
 /// literals, every variable already bounded by the header's `M`. A
-/// variable defined twice is an error. The variable map is sized from
-/// the body: a file numbering its variables sparsely (legal in ASCII) is
-/// renumbered densely first.
+/// variable defined twice is an error. Variables are renumbered densely
+/// by rank first, so the variable map is sized from the body, not from
+/// `M` (legal ASCII may number its variables sparsely).
 fn build(
     inputs: Vec<u32>,
     mut ands: Vec<(u32, u32, u32)>,
     mut pos: Vec<u32>,
 ) -> Result<Aig, ParseAigerError> {
     let n = inputs.len() + ands.len();
-    let defs = || inputs.iter().copied().chain(ands.iter().map(|d| d.0));
-    let max_var = defs().max().unwrap_or(0) as usize;
-    let inputs = if max_var > n {
-        // Dense rank of each defined variable; an undefined one maps
-        // past the table and stays undefined.
-        let mut sorted: Vec<u32> = defs().collect();
-        sorted.sort_unstable();
-        let rank = |v: u32| match v {
-            0 => 0,
-            _ => sorted
-                .binary_search(&v)
-                .map_or(n as u32 + 1, |r| r as u32 + 1),
-        };
-        let lit = |code: u32| rank(code >> 1) << 1 | (code & 1);
-        let inputs = inputs.iter().map(|&v| rank(v)).collect();
-        for d in &mut ands {
-            *d = (rank(d.0), lit(d.1), lit(d.2));
-        }
-        for code in &mut pos {
-            *code = lit(*code);
-        }
-        inputs
-    } else {
-        inputs
-    };
-    // Map from (dense) AIGER variable index to our literal.
-    let mut var_map: Vec<Option<Lit>> = vec![None; max_var.min(n) + 1];
-    var_map[0] = Some(Lit::FALSE);
-    let mut defined = vec![false; var_map.len()];
-    for v in inputs.iter().copied().chain(ands.iter().map(|d| d.0)) {
-        if std::mem::replace(&mut defined[v as usize], true) {
-            return Err(ParseAigerError::BadLine {
-                line: 0,
-                message: "a variable is defined twice".into(),
-            });
-        }
+    let mut sorted: Vec<u32> = inputs
+        .iter()
+        .copied()
+        .chain(ands.iter().map(|d| d.0))
+        .collect();
+    sorted.sort_unstable();
+    if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+        return Err(ParseAigerError::DefinedTwice(w[0]));
     }
+    // Dense rank of each defined variable; an undefined one maps past
+    // the table and stays undefined. A variable is tried at its own
+    // index first: in a densely numbered file (every binary one, nearly
+    // every ASCII one) it is found there, with no search.
+    let rank = |v: u32| match v {
+        0 => 0,
+        _ if sorted.get(v as usize - 1) == Some(&v) => v,
+        _ => sorted
+            .binary_search(&v)
+            .map_or(n as u32 + 1, |r| r as u32 + 1),
+    };
+    let lit = |code: u32| rank(code >> 1) << 1 | (code & 1);
+    for d in &mut ands {
+        *d = (rank(d.0), lit(d.1), lit(d.2));
+    }
+    for code in &mut pos {
+        *code = lit(*code);
+    }
+    // Map from ranked AIGER variable index to our literal.
+    let mut var_map: Vec<Option<Lit>> = vec![None; n + 1];
+    var_map[0] = Some(Lit::FALSE);
     let mut aig = Aig::with_capacity(n + 1);
-    for &v in &inputs {
-        var_map[v as usize] = Some(aig.add_input());
+    for v in inputs {
+        var_map[rank(v) as usize] = Some(aig.add_input());
     }
     build_ands(&mut aig, &mut var_map, ands)?;
     finish_pos(&mut aig, &var_map, &pos)?;
@@ -596,16 +592,24 @@ mod tests {
         rejects(b"aag 1 4294967295 0 1 0\n");
     }
 
+    fn rejects_as_defined_twice(input: &[u8], var: u32) {
+        rejects(input);
+        let err = read_aiger(input).unwrap_err();
+        assert!(matches!(err, ParseAigerError::DefinedTwice(v) if v == var));
+        assert_eq!(err.to_string(), format!("variable {var} is defined twice"));
+    }
+
     #[test]
     fn rejects_and_redefining_an_input() {
-        rejects(b"aag 2 1 0 1 1\n2\n2\n2 2 2\n");
+        rejects_as_defined_twice(b"aag 2 1 0 1 1\n2\n2\n2 2 2\n", 1);
     }
 
     #[test]
     fn rejects_input_declared_twice() {
         rejects(b"aag 1 2 0 1 0\n2\n2\n2\n");
         // Room in M for both: still one variable defined twice.
-        rejects(b"aag 2 2 0 1 0\n2\n2\n2\n");
+        rejects_as_defined_twice(b"aag 2 2 0 1 0\n2\n2\n2\n", 1);
+        rejects_as_defined_twice(b"aag 9 2 0 1 0\n14\n14\n2\n", 7);
     }
 
     #[test]

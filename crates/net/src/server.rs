@@ -773,6 +773,50 @@ mod tests {
     }
 
     #[test]
+    fn conn_slot_is_given_back_when_the_connection_thread_panics() {
+        let mut server = NetServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+        let inner = Arc::clone(&server.inner);
+        let before = inner.active_conns.load(Ordering::SeqCst);
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        // Panic once plainly, once while holding (and so poisoning) the
+        // `conns` lock the slot must still take to give its entry back.
+        for poison in [false, true] {
+            let id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
+            let writer = TcpStream::connect(peer.local_addr().unwrap()).unwrap();
+            let thread_inner = Arc::clone(&inner);
+            let joined = std::thread::spawn(move || {
+                let inner = thread_inner;
+                inner.active_conns.fetch_add(1, Ordering::SeqCst);
+                let _slot = ConnSlot {
+                    id,
+                    inner: Arc::clone(&inner),
+                    stopping: false,
+                };
+                let state = Arc::new(ConnState {
+                    id,
+                    writer: Mutex::new(writer),
+                    outstanding: Mutex::new(0),
+                    idle: Condvar::new(),
+                });
+                let mut conns = inner.conns.lock().unwrap();
+                conns.insert(id, state);
+                assert_eq!(inner.active_conns.load(Ordering::SeqCst), before + 1);
+                if !poison {
+                    drop(conns);
+                }
+                panic!("connection thread fails");
+            })
+            .join();
+            assert!(joined.is_err());
+            assert_eq!(inner.conns.is_poisoned(), poison);
+            inner.conns.clear_poison();
+            assert_eq!(inner.active_conns.load(Ordering::SeqCst), before);
+            assert!(!inner.conns.lock().unwrap().contains_key(&id));
+        }
+        server.stop();
+    }
+
+    #[test]
     fn metrics_text_has_net_section() {
         let mut server = NetServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
         let mut client = NetClient::connect(server.local_addr()).unwrap();

@@ -288,7 +288,7 @@ fn clean_declared_epoch_is_silent_audited_and_counted_raw() {
 #[test]
 fn atomic_reductions_are_clean_but_conflict_with_plain_writes() {
     let table = EffectTable::new();
-    let buf = table.buffer("acc.buf", 4);
+    let buf = table.buffer("acc.buf", 8);
     let all_one = Pattern::Affine {
         base: 0,
         stride: 0,
@@ -300,7 +300,10 @@ fn atomic_reductions_are_clean_but_conflict_with_plain_writes() {
         Vec::new(),
         "atomic-atomic must commute"
     );
-    let plain = Effect::write(buf, all_one);
+    // One cell per thread: clean on its own, but thread 0's cell is the
+    // atomics' shared cell.
+    let plain = Effect::write(buf, OWN);
+    assert_eq!(table.check("acc", 8, &[plain]), Vec::new());
     assert!(
         table
             .check("acc", 8, &[atomic, plain])
