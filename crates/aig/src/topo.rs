@@ -3,6 +3,8 @@
 //! Because [`Aig`] nodes are created fanins-first, the variable order is
 //! always a valid topological order; everything here exploits that.
 
+use std::cell::RefCell;
+
 use crate::{Aig, Node, Var};
 
 /// The structural support of a node, possibly truncated at a bound.
@@ -205,73 +207,77 @@ impl Aig {
     /// a valid topological order, since nodes are created fanins-first.
     /// Callers (e.g. simulation windows, which evaluate the list in
     /// order) may rely on this without re-sorting.
+    ///
+    /// A call costs the cone it visits plus the cut, not the network: the
+    /// node marks live in a per-thread scratch reused across calls.
     pub fn cone_between(&self, roots: &[Var], inputs: &[Var]) -> Option<Vec<Var>> {
-        if roots.len() + inputs.len() < 64 && self.num_nodes() > 4096 {
-            // Sparse traversal: avoids O(network) allocations per window,
-            // which dominates when many small windows are extracted from a
-            // large miter.
-            return self.cone_between_sparse(roots, inputs);
+        CONE_SCRATCH.with_borrow_mut(|scratch| scratch.cone_between(self, roots, inputs))
+    }
+}
+
+thread_local! {
+    /// The marks behind [`Aig::cone_between`], one table per thread, reused
+    /// by every call (on any network) made on that thread.
+    static CONE_SCRATCH: RefCell<ConeScratch> = RefCell::new(ConeScratch::default());
+}
+
+/// Epoch-stamped node marks: a call claims two fresh stamps, one for the
+/// cut's inputs and one for visited nodes, so no mark has to be cleared
+/// between calls. The table only grows (to the largest network seen, two
+/// bytes a node); it is wiped when the stamps run out, once every 32767
+/// calls.
+#[derive(Default)]
+struct ConeScratch {
+    marks: Vec<u16>,
+    epoch: u16,
+    stack: Vec<Var>,
+    cone: Vec<Var>,
+}
+
+impl ConeScratch {
+    /// Claims this call's `(input, seen)` stamps over `num_nodes` marks.
+    fn begin(&mut self, num_nodes: usize) -> (u16, u16) {
+        if self.marks.len() < num_nodes {
+            self.marks.resize(num_nodes, 0);
         }
-        self.cone_between_dense(roots, inputs)
+        if self.epoch > u16::MAX - 2 {
+            // Stale marks would read as this call's stamps.
+            self.marks.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        (self.epoch - 1, self.epoch)
     }
 
-    fn cone_between_sparse(&self, roots: &[Var], inputs: &[Var]) -> Option<Vec<Var>> {
-        use std::collections::HashSet;
-        let is_input: HashSet<Var> = inputs.iter().copied().collect();
-        let mut seen: HashSet<Var> = HashSet::new();
-        let mut stack: Vec<Var> = Vec::new();
-        let mut cone = Vec::new();
-        for &r in roots {
-            if !is_input.contains(&r) {
-                stack.push(r);
-            }
-        }
-        while let Some(v) = stack.pop() {
-            if !seen.insert(v) {
-                continue;
-            }
-            match self.node(v) {
-                Node::Const | Node::Input(_) => return None,
-                Node::And(a, b) => {
-                    cone.push(v);
-                    for f in [a.var(), b.var()] {
-                        if !is_input.contains(&f) {
-                            stack.push(f);
-                        }
-                    }
-                }
-            }
-        }
-        cone.sort_unstable();
-        Some(cone)
-    }
-
-    fn cone_between_dense(&self, roots: &[Var], inputs: &[Var]) -> Option<Vec<Var>> {
-        let mut is_input = vec![false; self.num_nodes()];
+    fn cone_between(&mut self, aig: &Aig, roots: &[Var], inputs: &[Var]) -> Option<Vec<Var>> {
+        let (input, seen) = self.begin(aig.num_nodes());
+        let marks = &mut self.marks;
         for v in inputs {
-            is_input[v.index()] = true;
+            marks[v.index()] = input;
         }
-        let mut seen = vec![false; self.num_nodes()];
-        let mut stack: Vec<Var> = Vec::new();
-        let mut cone = Vec::new();
-        for &r in roots {
-            if !is_input[r.index()] {
-                stack.push(r);
+        // Stamps only grow, so a mark below `input` is from an earlier call:
+        // the node is neither a cut input nor visited yet. Marking on push
+        // keeps every node on the stack at most once.
+        let stack = &mut self.stack;
+        stack.clear();
+        for r in roots {
+            if marks[r.index()] < input {
+                marks[r.index()] = seen;
+                stack.push(*r);
             }
         }
+        let cone = &mut self.cone;
+        cone.clear();
         while let Some(v) = stack.pop() {
-            if seen[v.index()] {
-                continue;
-            }
-            seen[v.index()] = true;
-            match self.node(v) {
+            match aig.node(v) {
                 // A non-input PI or constant on the path: the cut is invalid
                 // for these roots.
                 Node::Const | Node::Input(_) => return None,
                 Node::And(a, b) => {
                     cone.push(v);
                     for f in [a.var(), b.var()] {
-                        if !is_input[f.index()] {
+                        if marks[f.index()] < input {
+                            marks[f.index()] = seen;
                             stack.push(f);
                         }
                     }
@@ -279,7 +285,8 @@ impl Aig {
             }
         }
         cone.sort_unstable();
-        Some(cone)
+        // The cone grew in the scratch; the result is one exact-size copy.
+        Some(cone.to_vec())
     }
 }
 
@@ -377,5 +384,33 @@ mod tests {
         let pis: Vec<Var> = aig.pis().to_vec();
         let cone = aig.cone_between(&[root], &pis).unwrap();
         assert_eq!(cone.len(), 3); // the three AND gates
+    }
+
+    #[test]
+    fn cone_between_clears_marks_when_stamps_run_out() {
+        // A fresh thread, so the scratch starts at epoch 0.
+        std::thread::spawn(|| {
+            let (aig, _) = chain4();
+            let root = Var::new(aig.num_nodes() as u32 - 1);
+            let pis: Vec<Var> = aig.pis().to_vec();
+            // Stamps 1 and 2: every node of the chain is marked.
+            let whole = aig.cone_between(&[root], &pis).unwrap();
+            assert_eq!(whole.len(), 3);
+            // The last stamps before the wrap touch only the bottom gate,
+            // so the first call's marks survive elsewhere.
+            let ab = Var::new(aig.num_nodes() as u32 - 3);
+            let bottom = [pis[0], pis[1]];
+            CONE_SCRATCH.with_borrow_mut(|s| s.epoch = u16::MAX - 4);
+            for _ in 0..2 {
+                assert_eq!(aig.cone_between(&[ab], &bottom), Some(vec![ab]));
+            }
+            assert_eq!(CONE_SCRATCH.with_borrow(|s| s.epoch), u16::MAX);
+            // Out of stamps: the table is wiped and stamps 1 and 2 come
+            // back; the root's stale "seen" mark must not hide the cone.
+            assert_eq!(aig.cone_between(&[root], &pis), Some(whole));
+            assert_eq!(CONE_SCRATCH.with_borrow(|s| s.epoch), 2);
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -16,7 +16,7 @@ use parsweep_trace as trace;
 
 use crate::config::{EngineConfig, MergeStrategy};
 use crate::ec::EcManager;
-use crate::local::run_cut_pass;
+use crate::local::{run_cut_pass, CutSetup};
 use crate::stats::EngineStats;
 
 /// The result of running the simulation-based engine on a miter.
@@ -737,6 +737,7 @@ pub(crate) fn local_phase_inner(
     // Cut enumeration only needs nodes inside the candidates' cones.
     let live_cone = live.map(|_| current.tfi_cone(&ec.live_vars()));
     let repr_map = ec.repr_map(current.num_nodes());
+    let setup = CutSetup::new(current, &repr_map, live_cone.as_deref());
     let mut subst: Vec<Lit> = (0..current.num_nodes())
         .map(|i| Var::new(i as u32).lit())
         .collect();
@@ -756,7 +757,7 @@ pub(crate) fn local_phase_inner(
             pass,
             &ec,
             &repr_map,
-            live_cone.as_deref(),
+            &setup,
             &mut subst,
             &mut proved,
             stats,

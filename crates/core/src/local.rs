@@ -20,13 +20,34 @@ use crate::ec::EcManager;
 use crate::engine::check_in_batches;
 use crate::stats::EngineStats;
 
+/// What every cut pass of one L phase shares: fanout counts and levels
+/// for the scorer, and the AND nodes to enumerate grouped by enumeration
+/// level (Eq. 2). All of it depends only on the network, the
+/// representative map and the live cone, none of which changes between
+/// the passes of a phase, so it is computed once per phase.
+pub(crate) struct CutSetup {
+    fanouts: Vec<u32>,
+    levels: Vec<u32>,
+    groups: Vec<Vec<Var>>,
+}
+
+impl CutSetup {
+    /// With `live_cone` set (the TFI cone of the undecided class members),
+    /// the groups skip every node outside it: cuts are only ever read
+    /// inside a candidate pair's window cone, so dead regions of the miter
+    /// cost nothing.
+    pub(crate) fn new(aig: &Aig, repr_map: &[Option<Var>], live_cone: Option<&[Var]>) -> Self {
+        let el = enumeration_levels(aig, repr_map);
+        CutSetup {
+            fanouts: aig.fanout_counts(),
+            levels: aig.levels(),
+            groups: enumeration_groups(aig, &el, live_cone),
+        }
+    }
+}
+
 /// Runs one cut generation and checking pass with the given Table-I
 /// criteria, accumulating proved pairs into `subst`/`proved`.
-///
-/// With `live_cone` set (the TFI cone of the undecided class members),
-/// cut enumeration skips every node outside it: cuts are only ever read
-/// inside a candidate pair's window cone, so dead regions of the miter
-/// cost nothing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cut_pass(
     aig: &Aig,
@@ -35,17 +56,12 @@ pub(crate) fn run_cut_pass(
     pass: Pass,
     ec: &EcManager,
     repr_map: &[Option<Var>],
-    live_cone: Option<&[Var]>,
+    setup: &CutSetup,
     subst: &mut [Lit],
     proved: &mut [bool],
     stats: &mut EngineStats,
     token: &CancelToken,
 ) {
-    let fanouts = aig.fanout_counts();
-    let levels = aig.levels();
-    let el = enumeration_levels(aig, repr_map);
-    let groups = enumeration_groups(aig, &el, live_cone);
-
     // Priority cut sets, leased from the executor's arena so successive
     // passes recycle one table; PIs seed with their trivial cut
     // (Algorithm 2 lines 4-5).
@@ -53,7 +69,7 @@ pub(crate) fn run_cut_pass(
     for &pi in aig.pis() {
         cut_sets[pi.index()] = vec![Cut::trivial(pi)];
     }
-    let scorer = CutScorer::new(&fanouts, &levels);
+    let scorer = CutScorer::new(&setup.fanouts, &setup.levels);
     let kernel = CutKernel::new(
         aig,
         repr_map,
@@ -66,7 +82,7 @@ pub(crate) fn run_cut_pass(
     let mut buffer: Vec<(PairCheck, Cut)> = Vec::with_capacity(cfg.cut_buffer_capacity);
     let sigs = ec.signatures();
 
-    for group in groups.iter().skip(1) {
+    for group in setup.groups.iter().skip(1) {
         if group.is_empty() {
             continue;
         }
@@ -215,6 +231,7 @@ mod tests {
             .collect();
         let mut proved = vec![false; aig.num_nodes()];
         let mut stats = EngineStats::default();
+        let setup = CutSetup::new(&aig, &repr_map, None);
         for pass in parsweep_cut::Pass::ALL {
             run_cut_pass(
                 &aig,
@@ -223,7 +240,7 @@ mod tests {
                 pass,
                 &ec,
                 &repr_map,
-                None,
+                &setup,
                 &mut subst,
                 &mut proved,
                 &mut stats,

@@ -69,9 +69,31 @@ impl<'a> CutScorer<'a> {
 
     /// Compares two cuts under a pass's criteria; `Ordering::Less` means
     /// `a` is *better* than `b` (sort ascending, best first).
+    ///
+    /// This is the reference order: it recomputes both cuts' metrics on
+    /// every call. Selection ([`crate::select_priority_cuts`]) scores each
+    /// candidate once and compares the stored keys in the same order.
     pub fn compare(&self, a: &Cut, b: &Cut, pass: Pass) -> Ordering {
-        let (ma, mb) = (self.metrics(a), self.metrics(b));
-        match pass {
+        pass.order(&self.metrics(a), &self.metrics(b))
+            // Final deterministic tie-breaker: leaf lists.
+            .then_with(|| a.leaves().cmp(b.leaves()))
+    }
+
+    /// The selection key of a cut: its similarity to `repr_cuts` (0 when
+    /// there are none) and its metrics.
+    pub(crate) fn key(&self, cut: &Cut, repr_cuts: Option<&[Cut]>) -> CutKey {
+        CutKey {
+            similarity: repr_cuts.map_or(0.0, |rc| similarity(cut, rc)),
+            metrics: self.metrics(cut),
+        }
+    }
+}
+
+impl Pass {
+    /// The pass criteria of Table I over precomputed metrics, without the
+    /// leaf tie-breaker.
+    fn order(self, ma: &CutMetrics, mb: &CutMetrics) -> Ordering {
+        match self {
             Pass::Fanout => cmp_desc(ma.avg_fanout, mb.avg_fanout)
                 .then(ma.size.cmp(&mb.size))
                 .then(cmp_asc(ma.avg_level, mb.avg_level)),
@@ -82,8 +104,23 @@ impl<'a> CutScorer<'a> {
                 .then(ma.size.cmp(&mb.size))
                 .then(cmp_desc(ma.avg_fanout, mb.avg_fanout)),
         }
-        // Final deterministic tie-breaker: leaf lists.
-        .then_with(|| a.leaves().cmp(b.leaves()))
+    }
+}
+
+/// A cut's selection key, computed once per candidate.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CutKey {
+    similarity: f64,
+    metrics: CutMetrics,
+}
+
+impl CutKey {
+    /// The order of [`compare_with_similarity`] (and, with every
+    /// similarity 0, of [`CutScorer::compare`]) without the leaf
+    /// tie-breaker, which the caller applies.
+    pub(crate) fn order(&self, other: &CutKey, pass: Pass) -> Ordering {
+        cmp_desc(self.similarity, other.similarity)
+            .then_with(|| pass.order(&self.metrics, &other.metrics))
     }
 }
 

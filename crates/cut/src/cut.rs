@@ -52,11 +52,26 @@ impl Cut {
 
     /// The trivial cut `{n}`.
     pub fn trivial(n: Var) -> Self {
-        Cut::new(&[n])
+        let mut leaves = [0u32; MAX_CUT_SIZE];
+        leaves[0] = n.index() as u32;
+        Cut {
+            leaves,
+            len: 1,
+            sig: 1u64 << (n.index() % 64),
+        }
     }
 
     fn compute_sig(&self) -> u64 {
         self.iter().fold(0u64, |s, v| s | 1u64 << (v.index() % 64))
+    }
+
+    /// The 64-bit signature: bit `v % 64` is set for every leaf `v`.
+    /// Equal cuts have equal signatures, so a signature mismatch rules
+    /// out equality (and `a.signature() & !b.signature() != 0` rules out
+    /// `a ⊆ b`) without touching the leaves.
+    #[inline]
+    pub fn signature(&self) -> u64 {
+        self.sig
     }
 
     /// Number of leaves.
@@ -130,13 +145,12 @@ impl Cut {
             out[n] = v;
             n += 1;
         }
-        let mut cut = Cut {
+        // The union's signature is the union of the signatures.
+        Some(Cut {
             leaves: out,
             len: n as u8,
             sig: self.sig | other.sig,
-        };
-        cut.sig = cut.compute_sig();
-        Some(cut)
+        })
     }
 
     /// True if every leaf of `self` is a leaf of `other` (i.e. `self`
@@ -256,5 +270,8 @@ mod tests {
         let t = Cut::trivial(Var::new(9));
         assert_eq!(t.len(), 1);
         assert!(t.contains(Var::new(9)));
+        for v in [0, 1, 63, 64, 200] {
+            assert_eq!(Cut::trivial(Var::new(v)), Cut::new(&[Var::new(v)]));
+        }
     }
 }

@@ -2,7 +2,8 @@
 
 use parsweep_aig::{Lit, Var};
 
-use crate::{compare_with_similarity, Cut, CutScorer, Pass};
+use crate::criteria::CutKey;
+use crate::{Cut, CutScorer, Pass};
 
 /// Parameters of cut enumeration: `k_l` bounds cut size, `c` bounds the
 /// number of priority cuts kept per node.
@@ -23,6 +24,9 @@ impl Default for CutParams {
 /// Enumerates the candidate cuts of a node per Eq. (1):
 /// `E(n) = { u ∪ v : u ∈ P(n0) ∪ {{n0}}, v ∈ P(n1) ∪ {{n1}}, |u ∪ v| ≤ k_l }`,
 /// where `p0`/`p1` are the fanin priority-cut sets.
+///
+/// The result is deduplicated and in merge order: for each `u` (the
+/// trivial cut last), each `v` (likewise), the first occurrence of `u ∪ v`.
 pub fn enumerate_cuts(
     fanin0: Lit,
     fanin1: Lit,
@@ -32,15 +36,35 @@ pub fn enumerate_cuts(
 ) -> Vec<Cut> {
     let t0 = Cut::trivial(fanin0.var());
     let t1 = Cut::trivial(fanin1.var());
-    let set0: Vec<&Cut> = p0.iter().chain(std::iter::once(&t0)).collect();
-    let set1: Vec<&Cut> = p1.iter().chain(std::iter::once(&t1)).collect();
-    let mut out: Vec<Cut> = Vec::with_capacity(set0.len() * set1.len());
-    for u in &set0 {
-        for v in &set1 {
-            if let Some(m) = u.merge(v, params.k_l) {
-                if !out.contains(&m) {
-                    out.push(m);
-                }
+    merge_all(
+        p0.iter().chain(std::iter::once(&t0)),
+        p1.iter().chain(std::iter::once(&t1)),
+        (p0.len() + 1) * (p1.len() + 1),
+        params.k_l,
+    )
+}
+
+/// Merges every cut of `us` with every cut of `vs` (`us` outer, both in
+/// order), keeping the first occurrence of each union of at most `k`
+/// leaves. `pairs` is the number of pairs, a capacity hint.
+fn merge_all<'a>(
+    us: impl Iterator<Item = &'a Cut>,
+    vs: impl Iterator<Item = &'a Cut> + Clone,
+    pairs: usize,
+    k: usize,
+) -> Vec<Cut> {
+    let mut out: Vec<Cut> = Vec::with_capacity(pairs);
+    for u in us {
+        for v in vs.clone() {
+            let Some(m) = u.merge(v, k) else { continue };
+            // Equal cuts have equal signatures and sizes: most duplicate
+            // checks end there, without comparing leaves.
+            let (sig, len) = (m.signature(), m.len());
+            let dup = out
+                .iter()
+                .any(|c| c.signature() == sig && c.len() == len && c.leaves() == m.leaves());
+            if !dup {
+                out.push(m);
             }
         }
     }
@@ -51,19 +75,40 @@ pub fn enumerate_cuts(
 /// pass criteria; if `repr_cuts` is given (the node is a
 /// non-representative), similarity to the representative's priority cuts
 /// takes precedence (paper §III-C1).
+///
+/// Returns exactly what a full sort by [`CutScorer::compare`] (or
+/// [`crate::compare_with_similarity`] with `repr_cuts`) followed by
+/// truncation to `params.c` returns, but scores each candidate once: the
+/// key (similarity, then the pass metrics) is computed up front, only the
+/// top `params.c` are selected and only they are sorted. Leaves break
+/// every tie, so the order is total over distinct cuts and the selection
+/// does not depend on the sort algorithm.
 pub fn select_priority_cuts(
-    mut candidates: Vec<Cut>,
+    candidates: Vec<Cut>,
     scorer: &CutScorer<'_>,
     pass: Pass,
     params: CutParams,
     repr_cuts: Option<&[Cut]>,
 ) -> Vec<Cut> {
-    match repr_cuts {
-        Some(rc) => candidates.sort_by(|a, b| compare_with_similarity(scorer, a, b, pass, rc)),
-        None => candidates.sort_by(|a, b| scorer.compare(a, b, pass)),
+    let c = params.c.min(candidates.len());
+    if c == 0 {
+        return Vec::new();
     }
-    candidates.truncate(params.c);
-    candidates
+    let mut keyed: Vec<(CutKey, usize)> = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, cut)| (scorer.key(cut, repr_cuts), i))
+        .collect();
+    let order = |a: &(CutKey, usize), b: &(CutKey, usize)| {
+        a.0.order(&b.0, pass)
+            .then_with(|| candidates[a.1].leaves().cmp(candidates[b.1].leaves()))
+    };
+    if c < keyed.len() {
+        keyed.select_nth_unstable_by(c - 1, order);
+        keyed.truncate(c);
+    }
+    keyed.sort_unstable_by(order);
+    keyed.iter().map(|&(_, i)| candidates[i]).collect()
 }
 
 /// Removes dominated cuts: a cut that is a strict superset of another
@@ -87,17 +132,7 @@ pub fn filter_dominated(cuts: Vec<Cut>) -> Vec<Cut> {
 /// the pair's priority-cut sets, *without* the trivial cuts, bounded by
 /// `k_l`, deduplicated.
 pub fn common_cuts(pa: &[Cut], pb: &[Cut], params: CutParams) -> Vec<Cut> {
-    let mut out = Vec::new();
-    for u in pa {
-        for v in pb {
-            if let Some(m) = u.merge(v, params.k_l) {
-                if !out.contains(&m) {
-                    out.push(m);
-                }
-            }
-        }
-    }
-    out
+    merge_all(pa.iter(), pb.iter(), pa.len() * pb.len(), params.k_l)
 }
 
 /// Computes the enumeration level of every node (paper Eq. 2): like the

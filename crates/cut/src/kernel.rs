@@ -6,6 +6,11 @@
 //! parameters) once per pass; [`CutKernel::compute_level`] then runs one
 //! launch per enumeration level, writing the selected priority cuts into
 //! the caller's cut-set table.
+//!
+//! A task's work is its node's Eq. (1) candidates: the fanin cut sets are
+//! merged in place, duplicates are rejected by signature and size before
+//! their leaves are compared, and each candidate is scored once (its
+//! similarity and metrics become a key) before the top `c` are selected.
 
 use parsweep_aig::{Aig, Node, Var};
 use parsweep_par::{Effect, EffectTable, Executor, Pattern};

@@ -10,6 +10,11 @@
 //! the level-parallel cut generation. The [`CutKernel`] runs that
 //! generation level-parallel on the device runtime.
 //!
+//! Selection scores each candidate once: [`select_priority_cuts`] computes
+//! every candidate's key (similarity, then the pass metrics) up front and
+//! sorts only the `c` it keeps. [`CutScorer::compare`] and
+//! [`compare_with_similarity`] are the reference order it reproduces.
+//!
 //! ```
 //! use parsweep_cut::{Cut, CutParams, enumerate_cuts};
 //! use parsweep_aig::{Lit, Var};

@@ -51,9 +51,9 @@
 //! ## Small-launch fast path
 //!
 //! Dispatching a launch to the worker pool costs a `thread::scope`
-//! spawn/join — hundreds of microseconds of fixed overhead, which for
-//! the narrow per-level launches of a sweeping round dwarfs the work
-//! itself (the launch-bound cases of `BENCH_runtime.json`). Launches
+//! spawn/join — about 75–110 µs of fixed overhead on a 2-thread host (the
+//! benchmark's `par.launch_pool_us`), which for the narrow per-level
+//! launches of a sweeping round dwarfs the work itself. Launches
 //! narrower than [`DEFAULT_INLINE_THRESHOLD`] therefore run *inline* on
 //! the issuing thread. They are counted separately in
 //! [`LaunchStats::inline_launches`] — `launches` counts pool dispatches —

@@ -8,7 +8,8 @@
 #   3. tier-1 build + tests  cargo build --release && cargo test (root package
 #                            plus the aig, trace, par, sim, cut, sat, core,
 #                            svc and net crates, the workspace's default
-#                            members)
+#                            members), then the synth suite, which is not
+#                            a default member
 #   4. static effect checks  the adversarial and static-vs-dynamic suites on
 #                            raw executors
 #   5. kernel sanitizer      PARSWEEP_SANITIZE=1 makes every executor audit:
@@ -35,6 +36,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> tier-1 build + test"
 cargo build --release
 cargo test -q
+
+echo "==> synth suite (not a default member)"
+cargo test -p parsweep-synth -q
 
 echo "==> table decision + job memo acceptance (explicit)"
 cargo test -p parsweep-svc --lib -q table
