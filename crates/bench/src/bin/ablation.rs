@@ -1,12 +1,11 @@
 //! Ablation study over the engine's design choices called out in
-//! DESIGN.md: window merging (§III-B3), the number of cut-generation
-//! passes (Table I), similarity-driven cut selection (§III-C1), and
-//! repeated local phases (Fig. 5).
+//! DESIGN.md: the number of cut-generation passes (Table I), repeated
+//! local phases (Fig. 5) and the PO phase.
 //!
 //! Usage: `ablation [tiny|small|medium] [--case <name>]`
 
 use parsweep_bench::harness::{suite, Scale};
-use parsweep_core::{sim_sweep, EngineConfig, MergeStrategy};
+use parsweep_core::{sim_sweep, EngineConfig};
 use parsweep_cut::Pass;
 use parsweep_par::Executor;
 
@@ -22,41 +21,6 @@ fn variants() -> Vec<Variant> {
         cfg: base.clone(),
     }];
     v.push(Variant {
-        name: "no window merging",
-        cfg: EngineConfig {
-            window_merging: MergeStrategy::None,
-            ..base.clone()
-        },
-    });
-    v.push(Variant {
-        name: "clustered merging",
-        cfg: EngineConfig {
-            window_merging: MergeStrategy::Clustered,
-            ..base.clone()
-        },
-    });
-    v.push(Variant {
-        name: "distance-1 cex",
-        cfg: EngineConfig {
-            distance1_cex: true,
-            ..base.clone()
-        },
-    });
-    v.push(Variant {
-        name: "adaptive passes",
-        cfg: EngineConfig {
-            adaptive_passes: true,
-            ..base.clone()
-        },
-    });
-    v.push(Variant {
-        name: "reverse simulation",
-        cfg: EngineConfig {
-            reverse_sim: true,
-            ..base.clone()
-        },
-    });
-    v.push(Variant {
         name: "1 cut pass (fanout)",
         cfg: EngineConfig {
             passes: vec![Pass::Fanout],
@@ -67,13 +31,6 @@ fn variants() -> Vec<Variant> {
         name: "2 cut passes",
         cfg: EngineConfig {
             passes: vec![Pass::Fanout, Pass::SmallLevel],
-            ..base.clone()
-        },
-    });
-    v.push(Variant {
-        name: "no similarity selection",
-        cfg: EngineConfig {
-            similarity_selection: false,
             ..base.clone()
         },
     });

@@ -325,7 +325,6 @@ mod tests {
         cfg.engine.k_g = 8;
         cfg.engine.max_local_phases = 1;
         cfg.engine.sim_words = 1;
-        cfg.engine.reverse_sim = false;
         for ec_transfer in [false, true] {
             cfg.ec_transfer = ec_transfer;
             let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));

@@ -2,19 +2,6 @@
 
 use parsweep_cut::{CutParams, Pass};
 
-/// Window merging strategy for PO and global function checking (§III-B3).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MergeStrategy {
-    /// No merging: one window per candidate pair.
-    None,
-    /// Lexicographic sort + consecutive merging (the paper's heuristic).
-    #[default]
-    Lexicographic,
-    /// Greedy similarity clustering (the paper's "more dedicated
-    /// approach"; quadratic overhead).
-    Clustered,
-}
-
 /// Configuration of the simulation-based CEC engine.
 ///
 /// Field names follow the paper: `k_po_all` is `k_P` (one-shot PO
@@ -44,10 +31,6 @@ pub struct EngineConfig {
     pub max_local_phases: usize,
     /// Cut generation passes (Table I), in order.
     pub passes: Vec<Pass>,
-    /// Similarity-driven cut selection for non-representatives (§III-C1).
-    pub similarity_selection: bool,
-    /// Window merging strategy in global/PO checking (§III-B3).
-    pub window_merging: MergeStrategy,
     /// Common-cut buffer capacity of Algorithm 2.
     pub cut_buffer_capacity: usize,
     /// Maximum simulation-table entries per exhaustive-simulation batch;
@@ -55,17 +38,6 @@ pub struct EngineConfig {
     pub batch_entries: usize,
     /// Seed for random pattern generation.
     pub seed: u64,
-    /// Distance-1 amplification of counter-example patterns (§V, third
-    /// tweak): every CEX is resimulated together with 63 single-bit-flip
-    /// neighbours.
-    pub distance1_cex: bool,
-    /// Adaptive pass disabling (§V, second tweak): a Table-I pass that
-    /// proves nothing during a local phase is dropped from later phases.
-    pub adaptive_passes: bool,
-    /// Reverse simulation (§V, citing Zhang et al. DAC'21): backward
-    /// value justification generates directed patterns that knock
-    /// wide-support candidates out of the constant class.
-    pub reverse_sim: bool,
 }
 
 impl EngineConfig {
@@ -83,14 +55,9 @@ impl EngineConfig {
             max_global_rounds: 4,
             max_local_phases: 256,
             passes: Pass::ALL.to_vec(),
-            similarity_selection: true,
-            window_merging: MergeStrategy::Lexicographic,
             cut_buffer_capacity: 1 << 14,
             batch_entries: 1 << 20,
             seed: 0x70_5eed,
-            distance1_cex: false,
-            adaptive_passes: false,
-            reverse_sim: false,
         }
     }
 
@@ -107,14 +74,9 @@ impl EngineConfig {
             max_global_rounds: 4,
             max_local_phases: 64,
             passes: Pass::ALL.to_vec(),
-            similarity_selection: true,
-            window_merging: MergeStrategy::Lexicographic,
             cut_buffer_capacity: 1 << 12,
             batch_entries: 1 << 16,
             seed: 0x70_5eed,
-            distance1_cex: false,
-            adaptive_passes: false,
-            reverse_sim: false,
         }
     }
 }
@@ -132,15 +94,6 @@ impl EngineConfig {
     /// Returns this configuration with new cut parameters (`k_l`, `C`).
     pub fn with_cut_params(mut self, k_l: usize, c: usize) -> Self {
         self.cut = CutParams { k_l, c };
-        self
-    }
-
-    /// Returns this configuration with all §V extension features enabled
-    /// (EC transfer is on [`CombinedConfig`](crate::CombinedConfig)).
-    pub fn with_extensions(mut self) -> Self {
-        self.distance1_cex = true;
-        self.adaptive_passes = true;
-        self.reverse_sim = true;
         self
     }
 }
@@ -170,20 +123,18 @@ mod tests {
     fn builders_compose() {
         let c = EngineConfig::scaled()
             .with_support_bounds(20, 22, 10)
-            .with_cut_params(6, 4)
-            .with_extensions();
+            .with_cut_params(6, 4);
         assert_eq!(c.k_po_all, 20);
         assert_eq!(c.k_po, 20, "k_p is clamped to k_P");
         assert_eq!(c.k_g, 10);
         assert_eq!(c.cut.k_l, 6);
-        assert!(c.distance1_cex && c.adaptive_passes && c.reverse_sim);
+        assert_eq!(c.cut.c, 4);
     }
 
     #[test]
     fn default_is_scaled() {
         let d = EngineConfig::default();
         assert!(d.k_po_all <= 20, "default must be laptop-safe");
-        assert_eq!(d.window_merging, MergeStrategy::Lexicographic);
-        assert!(d.similarity_selection);
+        assert_eq!(d.passes, Pass::ALL, "every Table-I pass runs by default");
     }
 }

@@ -1,6 +1,12 @@
 //! The simulation-based CEC engine flow (paper Fig. 5): PO checking (P),
 //! global function checking (G), then repeated local function checking
 //! phases (L), each reducing the miter by merging proved pairs.
+//!
+//! The paper's §V Discussion tweaks are part of that flow, not options:
+//! every G round amplifies its counter-examples into distance-1 patterns
+//! and reverse-simulates the constant candidates too wide to check, and
+//! an L phase drops the Table-I passes that proved nothing in the one
+//! before it.
 
 use std::borrow::Cow;
 use std::time::Instant;
@@ -14,7 +20,7 @@ use parsweep_sim::{
 };
 use parsweep_trace as trace;
 
-use crate::config::{EngineConfig, MergeStrategy};
+use crate::config::EngineConfig;
 use crate::ec::EcManager;
 use crate::local::{run_cut_pass, CutSetup};
 use crate::stats::EngineStats;
@@ -230,17 +236,15 @@ fn run(
                 }
                 // Adaptive pass disabling (§V): drop passes that proved
                 // nothing this phase, as long as at least one remains.
-                if cfg.adaptive_passes {
-                    let keep: Vec<_> = active_passes
-                        .iter()
-                        .copied()
-                        .zip(&per_pass)
-                        .filter(|(_, &n)| n > 0)
-                        .map(|(p, _)| p)
-                        .collect();
-                    if !keep.is_empty() {
-                        active_passes = keep;
-                    }
+                let keep: Vec<_> = active_passes
+                    .iter()
+                    .copied()
+                    .zip(&per_pass)
+                    .filter(|(_, &n)| n > 0)
+                    .map(|(p, _)| p)
+                    .collect();
+                if !keep.is_empty() {
+                    active_passes = keep;
                 }
             }
         }
@@ -306,15 +310,6 @@ pub(crate) fn check_in_batches(
     // window position stays valid.
     outcomes.resize_with(windows.len(), Vec::new);
     outcomes
-}
-
-/// Applies the configured window-merging strategy.
-fn apply_merging(windows: Vec<Window>, k_s: usize, strategy: MergeStrategy) -> Vec<Window> {
-    match strategy {
-        MergeStrategy::None => windows,
-        MergeStrategy::Lexicographic => merge_windows(windows, k_s),
-        MergeStrategy::Clustered => parsweep_sim::merge_windows_clustered(windows, k_s),
-    }
 }
 
 /// Merges two bounded supports, giving up beyond `cap`.
@@ -401,7 +396,7 @@ fn po_phase(
     if windows.is_empty() {
         return Ok(());
     }
-    windows = apply_merging(windows, k_s, cfg.window_merging);
+    windows = merge_windows(windows, k_s);
     let outcomes = check_in_batches(current, exec, &windows, cfg, stats, token);
 
     let mut proved: Vec<(Var, bool)> = Vec::new();
@@ -504,12 +499,9 @@ pub(crate) fn global_phase_inner(
             cfg.sim_words,
             cfg.seed ^ (round as u64 + 1),
         );
-        let cex_patterns = if cfg.distance1_cex {
+        if let Some(cex_patterns) =
             Patterns::from_cexs_distance1(current, &cex_pool, cfg.seed ^ 0xd1)
-        } else {
-            Patterns::from_cexs(current, &cex_pool)
-        };
-        if let Some(cex_patterns) = cex_patterns {
+        {
             patterns.extend(&cex_patterns);
         }
         cex_pool.clear();
@@ -573,24 +565,22 @@ pub(crate) fn global_phase_inner(
         // Reverse simulation (§V): try to justify a non-constant value on
         // wide-support constant candidates; verified patterns become
         // class-splitting counter-examples for the next round.
-        if cfg.reverse_sim && !skipped_const.is_empty() {
-            let mut rng = parsweep_aig::random::SplitMix64::new(cfg.seed ^ 0xbac2);
-            for pair in skipped_const.iter().take(32) {
-                // The member's constant value is `complement` (its sig is
-                // all-`complement`); justify the opposite.
-                let target = pair.b.lit_with(pair.complement);
-                if let Some(pattern) =
-                    parsweep_sim::reverse::justify_with_retries(current, target, true, 4, &mut rng)
-                {
-                    cex_pool.push(Cex::new(pattern));
-                    stats.disproved_pairs += 1;
-                }
+        let mut rng = parsweep_aig::random::SplitMix64::new(cfg.seed ^ 0xbac2);
+        for pair in skipped_const.iter().take(32) {
+            // The member's constant value is `complement` (its sig is
+            // all-`complement`); justify the opposite.
+            let target = pair.b.lit_with(pair.complement);
+            if let Some(pattern) =
+                parsweep_sim::reverse::justify_with_retries(current, target, true, 4, &mut rng)
+            {
+                cex_pool.push(Cex::new(pattern));
+                stats.disproved_pairs += 1;
             }
         }
         if windows.is_empty() {
             break;
         }
-        windows = apply_merging(windows, cfg.k_g, cfg.window_merging);
+        windows = merge_windows(windows, cfg.k_g);
         let outcomes = check_in_batches(current, exec, &windows, cfg, stats, token);
 
         let mut subst: Vec<Lit> = (0..current.num_nodes())
@@ -940,31 +930,19 @@ mod tests {
 
     #[test]
     fn merge_strategies_agree_on_verdict() {
+        // Lexicographic merging is the only strategy; the merged windows
+        // must still prove the miter.
         let m = miter(&adder(8, true), &adder(8, false)).unwrap();
-        for strategy in [
-            crate::MergeStrategy::None,
-            crate::MergeStrategy::Lexicographic,
-            crate::MergeStrategy::Clustered,
-        ] {
-            let cfg = EngineConfig {
-                window_merging: strategy,
-                ..EngineConfig::default()
-            };
-            let r = sim_sweep(&m, &exec(), &cfg);
-            assert_eq!(r.verdict, Verdict::Equivalent, "strategy {strategy:?}");
-        }
+        let r = sim_sweep(&m, &exec(), &EngineConfig::default());
+        assert_eq!(r.verdict, Verdict::Equivalent);
     }
 
     #[test]
     fn extension_flags_preserve_verdicts() {
+        // Distance-1 patterns, adaptive passes and reverse simulation
+        // always run; none of them may cost a proof.
         let m = miter(&adder(10, true), &adder(10, false)).unwrap();
-        let cfg = EngineConfig {
-            distance1_cex: true,
-            adaptive_passes: true,
-            reverse_sim: true,
-            ..EngineConfig::default()
-        };
-        let r = sim_sweep(&m, &exec(), &cfg);
+        let r = sim_sweep(&m, &exec(), &EngineConfig::default());
         assert_eq!(r.verdict, Verdict::Equivalent);
     }
 
@@ -1032,7 +1010,6 @@ mod tests {
             k_po_all: 8,
             k_po: 8,
             k_g: 8,
-            reverse_sim: true,
             ..EngineConfig::default()
         };
         let r = sim_sweep(&aig, &exec(), &cfg);

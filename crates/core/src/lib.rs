@@ -70,7 +70,7 @@ pub use combined::{
     combined_check, combined_check_cancellable, combined_check_with_prover, CombinedConfig,
     CombinedResult,
 };
-pub use config::{EngineConfig, MergeStrategy};
+pub use config::EngineConfig;
 pub use diagnose::{diagnose, Diagnosis};
 pub use ec::EcManager;
 pub use engine::{sim_sweep, sim_sweep_cancellable, sim_sweep_traced, EngineResult, PhaseSnapshot};

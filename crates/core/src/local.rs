@@ -70,14 +70,9 @@ pub(crate) fn run_cut_pass(
         cut_sets[pi.index()] = vec![Cut::trivial(pi)];
     }
     let scorer = CutScorer::new(&setup.fanouts, &setup.levels);
-    let kernel = CutKernel::new(
-        aig,
-        repr_map,
-        cfg.similarity_selection,
-        scorer,
-        cfg.cut,
-        pass,
-    );
+    // Members always align their cut selection with their representative's
+    // priority cuts (similarity selection, §III-C1).
+    let kernel = CutKernel::new(aig, repr_map, true, scorer, cfg.cut, pass);
 
     let mut buffer: Vec<(PairCheck, Cut)> = Vec::with_capacity(cfg.cut_buffer_capacity);
     let sigs = ec.signatures();

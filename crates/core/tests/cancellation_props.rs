@@ -40,7 +40,6 @@ fn crippled() -> CombinedConfig {
     cfg.engine.k_g = 2;
     cfg.engine.max_local_phases = 0;
     cfg.engine.sim_words = 1;
-    cfg.engine.reverse_sim = false;
     cfg
 }
 

@@ -139,3 +139,64 @@ fn repeated_local_phases_walk_a_carry_chain() {
         r2.stats.local_phases
     );
 }
+
+/// A `w`-by-`w` array multiplier: rows of partial products added into a
+/// running sum by ripple-carry full adders. `transposed` makes the rows
+/// run over the first operand instead of the second: the same function
+/// in another structure.
+fn multiplier(w: usize, transposed: bool) -> Aig {
+    let mut aig = Aig::new();
+    let mut a = aig.add_inputs(w);
+    let mut b = aig.add_inputs(w);
+    if transposed {
+        std::mem::swap(&mut a, &mut b);
+    }
+    let mut acc = vec![Lit::FALSE; 2 * w];
+    for (i, &bi) in b.iter().enumerate() {
+        let mut carry = Lit::FALSE;
+        for (j, &aj) in a.iter().enumerate() {
+            let pp = aig.and(aj, bi);
+            let s = aig.xor(acc[i + j], pp);
+            let sum = aig.xor(s, carry);
+            carry = aig.maj3(acc[i + j], pp, carry);
+            acc[i + j] = sum;
+        }
+        acc[i + w] = carry;
+    }
+    for lit in acc {
+        aig.add_po(lit);
+    }
+    aig
+}
+
+#[test]
+fn rare_mutant_is_disproved_without_sat() {
+    // A multiplier against its transposed build, with the top product bit
+    // XORed with a conjunction of all 20 PI literals: one assignment in
+    // 2^20 fires it, which random simulation does not find, and its
+    // support is past every exhaustive bound. Reverse simulation of the
+    // wide constant candidate, with distance-1 patterns around what it
+    // justifies, must find it in the sim engine alone.
+    let left = multiplier(10, false);
+    let mut right = multiplier(10, true);
+    let fires: Vec<bool> = (0..right.num_pis()).map(|i| i % 3 == 1).collect();
+    let lits: Vec<Lit> = right
+        .pis()
+        .iter()
+        .zip(&fires)
+        .map(|(pi, &one)| pi.lit_with(!one))
+        .collect();
+    let conj = right.and_all(lits);
+    let site = right.num_pos() - 1;
+    let po = right.po(site);
+    let mutated = right.xor(po, conj);
+    right.set_po(site, mutated);
+    let m = parsweep_aig::miter(&left, &right).unwrap();
+    assert!(m.eval(&fires).contains(&true), "the mutation must fire");
+
+    let r = sim_sweep(&m, &exec(), &EngineConfig::default());
+    match r.verdict {
+        Verdict::NotEquivalent(cex) => assert!(cex.fires(&m), "cex must fire"),
+        other => panic!("expected NotEquivalent, got {other:?}: {:?}", r.stats),
+    }
+}

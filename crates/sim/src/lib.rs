@@ -36,7 +36,6 @@ mod cex;
 mod classes;
 pub mod cone;
 pub mod exhaustive;
-pub mod npn;
 pub mod partial;
 pub mod resim;
 pub mod reverse;
@@ -55,4 +54,4 @@ pub use exhaustive::{
 pub use partial::{simulate, simulate_cone, Patterns, Signatures};
 pub use resim::ResimPlan;
 pub use tt::{projection_word, word_len, TruthTable, PROJECTIONS};
-pub use window::{merge_windows, merge_windows_clustered, PairCheck, Window};
+pub use window::{merge_windows, PairCheck, Window};

@@ -108,50 +108,6 @@ impl Window {
     }
 }
 
-/// Merges a batch of global-checking windows by greedy similarity
-/// clustering — the "more dedicated approach" the paper contrasts with
-/// lexicographic merging (§III-B3): each seed window absorbs the
-/// remaining window with the highest input-set Jaccard similarity until
-/// nothing fits under `k_s`. Quadratic in the batch size (the overhead
-/// the paper predicts), measured against [`merge_windows`] by the
-/// ablation harness.
-pub fn merge_windows_clustered(windows: Vec<Window>, k_s: usize) -> Vec<Window> {
-    if windows.len() <= 1 {
-        return windows;
-    }
-    let mut pool: Vec<Option<Window>> = windows.into_iter().map(Some).collect();
-    let mut out = Vec::with_capacity(pool.len());
-    for i in 0..pool.len() {
-        let Some(mut current) = pool[i].take() else {
-            continue;
-        };
-        loop {
-            // Pick the most input-similar remaining window that fits.
-            let mut best: Option<(usize, f64)> = None;
-            for (j, slot) in pool.iter().enumerate().skip(i + 1) {
-                let Some(w) = slot else { continue };
-                let union = union_sorted(&current.inputs, &w.inputs);
-                if union.len() > k_s {
-                    continue;
-                }
-                let inter = current.inputs.len() + w.inputs.len() - union.len();
-                if inter == 0 {
-                    continue; // disjoint windows never merge (see try_union)
-                }
-                let sim = inter as f64 / union.len().max(1) as f64;
-                if best.is_none_or(|(_, s)| sim > s) {
-                    best = Some((j, sim));
-                }
-            }
-            let Some((j, _)) = best else { break };
-            let absorbed = pool[j].take().expect("candidate present");
-            current = try_union(&current, &absorbed, k_s).expect("union checked to fit k_s");
-        }
-        out.push(current);
-    }
-    out
-}
-
 /// Merges a sorted batch of global-checking windows (§III-B3): windows are
 /// sorted lexicographically by input list, then consecutive windows are
 /// merged greedily while the merged input count stays within `k_s`.
@@ -304,57 +260,5 @@ mod tests {
         let w2 = Window::global(&aig, pair(Var::FALSE, g.var()));
         let merged = merge_windows(vec![w1, w2], 2);
         assert_eq!(merged.len(), 2);
-    }
-
-    #[test]
-    fn clustered_merge_respects_threshold_and_keeps_pairs() {
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs(6);
-        let mk = |inputs: &[usize], aig: &mut Aig| {
-            let lits: Vec<_> = inputs.iter().map(|&i| xs[i]).collect();
-            let f = aig.and_all(lits);
-            Window::for_pair(
-                aig,
-                pair(Var::FALSE, f.var()),
-                inputs.iter().map(|&i| xs[i].var()).collect(),
-            )
-            .unwrap()
-        };
-        let w1 = mk(&[0, 1], &mut aig);
-        let w2 = mk(&[0, 1, 2], &mut aig);
-        let w3 = mk(&[3, 4], &mut aig);
-        let w4 = mk(&[3, 5], &mut aig);
-        let merged = merge_windows_clustered(vec![w1, w2, w3, w4], 3);
-        assert_eq!(merged.len(), 2);
-        assert!(merged.iter().all(|w| w.num_inputs() <= 3));
-        let total_pairs: usize = merged.iter().map(|w| w.pairs.len()).sum();
-        assert_eq!(total_pairs, 4);
-    }
-
-    #[test]
-    fn clustered_merge_prefers_similar_inputs() {
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs(8);
-        let mk = |inputs: &[usize], aig: &mut Aig| {
-            let lits: Vec<_> = inputs.iter().map(|&i| xs[i]).collect();
-            let f = aig.and_all(lits);
-            Window::for_pair(
-                aig,
-                pair(Var::FALSE, f.var()),
-                inputs.iter().map(|&i| xs[i].var()).collect(),
-            )
-            .unwrap()
-        };
-        // Seed {0,1}: {0,1,2} is more similar than {6,7}; with k_s = 4
-        // the seed must absorb the similar one.
-        let w1 = mk(&[0, 1], &mut aig);
-        let w2 = mk(&[6, 7], &mut aig);
-        let w3 = mk(&[0, 1, 2], &mut aig);
-        let merged = merge_windows_clustered(vec![w1, w2, w3], 4);
-        let with_0 = merged
-            .iter()
-            .find(|w| w.inputs.contains(&xs[0].var()))
-            .unwrap();
-        assert!(with_0.inputs.contains(&xs[2].var()));
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests of the two window-merging strategies: both must
+//! Property tests of lexicographic window merging (§III-B3): it must
 //! preserve the pair population, respect the input bound, and never
 //! change any verdict.
 
@@ -6,9 +6,7 @@ use proptest::prelude::*;
 
 use parsweep_aig::{Aig, Var};
 use parsweep_par::Executor;
-use parsweep_sim::{
-    check_windows, merge_windows, merge_windows_clustered, PairCheck, PairOutcome, Window,
-};
+use parsweep_sim::{check_windows, merge_windows, PairCheck, PairOutcome, Window};
 
 /// Builds a batch of constant-check windows over random small input sets.
 fn random_windows(seed: u64, count: usize, num_pis: usize) -> (Aig, Vec<Window>) {
@@ -60,20 +58,16 @@ proptest! {
     ) {
         let (_aig, windows) = random_windows(seed, count, 10);
         let total: usize = windows.iter().map(|w| w.pairs.len()).sum();
-        for (name, merged) in [
-            ("lex", merge_windows(windows.clone(), k_s)),
-            ("clustered", merge_windows_clustered(windows.clone(), k_s)),
-        ] {
-            let after: usize = merged.iter().map(|w| w.pairs.len()).sum();
-            prop_assert_eq!(after, total, "{} lost pairs", name);
-            prop_assert!(
-                merged.iter().all(|w| w.num_inputs() <= k_s.max(
-                    windows.iter().map(|x| x.num_inputs()).max().unwrap_or(0)
-                )),
-                "{} exceeded k_s", name
-            );
-            prop_assert!(merged.len() <= windows.len());
-        }
+        let merged = merge_windows(windows.clone(), k_s);
+        let after: usize = merged.iter().map(|w| w.pairs.len()).sum();
+        prop_assert_eq!(after, total, "merging lost pairs");
+        prop_assert!(
+            merged.iter().all(|w| w.num_inputs() <= k_s.max(
+                windows.iter().map(|x| x.num_inputs()).max().unwrap_or(0)
+            )),
+            "merging exceeded k_s"
+        );
+        prop_assert!(merged.len() <= windows.len());
     }
 
     #[test]
@@ -85,13 +79,9 @@ proptest! {
         let exec = Executor::with_threads(1);
         let (base_out, _) = check_windows(&aig, &exec, &windows, 1 << 14);
         let base = verdict_map(&windows, &base_out);
-        for merged in [
-            merge_windows(windows.clone(), 7),
-            merge_windows_clustered(windows.clone(), 7),
-        ] {
-            let (out, _) = check_windows(&aig, &exec, &merged, 1 << 14);
-            prop_assert_eq!(verdict_map(&merged, &out), base.clone());
-        }
+        let merged = merge_windows(windows.clone(), 7);
+        let (out, _) = check_windows(&aig, &exec, &merged, 1 << 14);
+        prop_assert_eq!(verdict_map(&merged, &out), base);
     }
 
     #[test]

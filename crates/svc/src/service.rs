@@ -1474,7 +1474,7 @@ mod tests {
         // Two distinct cone structures through a single-entry cache: the
         // second insert evicts the first.
         let m1 = miter(&wide_net(1, false), &wide_net(1, true)).unwrap();
-        let m2 = wide_and_miter(MAX_CONE_VARS + 1, false);
+        let m2 = wide_and_miter(MAX_CONE_VARS + 1);
         svc.submit(m1);
         svc.submit(m2);
         svc.drain();
@@ -1488,30 +1488,50 @@ mod tests {
 
     /// A balanced AND tree against a right-associated AND chain over `n`
     /// inputs — past the sim engine's PO support bound for `n = 24`, so a
-    /// shard of it stays undecided without the prover. `drop_last` leaves
-    /// the last input out of the chain: the pair then differs on the
-    /// single assignment "all ones but the last", which random patterns
-    /// do not find.
-    fn wide_and_miter(n: usize, drop_last: bool) -> Aig {
+    /// shard of it stays undecided without the prover.
+    fn wide_and_miter(n: usize) -> Aig {
         let mut a = Aig::new();
         let xs = a.add_inputs(n);
         let f = a.and_all(xs.iter().copied());
         a.add_po(f);
         let mut b = Aig::new();
         let ys = b.add_inputs(n);
-        let last = if drop_last { n - 2 } else { n - 1 };
-        let mut g = ys[last];
-        for &y in ys[..last].iter().rev() {
+        let mut g = ys[n - 1];
+        for &y in ys[..n - 1].iter().rev() {
             g = b.and(y, g);
         }
         b.add_po(g);
         miter(&a, &b).unwrap()
     }
 
+    /// "Adjacent inputs differ" over all `n` inputs (a balanced AND of
+    /// `x_i ^ x_{i+1}`) against the same test over the first `n - 1`
+    /// inputs (a chain): the pair differs only when the first `n - 1`
+    /// inputs alternate and the last repeats its neighbour, two
+    /// assignments that neither random nor distance-1 patterns hit.
+    /// Reverse simulation picks a side of each XOR at random, so the
+    /// overlapping XORs defeat its justification too.
+    fn alternation_miter(n: usize) -> Aig {
+        let build = |inputs: usize, balanced: bool| {
+            let mut aig = Aig::new();
+            let xs = aig.add_inputs(n);
+            let diffs: Vec<_> = (0..inputs - 1).map(|i| aig.xor(xs[i], xs[i + 1])).collect();
+            let f = if balanced {
+                aig.and_all(diffs)
+            } else {
+                let (&last, rest) = diffs.split_last().unwrap();
+                rest.iter().rev().fold(last, |g, &d| aig.and(d, g))
+            };
+            aig.add_po(f);
+            aig
+        };
+        miter(&build(n, true), &build(n - 1, false)).unwrap()
+    }
+
     #[test]
     fn sat_fallback_finishes_what_the_engine_leaves() {
-        let eq = wide_and_miter(24, false);
-        let ne = wide_and_miter(24, true);
+        let eq = wide_and_miter(24);
+        let ne = alternation_miter(24);
         let off = CecService::new(SvcConfig::default());
         assert_eq!(
             off.wait(off.submit(eq.clone())).unwrap().verdict,
@@ -1538,7 +1558,7 @@ mod tests {
             sat_fallback: true,
             ..SvcConfig::default()
         });
-        let m = wide_and_miter(24, false);
+        let m = wide_and_miter(24);
         assert_eq!(
             svc.wait(svc.submit(m.clone())).unwrap().verdict,
             Verdict::Equivalent
@@ -1614,7 +1634,7 @@ mod tests {
                 ..SvcConfig::default()
             };
             let svc = CecService::with_prover(cfg, prover);
-            let m = wide_and_miter(24, false);
+            let m = wide_and_miter(24);
             let first = svc.wait(svc.submit(m.clone())).unwrap();
             assert_eq!(first.verdict, Verdict::Undecided, "prefilter={prefilter}");
             assert_eq!(svc.stats().worker_panics, 1);

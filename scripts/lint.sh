@@ -9,7 +9,7 @@
 #                            plus the aig, trace, par, sim, cut, sat, core,
 #                            svc and net crates, the workspace's default
 #                            members), then the synth suite, which is not
-#                            a default member
+#                            a default member, and a tiny ablation run
 #   4. static effect checks  the adversarial and static-vs-dynamic suites on
 #                            raw executors
 #   5. kernel sanitizer      PARSWEEP_SANITIZE=1 makes every executor audit:
@@ -39,6 +39,9 @@ cargo test -q
 
 echo "==> synth suite (not a default member)"
 cargo test -p parsweep-synth -q
+
+echo "==> ablation run (the only non-test code that varies the engine's passes)"
+cargo run --release -p parsweep-bench --bin ablation -- tiny > /dev/null
 
 echo "==> table decision + job memo acceptance (explicit)"
 cargo test -p parsweep-svc --lib -q table
