@@ -116,7 +116,8 @@ pub fn combined_check_with_prover(
             dispatch_residual_cones(&engine.reduced, seeds, exec, prover, velocity, token);
         span.arg_u64("cones", dispatch.len() as u64);
     }
-    let sat_seconds = dispatch.iter().map(|o| o.seconds).sum();
+    // Fold from +0.0: the empty `f64` sum is -0.0, which prints `-0.00`.
+    let sat_seconds = dispatch.iter().fold(0.0, |acc, o| acc + o.seconds);
     CombinedResult {
         verdict,
         engine,
@@ -278,6 +279,19 @@ mod tests {
             assert!(r.dispatch.is_empty());
             assert_eq!(r.sat_seconds, 0.0);
         }
+    }
+
+    #[test]
+    fn sat_seconds_is_positive_zero_when_the_engine_decides_alone() {
+        let m = miter(
+            &wide_multiplier_ish(4, false),
+            &wide_multiplier_ish(4, true),
+        )
+        .unwrap();
+        let r = combined_check(&m, &exec(), &CombinedConfig::default());
+        assert!(r.engine.verdict.is_equivalent());
+        assert!(r.dispatch.is_empty());
+        assert!(r.sat_seconds == 0.0 && r.sat_seconds.is_sign_positive());
     }
 
     /// Records how many seeds it is handed, and whether each spans the

@@ -3,10 +3,16 @@
 //!
 //! Classic FRAIG-style flow: random simulation clusters nodes into
 //! equivalence classes; candidate pairs (class representative vs member)
-//! are checked with budgeted SAT calls; disproofs yield counter-examples
-//! that refine the classes; proofs merge nodes and reduce the miter. The
-//! loop repeats on the reduced miter until the POs are proved constant
-//! zero, disproved, or the budget runs out.
+//! are checked with budgeted SAT calls on one incremental solver per
+//! round, in topological order of the member (AIG indices are
+//! topological), so every pair comes after the pairs below it. Each proof
+//! is added to the solver at once as equivalence clauses (a unit clause
+//! for a constant candidate), which makes the pairs above it easier; the
+//! clauses are implied by the CNF, so soundness is unchanged. Disproofs
+//! yield counter-examples that refine the next round's classes; proofs
+//! merge nodes and reduce the miter. The loop repeats on the reduced
+//! miter until the POs are proved constant zero, disproved, or the budget
+//! runs out.
 
 use std::time::{Duration, Instant};
 
@@ -176,59 +182,65 @@ pub fn sat_sweep_seeded_cancellable(
             };
         }
 
-        // 2. Candidate pairs from equivalence classes.
+        // 2. Candidate pairs from equivalence classes, in topological
+        // order of the member. Only AND gates can be merged away; a PI
+        // must keep its place in the interface.
         let classes = parsweep_sim::signature_classes(&current, &sigs);
+        let mut pairs: Vec<(Var, Var)> = classes
+            .iter()
+            .flat_map(|class| class[1..].iter().map(|&member| (class[0], member)))
+            .filter(|&(_, member)| current.node(member).is_and())
+            .collect();
+        pairs.sort_unstable_by_key(|&(_, member)| member);
         let mut subst: Vec<Lit> = (0..current.num_nodes())
             .map(|i| Var::new(i as u32).lit())
             .collect();
         let mut solver = Solver::new();
         let mut enc = CnfEncoder::new();
         let mut progress = false;
-        for class in &classes {
-            let repr = class[0];
-            for &member in &class[1..] {
-                if out_of_time(&start) {
-                    break;
-                }
-                // Only AND gates can be merged away; a PI must keep its
-                // place in the interface.
-                if !current.node(member).is_and() {
-                    continue;
-                }
-                let complement = sigs.phase(repr) != sigs.phase(member);
-                let sb = enc.encode(&current, member.lit_with(complement), &mut solver);
-                let outcome = if repr.is_const() {
-                    // Prove member' constant zero: member' == 1 unsat.
-                    stats.sat_calls += 1;
-                    solver.set_conflict_budget(Some(cfg.conflicts_per_pair));
-                    solver.solve(&[sb])
-                } else {
-                    let sa = enc.encode(&current, repr.lit(), &mut solver);
-                    stats.sat_calls += 1;
-                    solver.set_conflict_budget(Some(cfg.conflicts_per_pair));
-                    match solver.solve(&[sa, !sb]) {
-                        SolveResult::Unsat => {
-                            stats.sat_calls += 1;
-                            solver.set_conflict_budget(Some(cfg.conflicts_per_pair));
-                            solver.solve(&[!sa, sb])
-                        }
-                        other => other,
-                    }
-                };
-                match outcome {
+        for (repr, member) in pairs {
+            if out_of_time(&start) {
+                break;
+            }
+            let complement = sigs.phase(repr) != sigs.phase(member);
+            let sb = enc.encode(&current, member.lit_with(complement), &mut solver);
+            let (outcome, proof): (_, &[&[_]]) = if repr.is_const() {
+                // Prove member' constant zero: member' == 1 unsat.
+                stats.sat_calls += 1;
+                solver.set_conflict_budget(Some(cfg.conflicts_per_pair));
+                (solver.solve(&[sb]), &[&[!sb]])
+            } else {
+                let sa = enc.encode(&current, repr.lit(), &mut solver);
+                stats.sat_calls += 1;
+                solver.set_conflict_budget(Some(cfg.conflicts_per_pair));
+                let outcome = match solver.solve(&[sa, !sb]) {
                     SolveResult::Unsat => {
-                        subst[member.index()] = repr.lit_with(complement);
-                        stats.proved_pairs += 1;
-                        progress = true;
+                        stats.sat_calls += 1;
+                        solver.set_conflict_budget(Some(cfg.conflicts_per_pair));
+                        solver.solve(&[!sa, sb])
                     }
-                    SolveResult::Sat => {
-                        pending_cexs.push(enc.model_to_cex(&current, &solver));
-                        stats.disproved_pairs += 1;
-                        progress = true;
+                    other => other,
+                };
+                (outcome, &[&[!sa, sb], &[sa, !sb]])
+            };
+            match outcome {
+                SolveResult::Unsat => {
+                    // Merge as you prove: the clauses are implied by the
+                    // CNF, and they make every pair above this one easier.
+                    for clause in proof {
+                        solver.add_clause(clause);
                     }
-                    SolveResult::Unknown => {
-                        stats.unknown_pairs += 1;
-                    }
+                    subst[member.index()] = repr.lit_with(complement);
+                    stats.proved_pairs += 1;
+                    progress = true;
+                }
+                SolveResult::Sat => {
+                    pending_cexs.push(enc.model_to_cex(&current, &solver));
+                    stats.disproved_pairs += 1;
+                    progress = true;
+                }
+                SolveResult::Unknown => {
+                    stats.unknown_pairs += 1;
                 }
             }
         }

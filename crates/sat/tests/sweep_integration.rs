@@ -1,6 +1,10 @@
 //! Integration tests of the SAT sweeping checker: seeding, budgets,
-//! round behaviour.
+//! round behaviour, agreement with brute force, and the topological
+//! order-and-merge visit.
 
+use proptest::prelude::*;
+
+use parsweep_aig::random::random_aig;
 use parsweep_aig::{miter, Aig, Lit};
 use parsweep_par::Executor;
 use parsweep_sat::{sat_sweep, sat_sweep_seeded, SweepConfig, Verdict};
@@ -120,4 +124,118 @@ fn stats_reflect_work() {
         assert_eq!(r.reduced.num_ands(), 0);
     }
     let _ = Lit::FALSE;
+}
+
+/// Brute-force miter check: constant-zero on every input assignment.
+fn brute_equivalent(m: &Aig) -> bool {
+    let pis = m.num_pis();
+    (0..1u32 << pis).all(|mask| {
+        let inputs: Vec<bool> = (0..pis).map(|i| mask >> i & 1 == 1).collect();
+        m.eval(&inputs).iter().all(|&po| !po)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A random AIG against its cleaned rebuild, against a copy with one
+    /// PO complemented, and against a copy with one PO XORed with an AND
+    /// of two PIs: the sweep decides, and decides what brute force does.
+    #[test]
+    fn sweep_agrees_with_brute_force(
+        seed in any::<u64>(),
+        pis in 2usize..=10,
+        ands in 1usize..60,
+        pos in 1usize..4,
+        shape in 0usize..3,
+        pick in any::<usize>(),
+    ) {
+        let a = random_aig(pis, ands, pos, seed);
+        let mut b = a.clean();
+        let k = pick % b.num_pos();
+        let po = b.po(k);
+        match shape {
+            0 => {}
+            1 => b.set_po(k, !po),
+            _ => {
+                let x = b.pis()[pick / 7 % pis].lit();
+                let y = b.pis()[pick / 131 % pis].lit();
+                let xy = b.and(x, y);
+                let mutated = b.xor(po, xy);
+                b.set_po(k, mutated);
+            }
+        }
+        let m = miter(&a, &b).unwrap();
+        let truth = brute_equivalent(&m);
+        let r = sat_sweep(&m, &exec(), &SweepConfig::default());
+        match &r.verdict {
+            Verdict::Equivalent => prop_assert!(truth, "proved a disprovable miter"),
+            Verdict::NotEquivalent(cex) => {
+                prop_assert!(!truth, "disproved an equivalent miter");
+                prop_assert!(cex.fires(&m), "counter-example does not fire");
+            }
+            Verdict::Undecided => prop_assert!(false, "undecided on a small miter"),
+        }
+    }
+}
+
+/// A `width`-bit shift-add multiplier with a full product: each row
+/// `a[i] & b` is added into the accumulator with a ripple of full adders
+/// whose carry is `and`/`or` or, with `maj_carries`, `maj3`.
+fn shift_add_multiplier(width: usize, maj_carries: bool) -> Aig {
+    let mut aig = Aig::new();
+    let a = aig.add_inputs(width);
+    let b = aig.add_inputs(width);
+    let mut acc = vec![Lit::FALSE; 2 * width];
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry = Lit::FALSE;
+        for (j, &bj) in b.iter().enumerate() {
+            let pp = aig.and(ai, bj);
+            let half = aig.xor(acc[i + j], pp);
+            let sum = aig.xor(half, carry);
+            carry = if maj_carries {
+                aig.maj3(acc[i + j], pp, carry)
+            } else {
+                let generate = aig.and(acc[i + j], pp);
+                let propagate = aig.and(half, carry);
+                aig.or(generate, propagate)
+            };
+            acc[i + j] = sum;
+        }
+        acc[i + width] = carry;
+    }
+    for bit in acc {
+        aig.add_po(bit);
+    }
+    aig
+}
+
+/// Pins the topological visit with merged proofs on two carry styles of
+/// one multiplier, in a single round. With ten conflicts a pair, the 6-bit
+/// product is proved pair by pair only when each pair comes after the
+/// pairs below it; visited class by class, 27 pairs run out of budget.
+/// With five, the 7-bit product also needs every proof added to the
+/// solver as clauses; the order alone leaves 14 pairs unknown.
+#[test]
+fn ordered_merging_proves_every_multiplier_pair_on_a_tiny_budget() {
+    for (width, conflicts_per_pair) in [(6, 10), (7, 5)] {
+        let m = miter(
+            &shift_add_multiplier(width, false),
+            &shift_add_multiplier(width, true),
+        )
+        .unwrap();
+        let cfg = SweepConfig {
+            conflicts_per_pair,
+            max_rounds: 1,
+            ..SweepConfig::default()
+        };
+        let r = sat_sweep(&m, &exec(), &cfg);
+        assert_eq!(
+            r.verdict,
+            Verdict::Equivalent,
+            "width {width}: {:?}",
+            r.stats
+        );
+        assert_eq!(r.stats.unknown_pairs, 0, "width {width}: {:?}", r.stats);
+    }
 }

@@ -9,7 +9,8 @@
 #                            plus the aig, trace, par, sim, cut, sat, core,
 #                            svc and net crates, the workspace's default
 #                            members), then the synth suite, which is not
-#                            a default member, and a tiny ablation run
+#                            a default member, a tiny ablation run and the
+#                            SAT baseline on a 10-bit multiplier pair
 #   4. static effect checks  the adversarial and static-vs-dynamic suites on
 #                            raw executors
 #   5. kernel sanitizer      PARSWEEP_SANITIZE=1 makes every executor audit:
@@ -42,6 +43,10 @@ cargo test -p parsweep-synth -q
 
 echo "==> ablation run (the only non-test code that varies the engine's passes)"
 cargo run --release -p parsweep-bench --bin ablation -- tiny > /dev/null
+
+echo "==> SAT baseline on a 10-bit multiplier pair (must prove it within 10 s)"
+target/release/parsweep check benchmark/inputs/multiplier_w10_1xd.L.aig \
+    benchmark/inputs/multiplier_w10_1xd.R.aig --engine sat --budget 10
 
 echo "==> table decision + job memo acceptance (explicit)"
 cargo test -p parsweep-svc --lib -q table
