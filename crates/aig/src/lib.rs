@@ -35,7 +35,6 @@
 
 mod aig;
 pub mod aiger;
-pub mod bench_fmt;
 mod build;
 pub mod dot;
 mod extract;

@@ -56,15 +56,6 @@ impl NetworkStats {
             dangling_nodes,
         }
     }
-
-    /// Average number of AND gates per level.
-    pub fn avg_level_width(&self) -> f64 {
-        if self.level_histogram.is_empty() {
-            0.0
-        } else {
-            self.num_ands as f64 / self.level_histogram.len() as f64
-        }
-    }
 }
 
 impl fmt::Display for NetworkStats {
@@ -127,6 +118,5 @@ mod tests {
         aig.add_po(b);
         let s = NetworkStats::of(&aig);
         assert_eq!(s.multi_fanout_nodes, 1);
-        assert!(s.avg_level_width() > 0.0);
     }
 }

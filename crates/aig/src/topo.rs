@@ -102,18 +102,6 @@ impl Aig {
         counts
     }
 
-    /// Groups all variables by level; entry `l` holds the variables with
-    /// level `l` in increasing order. Used for level-wise parallel passes.
-    pub fn level_groups(&self) -> Vec<Vec<Var>> {
-        let levels = self.levels();
-        let max = levels.iter().copied().max().unwrap_or(0) as usize;
-        let mut groups = vec![Vec::new(); max + 1];
-        for (i, &l) in levels.iter().enumerate() {
-            groups[l as usize].push(Var::new(i as u32));
-        }
-        groups
-    }
-
     /// Computes the structural support of every node, truncated at `cap`.
     ///
     /// The result is indexed by variable. PIs have themselves as support;
@@ -326,15 +314,6 @@ mod tests {
         for pi in aig.pis() {
             assert_eq!(counts[pi.index()], 1);
         }
-    }
-
-    #[test]
-    fn level_groups_partition_all_nodes() {
-        let (aig, _) = chain4();
-        let groups = aig.level_groups();
-        let total: usize = groups.iter().map(|g| g.len()).sum();
-        assert_eq!(total, aig.num_nodes());
-        assert_eq!(groups.len() as u32, aig.depth() + 1);
     }
 
     #[test]

@@ -123,19 +123,6 @@ proptest! {
     }
 
     #[test]
-    fn bench_roundtrip_preserves_function(
-        pis in 1usize..7, ands in 1usize..60, pos in 1usize..4, seed in any::<u64>()
-    ) {
-        let aig = random_aig(pis, ands, pos, seed);
-        let mut buf = Vec::new();
-        parsweep_aig::bench_fmt::write_bench(&aig, &mut buf).unwrap();
-        let back = parsweep_aig::bench_fmt::read_bench(&buf[..]).unwrap();
-        prop_assert_eq!(back.num_pis(), aig.num_pis());
-        prop_assert_eq!(back.num_pos(), aig.num_pos());
-        prop_assert_eq!(eval_all(&aig, 32, seed ^ 5), eval_all(&back, 32, seed ^ 5));
-    }
-
-    #[test]
     fn verilog_export_is_well_formed(
         pis in 1usize..7, ands in 1usize..60, pos in 1usize..4, seed in any::<u64>()
     ) {

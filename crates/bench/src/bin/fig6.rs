@@ -2,7 +2,7 @@
 //! simulation-based CEC engine into its phase types (P = PO checking,
 //! G = global function checking, L = local function checking, other).
 //!
-//! Usage: `fig6 [tiny|small|medium]`
+//! Usage: `fig6 [tiny|small|medium|large]` (default `small`)
 
 use parsweep_bench::harness::{suite, Scale};
 use parsweep_core::{sim_sweep, EngineConfig};
@@ -18,10 +18,9 @@ fn bar(pct: f64, width: usize) -> String {
 }
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| Scale::parse(&s))
-        .unwrap_or(Scale::Small);
+    let scale = std::env::args().nth(1).map_or(Scale::Small, |s| {
+        Scale::parse(&s).unwrap_or_else(|| panic!("unknown scale {s:?}"))
+    });
     let exec = Executor::new();
     println!("# Figure 6 reproduction — engine phase runtime breakdown ({scale:?})");
     println!();

@@ -104,11 +104,6 @@ pub fn suite(scale: Scale) -> Vec<Case> {
     ]
 }
 
-/// Builds one named case from the suite (for focused runs).
-pub fn case_by_name(scale: Scale, name: &str) -> Option<Case> {
-    suite(scale).into_iter().find(|c| c.name.starts_with(name))
-}
-
 /// The standalone SAT-sweeping baseline configuration ("ABC &cec" role),
 /// with a wall-clock cap standing in for the paper's 122-day timeout.
 pub fn baseline_sat_config(budget: Duration) -> SweepConfig {
@@ -213,12 +208,6 @@ mod tests {
     fn geomean_basics() {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
         assert_eq!(geomean(&[]), 1.0);
-    }
-
-    #[test]
-    fn case_by_name_finds_prefix() {
-        assert!(case_by_name(Scale::Tiny, "voter").is_some());
-        assert!(case_by_name(Scale::Tiny, "nonexistent").is_none());
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub mod arith;
 pub mod gen;
 pub mod harness;
 
-pub use harness::{case_by_name, geomean, suite, Case, Scale};
+pub use harness::{geomean, suite, Case, Scale};

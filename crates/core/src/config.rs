@@ -90,12 +90,6 @@ impl EngineConfig {
         self.k_g = k_g;
         self
     }
-
-    /// Returns this configuration with new cut parameters (`k_l`, `C`).
-    pub fn with_cut_params(mut self, k_l: usize, c: usize) -> Self {
-        self.cut = CutParams { k_l, c };
-        self
-    }
 }
 
 impl Default for EngineConfig {
@@ -121,14 +115,10 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = EngineConfig::scaled()
-            .with_support_bounds(20, 22, 10)
-            .with_cut_params(6, 4);
+        let c = EngineConfig::scaled().with_support_bounds(20, 22, 10);
         assert_eq!(c.k_po_all, 20);
         assert_eq!(c.k_po, 20, "k_p is clamped to k_P");
         assert_eq!(c.k_g, 10);
-        assert_eq!(c.cut.k_l, 6);
-        assert_eq!(c.cut.c, 4);
     }
 
     #[test]

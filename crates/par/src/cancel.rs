@@ -126,19 +126,6 @@ impl CancelToken {
         }
     }
 
-    /// A linked child (see [`CancelToken::child`]) that additionally trips
-    /// `timeout` from now — the shape of a per-attempt wall budget under a
-    /// job-level token.
-    pub fn child_with_deadline(&self, timeout: Duration) -> Self {
-        CancelToken {
-            inner: Some(Arc::new(Inner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(Instant::now() + timeout),
-                parent: self.inner.clone(),
-            })),
-        }
-    }
-
     /// Trips the token for every clone. A no-op on [`CancelToken::never`].
     pub fn cancel(&self) {
         if let Some(inner) = &self.inner {
@@ -243,23 +230,6 @@ mod tests {
         let child = CancelToken::never().child();
         assert!(!child.is_cancelled());
         child.cancel();
-        assert!(child.is_cancelled());
-    }
-
-    #[test]
-    fn child_deadline_trips_independently() {
-        let parent = CancelToken::new();
-        let child = parent.child_with_deadline(Duration::from_millis(0));
-        assert!(child.is_cancelled());
-        assert!(!parent.is_cancelled());
-    }
-
-    #[test]
-    fn deadline_child_also_inherits_parent_cancel() {
-        let parent = CancelToken::new();
-        let child = parent.child_with_deadline(Duration::from_secs(3600));
-        assert!(!child.is_cancelled());
-        parent.cancel();
         assert!(child.is_cancelled());
     }
 }

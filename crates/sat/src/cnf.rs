@@ -39,11 +39,6 @@ impl CnfEncoder {
         CnfEncoder::default()
     }
 
-    /// Number of AIG variables mapped so far.
-    pub fn num_mapped(&self) -> usize {
-        self.map.len()
-    }
-
     /// Returns the SAT variable for an AIG variable, creating it if new.
     pub fn sat_var(&mut self, v: Var, solver: &mut Solver) -> SatVar {
         *self.map.entry(v).or_insert_with(|| solver.new_var())

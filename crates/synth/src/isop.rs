@@ -26,20 +26,6 @@ impl Cube {
         let a = assignment as u32;
         (a & self.pos) == self.pos && (!a & self.neg) == self.neg
     }
-
-    /// The truth table of this cube over `num_vars` variables.
-    pub fn to_tt(&self, num_vars: usize) -> TruthTable {
-        let mut t = TruthTable::ones(num_vars);
-        for v in 0..num_vars {
-            if self.pos >> v & 1 == 1 {
-                t = t.and(&TruthTable::projection(num_vars, v));
-            }
-            if self.neg >> v & 1 == 1 {
-                t = t.and(&TruthTable::projection(num_vars, v).not());
-            }
-        }
-        t
-    }
 }
 
 /// Computes an irredundant SOP cover of the (completely specified)

@@ -9,8 +9,10 @@
 #                            plus the aig, trace, par, sim, cut, sat, core,
 #                            svc and net crates, the workspace's default
 #                            members), then the synth suite, which is not
-#                            a default member, a tiny ablation run and the
-#                            SAT baseline on a 10-bit multiplier pair
+#                            a default member, a tiny ablation run, the
+#                            SAT baseline on a 10-bit multiplier pair and a
+#                            FRAIG soundness smoke (FRAIG a hyp network,
+#                            then prove the result equivalent to it by SAT)
 #   4. static effect checks  the adversarial and static-vs-dynamic suites on
 #                            raw executors
 #   5. kernel sanitizer      PARSWEEP_SANITIZE=1 makes every executor audit:
@@ -47,6 +49,13 @@ cargo run --release -p parsweep-bench --bin ablation -- tiny > /dev/null
 echo "==> SAT baseline on a 10-bit multiplier pair (must prove it within 10 s)"
 target/release/parsweep check benchmark/inputs/multiplier_w10_1xd.L.aig \
     benchmark/inputs/multiplier_w10_1xd.R.aig --engine sat --budget 10
+
+echo "==> FRAIG soundness smoke (the reduced hyp network must prove equivalent)"
+fraig_out=$(mktemp --suffix=.aig)
+trap 'rm -f "$fraig_out"' EXIT
+target/release/parsweep fraig benchmark/inputs/hyp_w9_1xd.L.aig "$fraig_out"
+target/release/parsweep check benchmark/inputs/hyp_w9_1xd.L.aig "$fraig_out" \
+    --engine sat --budget 10
 
 echo "==> table decision + job memo acceptance (explicit)"
 cargo test -p parsweep-svc --lib -q table

@@ -3,7 +3,7 @@
 //! sanitized run produces exactly the results of an uninstrumented run.
 
 use parsweep::aig::miter;
-use parsweep::engine::{sim_sweep, EngineConfig, Verdict};
+use parsweep::engine::{fraig, sim_sweep, EngineConfig, Verdict};
 use parsweep::par::Executor;
 use parsweep::synth::resyn2;
 use parsweep_bench::gen::gen_multiplier;
@@ -70,4 +70,33 @@ fn inequivalent_miter_verdicts_agree_under_sanitizer() {
         (Verdict::NotEquivalent(a), Verdict::NotEquivalent(b)) => assert_eq!(a, b),
         other => panic!("verdicts diverged under sanitizer: {other:?}"),
     }
+}
+
+#[test]
+fn fraig_result_is_identical_under_sanitizer() {
+    // One width above the miter of the first test: at width 3 the G phase
+    // settles every class, so neither refinement nor dirty-cone
+    // resimulation would run.
+    let base = gen_multiplier(4);
+    let optimized = resyn2(&base);
+    let miter = miter(&base, &optimized).unwrap();
+    // A tight global support bound and few random words: wide pairs fall
+    // through to later G rounds and the local phases, and coarse initial
+    // classes need refinement.
+    let mut cfg = EngineConfig::scaled().with_support_bounds(18, 14, 7);
+    cfg.sim_words = 2;
+    cfg.max_local_phases = 2;
+
+    let san_exec = Executor::with_sanitizer(2);
+    let san = fraig(&miter, &san_exec, &cfg);
+    let raw = fraig(&miter, &Executor::with_threads(2), &cfg);
+
+    assert!(san_exec.take_reports().is_empty());
+    assert_eq!(san_exec.stats().static_verified_launches, 0);
+    assert_eq!(raw.stats.final_ands, san.stats.final_ands);
+    assert_eq!(raw.stats.proved_pairs, san.stats.proved_pairs);
+    // The audit covered the incremental G/L machinery, not just one pass.
+    assert!(san.stats.pruned_sim_rounds > 0);
+    assert!(san.stats.classes_refined > 0);
+    assert!(san.stats.resim_dirty_nodes > 0);
 }
