@@ -5,7 +5,6 @@
 use std::time::Duration;
 
 use parsweep_aig::{miter, Aig};
-use parsweep_core::{CombinedConfig, EngineConfig};
 use parsweep_sat::{PortfolioConfig, SweepConfig};
 use parsweep_synth::resyn2;
 
@@ -132,15 +131,6 @@ pub fn portfolio_config(budget: Duration) -> PortfolioConfig {
         memory_words: 1 << 22,
         sim_words: 8,
         sweep: baseline_sat_config(budget),
-    }
-}
-
-/// The combined flow ("GPU engine + ABC" role) configuration.
-pub fn combined_config(budget: Duration) -> CombinedConfig {
-    CombinedConfig {
-        engine: EngineConfig::scaled(),
-        sat: baseline_sat_config(budget),
-        ec_transfer: false,
     }
 }
 

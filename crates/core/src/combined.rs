@@ -1,31 +1,33 @@
-//! The combined flow: simulation-based engine, then the proving
-//! dispatcher on whatever it leaves undecided (the paper's "Ours
-//! (GPU+ABC)" column).
+//! The combined flow: the simulation engine's P and G phases, then the
+//! proving dispatcher on the whole miter they leave undecided — the
+//! paper's "Ours (GPU+ABC)" column with the SAT sweeper taking over
+//! where the L phases would otherwise run.
+//!
+//! The L phases (Algorithm 2) are left out on purpose: the SAT sweeper
+//! proves candidate pairs bottom-up and keeps each proof as equivalence
+//! clauses, so on the P+G-reduced miter it decides what the L phases
+//! would, for a fraction of their cost (EXPERIMENTS.md, Fig. 7's PG
+//! column). [`crate::sim_sweep`] still runs the paper's full P/G/L flow.
 
-use parsweep_aig::{Aig, Lit, Var};
+use parsweep_aig::Aig;
 use parsweep_par::{CancelToken, Executor};
 use parsweep_sat::{ProveOutcome, Prover, SweepConfig, Verdict};
-use parsweep_sim::Cex;
 use parsweep_trace as trace;
 use parsweep_trace::WallClock;
 
 use crate::config::EngineConfig;
-use crate::engine::{sim_sweep_cancellable, EngineResult};
+use crate::engine::{sim_sweep_pg, EngineResult};
 use crate::prove::{build_prover, refine_velocity};
 
 /// Configuration of the combined flow.
 #[derive(Clone, Debug, Default)]
 pub struct CombinedConfig {
-    /// Simulation-based engine parameters.
+    /// Simulation-based engine parameters: the flow's own P and G phases
+    /// run under them, as does the prover's sim engine (all phases).
     pub engine: EngineConfig,
     /// SAT sweeping parameters for the dispatcher's SAT engine (its
     /// `wall_budget` bounds each SAT attempt).
     pub sat: SweepConfig,
-    /// Hand the engine's disproof counter-examples to the finishing
-    /// engines, so pairs already disproved by exhaustive simulation are
-    /// never re-checked by SAT — the paper's proposed *EC transfer* (§V).
-    /// Off by default to match the paper's evaluated configuration.
-    pub ec_transfer: bool,
 }
 
 /// The outcome of the combined flow.
@@ -33,11 +35,11 @@ pub struct CombinedConfig {
 pub struct CombinedResult {
     /// Final verdict.
     pub verdict: Verdict,
-    /// The simulation-based engine's result (always runs first).
+    /// The simulation-based engine's P+G result (always runs first).
     pub engine: EngineResult,
-    /// One dispatch outcome per structurally distinct PO cone the engine
-    /// left undecided; empty when the engine decided alone.
-    pub dispatch: Vec<ProveOutcome>,
+    /// The dispatch of the engine's reduced miter as one class; `None`
+    /// when the engine decided alone.
+    pub dispatch: Option<ProveOutcome>,
     /// Engine wall-clock seconds (the paper's "GPU (s)").
     pub engine_seconds: f64,
     /// Finishing wall-clock seconds (the paper's "ABC (s)").
@@ -51,8 +53,8 @@ impl CombinedResult {
     }
 }
 
-/// Runs the simulation-based engine and, if the miter remains undecided,
-/// hands the reduced miter's undecided cones to the proving dispatcher.
+/// Runs the simulation engine's P and G phases and, if the miter remains
+/// undecided, hands the reduced miter to the proving dispatcher.
 pub fn combined_check(miter: &Aig, exec: &Executor, cfg: &CombinedConfig) -> CombinedResult {
     combined_check_cancellable(miter, exec, cfg, &CancelToken::never())
 }
@@ -77,15 +79,12 @@ pub fn combined_check_cancellable(
 /// routing keeps learning across jobs. `cfg.sat` is then unused: the
 /// prover's SAT engine carries its own configuration.
 ///
-/// The sim engine runs first as always; each PO cone it leaves undecided
-/// is extracted ([`Aig::extract_cone`]) and dispatched as its own class,
-/// with the pass's sim-refinement velocity folded into the difficulty
-/// features and, under [`CombinedConfig::ec_transfer`], the engine's
-/// disproof counter-examples projected onto the cone's PIs as seeds.
-/// Cones sharing a structure are proved once. Verdicts compose soundly:
-/// all cones proved ⇒ `Equivalent`; any cone disproved ⇒ `NotEquivalent`
-/// with the counter-example lifted through the cone's PI map; otherwise
-/// `Undecided` — cancellation anywhere stays partial, never wrong.
+/// The sim engine runs P and G; the reduced miter they leave undecided is
+/// dispatched as one class, with G's sim-refinement velocity folded into
+/// the difficulty features and G's disproof counter-examples as seeds
+/// (the paper's §V *EC transfer*: the reduced miter keeps the input's
+/// PIs, so they need no projection). The class verdict is the miter's,
+/// and a cancelled dispatch stays `Undecided` — partial, never wrong.
 pub fn combined_check_with_prover(
     miter: &Aig,
     exec: &Executor,
@@ -93,31 +92,33 @@ pub fn combined_check_with_prover(
     prover: &Prover,
     token: &CancelToken,
 ) -> CombinedResult {
-    let engine = sim_sweep_cancellable(miter, exec, &cfg.engine, token);
+    let engine = sim_sweep_pg(miter, exec, &cfg.engine, token);
     let engine_seconds = engine.stats.seconds;
     let mut verdict = engine.verdict.clone();
-    let mut dispatch = Vec::new();
-    if matches!(verdict, Verdict::Undecided) {
-        let seeds: &[Cex] = if cfg.ec_transfer {
-            &engine.disproof_cexs
-        } else {
-            &[]
-        };
+    let mut dispatch = None;
+    if matches!(verdict, Verdict::Undecided) && !token.is_cancelled() {
         let mut span = trace::span("engine", "engine.sat_fallback");
         span.arg_u64("ands", engine.reduced.num_ands() as u64);
-        span.arg_u64("seeds", seeds.len() as u64);
+        span.arg_u64("seeds", engine.disproof_cexs.len() as u64);
         // The engine's tables are dead; give them back before finishers
         // of a different shape (and, in a race, two at once) allocate
         // theirs, so the flow peaks at the larger of the two stages
         // rather than their sum.
         exec.arena().trim();
-        let velocity = refine_velocity(&engine.stats);
-        (verdict, dispatch) =
-            dispatch_residual_cones(&engine.reduced, seeds, exec, prover, velocity, token);
-        span.arg_u64("cones", dispatch.len() as u64);
+        let mut difficulty = prover.difficulty(&engine.reduced);
+        difficulty.refine_velocity = Some(refine_velocity(&engine.stats));
+        let out = prover.prove_class(
+            &engine.reduced,
+            &difficulty,
+            &engine.disproof_cexs,
+            exec,
+            token,
+            &WallClock::new(),
+        );
+        verdict = out.verdict.clone();
+        dispatch = Some(out);
     }
-    // Fold from +0.0: the empty `f64` sum is -0.0, which prints `-0.00`.
-    let sat_seconds = dispatch.iter().fold(0.0, |acc, o| acc + o.seconds);
+    let sat_seconds = dispatch.as_ref().map_or(0.0, |o| o.seconds);
     CombinedResult {
         verdict,
         engine,
@@ -127,90 +128,11 @@ pub fn combined_check_with_prover(
     }
 }
 
-/// Dispatches every undecided PO cone of the reduced miter through the
-/// prover and composes the verdicts. `seeds` are counter-examples over
-/// the reduced miter's PIs.
-fn dispatch_residual_cones(
-    reduced: &Aig,
-    seeds: &[Cex],
-    exec: &Executor,
-    prover: &Prover,
-    velocity: f64,
-    token: &CancelToken,
-) -> (Verdict, Vec<ProveOutcome>) {
-    let clock = WallClock::new();
-    let mut outcomes: Vec<ProveOutcome> = Vec::new();
-    let mut pi_position = vec![usize::MAX; reduced.num_nodes()];
-    for (p, pi) in reduced.pis().iter().enumerate() {
-        pi_position[pi.index()] = p;
-    }
-    // Structure-identical cones (hash then full comparison) are proved
-    // once; disproof counter-examples are re-lifted per duplicate through
-    // its own PI map.
-    let mut seen: Vec<(u64, Aig, Verdict)> = Vec::new();
-    let mut verdict = Verdict::Equivalent;
-    for (i, po) in reduced.pos().iter().enumerate() {
-        if po.var().is_const() {
-            if *po != Lit::FALSE {
-                // A constant-true PO: any assignment is a counter-example.
-                verdict = Verdict::NotEquivalent(Cex::new(vec![false; reduced.num_pis()]));
-                break;
-            }
-            continue;
-        }
-        if token.is_cancelled() {
-            verdict = Verdict::Undecided;
-            break;
-        }
-        let ext = reduced.extract_cone(&[i]);
-        let hash = ext.cone.structural_hash();
-        let cone_verdict = match seen
-            .iter()
-            .find(|(h, c, _)| *h == hash && c.same_structure(&ext.cone))
-        {
-            Some((_, _, v)) => v.clone(),
-            None => {
-                let mut difficulty = prover.difficulty(&ext.cone);
-                difficulty.refine_velocity = Some(velocity);
-                let cone_seeds: Vec<Cex> = seeds
-                    .iter()
-                    .map(|cex| {
-                        let bit = |v: &Var| cex.inputs().get(pi_position[v.index()]);
-                        Cex::new(ext.pi_map.iter().map(|v| bit(v) == Some(&true)).collect())
-                    })
-                    .collect();
-                let out =
-                    prover.prove_class(&ext.cone, &difficulty, &cone_seeds, exec, token, &clock);
-                let v = out.verdict.clone();
-                seen.push((hash, ext.cone.clone(), v.clone()));
-                outcomes.push(out);
-                v
-            }
-        };
-        match cone_verdict {
-            Verdict::Equivalent => {}
-            Verdict::NotEquivalent(cone_cex) => {
-                // Lift positionally through the cone's PI map; original
-                // PIs outside the cone's support are don't-cares.
-                let dense = cone_cex.to_dense(&ext.cone);
-                let sparse: Vec<_> = ext.pi_map.iter().copied().zip(dense).collect();
-                verdict = Verdict::NotEquivalent(Cex::from_sparse(reduced, &sparse));
-                break;
-            }
-            Verdict::Undecided => {
-                // Keep probing the remaining cones: a later disproof still
-                // settles the job, but a proof can no longer be claimed.
-                verdict = Verdict::Undecided;
-            }
-        }
-    }
-    (verdict, outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use parsweep_aig::{miter, Lit};
+    use parsweep_sim::Cex;
 
     fn exec() -> Executor {
         Executor::with_threads(1)
@@ -262,7 +184,7 @@ mod tests {
         cfg.engine.cut = parsweep_cut::CutParams { k_l: 3, c: 2 };
         let r = combined_check(&m, &exec(), &cfg);
         assert_eq!(r.verdict, Verdict::Equivalent);
-        assert!(!r.dispatch.is_empty(), "residual cones must be dispatched");
+        assert!(r.dispatch.is_some(), "the residual must be dispatched");
         assert!(r.total_seconds() >= r.engine_seconds);
     }
 
@@ -276,7 +198,7 @@ mod tests {
         let r = combined_check(&m, &exec(), &CombinedConfig::default());
         assert_eq!(r.verdict, Verdict::Equivalent);
         if r.engine.verdict.is_equivalent() {
-            assert!(r.dispatch.is_empty());
+            assert!(r.dispatch.is_none());
             assert_eq!(r.sat_seconds, 0.0);
         }
     }
@@ -290,12 +212,12 @@ mod tests {
         .unwrap();
         let r = combined_check(&m, &exec(), &CombinedConfig::default());
         assert!(r.engine.verdict.is_equivalent());
-        assert!(r.dispatch.is_empty());
+        assert!(r.dispatch.is_none());
         assert!(r.sat_seconds == 0.0 && r.sat_seconds.is_sign_positive());
     }
 
-    /// Records how many seeds it is handed, and whether each spans the
-    /// cone's PIs; never decides.
+    /// Records how many seeds it is handed, and checks each spans the
+    /// class's PIs; never decides.
     struct SeedProbe(std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
 
     impl parsweep_sat::ProofEngine for SeedProbe {
@@ -325,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn ec_transfer_still_sound() {
+    fn every_seed_reaches_the_one_class() {
         let m = miter(
             &wide_multiplier_ish(7, false),
             &wide_multiplier_ish(7, true),
@@ -337,29 +259,35 @@ mod tests {
         cfg.engine.k_po_all = 4;
         cfg.engine.k_po = 4;
         cfg.engine.k_g = 8;
-        cfg.engine.max_local_phases = 1;
         cfg.engine.sim_words = 1;
-        for ec_transfer in [false, true] {
-            cfg.ec_transfer = ec_transfer;
-            let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let mut engines =
-                parsweep_sat::standard_engines(&parsweep_sat::PortfolioConfig::default());
-            engines.insert(0, Box::new(SeedProbe(seen.clone())));
-            let prover = Prover::with_engines(engines);
-            let r = combined_check_with_prover(&m, &exec(), &cfg, &prover, &CancelToken::never());
-            assert_eq!(r.verdict, Verdict::Equivalent);
-            // The engine's disproofs reach every dispatched cone exactly
-            // when the transfer is on.
-            let seen = seen.lock().unwrap();
-            assert_eq!(seen.len(), r.dispatch.len());
-            assert!(!seen.is_empty() && !r.engine.disproof_cexs.is_empty());
-            let expected = if ec_transfer {
-                r.engine.disproof_cexs.len()
-            } else {
-                0
-            };
-            assert!(seen.iter().all(|&n| n == expected), "{seen:?}");
-        }
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut engines = parsweep_sat::standard_engines(&parsweep_sat::PortfolioConfig::default());
+        engines.insert(0, Box::new(SeedProbe(seen.clone())));
+        let prover = Prover::with_engines(engines);
+        let r = combined_check_with_prover(&m, &exec(), &cfg, &prover, &CancelToken::never());
+        assert_eq!(r.verdict, Verdict::Equivalent);
+        assert!(r.dispatch.is_some());
+        // The one class gets every disproof of the G phase.
+        let seen = seen.lock().unwrap();
+        assert!(!r.engine.disproof_cexs.is_empty());
+        assert_eq!(*seen, [r.engine.disproof_cexs.len()]);
+    }
+
+    #[test]
+    fn g_residual_goes_to_sat_as_one_class() {
+        // 20 PIs: no PO fits the default P-phase bound (k_po_all = 18),
+        // so G leaves a residual and the flow must finish it.
+        let m = miter(
+            &wide_multiplier_ish(10, false),
+            &wide_multiplier_ish(10, true),
+        )
+        .unwrap();
+        let r = combined_check(&m, &exec(), &CombinedConfig::default());
+        assert_eq!(r.engine.stats.local_phases, 0);
+        assert!(r.engine.verdict == Verdict::Undecided);
+        let out = r.dispatch.expect("the G residual is dispatched");
+        assert_eq!(out.verdict, Verdict::Equivalent);
+        assert_eq!(r.verdict, Verdict::Equivalent);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub type PhaseSnapshot = (String, Aig);
 
 /// Runs the simulation-based CEC engine on a miter.
 pub fn sim_sweep(miter: &Aig, exec: &Executor, cfg: &EngineConfig) -> EngineResult {
-    run(miter, exec, cfg, false, &CancelToken::never()).0
+    run(miter, exec, cfg, false, true, &CancelToken::never()).0
 }
 
 /// Like [`sim_sweep`], polling `token` at every phase boundary — between
@@ -71,7 +71,19 @@ pub fn sim_sweep_cancellable(
     cfg: &EngineConfig,
     token: &CancelToken,
 ) -> EngineResult {
-    run(miter, exec, cfg, false, token).0
+    run(miter, exec, cfg, false, true, token).0
+}
+
+/// Like [`sim_sweep_cancellable`], stopping after the G phase: whatever
+/// P and G leave is returned `Undecided` for the combined flow's SAT
+/// sweeper, which finishes it for less than the L phases would cost.
+pub(crate) fn sim_sweep_pg(
+    miter: &Aig,
+    exec: &Executor,
+    cfg: &EngineConfig,
+    token: &CancelToken,
+) -> EngineResult {
+    run(miter, exec, cfg, false, false, token).0
 }
 
 /// Like [`sim_sweep`], additionally returning miter snapshots after the
@@ -81,7 +93,7 @@ pub fn sim_sweep_traced(
     exec: &Executor,
     cfg: &EngineConfig,
 ) -> (EngineResult, Vec<PhaseSnapshot>) {
-    run(miter, exec, cfg, true, &CancelToken::never())
+    run(miter, exec, cfg, true, true, &CancelToken::never())
 }
 
 /// The modeled time of everything the executor has run so far, sampled
@@ -96,11 +108,13 @@ pub(crate) fn modeled_mark(exec: &Executor) -> u64 {
     }
 }
 
+/// The engine flow; `with_local` off stops it after the G phase.
 fn run(
     miter: &Aig,
     exec: &Executor,
     cfg: &EngineConfig,
     traced: bool,
+    with_local: bool,
     token: &CancelToken,
 ) -> (EngineResult, Vec<PhaseSnapshot>) {
     let start = Instant::now();
@@ -195,7 +209,7 @@ fn run(
     if is_proved(&current) {
         return finish(Verdict::Equivalent, current, stats, snapshots, disproofs);
     }
-    if token.is_cancelled() {
+    if token.is_cancelled() || !with_local {
         return finish(Verdict::Undecided, current, stats, snapshots, disproofs);
     }
 

@@ -18,9 +18,10 @@
 //!   refining the classes with random and counter-example patterns.
 //!
 //! The flow runs a PO checking phase (P), a global function checking
-//! phase (G), then repeated local function checking phases (L); an
-//! undecided reduced miter can be handed to the SAT sweeping fallback via
-//! [`combined_check`] — the paper's "GPU+ABC" configuration.
+//! phase (G), then repeated local function checking phases (L). The
+//! paper's "GPU+ABC" configuration, [`combined_check`], runs P and G only
+//! and hands the reduced miter they leave to the SAT sweeping fallback,
+//! which finishes it for less than the L phases would cost.
 //!
 //! ```
 //! use parsweep_aig::{Aig, miter};

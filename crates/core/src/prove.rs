@@ -45,9 +45,10 @@ impl ProofEngine for SimSweepEngine {
     }
 
     fn admits(&self, difficulty: &Difficulty) -> bool {
-        // When an upstream sim-sweep pass already produced this residual
-        // cone, rerunning the same engine only pays off if that pass was
-        // still refining classes when it stopped.
+        // When an upstream pass (the combined flow's P+G) already
+        // produced this residual, rerunning the engine, L phases
+        // included, only pays off if that pass was still refining
+        // classes when it stopped.
         difficulty.ands >= self.min_ands && difficulty.refine_velocity.is_none_or(|v| v > 0.0)
     }
 
@@ -92,7 +93,7 @@ pub fn build_prover(sat: &SweepConfig, engine_cfg: &EngineConfig) -> Prover {
 }
 
 /// The sim-refinement velocity feature of [`Difficulty`]: classes refined
-/// per pruned simulation round of the pass that produced a residual cone.
+/// per pruned simulation round of the pass that produced a residual.
 pub fn refine_velocity(stats: &crate::EngineStats) -> f64 {
     stats.classes_refined as f64 / (stats.pruned_sim_rounds.max(1)) as f64
 }

@@ -31,10 +31,7 @@ fn brute_equivalent(m: &Aig) -> bool {
 /// A combined-flow configuration whose sim engine proves next to nothing
 /// on its own, so the residual reaches the dispatcher.
 fn crippled() -> CombinedConfig {
-    let mut cfg = CombinedConfig {
-        ec_transfer: true,
-        ..CombinedConfig::default()
-    };
+    let mut cfg = CombinedConfig::default();
     cfg.engine.k_po_all = 2;
     cfg.engine.k_po = 2;
     cfg.engine.k_g = 2;

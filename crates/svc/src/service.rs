@@ -55,9 +55,10 @@ pub struct SvcConfig {
     /// Finish what the sim engine leaves undecided. Off (the default): a
     /// shard gets the sim engine alone and may stay undecided — a service
     /// usually prefers fast partial verdicts over long SAT tails. On: the
-    /// residual goes to the one service-wide [`Prover`] shared across
-    /// workers (the combined flow), whose difficulty model thereby learns
-    /// from the whole fleet.
+    /// shard runs the combined flow — the engine's P and G phases, then
+    /// their residual as one class to the service-wide [`Prover`] shared
+    /// across workers, whose difficulty model thereby learns from the
+    /// whole fleet.
     pub sat_fallback: bool,
     /// The prover's SAT engine parameters (used only with `sat_fallback`).
     pub sat: SweepConfig,
@@ -591,7 +592,6 @@ impl CecService {
             flow: CombinedConfig {
                 engine: cfg.engine.clone(),
                 sat: cfg.sat.clone(),
-                ec_transfer: true,
             },
             sat_fallback: cfg.sat_fallback,
             prover,
@@ -1126,9 +1126,9 @@ impl ShardProver {
     /// cache or an engine: the table is one pass over the cone, no dearer
     /// than verifying a cache hit, so caching its verdict would only crowd
     /// out cones an engine had to prove. Any other cone probes the
-    /// structural cache, then runs the sim engine — followed, under
-    /// `sat_fallback`, by the shared dispatcher on what the engine leaves
-    /// undecided — and caches the verdict. A hit never touches the prover.
+    /// structural cache, then runs the sim engine — or, under
+    /// `sat_fallback`, its P and G phases followed by the shared
+    /// dispatcher on what they leave undecided — and caches the verdict. A hit never touches the prover.
     /// The returned verdict is over the *cone's* PIs.
     fn prove_shard(
         &self,

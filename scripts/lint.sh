@@ -10,7 +10,9 @@
 #                            svc and net crates, the workspace's default
 #                            members), then the synth suite, which is not
 #                            a default member, a tiny ablation run, the
-#                            SAT baseline on a 10-bit multiplier pair and a
+#                            SAT baseline on a 10-bit multiplier pair, the
+#                            default check on a sqrt pair and a multiplier
+#                            mutant (exit 0 and 1), a
 #                            FRAIG soundness smoke (FRAIG a hyp network,
 #                            then prove the result equivalent to it by SAT)
 #   4. static effect checks  the adversarial and static-vs-dynamic suites on
@@ -49,6 +51,14 @@ cargo run --release -p parsweep-bench --bin ablation -- tiny > /dev/null
 echo "==> SAT baseline on a 10-bit multiplier pair (must prove it within 10 s)"
 target/release/parsweep check benchmark/inputs/multiplier_w10_1xd.L.aig \
     benchmark/inputs/multiplier_w10_1xd.R.aig --engine sat --budget 10
+
+echo "==> default check: P+G then SAT proves sqrt_w12_0xd, disproves a multiplier mutant"
+target/release/parsweep check benchmark/inputs/sqrt_w12_0xd.L.aig \
+    benchmark/inputs/sqrt_w12_0xd.R.aig --budget 10 >/dev/null
+status=0
+target/release/parsweep check benchmark/inputs/multiplier_w10_0xd.L.aig \
+    benchmark/inputs/multiplier_w10_0xd.rare.R.aig --budget 10 >/dev/null || status=$?
+[ "$status" -eq 1 ] || { echo "expected exit 1 (not equivalent), got $status" >&2; exit 1; }
 
 echo "==> FRAIG soundness smoke (the reduced hyp network must prove equivalent)"
 fraig_out=$(mktemp --suffix=.aig)

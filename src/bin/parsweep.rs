@@ -18,8 +18,11 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use parsweep::aig::{aiger, dot, miter, verilog, Aig, NetworkStats};
-use parsweep::engine::{combined_check, sim_sweep, CombinedConfig, EngineConfig, Report, Verdict};
-use parsweep::par::Executor;
+use parsweep::engine::{
+    combined_check_cancellable, sim_sweep_cancellable, CombinedConfig, EngineConfig, Report,
+    Verdict,
+};
+use parsweep::par::{CancelToken, Executor};
 use parsweep::sat::{portfolio_check, sat_sweep, PortfolioConfig, SweepConfig};
 use parsweep::synth::resyn2;
 
@@ -191,13 +194,16 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let right = load(right_path)?;
     let m = miter(&left, &right).map_err(|e| e.to_string())?;
     let exec = Executor::new();
+    // `sim` and `combined` poll one deadline for the whole check; `sat`
+    // and `portfolio` take the budget as their sweeper's wall budget.
+    let token = CancelToken::with_deadline(budget);
     let sat_cfg = SweepConfig {
         wall_budget: Some(budget),
         ..SweepConfig::default()
     };
     let verdict = match engine.as_str() {
         "sim" => {
-            let r = sim_sweep(&m, &exec, &EngineConfig::default());
+            let r = sim_sweep_cancellable(&m, &exec, &EngineConfig::default(), &token);
             println!("{}", Report::new(&r));
             r.verdict
         }
@@ -214,14 +220,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
             .verdict
         }
         "combined" => {
-            let r = combined_check(
-                &m,
-                &exec,
-                &CombinedConfig {
-                    sat: sat_cfg,
-                    ..CombinedConfig::default()
-                },
-            );
+            let r = combined_check_cancellable(&m, &exec, &CombinedConfig::default(), &token);
             println!("{}", Report::new(&r.engine));
             if matches!(r.engine.verdict, Verdict::Undecided) {
                 println!("sat fallback: {:.3}s", r.sat_seconds);

@@ -1,0 +1,32 @@
+//! The `parsweep` binary as a user runs it: exit codes of `check` on the
+//! committed benchmark pairs.
+
+use std::process::Command;
+
+/// Runs `parsweep check` on the benchmark pair `name` with extra
+/// arguments and returns its exit code.
+fn check(name: &str, args: &[&str]) -> i32 {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/inputs");
+    let out = Command::new(env!("CARGO_BIN_EXE_parsweep"))
+        .arg("check")
+        .arg(format!("{dir}/{name}.L.aig"))
+        .arg(format!("{dir}/{name}.R.aig"))
+        .args(args)
+        .output()
+        .expect("parsweep runs");
+    out.status.code().expect("parsweep exits with a code")
+}
+
+#[test]
+fn budget_bounds_the_sim_engine_and_the_combined_flow() {
+    // A spent budget leaves both engines undecided (exit 2), though each
+    // proves the pair given time.
+    for engine in ["sim", "combined"] {
+        assert_eq!(
+            check("multiplier_w10_1xd", &["--engine", engine, "--budget", "0"]),
+            2,
+            "{engine}"
+        );
+    }
+    assert_eq!(check("multiplier_w10_1xd", &["--budget", "60"]), 0);
+}
