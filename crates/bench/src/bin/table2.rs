@@ -4,6 +4,9 @@
 //! combined with the SAT fallback ("Ours (GPU+ABC)"): the paper's full
 //! P/G/L engine, then SAT sweeping on whatever reduced miter it leaves.
 //!
+//! Each timed cell is the median of [`RUNS`] runs; a run that hits the
+//! wall budget is not repeated.
+//!
 //! Usage: `table2 [tiny|small|medium] [--budget <seconds>] [--case <name>]`
 
 use std::time::{Duration, Instant};
@@ -12,6 +15,27 @@ use parsweep_bench::harness::{baseline_sat_config, geomean, portfolio_config, su
 use parsweep_core::{sim_sweep, EngineConfig};
 use parsweep_par::Executor;
 use parsweep_sat::{portfolio_check, sat_sweep, Verdict};
+
+/// Runs per timed cell.
+const RUNS: usize = 3;
+
+/// Runs `run` (which returns its time and result) up to [`RUNS`] times and
+/// returns the run with the median time; stops early after a run for which
+/// `timed_out` holds.
+fn median_run<T>(mut run: impl FnMut() -> (f64, T), timed_out: impl Fn(&T) -> bool) -> (f64, T) {
+    let mut runs = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        let r = run();
+        let stop = timed_out(&r.1);
+        runs.push(r);
+        if stop {
+            break;
+        }
+    }
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mid = runs.len() / 2;
+    runs.swap_remove(mid)
+}
 
 fn verdict_tag(v: &Verdict) -> &'static str {
     match v {
@@ -79,37 +103,52 @@ fn main() {
         let (pis, pos, nodes, levels) = (m.num_pis(), m.num_pos(), m.num_ands(), m.depth());
 
         // Column 1: standalone SAT sweeping.
-        let t = Instant::now();
-        let sat_res = sat_sweep(m, &exec, &baseline_sat_config(budget));
-        let mut sat_secs = t.elapsed().as_secs_f64();
-        let sat_tag = verdict_tag(&sat_res.verdict);
-        if sat_res.verdict == Verdict::Undecided {
+        let (mut sat_secs, sat_verdict) = median_run(
+            || {
+                let t = Instant::now();
+                let res = sat_sweep(m, &exec, &baseline_sat_config(budget));
+                (t.elapsed().as_secs_f64(), res.verdict)
+            },
+            |v| *v == Verdict::Undecided,
+        );
+        let sat_tag = verdict_tag(&sat_verdict);
+        if sat_verdict == Verdict::Undecided {
             sat_secs = budget.as_secs_f64();
         }
 
         // Column 2: portfolio checker.
-        let t = Instant::now();
-        let pfl_res = portfolio_check(m, &exec, &portfolio_config(budget));
-        let mut pfl_secs = t.elapsed().as_secs_f64();
-        let pfl_tag = verdict_tag(&pfl_res.verdict);
-        if pfl_res.verdict == Verdict::Undecided {
+        let (mut pfl_secs, pfl_verdict) = median_run(
+            || {
+                let t = Instant::now();
+                let res = portfolio_check(m, &exec, &portfolio_config(budget));
+                (t.elapsed().as_secs_f64(), res.verdict)
+            },
+            |v| *v == Verdict::Undecided,
+        );
+        let pfl_tag = verdict_tag(&pfl_verdict);
+        if pfl_verdict == Verdict::Undecided {
             pfl_secs = budget.as_secs_f64();
         }
 
         // Column 3: the simulation engine (P/G/L), then SAT sweeping on
-        // the reduced miter it leaves undecided.
-        let eng = sim_sweep(m, &exec, &EngineConfig::scaled());
-        let eng_secs = eng.stats.seconds;
-        let red = eng.stats.reduction_pct();
-        let (verdict, sat2_secs) = match eng.verdict {
-            Verdict::Undecided => {
-                let t = Instant::now();
-                let res = sat_sweep(&eng.reduced, &exec, &baseline_sat_config(budget));
-                (res.verdict, t.elapsed().as_secs_f64())
-            }
-            v => (v, 0.0),
-        };
-        let mut total = eng_secs + sat2_secs;
+        // the reduced miter it leaves undecided; the row shows the run
+        // with the median total.
+        let (mut total, (eng_secs, red, sat2_secs, verdict)) = median_run(
+            || {
+                let eng = sim_sweep(m, &exec, &EngineConfig::scaled());
+                let (verdict, sat2_secs) = match eng.verdict {
+                    Verdict::Undecided => {
+                        let t = Instant::now();
+                        let res = sat_sweep(&eng.reduced, &exec, &baseline_sat_config(budget));
+                        (res.verdict, t.elapsed().as_secs_f64())
+                    }
+                    v => (v, 0.0),
+                };
+                let (eng_secs, red) = (eng.stats.seconds, eng.stats.reduction_pct());
+                (eng_secs + sat2_secs, (eng_secs, red, sat2_secs, verdict))
+            },
+            |(_, _, _, v)| *v == Verdict::Undecided,
+        );
         let comb_tag = verdict_tag(&verdict);
         if verdict == Verdict::Undecided {
             total = eng_secs + budget.as_secs_f64();

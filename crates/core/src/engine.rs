@@ -16,7 +16,7 @@ use parsweep_cut::Pass;
 use parsweep_par::{CancelToken, Executor};
 use parsweep_sat::Verdict;
 use parsweep_sim::{
-    find_po_counterexample, merge_windows, Cex, PairCheck, PairOutcome, Patterns, Window,
+    find_po_counterexample, windows_from_supports, Cex, PairCheck, PairOutcome, Patterns, Window,
 };
 use parsweep_trace as trace;
 
@@ -380,6 +380,7 @@ fn po_phase(
     if targets.is_empty() {
         return Ok(());
     }
+    let step = trace::span("engine", "engine.p.supports");
     let supports = current.bounded_supports(cfg.k_po_all);
     let all_fit = targets
         .iter()
@@ -387,30 +388,27 @@ fn po_phase(
     // Two-threshold budget: one-shot checking with k_P when every PO
     // fits, otherwise only POs within k_p.
     let limit = if all_fit { cfg.k_po_all } else { cfg.k_po };
-    let k_s = limit;
-
-    let mut windows: Vec<Window> = Vec::new();
-    for &(v, complement) in &targets {
-        let Some(sup) = supports[v.index()].vars() else {
-            continue;
-        };
-        if sup.len() > limit {
-            continue;
-        }
-        let pair = PairCheck {
-            a: Var::FALSE,
-            b: v,
-            complement,
-        };
-        // Bounded supports are ascending by construction (sorted merges).
-        if let Some(w) = Window::for_sorted_inputs(current, pair, sup.to_vec()) {
-            windows.push(w);
-        }
-    }
-    if windows.is_empty() {
+    // Bounded supports are ascending by construction (sorted merges).
+    let checks: Vec<(Vec<Var>, PairCheck)> = targets
+        .iter()
+        .filter_map(|&(v, complement)| {
+            let sup = supports[v.index()].vars().filter(|s| s.len() <= limit)?;
+            let pair = PairCheck {
+                a: Var::FALSE,
+                b: v,
+                complement,
+            };
+            Some((sup.to_vec(), pair))
+        })
+        .collect();
+    drop(step);
+    if checks.is_empty() {
         return Ok(());
     }
-    windows = merge_windows(windows, k_s);
+    let step = trace::span("engine", "engine.p.windows");
+    let windows = windows_from_supports(current, checks, limit);
+    drop(step);
+    let _step = trace::span("engine", "engine.p.check");
     let outcomes = check_in_batches(current, exec, &windows, cfg, stats, token);
 
     let mut proved: Vec<(Var, bool)> = Vec::new();
@@ -552,30 +550,23 @@ pub(crate) fn global_phase_inner(
                 }
             }
         }
+        let step = trace::span("engine", "engine.g.supports");
         let supports = current.bounded_supports(cfg.k_g);
-        let mut windows: Vec<Window> = Vec::new();
+        let mut checks: Vec<(Vec<Var>, PairCheck)> = Vec::new();
         let mut skipped_const: Vec<PairCheck> = Vec::new();
         let candidate_pairs = ec
             .as_ref()
             .expect("EC state initialized above")
             .pairs(current);
         for pair in candidate_pairs {
-            let Some(union) = union_support(
-                &supports[pair.a.index()],
-                &supports[pair.b.index()],
-                cfg.k_g,
-            ) else {
-                if pair.a.is_const() {
-                    skipped_const.push(pair);
-                }
-                continue;
-            };
-            // `union_support` merges two sorted supports, so the union is
-            // already ascending and deduplicated.
-            if let Some(w) = Window::for_sorted_inputs(current, pair, union) {
-                windows.push(w);
+            let (sa, sb) = (&supports[pair.a.index()], &supports[pair.b.index()]);
+            match union_support(sa, sb, cfg.k_g) {
+                Some(union) => checks.push((union, pair)),
+                None if pair.a.is_const() => skipped_const.push(pair),
+                None => {}
             }
         }
+        drop(step);
         // Reverse simulation (§V): try to justify a non-constant value on
         // wide-support constant candidates; verified patterns become
         // class-splitting counter-examples for the next round.
@@ -591,10 +582,13 @@ pub(crate) fn global_phase_inner(
                 stats.disproved_pairs += 1;
             }
         }
-        if windows.is_empty() {
+        if checks.is_empty() {
             break;
         }
-        windows = merge_windows(windows, cfg.k_g);
+        let step = trace::span("engine", "engine.g.windows");
+        let windows = windows_from_supports(current, checks, cfg.k_g);
+        drop(step);
+        let step = trace::span("engine", "engine.g.check");
         let outcomes = check_in_batches(current, exec, &windows, cfg, stats, token);
 
         let mut subst: Vec<Lit> = (0..current.num_nodes())
@@ -627,7 +621,9 @@ pub(crate) fn global_phase_inner(
                 }
             }
         }
+        drop(step);
         if proved_any {
+            let _step = trace::span("engine", "engine.g.rebuild");
             let (reduced, map) = current.rebuild_with_substitution(&subst);
             // Carry the EC state across the rewrite: dirty-cone resim of
             // the base table instead of a full round-0 rerun.

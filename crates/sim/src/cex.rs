@@ -1,6 +1,6 @@
 //! Counter-examples.
 
-use parsweep_aig::{Aig, Var};
+use parsweep_aig::{Aig, Node, Var};
 
 /// A counter-example: an assignment to the primary inputs *by position*
 /// (index `i` is the value of the `i`-th PI).
@@ -21,16 +21,15 @@ impl Cex {
 
     /// Creates a counter-example from a sparse variable assignment over
     /// `aig`'s PIs; unmentioned PIs are `false`, non-PI variables ignored.
+    ///
+    /// Costs `O(|assignment|)` beyond the output: each PI's position is
+    /// read from its node, so no per-call position table is built.
     pub fn from_sparse(aig: &Aig, assignment: &[(Var, bool)]) -> Self {
         let mut inputs = vec![false; aig.num_pis()];
-        let mut position = vec![usize::MAX; aig.num_nodes()];
-        for (i, pi) in aig.pis().iter().enumerate() {
-            position[pi.index()] = i;
-        }
         for &(var, value) in assignment {
-            if let Some(&p) = position.get(var.index()) {
-                if p != usize::MAX {
-                    inputs[p] = value;
+            if var.index() < aig.num_nodes() {
+                if let Node::Input(pos) = aig.node(var) {
+                    inputs[pos as usize] = value;
                 }
             }
         }
@@ -67,6 +66,39 @@ mod tests {
         let xs = aig.add_inputs(3);
         let cex = Cex::from_sparse(&aig, &[(xs[1].var(), true)]);
         assert_eq!(cex.to_dense(&aig), vec![false, true, false]);
+    }
+
+    #[test]
+    fn sparse_matches_position_table_definition() {
+        // The definition it replaces: a `num_nodes` table of PI positions.
+        fn by_table(aig: &Aig, assignment: &[(Var, bool)]) -> Vec<bool> {
+            let mut inputs = vec![false; aig.num_pis()];
+            let mut position = vec![usize::MAX; aig.num_nodes()];
+            for (i, pi) in aig.pis().iter().enumerate() {
+                position[pi.index()] = i;
+            }
+            for &(var, value) in assignment {
+                if let Some(&p) = position.get(var.index()) {
+                    if p != usize::MAX {
+                        inputs[p] = value;
+                    }
+                }
+            }
+            inputs
+        }
+        let mut rng = parsweep_aig::random::SplitMix64::new(7);
+        for seed in 0..20 {
+            let mut aig = parsweep_aig::random::random_aig(8, 40, 3, seed);
+            // PIs added after the logic: a position is not `var - 1`.
+            aig.add_inputs(2);
+            // Constant, PI, AND and out-of-range variables, some repeated.
+            let range = aig.num_nodes() + 5;
+            let assignment: Vec<(Var, bool)> = (0..30)
+                .map(|_| (Var::new(rng.below(range) as u32), rng.bool()))
+                .collect();
+            let cex = Cex::from_sparse(&aig, &assignment);
+            assert_eq!(cex.inputs(), &by_table(&aig, &assignment)[..]);
+        }
     }
 
     #[test]

@@ -54,4 +54,4 @@ pub use exhaustive::{
 pub use partial::{simulate, simulate_cone, Patterns, Signatures};
 pub use resim::ResimPlan;
 pub use tt::{projection_word, word_len, TruthTable, PROJECTIONS};
-pub use window::{merge_windows, PairCheck, Window};
+pub use window::{merge_windows, windows_from_supports, PairCheck, Window};

@@ -113,7 +113,9 @@ impl Window {
 /// merged greedily while the merged input count stays within `k_s`.
 ///
 /// Only valid for global-checking windows (inputs are PIs), where an input
-/// of one window can never be an interior node of another.
+/// of one window can never be an interior node of another. The engine
+/// groups its pairs with [`windows_from_supports`] instead, which applies
+/// the same rule before any cone is built.
 pub fn merge_windows(mut windows: Vec<Window>, k_s: usize) -> Vec<Window> {
     if windows.len() <= 1 {
         return windows;
@@ -132,6 +134,65 @@ pub fn merge_windows(mut windows: Vec<Window>, k_s: usize) -> Vec<Window> {
     }
     out.push(current);
     out
+}
+
+/// Builds merged global-checking windows from each pair's input list: the
+/// windows [`merge_windows`] makes of the pairs' per-pair windows, with one
+/// cone per merged window instead of one per pair.
+///
+/// The pairs are stable-sorted by input list and consecutive lists are
+/// greedily unioned while the union stays within `k_s` (input-disjoint
+/// lists are never merged); then each group's nodes are one
+/// [`Aig::cone_between`] of all its roots over the union. Every list must
+/// be ascending PIs that include the support of its pair's roots, so the
+/// cone of the union is the union of the per-pair cones.
+pub fn windows_from_supports(
+    aig: &Aig,
+    mut pairs: Vec<(Vec<Var>, PairCheck)>,
+    k_s: usize,
+) -> Vec<Window> {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out = Vec::new();
+    let mut it = pairs.into_iter();
+    let Some((mut inputs, first)) = it.next() else {
+        return out;
+    };
+    let mut group = vec![first];
+    for (next, pair) in it {
+        match merged_inputs(&inputs, &next, k_s) {
+            Some(union) => {
+                inputs = union;
+                group.push(pair);
+            }
+            None => {
+                let done = std::mem::replace(&mut group, vec![pair]);
+                out.push(window_over(aig, std::mem::replace(&mut inputs, next), done));
+            }
+        }
+    }
+    out.push(window_over(aig, inputs, group));
+    out
+}
+
+/// One window over PI `inputs` holding `pairs`: the cone of every root.
+fn window_over(aig: &Aig, inputs: Vec<Var>, pairs: Vec<PairCheck>) -> Window {
+    debug_assert!(
+        inputs.windows(2).all(|w| w[0] < w[1]),
+        "window inputs must be strictly ascending"
+    );
+    let roots: Vec<Var> = pairs
+        .iter()
+        .flat_map(|p| [p.a, p.b])
+        .filter(|v| !v.is_const())
+        .collect();
+    let nodes = aig
+        .cone_between(&roots, &inputs)
+        .expect("the PI supports of every root are a valid cut");
+    Window {
+        inputs,
+        nodes,
+        pairs,
+    }
 }
 
 fn union_sorted(a: &[Var], b: &[Var]) -> Vec<Var> {
@@ -172,6 +233,13 @@ fn try_union(a: &Window, b: &Window, k_s: usize) -> Option<Window> {
         nodes,
         pairs,
     })
+}
+
+/// The union of two input lists if their windows may merge under
+/// `try_union`'s rule: within `k_s`, and not input-disjoint.
+fn merged_inputs(a: &[Var], b: &[Var], k_s: usize) -> Option<Vec<Var>> {
+    let inputs = union_sorted(a, b);
+    (inputs.len() <= k_s && inputs.len() < a.len() + b.len()).then_some(inputs)
 }
 
 #[cfg(test)]

@@ -1,12 +1,16 @@
 //! Property tests of lexicographic window merging (§III-B3): it must
 //! preserve the pair population, respect the input bound, and never
-//! change any verdict.
+//! change any verdict; and grouping pairs by support first
+//! (`windows_from_supports`) must build exactly the windows that per-pair
+//! windows plus `merge_windows` build.
 
 use proptest::prelude::*;
 
 use parsweep_aig::{Aig, Var};
 use parsweep_par::Executor;
-use parsweep_sim::{check_windows, merge_windows, PairCheck, PairOutcome, Window};
+use parsweep_sim::{
+    check_windows, merge_windows, windows_from_supports, PairCheck, PairOutcome, Window,
+};
 
 /// Builds a batch of constant-check windows over random small input sets.
 fn random_windows(seed: u64, count: usize, num_pis: usize) -> (Aig, Vec<Window>) {
@@ -35,6 +39,35 @@ fn random_windows(seed: u64, count: usize, num_pis: usize) -> (Aig, Vec<Window>)
         }
     }
     (aig, windows)
+}
+
+/// Random candidate pairs on a random AIG, each with the PI support of its
+/// roots (the G phase's input lists): constant candidates, PI roots, and
+/// pairs whose supports are disjoint from one another.
+fn random_checks(seed: u64, count: usize) -> (Aig, Vec<(Vec<Var>, PairCheck)>) {
+    let mut aig = parsweep_aig::random::random_aig(10, 40, 4, seed);
+    // Late PIs: singleton supports disjoint from most of the logic.
+    aig.add_inputs(3);
+    let mut rng = parsweep_aig::random::SplitMix64::new(seed ^ 0x5eed);
+    let n = aig.num_nodes();
+    let checks = (0..count)
+        .map(|_| {
+            let b = Var::new(1 + rng.below(n - 1) as u32);
+            let a = if rng.below(3) == 0 {
+                Var::FALSE
+            } else {
+                Var::new(rng.below(b.index()) as u32)
+            };
+            let roots: Vec<Var> = [a, b].into_iter().filter(|v| !v.is_const()).collect();
+            let pair = PairCheck {
+                a,
+                b,
+                complement: rng.bool(),
+            };
+            (aig.support(&roots), pair)
+        })
+        .collect();
+    (aig, checks)
 }
 
 fn verdict_map(windows: &[Window], outcomes: &[Vec<PairOutcome>]) -> Vec<(Var, bool)> {
@@ -96,5 +129,29 @@ proptest! {
         let merged = merge_windows(windows, 4);
         let after: usize = merged.iter().map(|w| w.num_entries()).sum();
         prop_assert!(after <= before);
+    }
+
+    #[test]
+    fn grouping_by_support_equals_per_pair_merge(
+        seed in any::<u64>(), count in 1usize..40
+    ) {
+        let (aig, checks) = random_checks(seed, count);
+        for k_s in [1usize, 2, 3, 5, 8, 13] {
+            let per_pair: Vec<Window> = checks
+                .iter()
+                .map(|(inputs, pair)| {
+                    Window::for_sorted_inputs(&aig, *pair, inputs.clone())
+                        .expect("a PI support is a valid cut")
+                })
+                .collect();
+            let want = merge_windows(per_pair, k_s);
+            let got = windows_from_supports(&aig, checks.clone(), k_s);
+            prop_assert_eq!(got.len(), want.len(), "window count at k_s {}", k_s);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(&g.inputs, &w.inputs);
+                prop_assert_eq!(&g.nodes, &w.nodes);
+                prop_assert_eq!(&g.pairs, &w.pairs);
+            }
+        }
     }
 }

@@ -14,7 +14,10 @@
 #                            default check on a sqrt pair and a multiplier
 #                            mutant (exit 0 and 1), a
 #                            FRAIG soundness smoke (FRAIG a hyp network,
-#                            then prove the result equivalent to it by SAT)
+#                            then prove the result equivalent to it by SAT),
+#                            and a traced check (built with the trace
+#                            feature, PARSWEEP_TRACE set) that must exit 0
+#                            and write a trace with an engine.g.windows span
 #   4. static effect checks  the adversarial and static-vs-dynamic suites on
 #                            raw executors
 #   5. kernel sanitizer      PARSWEEP_SANITIZE=1 makes every executor audit:
@@ -75,6 +78,15 @@ echo "==> trace-enabled tests (feature)"
 cargo test -p parsweep-trace --features enabled -q
 cargo test -p parsweep-svc --features trace -q
 cargo test -p parsweep-net --features trace -q
+
+echo "==> traced CLI check: exit 0 and a Chrome trace with the G-phase window span"
+cargo build --release --features trace --bin parsweep
+trace_dir=$(mktemp -d)
+trap 'rm -f "$fraig_out"; rm -rf "$trace_dir"' EXIT
+PARSWEEP_TRACE="$trace_dir/t.json" target/release/parsweep check \
+    benchmark/inputs/sqrt_w12_0xd.L.aig benchmark/inputs/sqrt_w12_0xd.R.aig --budget 10 >/dev/null
+python3 scripts/check_trace.py "$trace_dir/t.json"
+grep -q '"engine.g.windows"' "$trace_dir/t.json"
 
 echo "==> static effect suites (raw executors)"
 cargo test -p parsweep-par --test effects_static --test effects_props -q

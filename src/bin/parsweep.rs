@@ -13,6 +13,10 @@
 //! ```
 //!
 //! Exit codes for `check`: 0 equivalent, 1 not equivalent, 2 undecided.
+//!
+//! `check` honours `PARSWEEP_TRACE=<path>`: in a build with the `trace`
+//! feature it records spans (engine phases and steps, kernel launches, SAT)
+//! and writes them as a Chrome trace to `<path>` at exit.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -25,6 +29,7 @@ use parsweep::engine::{
 use parsweep::par::{CancelToken, Executor};
 use parsweep::sat::{portfolio_check, sat_sweep, PortfolioConfig, SweepConfig};
 use parsweep::synth::resyn2;
+use parsweep_trace as trace;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -60,7 +65,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return Ok(usage());
     };
     match cmd.as_str() {
-        "check" => cmd_check(&args[1..]),
+        "check" => with_env_trace(|| cmd_check(&args[1..])),
         "stats" => {
             let [path] = &args[1..] else {
                 return Ok(usage());
@@ -165,6 +170,31 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         _ => Ok(usage()),
     }
+}
+
+/// Runs `f` with the span collector on when `PARSWEEP_TRACE` names an
+/// output path, then writes the Chrome trace there.
+fn with_env_trace<T>(f: impl FnOnce() -> T) -> T {
+    let path = trace::env_trace_path();
+    if path.is_some() && !trace::compiled() {
+        eprintln!(
+            "parsweep: PARSWEEP_TRACE is set but this build lacks the 'trace' feature; \
+             no spans will be recorded"
+        );
+    }
+    let path = path.filter(|_| trace::compiled());
+    if path.is_some() {
+        trace::enable();
+    }
+    let out = f();
+    if let Some(path) = path {
+        trace::disable();
+        match trace::write_chrome_trace(&path) {
+            Ok(()) => eprintln!("parsweep: wrote Chrome trace to {path}"),
+            Err(e) => eprintln!("parsweep: failed to write trace {path}: {e}"),
+        }
+    }
+    out
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
