@@ -53,4 +53,4 @@ pub use lit::{Lit, Var};
 pub use miter::{is_proved, miter, BuildMiterError};
 pub use node::Node;
 pub use stats::NetworkStats;
-pub use topo::Support;
+pub use topo::{Support, Supports};

@@ -7,41 +7,65 @@ use std::cell::RefCell;
 
 use crate::{Aig, Node, Var};
 
-/// The structural support of a node, possibly truncated at a bound.
+/// One node's entry in [`Supports`]: its exact structural support, or
+/// the mark that it is larger than the bound.
 ///
 /// The simulation-based engine only ever needs supports up to a threshold
 /// (`k_P`, `k_p`, `k_g` in the paper); computing exact supports for every
 /// node of a large network is quadratic, so supports larger than the bound
-/// saturate to [`Support::Over`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Support {
-    /// The exact support: a sorted list of PI variables.
-    Exact(Vec<Var>),
-    /// The support is larger than the requested bound.
-    Over,
+/// saturate to "over". The list itself lives in the [`Supports`] pool;
+/// read it with [`Supports::vars`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Support {
+    start: u32,
+    /// The list's length, or [`Support::OVER`].
+    len: u32,
 }
 
 impl Support {
+    /// The entry of a support larger than the bound.
+    pub const OVER: Support = Support {
+        start: 0,
+        len: u32::MAX,
+    };
+
     /// Returns the support size, or `None` if it exceeded the bound.
     pub fn size(&self) -> Option<usize> {
-        match self {
-            Support::Exact(v) => Some(v.len()),
-            Support::Over => None,
-        }
-    }
-
-    /// Returns the PI list, or `None` if the bound was exceeded.
-    pub fn vars(&self) -> Option<&[Var]> {
-        match self {
-            Support::Exact(v) => Some(v),
-            Support::Over => None,
-        }
+        (self.len != u32::MAX).then_some(self.len as usize)
     }
 }
 
-/// Merges two sorted variable lists, giving up when the union exceeds `cap`.
-fn merge_bounded(a: &[Var], b: &[Var], cap: usize) -> Option<Vec<Var>> {
-    let mut out = Vec::with_capacity((a.len() + b.len()).min(cap + 1));
+/// The bounded structural supports of every node of an AIG, indexed by
+/// variable: every exact list in one pool, each node an offset and a
+/// length into it (see [`Aig::bounded_supports`]).
+#[derive(Clone, Debug)]
+pub struct Supports {
+    pool: Vec<Var>,
+    entries: Vec<Support>,
+}
+
+impl Supports {
+    /// Returns the sorted PI list of `v`, or `None` if its support
+    /// exceeded the bound.
+    pub fn vars(&self, v: Var) -> Option<&[Var]> {
+        let s = self.entries[v.index()];
+        let len = s.size()?;
+        Some(&self.pool[s.start as usize..s.start as usize + len])
+    }
+}
+
+impl std::ops::Index<usize> for Supports {
+    type Output = Support;
+
+    fn index(&self, index: usize) -> &Support {
+        &self.entries[index]
+    }
+}
+
+/// Merges two sorted variable lists into `out`, giving up (returning
+/// `false`) when the union exceeds `cap`.
+fn merge_bounded_into(a: &[Var], b: &[Var], cap: usize, out: &mut Vec<Var>) -> bool {
+    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() || j < b.len() {
         let next = if j >= b.len() || (i < a.len() && a[i] <= b[j]) {
@@ -57,11 +81,11 @@ fn merge_bounded(a: &[Var], b: &[Var], cap: usize) -> Option<Vec<Var>> {
             v
         };
         if out.len() == cap {
-            return None;
+            return false;
         }
         out.push(next);
     }
-    Some(out)
+    true
 }
 
 impl Aig {
@@ -106,24 +130,50 @@ impl Aig {
     ///
     /// The result is indexed by variable. PIs have themselves as support;
     /// the constant node has empty support; an AND node's support is the
-    /// union of its fanins', saturating to [`Support::Over`] beyond `cap`.
-    pub fn bounded_supports(&self, cap: usize) -> Vec<Support> {
-        let mut supports: Vec<Support> = Vec::with_capacity(self.num_nodes());
+    /// union of its fanins', saturating to [`Support::OVER`] beyond `cap`.
+    /// A node whose union equals one fanin's list shares that list, so the
+    /// pool holds each distinct list once per chain of such nodes.
+    pub fn bounded_supports(&self, cap: usize) -> Supports {
+        let mut pool: Vec<Var> = Vec::new();
+        let mut entries: Vec<Support> = Vec::with_capacity(self.num_nodes());
+        let mut merged: Vec<Var> = Vec::with_capacity(cap + 1);
+        let start = |pool: &Vec<Var>| u32::try_from(pool.len()).expect("support pool fits u32");
         for node in self.nodes() {
             let s = match node {
-                Node::Const => Support::Exact(Vec::new()),
-                Node::Input(_) => Support::Exact(vec![Var::new(supports.len() as u32)]),
-                Node::And(a, b) => match (&supports[a.var().index()], &supports[b.var().index()]) {
-                    (Support::Exact(sa), Support::Exact(sb)) => match merge_bounded(sa, sb, cap) {
-                        Some(m) => Support::Exact(m),
-                        None => Support::Over,
-                    },
-                    _ => Support::Over,
-                },
+                Node::Const => Support { start: 0, len: 0 },
+                Node::Input(_) => {
+                    let s = Support {
+                        start: start(&pool),
+                        len: 1,
+                    };
+                    pool.push(Var::new(entries.len() as u32));
+                    s
+                }
+                Node::And(a, b) => {
+                    let (ea, eb) = (entries[a.var().index()], entries[b.var().index()]);
+                    let list = |e: Support| Some(&pool[e.start as usize..][..e.size()?]);
+                    match (list(ea), list(eb)) {
+                        (Some(sa), Some(sb)) if merge_bounded_into(sa, sb, cap, &mut merged) => {
+                            if merged.len() == sa.len() {
+                                ea // the union is `a`'s list
+                            } else if merged.len() == sb.len() {
+                                eb
+                            } else {
+                                let s = Support {
+                                    start: start(&pool),
+                                    len: merged.len() as u32,
+                                };
+                                pool.extend_from_slice(&merged);
+                                s
+                            }
+                        }
+                        _ => Support::OVER,
+                    }
+                }
             };
-            supports.push(s);
+            entries.push(s);
         }
-        supports
+        Supports { pool, entries }
     }
 
     /// Computes the exact structural support of a set of root nodes by a
@@ -319,10 +369,13 @@ mod tests {
     #[test]
     fn bounded_supports_exact_and_over() {
         let (aig, _) = chain4();
+        let root = aig.num_nodes() - 1;
         let sup = aig.bounded_supports(4);
-        assert_eq!(sup.last().unwrap().size(), Some(4));
+        assert_eq!(sup[root].size(), Some(4));
+        assert_eq!(sup.vars(Var::new(root as u32)), Some(aig.pis()));
         let sup2 = aig.bounded_supports(3);
-        assert_eq!(*sup2.last().unwrap(), Support::Over);
+        assert_eq!(sup2[root], Support::OVER);
+        assert_eq!(sup2.vars(Var::new(root as u32)), None);
     }
 
     #[test]

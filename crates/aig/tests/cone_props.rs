@@ -106,6 +106,23 @@ proptest! {
         check_queries(&large, &mut rng, 40)?;
     }
 
+    /// Every node's bounded support, shared pool and all, is its exact
+    /// support when that fits the bound, and marked over otherwise.
+    #[test]
+    fn bounded_supports_match_exact_supports(
+        pis in 1usize..14, ands in 1usize..300, cap in 1usize..16, seed in any::<u64>()
+    ) {
+        let aig = random_aig(pis, ands, 3, seed);
+        let supports = aig.bounded_supports(cap);
+        for i in 0..aig.num_nodes() {
+            let v = Var::new(i as u32);
+            let exact = aig.support(&[v]);
+            let expected = (exact.len() <= cap).then_some(&exact[..]);
+            prop_assert_eq!(supports.vars(v), expected, "node {}", i);
+            prop_assert_eq!(supports[i].size(), expected.map(<[Var]>::len));
+        }
+    }
+
     #[test]
     fn cone_between_alternates_between_networks_on_one_thread(seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);

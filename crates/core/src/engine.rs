@@ -11,7 +11,7 @@
 use std::borrow::Cow;
 use std::time::Instant;
 
-use parsweep_aig::{is_proved, Aig, Lit, Support, Var};
+use parsweep_aig::{is_proved, Aig, Lit, Var};
 use parsweep_cut::Pass;
 use parsweep_par::{CancelToken, Executor};
 use parsweep_sat::Verdict;
@@ -293,42 +293,21 @@ pub(crate) fn check_in_batches(
     stats: &mut EngineStats,
     token: &CancelToken,
 ) -> Vec<Vec<PairOutcome>> {
-    let mut outcomes = Vec::with_capacity(windows.len());
-    let mut batch_start = 0;
-    while batch_start < windows.len() {
-        if token.is_cancelled() {
-            break;
-        }
-        let mut entries = 0usize;
-        let mut end = batch_start;
-        while end < windows.len() {
-            let e = windows[end].num_entries();
-            if end > batch_start && entries + e > cfg.batch_entries {
-                break;
-            }
-            entries += e;
-            end += 1;
-        }
-        let (res, effort) = parsweep_sim::check_windows_cancellable(
-            aig,
-            exec,
-            &windows[batch_start..end],
-            cfg.memory_words,
-            token,
-        );
-        stats.sim_words += effort.words;
-        outcomes.extend(res);
-        batch_start = end;
-    }
-    // Pad cancelled-away windows with empty outcomes so indexing by
-    // window position stays valid.
-    outcomes.resize_with(windows.len(), Vec::new);
+    let (outcomes, effort) = parsweep_sim::check_windows_in_batches(
+        aig,
+        exec,
+        windows,
+        cfg.memory_words,
+        cfg.batch_entries,
+        token,
+    );
+    stats.sim_words += effort.words;
     outcomes
 }
 
 /// Merges two bounded supports, giving up beyond `cap`.
-fn union_support(a: &Support, b: &Support, cap: usize) -> Option<Vec<Var>> {
-    let (sa, sb) = (a.vars()?, b.vars()?);
+fn union_support(sa: Option<&[Var]>, sb: Option<&[Var]>, cap: usize) -> Option<Vec<Var>> {
+    let (sa, sb) = (sa?, sb?);
     let mut out = Vec::with_capacity((sa.len() + sb.len()).min(cap + 1));
     let (mut i, mut j) = (0, 0);
     while i < sa.len() || j < sb.len() {
@@ -392,7 +371,7 @@ fn po_phase(
     let checks: Vec<(Vec<Var>, PairCheck)> = targets
         .iter()
         .filter_map(|&(v, complement)| {
-            let sup = supports[v.index()].vars().filter(|s| s.len() <= limit)?;
+            let sup = supports.vars(v).filter(|s| s.len() <= limit)?;
             let pair = PairCheck {
                 a: Var::FALSE,
                 b: v,
@@ -559,8 +538,7 @@ pub(crate) fn global_phase_inner(
             .expect("EC state initialized above")
             .pairs(current);
         for pair in candidate_pairs {
-            let (sa, sb) = (&supports[pair.a.index()], &supports[pair.b.index()]);
-            match union_support(sa, sb, cfg.k_g) {
+            match union_support(supports.vars(pair.a), supports.vars(pair.b), cfg.k_g) {
                 Some(union) => checks.push((union, pair)),
                 None if pair.a.is_const() => skipped_const.push(pair),
                 None => {}
@@ -928,14 +906,14 @@ mod tests {
 
     #[test]
     fn union_support_bounds() {
-        let a = Support::Exact(vec![Var::new(1), Var::new(2)]);
-        let b = Support::Exact(vec![Var::new(2), Var::new(3)]);
+        let a = [Var::new(1), Var::new(2)];
+        let b = [Var::new(2), Var::new(3)];
         assert_eq!(
-            union_support(&a, &b, 3),
+            union_support(Some(&a), Some(&b), 3),
             Some(vec![Var::new(1), Var::new(2), Var::new(3)])
         );
-        assert_eq!(union_support(&a, &b, 2), None);
-        assert_eq!(union_support(&a, &Support::Over, 8), None);
+        assert_eq!(union_support(Some(&a), Some(&b), 2), None);
+        assert_eq!(union_support(Some(&a), None, 8), None);
     }
 
     #[test]

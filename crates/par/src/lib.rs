@@ -719,6 +719,63 @@ impl<T> DeviceSlice<'_, T> {
         // the reference is live (caller contract, sanitizer-verified).
         unsafe { &*self.ptr.add(index) }
     }
+
+    /// Returns the row `start..start + len` for reading on behalf of
+    /// virtual thread `tid`: one bounds decision for the whole row, so a
+    /// kernel's loop over it runs on a plain slice.
+    ///
+    /// A sanitizing executor logs every slot of the row as a read by
+    /// `tid`, exactly as [`DeviceSlice::read`] per slot would. A row
+    /// reaching past the buffer is reported as out of bounds and comes
+    /// back empty: the kernel touches none of it.
+    ///
+    /// # Safety
+    ///
+    /// The row must be in bounds, and no write to any of its slots may
+    /// happen while the returned slice lives — in particular no live
+    /// [`DeviceSlice::row_mut`] of the same launch may overlap it.
+    pub unsafe fn row(&self, tid: usize, start: usize, len: usize) -> &[T] {
+        if let Some(san) = self.san {
+            if !san.record_row(self.id, start, len, tid, AccessKind::Read) {
+                return &[]; // out of bounds: reported, not performed
+            }
+        } else {
+            debug_assert!(start + len <= self.len);
+        }
+        // SAFETY: the row is in bounds (caller contract; checked above
+        // when sanitizing) and nothing writes it while the slice lives
+        // (caller contract; sanitized launches are serialized).
+        unsafe { std::slice::from_raw_parts(self.ptr.add(start), len) }
+    }
+
+    /// Returns the row `start..start + len` for writing on behalf of
+    /// virtual thread `tid`.
+    ///
+    /// A sanitizing executor logs every slot of the row as a write by
+    /// `tid`, exactly as [`DeviceSlice::write`] per slot would, so two
+    /// tids whose rows overlap are a write–write hazard. A row reaching
+    /// past the buffer is reported as out of bounds and comes back empty:
+    /// the kernel writes none of it.
+    ///
+    /// # Safety
+    ///
+    /// The contract of [`DeviceSlice::write`] for every slot of the row,
+    /// and no other live row of the same launch — of this tid or another
+    /// — may overlap it while the returned slice lives.
+    #[allow(clippy::mut_from_ref)] // disjoint rows, as `write` hands out disjoint slots
+    pub unsafe fn row_mut(&self, tid: usize, start: usize, len: usize) -> &mut [T] {
+        if let Some(san) = self.san {
+            if !san.record_row(self.id, start, len, tid, AccessKind::Write) {
+                return &mut []; // out of bounds: reported, not performed
+            }
+        } else {
+            debug_assert!(start + len <= self.len);
+        }
+        // SAFETY: the row is in bounds (caller contract; checked above
+        // when sanitizing) and no other live row aliases it (caller
+        // contract; sanitized launches are serialized).
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
+    }
 }
 
 #[cfg(test)]

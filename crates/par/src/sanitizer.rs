@@ -310,7 +310,34 @@ impl Sanitizer {
     /// must not be performed (the hazard is reported instead; in
     /// `fail_fast` mode it panics).
     pub(crate) fn record_write(&self, buffer: u32, index: usize, tid: usize) -> bool {
-        match self.record(buffer, index, tid, AccessKind::Write) {
+        self.record_row(buffer, index, 1, tid, AccessKind::Write)
+    }
+
+    /// Logs a read.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-bounds read regardless of `fail_fast`: unlike a
+    /// skipped write, there is no value the read could return.
+    pub(crate) fn record_read(&self, buffer: u32, index: usize, tid: usize) {
+        if let Some(report) = self.record(buffer, index, 1, tid, AccessKind::Read) {
+            panic!("{report}");
+        }
+    }
+
+    /// Logs every slot of the row `start..start + len` as one access of
+    /// `kind` by `tid`. Returns `false` when the row is not wholly in
+    /// bounds: the row is reported and must not be touched at all (in
+    /// `fail_fast` mode it panics).
+    pub(crate) fn record_row(
+        &self,
+        buffer: u32,
+        start: usize,
+        len: usize,
+        tid: usize,
+        kind: AccessKind,
+    ) -> bool {
+        match self.record(buffer, start, len, tid, kind) {
             None => true,
             Some(report) => {
                 if self.cfg.fail_fast {
@@ -321,37 +348,28 @@ impl Sanitizer {
         }
     }
 
-    /// Logs a read.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-bounds read regardless of `fail_fast`: unlike a
-    /// skipped write, there is no value the read could return.
-    pub(crate) fn record_read(&self, buffer: u32, index: usize, tid: usize) {
-        if let Some(report) = self.record(buffer, index, tid, AccessKind::Read) {
-            panic!("{report}");
-        }
-    }
-
-    /// Logs one access; returns the report when it was out of bounds.
+    /// Logs the accesses of one row under one lock; returns the report
+    /// when the row reaches past the buffer (then nothing is logged).
     fn record(
         &self,
         buffer: u32,
-        index: usize,
+        start: usize,
+        len: usize,
         tid: usize,
         kind: AccessKind,
     ) -> Option<RaceReport> {
         let mut s = self.lock();
-        let len = s.buffers[buffer as usize].1;
-        if index >= len {
+        let (ref label, buf_len) = s.buffers[buffer as usize];
+        if start.checked_add(len).is_none_or(|end| end > buf_len) {
             let report = RaceReport {
                 kernel: s
                     .current
                     .as_ref()
                     .map_or_else(String::new, |c| c.label.clone()),
                 launch: s.current.as_ref().map_or(0, |c| c.ordinal),
-                buffer: s.buffers[buffer as usize].0.clone(),
-                index,
+                buffer: label.clone(),
+                // The first slot of the row past the end.
+                index: start.max(buf_len),
                 kind: ConflictKind::OutOfBounds { tid },
             };
             if s.reports.len() < self.cfg.max_reports {
@@ -366,20 +384,22 @@ impl Sanitizer {
         // An uncovered access is reported (and panics under fail_fast)
         // but is still *performed* — unlike OOB there is nothing unsafe
         // about it, only the declaration is wrong.
-        let covered = ctx.declared.get(&buffer).is_some_and(|effects| {
-            effects.iter().any(|(k, pattern)| {
+        let declared = ctx.declared.get(&buffer).map_or(&[][..], Vec::as_slice);
+        let covers = |index: usize| {
+            declared.iter().any(|(k, pattern)| {
                 let kind_ok = match kind {
                     AccessKind::Read => matches!(k, EffectKind::Read | EffectKind::Atomic),
                     AccessKind::Write => matches!(k, EffectKind::Write | EffectKind::Atomic),
                 };
                 kind_ok && pattern.covers(tid, index)
             })
-        });
-        if !covered {
+        };
+        let uncovered = (start..start + len).find(|&index| !covers(index));
+        if let Some(index) = uncovered {
             let report = RaceReport {
                 kernel: ctx.label.clone(),
                 launch: ctx.ordinal,
-                buffer: s.buffers[buffer as usize].0.clone(),
+                buffer: label.clone(),
                 index,
                 kind: ConflictKind::UndeclaredAccess { tid, access: kind },
             };
@@ -390,12 +410,12 @@ impl Sanitizer {
                 panic!("{report}");
             }
         }
-        s.log.push(AccessRecord {
+        s.log.extend((start..start + len).map(|index| AccessRecord {
             buffer,
             index,
             tid,
             kind,
-        });
+        }));
         None
     }
 

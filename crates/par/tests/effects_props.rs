@@ -19,7 +19,9 @@ mod common;
 use common::{inspecting_executor, loose};
 use proptest::prelude::*;
 
-use parsweep_par::{BufId, ConflictKind, Effect, EffectTable, Executor, Pattern, StaticHazard};
+use parsweep_par::{
+    BufId, ConflictKind, DeviceSlice, Effect, EffectTable, Executor, Pattern, StaticHazard,
+};
 
 /// One randomly generated effect: kind + affine per-tid footprint.
 #[derive(Clone, Copy, Debug)]
@@ -106,35 +108,46 @@ fn static_classes(spec: &GenLaunch) -> (Vec<StaticHazard>, Vec<Class>) {
     (hazards, classes)
 }
 
+/// Performs tid `tid`'s accesses of the generated launch over `cells`:
+/// one slot at a time, or (`rows`) each effect's footprint as one row.
+/// Reads are clamped to the buffer (`record_read` panics on OOB); writes
+/// run unclamped because the sanitizer reports and suppresses them.
+fn mirror(cells: &DeviceSlice<'_, u64>, spec: &GenLaunch, rows: bool, tid: usize) {
+    for e in &spec.effects {
+        let start = e.base + tid * e.stride;
+        // SAFETY: the whole point — replays the declared (possibly
+        // hazardous) accesses under the sanitizer, which serializes tids
+        // and suppresses OOB writes; each row is dropped before the next
+        // is taken.
+        unsafe {
+            if rows && e.write {
+                cells.row_mut(tid, start, e.span).fill(1);
+            } else if rows {
+                let len = e.span.min(spec.len.saturating_sub(start));
+                let _ = cells.row(tid, start.min(spec.len), len);
+            } else {
+                for index in start..start + e.span {
+                    if e.write {
+                        cells.write(tid, index, 1);
+                    } else if index < spec.len {
+                        let _ = cells.read(tid, index);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Runs the mirror kernel — it performs exactly the generated accesses —
-/// under the dynamic sanitizer and collects hazard classes. Reads are
-/// clamped to the buffer (`record_read` panics on OOB); writes run
-/// unclamped because the sanitizer reports and suppresses them.
-fn dynamic_classes(spec: &GenLaunch) -> Vec<Class> {
+/// under the dynamic sanitizer and collects hazard classes.
+fn dynamic_classes(spec: &GenLaunch, rows: bool) -> Vec<Class> {
     let exec = inspecting_executor();
     let (table, buf, loosest) = loose("prop.buf", spec.len);
     let mut data = vec![0u64; spec.len];
     {
         let cells = exec.bind_table(&table, buf, &mut data);
-        let cells = &cells;
-        let effects = &spec.effects;
-        let len = spec.len;
-        exec.launch_declared(&table, "prop", spec.width, &loosest, move |tid| {
-            for e in effects {
-                for k in 0..e.span {
-                    let index = e.base + tid * e.stride + k;
-                    // SAFETY: the whole point — replays the declared
-                    // (possibly hazardous) accesses under the sanitizer,
-                    // which serializes tids and suppresses OOB writes.
-                    unsafe {
-                        if e.write {
-                            cells.write(tid, index, 1);
-                        } else if index < len {
-                            let _ = cells.read(tid, index);
-                        }
-                    }
-                }
-            }
+        exec.launch_declared(&table, "prop", spec.width, &loosest, |tid| {
+            mirror(&cells, spec, rows, tid)
         });
     }
     let mut classes: Vec<Class> = exec
@@ -155,7 +168,7 @@ fn dynamic_classes(spec: &GenLaunch) -> Vec<Class> {
 /// Replays the mirror kernel under its own (statically clean)
 /// declaration on a sanitizing executor: every access must be covered,
 /// so zero reports.
-fn audit_reports(spec: &GenLaunch) -> usize {
+fn audit_reports(spec: &GenLaunch, rows: bool) -> usize {
     let exec = inspecting_executor();
     let table = EffectTable::new();
     let buf = table.buffer("prop.buf", spec.len);
@@ -163,22 +176,8 @@ fn audit_reports(spec: &GenLaunch) -> usize {
     let mut data = vec![0u64; spec.len];
     {
         let cells = exec.bind_table(&table, buf, &mut data);
-        let cells = &cells;
-        let specs = &spec.effects;
-        exec.launch_declared(&table, "prop", spec.width, &effects, move |tid| {
-            for e in specs {
-                for k in 0..e.span {
-                    let index = e.base + tid * e.stride + k;
-                    // SAFETY: statically verified clean and in-bounds.
-                    unsafe {
-                        if e.write {
-                            cells.write(tid, index, 1);
-                        } else {
-                            let _ = cells.read(tid, index);
-                        }
-                    }
-                }
-            }
+        exec.launch_declared(&table, "prop", spec.width, &effects, |tid| {
+            mirror(&cells, spec, rows, tid)
         });
     }
     exec.take_reports().len()
@@ -188,29 +187,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Static hazard classes ⊇ dynamic hazard classes, with equality
-    /// when the declaration is statically in-bounds.
+    /// when the declaration is statically in-bounds — for a kernel that
+    /// accesses one slot at a time and for one that takes each footprint
+    /// as a row.
     #[test]
     fn static_checker_covers_dynamic_sanitizer(spec in arb_launch()) {
         let (hazards, s) = static_classes(&spec);
-        let d = dynamic_classes(&spec);
-        for c in &d {
-            prop_assert!(
-                s.contains(c),
-                "dynamic {c:?} missing statically; spec {spec:?}, static {hazards:?}"
-            );
-        }
-        let static_oob = s.contains(&Class::Oob);
-        if !static_oob {
-            prop_assert_eq!(
-                &s, &d,
-                "in-bounds declaration must agree exactly; spec {:?}, static {:?}",
-                spec, hazards
-            );
-        }
-        // Statically clean ⇒ the declared footprints cover every access
-        // the mirror performs: the audit stays silent.
-        if hazards.is_empty() {
-            prop_assert_eq!(audit_reports(&spec), 0);
+        for rows in [false, true] {
+            let d = dynamic_classes(&spec, rows);
+            for c in &d {
+                prop_assert!(
+                    s.contains(c),
+                    "dynamic {c:?} missing statically; rows {rows}, spec {spec:?}, static {hazards:?}"
+                );
+            }
+            let static_oob = s.contains(&Class::Oob);
+            if !static_oob {
+                prop_assert_eq!(
+                    &s, &d,
+                    "in-bounds declaration must agree exactly; rows {}, spec {:?}, static {:?}",
+                    rows, spec, hazards
+                );
+            }
+            // Statically clean ⇒ the declared footprints cover every
+            // access the mirror performs: the audit stays silent.
+            if hazards.is_empty() {
+                prop_assert_eq!(audit_reports(&spec, rows), 0);
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 mod common;
 
 use common::{inspecting_executor, loose};
-use parsweep_par::{ConflictKind, DeviceSlice, Executor};
+use parsweep_par::{AccessKind, ConflictKind, DeviceSlice, Effect, EffectTable, Executor, Pattern};
 use proptest::prelude::*;
 
 /// Runs `kernel` at width `n` over a zeroed `len`-slot buffer `buf`
@@ -79,6 +79,97 @@ fn out_of_bounds_write_is_reported_and_not_performed() {
         ConflictKind::OutOfBounds { tid: 0 }
     ));
     assert_eq!(buf, vec![0u32; 4], "OOB write must not be performed");
+}
+
+#[test]
+fn overlapping_rows_are_a_write_write_hazard_naming_both_tids() {
+    let exec = inspecting_executor();
+    let buf = run_loose(&exec, "rows.overlap", 2, 8, |tid, cells| {
+        // SAFETY: intentionally racy (tid 0 writes 0..4, tid 1 writes
+        // 3..7, sharing slot 3); sanitized launches are serialized, so no
+        // two rows are live at once.
+        let row = unsafe { cells.row_mut(tid, 3 * tid, 4) };
+        row.fill(tid as u32 + 1);
+    });
+    let reports = exec.take_reports();
+    assert_eq!(reports.len(), 1, "{reports:?}");
+    let r = &reports[0];
+    assert_eq!(r.kernel, "rows.overlap");
+    assert_eq!(r.buffer, "buf");
+    assert_eq!(r.index, 3);
+    assert_eq!(r.kind, ConflictKind::WriteWrite { tids: (0, 1) });
+    assert_eq!(buf, vec![1, 1, 1, 2, 2, 2, 2, 0]);
+}
+
+#[test]
+fn out_of_bounds_row_is_reported_and_not_performed() {
+    let exec = inspecting_executor();
+    let buf = run_loose(&exec, "rows.oob", 2, 6, |tid, cells| {
+        // SAFETY: tid 1's rows run past the end: the sanitizer reports
+        // them and hands out empty rows instead.
+        unsafe {
+            let read = cells.row(tid, 4 * tid, 4);
+            assert_eq!(read.len(), if tid == 0 { 4 } else { 0 });
+            cells.row_mut(tid, 4 * tid, 4).fill(9);
+        }
+    });
+    let reports = exec.take_reports();
+    assert_eq!(reports.len(), 2, "{reports:?}");
+    for r in &reports {
+        assert_eq!(r.kernel, "rows.oob");
+        // The first slot past the end.
+        assert_eq!(r.index, 6);
+        assert_eq!(r.kind, ConflictKind::OutOfBounds { tid: 1 });
+    }
+    assert_eq!(
+        buf,
+        vec![9, 9, 9, 9, 0, 0],
+        "no slot of the OOB row is written"
+    );
+}
+
+#[test]
+fn every_slot_of_a_row_is_audited_against_the_declaration() {
+    // Each tid declares two slots but takes a row of three: the third
+    // slot is an undeclared access, found by the audit.
+    let exec = inspecting_executor();
+    let table = EffectTable::new();
+    let id = table.buffer("rows", 8);
+    let own = Pattern::Affine {
+        base: 0,
+        stride: 2,
+        span: 2,
+    };
+    let mut buf = vec![0u32; 8];
+    {
+        let cells = exec.bind_table(&table, id, &mut buf);
+        exec.launch_declared(
+            &table,
+            "rows.undeclared",
+            1,
+            &[Effect::write(id, own)],
+            |tid| {
+                // SAFETY: in bounds and a single tid; only the declaration
+                // is too narrow.
+                unsafe { cells.row_mut(tid, 0, 3) }.fill(5);
+            },
+        );
+    }
+    let reports = exec.take_reports();
+    assert_eq!(reports.len(), 1, "{reports:?}");
+    assert_eq!(reports[0].index, 2);
+    assert_eq!(
+        reports[0].kind,
+        ConflictKind::UndeclaredAccess {
+            tid: 0,
+            access: AccessKind::Write
+        }
+    );
+    assert_eq!(
+        &buf[..4],
+        &[5, 5, 5, 0],
+        "an undeclared row is still performed"
+    );
 }
 
 #[test]

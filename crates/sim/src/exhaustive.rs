@@ -15,15 +15,31 @@
 //! *every* window (level-major, so windows are the launch's third
 //! dimension of parallelism rather than separate launch chains), and one
 //! `sim.exhaustive.compare` launch over every pair. Threads of windows
-//! that finished early return at once. The simulation table and outcome
-//! slots come from the executor's
-//! [`BufferArena`](parsweep_par::BufferArena) and are recycled across
-//! rounds and batches.
+//! that finished early return at once.
+//!
+//! The kernels move rows, not words. A row is one entry's `E`-word
+//! segment of the table, taken with
+//! [`DeviceSlice::row`](parsweep_par::DeviceSlice::row) or `row_mut`:
+//! a level thread zips its two fanin rows into its own, an input thread
+//! fills its row with projection words, a compare thread scans its two
+//! root rows for the first differing word. On a raw executor a row is a
+//! plain slice, so those loops compile like any slice loop; a sanitizing
+//! executor logs every slot of every row as a read or a write by the
+//! thread and audits it against the launch's declared effects, exactly as
+//! per-slot accesses would be.
+//!
+//! [`check_windows_in_batches`] splits a long window list into batches
+//! that fit the table budget. The batches share one node → entry map,
+//! one gate staging list and one simulation table, so compiling a batch
+//! costs its windows, not the AIG. The table and the outcome slots come
+//! from the executor's [`BufferArena`](parsweep_par::BufferArena).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use parsweep_aig::{Aig, Node, Var};
+use parsweep_aig::{Aig, Lit, Node, Var};
 use parsweep_par::{CancelToken, Effect, EffectTable, Executor, Pattern};
+use parsweep_trace as trace;
 
 use crate::tt::projection_word;
 use crate::window::Window;
@@ -64,15 +80,18 @@ pub struct SimEffort {
 }
 
 /// One AND gate of a compiled batch.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Gate {
     window: u32,
     /// The gate's own entry.
     out: u32,
-    /// Fanin entries (of lower depths) and their complement masks.
+    /// Fanin entries (of lower depths), each with [`COMPLEMENTED`] set
+    /// when the gate reads the fanin inverted.
     fanins: [u32; 2],
-    masks: [u64; 2],
 }
+
+/// The flag of a complemented fanin in [`Gate::fanins`].
+const COMPLEMENTED: u32 = 1 << 31;
 
 /// One candidate pair of a compiled batch.
 struct Compare {
@@ -86,6 +105,7 @@ struct Compare {
 
 /// A batch compiled into flat arrays over one entry table: every
 /// window's input entries first, then each window's gates.
+#[derive(Default)]
 struct Batch {
     /// Window owning input entry `t`.
     input_window: Vec<u32>,
@@ -102,29 +122,45 @@ struct Batch {
     window_depth: Vec<usize>,
 }
 
-impl Batch {
-    fn compile(aig: &Aig, windows: &[Window]) -> Batch {
-        let top = windows
-            .iter()
-            .flat_map(|w| w.inputs.iter().chain(&w.nodes))
-            .map(|v| v.index() + 1)
-            .max()
-            .unwrap_or(0);
-        // `at[v]` = (window-local depth + 1, entry) of a node of the
-        // current window; depth + 1 == 0 marks nodes outside it.
-        let mut at = vec![(0u32, 0u32); top];
+/// Host state shared by every batch one call compiles: the node → entry
+/// map, sized to the AIG once, and the staging list of gates, so that
+/// compiling a batch costs its windows, not the AIG.
+struct Compiler {
+    /// `at[v]` = (window-local depth + 1, entry) of a node of the window
+    /// being compiled; depth + 1 == 0 marks nodes outside it.
+    at: Vec<(u32, u32)>,
+    /// The batch's gates in window order, each with its depth.
+    staged: Vec<(u32, Gate)>,
+}
+
+impl Compiler {
+    fn new(aig: &Aig) -> Self {
+        Compiler {
+            at: vec![(0, 0); aig.num_nodes()],
+            staged: Vec::new(),
+        }
+    }
+
+    /// Compiles `windows` into `batch`, reusing its buffers.
+    fn compile(&mut self, aig: &Aig, windows: &[Window], batch: &mut Batch) {
+        let _span = trace::span("sim", "sim.exhaustive.compile");
+        let Compiler { at, staged } = self;
         let mut next = windows.iter().map(|w| w.inputs.len()).sum::<usize>() as u32;
-        let mut levels: Vec<Vec<Gate>> = Vec::new();
-        let mut batch = Batch {
-            input_window: Vec::with_capacity(next as usize),
-            input_base: Vec::with_capacity(windows.len()),
-            gates: Vec::new(),
-            depth_start: vec![0],
-            compares: Vec::new(),
-            window_gates: Vec::with_capacity(windows.len()),
-            window_depth: Vec::with_capacity(windows.len()),
-        };
+        batch.input_window.clear();
+        batch.input_base.clear();
+        batch.compares.clear();
+        batch.window_gates.clear();
+        batch.window_depth.clear();
+        staged.clear();
+        staged.reserve(windows.iter().map(|w| w.nodes.len()).sum());
         let mask = |complemented: bool| if complemented { u64::MAX } else { 0 };
+        let fanin = |entry: u32, lit: Lit| {
+            if lit.is_complemented() {
+                entry | COMPLEMENTED
+            } else {
+                entry
+            }
+        };
         for (i, w) in windows.iter().enumerate() {
             batch.input_base.push(batch.input_window.len());
             for v in &w.inputs {
@@ -141,20 +177,20 @@ impl Batch {
                 };
                 let (fa, fb) = (at[a.var().index()], at[b.var().index()]);
                 assert!(fa.0 != 0 && fb.0 != 0, "window is topologically closed");
-                let d = fa.0.max(fb.0) as usize;
-                if levels.len() < d {
-                    levels.resize_with(d, Vec::new);
-                }
-                levels[d - 1].push(Gate {
-                    window: i as u32,
-                    out: next,
-                    fanins: [fa.1, fb.1],
-                    masks: [mask(a.is_complemented()), mask(b.is_complemented())],
-                });
-                at[v.index()] = (d as u32 + 1, next);
+                let d = fa.0.max(fb.0);
+                staged.push((
+                    d - 1,
+                    Gate {
+                        window: i as u32,
+                        out: next,
+                        fanins: [fanin(fa.1, a), fanin(fb.1, b)],
+                    },
+                ));
+                at[v.index()] = (d + 1, next);
                 next += 1;
+                assert!(next < COMPLEMENTED, "batch entries fit the fanin encoding");
                 gates += 1;
-                deepest = deepest.max(d);
+                deepest = deepest.max(d as usize);
             }
             let entry = |v: Var| {
                 (!v.is_const()).then(|| {
@@ -176,12 +212,37 @@ impl Batch {
             batch.window_gates.push(gates);
             batch.window_depth.push(deepest);
         }
-        for level in levels {
-            batch.gates.extend(level);
-            batch.depth_start.push(batch.gates.len());
+        // A stable counting sort by depth: depth-major, window order
+        // within a depth.
+        let depth = batch.window_depth.iter().copied().max().unwrap_or(0);
+        batch.depth_start.clear();
+        batch.depth_start.resize(depth + 1, 0);
+        for &(d, _) in staged.iter() {
+            batch.depth_start[d as usize + 1] += 1;
         }
-        batch
+        for d in 0..depth {
+            batch.depth_start[d + 1] += batch.depth_start[d];
+        }
+        let mut cursor = batch.depth_start.clone();
+        batch.gates.clear();
+        batch.gates.resize(staged.len(), Gate::default());
+        for &(d, gate) in staged.iter() {
+            batch.gates[cursor[d as usize]] = gate;
+            cursor[d as usize] += 1;
+        }
     }
+}
+
+/// Entry size `E` of a batch: the largest power of two with `E * N <= M`
+/// (at least 1), capped at the batch's longest truth table.
+fn entry_words(windows: &[Window], memory_words: usize) -> usize {
+    let total_entries: usize = windows.iter().map(Window::num_entries).sum();
+    let max_tt = windows.iter().map(Window::tt_words).max().unwrap_or(1);
+    let mut entry_words = 1usize;
+    while entry_words < max_tt && entry_words * 2 * total_entries <= memory_words {
+        entry_words *= 2;
+    }
+    entry_words
 }
 
 /// Runs Algorithm 1 on a batch of windows.
@@ -223,26 +284,117 @@ pub fn check_windows_cancellable(
     memory_words: usize,
     token: &CancelToken,
 ) -> (Vec<Vec<PairOutcome>>, SimEffort) {
+    check_windows_in_batches(aig, exec, windows, memory_words, usize::MAX, token)
+}
+
+/// [`check_windows_cancellable`] over consecutive batches of `windows`,
+/// each holding at most `batch_entries` simulation-table entries (a
+/// window larger than that is a batch of its own), so that each batch's
+/// table fits `memory_words`.
+///
+/// Every batch gets its own entry size `E`, exactly as if it were checked
+/// alone, but one node map, one gate staging list and one simulation
+/// table (sized for the largest batch) serve them all: host setup costs
+/// each batch its windows. The token is also polled between batches;
+/// windows of batches never started get empty outcome vectors. The
+/// effort sums words and rounds over the batches; its `entry_words` is
+/// the largest `E` chosen.
+///
+/// # Panics
+///
+/// Panics if `memory_words == 0`.
+pub fn check_windows_in_batches(
+    aig: &Aig,
+    exec: &Executor,
+    windows: &[Window],
+    memory_words: usize,
+    batch_entries: usize,
+    token: &CancelToken,
+) -> (Vec<Vec<PairOutcome>>, SimEffort) {
     assert!(memory_words > 0, "simulation table needs some memory");
     if windows.is_empty() {
         return (Vec::new(), SimEffort::default());
     }
-    let batch = Batch::compile(aig, windows);
+    // Each batch: its windows and its entry size.
+    let mut batches: Vec<(Range<usize>, usize)> = Vec::new();
+    let mut start = 0;
+    while start < windows.len() {
+        let (mut entries, mut end) = (0usize, start);
+        while end < windows.len() {
+            let e = windows[end].num_entries();
+            if end > start && entries + e > batch_entries {
+                break;
+            }
+            entries += e;
+            end += 1;
+        }
+        batches.push((start..end, entry_words(&windows[start..end], memory_words)));
+        start = end;
+    }
+    let sum = |r: &Range<usize>, f: fn(&Window) -> usize| windows[r.clone()].iter().map(f).sum();
+    let table_len = batches
+        .iter()
+        .map(|(r, e)| e * sum(r, Window::num_entries))
+        .max()
+        .unwrap_or(0);
+    let max_pairs = batches
+        .iter()
+        .map(|(r, _)| sum(r, |w| w.pairs.len()))
+        .max()
+        .unwrap_or(0);
+    // Every batch overwrites the table rows it reads before reading them,
+    // and leaves every outcome slot it used taken (`None`) again.
+    let mut simt = exec.arena().take::<u64>(table_len);
+    let mut outcomes = exec.arena().take::<Option<PairOutcome>>(max_pairs);
+    let mut compiler = Compiler::new(aig);
+    let mut batch = Batch::default();
+    let mut results = Vec::with_capacity(windows.len());
+    let mut effort = SimEffort::default();
+    for (range, entry_words) in batches {
+        if token.is_cancelled() {
+            break;
+        }
+        let windows = &windows[range];
+        compiler.compile(aig, windows, &mut batch);
+        let (res, e) = run_batch(
+            exec,
+            &batch,
+            windows,
+            entry_words,
+            &mut simt,
+            &mut outcomes,
+            token,
+        );
+        results.extend(res);
+        effort.words += e.words;
+        effort.rounds += e.rounds;
+        effort.entry_words = effort.entry_words.max(entry_words);
+    }
+    // Pad cancelled-away windows with empty outcomes so indexing by
+    // window position stays valid.
+    results.resize_with(windows.len(), Vec::new);
+    (results, effort)
+}
+
+/// Simulates one compiled batch in rounds of `entry_words`-word segments
+/// over the front of `simt` and `outcomes`.
+fn run_batch(
+    exec: &Executor,
+    batch: &Batch,
+    windows: &[Window],
+    entry_words: usize,
+    simt: &mut [u64],
+    outcomes: &mut [Option<PairOutcome>],
+    token: &CancelToken,
+) -> (Vec<Vec<PairOutcome>>, SimEffort) {
     let total_entries: usize = windows.iter().map(Window::num_entries).sum();
     let tt_words: Vec<usize> = windows.iter().map(Window::tt_words).collect();
-
-    // Entry size E: the largest power of two with E * N <= M (at least 1),
-    // capped at the longest truth table in the batch.
     let max_tt = tt_words.iter().copied().max().unwrap_or(1);
-    let mut entry_words = 1usize;
-    while entry_words < max_tt && entry_words * 2 * total_entries <= memory_words {
-        entry_words *= 2;
-    }
     let rounds = max_tt.div_ceil(entry_words);
 
     let total_pairs = batch.compares.len();
-    let mut simt = exec.arena().take::<u64>(entry_words * total_entries);
-    let mut outcomes = exec.arena().take::<Option<PairOutcome>>(total_pairs);
+    let simt = &mut simt[..entry_words * total_entries];
+    let outcomes = &mut outcomes[..total_pairs];
     let resolved: Vec<AtomicBool> = (0..total_pairs).map(|_| AtomicBool::new(false)).collect();
     let unresolved: Vec<AtomicUsize> = windows
         .iter()
@@ -258,8 +410,8 @@ pub fn check_windows_cancellable(
         let table = EffectTable::new();
         let tbl_buf = table.buffer("sim.exhaustive.table", entry_words * total_entries);
         let out_buf = table.buffer("sim.exhaustive.outcomes", total_pairs);
-        let cells = exec.bind_table(&table, tbl_buf, &mut simt);
-        let out_cells = exec.bind_table(&table, out_buf, &mut outcomes);
+        let cells = exec.bind_table(&table, tbl_buf, simt);
+        let out_cells = exec.bind_table(&table, out_buf, outcomes);
         let gate_base = batch.input_window.len();
         let (lo, hi) = (gate_base * entry_words, total_entries * entry_words);
         // Thread t owns input entry t: stride == span, so the checker
@@ -283,7 +435,7 @@ pub fn check_windows_cancellable(
             reads,
             Effect::write(out_buf, Pattern::Affine { base, stride, span }),
         ];
-        let (batch, cells, out_cells) = (&batch, &cells, &out_cells);
+        let (cells, out_cells) = (&cells, &out_cells);
 
         for r in 0..rounds {
             if token.is_cancelled() {
@@ -312,10 +464,10 @@ pub fn check_windows_cancellable(
                     return;
                 }
                 let j = t - batch.input_base[i];
-                for w in 0..active_words(i) {
-                    let word = projection_word(j, r * entry_words + w);
-                    // SAFETY: input entry t belongs to thread t alone.
-                    unsafe { cells.write(t, t * entry_words + w, word) };
+                // SAFETY: input entry t belongs to thread t alone.
+                let row = unsafe { cells.row_mut(t, t * entry_words, active_words(i)) };
+                for (w, o) in row.iter_mut().enumerate() {
+                    *o = projection_word(j, r * entry_words + w);
                 }
             });
             for d in 0..depths {
@@ -326,16 +478,23 @@ pub fn check_windows_cancellable(
                     if !active[i] {
                         return;
                     }
-                    let [ba, bb] = g.fanins.map(|e| e as usize * entry_words);
-                    let bv = g.out as usize * entry_words;
-                    for w in 0..active_words(i) {
-                        // SAFETY: fanin entries were written by earlier
-                        // launches; gate t writes only its own entry.
-                        unsafe {
-                            let wa = cells.read(t, ba + w) ^ g.masks[0];
-                            let wb = cells.read(t, bb + w) ^ g.masks[1];
-                            cells.write(t, bv + w, wa & wb);
-                        }
+                    let n = active_words(i);
+                    let [ma, mb] = g
+                        .fanins
+                        .map(|f| if f & COMPLEMENTED != 0 { u64::MAX } else { 0 });
+                    let [ea, eb] = g.fanins.map(|f| (f & !COMPLEMENTED) as usize * entry_words);
+                    // SAFETY: fanin entries were written by earlier
+                    // launches and are distinct from the gate's own entry,
+                    // which gate t alone writes.
+                    let (ra, rb, out) = unsafe {
+                        (
+                            cells.row(t, ea, n),
+                            cells.row(t, eb, n),
+                            cells.row_mut(t, g.out as usize * entry_words, n),
+                        )
+                    };
+                    for ((o, &a), &b) in out.iter_mut().zip(ra).zip(rb) {
+                        *o = (a ^ ma) & (b ^ mb);
                     }
                 });
             }
@@ -355,30 +514,28 @@ pub fn check_windows_cancellable(
                     } else {
                         u64::MAX
                     };
-                    let [ea, eb] = c.roots.map(|e| e.map(|e| e as usize * entry_words));
-                    for w in 0..active_words(i) {
-                        // SAFETY: root entries were written by earlier
-                        // launches of this round.
-                        let wa = ea.map_or(0, |e| unsafe { cells.read(t, e + w) });
-                        // SAFETY: as above.
-                        let wb = eb.map_or(0, |e| unsafe { cells.read(t, e + w) });
-                        let diff = (wa ^ wb ^ c.cmask) & valid;
-                        if diff != 0 {
-                            let bit = diff.trailing_zeros() as u64;
-                            let pattern_index = ((r * entry_words + w) as u64) << 6 | bit;
-                            let assignment = (0..c.num_inputs)
-                                .map(|j| pattern_index >> j & 1 == 1)
-                                .collect();
-                            resolved[t].store(true, Ordering::Relaxed);
-                            unresolved[i].fetch_sub(1, Ordering::Relaxed);
-                            let mismatch = PairOutcome::Mismatch {
-                                pattern_index,
-                                assignment,
-                            };
-                            // SAFETY: outcome slot t belongs to thread t alone.
-                            unsafe { out_cells.write(t, t, Some(mismatch)) };
-                            return;
-                        }
+                    let n = active_words(i);
+                    // SAFETY: root entries were written by earlier
+                    // launches of this round.
+                    let [ra, rb] = c
+                        .roots
+                        .map(|e| e.map(|e| unsafe { cells.row(t, e as usize * entry_words, n) }));
+                    let word = |row: Option<&[u64]>, w: usize| row.map_or(0, |row| row[w]);
+                    let diff = |w: usize| (word(ra, w) ^ word(rb, w) ^ c.cmask) & valid;
+                    if let Some(w) = (0..n).find(|&w| diff(w) != 0) {
+                        let bit = diff(w).trailing_zeros() as u64;
+                        let pattern_index = ((r * entry_words + w) as u64) << 6 | bit;
+                        let assignment = (0..c.num_inputs)
+                            .map(|j| pattern_index >> j & 1 == 1)
+                            .collect();
+                        resolved[t].store(true, Ordering::Relaxed);
+                        unresolved[i].fetch_sub(1, Ordering::Relaxed);
+                        let mismatch = PairOutcome::Mismatch {
+                            pattern_index,
+                            assignment,
+                        };
+                        // SAFETY: outcome slot t belongs to thread t alone.
+                        unsafe { out_cells.write(t, t, Some(mismatch)) };
                     }
                 },
             );

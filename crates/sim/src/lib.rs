@@ -49,7 +49,8 @@ pub use classes::{
 };
 pub use cone::{cone_truth_table, MAX_CONE_VARS};
 pub use exhaustive::{
-    check_windows, check_windows_cancellable, PairOutcome, SimEffort, DEFAULT_MEMORY_WORDS,
+    check_windows, check_windows_cancellable, check_windows_in_batches, PairOutcome, SimEffort,
+    DEFAULT_MEMORY_WORDS,
 };
 pub use partial::{simulate, simulate_cone, Patterns, Signatures};
 pub use resim::ResimPlan;

@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 
-use parsweep_aig::{Aig, Var};
+use parsweep_aig::{Aig, Lit, Var};
 use parsweep_par::{CancelToken, Executor};
 use parsweep_sim::{
-    check_windows, check_windows_cancellable, PairCheck, PairOutcome, TruthTable, Window,
+    check_windows, check_windows_cancellable, check_windows_in_batches, merge_windows, PairCheck,
+    PairOutcome, SimEffort, TruthTable, Window, DEFAULT_MEMORY_WORDS,
 };
 
 fn arb_tt(num_vars: usize) -> impl Strategy<Value = TruthTable> {
@@ -201,6 +202,124 @@ proptest! {
         token.cancel();
         let (out, _) = check_windows_cancellable(&aig, &exec, &windows, memory_words, &token);
         prop_assert!(out.iter().all(Vec::is_empty));
+    }
+}
+
+/// A batch of windows over 7-12 inputs each (tables of 2-64 words). Each
+/// pick adds three pairs: one equal by construction, one of two random
+/// gates under a shared cube (equal or differing anywhere), and a
+/// constant candidate (the cube) that differs at the first assignment or
+/// only at the cube's one assignment, deep in the table. A pick's pairs
+/// get a window each, or share one merged window.
+fn wide_windows(seed: u64, ands: usize, picks: &[u64]) -> (Aig, Vec<Window>) {
+    let mut aig = parsweep_aig::random::random_aig(12, ands, 1, seed);
+    let gates: Vec<Var> = aig.and_vars().collect();
+    let pis: Vec<Var> = aig.pis().to_vec();
+    let mut windows = Vec::new();
+    for &pick in picks {
+        let k = 7 + (pick % 6) as usize;
+        let cube = aig.and_all(pis[..k].iter().map(|v| v.lit()));
+        let p = gates[(pick >> 8) as usize % gates.len()].lit();
+        let q = gates[(pick >> 24) as usize % gates.len()].lit();
+        // p ^ cube, built two ways: an equal pair.
+        let f = aig.xor(p, cube);
+        let g = {
+            let t0 = aig.and(p, !cube);
+            let t1 = aig.and(!p, cube);
+            aig.or(t0, t1)
+        };
+        // (p ^ cube) against (q ^ cube): equal iff p == q.
+        let h = aig.xor(q, cube);
+        let pair = |a: Lit, b: Lit, complement: bool| PairCheck {
+            a: a.var().min(b.var()),
+            b: a.var().max(b.var()),
+            complement: complement != (a.is_complemented() != b.is_complemented()),
+        };
+        let pairs = [
+            pair(f, g, false),
+            pair(f, h, pick >> 40 & 1 == 1),
+            PairCheck {
+                a: Var::FALSE,
+                b: cube.var(),
+                complement: cube.is_complemented() == (pick >> 41 & 1 == 1),
+            },
+        ];
+        let own: Vec<Window> = pairs
+            .into_iter()
+            .filter(|p| p.a != p.b)
+            .map(|pair| Window::global(&aig, pair))
+            .collect();
+        if pick >> 42 & 1 == 1 {
+            windows.extend(merge_windows(own, 12));
+        } else {
+            windows.extend(own);
+        }
+    }
+    (aig, windows)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Algorithm 1's outcomes do not depend on how the table is cut into
+    /// rounds, how the batch is split, how many threads run it or whether
+    /// a sanitizer audits it: every budget from one word per entry up to
+    /// the default, one and two threads, raw and audited, give the same
+    /// outcomes, pattern indices and assignments — and, at one budget,
+    /// the same effort.
+    #[test]
+    fn check_windows_is_invariant_under_budget_threads_and_audit(
+        seed in any::<u64>(),
+        ands in 20usize..80,
+        picks in proptest::collection::vec(any::<u64>(), 2..4),
+    ) {
+        let (aig, windows) = wide_windows(seed, ands, &picks);
+        prop_assert!(windows.iter().all(|w| (7..=12).contains(&w.num_inputs())));
+        // The audited run takes the batch as it is; the raw runs take it
+        // 40 times over: with at least 7 inputs a window, the inputs
+        // launch is then wide enough for the two-thread executor to
+        // dispatch it to its pool.
+        let copies = 40;
+        let wide: Vec<Window> = (0..copies).flat_map(|_| windows.iter().cloned()).collect();
+        let entries: usize = windows.iter().map(Window::num_entries).sum();
+        // Every budget for the batch as it is; the least and the default
+        // for the copies. Split runs: one window a batch, or half the
+        // copies a batch.
+        let budgets = [1, entries, 3 * entries, 16 * entries, DEFAULT_MEMORY_WORDS];
+        let runs = [
+            (&windows, &budgets[..], 1, [Executor::with_threads(1), Executor::with_sanitizer(2)]),
+            (
+                &wide,
+                &[1, DEFAULT_MEMORY_WORDS][..],
+                entries * copies / 2,
+                [Executor::with_threads(1), Executor::with_threads(2)],
+            ),
+        ];
+        let (reference, _) = check_windows(&aig, &runs[0].3[0], &windows, DEFAULT_MEMORY_WORDS);
+        for (batch, budgets, split_entries, executors) in &runs {
+            for &memory_words in *budgets {
+                let expected: Vec<Vec<PairOutcome>> =
+                    (0..batch.len() / windows.len()).flat_map(|_| reference.clone()).collect();
+                let mut efforts: Vec<SimEffort> = Vec::new();
+                for exec in executors {
+                    let (out, effort) = check_windows(&aig, exec, batch, memory_words);
+                    prop_assert_eq!(&out, &expected, "budget {}", memory_words);
+                    efforts.push(effort);
+                    // Every batch reuses the table and the outcome slots
+                    // the one before it left behind.
+                    let token = CancelToken::never();
+                    let (split, _) = check_windows_in_batches(
+                        &aig, exec, batch, memory_words, *split_entries, &token,
+                    );
+                    prop_assert_eq!(&split, &expected, "split at budget {}", memory_words);
+                }
+                prop_assert_eq!(efforts[0], efforts[1], "budget {}", memory_words);
+                if memory_words == 1 {
+                    prop_assert_eq!(efforts[0].entry_words, 1);
+                }
+            }
+        }
+        prop_assert!(runs[1].3[1].stats().launches > 0, "no launch reached the pool");
     }
 }
 

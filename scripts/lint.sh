@@ -23,7 +23,10 @@
 #   5. kernel sanitizer      PARSWEEP_SANITIZE=1 makes every executor audit:
 #                            launches run serialized, every access is checked
 #                            against the launch's declared effects and the
-#                            access log is race-checked (racecheck analogue)
+#                            access log is race-checked (racecheck analogue);
+#                            then an audited release `check` of the sqrt
+#                            mutant, whose P and G row kernels run many
+#                            rounds, must exit 1
 #   6. benchmark             the benchmark package builds against the tree
 #                            and passes its smoke run
 set -euo pipefail
@@ -94,6 +97,13 @@ cargo test -p parsweep-par --test effects_static --test effects_props -q
 echo "==> audited tests (PARSWEEP_SANITIZE=1)"
 PARSWEEP_SANITIZE=1 cargo test -p parsweep-par -p parsweep-sim -p parsweep-cut -p parsweep-sat -p parsweep-core -p parsweep-svc -p parsweep-net -q
 PARSWEEP_SANITIZE=1 cargo test --test sanitizer_engine --test edge_cases -q
+
+echo "==> audited end-to-end check: the sqrt mutant's P and G row kernels, many rounds (exit 1)"
+cargo build --release --bin parsweep
+status=0
+PARSWEEP_SANITIZE=1 target/release/parsweep check benchmark/inputs/sqrt_w10_1xd.L.aig \
+    benchmark/inputs/sqrt_w10_1xd.rare.R.aig --budget 60 >/dev/null || status=$?
+[ "$status" -eq 1 ] || { echo "expected exit 1 (not equivalent), got $status" >&2; exit 1; }
 
 echo "==> benchmark build + smoke run"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
