@@ -1,7 +1,6 @@
 //! The combined flow: the simulation engine's P and G phases, then the
-//! proving dispatcher on the whole miter they leave undecided — the
-//! paper's "Ours (GPU+ABC)" column with the SAT sweeper taking over
-//! where the L phases would otherwise run.
+//! seeded SAT sweep on the whole miter they leave undecided — the paper's
+//! "Ours (GPU+ABC)" column, with the SAT sweeper in ABC `&cec`'s place.
 //!
 //! The L phases (Algorithm 2) are left out on purpose: the SAT sweeper
 //! proves candidate pairs bottom-up and keeps each proof as equivalence
@@ -11,22 +10,20 @@
 
 use parsweep_aig::Aig;
 use parsweep_par::{CancelToken, Executor};
-use parsweep_sat::{ProveOutcome, Prover, SweepConfig, Verdict};
+use parsweep_sat::{sat_sweep_seeded_cancellable, SweepConfig, SweepStats, Verdict};
 use parsweep_trace as trace;
-use parsweep_trace::WallClock;
 
 use crate::config::EngineConfig;
 use crate::engine::{sim_sweep_pg, EngineResult};
-use crate::prove::{build_prover, refine_velocity};
 
 /// Configuration of the combined flow.
 #[derive(Clone, Debug, Default)]
 pub struct CombinedConfig {
-    /// Simulation-based engine parameters: the flow's own P and G phases
-    /// run under them, as does the prover's sim engine (all phases).
+    /// Simulation-based engine parameters the flow's P and G phases run
+    /// under.
     pub engine: EngineConfig,
-    /// SAT sweeping parameters for the dispatcher's SAT engine (its
-    /// `wall_budget` bounds each SAT attempt).
+    /// SAT sweeping parameters of the finishing sweep (its `wall_budget`
+    /// bounds the sweep).
     pub sat: SweepConfig,
 }
 
@@ -37,9 +34,9 @@ pub struct CombinedResult {
     pub verdict: Verdict,
     /// The simulation-based engine's P+G result (always runs first).
     pub engine: EngineResult,
-    /// The dispatch of the engine's reduced miter as one class; `None`
-    /// when the engine decided alone.
-    pub dispatch: Option<ProveOutcome>,
+    /// Statistics of the SAT sweep over the engine's reduced miter;
+    /// `None` when the engine decided alone.
+    pub dispatch: Option<SweepStats>,
     /// Engine wall-clock seconds (the paper's "GPU (s)").
     pub engine_seconds: f64,
     /// Finishing wall-clock seconds (the paper's "ABC (s)").
@@ -54,42 +51,25 @@ impl CombinedResult {
 }
 
 /// Runs the simulation engine's P and G phases and, if the miter remains
-/// undecided, hands the reduced miter to the proving dispatcher.
+/// undecided, finishes the reduced miter with the SAT sweep.
 pub fn combined_check(miter: &Aig, exec: &Executor, cfg: &CombinedConfig) -> CombinedResult {
     combined_check_cancellable(miter, exec, cfg, &CancelToken::never())
 }
 
 /// Like [`combined_check`], polling `token` at the engine's phase
-/// boundaries and at every finishing engine's checkpoints. On
-/// cancellation the flow stops where it is — possibly between the two
-/// stages — with an `Undecided` verdict and whatever reduction completed;
-/// it never reports a wrong proof or disproof.
+/// boundaries and at the sweep's checkpoints. On cancellation the flow
+/// stops where it is — possibly between the two stages — with an
+/// `Undecided` verdict and whatever reduction completed; it never reports
+/// a wrong proof or disproof.
+///
+/// The sweep is seeded with G's disproof counter-examples (the paper's
+/// §V *EC transfer*: the reduced miter keeps the input's PIs, so they
+/// need no projection), so pairs G already split are never re-checked by
+/// SAT. The sweep's verdict is the miter's.
 pub fn combined_check_cancellable(
     miter: &Aig,
     exec: &Executor,
     cfg: &CombinedConfig,
-    token: &CancelToken,
-) -> CombinedResult {
-    let prover = build_prover(&cfg.sat, &cfg.engine);
-    combined_check_with_prover(miter, exec, cfg, &prover, token)
-}
-
-/// [`combined_check_cancellable`] with a caller-supplied [`Prover`] — the
-/// service shares one prover (and its difficulty model) across workers so
-/// routing keeps learning across jobs. `cfg.sat` is then unused: the
-/// prover's SAT engine carries its own configuration.
-///
-/// The sim engine runs P and G; the reduced miter they leave undecided is
-/// dispatched as one class, with G's sim-refinement velocity folded into
-/// the difficulty features and G's disproof counter-examples as seeds
-/// (the paper's §V *EC transfer*: the reduced miter keeps the input's
-/// PIs, so they need no projection). The class verdict is the miter's,
-/// and a cancelled dispatch stays `Undecided` — partial, never wrong.
-pub fn combined_check_with_prover(
-    miter: &Aig,
-    exec: &Executor,
-    cfg: &CombinedConfig,
-    prover: &Prover,
     token: &CancelToken,
 ) -> CombinedResult {
     let engine = sim_sweep_pg(miter, exec, &cfg.engine, token);
@@ -100,25 +80,21 @@ pub fn combined_check_with_prover(
         let mut span = trace::span("engine", "engine.sat_fallback");
         span.arg_u64("ands", engine.reduced.num_ands() as u64);
         span.arg_u64("seeds", engine.disproof_cexs.len() as u64);
-        // The engine's tables are dead; give them back before finishers
-        // of a different shape (and, in a race, two at once) allocate
-        // theirs, so the flow peaks at the larger of the two stages
-        // rather than their sum.
+        // The engine's tables are dead; give them back before the sweep
+        // allocates its own, so the flow peaks at the larger of the two
+        // stages rather than their sum.
         exec.arena().trim();
-        let mut difficulty = prover.difficulty(&engine.reduced);
-        difficulty.refine_velocity = Some(refine_velocity(&engine.stats));
-        let out = prover.prove_class(
+        let sweep = sat_sweep_seeded_cancellable(
             &engine.reduced,
-            &difficulty,
-            &engine.disproof_cexs,
             exec,
+            &cfg.sat,
+            &engine.disproof_cexs,
             token,
-            &WallClock::new(),
         );
-        verdict = out.verdict.clone();
-        dispatch = Some(out);
+        verdict = sweep.verdict;
+        dispatch = Some(sweep.stats);
     }
-    let sat_seconds = dispatch.as_ref().map_or(0.0, |o| o.seconds);
+    let sat_seconds = dispatch.map_or(0.0, |s| s.seconds);
     CombinedResult {
         verdict,
         engine,
@@ -175,7 +151,7 @@ mod tests {
             &wide_multiplier_ish(5, true),
         )
         .unwrap();
-        // Cripple the engine so the dispatcher must finish the job.
+        // Cripple the engine so the sweep must finish the job.
         let mut cfg = CombinedConfig::default();
         cfg.engine.k_po_all = 4;
         cfg.engine.k_po = 4;
@@ -184,7 +160,7 @@ mod tests {
         cfg.engine.cut = parsweep_cut::CutParams { k_l: 3, c: 2 };
         let r = combined_check(&m, &exec(), &cfg);
         assert_eq!(r.verdict, Verdict::Equivalent);
-        assert!(r.dispatch.is_some(), "the residual must be dispatched");
+        assert!(r.dispatch.is_some(), "the residual must be swept");
         assert!(r.total_seconds() >= r.engine_seconds);
     }
 
@@ -216,61 +192,66 @@ mod tests {
         assert!(r.sat_seconds == 0.0 && r.sat_seconds.is_sign_positive());
     }
 
-    /// Records how many seeds it is handed, and checks each spans the
-    /// class's PIs; never decides.
-    struct SeedProbe(std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
-
-    impl parsweep_sat::ProofEngine for SeedProbe {
-        fn kind(&self) -> parsweep_sat::EngineKind {
-            parsweep_sat::EngineKind::Structural
-        }
-        fn prefilter(&self) -> bool {
-            true
-        }
-        fn prior_cost_micros(&self, _difficulty: &parsweep_sat::Difficulty) -> u64 {
-            0
-        }
-        fn prove(
-            &self,
-            cone: &Aig,
-            _exec: &Executor,
-            seeds: &[Cex],
-            _token: &CancelToken,
-        ) -> parsweep_sat::EngineReport {
-            assert!(seeds.iter().all(|s| s.inputs().len() == cone.num_pis()));
-            self.0.lock().unwrap().push(seeds.len());
-            parsweep_sat::EngineReport {
-                verdict: Verdict::Undecided,
-                stats: Default::default(),
-            }
-        }
+    /// An OR over every run of `k` consecutive inputs being all ones:
+    /// each run's AND is rarely one under random patterns. `balanced`
+    /// picks balanced trees, otherwise right-associated chains.
+    fn rare_runs(n: usize, k: usize, balanced: bool) -> Aig {
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs(n);
+        let runs: Vec<Lit> = xs
+            .windows(k)
+            .map(|run| {
+                if balanced {
+                    aig.and_all(run.iter().copied())
+                } else {
+                    run.iter()
+                        .rev()
+                        .copied()
+                        .reduce(|g, x| aig.and(x, g))
+                        .unwrap()
+                }
+            })
+            .collect();
+        let f = if balanced {
+            aig.or_all(runs)
+        } else {
+            runs.into_iter().rev().reduce(|g, r| aig.or(r, g)).unwrap()
+        };
+        aig.add_po(f);
+        aig
     }
 
     #[test]
-    fn every_seed_reaches_the_one_class() {
-        let m = miter(
-            &wide_multiplier_ish(7, false),
-            &wide_multiplier_ish(7, true),
-        )
-        .unwrap();
-        // One pattern word leaves false candidates for the G phase to
-        // disprove, and the tight bounds leave a residual to finish.
+    fn g_disproofs_seed_the_sweep() {
+        let m = miter(&rare_runs(20, 10, true), &rare_runs(20, 10, false)).unwrap();
+        // G disproves the rare runs against constant zero by exhaustive
+        // simulation; the PO's support of 20 leaves a residual to sweep.
         let mut cfg = CombinedConfig::default();
         cfg.engine.k_po_all = 4;
         cfg.engine.k_po = 4;
-        cfg.engine.k_g = 8;
+        cfg.engine.k_g = 12;
         cfg.engine.sim_words = 1;
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut engines = parsweep_sat::standard_engines(&parsweep_sat::PortfolioConfig::default());
-        engines.insert(0, Box::new(SeedProbe(seen.clone())));
-        let prover = Prover::with_engines(engines);
-        let r = combined_check_with_prover(&m, &exec(), &cfg, &prover, &CancelToken::never());
+        cfg.sat.sim_words = 1;
+        let r = combined_check(&m, &exec(), &cfg);
         assert_eq!(r.verdict, Verdict::Equivalent);
-        assert!(r.dispatch.is_some());
-        // The one class gets every disproof of the G phase.
-        let seen = seen.lock().unwrap();
-        assert!(!r.engine.disproof_cexs.is_empty());
-        assert_eq!(*seen, [r.engine.disproof_cexs.len()]);
+        let seeds = &r.engine.disproof_cexs;
+        assert!(!seeds.is_empty());
+        // The flow's sweep is the seeded one, and on this residual the
+        // seeds change its work: dropping them would match `sweep(&[])`.
+        let sweep = |seeds: &[Cex]| {
+            let s =
+                parsweep_sat::sat_sweep_seeded(&r.engine.reduced, &exec(), &cfg.sat, seeds).stats;
+            (s.sat_calls, s.proved_pairs, s.disproved_pairs, s.rounds)
+        };
+        let flow = r.dispatch.expect("the G residual is swept");
+        let flow = (
+            flow.sat_calls,
+            flow.proved_pairs,
+            flow.disproved_pairs,
+            flow.rounds,
+        );
+        assert_eq!(flow, sweep(seeds));
+        assert_ne!(flow, sweep(&[]), "the seeds must change the sweep here");
     }
 
     #[test]
@@ -285,8 +266,7 @@ mod tests {
         let r = combined_check(&m, &exec(), &CombinedConfig::default());
         assert_eq!(r.engine.stats.local_phases, 0);
         assert!(r.engine.verdict == Verdict::Undecided);
-        let out = r.dispatch.expect("the G residual is dispatched");
-        assert_eq!(out.verdict, Verdict::Equivalent);
+        assert!(r.dispatch.is_some(), "the G residual is swept");
         assert_eq!(r.verdict, Verdict::Equivalent);
     }
 
@@ -298,7 +278,7 @@ mod tests {
         b.set_po(3, !po);
         let m = miter(&a, &b).unwrap();
         let mut cfg = CombinedConfig::default();
-        // Cripple the engine so the corruption survives to the dispatcher.
+        // Cripple the engine so the corruption survives to the sweep.
         cfg.engine.k_po_all = 4;
         cfg.engine.k_po = 4;
         cfg.engine.k_g = 4;

@@ -387,8 +387,9 @@ fn po_phase(
     let step = trace::span("engine", "engine.p.windows");
     let windows = windows_from_supports(current, checks, limit);
     drop(step);
-    let _step = trace::span("engine", "engine.p.check");
+    let step = trace::span("engine", "engine.p.check");
     let outcomes = check_in_batches(current, exec, &windows, cfg, stats, token);
+    drop(step);
 
     let mut proved: Vec<(Var, bool)> = Vec::new();
     for (w, win) in windows.iter().enumerate() {
@@ -409,6 +410,7 @@ fn po_phase(
         }
     }
     if !proved.is_empty() {
+        let _step = trace::span("engine", "engine.p.rebuild");
         let cur = current.to_mut();
         for i in 0..cur.num_pos() {
             let po = cur.po(i);

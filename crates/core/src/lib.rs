@@ -20,8 +20,8 @@
 //! The flow runs a PO checking phase (P), a global function checking
 //! phase (G), then repeated local function checking phases (L). The
 //! paper's "GPU+ABC" configuration, [`combined_check`], runs P and G only
-//! and hands the reduced miter they leave to the SAT sweeping fallback,
-//! which finishes it for less than the L phases would cost.
+//! and hands the reduced miter they leave to the seeded SAT sweep, which
+//! finishes it for less than the L phases would cost.
 //!
 //! ```
 //! use parsweep_aig::{Aig, miter};
@@ -63,23 +63,17 @@ mod ec;
 mod engine;
 mod fraig;
 mod local;
-mod prove;
 mod report;
 mod stats;
 
-pub use combined::{
-    combined_check, combined_check_cancellable, combined_check_with_prover, CombinedConfig,
-    CombinedResult,
-};
+pub use combined::{combined_check, combined_check_cancellable, CombinedConfig, CombinedResult};
 pub use config::EngineConfig;
 pub use diagnose::{diagnose, Diagnosis};
 pub use ec::EcManager;
 pub use engine::{sim_sweep, sim_sweep_cancellable, sim_sweep_traced, EngineResult, PhaseSnapshot};
 pub use fraig::{fraig, FraigResult};
-pub use prove::{build_prover, refine_velocity, SimSweepEngine};
 pub use report::Report;
 pub use stats::{EngineStats, PhaseTimes};
 
-// Re-export the shared verdict type and the dispatch layer's vocabulary
-// for convenience.
-pub use parsweep_sat::{EngineKind, Prover, Verdict};
+// Re-export the shared verdict type for convenience.
+pub use parsweep_sat::Verdict;

@@ -29,7 +29,7 @@ fn brute_equivalent(m: &Aig) -> bool {
 }
 
 /// A combined-flow configuration whose sim engine proves next to nothing
-/// on its own, so the residual reaches the dispatcher.
+/// on its own, so the residual reaches the SAT sweep.
 fn crippled() -> CombinedConfig {
     let mut cfg = CombinedConfig::default();
     cfg.engine.k_po_all = 2;
@@ -120,9 +120,8 @@ proptest! {
     }
 
     /// The combined flow under a deadline that may trip anywhere — during
-    /// simulation, mid-dispatch, or inside a concurrent engine race.
-    /// Per-cone dispatch with early-cancel must uphold the same contract
-    /// as the plain engine: partial, never wrong.
+    /// simulation, between the stages, or mid-sweep. It must uphold the
+    /// same contract as the plain engine: partial, never wrong.
     #[test]
     fn combined_deadline_run_is_sound(
         seed in any::<u64>(),
@@ -148,7 +147,7 @@ proptest! {
     /// With a never-tripping token the combined flow always decides, and
     /// decides what brute force decides — on resynthesized (equivalent),
     /// unrelated and single-gate-mutated pairs, with the engine crippled
-    /// so the residual really reaches the dispatcher.
+    /// so the residual really reaches the SAT sweep.
     #[test]
     fn combined_flow_agrees_with_brute_force(
         seed in any::<u64>(),

@@ -50,8 +50,8 @@ pub use cnf::CnfEncoder;
 pub use dimacs::{read_dimacs, write_dimacs, Cnf, ParseDimacsError};
 pub use portfolio::{portfolio_check, PortfolioConfig};
 pub use prover::{
-    standard_engines, AttemptStatus, Difficulty, DifficultyModel, EngineAttempt, EngineKind,
-    EngineReport, ProofEngine, ProveOutcome, Prover, ProverStats,
+    standard_engines, AttemptStatus, Difficulty, EngineAttempt, EngineKind, EngineReport,
+    ProofEngine, ProveOutcome, Prover,
 };
 pub use slit::{LBool, SatLit, SatVar};
 pub use solver::{SolveResult, Solver, SolverStats};

@@ -6,8 +6,8 @@
 //! [`Prover`] over the four standard engines: structural check and
 //! random-simulation disproof as inline screens, then exhaustive
 //! truth-table PO proving (effective on small-support control logic) and
-//! SAT sweeping, ranked per miter and raced when the miter is hard. This
-//! module only holds the configuration the engines are wired from.
+//! SAT sweeping, ranked by their cost priors and raced on hard miters.
+//! This module only holds the configuration the engines are wired from.
 
 use parsweep_aig::Aig;
 use parsweep_par::{CancelToken, Executor};

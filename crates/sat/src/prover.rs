@@ -1,23 +1,19 @@
-//! Adaptive per-class proving: a dispatch layer over heterogeneous proof
-//! engines.
-//!
-//! The direct sequel to the source paper ("Datapath CEC With Hybrid
-//! Sweeping Engines and Parallelization") observes that the big wins come
-//! from dispatching *per EC class* among heterogeneous engines with
-//! budgets adapted to observed difficulty, rather than running one fixed
-//! engine sequence per miter. This module provides that layer:
+//! The portfolio's dispatcher: one miter, several heterogeneous proof
+//! engines, first verdict wins.
 //!
 //! * [`ProofEngine`] — the common trait each portfolio stage sits behind.
-//!   The candidate unit is an EC class / PO cone (a standalone miter whose
-//!   POs must be proved constant zero), not a whole design.
-//! * [`Prover`] — the dispatcher, and the only place that knows how a
-//!   class is finished: cheap screening engines run inline in
-//!   registration order, the heavy engines are ranked by expected
-//!   decision cost from a [`DifficultyModel`], and on hard classes the
-//!   top [`MAX_RACE`] race concurrently with first-verdict-wins early
-//!   cancellation; otherwise they run one at a time in ranked order.
-//! * [`Difficulty`] — the feature vector driving routing: support size,
-//!   cone size, and upstream sim-refinement velocity.
+//!   The unit is a standalone miter whose POs must be proved constant
+//!   zero.
+//! * [`Prover`] — the dispatcher: cheap screening engines run inline in
+//!   registration order, the heavy engines are ranked by their static
+//!   cost priors, and on hard miters the top [`MAX_RACE`] race
+//!   concurrently with first-verdict-wins early cancellation; otherwise
+//!   they run one at a time in ranked order. No fixed order replaces the
+//!   race: on two residuals of equal support and similar cone size the
+//!   exhaustive engine is 50x slower than SAT on one and twice as fast on
+//!   the other (DESIGN.md, "Finishing").
+//! * [`Difficulty`] — the features admission and the priors read:
+//!   support size and cone size.
 //!
 //! Cancellation preserves the "partial, never wrong" invariant: every
 //! engine polls its [`CancelToken`] at natural checkpoint boundaries and
@@ -26,26 +22,17 @@
 //! through *linked child* tokens ([`CancelToken::child`]), so the
 //! dispatcher's early-cancel never trips the caller's job token.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use parsweep_aig::{is_proved, Aig, Var};
 use parsweep_par::{CancelToken, Executor};
-use parsweep_sim::{
-    check_windows_cancellable, simulate, Cex, PairCheck, PairOutcome, Patterns, Window,
-};
-use parsweep_trace::{metrics, Clock, WallClock};
+use parsweep_sim::{check_windows_cancellable, simulate, PairCheck, PairOutcome, Patterns, Window};
+use parsweep_trace::{Clock, WallClock};
 
 use crate::sweep::{sat_sweep_seeded_cancellable, SweepConfig, SweepStats, Verdict};
 
-/// Which proof engine a verdict, attempt or cache entry refers to.
-///
-/// The first four kinds are the portfolio stages this crate implements;
-/// [`EngineKind::SimSweep`] labels the simulation-based sweeping engine
-/// registered from the core crate (the paper's own engine), which sits
-/// above this crate in the dependency graph but participates in the same
-/// dispatch layer.
+/// Which portfolio stage a verdict or attempt refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Structural hashing alone.
@@ -56,52 +43,22 @@ pub enum EngineKind {
     ExhaustivePo,
     /// SAT sweeping.
     SatSweep,
-    /// The simulation-based sweeping engine (registered by `core`).
-    SimSweep,
 }
 
 impl EngineKind {
-    /// Every kind, in fixed slot order.
-    pub const ALL: [EngineKind; 5] = [
-        EngineKind::Structural,
-        EngineKind::RandomSim,
-        EngineKind::ExhaustivePo,
-        EngineKind::SatSweep,
-        EngineKind::SimSweep,
-    ];
-
-    /// Stable snake_case label (metric label values, span names, cache
-    /// entries).
+    /// Stable snake_case label (span names).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Structural => "structural",
             EngineKind::RandomSim => "random_sim",
             EngineKind::ExhaustivePo => "exhaustive_po",
             EngineKind::SatSweep => "sat_sweep",
-            EngineKind::SimSweep => "sim_sweep",
         }
-    }
-
-    /// The engine's fixed counter slot (see
-    /// [`metrics::PROVE_ENGINE_SLOTS`]).
-    pub fn slot(self) -> usize {
-        match self {
-            EngineKind::Structural => 0,
-            EngineKind::RandomSim => 1,
-            EngineKind::ExhaustivePo => 2,
-            EngineKind::SatSweep => 3,
-            EngineKind::SimSweep => 4,
-        }
-    }
-
-    /// Parses [`EngineKind::name`] back to the kind.
-    pub fn from_name(name: &str) -> Option<Self> {
-        EngineKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
-/// Difficulty features of one candidate class, driving engine selection
-/// and budgets.
+/// Difficulty features of one miter, driving engine admission and the
+/// cost priors.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Difficulty {
     /// Primary inputs of the cone.
@@ -114,14 +71,7 @@ pub struct Difficulty {
     /// Largest per-PO TFI cone (nodes), or `None` when any PO's cone
     /// exceeds the analysis cap.
     pub max_po_cone: Option<usize>,
-    /// Upstream sim-refinement velocity: equivalence classes refined per
-    /// pruned simulation round in the flow that produced this residual
-    /// cone (`None` when no upstream engine ran).
-    pub refine_velocity: Option<f64>,
 }
-
-/// Difficulty buckets the model learns over (log2 of cone size).
-const DIFFICULTY_BUCKETS: usize = 16;
 
 impl Difficulty {
     /// Analyzes a cone with the given admission caps: a PO whose support
@@ -149,19 +99,7 @@ impl Difficulty {
             ands: cone.num_ands(),
             max_po_support: max_support,
             max_po_cone: max_cone,
-            refine_velocity: None,
         }
-    }
-
-    /// The model bucket this difficulty falls into (log2 of cone size).
-    fn bucket(&self) -> usize {
-        let mut size = self.ands.max(1);
-        let mut b = 0usize;
-        while size > 1 && b + 1 < DIFFICULTY_BUCKETS {
-            size >>= 1;
-            b += 1;
-        }
-        b
     }
 }
 
@@ -184,17 +122,17 @@ impl EngineReport {
     }
 }
 
-/// A proof engine the dispatcher can route classes to.
+/// A proof engine the dispatcher can route a miter to.
 ///
 /// Implementations must uphold the cancellation invariant: when `token`
 /// trips mid-attempt, `prove` returns [`Verdict::Undecided`] — partial,
 /// never wrong. A decisive verdict must always be the result of completed
 /// work.
 pub trait ProofEngine: Send + Sync {
-    /// The engine's kind (metric slot, label, cache tag).
+    /// The engine's kind (attempt record, span label).
     fn kind(&self) -> EngineKind;
 
-    /// Whether this engine can attempt a class of this difficulty at all.
+    /// Whether this engine can attempt a miter of this difficulty at all.
     fn admits(&self, _difficulty: &Difficulty) -> bool {
         true
     }
@@ -207,24 +145,13 @@ pub trait ProofEngine: Send + Sync {
         false
     }
 
-    /// Cold-start cost estimate in microseconds, used to rank engines
-    /// until the difficulty model has observations for the bucket.
+    /// Static cost estimate in microseconds: the dispatcher ranks the
+    /// heavy engines by it.
     fn prior_cost_micros(&self, difficulty: &Difficulty) -> u64;
 
-    /// Attempts the class. `cone` is a standalone miter (prove all POs
-    /// constant zero); `seeds` are counter-examples over the cone's PIs
-    /// that an upstream checker already found for internal candidate
-    /// pairs (the paper's §V *EC transfer*) — an engine that clusters by
-    /// simulation may refine its first classes with them, every other
-    /// engine ignores them; `token` must be polled at checkpoint
-    /// boundaries.
-    fn prove(
-        &self,
-        cone: &Aig,
-        exec: &Executor,
-        seeds: &[Cex],
-        token: &CancelToken,
-    ) -> EngineReport;
+    /// Attempts the miter `cone` (prove all POs constant zero); `token`
+    /// must be polled at checkpoint boundaries.
+    fn prove(&self, cone: &Aig, exec: &Executor, token: &CancelToken) -> EngineReport;
 }
 
 /// Structural hashing: free when the miter strashes to constant zero.
@@ -244,13 +171,7 @@ impl ProofEngine for StructuralEngine {
         1 + difficulty.ands as u64 / 512
     }
 
-    fn prove(
-        &self,
-        cone: &Aig,
-        _exec: &Executor,
-        _seeds: &[Cex],
-        _token: &CancelToken,
-    ) -> EngineReport {
+    fn prove(&self, cone: &Aig, _exec: &Executor, _token: &CancelToken) -> EngineReport {
         EngineReport {
             verdict: if is_proved(cone) {
                 Verdict::Equivalent
@@ -285,13 +206,7 @@ impl ProofEngine for RandomSimEngine {
         10 + (difficulty.ands * self.sim_words) as u64 / 256
     }
 
-    fn prove(
-        &self,
-        cone: &Aig,
-        exec: &Executor,
-        _seeds: &[Cex],
-        token: &CancelToken,
-    ) -> EngineReport {
+    fn prove(&self, cone: &Aig, exec: &Executor, token: &CancelToken) -> EngineReport {
         if token.is_cancelled() {
             return EngineReport::undecided();
         }
@@ -340,13 +255,7 @@ impl ProofEngine for ExhaustivePoEngine {
         20 + (1u64 << s) / 2048 * difficulty.ands.max(1) as u64 / 64
     }
 
-    fn prove(
-        &self,
-        cone: &Aig,
-        exec: &Executor,
-        _seeds: &[Cex],
-        token: &CancelToken,
-    ) -> EngineReport {
+    fn prove(&self, cone: &Aig, exec: &Executor, token: &CancelToken) -> EngineReport {
         let windows: Vec<Window> = cone
             .pos()
             .iter()
@@ -399,7 +308,7 @@ impl ProofEngine for ExhaustivePoEngine {
     }
 }
 
-/// SAT sweeping, seeded with the upstream counter-examples.
+/// SAT sweeping.
 #[derive(Debug)]
 pub struct SatSweepEngine {
     /// Sweeping configuration (its `wall_budget` bounds each attempt).
@@ -415,14 +324,8 @@ impl ProofEngine for SatSweepEngine {
         50 + difficulty.ands as u64 * 150
     }
 
-    fn prove(
-        &self,
-        cone: &Aig,
-        exec: &Executor,
-        seeds: &[Cex],
-        token: &CancelToken,
-    ) -> EngineReport {
-        let result = sat_sweep_seeded_cancellable(cone, exec, &self.cfg, seeds, token);
+    fn prove(&self, cone: &Aig, exec: &Executor, token: &CancelToken) -> EngineReport {
+        let result = sat_sweep_seeded_cancellable(cone, exec, &self.cfg, &[], token);
         EngineReport {
             verdict: result.verdict,
             stats: result.stats,
@@ -433,7 +336,7 @@ impl ProofEngine for SatSweepEngine {
 /// How one engine attempt ended, from the dispatcher's point of view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AttemptStatus {
-    /// Produced the class's verdict.
+    /// Produced the miter's verdict.
     Won,
     /// Ran (to completion or its budget) without deciding first.
     Lost,
@@ -441,127 +344,33 @@ pub enum AttemptStatus {
     /// caller's token tripped.
     Cancelled,
     /// Never ran: inadmissible for this difficulty, ranked out of the
-    /// race field, or the class was already decided (or cancelled).
+    /// race field, or the miter was already decided (or cancelled).
     Skipped,
 }
 
 /// One engine attempt with its cost — recorded for winners, losers *and*
-/// skipped engines, because the difficulty model and the bench rows need
-/// loser costs, not just the winner's.
+/// skipped engines.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineAttempt {
     /// Which engine.
     pub engine: EngineKind,
     /// How the attempt ended.
     pub status: AttemptStatus,
-    /// Wall seconds the attempt consumed (measured on the dispatcher's
-    /// [`Clock`]; zero for skipped attempts).
+    /// Wall seconds the attempt consumed (zero for skipped attempts).
     pub seconds: f64,
 }
 
-/// EWMA cost/win-rate cell of the difficulty model.
-#[derive(Clone, Copy, Debug, Default)]
-struct ModelCell {
-    attempts: u64,
-    decided: u64,
-    ewma_micros: f64,
-}
-
-/// Per-(engine, difficulty-bucket) observed cost and decision rate.
-///
-/// `expected_decision_micros` is the routing score: the exponentially
-/// weighted cost of one attempt divided by a Laplace-smoothed decision
-/// rate, so an engine that is cheap but rarely decides ranks behind a
-/// pricier engine that always does. Buckets with no observations fall
-/// back to the engine's static prior, so cold routing follows the priors
-/// and adapts as classes are observed.
-#[derive(Debug)]
-pub struct DifficultyModel {
-    cells: Mutex<[[ModelCell; DIFFICULTY_BUCKETS]; metrics::PROVE_ENGINE_SLOTS]>,
-}
-
-/// EWMA smoothing factor for observed attempt costs.
-const MODEL_ALPHA: f64 = 0.3;
-
-impl Default for DifficultyModel {
-    fn default() -> Self {
-        DifficultyModel {
-            cells: Mutex::new(
-                [[ModelCell::default(); DIFFICULTY_BUCKETS]; metrics::PROVE_ENGINE_SLOTS],
-            ),
-        }
-    }
-}
-
-impl DifficultyModel {
-    /// Records one attempt: its wall cost and whether it decided.
-    pub fn observe(&self, engine: EngineKind, difficulty: &Difficulty, micros: u64, decided: bool) {
-        let mut cells = self.cells.lock().unwrap();
-        let cell = &mut cells[engine.slot()][difficulty.bucket()];
-        cell.attempts += 1;
-        if decided {
-            cell.decided += 1;
-        }
-        cell.ewma_micros = if cell.attempts == 1 {
-            micros as f64
-        } else {
-            MODEL_ALPHA * micros as f64 + (1.0 - MODEL_ALPHA) * cell.ewma_micros
-        };
-    }
-
-    /// The routing score: expected microseconds until this engine decides
-    /// a class of this difficulty.
-    pub fn expected_decision_micros(
-        &self,
-        engine: EngineKind,
-        difficulty: &Difficulty,
-        prior_micros: u64,
-    ) -> f64 {
-        let cells = self.cells.lock().unwrap();
-        let cell = &cells[engine.slot()][difficulty.bucket()];
-        if cell.attempts == 0 {
-            return prior_micros as f64;
-        }
-        let decision_rate = (cell.decided as f64 + 0.5) / (cell.attempts as f64 + 1.0);
-        cell.ewma_micros.max(1.0) / decision_rate
-    }
-
-    /// How many attempts the model has seen for this engine and bucket.
-    pub fn attempts(&self, engine: EngineKind, difficulty: &Difficulty) -> u64 {
-        self.cells.lock().unwrap()[engine.slot()][difficulty.bucket()].attempts
-    }
-}
-
-/// Expected decision cost of the best-ranked heavy engine at or above
-/// which a class counts as *hard* and the top engines race.
+/// Prior cost of the best-ranked heavy engine at or above which a miter
+/// counts as *hard* and the top engines race.
 pub const RACE_THRESHOLD: Duration = Duration::from_millis(2);
 
-/// Engines racing one hard class concurrently.
+/// Engines racing one hard miter concurrently.
 pub const MAX_RACE: usize = 2;
 
-/// Point-in-time dispatcher statistics, indexed by engine slot.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProverStats {
-    /// Attempts that produced the winning verdict.
-    pub wins: [u64; metrics::PROVE_ENGINE_SLOTS],
-    /// Attempts that ran without deciding first.
-    pub losses: [u64; metrics::PROVE_ENGINE_SLOTS],
-    /// Attempts cancelled by a faster rival or the caller's token.
-    pub cancelled: [u64; metrics::PROVE_ENGINE_SLOTS],
-    /// Attempts skipped by admissibility or sequencing.
-    pub skipped: [u64; metrics::PROVE_ENGINE_SLOTS],
-    /// Wall microseconds charged per engine (winners and losers).
-    pub elapsed_micros: [u64; metrics::PROVE_ENGINE_SLOTS],
-    /// Classes decided through a concurrent race.
-    pub raced_classes: u64,
-    /// Classes decided by a sequential pass.
-    pub sequential_classes: u64,
-}
-
-/// The outcome of dispatching one class.
+/// The outcome of dispatching one miter.
 #[derive(Clone, Debug)]
 pub struct ProveOutcome {
-    /// The class verdict.
+    /// The miter's verdict.
     pub verdict: Verdict,
     /// The engine that produced it (`None` when undecided).
     pub engine: Option<EngineKind>,
@@ -569,47 +378,28 @@ pub struct ProveOutcome {
     pub attempts: Vec<EngineAttempt>,
     /// SAT-style statistics of the winning attempt.
     pub stats: SweepStats,
-    /// Dispatcher wall seconds for the class.
+    /// Dispatcher wall seconds for the miter.
     pub seconds: f64,
-    /// Whether a concurrent race decided the class.
+    /// Whether a concurrent race decided the miter.
     pub raced: bool,
 }
 
-/// Default number of 64-bit words the built-in random-sim prefilter
-/// simulates.
-pub const DEFAULT_PREFILTER_WORDS: usize = 8;
-
-#[derive(Debug, Default)]
-struct AtomicStats {
-    wins: [AtomicU64; metrics::PROVE_ENGINE_SLOTS],
-    losses: [AtomicU64; metrics::PROVE_ENGINE_SLOTS],
-    cancelled: [AtomicU64; metrics::PROVE_ENGINE_SLOTS],
-    skipped: [AtomicU64; metrics::PROVE_ENGINE_SLOTS],
-    elapsed_micros: [AtomicU64; metrics::PROVE_ENGINE_SLOTS],
-    raced_classes: AtomicU64,
-    sequential_classes: AtomicU64,
-}
-
-/// The proving dispatcher.
-///
-/// Holds the registered engines, the shared [`DifficultyModel`] (which
-/// keeps learning across classes and jobs — a service shares one `Prover`
-/// across its workers) and per-engine statistics.
+/// The proving dispatcher: the registered engines and the caps the
+/// difficulty analysis runs with.
 pub struct Prover {
     engines: Vec<Box<dyn ProofEngine>>,
     race_threshold: Duration,
-    model: DifficultyModel,
-    stats: AtomicStats,
-    /// Admission caps used by [`Prover::difficulty`]; keep them equal to
-    /// the exhaustive engine's.
+    /// Difficulty-analysis caps; keep them equal to the exhaustive
+    /// engine's admission caps.
     support_cap: usize,
     cone_cap: usize,
 }
 
 impl std::fmt::Debug for Prover {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kinds: Vec<EngineKind> = self.engines.iter().map(|e| e.kind()).collect();
         f.debug_struct("Prover")
-            .field("engines", &self.engine_kinds())
+            .field("engines", &kinds)
             .field("race_threshold", &self.race_threshold)
             .finish_non_exhaustive()
     }
@@ -628,40 +418,37 @@ impl Default for Prover {
 /// The winning engine with its verdict and statistics.
 type Winner = (EngineKind, Verdict, SweepStats);
 
-/// What every attempt of one class shares.
+/// What every attempt on one miter shares.
 struct Class<'a> {
     cone: &'a Aig,
     difficulty: &'a Difficulty,
-    seeds: &'a [Cex],
-    clock: &'a (dyn Clock + Sync),
+    clock: &'a WallClock,
 }
 
 impl Prover {
     /// A dispatcher over an explicit engine list. Screening engines
     /// ([`ProofEngine::prefilter`]) run in registration order; the rest
-    /// are ranked per class. The default difficulty-analysis caps match
+    /// are ranked per miter. The default difficulty-analysis caps match
     /// [`crate::PortfolioConfig`]'s; use [`Prover::with_caps`] when the
     /// exhaustive engine's admission bounds differ.
     pub fn with_engines(engines: Vec<Box<dyn ProofEngine>>) -> Self {
         Prover {
             engines,
             race_threshold: RACE_THRESHOLD,
-            model: DifficultyModel::default(),
-            stats: AtomicStats::default(),
             support_cap: 20,
             cone_cap: 3000,
         }
     }
 
-    /// Overrides the support/cone caps [`Prover::difficulty`] analyzes
-    /// with (keep them equal to the exhaustive engine's admission caps).
+    /// Overrides the support/cone caps the difficulty analysis runs with
+    /// (keep them equal to the exhaustive engine's admission caps).
     pub fn with_caps(mut self, support_cap: usize, cone_cap: usize) -> Self {
         self.support_cap = support_cap;
         self.cone_cap = cone_cap;
         self
     }
 
-    /// Overrides [`RACE_THRESHOLD`]: `Duration::ZERO` races every class
+    /// Overrides [`RACE_THRESHOLD`]: `Duration::ZERO` races every miter
     /// with two admissible heavy engines, `Duration::MAX` never races.
     /// The property suites use it to force each branch deterministically.
     pub fn with_race_threshold(mut self, race_threshold: Duration) -> Self {
@@ -669,74 +456,21 @@ impl Prover {
         self
     }
 
-    /// Kinds of the registered engines, in registration order.
-    pub fn engine_kinds(&self) -> Vec<EngineKind> {
-        self.engines.iter().map(|e| e.kind()).collect()
-    }
-
-    /// Analyzes a cone with the dispatcher's admission caps.
-    pub fn difficulty(&self, cone: &Aig) -> Difficulty {
-        Difficulty::analyze(cone, self.support_cap, self.cone_cap)
-    }
-
-    /// The shared difficulty model.
-    pub fn model(&self) -> &DifficultyModel {
-        &self.model
-    }
-
-    /// Snapshot of the dispatcher's statistics.
-    pub fn stats(&self) -> ProverStats {
-        let load = |a: &[AtomicU64; metrics::PROVE_ENGINE_SLOTS]| {
-            let mut out = [0u64; metrics::PROVE_ENGINE_SLOTS];
-            for (o, a) in out.iter_mut().zip(a) {
-                *o = a.load(Ordering::Relaxed);
-            }
-            out
-        };
-        ProverStats {
-            wins: load(&self.stats.wins),
-            losses: load(&self.stats.losses),
-            cancelled: load(&self.stats.cancelled),
-            skipped: load(&self.stats.skipped),
-            elapsed_micros: load(&self.stats.elapsed_micros),
-            raced_classes: self.stats.raced_classes.load(Ordering::Relaxed),
-            sequential_classes: self.stats.sequential_classes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Dispatches one class on the wall clock, with the dispatcher's own
-    /// difficulty analysis and no upstream seeds.
-    pub fn prove(&self, cone: &Aig, exec: &Executor, token: &CancelToken) -> ProveOutcome {
-        let difficulty = self.difficulty(cone);
-        self.prove_class(cone, &difficulty, &[], exec, token, &WallClock::new())
-    }
-
-    /// Dispatches one class with a caller-supplied difficulty (the caller
-    /// may know upstream features, e.g. sim-refinement velocity), the
-    /// upstream counter-examples over the cone's PIs (see
-    /// [`ProofEngine::prove`]) and the clock attempts are timed on.
+    /// Dispatches one miter on the wall clock.
     ///
     /// Screening engines run inline first — micro-second cost, and a
     /// disproof there spares every heavy engine. The heavy engines are
-    /// then ranked by expected decision cost; a hard class races the top
+    /// then ranked by their priors; a hard miter races the top
     /// [`MAX_RACE`] with first-verdict-wins early cancellation, any other
     /// runs them one at a time. Every registered engine leaves exactly
     /// one [`EngineAttempt`].
-    pub fn prove_class(
-        &self,
-        cone: &Aig,
-        difficulty: &Difficulty,
-        seeds: &[Cex],
-        exec: &Executor,
-        token: &CancelToken,
-        clock: &(dyn Clock + Sync),
-    ) -> ProveOutcome {
-        let start = clock.now();
+    pub fn prove(&self, cone: &Aig, exec: &Executor, token: &CancelToken) -> ProveOutcome {
+        let clock = WallClock::new();
+        let difficulty = Difficulty::analyze(cone, self.support_cap, self.cone_cap);
         let class = Class {
             cone,
-            difficulty,
-            seeds,
-            clock,
+            difficulty: &difficulty,
+            clock: &clock,
         };
         let mut attempts = Vec::with_capacity(self.engines.len());
         let mut winner = None;
@@ -748,12 +482,11 @@ impl Prover {
         if winner.is_none() && !token.is_cancelled() {
             let score = |i: usize| {
                 let e = &self.engines[i];
-                if !e.admits(difficulty) {
-                    return f64::INFINITY;
+                if e.admits(&difficulty) {
+                    e.prior_cost_micros(&difficulty) as f64
+                } else {
+                    f64::INFINITY
                 }
-                let prior = e.prior_cost_micros(difficulty);
-                self.model
-                    .expected_decision_micros(e.kind(), difficulty, prior)
             };
             let mut ranked: Vec<(usize, f64)> = heavy.iter().map(|&i| (i, score(i))).collect();
             ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -769,17 +502,22 @@ impl Prover {
         } else {
             self.run_in_order(&heavy, &class, exec, token, &mut attempts, &mut winner);
         }
-        let counter = if raced {
-            &self.stats.raced_classes
-        } else {
-            &self.stats.sequential_classes
+        let (engine, verdict, stats) = match winner {
+            Some((kind, verdict, stats)) => (Some(kind), verdict, stats),
+            None => (None, Verdict::Undecided, SweepStats::default()),
         };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.finish(winner, attempts, clock.since(start).as_secs_f64(), raced)
+        ProveOutcome {
+            verdict,
+            engine,
+            attempts,
+            stats,
+            seconds: clock.now().as_secs_f64(),
+            raced,
+        }
     }
 
     /// Runs the engines at `order` one at a time until one decides; an
-    /// engine that does not admit the class, or whose turn comes after
+    /// engine that does not admit the miter, or whose turn comes after
     /// the verdict or the cancellation, is recorded as skipped.
     fn run_in_order(
         &self,
@@ -857,11 +595,9 @@ impl Prover {
     }
 
     /// The one place an engine runs: times the attempt under a span
-    /// labelled by engine, classifies it — `Won` when it decided,
+    /// labelled by engine and classifies it — `Won` when it decided,
     /// `Cancelled` when it came back undecided with `token` tripped,
-    /// `Lost` otherwise — and feeds the model. Winners and losers both
-    /// feed it: loser costs are what teach it to stop running engines
-    /// that never pay off.
+    /// `Lost` otherwise.
     fn attempt(
         &self,
         engine: &dyn ProofEngine,
@@ -873,64 +609,22 @@ impl Prover {
         let kind = engine.kind();
         let mut span = parsweep_trace::span("prove", &format!("prove.engine.{}", kind.name()));
         span.arg_str("mode", mode);
-        span.arg_u64("seeds", class.seeds.len() as u64);
         let t0 = class.clock.now();
-        let report = engine.prove(class.cone, exec, class.seeds, token);
+        let report = engine.prove(class.cone, exec, token);
         let seconds = class.clock.since(t0).as_secs_f64();
-        let decided = !matches!(report.verdict, Verdict::Undecided);
-        let status = if decided {
+        let status = if !matches!(report.verdict, Verdict::Undecided) {
             AttemptStatus::Won
         } else if token.is_cancelled() {
             AttemptStatus::Cancelled
         } else {
             AttemptStatus::Lost
         };
-        self.model
-            .observe(kind, class.difficulty, (seconds * 1e6) as u64, decided);
         let attempt = EngineAttempt {
             engine: kind,
             status,
             seconds,
         };
         (attempt, report)
-    }
-
-    /// Records the class outcome into the local and global counters and
-    /// assembles the [`ProveOutcome`].
-    fn finish(
-        &self,
-        winner: Option<Winner>,
-        attempts: Vec<EngineAttempt>,
-        seconds: f64,
-        raced: bool,
-    ) -> ProveOutcome {
-        let global = metrics::prove_counters();
-        for attempt in &attempts {
-            let slot = attempt.engine.slot();
-            let (local, global_ctr) = match attempt.status {
-                AttemptStatus::Won => (&self.stats.wins[slot], &global.wins[slot]),
-                AttemptStatus::Lost => (&self.stats.losses[slot], &global.losses[slot]),
-                AttemptStatus::Cancelled => (&self.stats.cancelled[slot], &global.cancelled[slot]),
-                AttemptStatus::Skipped => (&self.stats.skipped[slot], &global.skipped[slot]),
-            };
-            local.fetch_add(1, Ordering::Relaxed);
-            global_ctr.fetch_add(1, Ordering::Relaxed);
-            let micros = (attempt.seconds * 1e6) as u64;
-            self.stats.elapsed_micros[slot].fetch_add(micros, Ordering::Relaxed);
-            global.elapsed_micros[slot].fetch_add(micros, Ordering::Relaxed);
-        }
-        let (engine, verdict, stats) = match winner {
-            Some((kind, verdict, stats)) => (Some(kind), verdict, stats),
-            None => (None, Verdict::Undecided, SweepStats::default()),
-        };
-        ProveOutcome {
-            verdict,
-            engine,
-            attempts,
-            stats,
-            seconds,
-            raced,
-        }
     }
 }
 
@@ -945,7 +639,7 @@ fn skipped(engine: EngineKind) -> EngineAttempt {
 
 /// The four standard portfolio engines, wired from a
 /// [`crate::PortfolioConfig`]: the two screening engines in the order they
-/// run, then the heavy engines the dispatcher ranks per class.
+/// run, then the heavy engines the dispatcher ranks per miter.
 pub fn standard_engines(cfg: &crate::portfolio::PortfolioConfig) -> Vec<Box<dyn ProofEngine>> {
     vec![
         Box::new(StructuralEngine),
@@ -1013,16 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_kinds_have_distinct_slots() {
-        let mut seen = std::collections::HashSet::new();
-        for k in EngineKind::ALL {
-            assert!(k.slot() < metrics::PROVE_ENGINE_SLOTS);
-            assert!(seen.insert(k.slot()));
-            assert_eq!(EngineKind::from_name(k.name()), Some(k));
-        }
-    }
-
-    #[test]
     fn a_screening_win_skips_every_later_engine() {
         let a = parsweep_aig::random::random_aig(6, 40, 2, 5);
         let m = miter(&a, &a).unwrap();
@@ -1044,22 +728,12 @@ mod tests {
     }
 
     #[test]
-    fn losing_attempts_are_recorded_and_timed_on_the_injected_clock() {
-        use parsweep_trace::ManualClock;
+    fn losing_attempts_are_recorded() {
         // Equivalent but not structurally identical: structural and
         // random-sim lose before the exhaustive engine wins.
         let m = miter(&adder(3, true), &adder(3, false)).unwrap();
-        let p = unraced();
-        let clock = ManualClock::new();
-        clock.advance(Duration::from_millis(1500));
-        let out = p.prove_class(
-            &m,
-            &p.difficulty(&m),
-            &[],
-            &exec(),
-            &CancelToken::never(),
-            &clock,
-        );
+        let out = unraced().prove(&m, &exec(), &CancelToken::never());
+        assert!(!out.raced);
         assert_eq!(out.engine, Some(EngineKind::ExhaustivePo));
         assert_eq!(status_of(&out, EngineKind::Structural), AttemptStatus::Lost);
         assert_eq!(status_of(&out, EngineKind::RandomSim), AttemptStatus::Lost);
@@ -1067,15 +741,13 @@ mod tests {
             status_of(&out, EngineKind::SatSweep),
             AttemptStatus::Skipped
         );
-        // The whole dispatch happens at one frozen instant: the injected
-        // clock is the only time source, so every duration is zero.
-        assert_eq!(out.seconds, 0.0);
-        assert!(out.attempts.iter().all(|a| a.seconds == 0.0));
-        let s = p.stats();
-        assert_eq!(s.losses[EngineKind::Structural.slot()], 1);
-        assert_eq!(s.wins[EngineKind::ExhaustivePo.slot()], 1);
-        assert_eq!(s.skipped[EngineKind::SatSweep.slot()], 1);
-        assert_eq!((s.sequential_classes, s.raced_classes), (1, 0));
+        // Skipped attempts cost nothing; the ones that ran fit in the
+        // dispatch.
+        assert!(out
+            .attempts
+            .iter()
+            .all(|a| a.status != AttemptStatus::Skipped || a.seconds == 0.0));
+        assert!(out.attempts.iter().map(|a| a.seconds).sum::<f64>() <= out.seconds);
     }
 
     #[test]
@@ -1095,7 +767,6 @@ mod tests {
         let out = p.prove(&m, &exec(), &CancelToken::never());
         assert!(out.raced, "attempts: {:?}", out.attempts);
         assert!(out.verdict.is_equivalent());
-        assert_eq!(p.stats().raced_classes, 1);
         // Exactly one racer won; any rival either lost or was cancelled.
         let won = out
             .attempts
@@ -1132,76 +803,6 @@ mod tests {
                 .iter()
                 .all(|a| a.status == AttemptStatus::Skipped));
         }
-    }
-
-    /// Records the seeds it is handed and never decides.
-    struct SeedProbe(std::sync::Arc<AtomicU64>);
-
-    impl ProofEngine for SeedProbe {
-        fn kind(&self) -> EngineKind {
-            EngineKind::SimSweep
-        }
-        fn prior_cost_micros(&self, _difficulty: &Difficulty) -> u64 {
-            0
-        }
-        fn prove(
-            &self,
-            _cone: &Aig,
-            _exec: &Executor,
-            seeds: &[Cex],
-            _token: &CancelToken,
-        ) -> EngineReport {
-            self.0.store(seeds.len() as u64, Ordering::Relaxed);
-            EngineReport::undecided()
-        }
-    }
-
-    #[test]
-    fn seeds_reach_the_engines_on_both_branches() {
-        let m = miter(&adder(4, true), &adder(4, false)).unwrap();
-        let seeds = vec![Cex::new(vec![true; 8]), Cex::new(vec![false; 8])];
-        for threshold in [Duration::ZERO, Duration::MAX] {
-            let seen = std::sync::Arc::new(AtomicU64::new(0));
-            let mut engines = standard_engines(&crate::PortfolioConfig::default());
-            engines.push(Box::new(SeedProbe(seen.clone())));
-            let p = Prover::with_engines(engines).with_race_threshold(threshold);
-            let out = p.prove_class(
-                &m,
-                &p.difficulty(&m),
-                &seeds,
-                &exec(),
-                &CancelToken::never(),
-                &WallClock::new(),
-            );
-            // The probe's zero prior ranks it first, so it runs (and
-            // loses) on either branch before or beside the real engines.
-            assert!(out.verdict.is_equivalent());
-            assert_eq!(seen.load(Ordering::Relaxed), 2, "threshold {threshold:?}");
-        }
-    }
-
-    #[test]
-    fn model_learns_and_reroutes() {
-        let model = DifficultyModel::default();
-        let d = Difficulty {
-            ands: 100,
-            ..Difficulty::default()
-        };
-        // Cold: the prior ranks.
-        assert_eq!(
-            model.expected_decision_micros(EngineKind::SatSweep, &d, 500),
-            500.0
-        );
-        // Observed cheap decisive attempts pull the score down.
-        for _ in 0..8 {
-            model.observe(EngineKind::SatSweep, &d, 100, true);
-        }
-        assert!(model.expected_decision_micros(EngineKind::SatSweep, &d, 500) < 200.0);
-        // Observed expensive indecision pushes the score up.
-        for _ in 0..8 {
-            model.observe(EngineKind::ExhaustivePo, &d, 100, false);
-        }
-        assert!(model.expected_decision_micros(EngineKind::ExhaustivePo, &d, 50) > 1000.0);
     }
 
     #[test]

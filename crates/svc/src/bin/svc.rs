@@ -23,11 +23,12 @@
 //! ([`parsweep_svc::frontend`]); the multi-client TCP server
 //! (`parsweep-net`) layers admission control and fairness over the same
 //! core. Flags: `--workers N`, `--exec-threads N`, `--deadline-ms N`
-//! (default for submits without one), `--sat` (hand what the sim engine
-//! leaves undecided to the shared prover instead of settling it
-//! undecided), `--connected` (shard by connected components instead of
-//! per output), `--cache-capacity N` (LRU bound of each of the cone
-//! result cache and the whole-job memo; 0 disables both), `--trace PATH`
+//! (default for submits without one), `--sat` (finish what the sim
+//! engine's P and G phases leave undecided with the seeded SAT sweep
+//! instead of settling it undecided), `--connected` (shard by connected
+//! components instead of per output), `--cache-capacity N` (LRU bound of
+//! each of the cone result cache and the whole-job memo; 0 disables
+//! both), `--trace PATH`
 //! (write a Chrome-trace JSON of the whole run at exit; also honoured from the
 //! `PARSWEEP_TRACE` environment variable; needs a build with the `trace`
 //! feature to record anything).

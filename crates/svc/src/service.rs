@@ -27,10 +27,10 @@ use std::time::Duration;
 
 use parsweep_aig::{Aig, Var};
 use parsweep_core::{
-    build_prover, combined_check_with_prover, sim_sweep_cancellable, CombinedConfig, EngineConfig,
+    combined_check_cancellable, sim_sweep_cancellable, CombinedConfig, EngineConfig,
 };
 use parsweep_par::{CancelToken, Executor, LaunchStats};
-use parsweep_sat::{EngineKind, Prover, SweepConfig, Verdict};
+use parsweep_sat::{SweepConfig, Verdict};
 use parsweep_sim::Cex;
 use parsweep_trace as trace;
 use parsweep_trace::metrics::{
@@ -55,12 +55,12 @@ pub struct SvcConfig {
     /// Finish what the sim engine leaves undecided. Off (the default): a
     /// shard gets the sim engine alone and may stay undecided — a service
     /// usually prefers fast partial verdicts over long SAT tails. On: the
-    /// shard runs the combined flow — the engine's P and G phases, then
-    /// their residual as one class to the service-wide [`Prover`] shared
-    /// across workers, whose difficulty model thereby learns from the
-    /// whole fleet.
+    /// shard runs the combined flow
+    /// ([`combined_check_cancellable`]) — the engine's P and G phases,
+    /// then the seeded SAT sweep on the miter they leave undecided.
     pub sat_fallback: bool,
-    /// The prover's SAT engine parameters (used only with `sat_fallback`).
+    /// The finishing SAT sweep's parameters (used only with
+    /// `sat_fallback`).
     pub sat: SweepConfig,
     /// How miters split into shards.
     pub shard_policy: ShardPolicy,
@@ -529,16 +529,16 @@ struct ShardProver {
     /// shards still prove in parallel across workers.
     execs: Vec<Executor>,
     cache: ResultCache,
-    /// The per-shard flow: engine parameters, and EC transfer on.
+    /// The per-shard flow: engine and SAT sweep parameters.
     flow: CombinedConfig,
     /// See [`SvcConfig::sat_fallback`].
     sat_fallback: bool,
-    /// One dispatcher for the whole fleet: sharing it across workers is
-    /// what makes the difficulty model learn from every shard, not just a
-    /// worker's own slice of the traffic.
-    prover: Prover,
     /// Shards settled by their truth table ([`crate::semantic`]).
     table_decided: AtomicU64,
+    /// Makes the next engine run panic: the seam the worker-survival
+    /// test goes through.
+    #[cfg(test)]
+    panic_next: std::sync::atomic::AtomicBool,
 }
 
 /// A multi-client combinational-equivalence-checking job service.
@@ -571,17 +571,8 @@ pub struct CecService {
 }
 
 impl CecService {
-    /// Starts the worker pool, with one executor per worker and the
-    /// standard prover ([`build_prover`]) over the configured SAT and
-    /// engine parameters.
+    /// Starts the worker pool, with one executor per worker.
     pub fn new(cfg: SvcConfig) -> Self {
-        let prover = build_prover(&cfg.sat, &cfg.engine);
-        Self::with_prover(cfg, prover)
-    }
-
-    /// [`CecService::new`] over a caller-built prover — the seam tests
-    /// inject misbehaving engines through.
-    fn with_prover(cfg: SvcConfig, prover: Prover) -> Self {
         let pool = WorkerPool::new(cfg.workers);
         let execs = (0..pool.workers())
             .map(|_| Executor::with_threads(cfg.exec_threads.max(1)))
@@ -594,8 +585,9 @@ impl CecService {
                 sat: cfg.sat.clone(),
             },
             sat_fallback: cfg.sat_fallback,
-            prover,
             table_decided: AtomicU64::new(0),
+            #[cfg(test)]
+            panic_next: false.into(),
         });
         let shared = Arc::new(SvcShared::new(cfg.cache_capacity));
         CecService {
@@ -855,13 +847,6 @@ impl CecService {
         self.pool.busy_window()
     }
 
-    /// Snapshot of the shared dispatcher's per-engine statistics (all
-    /// zeros unless [`SvcConfig::sat_fallback`] is on and a shard left a
-    /// residual).
-    pub fn prover_stats(&self) -> parsweep_sat::ProverStats {
-        self.prove.prover.stats()
-    }
-
     /// The launch profile of the whole worker fleet: every per-worker
     /// executor's [`LaunchStats`] merged into one.
     pub fn launch_stats(&self) -> LaunchStats {
@@ -1014,34 +999,6 @@ impl CecService {
             "Kernel launches that ran in parallel on their static effect proof (0 when PARSWEEP_SANITIZE audits them instead).",
             launch.static_verified_launches,
         );
-        let prove = trace::metrics::prove_counters();
-        let engine_series = |slots: &[AtomicU64; trace::metrics::PROVE_ENGINE_SLOTS]| {
-            EngineKind::ALL
-                .iter()
-                .map(|k| (k.name(), slots[k.slot()].load(Ordering::Relaxed)))
-                .collect::<Vec<_>>()
-        };
-        render_labeled_counter(
-            &mut out,
-            "parsweep_prove_engine_wins_total",
-            "Dispatch attempts that decided their class, per engine.",
-            "engine",
-            &engine_series(&prove.wins),
-        );
-        render_labeled_counter(
-            &mut out,
-            "parsweep_prove_engine_losses_total",
-            "Dispatch attempts that finished undecided, per engine.",
-            "engine",
-            &engine_series(&prove.losses),
-        );
-        render_labeled_counter(
-            &mut out,
-            "parsweep_prove_engine_cancelled_total",
-            "Dispatch attempts cancelled when a rival engine won the race, per engine.",
-            "engine",
-            &engine_series(&prove.cancelled),
-        );
         let sim = trace::metrics::sim_counters();
         render_counter(
             &mut out,
@@ -1127,8 +1084,8 @@ impl ShardProver {
     /// than verifying a cache hit, so caching its verdict would only crowd
     /// out cones an engine had to prove. Any other cone probes the
     /// structural cache, then runs the sim engine — or, under
-    /// `sat_fallback`, its P and G phases followed by the shared
-    /// dispatcher on what they leave undecided — and caches the verdict. A hit never touches the prover.
+    /// `sat_fallback`, the combined flow — and caches the verdict. A hit
+    /// runs no engine.
     /// The returned verdict is over the *cone's* PIs.
     fn prove_shard(
         &self,
@@ -1163,9 +1120,13 @@ impl ShardProver {
         if let Some(verdict) = cached {
             return settled(verdict, Source::Cache);
         }
+        #[cfg(test)]
+        if self.panic_next.swap(false, Ordering::SeqCst) {
+            panic!("injected engine failure");
+        }
         let exec = &self.execs[worker];
         let verdict = if self.sat_fallback {
-            combined_check_with_prover(cone, exec, &self.flow, &self.prover, token).verdict
+            combined_check_cancellable(cone, exec, &self.flow, token).verdict
         } else {
             sim_sweep_cancellable(cone, exec, &self.flow.engine, token).verdict
         };
@@ -1488,7 +1449,7 @@ mod tests {
 
     /// A balanced AND tree against a right-associated AND chain over `n`
     /// inputs — past the sim engine's PO support bound for `n = 24`, so a
-    /// shard of it stays undecided without the prover.
+    /// shard of it stays undecided without the SAT sweep.
     fn wide_and_miter(n: usize) -> Aig {
         let mut a = Aig::new();
         let xs = a.add_inputs(n);
@@ -1537,7 +1498,6 @@ mod tests {
             off.wait(off.submit(eq.clone())).unwrap().verdict,
             Verdict::Undecided
         );
-        assert_eq!(off.prover_stats(), parsweep_sat::ProverStats::default());
 
         let on = CecService::new(SvcConfig {
             sat_fallback: true,
@@ -1548,11 +1508,10 @@ mod tests {
             Verdict::NotEquivalent(cex) => assert!(cex.fires(&ne), "lifted cex must fire"),
             other => panic!("expected NotEquivalent, got {other:?}"),
         }
-        assert_eq!(on.prover_stats().wins[EngineKind::SatSweep.slot()], 2);
     }
 
     #[test]
-    fn repeat_hits_never_feed_the_prover() {
+    fn repeat_hits_run_no_engine() {
         let svc = CecService::new(SvcConfig {
             workers: 1,
             sat_fallback: true,
@@ -1563,8 +1522,11 @@ mod tests {
             svc.wait(svc.submit(m.clone())).unwrap().verdict,
             Verdict::Equivalent
         );
-        let proved = svc.prover_stats();
-        assert_eq!(proved.wins[EngineKind::SatSweep.slot()], 1);
+        let proved = svc.launch_stats();
+        assert!(
+            proved.total_launches() > 0,
+            "the first submit runs the engine"
+        );
         for i in 0..8 {
             // Extra constant-false POs give every repeat a new whole-miter
             // hash over the same single cone: it walks the cache path, not
@@ -1578,81 +1540,37 @@ mod tests {
             assert!(!r.stats.memo_hit);
             assert_eq!((r.stats.cache_hits, r.stats.cache_misses), (1, 0));
         }
-        // A cache hit is not a fresh win: no attempt and no analysis
-        // reaches the dispatcher.
-        assert_eq!(svc.prover_stats(), proved);
-    }
-
-    /// Panics on its first call, never decides afterwards.
-    struct PanicOnce {
-        fired: std::sync::atomic::AtomicBool,
-        prefilter: bool,
-    }
-
-    impl parsweep_sat::ProofEngine for PanicOnce {
-        fn kind(&self) -> EngineKind {
-            EngineKind::Structural
-        }
-        fn prefilter(&self) -> bool {
-            self.prefilter
-        }
-        fn prior_cost_micros(&self, _difficulty: &parsweep_sat::Difficulty) -> u64 {
-            0
-        }
-        fn prove(
-            &self,
-            _cone: &Aig,
-            _exec: &Executor,
-            _seeds: &[Cex],
-            _token: &CancelToken,
-        ) -> parsweep_sat::EngineReport {
-            if !self.fired.swap(true, Ordering::SeqCst) {
-                panic!("injected engine failure");
-            }
-            parsweep_sat::EngineReport {
-                verdict: Verdict::Undecided,
-                stats: Default::default(),
-            }
-        }
+        // A cache hit launches no kernel: neither the sim engine nor the
+        // SAT sweep ran again.
+        assert_eq!(svc.launch_stats(), proved);
     }
 
     #[test]
     fn a_panicking_engine_settles_undecided_and_the_worker_survives() {
-        // Inline (a screening engine) and inside a race lane (a heavy
-        // engine under a zero race threshold).
-        for prefilter in [true, false] {
-            let mut engines =
-                parsweep_sat::standard_engines(&parsweep_sat::PortfolioConfig::default());
-            engines.push(Box::new(PanicOnce {
-                fired: false.into(),
-                prefilter,
-            }));
-            let prover = Prover::with_engines(engines).with_race_threshold(Duration::ZERO);
-            let cfg = SvcConfig {
-                workers: 1,
-                sat_fallback: true,
-                ..SvcConfig::default()
-            };
-            let svc = CecService::with_prover(cfg, prover);
-            let m = wide_and_miter(24);
-            let first = svc.wait(svc.submit(m.clone())).unwrap();
-            assert_eq!(first.verdict, Verdict::Undecided, "prefilter={prefilter}");
-            assert_eq!(svc.stats().worker_panics, 1);
-            assert_eq!(svc.stats().cache_len, 0, "a panicked shard is never cached");
-            // The single worker is still there, and the failed job was
-            // neither memoized nor cached: the rerun proves fresh.
-            let second = svc.wait(svc.submit(m)).unwrap();
-            assert_eq!(second.verdict, Verdict::Equivalent);
-            assert!(!second.stats.memo_hit);
-            assert_eq!(second.stats.cache_misses, 1);
-            assert!(svc
-                .metrics_text()
-                .contains("parsweep_worker_panics_total 1"));
-        }
+        let svc = CecService::new(SvcConfig {
+            workers: 1,
+            sat_fallback: true,
+            ..SvcConfig::default()
+        });
+        svc.prove.panic_next.store(true, Ordering::SeqCst);
+        let m = wide_and_miter(24);
+        let first = svc.wait(svc.submit(m.clone())).unwrap();
+        assert_eq!(first.verdict, Verdict::Undecided);
+        assert_eq!(svc.stats().worker_panics, 1);
+        assert_eq!(svc.stats().cache_len, 0, "a panicked shard is never cached");
+        // The single worker is still there, and the failed job was
+        // neither memoized nor cached: the rerun proves fresh.
+        let second = svc.wait(svc.submit(m)).unwrap();
+        assert_eq!(second.verdict, Verdict::Equivalent);
+        assert!(!second.stats.memo_hit);
+        assert_eq!(second.stats.cache_misses, 1);
+        assert!(svc
+            .metrics_text()
+            .contains("parsweep_worker_panics_total 1"));
     }
 
     #[test]
-    fn metrics_text_renders_prover_and_routing_series() {
+    fn metrics_text_renders_zero_valued_series() {
         let svc = CecService::new(SvcConfig {
             workers: 1,
             ..SvcConfig::default()
@@ -1662,11 +1580,7 @@ mod tests {
         svc.drain();
         let text = svc.metrics_text();
         assert!(
-            text.contains("parsweep_prove_engine_wins_total{engine=\"structural\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("parsweep_prove_engine_cancelled_total{engine=\"sat_sweep\"}"),
+            text.contains("parsweep_jobs_by_lane_total{lane=\"batch\"} 0"),
             "{text}"
         );
         assert!(text.contains("parsweep_worker_panics_total 0"), "{text}");

@@ -138,49 +138,6 @@ impl SimCounters {
     }
 }
 
-/// Number of proof-engine slots in [`ProveCounters`]. The `trace` crate
-/// cannot name the engines (they live above it in the crate graph), so the
-/// prover maps each engine kind to a fixed slot and the service renders
-/// the slot back to its label.
-pub const PROVE_ENGINE_SLOTS: usize = 8;
-
-/// Process-global per-engine counters for the adaptive proving dispatcher:
-/// which engine won each class, which attempts lost or were cancelled by a
-/// faster rival, and the wall time each engine consumed (winners *and*
-/// losers — the difficulty model charges both).
-///
-/// Indexed by engine slot (see [`PROVE_ENGINE_SLOTS`]); the service's
-/// `metrics` op renders these as `parsweep_prove_engine_*` with an
-/// `engine` label.
-#[derive(Debug)]
-pub struct ProveCounters {
-    /// Attempts that produced the winning verdict, per engine slot.
-    pub wins: [AtomicU64; PROVE_ENGINE_SLOTS],
-    /// Attempts that ran to completion without deciding (lost), per slot.
-    pub losses: [AtomicU64; PROVE_ENGINE_SLOTS],
-    /// Attempts cancelled at a poll point (a rival decided first, or the
-    /// budget tripped), per slot.
-    pub cancelled: [AtomicU64; PROVE_ENGINE_SLOTS],
-    /// Attempts skipped by admissibility or routing, per slot.
-    pub skipped: [AtomicU64; PROVE_ENGINE_SLOTS],
-    /// Total wall time charged to each engine, in integer microseconds.
-    pub elapsed_micros: [AtomicU64; PROVE_ENGINE_SLOTS],
-}
-
-/// The process-global [`ProveCounters`] instance.
-pub fn prove_counters() -> &'static ProveCounters {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    static COUNTERS: ProveCounters = ProveCounters {
-        wins: [ZERO; PROVE_ENGINE_SLOTS],
-        losses: [ZERO; PROVE_ENGINE_SLOTS],
-        cancelled: [ZERO; PROVE_ENGINE_SLOTS],
-        skipped: [ZERO; PROVE_ENGINE_SLOTS],
-        elapsed_micros: [ZERO; PROVE_ENGINE_SLOTS],
-    };
-    &COUNTERS
-}
-
 /// The process-global [`SimCounters`] instance.
 pub fn sim_counters() -> &'static SimCounters {
     static COUNTERS: SimCounters = SimCounters {
@@ -347,15 +304,15 @@ mod tests {
         let mut out = String::new();
         render_labeled_counter(
             &mut out,
-            "parsweep_prove_engine_wins_total",
-            "Wins per engine.",
-            "engine",
-            &[("structural", 2), ("sat_sweep", 0)],
+            "parsweep_jobs_by_lane_total",
+            "Jobs per lane.",
+            "lane",
+            &[("interactive", 2), ("batch", 0)],
         );
-        assert!(out.contains("# TYPE parsweep_prove_engine_wins_total counter"));
-        assert!(out.contains("parsweep_prove_engine_wins_total{engine=\"structural\"} 2"));
+        assert!(out.contains("# TYPE parsweep_jobs_by_lane_total counter"));
+        assert!(out.contains("parsweep_jobs_by_lane_total{lane=\"interactive\"} 2"));
         assert!(
-            out.contains("parsweep_prove_engine_wins_total{engine=\"sat_sweep\"} 0"),
+            out.contains("parsweep_jobs_by_lane_total{lane=\"batch\"} 0"),
             "zero series still rendered"
         );
         for line in out.lines() {
@@ -397,16 +354,6 @@ mod tests {
                 "malformed line: {line}"
             );
         }
-    }
-
-    #[test]
-    fn prove_counters_slots_are_independent() {
-        let c = prove_counters();
-        let before = SimCounters::get(&c.wins[7]);
-        SimCounters::add(&c.wins[7], 3);
-        assert_eq!(SimCounters::get(&c.wins[7]), before + 3);
-        // Other arrays and slots are untouched by the add above.
-        let _ = SimCounters::get(&c.losses[7]);
     }
 
     #[test]

@@ -58,6 +58,14 @@ echo "==> SAT baseline on a 10-bit multiplier pair (must prove it within 10 s)"
 target/release/parsweep check benchmark/inputs/multiplier_w10_1xd.L.aig \
     benchmark/inputs/multiplier_w10_1xd.R.aig --engine sat --budget 10
 
+echo "==> portfolio: proves a 4-bit multiplier pair, disproves a flipped sqrt (10 s each)"
+target/release/parsweep check benchmark/inputs/multiplier_w4_1xd.L.aig \
+    benchmark/inputs/multiplier_w4_1xd.R.aig --engine portfolio --budget 10 >/dev/null
+status=0
+target/release/parsweep check benchmark/inputs/sqrt_w10_1xd.L.aig \
+    benchmark/inputs/sqrt_w10_1xd.flip.R.aig --engine portfolio --budget 10 >/dev/null || status=$?
+[ "$status" -eq 1 ] || { echo "expected exit 1 (not equivalent), got $status" >&2; exit 1; }
+
 echo "==> default check: P+G then SAT proves sqrt_w12_0xd, disproves a multiplier mutant"
 target/release/parsweep check benchmark/inputs/sqrt_w12_0xd.L.aig \
     benchmark/inputs/sqrt_w12_0xd.R.aig --budget 10 >/dev/null

@@ -1,20 +1,50 @@
 //! The `parsweep` binary as a user runs it: exit codes of `check` on the
 //! committed benchmark pairs.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+use parsweep::aig::{miter, read_aiger_file};
+use parsweep::sim::Cex;
+
+const INPUTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/inputs");
+
+/// Runs `parsweep check` on the benchmark files `left.aig` and
+/// `right.aig` with extra arguments.
+fn run_check(left: &str, right: &str, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_parsweep"))
+        .arg("check")
+        .arg(format!("{INPUTS}/{left}.aig"))
+        .arg(format!("{INPUTS}/{right}.aig"))
+        .args(args)
+        .output()
+        .expect("parsweep runs")
+}
 
 /// Runs `parsweep check` on the benchmark pair `name` with extra
 /// arguments and returns its exit code.
 fn check(name: &str, args: &[&str]) -> i32 {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/inputs");
-    let out = Command::new(env!("CARGO_BIN_EXE_parsweep"))
-        .arg("check")
-        .arg(format!("{dir}/{name}.L.aig"))
-        .arg(format!("{dir}/{name}.R.aig"))
-        .args(args)
-        .output()
-        .expect("parsweep runs");
+    let out = run_check(&format!("{name}.L"), &format!("{name}.R"), args);
     out.status.code().expect("parsweep exits with a code")
+}
+
+#[test]
+fn portfolio_engine_proves_and_prints_a_firing_counter_example() {
+    let args = ["--engine", "portfolio", "--budget", "10"];
+    assert_eq!(check("multiplier_w4_1xd", &args), 0);
+    let (left, right) = ("sqrt_w10_1xd.L", "sqrt_w10_1xd.flip.R");
+    let out = run_check(left, right, &args);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let printed = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("counter-example: "))
+        .unwrap_or_else(|| panic!("no counter-example printed: {stdout}"));
+    let bits = printed.trim_matches(['[', ']']).split(", ");
+    let cex = Cex::new(bits.map(|b| b == "true").collect());
+    let load = |name: &str| read_aiger_file(format!("{INPUTS}/{name}.aig")).unwrap();
+    let m = miter(&load(left), &load(right)).unwrap();
+    assert_eq!(cex.inputs().len(), m.num_pis());
+    assert!(cex.fires(&m), "the printed counter-example must fire");
 }
 
 #[test]
@@ -35,12 +65,11 @@ fn budget_bounds_the_sim_engine_and_the_combined_flow() {
 fn check_honours_parsweep_trace() {
     // With the collector compiled in, the trace lands at the named path;
     // without it, `check` warns and runs as usual.
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/inputs");
     let path = std::env::temp_dir().join(format!("parsweep-cli-trace-{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_parsweep"))
         .arg("check")
-        .arg(format!("{dir}/sqrt_w4_1xd.L.aig"))
-        .arg(format!("{dir}/sqrt_w4_1xd.R.aig"))
+        .arg(format!("{INPUTS}/sqrt_w4_1xd.L.aig"))
+        .arg(format!("{INPUTS}/sqrt_w4_1xd.R.aig"))
         .env("PARSWEEP_TRACE", &path)
         .output()
         .expect("parsweep runs");
