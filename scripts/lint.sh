@@ -26,7 +26,8 @@
 #                            access log is race-checked (racecheck analogue);
 #                            then an audited release `check` of the sqrt
 #                            mutant, whose P and G row kernels run many
-#                            rounds, must exit 1
+#                            rounds, must exit 1, and one of the square
+#                            pair, whose P windows share table slots, exit 0
 #   6. benchmark             the benchmark package builds against the tree
 #                            and passes its smoke run
 set -euo pipefail
@@ -112,6 +113,10 @@ status=0
 PARSWEEP_SANITIZE=1 target/release/parsweep check benchmark/inputs/sqrt_w10_1xd.L.aig \
     benchmark/inputs/sqrt_w10_1xd.rare.R.aig --budget 60 >/dev/null || status=$?
 [ "$status" -eq 1 ] || { echo "expected exit 1 (not equivalent), got $status" >&2; exit 1; }
+
+echo "==> audited end-to-end check: a P batch of 24 900 entries on 2 652 shared table slots (exit 0)"
+PARSWEEP_SANITIZE=1 target/release/parsweep check benchmark/inputs/square_w10_2xd.L.aig \
+    benchmark/inputs/square_w10_2xd.R.aig --budget 60 >/dev/null
 
 echo "==> benchmark build + smoke run"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
