@@ -187,7 +187,15 @@ fn run(
     let t = Instant::now();
     let mark = modeled_mark(exec);
     let mut span = trace::span("engine", "engine.phase.G");
-    let g_outcome = global_phase(&mut current, exec, cfg, &mut stats, &mut disproofs, token);
+    let g_outcome = global_phase(
+        &mut current,
+        exec,
+        cfg,
+        &mut stats,
+        &mut disproofs,
+        true,
+        token,
+    );
     span.arg_u64("modeled_time", modeled_mark(exec).saturating_sub(mark));
     drop(span);
     stats.phase_times.global = t.elapsed().as_secs_f64();
@@ -230,6 +238,7 @@ fn run(
             &active_passes,
             &mut stats,
             phase as u64,
+            true,
             live.as_deref(),
             token,
         ) {
@@ -398,13 +407,7 @@ fn po_phase(
             match outcome {
                 PairOutcome::Equal => proved.push((pair.b, pair.complement)),
                 PairOutcome::Mismatch { assignment, .. } => {
-                    let sparse: Vec<(Var, bool)> = win
-                        .inputs
-                        .iter()
-                        .copied()
-                        .zip(assignment.iter().copied())
-                        .collect();
-                    return Err(Cex::from_sparse(current, &sparse));
+                    return Err(win.cex(current, assignment));
                 }
             }
         }
@@ -446,20 +449,8 @@ fn po_vars(aig: &Aig) -> Vec<Var> {
 ///
 /// Returns the surviving live set (undecided class members, in the final
 /// miter's coordinates) for the L phases to prune against, or `None` if
-/// the phase never built EC state.
-fn global_phase(
-    current: &mut Cow<'_, Aig>,
-    exec: &Executor,
-    cfg: &EngineConfig,
-    stats: &mut EngineStats,
-    disproofs: &mut Vec<Cex>,
-    token: &CancelToken,
-) -> Result<Option<Vec<Var>>, Cex> {
-    global_phase_inner(current, exec, cfg, stats, disproofs, true, token)
-}
-
-/// The G phase body; with `miter_mode` off (FRAIG construction), firing
-/// POs are not treated as disproofs.
+/// the phase never built EC state. With `miter_mode` off (FRAIG
+/// construction), firing POs are not treated as disproofs.
 ///
 /// Round 0 simulates every node once and keeps both the patterns and the
 /// signature table. Later rounds are incremental: fresh patterns simulate
@@ -467,7 +458,7 @@ fn global_phase(
 /// classes in place; when proved pairs rewrite the miter, the base table
 /// is carried over by dirty-cone resimulation instead of a full rerun.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn global_phase_inner(
+pub(crate) fn global_phase(
     current: &mut Cow<'_, Aig>,
     exec: &Executor,
     cfg: &EngineConfig,
@@ -585,13 +576,7 @@ pub(crate) fn global_phase_inner(
                         proved_any = true;
                     }
                     PairOutcome::Mismatch { assignment, .. } => {
-                        let sparse: Vec<(Var, bool)> = win
-                            .inputs
-                            .iter()
-                            .copied()
-                            .zip(assignment.iter().copied())
-                            .collect();
-                        let cex = Cex::from_sparse(current, &sparse);
+                        let cex = win.cex(current, assignment);
                         if disproofs.len() < 4096 {
                             disproofs.push(cex.clone());
                         }
@@ -636,23 +621,9 @@ type LocalPhaseOutcome = (bool, Vec<u64>, Option<Vec<Var>>);
 
 /// One L phase: three cut generation and checking passes (Algorithm 2)
 /// followed by miter reduction. Returns whether the miter shrank, the
-/// per-pass proof counts, and the next phase's live set.
-#[allow(clippy::too_many_arguments)]
-fn local_phase(
-    current: &mut Cow<'_, Aig>,
-    exec: &Executor,
-    cfg: &EngineConfig,
-    passes: &[Pass],
-    stats: &mut EngineStats,
-    phase: u64,
-    live: Option<&[Var]>,
-    token: &CancelToken,
-) -> Result<LocalPhaseOutcome, Cex> {
-    local_phase_inner(current, exec, cfg, passes, stats, phase, true, live, token)
-}
-
-/// The L phase body; with `miter_mode` off (FRAIG construction), firing
-/// POs are not treated as disproofs.
+/// per-pass proof counts, and the next phase's live set. With
+/// `miter_mode` off (FRAIG construction), firing POs are not treated as
+/// disproofs.
 ///
 /// With `live` set (the previous phase's undecided class members),
 /// simulation is support-pruned to their TFI cone and cut enumeration is
@@ -661,7 +632,7 @@ fn local_phase(
 /// phase's live set — the surviving class members mapped through this
 /// phase's rewrite.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn local_phase_inner(
+pub(crate) fn local_phase(
     current: &mut Cow<'_, Aig>,
     exec: &Executor,
     cfg: &EngineConfig,

@@ -13,7 +13,7 @@ use parsweep_par::{CancelToken, Executor};
 use parsweep_trace as trace;
 
 use crate::config::EngineConfig;
-use crate::engine::{global_phase_inner, local_phase_inner, modeled_mark};
+use crate::engine::{global_phase, local_phase, modeled_mark};
 use crate::stats::EngineStats;
 
 /// The result of FRAIG construction.
@@ -49,7 +49,7 @@ pub fn fraig(aig: &Aig, exec: &Executor, cfg: &EngineConfig) -> FraigResult {
     let never = CancelToken::never();
     let t = std::time::Instant::now();
     // In non-miter mode the G phase cannot return a counter-example.
-    let mut live = global_phase_inner(
+    let mut live = global_phase(
         &mut current,
         exec,
         cfg,
@@ -64,7 +64,7 @@ pub fn fraig(aig: &Aig, exec: &Executor, cfg: &EngineConfig) -> FraigResult {
     let t = std::time::Instant::now();
     for phase in 0..cfg.max_local_phases {
         stats.local_phases += 1;
-        match local_phase_inner(
+        match local_phase(
             &mut current,
             exec,
             cfg,

@@ -16,39 +16,27 @@
 use std::time::Duration;
 
 use parsweep_net::{NetConfig, NetServer};
-use parsweep_svc::{shutdown, ShardPolicy};
+use parsweep_svc::frontend::{finish_trace, start_trace, Flags};
+use parsweep_svc::shutdown;
 use parsweep_trace as trace;
 
 fn main() {
     let mut cfg = NetConfig::default();
     let mut addr = "127.0.0.1:7878".to_string();
     let mut trace_path = trace::env_trace_path();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |name: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{name} needs an argument")))
-        };
-        let mut num = |name: &str| -> usize {
-            next(name)
-                .parse()
-                .unwrap_or_else(|_| die(&format!("{name} needs a numeric argument")))
-        };
+    let mut flags = Flags::from_env("net");
+    while let Some(arg) = flags.next_flag() {
+        if flags.service_flag(&arg, &mut cfg.svc, &mut trace_path) {
+            continue;
+        }
         match arg.as_str() {
-            "--addr" => addr = next("--addr"),
-            "--workers" => cfg.svc.workers = num("--workers").max(1),
-            "--exec-threads" => cfg.svc.exec_threads = num("--exec-threads").max(1),
-            "--deadline-ms" => {
-                cfg.svc.default_deadline = Some(Duration::from_millis(num("--deadline-ms") as u64));
+            "--addr" => addr = flags.value("--addr"),
+            "--max-in-flight" => cfg.admission.max_in_flight = flags.num("--max-in-flight").max(1),
+            "--queue-capacity" => cfg.admission.queue_capacity = flags.num("--queue-capacity"),
+            "--per-client-quota" => {
+                cfg.admission.per_client_max = flags.num("--per-client-quota").max(1);
             }
-            "--sat" => cfg.svc.sat_fallback = true,
-            "--connected" => cfg.svc.shard_policy = ShardPolicy::Connected,
-            "--cache-capacity" => cfg.svc.cache_capacity = num("--cache-capacity"),
-            "--max-in-flight" => cfg.admission.max_in_flight = num("--max-in-flight").max(1),
-            "--queue-capacity" => cfg.admission.queue_capacity = num("--queue-capacity"),
-            "--per-client-quota" => cfg.admission.per_client_max = num("--per-client-quota").max(1),
-            "--max-connections" => cfg.max_connections = num("--max-connections").max(1),
-            "--trace" => trace_path = Some(next("--trace")),
+            "--max-connections" => cfg.max_connections = flags.num("--max-connections").max(1),
             "--help" | "-h" => {
                 println!(
                     "usage: net [--addr HOST:PORT] [--workers N] [--exec-threads N] \
@@ -59,23 +47,14 @@ fn main() {
                 println!("serves JSON-lines requests over TCP; see crate docs");
                 return;
             }
-            other => die(&format!("unknown flag '{other}'")),
+            other => flags.die(&format!("unknown flag '{other}'")),
         }
     }
-    if trace_path.is_some() {
-        if trace::compiled() {
-            trace::enable();
-        } else {
-            eprintln!(
-                "net: --trace requested but this build lacks the 'trace' feature; \
-                 no spans will be recorded"
-            );
-        }
-    }
+    let trace_path = start_trace("net", trace_path);
 
     shutdown::install_signal_handlers();
-    let mut server =
-        NetServer::bind(&addr, cfg).unwrap_or_else(|e| die(&format!("failed to bind {addr}: {e}")));
+    let mut server = NetServer::bind(&addr, cfg)
+        .unwrap_or_else(|e| flags.die(&format!("failed to bind {addr}: {e}")));
     eprintln!("net: listening on {}", server.local_addr());
 
     while !shutdown::requested() {
@@ -85,16 +64,5 @@ fn main() {
     server.stop();
     eprintln!("net: {}", server.svc().stats());
 
-    if let Some(path) = trace_path.filter(|_| trace::compiled()) {
-        trace::disable();
-        match trace::write_chrome_trace(&path) {
-            Ok(()) => eprintln!("net: wrote Chrome trace to {path}"),
-            Err(e) => eprintln!("net: failed to write trace {path}: {e}"),
-        }
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("net: {msg}");
-    std::process::exit(2);
+    finish_trace("net", trace_path);
 }

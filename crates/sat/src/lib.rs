@@ -10,7 +10,9 @@
 //!   as the fallback that finishes miters the simulation engine leaves
 //!   undecided;
 //! * [`portfolio_check`]: a multi-engine portfolio standing in for the
-//!   commercial checker column of Table II.
+//!   commercial checker column of Table II. One function, [`dispatch`],
+//!   runs its two screens and ranks (or races) exhaustive PO proving
+//!   against SAT sweeping.
 //!
 //! ```
 //! use parsweep_aig::{Aig, miter};
@@ -41,7 +43,7 @@ mod cnf;
 pub mod dimacs;
 mod heap;
 mod portfolio;
-pub mod prover;
+mod prover;
 mod slit;
 mod solver;
 mod sweep;
@@ -50,8 +52,7 @@ pub use cnf::CnfEncoder;
 pub use dimacs::{read_dimacs, write_dimacs, Cnf, ParseDimacsError};
 pub use portfolio::{portfolio_check, PortfolioConfig};
 pub use prover::{
-    standard_engines, AttemptStatus, Difficulty, EngineAttempt, EngineKind, EngineReport,
-    ProofEngine, ProveOutcome, Prover,
+    dispatch, AttemptStatus, EngineAttempt, EngineKind, ProveOutcome, RACE_THRESHOLD,
 };
 pub use slit::{LBool, SatLit, SatVar};
 pub use solver::{SolveResult, Solver, SolverStats};

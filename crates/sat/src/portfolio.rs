@@ -2,17 +2,17 @@
 //! tool (Cadence Conformal LEC) in the paper's evaluation.
 //!
 //! The paper notes that commercial checkers are believed to combine
-//! several engines and stop as soon as one finishes. The portfolio is the
-//! [`Prover`] over the four standard engines: structural check and
+//! several engines and stop as soon as one finishes. [`portfolio_check`]
+//! hands the miter to [`crate::dispatch`]: structural check and
 //! random-simulation disproof as inline screens, then exhaustive
 //! truth-table PO proving (effective on small-support control logic) and
 //! SAT sweeping, ranked by their cost priors and raced on hard miters.
-//! This module only holds the configuration the engines are wired from.
+//! This module holds the configuration the engines run with.
 
 use parsweep_aig::Aig;
 use parsweep_par::{CancelToken, Executor};
 
-use crate::prover::{standard_engines, ProveOutcome, Prover};
+use crate::prover::{dispatch, ProveOutcome, RACE_THRESHOLD};
 use crate::sweep::SweepConfig;
 
 /// Portfolio configuration.
@@ -46,9 +46,7 @@ impl Default for PortfolioConfig {
 
 /// Runs the engine portfolio on a whole miter.
 pub fn portfolio_check(miter: &Aig, exec: &Executor, cfg: &PortfolioConfig) -> ProveOutcome {
-    Prover::with_engines(standard_engines(cfg))
-        .with_caps(cfg.po_support_cap, cfg.po_cone_cap)
-        .prove(miter, exec, &CancelToken::never())
+    dispatch(miter, exec, cfg, &CancelToken::never(), RACE_THRESHOLD)
 }
 
 #[cfg(test)]

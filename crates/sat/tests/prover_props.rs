@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use parsweep_aig::random::{mutate_gate, random_aig};
 use parsweep_aig::{miter, Aig};
 use parsweep_par::{CancelToken, Executor};
-use parsweep_sat::{Prover, Verdict};
+use parsweep_sat::{dispatch, PortfolioConfig, ProveOutcome, Verdict};
 
 /// Brute-force miter check: constant-zero on every input assignment.
 fn brute_equivalent(m: &Aig) -> bool {
@@ -30,10 +30,13 @@ fn brute_equivalent(m: &Aig) -> bool {
     })
 }
 
-/// The two branches of the dispatcher, forced: every class with two
-/// admissible heavy engines races, or none does.
-fn both_branches() -> [Prover; 2] {
-    [Duration::ZERO, Duration::MAX].map(|t| Prover::default().with_race_threshold(t))
+/// The race thresholds that force the two branches of the dispatcher:
+/// every miter with two admissible heavy engines races, or none does.
+const BOTH_BRANCHES: [Duration; 2] = [Duration::ZERO, Duration::MAX];
+
+/// Dispatches `m` at the default portfolio configuration.
+fn prove(m: &Aig, exec: &Executor, token: &CancelToken, race_threshold: Duration) -> ProveOutcome {
+    dispatch(m, exec, &PortfolioConfig::default(), token, race_threshold)
 }
 
 /// A balanced AND tree and a right-associated AND chain over `n` inputs:
@@ -81,8 +84,8 @@ proptest! {
         let m = miter(&a, &b).unwrap();
         let truth = brute_equivalent(&m);
         let exec = Executor::new();
-        for prover in both_branches() {
-            let outcome = prover.prove(&m, &exec, &CancelToken::never());
+        for threshold in BOTH_BRANCHES {
+            let outcome = prove(&m, &exec, &CancelToken::never(), threshold);
             match &outcome.verdict {
                 Verdict::Equivalent => prop_assert!(truth, "proved a disprovable miter"),
                 Verdict::NotEquivalent(cex) => {
@@ -110,8 +113,8 @@ proptest! {
         let exec = Executor::new();
         let token = CancelToken::new();
         token.cancel();
-        for prover in both_branches() {
-            let outcome = prover.prove(&m, &exec, &token);
+        for threshold in BOTH_BRANCHES {
+            let outcome = prove(&m, &exec, &token, threshold);
             prop_assert_eq!(&outcome.verdict, &Verdict::Undecided);
             prop_assert!(outcome.engine.is_none());
         }
@@ -131,8 +134,8 @@ proptest! {
         let m = hard_pair(n, corrupt);
         let exec = Executor::new();
         let token = CancelToken::with_deadline(Duration::from_micros(deadline_us));
-        for prover in both_branches() {
-            let outcome = prover.prove(&m, &exec, &token);
+        for threshold in BOTH_BRANCHES {
+            let outcome = prove(&m, &exec, &token, threshold);
             match &outcome.verdict {
                 Verdict::Equivalent => {
                     prop_assert!(!corrupt, "fabricated Equal on a disprovable miter");
@@ -152,8 +155,7 @@ proptest! {
     fn unbounded_race_decides_correctly(n in 8usize..20, corrupt in any::<bool>()) {
         let m = hard_pair(n, corrupt);
         let exec = Executor::new();
-        let [racing, _] = both_branches();
-        let outcome = racing.prove(&m, &exec, &CancelToken::never());
+        let outcome = prove(&m, &exec, &CancelToken::never(), Duration::ZERO);
         match &outcome.verdict {
             Verdict::Equivalent => prop_assert!(!corrupt),
             Verdict::NotEquivalent(cex) => {

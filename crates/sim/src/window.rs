@@ -7,6 +7,7 @@
 
 use parsweep_aig::{Aig, Var};
 
+use crate::cex::Cex;
 use crate::tt::word_len;
 
 /// One candidate equivalence to check inside a window: `a ≡ b ⊕ complement`.
@@ -105,6 +106,20 @@ impl Window {
     /// (inputs + interior nodes), the paper's `|w| + |inputs(w)|`.
     pub fn num_entries(&self) -> usize {
         self.inputs.len() + self.nodes.len()
+    }
+
+    /// The counter-example over `aig`'s PIs that a mismatch's
+    /// `assignment` (window-input values, in window-input order) names:
+    /// values of window inputs that are not PIs are dropped, and PIs
+    /// outside the window are `false`.
+    pub fn cex(&self, aig: &Aig, assignment: &[bool]) -> Cex {
+        let sparse: Vec<(Var, bool)> = self
+            .inputs
+            .iter()
+            .copied()
+            .zip(assignment.iter().copied())
+            .collect();
+        Cex::from_sparse(aig, &sparse)
     }
 }
 

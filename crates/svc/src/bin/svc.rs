@@ -34,37 +34,23 @@
 //! feature to record anything).
 
 use std::io::{BufRead, Write};
-use std::time::Duration;
 
-use parsweep_svc::frontend::{handle_request, result_fields, stats_fields, MiterCache};
+use parsweep_svc::frontend::{
+    finish_trace, handle_request, result_fields, start_trace, stats_fields, Flags, MiterCache,
+};
 use parsweep_svc::jsonl::{emit_object, JsonValue};
-use parsweep_svc::{shutdown, CecService, ShardPolicy, SvcConfig};
+use parsweep_svc::{shutdown, CecService, SvcConfig};
 use parsweep_trace as trace;
 
 fn main() {
     let mut cfg = SvcConfig::default();
     let mut trace_path = trace::env_trace_path();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |name: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{name} needs an argument")))
-        };
-        let mut num = |name: &str| -> usize {
-            next(name)
-                .parse()
-                .unwrap_or_else(|_| die(&format!("{name} needs a numeric argument")))
-        };
+    let mut flags = Flags::from_env("svc");
+    while let Some(arg) = flags.next_flag() {
+        if flags.service_flag(&arg, &mut cfg, &mut trace_path) {
+            continue;
+        }
         match arg.as_str() {
-            "--workers" => cfg.workers = num("--workers").max(1),
-            "--exec-threads" => cfg.exec_threads = num("--exec-threads").max(1),
-            "--deadline-ms" => {
-                cfg.default_deadline = Some(Duration::from_millis(num("--deadline-ms") as u64));
-            }
-            "--sat" => cfg.sat_fallback = true,
-            "--connected" => cfg.shard_policy = ShardPolicy::Connected,
-            "--cache-capacity" => cfg.cache_capacity = num("--cache-capacity"),
-            "--trace" => trace_path = Some(next("--trace")),
             "--help" | "-h" => {
                 println!(
                     "usage: svc [--workers N] [--exec-threads N] [--deadline-ms N] [--sat] \
@@ -73,19 +59,10 @@ fn main() {
                 println!("reads JSON-lines requests on stdin; see module docs");
                 return;
             }
-            other => die(&format!("unknown flag '{other}'")),
+            other => flags.die(&format!("unknown flag '{other}'")),
         }
     }
-    if trace_path.is_some() {
-        if trace::compiled() {
-            trace::enable();
-        } else {
-            eprintln!(
-                "svc: --trace requested but this build lacks the 'trace' feature; \
-                 no spans will be recorded"
-            );
-        }
-    }
+    let trace_path = start_trace("svc", trace_path);
 
     shutdown::install_signal_handlers();
     let svc = CecService::new(cfg);
@@ -134,16 +111,5 @@ fn main() {
     let _ = writeln!(out, "{}", emit_object(&stats_fields(&svc)));
     let _ = out.flush();
 
-    if let Some(path) = trace_path.filter(|_| trace::compiled()) {
-        trace::disable();
-        match trace::write_chrome_trace(&path) {
-            Ok(()) => eprintln!("svc: wrote Chrome trace to {path}"),
-            Err(e) => eprintln!("svc: failed to write trace {path}: {e}"),
-        }
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("svc: {msg}");
-    std::process::exit(2);
+    finish_trace("svc", trace_path);
 }

@@ -7,7 +7,9 @@
 //! (AIGER files or the built-in adder demos), and response-event
 //! builders. Event builders return *field vectors* rather than finished
 //! strings so a multiplexing front-end can append its per-request `id`
-//! before serializing.
+//! before serializing. The two binaries also share their command line:
+//! [`Flags`] parses the service flags both accept, and [`start_trace`] /
+//! [`finish_trace`] bracket a `--trace` run.
 
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
@@ -18,7 +20,8 @@ use parsweep_sat::Verdict;
 use crate::cache::VerifiedCache;
 use crate::jsonl::{emit_object, get, parse_object, JsonValue};
 use crate::pool::Lane;
-use crate::service::{CecService, JobResult};
+use crate::service::{CecService, JobResult, SvcConfig};
+use crate::shard::ShardPolicy;
 
 /// Bounded path → parsed-AIG cache for a front-end's submit path.
 ///
@@ -318,10 +321,109 @@ pub fn handle_request(
     }
 }
 
+/// A front-end binary's command line: its flags in order, with the
+/// service flags both front-ends accept (`--workers N`, `--exec-threads
+/// N`, `--deadline-ms N`, `--sat`, `--connected`, `--cache-capacity N`,
+/// `--trace PATH`) applied by [`Flags::service_flag`]. A missing or
+/// malformed argument exits with status 2 after a `<prog>: ` message.
+pub struct Flags<I> {
+    prog: &'static str,
+    args: I,
+}
+
+impl Flags<std::iter::Skip<std::env::Args>> {
+    /// The process's own arguments, reported as `prog`.
+    pub fn from_env(prog: &'static str) -> Self {
+        Flags::new(prog, std::env::args().skip(1))
+    }
+}
+
+impl<I: Iterator<Item = String>> Flags<I> {
+    /// The flags in `args`, reported as `prog`.
+    pub fn new(prog: &'static str, args: I) -> Self {
+        Flags { prog, args }
+    }
+
+    /// The next flag, or `None` at the end of the command line.
+    pub fn next_flag(&mut self) -> Option<String> {
+        self.args.next()
+    }
+
+    /// The argument of flag `name`.
+    pub fn value(&mut self, name: &str) -> String {
+        let arg = self.args.next();
+        arg.unwrap_or_else(|| self.die(&format!("{name} needs an argument")))
+    }
+
+    /// The numeric argument of flag `name`.
+    pub fn num(&mut self, name: &str) -> usize {
+        let arg = self.value(name);
+        arg.parse()
+            .unwrap_or_else(|_| self.die(&format!("{name} needs a numeric argument")))
+    }
+
+    /// Applies `flag` to `cfg` (or, for `--trace`, to `trace_path`) when
+    /// it is one of the shared service flags; returns whether it was.
+    pub fn service_flag(
+        &mut self,
+        flag: &str,
+        cfg: &mut SvcConfig,
+        trace_path: &mut Option<String>,
+    ) -> bool {
+        match flag {
+            "--workers" => cfg.workers = self.num(flag).max(1),
+            "--exec-threads" => cfg.exec_threads = self.num(flag).max(1),
+            "--deadline-ms" => {
+                cfg.default_deadline = Some(Duration::from_millis(self.num(flag) as u64));
+            }
+            "--sat" => cfg.sat_fallback = true,
+            "--connected" => cfg.shard_policy = ShardPolicy::Connected,
+            "--cache-capacity" => cfg.cache_capacity = self.num(flag),
+            "--trace" => *trace_path = Some(self.value(flag)),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Prints `<prog>: msg` to stderr and exits with status 2.
+    pub fn die(&self, msg: &str) -> ! {
+        eprintln!("{}: {msg}", self.prog);
+        std::process::exit(2);
+    }
+}
+
+/// Starts recording spans when a trace was requested (`--trace` or
+/// `PARSWEEP_TRACE`). Returns the path to write at exit, or `None` when
+/// none was requested or the build lacks the `trace` feature (which
+/// `prog` then says on stderr).
+pub fn start_trace(prog: &str, path: Option<String>) -> Option<String> {
+    let path = path?;
+    if parsweep_trace::compiled() {
+        parsweep_trace::enable();
+        Some(path)
+    } else {
+        eprintln!(
+            "{prog}: --trace requested but this build lacks the 'trace' feature; \
+             no spans will be recorded"
+        );
+        None
+    }
+}
+
+/// Stops recording and writes the Chrome trace [`start_trace`] returned,
+/// reporting the outcome on stderr as `prog`.
+pub fn finish_trace(prog: &str, path: Option<String>) {
+    let Some(path) = path else { return };
+    parsweep_trace::disable();
+    match parsweep_trace::write_chrome_trace(&path) {
+        Ok(()) => eprintln!("{prog}: wrote Chrome trace to {path}"),
+        Err(e) => eprintln!("{prog}: failed to write trace {path}: {e}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::SvcConfig;
 
     #[test]
     fn submit_parses_lane_and_deadline() {
@@ -451,5 +553,32 @@ mod tests {
         let m = demo_miter("adder", 4, false).unwrap();
         assert_eq!(m.num_pis(), 8, "miter shares the adders' 2*width PIs");
         assert!(demo_miter("ripple", 4, false).is_err());
+    }
+
+    #[test]
+    fn service_flags_set_the_config_and_leave_the_rest() {
+        let line = "--workers 3 --exec-threads 0 --deadline-ms 250 --sat --connected \
+                    --cache-capacity 7 --trace t.json --addr x";
+        let mut flags = Flags::new("test", line.split_whitespace().map(String::from));
+        let mut cfg = SvcConfig::default();
+        let mut trace_path = None;
+        let mut rest = Vec::new();
+        while let Some(flag) = flags.next_flag() {
+            if !flags.service_flag(&flag, &mut cfg, &mut trace_path) {
+                rest.push(flag);
+            }
+        }
+        assert_eq!(cfg.workers, 3);
+        assert_eq!(cfg.exec_threads, 1, "thread counts are at least 1");
+        assert_eq!(cfg.default_deadline, Some(Duration::from_millis(250)));
+        assert!(cfg.sat_fallback);
+        assert_eq!(cfg.shard_policy, ShardPolicy::Connected);
+        assert_eq!(cfg.cache_capacity, 7);
+        assert_eq!(trace_path.as_deref(), Some("t.json"));
+        assert_eq!(
+            rest,
+            ["--addr", "x"],
+            "front-end flags are left to the caller"
+        );
     }
 }

@@ -1,12 +1,13 @@
-//! One clock for every report: wall time behind a trait, so tests inject
-//! a deterministic source.
+//! A wall clock behind a trait, so tests inject a deterministic source.
 //!
-//! The stack reports three kinds of time — raw wall clock (service queue
-//! wait, `ProveOutcome::seconds`), the executor's deterministic
-//! *modeled* time, and phase breakdowns mixing both. Routing every wall
-//! reading through [`Clock`] keeps the labels honest (a `Duration` from
-//! here is always wall-since-epoch, never modeled units) and lets tests
-//! pin time with [`ManualClock`] instead of sleeping.
+//! The stack reports three kinds of time — raw wall clock, the
+//! executor's deterministic *modeled* time, and phase breakdowns mixing
+//! both. The job service reads its wall time (queue wait, job totals)
+//! through [`Clock`], which keeps the labels honest (a `Duration` from
+//! here is always wall-since-epoch, never modeled units) and lets its
+//! tests pin time with [`ManualClock`] instead of sleeping. Timings no
+//! test pins, such as the portfolio's `ProveOutcome::seconds`, read
+//! `std::time::Instant` directly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -11,6 +11,9 @@
 #                            members), then the synth suite, which is not
 #                            a default member, a tiny ablation run, the
 #                            SAT baseline on a 10-bit multiplier pair, the
+#                            portfolio on four pairs (exhaustive inline, the
+#                            random-sim screen, and two races of exhaustive
+#                            against SAT, exit 0 and 1), the
 #                            default check on a sqrt pair and a multiplier
 #                            mutant (exit 0 and 1), a
 #                            FRAIG soundness smoke (FRAIG a hyp network,
@@ -65,6 +68,14 @@ target/release/parsweep check benchmark/inputs/multiplier_w4_1xd.L.aig \
 status=0
 target/release/parsweep check benchmark/inputs/sqrt_w10_1xd.L.aig \
     benchmark/inputs/sqrt_w10_1xd.flip.R.aig --engine portfolio --budget 10 >/dev/null || status=$?
+[ "$status" -eq 1 ] || { echo "expected exit 1 (not equivalent), got $status" >&2; exit 1; }
+
+echo "==> portfolio race: proves a 10-bit multiplier pair, disproves its rare mutant (10 s each)"
+target/release/parsweep check benchmark/inputs/multiplier_w10_1xd.L.aig \
+    benchmark/inputs/multiplier_w10_1xd.R.aig --engine portfolio --budget 10 >/dev/null
+status=0
+target/release/parsweep check benchmark/inputs/multiplier_w10_0xd.L.aig \
+    benchmark/inputs/multiplier_w10_0xd.rare.R.aig --engine portfolio --budget 10 >/dev/null || status=$?
 [ "$status" -eq 1 ] || { echo "expected exit 1 (not equivalent), got $status" >&2; exit 1; }
 
 echo "==> default check: P+G then SAT proves sqrt_w12_0xd, disproves a multiplier mutant"
