@@ -8,10 +8,9 @@
 //! final stats to stderr, exit.
 //!
 //! Flags: the service knobs of `svc` (`--workers`, `--exec-threads`,
-//! `--deadline-ms`, `--sat`, `--connected`, `--cache-capacity`,
-//! `--trace`) plus the transport bounds `--addr HOST:PORT`,
-//! `--max-in-flight N`, `--queue-capacity N`, `--per-client-quota N`,
-//! `--max-connections N`.
+//! `--deadline-ms`, `--sat`, `--cache-capacity`, `--trace`) plus the
+//! transport bounds `--addr HOST:PORT`, `--max-in-flight N`,
+//! `--queue-capacity N`, `--per-client-quota N`, `--max-connections N`.
 
 use std::time::Duration;
 
@@ -40,7 +39,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: net [--addr HOST:PORT] [--workers N] [--exec-threads N] \
-                     [--deadline-ms N] [--sat] [--connected] [--cache-capacity N] \
+                     [--deadline-ms N] [--sat] [--cache-capacity N] \
                      [--max-in-flight N] [--queue-capacity N] \
                      [--per-client-quota N] [--max-connections N] [--trace PATH]"
                 );

@@ -1,10 +1,10 @@
 //! A small blocking JSONL client for the TCP front-end.
 //!
-//! Used by the integration tests and the saturation bench; also a
-//! reference for what a real client looks like: write one flat JSON
-//! request per line with an `"id"`, read pushed events, and match
-//! responses back to requests by that id (results arrive whenever their
-//! job settles, not in request order).
+//! Used by the integration tests; also a reference for what a real
+//! client looks like: write one flat JSON request per line with an
+//! `"id"`, read pushed events, and match responses back to requests by
+//! that id (results arrive whenever their job settles, not in request
+//! order).
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};

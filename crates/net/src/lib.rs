@@ -1,7 +1,7 @@
 //! # parsweep-net — the networked multi-client front-end
 //!
 //! The engine underneath ([`parsweep_svc::CecService`]) is a throughput
-//! machine: many independent cone proofs, a work-stealing pool, a
+//! machine: many independent cone proofs, a lane-aware worker pool, a
 //! structural result cache. The stdin front-end wastes that — one
 //! client, one request at a time, queue-wait dominating latency. This
 //! crate is the "many concurrent CEC jobs" story from the paper's
@@ -18,7 +18,9 @@
 //!   mirroring the worker pool's.
 //! * **Pushed, multiplexed results**: requests carry an `"id"` the
 //!   server echoes on every response, so one connection can pipeline
-//!   many jobs and match results as they settle.
+//!   many jobs and match results as they settle. The service hands each
+//!   settled job to a hook that queues it for one delivery thread, so
+//!   no thread blocks per job in flight.
 //!
 //! The `net_cold` and `net_warm` workloads of the repository benchmark
 //! (`benchmark/`) drive concurrent clients against this server's binary.

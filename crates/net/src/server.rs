@@ -21,21 +21,24 @@
 //! polled against the stop flag, connections over `max_connections` get
 //! an `error` event and are closed), one thread per connection (reads
 //! with a poll timeout so shutdown is prompt; partial lines survive
-//! timeouts), and a fixed pool of *waiter* threads — one per admission
-//! budget slot, since each in-flight job needs one blocked
-//! [`CecService::wait_take`] — that push each settled job's result,
-//! release its budget, and submit whatever grants the release
-//! unblocked. The pool is spawned once at bind: under saturation no
-//! thread is created or destroyed per job.
+//! timeouts), and one *delivery* thread. Every granted job is submitted
+//! with a settle hook ([`CecService::submit_with_hook`]) that only sends
+//! the result on a channel; the delivery thread drains that channel,
+//! pushes each result to its connection, releases the job's admission
+//! slot and submits whatever grants the release unblocked. A hook that
+//! only sends can neither drop the server on a svc worker (whose pool
+//! would then join that worker from itself) nor submit from inside
+//! `submit` (where a memo hit settles).
 //! Shutdown ([`NetServer::stop`]) is the same drain-and-report path the
 //! stdin binary takes on SIGINT: stop accepting, let in-flight and
 //! queued jobs settle, deliver their results, then join every thread.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -45,7 +48,7 @@ use parsweep_svc::frontend::{
     self, error_fields, parse_submit, push_id, result_fields, stats_fields, MiterCache,
 };
 use parsweep_svc::jsonl::{emit_object, get, parse_object, JsonValue};
-use parsweep_svc::{CecService, Lane, SubmitOpts, SvcConfig};
+use parsweep_svc::{CecService, JobId, JobResult, Lane, SubmitOpts, SvcConfig};
 use parsweep_trace as trace;
 use parsweep_trace::metrics::{
     render_counter, render_gauge, render_labeled_gauge, render_labeled_histogram, Histogram,
@@ -56,6 +59,11 @@ use crate::admission::{Admission, AdmissionConfig, Decision, Grant};
 /// How long blocking reads and waits poll before re-checking the stop
 /// flag: the upper bound on shutdown latency per thread.
 const POLL: Duration = Duration::from_millis(50);
+
+/// How long one write to a client may block. The delivery thread serves
+/// every connection, so a client that stops reading must not stall the
+/// others for longer than this: its connection is shut instead.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server configuration: the service it fronts plus transport bounds.
 #[derive(Clone, Debug)]
@@ -90,10 +98,10 @@ struct PendingJob {
     offered: Instant,
 }
 
-/// A granted, submitted job handed to the waiter pool: everything a
-/// waiter needs to deliver the result and release the budget slot.
-struct WaitJob {
-    job: parsweep_svc::JobId,
+/// A settled job on its way to the delivery thread: the result plus
+/// what delivering it and releasing its admission slot need.
+struct Settled {
+    result: JobResult,
     conn: Arc<ConnState>,
     lane: Lane,
     request_id: Option<u64>,
@@ -101,40 +109,8 @@ struct WaitJob {
     granted: Instant,
 }
 
-/// The waiter pool's inbox: a plain queue + condvar so waiters sleep
-/// between jobs instead of polling.
-struct WaitQueue {
-    q: Mutex<std::collections::VecDeque<WaitJob>>,
-    ready: Condvar,
-}
-
-impl WaitQueue {
-    fn new() -> WaitQueue {
-        WaitQueue {
-            q: Mutex::new(std::collections::VecDeque::new()),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: WaitJob) {
-        self.q.lock().unwrap().push_back(job);
-        self.ready.notify_one();
-    }
-
-    /// Pops the next assignment, sleeping at most `timeout` — the caller
-    /// re-checks its exit condition on `None`.
-    fn pop_timeout(&self, timeout: Duration) -> Option<WaitJob> {
-        let mut q = self.q.lock().unwrap();
-        if let Some(job) = q.pop_front() {
-            return Some(job);
-        }
-        let (mut q, _) = self.ready.wait_timeout(q, timeout).unwrap();
-        q.pop_front()
-    }
-}
-
-/// Per-connection shared state: the writer half (used by waiter threads
-/// to push results) and the outstanding-job count `drain` blocks on.
+/// Per-connection shared state: the writer half (used by the delivery
+/// thread to push results) and the outstanding-job count `drain` blocks on.
 struct ConnState {
     id: u64,
     writer: Mutex<TcpStream>,
@@ -143,22 +119,17 @@ struct ConnState {
 }
 
 impl ConnState {
-    /// Writes one event line; errors are ignored (a dead connection is
-    /// detected and cleaned up by its reader thread).
-    fn send(&self, line: &str) {
-        let mut w = self.writer.lock().unwrap();
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
-    }
-
-    /// Writes a pre-assembled batch of newline-terminated event lines in
-    /// one syscall — the response path for a burst of pipelined requests.
-    fn send_batch(&self, lines: &str) {
+    /// Writes newline-terminated event lines in one syscall. A failed or
+    /// timed-out write shuts the socket, so the connection's reader sees
+    /// it end and cleans up.
+    fn send(&self, lines: &str) {
         if lines.is_empty() {
             return;
         }
         let mut w = self.writer.lock().unwrap();
-        let _ = w.write_all(lines.as_bytes());
+        if w.write_all(lines.as_bytes()).is_err() {
+            let _ = w.shutdown(Shutdown::Both);
+        }
     }
 
     fn job_started(&self) {
@@ -189,22 +160,12 @@ struct ServerInner {
     conns: Mutex<HashMap<u64, Arc<ConnState>>>,
     next_conn: AtomicU64,
     active_conns: AtomicUsize,
-    /// Granted jobs enqueued for the waiter pool but not yet delivered;
-    /// the drain in [`NetServer::stop`] waits this out.
-    live_waits: AtomicUsize,
-    wait_queue: WaitQueue,
     /// Path → parsed-AIG cache shared by every connection's submit path.
     files: MiterCache,
     counters: NetCounters,
-}
-
-impl ServerInner {
-    /// True once nothing is admitted, queued, or awaiting delivery — the
-    /// drain condition both [`NetServer::stop`] and idle waiters check.
-    fn drained(&self) -> bool {
-        let st = self.admission.stats();
-        st.in_flight == 0 && st.queue_depth == [0, 0] && self.live_waits.load(Ordering::SeqCst) == 0
-    }
+    /// Where settle hooks send results for the delivery thread; `None`
+    /// tells it to exit.
+    settled: Sender<Option<Settled>>,
 }
 
 /// The multi-client TCP front-end. Binding spawns the acceptor; dropping
@@ -213,16 +174,9 @@ pub struct NetServer {
     inner: Arc<ServerInner>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    waiters: Vec<JoinHandle<()>>,
+    deliverer: Option<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    stopped: bool,
 }
-
-/// Upper bound on waiter threads: each blocked `wait_take` needs one, so
-/// the pool matches the admission budget, but an absurd budget must not
-/// translate into an absurd thread count (beyond the cap, delivery of a
-/// settled job can wait for a free waiter).
-const MAX_WAITERS: usize = 64;
 
 impl NetServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
@@ -231,6 +185,7 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (settled, deliveries) = mpsc::channel();
         let inner = Arc::new(ServerInner {
             svc: CecService::new(cfg.svc.clone()),
             admission: Admission::new(cfg.admission.clone()),
@@ -238,8 +193,6 @@ impl NetServer {
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(1),
             active_conns: AtomicUsize::new(0),
-            live_waits: AtomicUsize::new(0),
-            wait_queue: WaitQueue::new(),
             files: MiterCache::default(),
             counters: NetCounters {
                 connections: AtomicU64::new(0),
@@ -247,17 +200,13 @@ impl NetServer {
                 results_pushed: AtomicU64::new(0),
                 lane_latency: [Histogram::latency_default(), Histogram::latency_default()],
             },
+            settled,
             cfg,
         });
-        let waiters = (0..inner.cfg.admission.max_in_flight.clamp(1, MAX_WAITERS))
-            .map(|w| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("net-waiter-{w}"))
-                    .spawn(move || waiter_loop(&inner))
-                    .expect("spawn net waiter")
-            })
-            .collect();
+        let deliverer = {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || deliver_loop(&inner, deliveries))
+        };
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let inner = Arc::clone(&inner);
@@ -268,9 +217,8 @@ impl NetServer {
             inner,
             addr,
             acceptor: Some(acceptor),
-            waiters,
+            deliverer: Some(deliverer),
             conn_threads,
-            stopped: false,
         })
     }
 
@@ -279,7 +227,7 @@ impl NetServer {
         self.addr
     }
 
-    /// The service behind the front-end (stats, busy window, metrics).
+    /// The service behind the front-end (stats, metrics).
     pub fn svc(&self) -> &CecService {
         &self.inner.svc
     }
@@ -294,36 +242,46 @@ impl NetServer {
     /// Idempotent. This is the same drain semantics the stdin binary
     /// applies on SIGINT — nothing admitted is ever dropped.
     pub fn stop(&mut self) {
-        if self.stopped {
+        let Some(acceptor) = self.acceptor.take() else {
             return;
-        }
-        self.stopped = true;
+        };
         self.inner.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        // Admitted work drains through the settle→grant chain; poll until
-        // the controller is empty and the last result has been delivered.
-        while !self.inner.drained() {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // Waiters exit on their next poll tick once stop is set and the
-        // drain condition holds.
-        self.inner.wait_queue.ready.notify_all();
-        for h in self.waiters.drain(..) {
-            let _ = h.join();
-        }
+        let _ = acceptor.join();
+        // Connection threads see the flag after their current burst; once
+        // they are joined, nothing offers a job any more.
         let handles: Vec<_> = self.conn_threads.lock().unwrap().drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
+        // Admitted work drains through the settle→grant chain, and a job
+        // leaves the budget only after its result was pushed: poll until
+        // the controller is empty.
+        while {
+            let st = self.inner.admission.stats();
+            st.in_flight > 0 || st.queue_depth != [0, 0]
+        } {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let _ = self.inner.settled.send(None);
+        if let Some(h) = self.deliverer.take() {
+            let _ = h.join();
+        }
     }
+}
 
-    /// Service metrics plus the `parsweep_net_*` transport section.
-    pub fn metrics_text(&self) -> String {
-        let mut out = self.inner.svc.metrics_text();
-        let c = &self.inner.counters;
-        let adm = self.inner.admission.stats();
+impl Drop for NetServer {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+impl ServerInner {
+    /// Service metrics plus the `parsweep_net_*` transport section: the
+    /// text of the protocol's `metrics` op.
+    fn metrics_text(&self) -> String {
+        let mut out = self.svc.metrics_text();
+        let c = &self.counters;
+        let adm = self.admission.stats();
         render_counter(
             &mut out,
             "parsweep_net_connections_total",
@@ -340,7 +298,7 @@ impl NetServer {
             &mut out,
             "parsweep_net_active_connections",
             "Connections currently open.",
-            self.inner.active_conns.load(Ordering::Relaxed) as f64,
+            self.active_conns.load(Ordering::Relaxed) as f64,
         );
         render_counter(
             &mut out,
@@ -393,12 +351,6 @@ impl NetServer {
                 .collect::<Vec<_>>(),
         );
         out
-    }
-}
-
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -465,15 +417,14 @@ impl Drop for ConnSlot {
             return;
         }
         // Client hung up: queued jobs are dropped, in-flight ones settle
-        // into a closed socket (harmless). Bound the per-client tables.
-        // A panic here while the thread unwinds would abort the server, so
-        // a table some panicking thread poisoned is skipped instead; the
-        // connection slot itself is always given back.
+        // into a closed socket (harmless). A panic here while the thread
+        // unwinds would abort the server, so a table some panicking thread
+        // poisoned is skipped instead; the connection slot itself is
+        // always given back.
         let (id, inner) = (self.id, &self.inner);
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let (_dropped, grants) = inner.admission.purge_client(id);
             process_grants(inner, grants);
-            inner.svc.forget_client(id);
         }));
         inner
             .conns
@@ -499,6 +450,7 @@ fn connection_loop(stream: TcpStream, conn_id: u64, inner: Arc<ServerInner>) {
     let mut span = trace::span("net", "conn");
     span.arg_u64("client", conn_id);
     let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
         Ok(w) => w,
@@ -537,7 +489,7 @@ fn read_requests(mut stream: TcpStream, state: &Arc<ConnState>, inner: &Arc<Serv
                 handle_line(line, state, inner, &mut out);
             }
         }
-        state.send_batch(&out);
+        state.send(&out);
         out.clear();
         if inner.stop.load(Ordering::SeqCst) {
             return true;
@@ -596,7 +548,7 @@ fn handle_line(line: &str, state: &Arc<ConnState>, inner: &Arc<ServerInner>, out
             };
             // Count the job as outstanding from the *offer*, not the
             // grant: `drain` must wait out queued jobs too. (Before the
-            // offer, so a grant's waiter can never decrement first.)
+            // offer, so delivering a grant can never decrement first.)
             state.job_started();
             let (decision, grants) = inner.admission.offer(state.id, req.lane, pending);
             let submitted = process_grants(inner, grants);
@@ -640,7 +592,7 @@ fn handle_line(line: &str, state: &Arc<ConnState>, inner: &Arc<ServerInner>, out
         "drain" => {
             // About to block: flush the burst's buffered responses first
             // so the client sees its acks while the drain waits.
-            state.send_batch(out);
+            state.send(out);
             out.clear();
             // Block until this connection has nothing outstanding (its
             // results were already pushed), then report stats.
@@ -653,29 +605,21 @@ fn handle_line(line: &str, state: &Arc<ConnState>, inner: &Arc<ServerInner>, out
             append(out, id, stats_fields(&inner.svc));
         }
         "stats" => send(stats_fields(&inner.svc)),
-        "metrics" => {
-            // Transport metrics need the server handle; the service view
-            // is rendered here and the net section appended by the
-            // binary's periodic dump instead. Over the wire, serve the
-            // full service text.
-            send(vec![
-                ("event", JsonValue::Str("metrics".into())),
-                ("text", JsonValue::Str(inner.svc.metrics_text())),
-            ]);
-        }
+        "metrics" => send(vec![
+            ("event", JsonValue::Str("metrics".into())),
+            ("text", JsonValue::Str(inner.metrics_text())),
+        ]),
         other => send(error_fields(format!("unknown op '{other}'"))),
     }
 }
 
-/// Submits granted jobs and hands them to the waiter pool. Grants whose
-/// connection is gone release their budget immediately (which can grant
-/// further jobs — handled iteratively, not recursively). Returns the
-/// `(client, job)` pairs actually submitted, in grant order.
-fn process_grants(
-    inner: &Arc<ServerInner>,
-    grants: Vec<Grant<PendingJob>>,
-) -> Vec<(u64, parsweep_svc::JobId)> {
-    let mut worklist: std::collections::VecDeque<Grant<PendingJob>> = grants.into();
+/// Submits granted jobs, each with a settle hook that sends its result
+/// to the delivery thread. Grants whose connection is gone release their
+/// budget immediately (which can grant further jobs — handled
+/// iteratively, not recursively). Returns the `(client, job)` pairs
+/// actually submitted, in grant order.
+fn process_grants(inner: &ServerInner, grants: Vec<Grant<PendingJob>>) -> Vec<(u64, JobId)> {
+    let mut worklist: VecDeque<Grant<PendingJob>> = grants.into();
     let mut submitted = Vec::new();
     while let Some(grant) = worklist.pop_front() {
         let conn = inner.conns.lock().unwrap().get(&grant.client).cloned();
@@ -685,61 +629,53 @@ fn process_grants(
             worklist.extend(inner.admission.settle(grant.client, Duration::ZERO));
             continue;
         };
+        let PendingJob {
+            request_id,
+            miter,
+            deadline,
+            offered,
+        } = grant.payload;
+        let (lane, granted, settled) = (grant.lane, Instant::now(), inner.settled.clone());
         // Outstanding was already counted at offer time (drain waits out
-        // queued jobs too); the waiter balances it at settle.
-        let job = inner.svc.submit_with_opts(
-            grant.payload.miter.clone(),
-            SubmitOpts {
-                deadline: grant.payload.deadline,
-                lane: grant.lane,
-                client: grant.client,
-            },
-        );
-        submitted.push((grant.client, job));
-        inner.live_waits.fetch_add(1, Ordering::SeqCst);
-        inner.wait_queue.push(WaitJob {
-            job,
-            conn,
-            lane: grant.lane,
-            request_id: grant.payload.request_id,
-            offered: grant.payload.offered,
-            granted: Instant::now(),
+        // queued jobs too); the delivery thread balances it.
+        let opts = SubmitOpts {
+            deadline,
+            lane,
+            client: grant.client,
+        };
+        let job = inner.svc.submit_with_hook(miter, opts, move |result| {
+            let _ = settled.send(Some(Settled {
+                result,
+                conn,
+                lane,
+                request_id,
+                offered,
+                granted,
+            }));
         });
+        submitted.push((grant.client, job));
     }
     submitted
 }
 
-/// One waiter-pool thread: block on the next granted job's settle, push
-/// its result, release the budget slot, submit unblocked grants. Exits
-/// once the server is stopping and fully drained.
-fn waiter_loop(inner: &Arc<ServerInner>) {
-    trace::set_thread_label("net-waiter");
-    loop {
-        let Some(w) = inner.wait_queue.pop_timeout(POLL) else {
-            if inner.stop.load(Ordering::SeqCst) && inner.drained() {
-                return;
-            }
-            continue;
-        };
-        let result = inner.svc.wait_take(w.job);
-        let service_time = w.granted.elapsed();
-        inner.counters.lane_latency[w.lane.index()].observe(w.offered.elapsed().as_secs_f64());
-        if let Some(result) = result {
-            let mut f = result_fields(&result);
-            push_id(&mut f, w.request_id);
-            w.conn.send(&emit_object(&f));
-            inner
-                .counters
-                .results_pushed
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        w.conn.job_finished();
-        let grants = inner.admission.settle(w.conn.id, service_time);
-        // Decrement only after the settle's grants are enqueued, so the
-        // drain condition can't observe a moment where nothing is live
-        // while this settle is about to grant more work.
+/// The delivery thread: pushes each settled job's result, releases its
+/// admission slot and submits the grants that unblocked, until
+/// [`NetServer::stop`] sends `None`.
+fn deliver_loop(inner: &ServerInner, deliveries: Receiver<Option<Settled>>) {
+    trace::set_thread_label("net-deliver");
+    while let Ok(Some(s)) = deliveries.recv() {
+        let service_time = s.granted.elapsed();
+        inner.counters.lane_latency[s.lane.index()].observe(s.offered.elapsed().as_secs_f64());
+        let mut f = result_fields(&s.result);
+        push_id(&mut f, s.request_id);
+        s.conn.send(&(emit_object(&f) + "\n"));
+        inner
+            .counters
+            .results_pushed
+            .fetch_add(1, Ordering::Relaxed);
+        s.conn.job_finished();
+        let grants = inner.admission.settle(s.conn.id, service_time);
         process_grants(inner, grants);
-        inner.live_waits.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -822,7 +758,7 @@ mod tests {
         let mut client = NetClient::connect(server.local_addr()).unwrap();
         let reply = client.submit_demo(2, Lane::Batch, false, None).unwrap();
         client.wait_result(reply.request_id).unwrap();
-        let text = server.metrics_text();
+        let text = server.inner.metrics_text();
         assert!(text.contains("parsweep_net_connections_total 1"), "{text}");
         assert!(
             text.contains("parsweep_net_submits_accepted_total 1"),

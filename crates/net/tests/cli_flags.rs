@@ -49,6 +49,19 @@ fn net_serves_with_the_benchmark_flags_and_drains_on_sigterm() {
         .find_map(|l| l.strip_prefix("net: listening on ").map(str::to_owned))
         .expect("net must announce its address");
 
+    // Idle, the server runs its main thread, the acceptor, the delivery
+    // thread and the one svc worker: no thread per admission slot.
+    #[cfg(target_os = "linux")]
+    {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", server.0.id())).unwrap();
+        let threads: usize = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|n| n.trim().parse().ok())
+            .expect("a Threads: line");
+        assert!(threads <= 4, "idle net runs {threads} threads");
+    }
+
     let mut client = NetClient::connect(addr.as_str()).expect("connect");
     let verdict = client.check_demo(4, Lane::Interactive, false).unwrap();
     assert_eq!(verdict.ok().as_deref(), Some("equivalent"));
@@ -69,17 +82,21 @@ fn net_serves_with_the_benchmark_flags_and_drains_on_sigterm() {
 
 #[test]
 fn net_rejects_the_removed_fuse_threshold_flag() {
-    // The trailing `--help` makes a binary that still accepted the flag
-    // print its usage and exit 0 instead of starting to serve.
-    let out = Command::new(env!("CARGO_BIN_EXE_net"))
-        .args(["--fuse-threshold", "64", "--help"])
-        .stdin(Stdio::null())
-        .output()
-        .expect("run net");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "net accepted --fuse-threshold");
-    assert!(
-        stderr.contains("unknown flag '--fuse-threshold'"),
-        "stderr: {stderr}"
-    );
+    // `--connected` (connected-component sharding) went the same way.
+    for args in [&["--fuse-threshold", "64"][..], &["--connected"]] {
+        // The trailing `--help` makes a binary that still accepted the
+        // flag print its usage and exit 0 instead of starting to serve.
+        let out = Command::new(env!("CARGO_BIN_EXE_net"))
+            .args(args)
+            .arg("--help")
+            .stdin(Stdio::null())
+            .output()
+            .expect("run net");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "net accepted {}", args[0]);
+        assert!(
+            stderr.contains(&format!("unknown flag '{}'", args[0])),
+            "stderr: {stderr}"
+        );
+    }
 }

@@ -477,3 +477,91 @@ fn malformed_miter_answers_an_error_and_keeps_the_server_up() {
     assert_eq!(verdict, "equivalent");
     server.stop();
 }
+
+/// The `metrics` op over the wire serves the whole server's text: the
+/// service counters and the `parsweep_net_*` transport section.
+#[test]
+fn metrics_over_tcp_carry_the_service_and_transport_sections() {
+    let mut server = NetServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let verdict = client
+        .check_demo(3, Lane::Interactive, false)
+        .unwrap()
+        .expect("admitted");
+    assert_eq!(verdict, "equivalent");
+    client.send_line(r#"{"op":"metrics","id":99}"#).unwrap();
+    let event = client
+        .read_until(|e| event_name(e) == Some("metrics") && event_id(e) == Some(99))
+        .unwrap();
+    let text = get(&event, "text").and_then(JsonValue::as_str).unwrap();
+    for series in [
+        "parsweep_jobs_submitted_total 1",
+        "parsweep_net_submits_accepted_total 1",
+    ] {
+        assert!(text.contains(series), "missing {series:?} in {text}");
+    }
+    server.stop();
+}
+
+/// A chain of synchronous settles: with a budget of one job, every
+/// pipelined duplicate of a settled miter settles inside the service's
+/// `submit` (a memo hit), and delivering it grants the next queued
+/// duplicate. Every request gets exactly one result, and the admission
+/// controller ends empty.
+#[test]
+fn pipelined_duplicates_settle_in_a_chain_under_a_budget_of_one() {
+    const DUPLICATES: u64 = 64;
+    let mut server = NetServer::bind(
+        "127.0.0.1:0",
+        NetConfig {
+            admission: AdmissionConfig {
+                max_in_flight: 1,
+                queue_capacity: 128,
+                per_client_max: 1,
+            },
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let verdict = client
+        .check_demo(4, Lane::Interactive, false)
+        .unwrap()
+        .expect("admitted");
+    assert_eq!(verdict, "equivalent");
+    let burst: Vec<String> = (0..DUPLICATES)
+        .map(|i| {
+            emit_object(&[
+                ("op", JsonValue::Str("submit".into())),
+                ("demo", JsonValue::Str("adder".into())),
+                ("width", JsonValue::Num(4.0)),
+                ("id", JsonValue::Num((100 + i) as f64)),
+            ])
+        })
+        .collect();
+    client.send_line(&burst.join("\n")).unwrap();
+    let mut results: HashMap<u64, usize> = HashMap::new();
+    let mut count_result = |event: &Vec<(String, JsonValue)>| {
+        if event_name(event) == Some("result") {
+            assert_eq!(get(event, "memoized"), Some(&JsonValue::Bool(true)));
+            *results.entry(event_id(event).unwrap()).or_default() += 1;
+        }
+    };
+    for _ in 0..DUPLICATES {
+        let event = client
+            .read_until(|e| event_name(e) == Some("result"))
+            .unwrap();
+        count_result(&event);
+    }
+    server.stop();
+    let st = server.admission_stats();
+    assert_eq!((st.in_flight, st.queue_depth), (0, [0, 0]), "{st:?}");
+    // Dropping the server closes the connection: whatever it still sent
+    // must hold no second result for any request.
+    drop(server);
+    while let Ok(event) = client.read_event() {
+        count_result(&event);
+    }
+    assert_eq!(results.len() as u64, DUPLICATES);
+    assert!(results.values().all(|&n| n == 1), "{results:?}");
+}

@@ -25,8 +25,7 @@
 //! core. Flags: `--workers N`, `--exec-threads N`, `--deadline-ms N`
 //! (default for submits without one), `--sat` (finish what the sim
 //! engine's P and G phases leave undecided with the seeded SAT sweep
-//! instead of settling it undecided), `--connected` (shard by connected
-//! components instead of per output), `--cache-capacity N` (LRU bound of
+//! instead of settling it undecided), `--cache-capacity N` (LRU bound of
 //! each of the cone result cache and the whole-job memo; 0 disables
 //! both), `--trace PATH`
 //! (write a Chrome-trace JSON of the whole run at exit; also honoured from the
@@ -54,7 +53,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: svc [--workers N] [--exec-threads N] [--deadline-ms N] [--sat] \
-                     [--connected] [--cache-capacity N] [--trace PATH]"
+                     [--cache-capacity N] [--trace PATH]"
                 );
                 println!("reads JSON-lines requests on stdin; see module docs");
                 return;

@@ -21,7 +21,6 @@ use crate::cache::VerifiedCache;
 use crate::jsonl::{emit_object, get, parse_object, JsonValue};
 use crate::pool::Lane;
 use crate::service::{CecService, JobResult, SvcConfig};
-use crate::shard::ShardPolicy;
 
 /// Bounded path → parsed-AIG cache for a front-end's submit path.
 ///
@@ -323,9 +322,9 @@ pub fn handle_request(
 
 /// A front-end binary's command line: its flags in order, with the
 /// service flags both front-ends accept (`--workers N`, `--exec-threads
-/// N`, `--deadline-ms N`, `--sat`, `--connected`, `--cache-capacity N`,
-/// `--trace PATH`) applied by [`Flags::service_flag`]. A missing or
-/// malformed argument exits with status 2 after a `<prog>: ` message.
+/// N`, `--deadline-ms N`, `--sat`, `--cache-capacity N`, `--trace PATH`)
+/// applied by [`Flags::service_flag`]. A missing or malformed argument
+/// exits with status 2 after a `<prog>: ` message.
 pub struct Flags<I> {
     prog: &'static str,
     args: I,
@@ -377,7 +376,6 @@ impl<I: Iterator<Item = String>> Flags<I> {
                 cfg.default_deadline = Some(Duration::from_millis(self.num(flag) as u64));
             }
             "--sat" => cfg.sat_fallback = true,
-            "--connected" => cfg.shard_policy = ShardPolicy::Connected,
             "--cache-capacity" => cfg.cache_capacity = self.num(flag),
             "--trace" => *trace_path = Some(self.value(flag)),
             _ => return false,
@@ -572,13 +570,12 @@ mod tests {
         assert_eq!(cfg.exec_threads, 1, "thread counts are at least 1");
         assert_eq!(cfg.default_deadline, Some(Duration::from_millis(250)));
         assert!(cfg.sat_fallback);
-        assert_eq!(cfg.shard_policy, ShardPolicy::Connected);
         assert_eq!(cfg.cache_capacity, 7);
         assert_eq!(trace_path.as_deref(), Some("t.json"));
         assert_eq!(
             rest,
-            ["--addr", "x"],
-            "front-end flags are left to the caller"
+            ["--connected", "--addr", "x"],
+            "front-end flags, and removed ones, are left to the caller"
         );
     }
 }

@@ -7,8 +7,8 @@
 //! * **Sharding** ([`shard_miter`]): each submitted miter splits along
 //!   its output cones into independently provable sub-jobs (a miter is
 //!   equivalent iff every PO cone is constant zero), scheduled on a
-//!   work-stealing [`WorkerPool`] that drives the `parsweep-core`
-//!   engine, one executor per worker.
+//!   lane-aware worker pool (one locked queue per [`Lane`]) that drives
+//!   the `parsweep-core` engine, one executor per worker.
 //! * **Cancellation & deadlines**: every job carries a
 //!   [`CancelToken`](parsweep_par::CancelToken) polled at the engine's
 //!   phase boundaries and the SAT fallback's budget checks, so a
@@ -22,6 +22,10 @@
 //!   reruns, `double`d benchmarks, shared blocks — settles without
 //!   re-proving. It, the whole-job memo and the front-ends' file cache are
 //!   all one bounded, verify-before-serve store.
+//! * **Settle hooks**: a job is waited on ([`CecService::wait`]) or
+//!   submitted with a hook that receives its result where it settles
+//!   ([`CecService::submit_with_hook`]), which is how the TCP front-end
+//!   delivers verdicts without a blocked thread per job.
 //! * **Front-end**: the `svc` binary speaks flat JSON lines on
 //!   stdin/stdout ([`jsonl`]); [`SvcStats`] reports queue wait, shard
 //!   counts, cache hit rate and worker utilization.
@@ -57,8 +61,6 @@ mod shard;
 pub mod shutdown;
 
 pub use cache::{ResultCache, DEFAULT_CACHE_CAPACITY};
-pub use pool::{Lane, WorkerPool};
-pub use service::{
-    CecService, ClientStats, JobId, JobResult, JobStats, SubmitOpts, SvcConfig, SvcStats,
-};
+pub use pool::Lane;
+pub use service::{CecService, JobId, JobResult, JobStats, SubmitOpts, SvcConfig, SvcStats};
 pub use shard::{shard_miter, Shard, ShardPolicy};

@@ -1,33 +1,25 @@
-//! A lane-aware work-stealing worker pool on std primitives.
+//! A lane-aware worker pool on std primitives.
 //!
-//! Each worker owns one deque *per priority lane*; submission round-robins
-//! jobs across the deques of the job's lane, a worker pops its own deque
-//! from the front and steals from the back of others when idle. A single
-//! gate (mutex + condvar over the pending-job count) puts truly idle
-//! workers to sleep without a lost wakeup: a worker only waits while the
-//! pending count is zero.
+//! One mutex guards one queue per priority lane; workers sleep on a
+//! condvar while both are empty. The pool multiplexes many *small*
+//! sub-jobs (sharded CEC cones) over a few OS threads; jobs are plain
+//! `FnOnce(worker)` closures — the executing worker's index lets callers
+//! keep worker-local state such as per-worker executors — and all result
+//! routing happens through the closures' own captured state.
 //!
 //! **Lanes** ([`Lane`]): interactive work is preferred over batch work,
 //! but not absolutely — every [`BATCH_SHARE`]'th dequeue checks the batch
-//! deques first, so a flood of interactive jobs cannot starve batch work
+//! queue first, so a flood of interactive jobs cannot starve batch work
 //! entirely, while batch floods never delay interactive jobs by more than
 //! the job currently executing.
 //!
 //! **Utilization accounting**: busy time is measured against the pool's
 //! *active window* — from the first job dequeue to the last job settle
-//! (extended to "now" while anything is pending or running) — not against
+//! (extended to "now" while anything is queued or running) — not against
 //! whole-process wall clock. A service that sits idle between bursts
-//! therefore reports how busy its workers were *while there was work*,
-//! which is the number a saturation bench needs.
-//!
-//! The pool exists to multiplex many *small* sub-jobs (sharded CEC cones)
-//! over a few OS threads; jobs are plain `FnOnce(worker)` closures — the
-//! executing worker's index lets callers keep worker-local state such as
-//! per-worker executors — and all result routing happens through the
-//! closures' own captured state.
+//! therefore reports how busy its workers were *while there was work*.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -84,91 +76,66 @@ impl Lane {
 /// sustained interactive load.
 const BATCH_SHARE: u64 = 4;
 
-/// Sentinel for "no dequeue recorded yet" in the busy-window accounting.
-const NEVER: u64 = u64::MAX;
-
-struct Gate {
-    pending: usize,
+/// The queues and the accounting, all under one lock.
+struct State {
+    /// `lanes[lane]`: jobs waiting on that lane, oldest first.
+    lanes: [VecDeque<Job>; 2],
+    /// Total dequeues, for the batch anti-starvation rotation.
+    dequeues: u64,
+    /// Jobs currently executing.
+    running: usize,
+    /// Thread-time spent executing jobs.
+    busy: Duration,
+    /// When the first job was dequeued; `None` until a job runs.
+    first_dequeue: Option<Instant>,
+    /// When the most recent job settled.
+    last_settle: Option<Instant>,
     shutdown: bool,
 }
 
-struct Shared {
-    /// `lanes[lane][worker]` — one deque per worker per lane.
-    lanes: [Vec<Mutex<VecDeque<Job>>>; 2],
-    gate: Mutex<Gate>,
-    wake: Condvar,
-    started: Instant,
-    busy_nanos: AtomicU64,
-    executed: AtomicU64,
-    steals: AtomicU64,
-    /// Total dequeues, for the batch anti-starvation rotation.
-    dequeues: AtomicU64,
-    /// Jobs currently executing.
-    running: AtomicUsize,
-    /// Nanos (since `started`) of the first job dequeue; [`NEVER`] until
-    /// a job runs.
-    first_dequeue_nanos: AtomicU64,
-    /// Nanos (since `started`) of the most recent job settle.
-    last_settle_nanos: AtomicU64,
-}
-
-impl Shared {
-    /// Pops a job: preferred lane first (own deque front, then steal from
-    /// the back of the other deques — oldest work first, minimizing
-    /// contention with the owner popping the front), then the other lane.
-    fn take_job(&self, me: usize) -> Option<Job> {
-        let n = self.dequeues.fetch_add(1, Ordering::Relaxed);
-        let order = if n % BATCH_SHARE == BATCH_SHARE - 1 {
+impl State {
+    /// Pops the next job: the preferred lane first, then the other one.
+    fn pop(&mut self) -> Option<Job> {
+        let order = if self.dequeues % BATCH_SHARE == BATCH_SHARE - 1 {
             [Lane::Batch, Lane::Interactive]
         } else {
             [Lane::Interactive, Lane::Batch]
         };
-        for lane in order {
-            let deques = &self.lanes[lane.index()];
-            if let Some(job) = deques[me].lock().unwrap().pop_front() {
-                return Some(job);
-            }
-            for offset in 1..deques.len() {
-                let victim = (me + offset) % deques.len();
-                if let Some(job) = deques[victim].lock().unwrap().pop_back() {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(job);
-                }
-            }
-        }
-        None
+        let job = order
+            .into_iter()
+            .find_map(|lane| self.lanes[lane.index()].pop_front())?;
+        self.dequeues += 1;
+        Some(job)
     }
 }
 
-/// A fixed-size lane-aware work-stealing thread pool.
-pub struct WorkerPool {
+struct Shared {
+    state: Mutex<State>,
+    wake: Condvar,
+}
+
+/// A fixed-size lane-aware thread pool.
+pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    next: AtomicUsize,
 }
 
 impl WorkerPool {
     /// Starts `workers` threads (at least one).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let mk_deques = || (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
+    pub(crate) fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            lanes: [mk_deques(), mk_deques()],
-            gate: Mutex::new(Gate {
-                pending: 0,
+            state: Mutex::new(State {
+                lanes: [VecDeque::new(), VecDeque::new()],
+                dequeues: 0,
+                running: 0,
+                busy: Duration::ZERO,
+                first_dequeue: None,
+                last_settle: None,
                 shutdown: false,
             }),
             wake: Condvar::new(),
-            started: Instant::now(),
-            busy_nanos: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            dequeues: AtomicU64::new(0),
-            running: AtomicUsize::new(0),
-            first_dequeue_nanos: AtomicU64::new(NEVER),
-            last_settle_nanos: AtomicU64::new(0),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -177,73 +144,42 @@ impl WorkerPool {
                     .expect("spawn svc worker")
             })
             .collect();
-        WorkerPool {
-            shared,
-            handles,
-            next: AtomicUsize::new(0),
-        }
+        WorkerPool { shared, handles }
     }
 
     /// Number of worker threads.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.handles.len()
     }
 
-    /// Enqueues an interactive-lane job (see [`WorkerPool::spawn_in`]).
-    pub fn spawn<F: FnOnce(usize) + Send + 'static>(&self, job: F) {
-        self.spawn_in(Lane::Interactive, job);
-    }
-
-    /// Enqueues a job on the next deque of `lane` (round-robin) and wakes
-    /// a worker. The job receives the index of the worker that executes
-    /// it (which, with stealing, need not be the deque it was enqueued
-    /// on).
-    pub fn spawn_in<F: FnOnce(usize) + Send + 'static>(&self, lane: Lane, job: F) {
-        // Count the job before any worker can see it: a worker that takes
-        // it decrements `pending`, which must never go below zero.
-        self.shared.gate.lock().unwrap().pending += 1;
-        let deques = &self.shared.lanes[lane.index()];
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % deques.len();
-        deques[slot].lock().unwrap().push_back(Box::new(job));
+    /// Enqueues a job on `lane` and wakes a worker. The job receives the
+    /// index of the worker that executes it.
+    pub(crate) fn spawn_in<F: FnOnce(usize) + Send + 'static>(&self, lane: Lane, job: F) {
+        self.shared.state.lock().unwrap().lanes[lane.index()].push_back(Box::new(job));
         self.shared.wake.notify_one();
-    }
-
-    /// Jobs executed so far.
-    pub fn executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
-    }
-
-    /// Cross-deque steals so far.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
     }
 
     /// Busy time and active-window accounting: total thread-time spent
     /// executing jobs, and the wall span from the first job dequeue to
-    /// the last settle (extended to now while work is pending or
+    /// the last settle (extended to now while work is queued or
     /// running). Both are zero before any job ran.
-    pub fn busy_window(&self) -> (Duration, Duration) {
-        let busy = Duration::from_nanos(self.shared.busy_nanos.load(Ordering::Relaxed));
-        let first = self.shared.first_dequeue_nanos.load(Ordering::Relaxed);
-        if first == NEVER {
-            return (busy, Duration::ZERO);
-        }
-        let active = self.shared.running.load(Ordering::Relaxed) > 0 || {
-            let gate = self.shared.gate.lock().unwrap();
-            gate.pending > 0
+    fn busy_window(&self) -> (Duration, Duration) {
+        let st = self.shared.state.lock().unwrap();
+        let Some(first) = st.first_dequeue else {
+            return (st.busy, Duration::ZERO);
         };
-        let end = if active {
-            self.shared.started.elapsed().as_nanos() as u64
-        } else {
-            self.shared.last_settle_nanos.load(Ordering::Relaxed)
+        let active = st.running > 0 || st.lanes.iter().any(|q| !q.is_empty());
+        let end = match st.last_settle {
+            Some(last) if !active => last,
+            _ => Instant::now(),
         };
-        (busy, Duration::from_nanos(end.saturating_sub(first)))
+        (st.busy, end.saturating_duration_since(first))
     }
 
     /// Fraction of the pool's thread-time spent executing jobs across the
     /// pool's *active window* — first dequeue to last settle — rather
     /// than whole-process wall clock (0.0–1.0; 0.0 before any job ran).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         let (busy, window) = self.busy_window();
         let denom = window.as_secs_f64() * self.handles.len() as f64;
         if denom <= 0.0 {
@@ -256,10 +192,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     /// Drains remaining jobs, then stops and joins every worker.
     fn drop(&mut self) {
-        {
-            let mut gate = self.shared.gate.lock().unwrap();
-            gate.shutdown = true;
-        }
+        self.shared.state.lock().unwrap().shutdown = true;
         self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -268,49 +201,23 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &Shared, me: usize) {
+    let mut st = shared.state.lock().unwrap();
     loop {
-        match shared.take_job(me) {
-            Some(job) => {
-                {
-                    let mut gate = shared.gate.lock().unwrap();
-                    gate.pending -= 1;
-                }
-                shared.running.fetch_add(1, Ordering::Relaxed);
-                let t = Instant::now();
-                let since_start = t.duration_since(shared.started).as_nanos() as u64;
-                let _ = shared.first_dequeue_nanos.compare_exchange(
-                    NEVER,
-                    since_start,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                );
-                job(me);
-                shared
-                    .busy_nanos
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                shared.last_settle_nanos.fetch_max(
-                    shared.started.elapsed().as_nanos() as u64,
-                    Ordering::Relaxed,
-                );
-                shared.running.fetch_sub(1, Ordering::Relaxed);
-                shared.executed.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                let gate = shared.gate.lock().unwrap();
-                // A job may have been enqueued between the failed scan and
-                // taking the lock; only sleep while nothing is pending.
-                if gate.pending == 0 {
-                    if gate.shutdown {
-                        return;
-                    }
-                    let _unused = shared.wake.wait(gate).unwrap();
-                } else {
-                    // Pending but another worker holds it mid-steal: back
-                    // off briefly instead of spinning on the deque locks.
-                    drop(gate);
-                    std::thread::yield_now();
-                }
-            }
+        if let Some(job) = st.pop() {
+            st.running += 1;
+            let start = Instant::now();
+            st.first_dequeue.get_or_insert(start);
+            drop(st);
+            job(me);
+            let end = Instant::now();
+            st = shared.state.lock().unwrap();
+            st.running -= 1;
+            st.busy += end - start;
+            st.last_settle = st.last_settle.max(Some(end));
+        } else if st.shutdown {
+            return;
+        } else {
+            st = shared.wake.wait(st).unwrap();
         }
     }
 }
@@ -318,7 +225,21 @@ fn worker_loop(shared: &Shared, me: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as Counter;
+    use std::sync::atomic::{AtomicU64 as Counter, Ordering};
+
+    /// Waits until every queued job has run and been accounted.
+    fn wait_idle(pool: &WorkerPool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline {
+            let st = pool.shared.state.lock().unwrap();
+            if st.running == 0 && st.lanes.iter().all(VecDeque::is_empty) {
+                return;
+            }
+            drop(st);
+            std::thread::yield_now();
+        }
+        panic!("pool did not go idle");
+    }
 
     #[test]
     fn executes_every_job() {
@@ -348,19 +269,17 @@ mod tests {
             let pool2 = Arc::clone(&pool);
             let counter = Arc::clone(&counter);
             let done = done_tx.clone();
-            pool.spawn(move |_w| {
+            pool.spawn_in(Lane::Interactive, move |_w| {
                 let counter2 = Arc::clone(&counter);
                 let done2 = done.clone();
-                pool2.spawn(move |_w| {
+                pool2.spawn_in(Lane::Interactive, move |_w| {
                     counter2.fetch_add(1, Ordering::Relaxed);
                     done2.send(()).unwrap();
                 });
             });
         }
         for _ in 0..8 {
-            done_rx
-                .recv_timeout(std::time::Duration::from_secs(10))
-                .unwrap();
+            done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
         }
         assert_eq!(counter.load(Ordering::Relaxed), 8);
         // Let in-flight closures (each holding a pool Arc) finish dropping
@@ -378,21 +297,17 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         for _ in 0..16 {
             let tx = tx.clone();
-            pool.spawn(move |_w| {
-                std::thread::sleep(std::time::Duration::from_millis(1));
+            pool.spawn_in(Lane::Interactive, move |_w| {
+                std::thread::sleep(Duration::from_millis(1));
                 tx.send(()).unwrap();
             });
         }
         for _ in 0..16 {
-            rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+            rx.recv_timeout(Duration::from_secs(10)).unwrap();
         }
-        // The send happens inside the job; the executed counter bumps just
+        // The send happens inside the job; its busy time is booked just
         // after it returns, so give the last worker a moment to get there.
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while pool.executed() < 16 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(pool.executed(), 16);
+        wait_idle(&pool);
         assert!(pool.utilization() > 0.0);
     }
 
@@ -401,8 +316,8 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), 1);
         let (tx, rx) = std::sync::mpsc::channel();
-        pool.spawn(move |w| tx.send(w).unwrap());
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(0));
+        pool.spawn_in(Lane::Interactive, move |w| tx.send(w).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(0));
     }
 
     #[test]
@@ -412,15 +327,12 @@ mod tests {
         // old accounting would dilute utilization by this idle time.
         std::thread::sleep(Duration::from_millis(30));
         let (tx, rx) = std::sync::mpsc::channel();
-        pool.spawn(move |_w| {
+        pool.spawn_in(Lane::Interactive, move |_w| {
             std::thread::sleep(Duration::from_millis(20));
             tx.send(()).unwrap();
         });
         rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while pool.executed() < 1 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
+        wait_idle(&pool);
         let (busy, window) = pool.busy_window();
         assert!(busy >= Duration::from_millis(15), "busy: {busy:?}");
         assert!(
@@ -451,7 +363,7 @@ mod tests {
         // batch job well before the interactive backlog is exhausted.
         let pool = WorkerPool::new(1);
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        pool.spawn(move |_w| {
+        pool.spawn_in(Lane::Interactive, move |_w| {
             let _ = gate_rx.recv(); // hold the worker
         });
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -466,10 +378,7 @@ mod tests {
             order2.lock().unwrap().push("batch".into());
         });
         gate_tx.send(()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while pool.executed() < 14 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
+        wait_idle(&pool);
         let order = order.lock().unwrap().clone();
         let pos = order
             .iter()
@@ -498,7 +407,7 @@ mod tests {
                     std::thread::spawn(move || {
                         for _ in 0..20_000 {
                             let tx = tx.clone();
-                            pool.spawn(move |_w| tx.send(()).unwrap());
+                            pool.spawn_in(Lane::Interactive, move |_w| tx.send(()).unwrap());
                         }
                     })
                 })

@@ -1,7 +1,7 @@
 //! The CEC job service: submit miters, collect verdicts.
 //!
 //! Each submitted miter is sharded into output-cone sub-jobs
-//! ([`crate::shard`]), which a work-stealing pool ([`crate::pool`])
+//! ([`crate::shard`]), which a lane-aware worker pool ([`crate::pool`])
 //! drives through the `parsweep-core` engine on per-worker executors.
 //! A single-PO shard over at most
 //! [`MAX_CONE_VARS`](parsweep_sim::MAX_CONE_VARS) inputs is decided from
@@ -14,9 +14,11 @@
 //! The service is the shared core of both front-ends: the single-client
 //! stdin loop (`svc` binary) and the multi-client TCP server
 //! (`parsweep-net`). Jobs carry [`SubmitOpts`] — a priority [`Lane`]
-//! and a client id — so the pool can drain lanes fairly and the service
-//! can report per-client effort ([`ClientStats`]). Every shard is one
-//! pooled dispatch.
+//! and a client id — so the pool can drain lanes fairly. Every shard is
+//! one pooled dispatch. A settled job's result is either kept for
+//! [`CecService::wait`] or handed to the submitter's settle hook
+//! ([`CecService::submit_with_hook`]), so a front-end with many jobs in
+//! flight needs no thread blocked per job.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -43,6 +45,10 @@ use crate::pool::{Lane, WorkerPool};
 use crate::semantic::table_decision;
 use crate::shard::{shard_miter, Shard, ShardPolicy};
 
+/// What a job submitted through [`CecService::submit_with_hook`] runs
+/// with its result once it settles.
+type SettleHook = Box<dyn FnOnce(JobResult) + Send>;
+
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct SvcConfig {
@@ -62,8 +68,6 @@ pub struct SvcConfig {
     /// The finishing SAT sweep's parameters (used only with
     /// `sat_fallback`).
     pub sat: SweepConfig,
-    /// How miters split into shards.
-    pub shard_policy: ShardPolicy,
     /// Deadline applied to jobs submitted without an explicit one.
     pub default_deadline: Option<Duration>,
     /// Entries each of the service's two bounded stores retains before
@@ -93,7 +97,6 @@ impl Default for SvcConfig {
             engine: EngineConfig::default(),
             sat_fallback: false,
             sat: SweepConfig::default(),
-            shard_policy: ShardPolicy::PerOutput,
             default_deadline: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             clock: Arc::new(trace::WallClock::new()),
@@ -112,8 +115,8 @@ pub struct SubmitOpts {
     pub deadline: Option<Duration>,
     /// Priority lane the job's shards are queued on.
     pub lane: Lane,
-    /// Submitting client (a connection id in the TCP front-end); used
-    /// for per-client accounting. `0` means "anonymous / single-client".
+    /// Submitting client (a connection id in the TCP front-end), carried
+    /// on the job's trace instants. `0` means "anonymous / single-client".
     pub client: u64,
 }
 
@@ -163,23 +166,6 @@ pub struct JobResult {
     pub verdict: Verdict,
     /// Effort breakdown.
     pub stats: JobStats,
-}
-
-/// Per-client counters, snapshot by [`CecService::client_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Jobs this client submitted.
-    pub submitted: u64,
-    /// Jobs of this client fully settled.
-    pub completed: u64,
-    /// Jobs of this client that settled with a tripped cancel token.
-    pub cancelled: u64,
-    /// Result-cache hits across this client's shards.
-    pub cache_hits: u64,
-    /// Result-cache misses across this client's shards.
-    pub cache_misses: u64,
-    /// Jobs submitted per lane (`[interactive, batch]`).
-    pub jobs_by_lane: [u64; 2],
 }
 
 /// Service-wide counters, snapshot by [`CecService::stats`].
@@ -253,7 +239,8 @@ impl fmt::Display for SvcStats {
 }
 
 /// Aggregation state of one in-flight job; `done` (paired with the same
-/// mutex) wakes waiters when `result` settles.
+/// mutex) wakes waiters when `result` settles. A job with a settle hook
+/// hands its result to the hook instead and never fills `result`.
 struct JobAgg {
     remaining: usize,
     undecided: usize,
@@ -264,16 +251,16 @@ struct JobAgg {
     /// Clock reading when a worker first picked up a shard.
     first_start: Option<Duration>,
     result: Option<JobResult>,
+    hook: Option<SettleHook>,
 }
 
-/// Service-lifetime counters, per-client accounting and latency
-/// histograms shared by every job's settle path — the backing store of
+/// Service-lifetime counters and latency histograms shared by every
+/// job's settle path — the backing store of
 /// [`CecService::metrics_text`].
 struct SvcShared {
     completed_jobs: AtomicU64,
     cancellations: AtomicU64,
     jobs_by_lane: [AtomicU64; 2],
-    clients: Mutex<HashMap<u64, ClientStats>>,
     queue_wait: Histogram,
     job_latency: Histogram,
     /// Settled whole-job verdicts keyed on the miter's structural hash,
@@ -288,7 +275,6 @@ impl SvcShared {
             completed_jobs: AtomicU64::new(0),
             cancellations: AtomicU64::new(0),
             jobs_by_lane: [AtomicU64::new(0), AtomicU64::new(0)],
-            clients: Mutex::new(HashMap::new()),
             queue_wait: Histogram::latency_default(),
             job_latency: Histogram::latency_default(),
             memo: VerifiedCache::new(memo_capacity),
@@ -441,8 +427,8 @@ impl JobShared {
     }
 
     /// The one way a job settles: memoizes a decided verdict, feeds the
-    /// service counters, per-client table and both histograms, and wakes
-    /// waiters.
+    /// service counters and both histograms, then runs the job's settle
+    /// hook or, without one, wakes waiters.
     fn finish(&self, result: JobResult, svc: &SvcShared) {
         let stats = result.stats;
         // Decided verdicts are final either way: Equivalent means every
@@ -456,14 +442,6 @@ impl JobShared {
         svc.completed_jobs.fetch_add(1, Ordering::Relaxed);
         if stats.cancelled {
             svc.cancellations.fetch_add(1, Ordering::Relaxed);
-        }
-        {
-            let mut clients = svc.clients.lock().unwrap();
-            let entry = clients.entry(self.client).or_default();
-            entry.completed += 1;
-            entry.cancelled += u64::from(stats.cancelled);
-            entry.cache_hits += stats.cache_hits;
-            entry.cache_misses += stats.cache_misses;
         }
         svc.queue_wait.observe(stats.queue_wait.as_secs_f64());
         svc.job_latency.observe(stats.total.as_secs_f64());
@@ -479,8 +457,17 @@ impl JobShared {
                 ),
             ],
         );
-        self.agg.lock().unwrap().result = Some(result);
-        self.done.notify_all();
+        let mut agg = self.agg.lock().unwrap();
+        match agg.hook.take() {
+            Some(hook) => {
+                drop(agg);
+                hook(result);
+            }
+            None => {
+                agg.result = Some(result);
+                self.done.notify_all();
+            }
+        }
     }
 }
 
@@ -608,14 +595,29 @@ impl CecService {
 
     /// Submits a miter with explicit lane, client and deadline options.
     pub fn submit_with_opts(&self, miter: Aig, opts: SubmitOpts) -> JobId {
+        self.submit_job(miter, opts, None)
+    }
+
+    /// Submits a miter whose result goes to `on_settle` instead of the
+    /// job table: the job is invisible to [`CecService::wait`],
+    /// [`CecService::cancel`] and [`CecService::drain`], and no thread
+    /// needs to block on it. The hook runs exactly once, on whichever
+    /// thread settles the job — a worker, or the caller itself when the
+    /// job settles inside this call (a memo hit, or a miter without a
+    /// live PO) — so it should only hand the result on, e.g. over a
+    /// channel.
+    pub fn submit_with_hook(
+        &self,
+        miter: Aig,
+        opts: SubmitOpts,
+        on_settle: impl FnOnce(JobResult) + Send + 'static,
+    ) -> JobId {
+        self.submit_job(miter, opts, Some(Box::new(on_settle)))
+    }
+
+    fn submit_job(&self, miter: Aig, opts: SubmitOpts, hook: Option<SettleHook>) -> JobId {
         let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.shared.jobs_by_lane[opts.lane.index()].fetch_add(1, Ordering::Relaxed);
-        {
-            let mut clients = self.shared.clients.lock().unwrap();
-            let entry = clients.entry(opts.client).or_default();
-            entry.submitted += 1;
-            entry.jobs_by_lane[opts.lane.index()] += 1;
-        }
         let memo_key = (miter.structural_hash(), MiterFingerprint::of(&miter));
         // Duplicate of an already-settled miter: settle instantly from
         // the job memo, skipping shard extraction and dispatch entirely.
@@ -628,7 +630,7 @@ impl CecService {
                     ("client", trace::ArgValue::U64(opts.client)),
                 ],
             );
-            let job = self.register(id, &opts, CancelToken::new(), memo_key, shards);
+            let job = self.register(id, &opts, CancelToken::new(), memo_key, shards, hook);
             job.finish_undispatched(verdict, true, &self.shared);
             return id;
         }
@@ -636,7 +638,7 @@ impl CecService {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::new(),
         };
-        let shards = shard_miter(&miter, self.cfg.shard_policy);
+        let shards = shard_miter(&miter, ShardPolicy::PerOutput);
         self.shards_total
             .fetch_add(shards.len() as u64, Ordering::Relaxed);
         trace::instant(
@@ -657,7 +659,7 @@ impl CecService {
         }
         let parent_pis = miter.num_pis();
         let tasks = shard_tasks(shards, &pi_position);
-        let job = self.register(id, &opts, token, memo_key, tasks.len());
+        let job = self.register(id, &opts, token, memo_key, tasks.len(), hook);
         if tasks.is_empty() {
             // Every PO was already constant false: proved as submitted.
             job.finish_undispatched(Verdict::Equivalent, false, &self.shared);
@@ -670,8 +672,8 @@ impl CecService {
         id
     }
 
-    /// Enters a job with `shards` shards to settle into the job table;
-    /// its clock starts now.
+    /// Creates a job with `shards` shards to settle; its clock starts
+    /// now. A job without a settle hook enters the job table.
     fn register(
         &self,
         id: JobId,
@@ -679,7 +681,9 @@ impl CecService {
         token: CancelToken,
         memo_key: MemoKey,
         shards: usize,
+        hook: Option<SettleHook>,
     ) -> Arc<JobShared> {
+        let keep = hook.is_none();
         let job = Arc::new(JobShared {
             id,
             token,
@@ -698,10 +702,13 @@ impl CecService {
                 table_decided: 0,
                 first_start: None,
                 result: None,
+                hook,
             }),
             done: Condvar::new(),
         });
-        self.jobs.lock().unwrap().insert(id.0, Arc::clone(&job));
+        if keep {
+            self.jobs.lock().unwrap().insert(id.0, Arc::clone(&job));
+        }
         job
     }
 
@@ -773,18 +780,6 @@ impl CecService {
         agg.result.clone()
     }
 
-    /// Blocks until the job settles, then removes it from the service —
-    /// the long-running front-end variant of [`CecService::wait`]: a
-    /// server that waits per job must also drop settled bookkeeping, or
-    /// the job table grows without bound.
-    pub fn wait_take(&self, id: JobId) -> Option<JobResult> {
-        let result = self.wait(id);
-        if result.is_some() {
-            self.jobs.lock().unwrap().remove(&id.0);
-        }
-        result
-    }
-
     /// Waits for every outstanding job and returns their results in
     /// submission order, removing them from the service.
     pub fn drain(&self) -> Vec<JobResult> {
@@ -816,35 +811,6 @@ impl CecService {
             worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
             worker_utilization: self.pool.utilization(),
         }
-    }
-
-    /// Per-client counters, sorted by client id.
-    pub fn client_stats(&self) -> Vec<(u64, ClientStats)> {
-        let mut entries: Vec<(u64, ClientStats)> = self
-            .shared
-            .clients
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&id, &stats)| (id, stats))
-            .collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        entries
-    }
-
-    /// Drops a client's accounting entry (returning it), so a server
-    /// whose clients come and go keeps the per-client table bounded by
-    /// *active* connections. In-flight jobs of the client still settle
-    /// normally; their completion re-creates a fresh entry.
-    pub fn forget_client(&self, client: u64) -> Option<ClientStats> {
-        self.shared.clients.lock().unwrap().remove(&client)
-    }
-
-    /// Busy time and active-window span of the worker pool (see
-    /// [`crate::WorkerPool::busy_window`]); a saturation bench diffs this
-    /// across phases to compute per-phase utilization.
-    pub fn busy_window(&self) -> (Duration, Duration) {
-        self.pool.busy_window()
     }
 
     /// The launch profile of the whole worker fleet: every per-worker
@@ -950,12 +916,6 @@ impl CecService {
             "parsweep_worker_utilization",
             "Worker-pool busy fraction over the pool's active window.",
             stats.worker_utilization,
-        );
-        render_gauge(
-            &mut out,
-            "parsweep_clients",
-            "Clients with an accounting entry (active connections plus the anonymous lane).",
-            self.shared.clients.lock().unwrap().len() as f64,
         );
         render_counter(
             &mut out,
@@ -1307,9 +1267,9 @@ mod tests {
         b.set_po(1, !po1);
         let m = miter(&a, &b).unwrap();
         let svc = CecService::new(SvcConfig::default());
-        let first = svc.wait_take(svc.submit(m.clone())).unwrap();
+        let first = svc.wait(svc.submit(m.clone())).unwrap();
         let shards_before = svc.stats().shards_total;
-        let second = svc.wait_take(svc.submit(m.clone())).unwrap();
+        let second = svc.wait(svc.submit(m.clone())).unwrap();
         assert!(second.stats.memo_hit, "stats: {:?}", second.stats);
         assert!(!first.stats.memo_hit);
         assert_eq!(second.stats.shards, first.stats.shards);
@@ -1336,8 +1296,8 @@ mod tests {
             ..SvcConfig::default()
         });
         let m = miter(&xor_net(2, false), &xor_net(2, true)).unwrap();
-        svc.wait_take(svc.submit(m.clone())).unwrap();
-        let r = svc.wait_take(svc.submit(m)).unwrap();
+        svc.wait(svc.submit(m.clone())).unwrap();
+        let r = svc.wait(svc.submit(m)).unwrap();
         assert!(!r.stats.memo_hit);
         assert_eq!(svc.stats().job_memo_hits, 0);
     }
@@ -1357,22 +1317,43 @@ mod tests {
             ..SubmitOpts::default()
         };
         let first = svc
-            .wait_take(svc.submit_with_opts(m.clone(), zero_deadline))
+            .wait(svc.submit_with_opts(m.clone(), zero_deadline))
             .unwrap();
         assert!(first.stats.cancelled);
-        let second = svc.wait_take(svc.submit(m)).unwrap();
+        let second = svc.wait(svc.submit(m)).unwrap();
         assert!(!second.stats.memo_hit, "partial results must not memoize");
         assert_eq!(second.verdict, Verdict::Equivalent);
     }
 
     #[test]
-    fn wait_take_removes_the_job() {
+    fn a_hooked_job_settles_through_its_hook_and_leaves_no_entry() {
+        // A fresh job settles on a worker, its duplicate inside the
+        // submit call (memo hit): both reach their hook exactly once, and
+        // neither is left in the job table.
         let svc = CecService::new(SvcConfig::default());
         let m = miter(&xor_net(2, false), &xor_net(2, true)).unwrap();
-        let id = svc.submit(m);
-        let r = svc.wait_take(id).expect("job exists");
-        assert_eq!(r.verdict, Verdict::Equivalent);
-        assert!(svc.wait(id).is_none(), "wait_take must drop the entry");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut ids = Vec::new();
+        for _ in 0..2 {
+            let tx = tx.clone();
+            let id = svc.submit_with_hook(m.clone(), SubmitOpts::default(), move |r| {
+                tx.send(r).unwrap();
+            });
+            let r = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!((r.id, r.verdict), (id, Verdict::Equivalent));
+            ids.push((id, r.stats.memo_hit));
+        }
+        drop(tx);
+        assert_eq!(
+            ids.iter().map(|&(_, hit)| hit).collect::<Vec<_>>(),
+            [false, true]
+        );
+        assert!(rx.recv().is_err(), "each hook runs once");
+        for (id, _) in ids {
+            assert!(svc.wait(id).is_none(), "a hooked job has no table entry");
+        }
+        assert!(svc.drain().is_empty());
+        assert_eq!(svc.stats().jobs_completed, 2);
     }
 
     #[test]
@@ -1606,40 +1587,6 @@ mod tests {
             text.contains("parsweep_jobs_by_lane_total{lane=\"interactive\"} 1"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn per_client_stats_track_lanes_and_completion() {
-        let svc = CecService::new(SvcConfig::default());
-        let m = miter(&xor_net(2, false), &xor_net(2, true)).unwrap();
-        let a = svc.submit_with_opts(
-            m.clone(),
-            SubmitOpts {
-                lane: Lane::Interactive,
-                client: 7,
-                ..SubmitOpts::default()
-            },
-        );
-        let b = svc.submit_with_opts(
-            m,
-            SubmitOpts {
-                lane: Lane::Batch,
-                client: 7,
-                ..SubmitOpts::default()
-            },
-        );
-        svc.wait(a).unwrap();
-        svc.wait(b).unwrap();
-        let clients = svc.client_stats();
-        let (_, c7) = clients
-            .iter()
-            .find(|(id, _)| *id == 7)
-            .expect("client 7 tracked");
-        assert_eq!(c7.submitted, 2);
-        assert_eq!(c7.completed, 2);
-        assert_eq!(c7.jobs_by_lane, [1, 1]);
-        assert!(svc.forget_client(7).is_some());
-        assert!(svc.forget_client(7).is_none(), "entry dropped");
     }
 
     #[test]

@@ -18,10 +18,6 @@ pub enum ShardPolicy {
     /// unit), at the price of re-simulating logic shared between cones.
     #[default]
     PerOutput,
-    /// One shard per connected component of support-sharing PO cones:
-    /// cones that touch a common PI travel together, so no gate is ever
-    /// simulated by two shards.
-    Connected,
 }
 
 /// One independently provable sub-job of a miter.
@@ -41,85 +37,15 @@ pub struct Shard {
 /// lands in exactly one shard. An empty result therefore means the miter
 /// is proved as submitted.
 pub fn shard_miter(miter: &Aig, policy: ShardPolicy) -> Vec<Shard> {
-    let groups = match policy {
-        ShardPolicy::PerOutput => (0..miter.num_pos())
-            .filter(|&i| miter.po(i) != Lit::FALSE)
-            .map(|i| vec![i])
-            .collect(),
-        ShardPolicy::Connected => connected_groups(miter),
-    };
-    groups
-        .into_iter()
-        .map(|group| {
-            let extraction = miter.extract_cone(&group);
+    let ShardPolicy::PerOutput = policy;
+    (0..miter.num_pos())
+        .filter(|&i| miter.po(i) != Lit::FALSE)
+        .map(|i| {
+            let extraction = miter.extract_cone(&[i]);
             let hash = extraction.cone.structural_hash();
             Shard { extraction, hash }
         })
         .collect()
-}
-
-/// Groups live PO indices into connected components of support sharing.
-fn connected_groups(miter: &Aig) -> Vec<Vec<usize>> {
-    let mut uf = UnionFind::new(miter.num_pos());
-    // First PO to touch a PI owns it; later POs union with the owner.
-    let mut pi_owner: Vec<Option<usize>> = vec![None; miter.num_nodes()];
-    let mut live: Vec<usize> = Vec::new();
-    for i in 0..miter.num_pos() {
-        let po = miter.po(i);
-        if po == Lit::FALSE {
-            continue;
-        }
-        live.push(i);
-        if po.var().is_const() {
-            continue; // constant-true: empty support, singleton group
-        }
-        for v in miter.support(&[po.var()]) {
-            match pi_owner[v.index()] {
-                Some(owner) => uf.union(i, owner),
-                None => pi_owner[v.index()] = Some(i),
-            }
-        }
-    }
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut group_of: Vec<Option<usize>> = vec![None; miter.num_pos()];
-    for &i in &live {
-        let root = uf.find(i);
-        let g = *group_of[root].get_or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(i);
-    }
-    groups
-}
-
-/// Minimal union-find with path halving; no rank tracking is needed at
-/// PO-count scale.
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,42 +76,19 @@ mod tests {
     }
 
     #[test]
-    fn connected_merges_support_sharing_cones() {
-        let aig = bridged();
-        // PO2 bridges PO0's and PO1's supports: one component.
-        let shards = shard_miter(&aig, ShardPolicy::Connected);
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].extraction.po_map, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn connected_keeps_disjoint_cones_apart() {
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs(4);
-        let f = aig.and(xs[0], xs[1]);
-        let g = aig.or(xs[2], xs[3]);
-        aig.add_po(f);
-        aig.add_po(g);
-        let shards = shard_miter(&aig, ShardPolicy::Connected);
-        assert_eq!(shards.len(), 2);
-    }
-
-    #[test]
     fn constant_true_po_is_its_own_shard() {
         let mut aig = Aig::new();
         let xs = aig.add_inputs(2);
         let f = aig.and(xs[0], xs[1]);
         aig.add_po(f);
         aig.add_po(Lit::TRUE);
-        for policy in [ShardPolicy::PerOutput, ShardPolicy::Connected] {
-            let shards = shard_miter(&aig, policy);
-            assert_eq!(shards.len(), 2, "{policy:?}");
-            let trivial = shards
-                .iter()
-                .find(|s| s.extraction.cone.num_pis() == 0)
-                .expect("constant-true shard");
-            assert_eq!(trivial.extraction.cone.pos(), &[Lit::TRUE]);
-        }
+        let shards = shard_miter(&aig, ShardPolicy::PerOutput);
+        assert_eq!(shards.len(), 2);
+        let trivial = shards
+            .iter()
+            .find(|s| s.extraction.cone.num_pis() == 0)
+            .expect("constant-true shard");
+        assert_eq!(trivial.extraction.cone.pos(), &[Lit::TRUE]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Property test: sharding is verdict-preserving.
 //!
-//! The service may split a miter per output cone or per connected
-//! component ([`ShardPolicy`]), prove the shards in any order across
-//! workers, and compose the shard verdicts. None of that may change
+//! The service splits a miter per output cone, proves the shards in any
+//! order across workers, and composes the shard verdicts. None of that may change
 //! *what* is decided: on the same miter, a sharded service run and an
 //! unsharded engine run must land in the same verdict class whenever both
 //! decide, and every reported counter-example must fire on the submitted
@@ -12,14 +11,13 @@ use parsweep_aig::{miter, random::random_aig, Aig};
 use parsweep_core::{sim_sweep, EngineConfig};
 use parsweep_par::Executor;
 use parsweep_sat::Verdict;
-use parsweep_svc::{CecService, ShardPolicy, SvcConfig};
+use parsweep_svc::{CecService, SvcConfig};
 use proptest::prelude::*;
 
-/// Runs `m` through the service under `policy` and returns the verdict.
-fn service_verdict(m: &Aig, policy: ShardPolicy) -> Verdict {
+/// Runs `m` through the service and returns the verdict.
+fn service_verdict(m: &Aig) -> Verdict {
     let svc = CecService::new(SvcConfig {
         workers: 2,
-        shard_policy: policy,
         ..SvcConfig::default()
     });
     let id = svc.submit(m.clone());
@@ -28,16 +26,16 @@ fn service_verdict(m: &Aig, policy: ShardPolicy) -> Verdict {
 
 /// Both verdicts decided and disagreeing is the one outcome sharding must
 /// never produce; `Undecided` on either side proves nothing either way.
-fn check_agreement(m: &Aig, unsharded: &Verdict, sharded: &Verdict, policy: ShardPolicy) {
+fn check_agreement(m: &Aig, unsharded: &Verdict, sharded: &Verdict) {
     match (unsharded, sharded) {
         (Verdict::Equivalent, Verdict::NotEquivalent(_))
         | (Verdict::NotEquivalent(_), Verdict::Equivalent) => {
-            panic!("{policy:?} flipped the verdict: {unsharded:?} vs {sharded:?}");
+            panic!("sharding flipped the verdict: {unsharded:?} vs {sharded:?}");
         }
         _ => {}
     }
     if let Verdict::NotEquivalent(cex) = sharded {
-        assert!(cex.fires(m), "{policy:?} returned a non-firing cex");
+        assert!(cex.fires(m), "the service returned a non-firing cex");
     }
 }
 
@@ -46,7 +44,7 @@ proptest! {
 
     /// Random multi-PO networks treated as miters: usually disproved,
     /// occasionally proved (constant cones) — both paths must agree with
-    /// the unsharded engine under both shard policies.
+    /// the unsharded engine.
     #[test]
     fn sharding_preserves_random_miter_verdicts(
         num_pis in 3usize..7,
@@ -60,14 +58,11 @@ proptest! {
         if let Verdict::NotEquivalent(cex) = &unsharded {
             prop_assert!(cex.fires(&m), "unsharded cex must fire");
         }
-        for policy in [ShardPolicy::PerOutput, ShardPolicy::Connected] {
-            let sharded = service_verdict(&m, policy);
-            check_agreement(&m, &unsharded, &sharded, policy);
-        }
+        check_agreement(&m, &unsharded, &service_verdict(&m));
     }
 
     /// Equivalent multi-PO miters (same function, different structure per
-    /// output): every policy must prove them whenever the unsharded
+    /// output): the service must prove them whenever the unsharded
     /// engine does.
     #[test]
     fn sharding_preserves_equivalent_miter_verdicts(
@@ -84,15 +79,13 @@ proptest! {
             !corrupt,
             "engine baseline on width {} corrupt {}", width, corrupt
         );
-        for policy in [ShardPolicy::PerOutput, ShardPolicy::Connected] {
-            let sharded = service_verdict(&m, policy);
-            check_agreement(&m, &unsharded, &sharded, policy);
-            if corrupt {
-                prop_assert!(
-                    matches!(sharded, Verdict::NotEquivalent(_)),
-                    "{:?} must disprove the corrupted miter", policy
-                );
-            }
+        let sharded = service_verdict(&m);
+        check_agreement(&m, &unsharded, &sharded);
+        if corrupt {
+            prop_assert!(
+                matches!(sharded, Verdict::NotEquivalent(_)),
+                "the service must disprove the corrupted miter"
+            );
         }
     }
 }
