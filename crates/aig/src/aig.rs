@@ -1,8 +1,65 @@
 //! The And-Inverter Graph container.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 use crate::{Lit, Node, Var};
+
+/// The strash table's hash: the two fanin codes of a key are packed into
+/// one 64-bit word, which one multiply-fold hashes. The key is XORed with
+/// a seed drawn once per process from [`RandomState`], so a file built to
+/// collide (the service strashes client-named files) cannot be prepared
+/// in advance. The table is never iterated, so the hash decides no order.
+#[derive(Clone, Copy, Debug)]
+struct StrashHash {
+    seed: u64,
+}
+
+impl Default for StrashHash {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        StrashHash {
+            seed: *SEED.get_or_init(|| RandomState::new().hash_one(0x5eed_u64)),
+        }
+    }
+}
+
+impl BuildHasher for StrashHash {
+    type Hasher = StrashHasher;
+
+    fn build_hasher(&self) -> StrashHasher {
+        StrashHasher {
+            seed: self.seed,
+            key: 0,
+        }
+    }
+}
+
+/// Packs the `u32` writes of one key (a [`Lit`] pair) and folds them in
+/// [`Hasher::finish`].
+struct StrashHasher {
+    seed: u64,
+    key: u64,
+}
+
+impl Hasher for StrashHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.key = self.key.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, code: u32) {
+        self.key = self.key << 32 | u64::from(code);
+    }
+
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.key ^ self.seed) * 0x9e37_79b9_7f4a_7c15;
+        (product >> 64) as u64 ^ product as u64
+    }
+}
 
 /// An And-Inverter Graph: a Boolean network of two-input AND gates with
 /// optional inverters on edges, plus primary inputs and outputs.
@@ -28,7 +85,7 @@ pub struct Aig {
     nodes: Vec<Node>,
     pis: Vec<Var>,
     pos: Vec<Lit>,
-    strash: HashMap<(Lit, Lit), Var>,
+    strash: HashMap<(Lit, Lit), Var, StrashHash>,
 }
 
 impl Aig {
@@ -38,7 +95,7 @@ impl Aig {
             nodes: vec![Node::Const],
             pis: Vec::new(),
             pos: Vec::new(),
-            strash: HashMap::new(),
+            strash: HashMap::default(),
         }
     }
 

@@ -5,9 +5,10 @@
 //! (inputs first, then AND gates in topological order).
 
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 
-use crate::{Aig, Lit, Node};
+use crate::miter::{add_xor_pos, check_interface};
+use crate::{Aig, BuildMiterError, Lit, Node};
 
 /// Error reading an AIGER file.
 #[derive(Debug)]
@@ -106,21 +107,270 @@ fn parse_header(line: &str) -> Result<Header, ParseAigerError> {
 ///
 /// Malformed input of any kind is an error, never a panic, and memory is
 /// sized from the body actually read, not from the header's counts (a
-/// binary file's inputs, which have no body, excepted).
+/// binary file's inputs, which have no body, excepted). ASCII definitions
+/// may come in any order; a file whose gates already follow their fanins
+/// keeps its order.
 ///
 /// # Errors
 ///
 /// Returns [`ParseAigerError`] on I/O failure or malformed input, including
 /// files with latches.
 pub fn read_aiger<R: Read>(reader: R) -> Result<Aig, ParseAigerError> {
-    let mut reader = io::BufReader::new(reader);
-    let mut header_line = String::new();
-    reader.read_line(&mut header_line)?;
-    let header = parse_header(header_line.trim_end())?;
-    if header.binary {
-        read_binary(reader, &header)
-    } else {
-        read_ascii(reader, &header)
+    let body = Body::read(reader)?;
+    let mut aig = Aig::with_capacity(1 + body.num_vars());
+    let pis = aig.add_inputs(body.inputs.len());
+    for po in body.build_into(&mut aig, &pis) {
+        aig.add_po(po);
+    }
+    Ok(aig)
+}
+
+/// Error reading two AIGER files into one miter with [`read_miter`].
+#[derive(Debug)]
+pub enum ReadMiterError {
+    /// The left file is unreadable or malformed.
+    Left(ParseAigerError),
+    /// The right file is unreadable or malformed.
+    Right(ParseAigerError),
+    /// Both files parse, but their PI or PO counts differ.
+    Interface(BuildMiterError),
+}
+
+impl fmt::Display for ReadMiterError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadMiterError::Left(e) => write!(f, "left: {e}"),
+            ReadMiterError::Right(e) => write!(f, "right: {e}"),
+            ReadMiterError::Interface(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ReadMiterError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ReadMiterError::Left(e) | ReadMiterError::Right(e) => Some(e),
+            ReadMiterError::Interface(e) => Some(e),
+        }
+    }
+}
+
+/// Reads two AIGER networks straight into their miter: the same network,
+/// node for node, as [`miter`](crate::miter) of the two [`read_aiger`]
+/// results, without building either side on its own.
+///
+/// Both bodies are decoded first (left, then right, so a malformed file
+/// is reported before an interface mismatch, as the two-step path does).
+/// Then one AIG is sized from the decoded bodies. The shared PIs come
+/// first, then the left gates and the right gates, each strashed against
+/// everything before it, then one XOR per PO pair. At the peak the
+/// process holds the two decoded bodies (12 bytes per AND) and the miter,
+/// not three strashed networks.
+///
+/// # Errors
+///
+/// [`ReadMiterError::Left`] or [`ReadMiterError::Right`] for the first
+/// file that is unreadable or malformed, [`ReadMiterError::Interface`] if
+/// their PI or PO counts differ.
+///
+/// ```
+/// use parsweep_aig::{is_proved, read_miter};
+/// // The AND of two inputs, once as written and once with its fanins swapped.
+/// let left = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n";
+/// let right = "aag 3 2 0 1 1\n2\n4\n6\n6 4 2\n";
+/// let m = read_miter(left.as_bytes(), right.as_bytes()).unwrap();
+/// assert_eq!((m.num_pis(), m.num_ands(), m.num_pos()), (2, 1, 1));
+/// assert!(is_proved(&m));
+/// ```
+pub fn read_miter<L: Read, R: Read>(left: L, right: R) -> Result<Aig, ReadMiterError> {
+    let left = Body::read(left).map_err(ReadMiterError::Left)?;
+    let right = Body::read(right).map_err(ReadMiterError::Right)?;
+    check_interface(
+        (left.inputs.len(), left.pos.len()),
+        (right.inputs.len(), right.pos.len()),
+    )
+    .map_err(ReadMiterError::Interface)?;
+    let xor_gates = 3 * left.pos.len();
+    let mut m = Aig::with_capacity(1 + left.num_vars() + right.ands.len() + xor_gates);
+    let pis = m.add_inputs(left.inputs.len());
+    let pos_l = left.build_into(&mut m, &pis);
+    drop(left);
+    let pos_r = right.build_into(&mut m, &pis);
+    add_xor_pos(&mut m, &pos_l, &pos_r);
+    Ok(m)
+}
+
+/// A decoded AIGER body. Its variables are ranked densely: `1..=n` are
+/// the `n` defined ones, 0 the constant and `n + 1` any undefined one. Its
+/// AND definitions are ordered so that every fanin precedes its gate, and
+/// every literal is defined, so building it cannot fail.
+struct Body {
+    /// Rank of each input, in file order.
+    inputs: Vec<u32>,
+    /// `(lhs rank, rhs0, rhs1)`, the right-hand literals over ranks.
+    ands: Vec<(u32, u32, u32)>,
+    /// Output literals over ranks.
+    pos: Vec<u32>,
+}
+
+impl Body {
+    /// Reads a whole file and decodes it.
+    fn read<R: Read>(mut reader: R) -> Result<Body, ParseAigerError> {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        let mut cursor = Cursor {
+            bytes: &bytes,
+            at: 0,
+        };
+        let header = parse_header(cursor.line()?.unwrap_or("").trim_end())?;
+        let (inputs, ands, pos) = if header.binary {
+            decode_binary(cursor, &header)?
+        } else {
+            decode_ascii(cursor, &header)?
+        };
+        Body::new(inputs, ands, pos)
+    }
+
+    /// Puts the definitions of a ranked body in order and checks that
+    /// every output is defined.
+    fn new(
+        inputs: Vec<u32>,
+        ands: Vec<(u32, u32, u32)>,
+        pos: Vec<u32>,
+    ) -> Result<Body, ParseAigerError> {
+        let n = inputs.len() + ands.len();
+        let ands = order_ands(n, &inputs, ands)?;
+        if let Some(code) = pos.iter().find(|&&code| code >> 1 > n as u32) {
+            return Err(ParseAigerError::BadLine {
+                line: 0,
+                message: format!("output references undefined literal {code}"),
+            });
+        }
+        Ok(Body { inputs, ands, pos })
+    }
+
+    /// The number of defined variables.
+    fn num_vars(&self) -> usize {
+        self.inputs.len() + self.ands.len()
+    }
+
+    /// Strashes the body into `aig`, its inputs driven by `pis`, and
+    /// returns its output literals in `aig`.
+    fn build_into(&self, aig: &mut Aig, pis: &[Lit]) -> Vec<Lit> {
+        let mut map = vec![Lit::FALSE; self.num_vars() + 1];
+        for (&v, &pi) in self.inputs.iter().zip(pis) {
+            map[v as usize] = pi;
+        }
+        let lit = |map: &[Lit], code: u32| map[code as usize >> 1].xor(code & 1 == 1);
+        for &(lhs, rhs0, rhs1) in &self.ands {
+            let (a, b) = (lit(&map, rhs0), lit(&map, rhs1));
+            map[lhs as usize] = aig.and(a, b);
+        }
+        self.pos.iter().map(|&code| lit(&map, code)).collect()
+    }
+}
+
+/// Puts ranked AND definitions in an order where every fanin precedes its
+/// gate, in time linear in the body. Definitions already in order keep
+/// it; from the first gate that is not, each gate still open is placed
+/// after its fanins' definitions, depth first. A cycle or an undefined
+/// fanin is an error.
+fn order_ands(
+    n: usize,
+    inputs: &[u32],
+    ands: Vec<(u32, u32, u32)>,
+) -> Result<Vec<(u32, u32, u32)>, ParseAigerError> {
+    const PENDING: u8 = 0;
+    const OPEN: u8 = 1;
+    const DONE: u8 = 2;
+    const UNDEFINED: u8 = 3;
+    let mut state = vec![PENDING; n + 2];
+    state[0] = DONE;
+    state[n + 1] = UNDEFINED;
+    for &v in inputs {
+        state[v as usize] = DONE;
+    }
+    let fanins = |(_, rhs0, rhs1): (u32, u32, u32)| [rhs0 as usize >> 1, rhs1 as usize >> 1];
+    let Some(start) = ands.iter().position(|&d| {
+        let ready = fanins(d).iter().all(|&f| state[f] == DONE);
+        if ready {
+            state[d.0 as usize] = DONE;
+        }
+        !ready
+    }) else {
+        return Ok(ands);
+    };
+    let mut def = vec![u32::MAX; n + 1];
+    for (k, d) in ands.iter().enumerate() {
+        def[d.0 as usize] = k as u32;
+    }
+    let mut ordered = Vec::with_capacity(ands.len());
+    ordered.extend_from_slice(&ands[..start]);
+    let mut stack: Vec<u32> = Vec::new();
+    for &(root, _, _) in &ands[start..] {
+        if state[root as usize] == DONE {
+            continue;
+        }
+        state[root as usize] = OPEN;
+        stack.push(root);
+        while let Some(&v) = stack.last() {
+            let d = ands[def[v as usize] as usize];
+            match fanins(d).into_iter().find(|&f| state[f] != DONE) {
+                None => {
+                    state[v as usize] = DONE;
+                    ordered.push(d);
+                    stack.pop();
+                }
+                Some(f) if state[f] == PENDING => {
+                    state[f] = OPEN;
+                    stack.push(f as u32);
+                }
+                Some(_) => {
+                    return Err(ParseAigerError::BadBinary(
+                        "cyclic or undefined AND definitions".into(),
+                    ))
+                }
+            }
+        }
+    }
+    Ok(ordered)
+}
+
+/// The bytes of a file being decoded: text lines, then (binary) the
+/// delta-encoded AND section.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next line without its `\n` or `\r\n`; `None` at the end.
+    fn line(&mut self) -> Result<Option<&'a str>, ParseAigerError> {
+        let rest = &self.bytes[self.at..];
+        if rest.is_empty() {
+            return Ok(None);
+        }
+        let (line, used) = match rest.iter().position(|&b| b == b'\n') {
+            Some(k) => (&rest[..k], k + 1),
+            None => (rest, rest.len()),
+        };
+        self.at += used;
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        std::str::from_utf8(line).map(Some).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+            .into()
+        })
+    }
+
+    /// How many lines are left, counting at most `cap`.
+    fn count_lines(&self, cap: usize) -> usize {
+        let rest = &self.bytes[self.at..];
+        let ends = rest.iter().filter(|&&b| b == b'\n').count();
+        let unterminated = usize::from(rest.last().is_some_and(|&b| b != b'\n'));
+        (ends + unterminated).min(cap)
     }
 }
 
@@ -152,35 +402,42 @@ fn parse_def_token(tok: &str, line: usize, m: u32, what: &str) -> Result<u32, Pa
     Ok(code >> 1)
 }
 
-fn read_ascii<R: BufRead>(reader: R, h: &Header) -> Result<Aig, ParseAigerError> {
-    let (i, o) = (h.i as usize, h.o as usize);
-    let need = [h.o, h.a]
-        .into_iter()
-        .try_fold(i, |sum, n| sum.checked_add(n as usize));
+/// A parsed body: input variables, `(lhs var, rhs0, rhs1)` definitions
+/// and output literals, every variable bounded by the header's `M`.
+type Parsed = (Vec<u32>, Vec<(u32, u32, u32)>, Vec<u32>);
+
+fn decode_ascii(mut cursor: Cursor<'_>, h: &Header) -> Result<Parsed, ParseAigerError> {
+    let (i, o, a) = (h.i as usize, h.o as usize, h.a as usize);
     // Read no more lines than the header asks for: a symbol table or
-    // comment section may follow.
-    let lines: Vec<String> = reader
-        .lines()
-        .take(need.unwrap_or(usize::MAX))
-        .collect::<Result<_, _>>()?;
-    if need != Some(lines.len()) {
+    // comment section may follow. The lines are counted before any is
+    // parsed, so no table is sized from a count the body does not hold.
+    let need = [o, a].into_iter().try_fold(i, |sum, n| sum.checked_add(n));
+    let have = cursor.count_lines(need.unwrap_or(usize::MAX));
+    if need != Some(have) {
         return Err(ParseAigerError::BadLine {
-            line: lines.len() + 2,
+            line: have + 2,
             message: "unexpected end of file".into(),
         });
     }
     // `line_of(k)` is the 1-based file line of body line k (header is 1).
     let line_of = |k: usize| k + 2;
+    let mut next_line = || cursor.line().map(|l| l.unwrap_or_default());
     let mut inputs = Vec::with_capacity(i);
-    for (k, line) in lines[..i].iter().enumerate() {
-        inputs.push(parse_def_token(line.trim(), line_of(k), h.m, "input")?);
+    for k in 0..i {
+        inputs.push(parse_def_token(
+            next_line()?.trim(),
+            line_of(k),
+            h.m,
+            "input",
+        )?);
     }
     let mut pos = Vec::with_capacity(o);
-    for (k, line) in lines.iter().enumerate().take(i + o).skip(i) {
-        pos.push(parse_lit_token(line.trim(), line_of(k), h.m)?);
+    for k in i..i + o {
+        pos.push(parse_lit_token(next_line()?.trim(), line_of(k), h.m)?);
     }
-    let mut ands = Vec::with_capacity(lines.len() - i - o);
-    for (k, line) in lines.iter().enumerate().skip(i + o) {
+    let mut ands = Vec::with_capacity(a);
+    for k in i + o..have {
+        let line = next_line()?;
         let mut it = line.split_whitespace();
         let mut next = || {
             it.next().ok_or(ParseAigerError::BadLine {
@@ -193,71 +450,20 @@ fn read_ascii<R: BufRead>(reader: R, h: &Header) -> Result<Aig, ParseAigerError>
         let rhs1 = parse_lit_token(next()?, line_of(k), h.m)?;
         ands.push((lhs, rhs0, rhs1));
     }
-    build(inputs, ands, pos)
+    rank(&mut inputs, &mut ands, &mut pos)?;
+    Ok((inputs, ands, pos))
 }
 
-fn read_binary<R: BufRead>(mut reader: R, h: &Header) -> Result<Aig, ParseAigerError> {
-    // Output literals, one per line.
-    let mut pos = Vec::new();
-    let mut line = String::new();
-    for k in 0..h.o as usize {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(ParseAigerError::BadLine {
-                line: k + 2,
-                message: "unexpected end of file in output section".into(),
-            });
-        }
-        pos.push(parse_lit_token(line.trim(), k + 2, h.m)?);
-    }
-    // Delta-encoded AND section.
-    let read_delta = |reader: &mut R| -> Result<u32, ParseAigerError> {
-        let mut result: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let mut byte = [0u8; 1];
-            reader
-                .read_exact(&mut byte)
-                .map_err(|_| ParseAigerError::BadBinary("truncated delta".into()))?;
-            result |= u64::from(byte[0] & 0x7f) << shift;
-            if byte[0] & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-            if shift > 35 {
-                return Err(ParseAigerError::BadBinary("delta too large".into()));
-            }
-        }
-        u32::try_from(result).map_err(|_| ParseAigerError::BadBinary("delta overflow".into()))
-    };
-    let mut ands = Vec::new();
-    // Binary format: inputs are implicitly variables 1..=I and AND k
-    // defines variable I+1+k (at most M, which the header bounds).
-    for lhs in (h.i + 1..=h.m).map(|v| v << 1) {
-        let delta0 = read_delta(&mut reader)?;
-        let delta1 = read_delta(&mut reader)?;
-        let rhs0 = lhs
-            .checked_sub(delta0)
-            .ok_or_else(|| ParseAigerError::BadBinary("delta0 exceeds lhs".into()))?;
-        let rhs1 = rhs0
-            .checked_sub(delta1)
-            .ok_or_else(|| ParseAigerError::BadBinary("delta1 exceeds rhs0".into()))?;
-        ands.push((lhs >> 1, rhs0, rhs1));
-    }
-    build((1..=h.i).collect(), ands, pos)
-}
-
-/// Builds the network from a parsed body: the variables `inputs` defines,
-/// the `(lhs variable, rhs0, rhs1)` AND definitions and the output
-/// literals, every variable already bounded by the header's `M`. A
-/// variable defined twice is an error. Variables are renumbered densely
-/// by rank first, so the variable map is sized from the body, not from
-/// `M` (legal ASCII may number its variables sparsely).
-fn build(
-    inputs: Vec<u32>,
-    mut ands: Vec<(u32, u32, u32)>,
-    mut pos: Vec<u32>,
-) -> Result<Aig, ParseAigerError> {
+/// Renumbers an ASCII body's variables densely by rank (`1..=n` the
+/// defined ones, `n + 1` any undefined one), so every table is sized from
+/// the body, not from `M` (legal ASCII may number its variables
+/// sparsely). A binary body is ranked by construction. A variable defined
+/// twice is an error.
+fn rank(
+    inputs: &mut [u32],
+    ands: &mut [(u32, u32, u32)],
+    pos: &mut [u32],
+) -> Result<(), ParseAigerError> {
     let n = inputs.len() + ands.len();
     let mut sorted: Vec<u32> = inputs
         .iter()
@@ -268,10 +474,8 @@ fn build(
     if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
         return Err(ParseAigerError::DefinedTwice(w[0]));
     }
-    // Dense rank of each defined variable; an undefined one maps past
-    // the table and stays undefined. A variable is tried at its own
-    // index first: in a densely numbered file (every binary one, nearly
-    // every ASCII one) it is found there, with no search.
+    // A variable is tried at its own index first: in a densely numbered
+    // file it is found there, with no search.
     let rank = |v: u32| match v {
         0 => 0,
         _ if sorted.get(v as usize - 1) == Some(&v) => v,
@@ -279,74 +483,69 @@ fn build(
             .binary_search(&v)
             .map_or(n as u32 + 1, |r| r as u32 + 1),
     };
-    let lit = |code: u32| rank(code >> 1) << 1 | (code & 1);
-    for d in &mut ands {
+    let lit = |code: u32| (rank(code >> 1) << 1) | (code & 1);
+    for v in inputs {
+        *v = rank(*v);
+    }
+    for d in ands {
         *d = (rank(d.0), lit(d.1), lit(d.2));
     }
-    for code in &mut pos {
+    for code in pos {
         *code = lit(*code);
     }
-    // Map from ranked AIGER variable index to our literal.
-    let mut var_map: Vec<Option<Lit>> = vec![None; n + 1];
-    var_map[0] = Some(Lit::FALSE);
-    let mut aig = Aig::with_capacity(n + 1);
-    for v in inputs {
-        var_map[rank(v) as usize] = Some(aig.add_input());
-    }
-    build_ands(&mut aig, &mut var_map, ands)?;
-    finish_pos(&mut aig, &var_map, &pos)?;
-    Ok(aig)
+    Ok(())
 }
 
-fn build_ands(
-    aig: &mut Aig,
-    var_map: &mut [Option<Lit>],
-    mut remaining: Vec<(u32, u32, u32)>,
-) -> Result<(), ParseAigerError> {
-    // ASCII AIGER does not require topological order in the file; process
-    // definitions in dependency order with a simple worklist over passes.
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        remaining.retain(|&(lhs, rhs0, rhs1)| {
-            let f0 = var_map.get(rhs0 as usize >> 1).copied().flatten();
-            let f1 = var_map.get(rhs1 as usize >> 1).copied().flatten();
-            match (f0, f1) {
-                (Some(a), Some(b)) => {
-                    let la = a.xor(rhs0 & 1 == 1);
-                    let lb = b.xor(rhs1 & 1 == 1);
-                    let lit = aig.and(la, lb);
-                    var_map[lhs as usize] = Some(lit);
-                    false
-                }
-                _ => true,
-            }
-        });
-        if remaining.len() == before {
-            return Err(ParseAigerError::BadBinary(
-                "cyclic or undefined AND definitions".into(),
-            ));
+fn decode_binary(mut cursor: Cursor<'_>, h: &Header) -> Result<Parsed, ParseAigerError> {
+    // Output literals, one per line.
+    let mut pos = Vec::new();
+    for k in 0..h.o as usize {
+        let Some(line) = cursor.line()? else {
+            return Err(ParseAigerError::BadLine {
+                line: k + 2,
+                message: "unexpected end of file in output section".into(),
+            });
+        };
+        pos.push(parse_lit_token(line.trim(), k + 2, h.m)?);
+    }
+    // Delta-encoded AND section: every AND takes at least two bytes.
+    let mut rest = &cursor.bytes[cursor.at..];
+    let mut ands = Vec::with_capacity((h.a as usize).min(rest.len() / 2));
+    // Binary format: inputs are implicitly variables 1..=I and AND k
+    // defines variable I+1+k (at most M, which the header bounds).
+    for lhs in (h.i + 1..=h.m).map(|v| v << 1) {
+        let delta0 = take_delta(&mut rest)?;
+        let delta1 = take_delta(&mut rest)?;
+        let rhs0 = lhs
+            .checked_sub(delta0)
+            .ok_or_else(|| ParseAigerError::BadBinary("delta0 exceeds lhs".into()))?;
+        let rhs1 = rhs0
+            .checked_sub(delta1)
+            .ok_or_else(|| ParseAigerError::BadBinary("delta1 exceeds rhs0".into()))?;
+        ands.push((lhs >> 1, rhs0, rhs1));
+    }
+    Ok(((1..=h.i).collect(), ands, pos))
+}
+
+/// Decodes one variable-length delta from the front of `bytes`.
+fn take_delta(bytes: &mut &[u8]) -> Result<u32, ParseAigerError> {
+    let mut result: u64 = 0;
+    let mut shift = 0u32;
+    loop {
+        let (&byte, rest) = bytes
+            .split_first()
+            .ok_or_else(|| ParseAigerError::BadBinary("truncated delta".into()))?;
+        *bytes = rest;
+        result |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+        shift += 7;
+        if shift > 35 {
+            return Err(ParseAigerError::BadBinary("delta too large".into()));
         }
     }
-    Ok(())
-}
-
-fn finish_pos(
-    aig: &mut Aig,
-    var_map: &[Option<Lit>],
-    po_codes: &[u32],
-) -> Result<(), ParseAigerError> {
-    for &code in po_codes {
-        let base = var_map
-            .get(code as usize >> 1)
-            .copied()
-            .flatten()
-            .ok_or_else(|| ParseAigerError::BadLine {
-                line: 0,
-                message: format!("output references undefined literal {code}"),
-            })?;
-        aig.add_po(base.xor(code & 1 == 1));
-    }
-    Ok(())
+    u32::try_from(result).map_err(|_| ParseAigerError::BadBinary("delta overflow".into()))
 }
 
 /// Computes the canonical AIGER numbering of an [`Aig`]: inputs get
@@ -629,6 +828,98 @@ mod tests {
         let aig = read_aiger(&b"aag 2147483647 1 0 1 0\n4294967294\n4294967295\n"[..]).unwrap();
         assert_eq!(aig.num_pis(), 1);
         assert_eq!(aig.eval(&[false]), vec![true]);
+    }
+
+    /// An ASCII chain of `n` ANDs over two inputs, none of which folds:
+    /// gate k ANDs gate k-1 (complemented every third step) with one of
+    /// the inputs. Its definitions are written last gate first when
+    /// `reversed`.
+    fn ascii_chain(n: u32, reversed: bool) -> String {
+        let mut defs: Vec<String> = (0..n)
+            .map(|k| {
+                let prev = if k == 0 {
+                    2
+                } else {
+                    (2 * (2 + k)) | u32::from(k % 3 == 0)
+                };
+                format!("{} {prev} {}", 2 * (3 + k), 4 + k % 2)
+            })
+            .collect();
+        if reversed {
+            defs.reverse();
+        }
+        format!(
+            "aag {m} 2 0 1 {n}\n2\n4\n{}\n{}\n",
+            2 * (2 + n),
+            defs.join("\n"),
+            m = 2 + n
+        )
+    }
+
+    #[test]
+    fn reverse_ordered_ascii_reads_in_one_pass_to_the_forward_network() {
+        let n = 100_000;
+        let forward = read_aiger(ascii_chain(n, false).as_bytes()).unwrap();
+        let reverse = read_aiger(ascii_chain(n, true).as_bytes()).unwrap();
+        assert_eq!(forward.num_ands(), n as usize);
+        assert_eq!(reverse.nodes(), forward.nodes());
+        assert_eq!(reverse.pos(), forward.pos());
+    }
+
+    #[test]
+    fn out_of_order_definitions_follow_their_fanins() {
+        // Variable 5 is defined first and needs 4 and 3, which come later
+        // in the opposite order.
+        let aig = read_aiger(&b"aag 5 2 0 1 3\n2\n4\n10\n10 8 7\n6 2 4\n8 6 3\n"[..]).unwrap();
+        aig.check_invariants().unwrap();
+        assert_eq!(aig.num_ands(), 3);
+        for bits in [[false, false], [true, false], [false, true], [true, true]] {
+            let g3 = bits[0] && bits[1];
+            let g4 = g3 && !bits[0];
+            assert_eq!(aig.eval(&bits), vec![g4 && !g3]);
+        }
+    }
+
+    #[test]
+    fn cyclic_or_undefined_definitions_are_errors() {
+        // 3 and 4 need each other; 3 needs the undefined variable 5; a
+        // binary AND whose first delta is 0 reads itself.
+        for bad in [
+            &b"aag 4 2 0 1 2\n2\n4\n6\n6 8 2\n8 6 4\n"[..],
+            &b"aag 5 2 0 1 1\n2\n4\n6\n6 10 2\n"[..],
+            &b"aig 3 2 0 1 1\n6\n\x00\x01"[..],
+        ] {
+            let err = read_aiger(bad).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "bad binary AND section: cyclic or undefined AND definitions"
+            );
+        }
+    }
+
+    #[test]
+    fn read_miter_names_the_side_at_fault() {
+        let good = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n";
+        let wider = "aag 3 3 0 1 0\n2\n4\n6\n6\n";
+        let two_pos = "aag 3 2 0 2 1\n2\n4\n6\n7\n6 2 4\n";
+        let truncated = "aag 3 2 0 1 1\n2\n4\n6\n";
+        let err = |l: &str, r: &str| read_miter(l.as_bytes(), r.as_bytes()).unwrap_err();
+        assert!(matches!(err(truncated, good), ReadMiterError::Left(_)));
+        assert!(matches!(err(good, truncated), ReadMiterError::Right(_)));
+        // A malformed file is reported before an interface mismatch.
+        assert!(matches!(err(wider, truncated), ReadMiterError::Right(_)));
+        assert_eq!(
+            err(good, wider).to_string(),
+            "primary input counts differ: 2 vs 3"
+        );
+        assert_eq!(
+            err(good, two_pos).to_string(),
+            "primary output counts differ: 1 vs 2"
+        );
+        assert_eq!(
+            err(good, truncated).to_string(),
+            "right: line 5: unexpected end of file"
+        );
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl Aig {
     /// All PIs are kept (in order) even if unreferenced, so the PI
     /// interface is stable. Returns the cleaned AIG.
     pub fn clean(&self) -> Aig {
-        self.clean_with_map().0
+        self.clean_with_pos(self.pos()).0
     }
 
     /// Like [`Aig::clean`], additionally returning the map from this
@@ -80,19 +80,29 @@ impl Aig {
     /// sentinel (only the constant variable itself maps there
     /// legitimately).
     pub fn clean_with_map(&self) -> (Aig, Vec<Lit>) {
+        self.clean_with_pos(self.pos())
+    }
+
+    /// Like [`Aig::clean_with_map`], with `pos` (literals of this network)
+    /// as the outputs of the result in place of this network's own: the
+    /// result keeps every PI and only the logic `pos` reaches, so a caller
+    /// that changes some outputs never copies the whole network first.
+    pub fn clean_with_pos(&self, pos: &[Lit]) -> (Aig, Vec<Lit>) {
         let mut reachable = vec![false; self.num_nodes()];
-        let mut stack: Vec<Var> = self.pos().iter().map(|po| po.var()).collect();
+        let mut ands = 0;
+        let mut stack: Vec<Var> = pos.iter().map(|po| po.var()).collect();
         while let Some(v) = stack.pop() {
             if reachable[v.index()] {
                 continue;
             }
             reachable[v.index()] = true;
             if let Node::And(a, b) = self.node(v) {
+                ands += 1;
                 stack.push(a.var());
                 stack.push(b.var());
             }
         }
-        let mut out = Aig::with_capacity(self.num_nodes());
+        let mut out = Aig::with_capacity(1 + self.num_pis() + ands);
         let mut map: Vec<Lit> = vec![Lit::FALSE; self.num_nodes()];
         for pi in self.pis() {
             map[pi.index()] = out.add_input();
@@ -107,7 +117,7 @@ impl Aig {
                 map[i] = out.and(fa, fb);
             }
         }
-        for po in self.pos() {
+        for po in pos {
             let lit = map[po.var().index()].xor(po.is_complemented());
             out.add_po(lit);
         }
@@ -285,6 +295,26 @@ mod tests {
             let bits = [(v & 1) != 0, (v & 2) != 0];
             assert_eq!(cleaned.eval(&bits), aig.eval(&bits));
         }
+    }
+
+    #[test]
+    fn clean_with_pos_matches_cleaning_a_copy_with_those_outputs() {
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs(3);
+        let f = aig.xor(xs[0], xs[1]);
+        let g = aig.mux(xs[2], f, !xs[0]);
+        let h = aig.and(g, xs[1]);
+        aig.add_po(g);
+        aig.add_po(!h);
+        let pos = [Lit::FALSE, !h];
+        let mut copy = aig.clone();
+        copy.set_po(0, pos[0]);
+        let (want, want_map) = copy.clean_with_map();
+        let (got, map) = aig.clean_with_pos(&pos);
+        assert_eq!(got.nodes(), want.nodes());
+        assert_eq!(got.pos(), want.pos());
+        assert_eq!(map, want_map);
+        assert_eq!(aig.num_pos(), 2, "the source keeps its own outputs");
     }
 
     #[test]

@@ -47,7 +47,9 @@ mod topo;
 pub mod verilog;
 
 pub use aig::Aig;
-pub use aiger::{read_aiger, read_aiger_file, write_aiger_file, ParseAigerError};
+pub use aiger::{
+    read_aiger, read_aiger_file, read_miter, write_aiger_file, ParseAigerError, ReadMiterError,
+};
 pub use extract::ConeExtraction;
 pub use lit::{Lit, Var};
 pub use miter::{is_proved, miter, BuildMiterError};

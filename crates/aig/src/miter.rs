@@ -70,27 +70,45 @@ impl std::error::Error for BuildMiterError {}
 /// # }
 /// ```
 pub fn miter(left: &Aig, right: &Aig) -> Result<Aig, BuildMiterError> {
-    if left.num_pis() != right.num_pis() {
-        return Err(BuildMiterError::PiCountMismatch {
-            left: left.num_pis(),
-            right: right.num_pis(),
-        });
-    }
-    if left.num_pos() != right.num_pos() {
-        return Err(BuildMiterError::PoCountMismatch {
-            left: left.num_pos(),
-            right: right.num_pos(),
-        });
-    }
+    check_interface(
+        (left.num_pis(), left.num_pos()),
+        (right.num_pis(), right.num_pos()),
+    )?;
     let mut m = Aig::with_capacity(left.num_nodes() + right.num_nodes());
-    let pis: Vec<Lit> = (0..left.num_pis()).map(|_| m.add_input()).collect();
+    let pis = m.add_inputs(left.num_pis());
     let pos_l = m.append(left, &pis);
     let pos_r = m.append(right, &pis);
-    for (l, r) in pos_l.into_iter().zip(pos_r) {
+    add_xor_pos(&mut m, &pos_l, &pos_r);
+    Ok(m)
+}
+
+/// Checks that two circuits, given as `(PI count, PO count)`, can be
+/// mitered.
+pub(crate) fn check_interface(
+    left: (usize, usize),
+    right: (usize, usize),
+) -> Result<(), BuildMiterError> {
+    if left.0 != right.0 {
+        return Err(BuildMiterError::PiCountMismatch {
+            left: left.0,
+            right: right.0,
+        });
+    }
+    if left.1 != right.1 {
+        return Err(BuildMiterError::PoCountMismatch {
+            left: left.1,
+            right: right.1,
+        });
+    }
+    Ok(())
+}
+
+/// Adds the miter POs: `left[i] XOR right[i]` for every pair.
+pub(crate) fn add_xor_pos(m: &mut Aig, left: &[Lit], right: &[Lit]) {
+    for (&l, &r) in left.iter().zip(right) {
         let x = m.xor(l, r);
         m.add_po(x);
     }
-    Ok(m)
 }
 
 /// Returns true if every PO of `aig` is the constant-false literal, i.e. a

@@ -414,15 +414,19 @@ fn po_phase(
     }
     if !proved.is_empty() {
         let _step = trace::span("engine", "engine.p.rebuild");
-        let cur = current.to_mut();
-        for i in 0..cur.num_pos() {
-            let po = cur.po(i);
-            if proved.contains(&(po.var(), po.is_complemented())) {
-                cur.set_po(i, Lit::FALSE);
-                stats.pos_proved += 1;
-            }
-        }
-        *cur = cur.clean();
+        let pos: Vec<Lit> = current
+            .pos()
+            .iter()
+            .map(|&po| {
+                if proved.contains(&(po.var(), po.is_complemented())) {
+                    stats.pos_proved += 1;
+                    Lit::FALSE
+                } else {
+                    po
+                }
+            })
+            .collect();
+        *current = Cow::Owned(current.clean_with_pos(&pos).0);
     }
     Ok(())
 }

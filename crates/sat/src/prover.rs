@@ -284,9 +284,17 @@ fn race(
     attempts: &mut Vec<EngineAttempt>,
 ) -> Winner {
     let race_token = token.child();
-    // One executor per lane (a sanitizing executor audits one launch at a
-    // time): lane 0 borrows the caller's, lane 1 owns one for the race.
-    let lane_exec = Executor::with_threads(1);
+    // One single-thread executor per lane, so the race keeps two threads
+    // busy however wide the caller's executor is; each audits whenever
+    // the caller's does.
+    let lane_exec = || {
+        if exec.sanitizing() {
+            Executor::with_sanitizer(1)
+        } else {
+            Executor::with_threads(1)
+        }
+    };
+    let lane_execs = [lane_exec(), lane_exec()];
     let winner = Mutex::new(None);
     let lane = |kind: EngineKind, exec: &Executor| {
         let (mut a, verdict) = attempt(kind, exec, &race_token, "race");
@@ -303,8 +311,11 @@ fn race(
         a
     };
     attempts.extend(std::thread::scope(|s| {
-        let rival = s.spawn(|| lane(field[1].0, &lane_exec));
-        [lane(field[0].0, exec), rival.join().expect("race lane")]
+        let rival = s.spawn(|| lane(field[1].0, &lane_execs[1]));
+        [
+            lane(field[0].0, &lane_execs[0]),
+            rival.join().expect("race lane"),
+        ]
     }));
     winner.into_inner().expect("race winner lock")
 }

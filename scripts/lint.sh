@@ -15,7 +15,8 @@
 #                            random-sim screen, and two races of exhaustive
 #                            against SAT, exit 0 and 1), the
 #                            default check on a sqrt pair and a multiplier
-#                            mutant (exit 0 and 1), a
+#                            mutant (exit 0 and 1), a mismatched pair
+#                            (exit 65, input error), a
 #                            FRAIG soundness smoke (FRAIG a hyp network,
 #                            then prove the result equivalent to it by SAT),
 #                            and a traced check (built with the trace
@@ -85,6 +86,12 @@ status=0
 target/release/parsweep check benchmark/inputs/multiplier_w10_0xd.L.aig \
     benchmark/inputs/multiplier_w10_0xd.rare.R.aig --budget 10 >/dev/null || status=$?
 [ "$status" -eq 1 ] || { echo "expected exit 1 (not equivalent), got $status" >&2; exit 1; }
+
+echo "==> input error: check on pairs with different PO counts exits 65"
+status=0
+target/release/parsweep check benchmark/inputs/sqrt_w4_1xd.L.aig \
+    benchmark/inputs/multiplier_w4_1xd.R.aig 2>/dev/null || status=$?
+[ "$status" -eq 65 ] || { echo "expected exit 65 (input error), got $status" >&2; exit 1; }
 
 echo "==> FRAIG soundness smoke (the reduced hyp network must prove equivalent)"
 fraig_out=$(mktemp --suffix=.aig)

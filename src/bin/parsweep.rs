@@ -21,7 +21,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use parsweep::aig::{aiger, dot, miter, verilog, Aig, NetworkStats};
+use parsweep::aig::{
+    aiger, dot, read_miter, verilog, Aig, NetworkStats, ParseAigerError, ReadMiterError,
+};
 use parsweep::engine::{
     combined_check_cancellable, sim_sweep_cancellable, CombinedConfig, EngineConfig, Report,
     Verdict,
@@ -220,9 +222,14 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let [left_path, right_path] = files[..] else {
         return Err("check needs exactly two AIGER files".into());
     };
-    let left = load(left_path)?;
-    let right = load(right_path)?;
-    let m = miter(&left, &right).map_err(|e| e.to_string())?;
+    let open = |path: &str| {
+        std::fs::File::open(path).map_err(|e| format!("{path}: {}", ParseAigerError::Io(e)))
+    };
+    let m = read_miter(open(left_path)?, open(right_path)?).map_err(|e| match e {
+        ReadMiterError::Left(e) => format!("{left_path}: {e}"),
+        ReadMiterError::Right(e) => format!("{right_path}: {e}"),
+        ReadMiterError::Interface(e) => e.to_string(),
+    })?;
     let exec = Executor::new();
     // `sim` and `combined` poll one deadline for the whole check; `sat`
     // and `portfolio` take the budget as their sweeper's wall budget.

@@ -1,9 +1,10 @@
 //! The `parsweep` binary as a user runs it: exit codes of `check` on the
-//! committed benchmark pairs.
+//! committed benchmark pairs, its input-error contract, and the one-pass
+//! miter reader it uses on every committed pair.
 
 use std::process::{Command, Output};
 
-use parsweep::aig::{miter, read_aiger_file};
+use parsweep::aig::{miter, read_aiger_file, read_miter};
 use parsweep::sim::Cex;
 
 const INPUTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/inputs");
@@ -85,4 +86,60 @@ fn check_honours_parsweep_trace() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("lacks the 'trace' feature"), "{stderr}");
     }
+}
+
+#[test]
+fn input_errors_exit_65_with_the_message() {
+    let out = run_check("sqrt_w4_1xd.L", "multiplier_w4_1xd.R", &[]);
+    assert_eq!(out.status.code(), Some(65));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr, "error: primary output counts differ: 8 vs 16\n");
+
+    // A missing file on either side is named, whatever the other holds.
+    let missing = format!("{INPUTS}/no_such_pair.L.aig");
+    let present = format!("{INPUTS}/sqrt_w4_1xd.L.aig");
+    for pair in [[&missing, &present], [&present, &missing]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_parsweep"))
+            .arg("check")
+            .args(pair)
+            .output()
+            .expect("parsweep runs");
+        assert_eq!(out.status.code(), Some(65));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: {missing}: i/o error: ")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn read_miter_builds_the_two_step_miter_on_every_committed_pair() {
+    let mut pairs = 0;
+    for entry in std::fs::read_dir(INPUTS).expect("benchmark inputs") {
+        let name = entry.expect("directory entry").file_name();
+        let Some(base) = name.to_str().and_then(|n| n.strip_suffix(".L.aig")) else {
+            continue;
+        };
+        for right in ["R", "rare.R", "flip.R"] {
+            let right = format!("{INPUTS}/{base}.{right}.aig");
+            if !std::path::Path::new(&right).exists() {
+                continue;
+            }
+            let left = format!("{INPUTS}/{base}.L.aig");
+            let open = |path: &str| std::fs::File::open(path).expect("input opens");
+            let m = read_miter(open(&left), open(&right)).expect("pair reads");
+            let want = miter(
+                &read_aiger_file(&left).expect("left reads"),
+                &read_aiger_file(&right).expect("right reads"),
+            )
+            .expect("pair miters");
+            assert_eq!(m.nodes(), want.nodes(), "{right}");
+            assert_eq!(m.pis(), want.pis(), "{right}");
+            assert_eq!(m.pos(), want.pos(), "{right}");
+            pairs += 1;
+        }
+    }
+    assert_eq!(pairs, 26, "every committed pair and mutant");
 }
