@@ -21,7 +21,10 @@ pub struct EngineConfig {
     /// Simulation-table memory budget in 64-bit words (the paper's `M`):
     /// bounds each exhaustive-simulation batch and the device residency
     /// of every partial-simulation table (a table that does not fit
-    /// streams through a window of levels into host staging).
+    /// streams through a window of levels into host staging). An
+    /// exhaustive batch sizes its rows so that its live slots fit the
+    /// smaller of this and 2^19 words (4 MiB), so budgets past that
+    /// change the partial-simulation tables only.
     pub memory_words: usize,
     /// Random-pattern words for partial simulation (64 patterns each).
     pub sim_words: usize,

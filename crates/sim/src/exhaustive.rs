@@ -50,6 +50,14 @@ use crate::window::Window;
 /// Default simulation-table budget: 2^22 words (32 MiB).
 pub const DEFAULT_MEMORY_WORDS: usize = 1 << 22;
 
+/// The most words a batch's entry size `E` lets its simulation table
+/// take, whatever the budget: 2^19 words (4 MiB). A table is leased
+/// zero-filled, so a check pays a page fault per table page before any
+/// kernel runs; past this size that first touch costs more than the
+/// rounds a larger `E` saves (DESIGN.md, "`E` is chosen from the live
+/// slots, under a 4 MiB cap").
+const TABLE_WORDS: usize = 1 << 19;
+
 /// The verdict of exhaustively simulating one candidate pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PairOutcome {
@@ -78,7 +86,10 @@ pub struct SimEffort {
     pub words: u64,
     /// Number of rounds executed.
     pub rounds: u32,
-    /// Entry size `E` (words per node segment) chosen for the batch.
+    /// Entry size `E` (words per table row) chosen for the batch: the
+    /// largest power of two, at most the longest truth table, with `E`
+    /// times the batch's live slots within the table budget (1 when one
+    /// word per slot already exceeds it).
     pub entry_words: usize,
 }
 
@@ -299,15 +310,16 @@ fn assign_slots(batch: &mut Batch, entries: usize) -> usize {
     slots as usize
 }
 
-/// Entry size `E` of a batch: the largest power of two with `E * N <= M`
-/// (at least 1), capped at the batch's longest truth table. `N` counts
-/// every entry, as the paper's Algorithm 1 does, although the table only
-/// holds the batch's slots: liveness shrinks the table, not the rounds.
-fn entry_words(windows: &[Window], memory_words: usize) -> usize {
-    let total_entries: usize = windows.iter().map(Window::num_entries).sum();
-    let max_tt = windows.iter().map(Window::tt_words).max().unwrap_or(1);
+/// Entry size `E` of a compiled batch: the largest power of two with
+/// `E * slots <= min(memory_words, TABLE_WORDS)` (at least 1), capped at
+/// the batch's longest truth table `max_tt`. Algorithm 1 bounds the
+/// table by `E * N <= M` with `N` every entry; the table holds only the
+/// live slots, so the same bound is taken over them, and under
+/// [`TABLE_WORDS`] however large `M` is.
+fn entry_words(slots: usize, max_tt: usize, memory_words: usize) -> usize {
+    let budget = memory_words.min(TABLE_WORDS);
     let mut entry_words = 1usize;
-    while entry_words < max_tt && entry_words * 2 * total_entries <= memory_words {
+    while entry_words < max_tt && entry_words * 2 * slots <= budget {
         entry_words *= 2;
     }
     entry_words
@@ -317,8 +329,10 @@ fn entry_words(windows: &[Window], memory_words: usize) -> usize {
 ///
 /// Returns, for every window, the outcome of every one of its pairs, plus
 /// the effort spent. `memory_words` bounds the simulation table (the
-/// paper's `M`); the entry size `E` is chosen as the largest power of two
-/// that fits.
+/// paper's `M`). The batch is compiled first; its entry size `E` is then
+/// the largest power of two, at most the longest truth table, whose
+/// table of `E` words per live slot fits both `memory_words` and a fixed
+/// 2^19-word (4 MiB) cap. With one word per slot past that, `E` is 1.
 ///
 /// # Panics
 ///
@@ -360,11 +374,14 @@ pub fn check_windows_cancellable(
 /// window larger than that is a batch of its own), so that each batch's
 /// table fits `memory_words`.
 ///
-/// Every batch gets its own entry size `E`, exactly as if it were checked
-/// alone, but one node map, one gate staging list and one simulation
-/// table serve them all: host setup costs each batch its windows. The
-/// table holds `E` words per slot of the first batch and grows only when
-/// a later batch needs more. The token is also polled between batches;
+/// Every batch gets its own entry size `E`, chosen from its live slot
+/// count once it is compiled, exactly as if it were checked alone (see
+/// [`check_windows`]), but one node map, one gate staging list and one
+/// simulation table serve them all: host setup costs each batch its
+/// windows. The table holds `E` words per slot of the first batch and
+/// grows only when a later batch needs more; each lease is a
+/// `sim.exhaustive.lease` trace span with `entry_words`, `slots` and
+/// `table_words` args. The token is also polled between batches;
 /// windows of batches never started get empty outcome vectors. The
 /// effort sums words and rounds over the batches; its `entry_words` is
 /// the largest `E` chosen.
@@ -384,8 +401,8 @@ pub fn check_windows_in_batches(
     if windows.is_empty() {
         return (Vec::new(), SimEffort::default());
     }
-    // Each batch: its windows and its entry size.
-    let mut batches: Vec<(Range<usize>, usize)> = Vec::new();
+    // Each batch's windows; its entry size is chosen once it is compiled.
+    let mut batches: Vec<Range<usize>> = Vec::new();
     let mut start = 0;
     while start < windows.len() {
         let (mut entries, mut end) = (0usize, start);
@@ -397,12 +414,12 @@ pub fn check_windows_in_batches(
             entries += e;
             end += 1;
         }
-        batches.push((start..end, entry_words(&windows[start..end], memory_words)));
+        batches.push(start..end);
         start = end;
     }
     let max_pairs = batches
         .iter()
-        .map(|(r, ..)| windows[r.clone()].iter().map(|w| w.pairs.len()).sum())
+        .map(|r| windows[r.clone()].iter().map(|w| w.pairs.len()).sum())
         .max()
         .unwrap_or(0);
     // Every batch overwrites the table rows it reads before reading them,
@@ -413,14 +430,20 @@ pub fn check_windows_in_batches(
     let mut batch = Batch::default();
     let mut results = Vec::with_capacity(windows.len());
     let mut effort = SimEffort::default();
-    for (range, entry_words) in batches {
+    for range in batches {
         if token.is_cancelled() {
             break;
         }
         let windows = &windows[range];
         compiler.compile(aig, windows, &mut batch);
+        let max_tt = windows.iter().map(Window::tt_words).max().unwrap_or(1);
+        let entry_words = entry_words(batch.slots, max_tt, memory_words);
         let table_len = entry_words * batch.slots;
         if simt.as_ref().is_none_or(|t| t.len() < table_len) {
+            let mut span = trace::span("sim", "sim.exhaustive.lease");
+            span.arg_u64("entry_words", entry_words as u64);
+            span.arg_u64("slots", batch.slots as u64);
+            span.arg_u64("table_words", table_len as u64);
             drop(simt.take()); // back to the pool before the larger lease
             simt = Some(exec.arena().take(table_len));
         }
@@ -799,6 +822,92 @@ mod tests {
             "{} slots of {entries} entries",
             batch.slots
         );
+    }
+
+    /// Every pair's outcome by brute force, for windows over all of
+    /// `aig`'s PIs in PI order: its lowest differing assignment, else
+    /// `Equal`.
+    fn brute_force(aig: &Aig, windows: &[Window]) -> Vec<Vec<PairOutcome>> {
+        assert!(windows.iter().all(|w| w.inputs == aig.pis()));
+        let n = aig.num_pis();
+        let mut out: Vec<Vec<PairOutcome>> = windows
+            .iter()
+            .map(|w| vec![PairOutcome::Equal; w.pairs.len()])
+            .collect();
+        // Downwards, so the last mismatch written is the lowest.
+        for m in (0..1u64 << n).rev() {
+            let assignment: Vec<bool> = (0..n).map(|j| m >> j & 1 == 1).collect();
+            let values = aig.eval_nodes(&assignment);
+            for (w, outcomes) in windows.iter().zip(&mut out) {
+                for (p, o) in w.pairs.iter().zip(outcomes) {
+                    if values[p.a.index()] != (values[p.b.index()] != p.complement) {
+                        *o = PairOutcome::Mismatch {
+                            pattern_index: m,
+                            assignment: assignment.clone(),
+                        };
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn entry_size_fits_live_slots_under_the_table_budget() {
+        let global = |aig: &Aig, a: Lit, b: Lit, complement: bool| {
+            let (a, b) = (a.var().min(b.var()), a.var().max(b.var()));
+            Window::global(aig, pc(a, b, complement))
+        };
+        let live_slots = |aig: &Aig, windows: &[Window]| {
+            let mut batch = Batch::default();
+            Compiler::new(aig).compile(aig, windows, &mut batch);
+            batch.slots
+        };
+        // Full 16-input tables (1 024 words) on more slots than 2^9: the
+        // whole table would overrun `TABLE_WORDS`. Per rotation of the
+        // inputs, AND chains taken both ways: equal, complemented
+        // (differing at once) and against 0 (differing only at the last
+        // assignment, in the last round).
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs(16);
+        let mut windows = Vec::new();
+        for r in 0..16 {
+            let mut seq = xs.clone();
+            seq.rotate_left(r);
+            let f = seq.iter().fold(Lit::TRUE, |acc, &x| aig.and(acc, x));
+            let g = seq.iter().rev().fold(Lit::TRUE, |acc, &x| aig.and(acc, x));
+            windows.push(global(&aig, f, g, false));
+            windows.push(global(&aig, f, g, true));
+            windows.push(Window::global(&aig, pc(Var::FALSE, f.var(), false)));
+        }
+        let (max_tt, slots) = (1024, live_slots(&aig, &windows));
+        assert!(max_tt * slots > TABLE_WORDS, "{slots} slots");
+        let (out, effort) = check_windows(&aig, &exec(), &windows, DEFAULT_MEMORY_WORDS);
+        let e = effort.entry_words;
+        assert!(e.is_power_of_two() && e * slots <= TABLE_WORDS && 2 * e * slots > TABLE_WORDS);
+        assert_eq!(effort.rounds as usize, max_tt / e);
+        assert_eq!(out, brute_force(&aig, &windows));
+
+        // Deep XOR chains over 8 inputs (4-word tables): many entries on
+        // few live slots. A budget of the full table on the slots, short
+        // of it on the entries, takes one round.
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs(8);
+        let mut windows = Vec::new();
+        for len in [40, 60] {
+            let f = xor_chain(&mut aig, &xs, len, false);
+            let g = xor_chain(&mut aig, &xs, len, true);
+            let h = xor_chain(&mut aig, &xs, len + 1, false);
+            windows.push(global(&aig, f, g, false));
+            windows.push(global(&aig, f, h, false));
+        }
+        let entries: usize = windows.iter().map(Window::num_entries).sum();
+        let (max_tt, slots) = (4, live_slots(&aig, &windows));
+        let memory_words = max_tt * slots;
+        assert!(entries * max_tt > memory_words && memory_words <= TABLE_WORDS);
+        let (out, effort) = check_windows(&aig, &exec(), &windows, memory_words);
+        assert_eq!((effort.entry_words, effort.rounds), (max_tt, 1));
+        assert_eq!(out, brute_force(&aig, &windows));
     }
 
     #[test]

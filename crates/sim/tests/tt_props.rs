@@ -274,7 +274,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Slots shared across windows that finish in different rounds: at a
-    /// budget of one word per entry, deep chains next to shallow windows
+    /// one-word budget, so one word per slot, deep chains next to shallow windows
     /// give the brute-force outcomes on raw one- and two-thread executors
     /// and audited. Windows of up to 6 inputs finish in round 1, one of
     /// `k > 6` inputs in round `2^(k - 6)`, the 12-input ones in round 64.
@@ -285,14 +285,13 @@ proptest! {
         picks in proptest::collection::vec(any::<u64>(), 1..4),
     ) {
         let (aig, windows) = deep_and_shallow_windows(seed, ands, &picks);
-        let entries: usize = windows.iter().map(Window::num_entries).sum();
         let expected = brute_force(&aig, &windows);
         for exec in [
             Executor::with_threads(1),
             Executor::with_threads(2),
             Executor::with_sanitizer(2),
         ] {
-            let (out, effort) = check_windows(&aig, &exec, &windows, entries);
+            let (out, effort) = check_windows(&aig, &exec, &windows, 1);
             prop_assert_eq!(effort.entry_words, 1);
             prop_assert_eq!(effort.rounds, 64);
             prop_assert_eq!(&out, &expected);

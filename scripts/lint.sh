@@ -30,8 +30,10 @@
 #                            access log is race-checked (racecheck analogue);
 #                            then an audited release `check` of the sqrt
 #                            mutant, whose P and G row kernels run many
-#                            rounds, must exit 1, and one of the square
-#                            pair, whose P windows share table slots, exit 0
+#                            rounds, must exit 1, one of the square pair,
+#                            whose P windows share table slots, and one of
+#                            sqrt_w12_0xd, whose G batch takes four rounds
+#                            on shared slots, exit 0
 #   6. benchmark             the benchmark package builds against the tree
 #                            and passes its smoke run
 set -euo pipefail
@@ -135,6 +137,10 @@ PARSWEEP_SANITIZE=1 target/release/parsweep check benchmark/inputs/sqrt_w10_1xd.
 echo "==> audited end-to-end check: a P batch of 24 900 entries on 2 652 shared table slots (exit 0)"
 PARSWEEP_SANITIZE=1 target/release/parsweep check benchmark/inputs/square_w10_2xd.L.aig \
     benchmark/inputs/square_w10_2xd.R.aig --budget 60 >/dev/null
+
+echo "==> audited end-to-end check: a G batch of 1 024-word tables in four rounds on shared slots (exit 0)"
+PARSWEEP_SANITIZE=1 target/release/parsweep check benchmark/inputs/sqrt_w12_0xd.L.aig \
+    benchmark/inputs/sqrt_w12_0xd.R.aig --budget 60 >/dev/null
 
 echo "==> benchmark build + smoke run"
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml

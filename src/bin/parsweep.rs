@@ -12,13 +12,17 @@
 //! parsweep dot <in.aig> [out.dot]
 //! ```
 //!
-//! Exit codes for `check`: 0 equivalent, 1 not equivalent, 2 undecided.
+//! Exit codes for `check`: 0 equivalent, 1 not equivalent, 2 undecided,
+//! also when stdout closes early (`parsweep check … | head`): output past
+//! that point is dropped, the verdict's code is kept.
 //!
 //! `check` honours `PARSWEEP_TRACE=<path>`: in a build with the `trace`
 //! feature it records spans (engine phases and steps, kernel launches, SAT)
 //! and writes them as a Chrome trace to `<path>` at exit.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use parsweep::aig::{
@@ -32,6 +36,30 @@ use parsweep::par::{CancelToken, Executor};
 use parsweep::sat::{portfolio_check, sat_sweep, PortfolioConfig, SweepConfig};
 use parsweep::synth::resyn2;
 use parsweep_trace as trace;
+
+/// Writes `text` to stdout, the one path every stdout write of the
+/// binary takes. Once a write fails (a reader such as `head` has
+/// exited) later output is dropped, so the command still ends with its
+/// own exit code; a failure other than a closed pipe is noted on stderr.
+fn write_stdout(text: std::fmt::Arguments) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("parsweep: stdout: {e}");
+        }
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -73,7 +101,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 return Ok(usage());
             };
             let aig = load(path)?;
-            println!("{}", NetworkStats::of(&aig));
+            outln!("{}", NetworkStats::of(&aig));
             Ok(ExitCode::SUCCESS)
         }
         "optimize" => {
@@ -82,7 +110,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             };
             let aig = load(input)?;
             let opt = resyn2(&aig);
-            println!(
+            outln!(
                 "{} -> {} ANDs, depth {} -> {}",
                 aig.num_ands(),
                 opt.num_ands(),
@@ -119,7 +147,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             };
             let aig = load(input)?;
             let doubled = aig.double_times(times);
-            println!(
+            outln!(
                 "{} ANDs -> {} ANDs ({} copies)",
                 aig.num_ands(),
                 doubled.num_ands(),
@@ -136,7 +164,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let exec = Executor::new();
             let r =
                 parsweep::engine::fraig(&aig, &exec, &parsweep::engine::EngineConfig::default());
-            println!(
+            outln!(
                 "{} -> {} ANDs ({} equivalences merged)",
                 aig.num_ands(),
                 r.reduced.num_ands(),
@@ -154,7 +182,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     verilog::write_verilog(&aig, "parsweep_dut", file)
                         .map_err(|e| e.to_string())?;
                 }
-                None => print!("{}", verilog::to_verilog_string(&aig, "parsweep_dut")),
+                None => write_stdout(format_args!(
+                    "{}",
+                    verilog::to_verilog_string(&aig, "parsweep_dut")
+                )),
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -166,7 +197,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     let file = std::fs::File::create(out).map_err(|e| e.to_string())?;
                     dot::write_dot(&aig, file).map_err(|e| e.to_string())?;
                 }
-                None => print!("{}", dot::to_dot_string(&aig)),
+                None => write_stdout(format_args!("{}", dot::to_dot_string(&aig))),
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -241,7 +272,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let verdict = match engine.as_str() {
         "sim" => {
             let r = sim_sweep_cancellable(&m, &exec, &EngineConfig::default(), &token);
-            println!("{}", Report::new(&r));
+            outln!("{}", Report::new(&r));
             r.verdict
         }
         "sat" => sat_sweep(&m, &exec, &sat_cfg).verdict,
@@ -258,9 +289,9 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         }
         "combined" => {
             let r = combined_check_cancellable(&m, &exec, &CombinedConfig::default(), &token);
-            println!("{}", Report::new(&r.engine));
+            outln!("{}", Report::new(&r.engine));
             if matches!(r.engine.verdict, Verdict::Undecided) {
-                println!("sat fallback: {:.3}s", r.sat_seconds);
+                outln!("sat fallback: {:.3}s", r.sat_seconds);
             }
             r.verdict
         }
@@ -268,19 +299,19 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     };
     match verdict {
         Verdict::Equivalent => {
-            println!("EQUIVALENT");
+            outln!("EQUIVALENT");
             Ok(ExitCode::SUCCESS)
         }
         Verdict::NotEquivalent(cex) => {
-            println!("NOT EQUIVALENT");
-            println!("counter-example: {:?}", cex.inputs());
+            outln!("NOT EQUIVALENT");
+            outln!("counter-example: {:?}", cex.inputs());
             let d = parsweep::engine::diagnose(&m, &cex);
-            println!("firing output pairs: {:?}", d.firing_pos);
-            println!("minimized pattern:   {:?}", d.minimized.inputs());
+            outln!("firing output pairs: {:?}", d.firing_pos);
+            outln!("minimized pattern:   {:?}", d.minimized.inputs());
             Ok(ExitCode::from(1))
         }
         Verdict::Undecided => {
-            println!("UNDECIDED (budget exhausted)");
+            outln!("UNDECIDED (budget exhausted)");
             Ok(ExitCode::from(2))
         }
     }

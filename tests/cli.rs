@@ -2,7 +2,7 @@
 //! committed benchmark pairs, its input-error contract, and the one-pass
 //! miter reader it uses on every committed pair.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use parsweep::aig::{miter, read_aiger_file, read_miter};
 use parsweep::sim::Cex;
@@ -86,6 +86,26 @@ fn check_honours_parsweep_trace() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("lacks the 'trace' feature"), "{stderr}");
     }
+}
+
+#[test]
+fn a_closed_stdout_keeps_the_verdicts_exit_code() {
+    // The reader is gone before `check` prints its report: the verdict
+    // still sets the exit code, and nothing panics.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_parsweep"))
+        .arg("check")
+        .arg(format!("{INPUTS}/sqrt_w10_1xd.L.aig"))
+        .arg(format!("{INPUTS}/sqrt_w10_1xd.rare.R.aig"))
+        .args(["--budget", "60"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("parsweep runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("parsweep exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
