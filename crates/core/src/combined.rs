@@ -91,6 +91,8 @@ pub fn combined_check_cancellable(
             &engine.disproof_cexs,
             token,
         );
+        span.arg_u64("conflicts", sweep.stats.conflicts);
+        span.arg_u64("dead_constants", sweep.stats.dead_constants);
         verdict = sweep.verdict;
         dispatch = Some(sweep.stats);
     }

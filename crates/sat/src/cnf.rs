@@ -1,7 +1,5 @@
 //! Tseitin encoding of AIG logic cones into a [`Solver`].
 
-use std::collections::{HashMap, HashSet};
-
 use parsweep_aig::{Aig, Lit, Node, Var};
 
 use crate::slit::{SatLit, SatVar};
@@ -28,9 +26,10 @@ use crate::solver::Solver;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CnfEncoder {
-    map: HashMap<Var, SatVar>,
+    /// The SAT variable of each AIG node, by node index.
+    map: Vec<Option<SatVar>>,
     /// AIG nodes whose defining clauses are already in the solver.
-    defined: HashSet<Var>,
+    defined: Vec<bool>,
 }
 
 impl CnfEncoder {
@@ -41,18 +40,23 @@ impl CnfEncoder {
 
     /// Returns the SAT variable for an AIG variable, creating it if new.
     pub fn sat_var(&mut self, v: Var, solver: &mut Solver) -> SatVar {
-        *self.map.entry(v).or_insert_with(|| solver.new_var())
+        if v.index() >= self.map.len() {
+            self.map.resize(v.index() + 1, None);
+        }
+        *self.map[v.index()].get_or_insert_with(|| solver.new_var())
     }
 
     /// Encodes the logic cone of `lit` and returns the corresponding SAT
     /// literal. Constants are encoded via a pinned variable.
     pub fn encode(&mut self, aig: &Aig, lit: Lit, solver: &mut Solver) -> SatLit {
+        if self.defined.len() < aig.num_nodes() {
+            self.defined.resize(aig.num_nodes(), false);
+        }
         let mut stack = vec![lit.var()];
         while let Some(v) = stack.pop() {
-            if self.defined.contains(&v) {
+            if std::mem::replace(&mut self.defined[v.index()], true) {
                 continue;
             }
-            self.defined.insert(v);
             match aig.node(v) {
                 Node::Const => {
                     // Pin the constant variable to false.
@@ -81,14 +85,14 @@ impl CnfEncoder {
     /// Extracts a (sparse) PI counter-example from the solver's model:
     /// values of all mapped PIs.
     pub fn model_to_cex(&self, aig: &Aig, solver: &Solver) -> parsweep_sim::Cex {
-        let mut assignment = Vec::new();
-        for (&v, &sv) in &self.map {
-            if aig.node(v).is_input() {
-                if let Some(val) = solver.model_value(sv) {
-                    assignment.push((v, val));
-                }
-            }
-        }
+        let assignment: Vec<(Var, bool)> = aig
+            .pis()
+            .iter()
+            .filter_map(|&v| {
+                let sv = (*self.map.get(v.index())?)?;
+                Some((v, solver.model_value(sv)?))
+            })
+            .collect();
         parsweep_sim::Cex::from_sparse(aig, &assignment)
     }
 }

@@ -2,12 +2,59 @@
 //! learning, VSIDS decisions, phase saving and Luby restarts — the
 //! solver underneath the SAT-sweeping baseline (the role MiniSat-style
 //! solvers play inside ABC `&cec`).
+//!
+//! Each watch carries a *blocker*, another literal of its clause: when the
+//! blocker is true the clause is satisfied and propagation skips it without
+//! reading the clause arena. For a binary clause the blocker is the other
+//! literal, so the clause propagates (or conflicts) from the watch alone.
+//! A clause in the arena is a header word (its length, top bit set for a
+//! learned clause) followed by its literals.
 
 use crate::heap::VarOrder;
 use crate::slit::{LBool, SatLit, SatVar};
 
 const NULL_CLAUSE: u32 = u32::MAX;
 const ACTIVITY_RESCALE: f64 = 1e100;
+/// Header bit of a learned clause; the other bits hold its length.
+const LEARNED: u32 = 1 << 31;
+/// Watch bit of a binary clause; the other bits hold its cref.
+const BINARY: u32 = 1 << 31;
+
+/// The length of the clause whose header word is `header`.
+#[inline]
+fn clause_len(header: u32) -> usize {
+    (header & !LEARNED) as usize
+}
+
+/// One entry of a literal's watch list: a clause that watches the
+/// literal, and a blocker literal of the same clause (for a binary clause,
+/// the other literal).
+#[derive(Clone, Copy, Debug)]
+struct Watcher {
+    /// The clause's cref, with [`BINARY`] set for a binary clause.
+    tagged: u32,
+    blocker: SatLit,
+}
+
+impl Watcher {
+    #[inline]
+    fn new(cref: u32, blocker: SatLit, binary: bool) -> Self {
+        Watcher {
+            tagged: if binary { cref | BINARY } else { cref },
+            blocker,
+        }
+    }
+
+    #[inline]
+    fn cref(self) -> u32 {
+        self.tagged & !BINARY
+    }
+
+    #[inline]
+    fn is_binary(self) -> bool {
+        self.tagged & BINARY != 0
+    }
+}
 
 /// Result of a (budgeted) solve call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,7 +100,7 @@ pub struct SolverStats {
 #[derive(Clone, Debug, Default)]
 pub struct Solver {
     db: Vec<u32>,
-    watches: Vec<Vec<u32>>,
+    watches: Vec<Vec<Watcher>>,
     assign: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<u32>,
@@ -177,21 +224,30 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.alloc_clause(&simplified);
+                self.alloc_clause(&simplified, false);
                 true
             }
         }
     }
 
-    fn alloc_clause(&mut self, lits: &[SatLit]) -> u32 {
+    fn alloc_clause(&mut self, lits: &[SatLit], learned: bool) -> u32 {
         let cref = self.db.len() as u32;
-        self.db.push(lits.len() as u32);
+        // A watch keeps the binary flag in the cref's top bit.
+        assert_eq!(cref & BINARY, 0, "the clause arena outgrew 2^31 words");
+        self.db
+            .push(lits.len() as u32 | if learned { LEARNED } else { 0 });
         for l in lits {
             self.db.push(l.0);
         }
-        self.watches[lits[0].index()].push(cref);
-        self.watches[lits[1].index()].push(cref);
+        self.watch(cref, lits[0], lits[1], lits.len() == 2);
         cref
+    }
+
+    /// Attaches clause `cref` to the watch lists of its first two literals
+    /// `a` and `b`, each the other's blocker.
+    fn watch(&mut self, cref: u32, a: SatLit, b: SatLit, binary: bool) {
+        self.watches[a.index()].push(Watcher::new(cref, b, binary));
+        self.watches[b.index()].push(Watcher::new(cref, a, binary));
     }
 
     fn enqueue(&mut self, l: SatLit, reason: u32) {
@@ -231,17 +287,34 @@ impl Solver {
 
     /// Unit propagation; returns the conflicting clause, if any.
     fn propagate(&mut self) -> Option<u32> {
-        while self.qhead < self.trail.len() {
+        let mut conflict = None;
+        while conflict.is_none() && self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
-            let mut i = 0;
-            let mut conflict = None;
-            'clauses: while i < ws.len() {
-                let cref = ws[i] as usize;
-                let len = self.db[cref] as usize;
+            let (mut i, mut j) = (0, 0);
+            'watches: while i < ws.len() {
+                let w = ws[i];
+                i += 1;
+                let blocker = self.value(w.blocker);
+                if blocker == LBool::True {
+                    ws[j] = w;
+                    j += 1;
+                    continue;
+                }
+                if w.is_binary() {
+                    ws[j] = w;
+                    j += 1;
+                    if blocker == LBool::False {
+                        conflict = Some(w.cref());
+                        break;
+                    }
+                    self.enqueue(w.blocker, w.cref());
+                    continue;
+                }
+                let cref = w.cref() as usize;
                 let base = cref + 1;
                 // Normalize: false_lit at slot 1.
                 if self.db[base] == false_lit.0 {
@@ -249,36 +322,40 @@ impl Solver {
                 }
                 debug_assert_eq!(self.db[base + 1], false_lit.0);
                 let first = SatLit(self.db[base]);
-                if self.value(first) == LBool::True {
-                    i += 1;
+                let kept = Watcher::new(w.cref(), first, false);
+                if first != w.blocker && self.value(first) == LBool::True {
+                    ws[j] = kept;
+                    j += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                for k in 2..len {
+                for k in 2..clause_len(self.db[cref]) {
                     let lk = SatLit(self.db[base + k]);
                     if self.value(lk) != LBool::False {
                         self.db[base + 1] = lk.0;
                         self.db[base + k] = false_lit.0;
-                        self.watches[lk.index()].push(cref as u32);
-                        ws.swap_remove(i);
-                        continue 'clauses;
+                        self.watches[lk.index()].push(kept);
+                        continue 'watches;
                     }
                 }
                 // Clause is unit or conflicting.
+                ws[j] = kept;
+                j += 1;
                 if self.value(first) == LBool::False {
-                    conflict = Some(cref as u32);
+                    conflict = Some(w.cref());
                     break;
                 }
-                self.enqueue(first, cref as u32);
-                i += 1;
+                self.enqueue(first, w.cref());
             }
+            // After a conflict, keep the watches not yet visited.
+            ws.copy_within(i.., j);
+            ws.truncate(j + ws.len() - i);
             self.watches[false_lit.index()] = ws;
-            if conflict.is_some() {
-                self.qhead = self.trail.len();
-                return conflict;
-            }
         }
-        None
+        if conflict.is_some() {
+            self.qhead = self.trail.len();
+        }
+        conflict
     }
 
     fn bump(&mut self, v: SatVar) {
@@ -302,10 +379,14 @@ impl Solver {
         loop {
             self.bump_clause(confl);
             let base = confl as usize + 1;
-            let len = self.db[confl as usize] as usize;
-            let start = usize::from(p.is_some());
-            for k in start..len {
+            let len = clause_len(self.db[confl as usize]);
+            for k in 0..len {
                 let q = SatLit(self.db[base + k]);
+                // A reason clause holds the literal it implied; a binary
+                // one, propagated from its watch, anywhere.
+                if Some(q) == p {
+                    continue;
+                }
                 let qv = q.var();
                 if !self.seen[qv.index()] && self.level[qv.index()] > 0 {
                     self.seen[qv.index()] = true;
@@ -355,6 +436,9 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: u32) {
+        if self.db[cref as usize] & LEARNED == 0 {
+            return;
+        }
         if let Some(&idx) = self.learned_index.get(&cref) {
             self.learned_clauses[idx].1 += self.cla_inc;
             if self.learned_clauses[idx].1 > ACTIVITY_RESCALE {
@@ -379,21 +463,14 @@ impl Solver {
         }
         // Decide which learned clauses to keep: all short ones, plus the
         // most active half of the rest.
-        let mut victims: Vec<(u32, f64)> = Vec::new();
-        let mut keep_learned: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for &(cref, act) in &self.learned_clauses {
-            let len = self.db[cref as usize] as usize;
-            if len <= 3 {
-                keep_learned.insert(cref);
-            } else {
-                victims.push((cref, act));
-            }
-        }
+        let mut victims: Vec<(u32, f64)> = self
+            .learned_clauses
+            .iter()
+            .copied()
+            .filter(|&(cref, _)| clause_len(self.db[cref as usize]) > 3)
+            .collect();
         victims.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         let keep_half = victims.len() / 2;
-        for &(cref, _) in victims.iter().take(keep_half) {
-            keep_learned.insert(cref);
-        }
         let drop: std::collections::HashSet<u32> =
             victims.iter().skip(keep_half).map(|&(c, _)| c).collect();
 
@@ -402,7 +479,7 @@ impl Solver {
         let mut remap: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
         let mut cref = 0usize;
         while cref < self.db.len() {
-            let len = self.db[cref] as usize;
+            let len = clause_len(self.db[cref]);
             if !drop.contains(&(cref as u32)) {
                 remap.insert(cref as u32, new_db.len() as u32);
                 new_db.extend_from_slice(&self.db[cref..cref + 1 + len]);
@@ -416,9 +493,9 @@ impl Solver {
         }
         let mut at = 0usize;
         while at < self.db.len() {
-            let len = self.db[at] as usize;
-            self.watches[SatLit(self.db[at + 1]).index()].push(at as u32);
-            self.watches[SatLit(self.db[at + 2]).index()].push(at as u32);
+            let len = clause_len(self.db[at]);
+            let (a, b) = (SatLit(self.db[at + 1]), SatLit(self.db[at + 2]));
+            self.watch(at as u32, a, b, len == 2);
             at += 1 + len;
         }
         // Remap the learned bookkeeping.
@@ -476,7 +553,7 @@ impl Solver {
                 if learned.len() == 1 {
                     self.enqueue(learned[0], NULL_CLAUSE);
                 } else {
-                    let cref = self.alloc_clause(&learned);
+                    let cref = self.alloc_clause(&learned, true);
                     self.learned_index.insert(cref, self.learned_clauses.len());
                     self.learned_clauses.push((cref, self.cla_inc));
                     self.enqueue(learned[0], cref);
@@ -759,6 +836,71 @@ mod tests {
                             .any(|l| s.model_value(l.var()).unwrap() != l.is_neg()),
                         "round {round}: model violates {c:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// True if the assignment `m` (bit `v` is variable `v`) satisfies
+    /// `lits` as a clause.
+    fn satisfies(m: u32, lits: &[SatLit]) -> bool {
+        lits.iter()
+            .any(|l| (m >> l.var().index() & 1 == 1) != l.is_neg())
+    }
+
+    /// Random mixed 2-/3-literal formulas over at most 12 variables, each
+    /// solved incrementally under a series of random assumption sets: every
+    /// SAT/UNSAT answer agrees with enumeration, every model satisfies the
+    /// clauses and the assumptions. Half the solvers run with a tiny
+    /// reduction threshold and reduce their learned clauses after every
+    /// call (formulas this small never reach a restart, where a reduction
+    /// would run by itself), so the next call runs on rebuilt watch lists:
+    /// blockers, binary watches and remapped crefs.
+    #[test]
+    fn mixed_binary_ternary_formulas_under_assumptions_match_enumeration() {
+        let mut rng = parsweep_aig::random::SplitMix64::new(0xb10c);
+        for round in 0..400 {
+            let nv = 4 + rng.below(9);
+            let nc = nv * (3 + rng.below(3));
+            let reduce = round % 2 == 1;
+            let mut s = Solver::new();
+            if reduce {
+                s.set_reduce_threshold(1 + rng.below(4));
+            }
+            let vars: Vec<SatVar> = (0..nv).map(|_| s.new_var()).collect();
+            let mut clauses: Vec<Vec<SatLit>> = Vec::new();
+            for _ in 0..nc {
+                let width = 2 + rng.below(2);
+                let c: Vec<SatLit> = (0..width)
+                    .map(|_| vars[rng.below(nv)].lit(rng.bool()))
+                    .collect();
+                s.add_clause(&c);
+                clauses.push(c);
+            }
+            for call in 0..6 {
+                let assumptions: Vec<SatLit> = (0..rng.below(4))
+                    .map(|_| vars[rng.below(nv)].lit(rng.bool()))
+                    .collect();
+                let holds = |m: u32| {
+                    clauses.iter().all(|c| satisfies(m, c))
+                        && assumptions.iter().all(|&a| satisfies(m, &[a]))
+                };
+                let expect = (0..1u32 << nv).any(holds);
+                match s.solve(&assumptions) {
+                    SolveResult::Sat => {
+                        assert!(expect, "round {round} call {call}: SAT, enumeration UNSAT");
+                        let m = vars.iter().fold(0u32, |m, &v| {
+                            m | u32::from(s.model_value(v).expect("model")) << v.index()
+                        });
+                        assert!(holds(m), "round {round} call {call}: model {m:#b} fails");
+                    }
+                    SolveResult::Unsat => {
+                        assert!(!expect, "round {round} call {call}: UNSAT, enumeration SAT")
+                    }
+                    SolveResult::Unknown => panic!("no budget was set"),
+                }
+                if reduce && s.ok {
+                    s.reduce_db();
                 }
             }
         }

@@ -13,6 +13,18 @@
 //! merge nodes and reduce the miter. The loop repeats on the reduced
 //! miter until the POs are proved constant zero, disproved, or the budget
 //! runs out.
+//!
+//! A constant candidate (a pair whose representative is the constant node)
+//! first gets a probe of 20 conflicts, or the per-pair budget if that is
+//! smaller. A cheap constant is proved in place and acts as a unit lemma
+//! for the pairs above it. One the probe leaves open is not counted as
+//! unknown: it waits until the round's other pairs are done. Then the
+//! miter is rebuilt once with the round's proofs; a waiting member that
+//! the rebuild leaves dangling, or strashes to a constant, is dropped
+//! unproved (no PO depends on it any more, and a skipped proof merges
+//! nothing), and the rest are retried with the full per-pair budget.
+//! The solver's watches carry blocker literals and propagate binary
+//! clauses without reading the clause arena (see [`Solver`]).
 
 use std::time::{Duration, Instant};
 
@@ -23,12 +35,17 @@ use parsweep_sim::{simulate, Cex, Patterns};
 use crate::cnf::CnfEncoder;
 use crate::solver::{SolveResult, Solver};
 
+/// Conflicts a constant candidate gets on its first visit (capped at the
+/// per-pair budget); one that needs more waits for the round's other pairs.
+const CONST_PROBE: u64 = 20;
+
 /// Configuration for [`sat_sweep`].
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
     /// 64-bit pattern words for the initial random simulation.
     pub sim_words: usize,
-    /// Conflict budget per candidate-pair SAT call.
+    /// Conflict budget per candidate-pair SAT call (a constant
+    /// candidate's first call, its probe, gets at most 20).
     pub conflicts_per_pair: u64,
     /// Conflict budget for each final PO proof call (the paper uses
     /// `&cec -C 100000` when proving reduced miters).
@@ -83,6 +100,9 @@ pub struct SweepStats {
     pub disproved_pairs: u64,
     /// Candidate pairs abandoned on budget.
     pub unknown_pairs: u64,
+    /// Constant candidates left open by their probe and dropped unproved,
+    /// because the round's merges had cut them off from every PO.
+    pub dead_constants: u64,
     /// Sweeping rounds executed.
     pub rounds: u32,
     /// Total solver conflicts.
@@ -198,51 +218,79 @@ pub fn sat_sweep_seeded_cancellable(
         let mut solver = Solver::new();
         let mut enc = CnfEncoder::new();
         let mut progress = false;
-        for (repr, member) in pairs {
-            if out_of_time(&start) {
+        // Constant candidates first get a short probe; the ones it leaves
+        // open are retried after the round's other pairs, unless those
+        // pairs' merges have left them dead.
+        let mut const_budget = CONST_PROBE.min(cfg.conflicts_per_pair);
+        let mut queue = pairs;
+        loop {
+            let mut deferred = Vec::new();
+            for (repr, member) in queue {
+                if out_of_time(&start) {
+                    break;
+                }
+                let budget = if repr.is_const() {
+                    const_budget
+                } else {
+                    cfg.conflicts_per_pair
+                };
+                let complement = sigs.phase(repr) != sigs.phase(member);
+                let sb = enc.encode(&current, member.lit_with(complement), &mut solver);
+                let (outcome, proof): (_, &[&[_]]) = if repr.is_const() {
+                    // Prove member' constant zero: member' == 1 unsat.
+                    stats.sat_calls += 1;
+                    solver.set_conflict_budget(Some(budget));
+                    (solver.solve(&[sb]), &[&[!sb]])
+                } else {
+                    let sa = enc.encode(&current, repr.lit(), &mut solver);
+                    stats.sat_calls += 1;
+                    solver.set_conflict_budget(Some(budget));
+                    let outcome = match solver.solve(&[sa, !sb]) {
+                        SolveResult::Unsat => {
+                            stats.sat_calls += 1;
+                            solver.set_conflict_budget(Some(budget));
+                            solver.solve(&[!sa, sb])
+                        }
+                        other => other,
+                    };
+                    (outcome, &[&[!sa, sb], &[sa, !sb]])
+                };
+                match outcome {
+                    SolveResult::Unsat => {
+                        // Merge as you prove: the clauses are implied by the
+                        // CNF, and they make every pair above this one easier.
+                        for clause in proof {
+                            solver.add_clause(clause);
+                        }
+                        subst[member.index()] = repr.lit_with(complement);
+                        stats.proved_pairs += 1;
+                        progress = true;
+                    }
+                    SolveResult::Sat => {
+                        pending_cexs.push(enc.model_to_cex(&current, &solver));
+                        stats.disproved_pairs += 1;
+                        progress = true;
+                    }
+                    SolveResult::Unknown if budget < cfg.conflicts_per_pair => {
+                        deferred.push((repr, member));
+                    }
+                    SolveResult::Unknown => {
+                        stats.unknown_pairs += 1;
+                    }
+                }
+            }
+            if deferred.is_empty() || out_of_time(&start) {
                 break;
             }
-            let complement = sigs.phase(repr) != sigs.phase(member);
-            let sb = enc.encode(&current, member.lit_with(complement), &mut solver);
-            let (outcome, proof): (_, &[&[_]]) = if repr.is_const() {
-                // Prove member' constant zero: member' == 1 unsat.
-                stats.sat_calls += 1;
-                solver.set_conflict_budget(Some(cfg.conflicts_per_pair));
-                (solver.solve(&[sb]), &[&[!sb]])
-            } else {
-                let sa = enc.encode(&current, repr.lit(), &mut solver);
-                stats.sat_calls += 1;
-                solver.set_conflict_budget(Some(cfg.conflicts_per_pair));
-                let outcome = match solver.solve(&[sa, !sb]) {
-                    SolveResult::Unsat => {
-                        stats.sat_calls += 1;
-                        solver.set_conflict_budget(Some(cfg.conflicts_per_pair));
-                        solver.solve(&[!sa, sb])
-                    }
-                    other => other,
-                };
-                (outcome, &[&[!sa, sb], &[sa, !sb]])
-            };
-            match outcome {
-                SolveResult::Unsat => {
-                    // Merge as you prove: the clauses are implied by the
-                    // CNF, and they make every pair above this one easier.
-                    for clause in proof {
-                        solver.add_clause(clause);
-                    }
-                    subst[member.index()] = repr.lit_with(complement);
-                    stats.proved_pairs += 1;
-                    progress = true;
-                }
-                SolveResult::Sat => {
-                    pending_cexs.push(enc.model_to_cex(&current, &solver));
-                    stats.disproved_pairs += 1;
-                    progress = true;
-                }
-                SolveResult::Unknown => {
-                    stats.unknown_pairs += 1;
-                }
-            }
+            // A deferred member that the merges so far leave dangling, or
+            // strash to a constant, is gone from the reduced miter: its
+            // proof would decide nothing.
+            let (_, map) = current.rebuild_with_substitution(&subst);
+            let open = deferred.len();
+            deferred.retain(|&(_, member)| !map[member.index()].var().is_const());
+            stats.dead_constants += (open - deferred.len()) as u64;
+            const_budget = cfg.conflicts_per_pair;
+            queue = deferred;
         }
         stats.conflicts += solver.stats().conflicts;
 

@@ -239,3 +239,54 @@ fn ordered_merging_proves_every_multiplier_pair_on_a_tiny_budget() {
         assert_eq!(r.stats.unknown_pairs, 0, "width {width}: {:?}", r.stats);
     }
 }
+
+/// An AIG whose one PO is the conjunction of the pigeonhole clauses
+/// PHP(`holes` + 1, `holes`): every pigeon sits in some hole, no hole holds
+/// two. The PO is constant zero, and resolution needs many conflicts to
+/// show it.
+fn pigeonhole(holes: usize) -> Aig {
+    let mut aig = Aig::new();
+    let x: Vec<Vec<Lit>> = (0..=holes).map(|_| aig.add_inputs(holes)).collect();
+    let mut clauses = Vec::new();
+    for row in &x {
+        let some_hole = row.iter().fold(Lit::FALSE, |acc, &l| aig.or(acc, l));
+        clauses.push(some_hole);
+    }
+    for (p1, first) in x.iter().enumerate() {
+        for second in &x[p1 + 1..] {
+            for (&a, &b) in first.iter().zip(second) {
+                let both = aig.and(a, b);
+                clauses.push(!both);
+            }
+        }
+    }
+    let all = clauses
+        .into_iter()
+        .fold(Lit::TRUE, |acc, c| aig.and(acc, c));
+    aig.add_po(all);
+    aig
+}
+
+/// A live constant candidate that outlasts its short probe is retried
+/// with the full per-pair budget inside the same round: with one round and
+/// one conflict for the final PO proof, only that retry can prove the PO.
+#[test]
+fn a_constant_past_its_probe_is_proved_in_the_same_round() {
+    for holes in [4, 5] {
+        let aig = pigeonhole(holes);
+        let cfg = SweepConfig {
+            max_rounds: 1,
+            conflicts_per_po: 1,
+            ..SweepConfig::default()
+        };
+        let r = sat_sweep(&aig, &exec(), &cfg);
+        assert_eq!(r.verdict, Verdict::Equivalent, "{:?}", r.stats);
+        assert_eq!(r.reduced.po(0), Lit::FALSE, "{:?}", r.stats);
+        assert_eq!(r.stats.unknown_pairs, 0, "{:?}", r.stats);
+        assert_eq!(r.stats.dead_constants, 0, "{:?}", r.stats);
+        // Every candidate is a constant, checked in one call; the PO's
+        // probe and its retry make the one call more.
+        let pairs = r.stats.proved_pairs + r.stats.disproved_pairs;
+        assert_eq!(r.stats.sat_calls, pairs + 1, "{:?}", r.stats);
+    }
+}

@@ -10,7 +10,8 @@
 #                            svc and net crates, the workspace's default
 #                            members), then the synth suite, which is not
 #                            a default member, a tiny ablation run, the
-#                            SAT baseline on a 10-bit multiplier pair, the
+#                            SAT baseline on a 10-bit multiplier pair and on
+#                            a sqrt pair and its rare mutant (exit 0 and 1), the
 #                            portfolio on four pairs (exhaustive inline, the
 #                            random-sim screen, and two races of exhaustive
 #                            against SAT, exit 0 and 1), the
@@ -64,6 +65,14 @@ cargo run --release -p parsweep-bench --bin ablation -- tiny > /dev/null
 echo "==> SAT baseline on a 10-bit multiplier pair (must prove it within 10 s)"
 target/release/parsweep check benchmark/inputs/multiplier_w10_1xd.L.aig \
     benchmark/inputs/multiplier_w10_1xd.R.aig --engine sat --budget 10
+
+echo "==> SAT baseline: proves sqrt_w10_1xd (12 deferred constants, all dead), disproves its rare mutant (10 s each)"
+target/release/parsweep check benchmark/inputs/sqrt_w10_1xd.L.aig \
+    benchmark/inputs/sqrt_w10_1xd.R.aig --engine sat --budget 10 >/dev/null
+status=0
+target/release/parsweep check benchmark/inputs/sqrt_w10_1xd.L.aig \
+    benchmark/inputs/sqrt_w10_1xd.rare.R.aig --engine sat --budget 10 >/dev/null || status=$?
+[ "$status" -eq 1 ] || { echo "expected exit 1 (not equivalent), got $status" >&2; exit 1; }
 
 echo "==> portfolio: proves a 4-bit multiplier pair, disproves a flipped sqrt (10 s each)"
 target/release/parsweep check benchmark/inputs/multiplier_w4_1xd.L.aig \

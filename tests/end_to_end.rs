@@ -155,3 +155,21 @@ fn undecided_engine_result_is_finished_by_sat() {
     let r = combined_check(&m, &exec(), &cfg);
     assert_eq!(r.verdict, Verdict::Equivalent);
 }
+
+/// The combined flow's finishing sweep on a committed pair whose reduced
+/// miter leaves constant candidates that the round's own merges cut off:
+/// their short probes run out, they are dropped unproved, and the verdict
+/// needs none of them.
+#[test]
+fn combined_flow_drops_dead_constant_candidates_on_sqrt_w10() {
+    let inputs = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/inputs");
+    let read = |side: &str| {
+        aiger::read_aiger_file(format!("{inputs}/sqrt_w10_1xd.{side}.aig")).expect("input reads")
+    };
+    let m = miter(&read("L"), &read("R")).unwrap();
+    let r = combined_check(&m, &exec(), &CombinedConfig::default());
+    assert_eq!(r.verdict, Verdict::Equivalent);
+    let sweep = r.dispatch.expect("the SAT sweep finishes this pair");
+    assert_eq!(sweep.unknown_pairs, 0, "{sweep:?}");
+    assert!(sweep.dead_constants >= 1, "{sweep:?}");
+}
